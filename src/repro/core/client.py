@@ -159,8 +159,8 @@ class Client:
         total_correct = 0.0
         count = 0
         for start in range(0, len(dataset), batch_size):
-            features, labels = dataset[np.arange(start, min(start + batch_size,
-                                                            len(dataset)))]
+            # A slice, not an index array: each batch is a view, not a copy.
+            features, labels = dataset[start:start + batch_size]
             logits = self.model(self._prepare(features))
             loss, _ = cross_entropy(logits, labels)
             total_loss += loss * len(labels)

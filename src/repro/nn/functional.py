@@ -1,15 +1,18 @@
 """Low-level array routines shared by the convolution and pooling layers.
 
 The central pair is :func:`im2col_windows` / :func:`col2im_windows`, which
-convert between an image batch ``(N, C, H, W)`` and its sliding-window view
-``(N, C, KH, KW, OH, OW)``. All convolutions and poolings are expressed on
-top of this representation, so the (easy to get wrong) stride/padding
-arithmetic lives in exactly one place.
+convert between an image batch ``(N, C, H, W)`` and its sliding-window copy
+``(N, C, KH, KW, OH, OW)``; reshaped to ``(N, C*KH*KW, OH*OW)`` (a free view)
+that copy is the right-hand side of the convolution GEMM. The depthwise
+convolution and the poolings never build windows: they walk the ``KH*KW``
+strided slices of the padded input that :func:`window_slices` yields. Both
+forms share :func:`pad_spatial` and :func:`conv_output_size`, so the (easy to
+get wrong) stride/padding arithmetic lives in exactly one place.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -18,6 +21,9 @@ from ..common.errors import ShapeError
 
 __all__ = [
     "conv_output_size",
+    "pad_spatial",
+    "unpad_spatial",
+    "window_slices",
     "im2col_windows",
     "col2im_windows",
     "softmax",
@@ -36,6 +42,43 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def pad_spatial(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
+    """``x`` with ``padding`` cells of ``value`` around both spatial dims.
+
+    Returns ``x`` itself when ``padding`` is 0.
+    """
+    if padding == 0:
+        return x
+    n, c, h, w = x.shape
+    padded = np.full((n, c, h + 2 * padding, w + 2 * padding), value,
+                     dtype=x.dtype)
+    padded[:, :, padding:padding + h, padding:padding + w] = x
+    return padded
+
+
+def unpad_spatial(padded: np.ndarray, padding: int) -> np.ndarray:
+    """The interior view of ``padded``: the inverse of :func:`pad_spatial`."""
+    if padding == 0:
+        return padded
+    return padded[:, :, padding:-padding, padding:-padding]
+
+
+def window_slices(kernel: Tuple[int, int], stride: int, out_h: int,
+                  out_w: int) -> Iterator[Tuple[int, int, tuple]]:
+    """``(i, j, index)`` for every kernel offset, in row-major order.
+
+    ``padded[index]`` is the ``(N, C, OH, OW)`` strided slice holding cell
+    ``(i, j)`` of every window: the same data as ``windows[:, :, i, j]``
+    without the copy.
+    """
+    kh, kw = kernel
+    for i in range(kh):
+        rows = slice(i, i + stride * out_h, stride)
+        for j in range(kw):
+            yield i, j, (slice(None), slice(None), rows,
+                         slice(j, j + stride * out_w, stride))
+
+
 def im2col_windows(x: np.ndarray, kernel: Tuple[int, int], stride: int,
                    padding: int) -> np.ndarray:
     """Extract sliding windows from a batch of images.
@@ -52,8 +95,9 @@ def im2col_windows(x: np.ndarray, kernel: Tuple[int, int], stride: int,
     Returns
     -------
     A **contiguous copy** of shape ``(N, C, KH, KW, OH, OW)``. Copying (rather
-    than returning the strided view) keeps downstream ``einsum`` calls fast
-    and prevents accidental aliasing of the padded buffer.
+    than returning the strided view) lets callers reshape it to the GEMM
+    operand ``(N, C*KH*KW, OH*OW)`` for free and prevents accidental aliasing
+    of the padded buffer.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected (N, C, H, W) input, got shape {x.shape}")
@@ -61,8 +105,7 @@ def im2col_windows(x: np.ndarray, kernel: Tuple[int, int], stride: int,
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    x = pad_spatial(x, padding)
     sn, sc, sh, sw = x.strides
     windows = as_strided(
         x,
@@ -87,14 +130,9 @@ def col2im_windows(grad_windows: np.ndarray, input_shape: Tuple[int, ...],
     if (gkh, gkw) != (kh, kw):
         raise ShapeError(f"kernel mismatch: windows have {(gkh, gkw)}, expected {(kh, kw)}")
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad_windows.dtype)
-    for i in range(kh):
-        row_end = i + stride * out_h
-        for j in range(kw):
-            col_end = j + stride * out_w
-            padded[:, :, i:row_end:stride, j:col_end:stride] += grad_windows[:, :, i, j]
-    if padding > 0:
-        return padded[:, :, padding:padding + h, padding:padding + w]
-    return padded
+    for i, j, index in window_slices(kernel, stride, out_h, out_w):
+        padded[index] += grad_windows[:, :, i, j]
+    return unpad_spatial(padded, padding)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -14,7 +14,14 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, ProtocolError, ShapeError
 from . import init
-from .functional import col2im_windows, conv_output_size, im2col_windows
+from .functional import (
+    col2im_windows,
+    conv_output_size,
+    im2col_windows,
+    pad_spatial,
+    unpad_spatial,
+    window_slices,
+)
 from .module import Module, Parameter
 
 __all__ = [
@@ -35,6 +42,10 @@ __all__ = [
     "Flatten",
     "Dropout",
 ]
+
+# Budget for the window copy (``cols``) of one eval-mode Conv2d block: small
+# enough to stay in cache and be reused warm from block to block.
+_EVAL_COLS_BYTES = 1 << 20
 
 
 def _require_cache(cache, layer: Module):
@@ -85,9 +96,12 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution with square stride/padding, via im2col + matmul.
+    """2-D convolution with square stride/padding, as one GEMM per sample.
 
-    Weight shape is ``(out_channels, in_channels, KH, KW)``.
+    Weight shape is ``(out_channels, in_channels, KH, KW)``. The windows are
+    laid out as ``cols`` of shape ``(N, C*KH*KW, OH*OW)``, so the forward is
+    ``W.reshape(O, -1) @ cols``, which is already NCHW. A 1x1 convolution
+    with stride 1 and no padding reads ``cols`` straight off the input.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -108,34 +122,64 @@ class Conv2d(Module):
             init.he_normal(rng, (out_channels, in_channels, kernel_size, kernel_size))
         )
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
+        self._pointwise = kernel_size == 1 and stride == 1 and padding == 0
+        # (input, cols); cols is None after an eval-mode forward.
+        self._cache: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
+
+    def _cols(self, x: np.ndarray) -> np.ndarray:
+        """``(N, C*KH*KW, OH*OW)``: a view of ``x`` or of a fresh window copy."""
+        if self._pointwise:
+            return x.reshape(x.shape[0], x.shape[1], -1)
+        k = self.kernel_size
+        windows = im2col_windows(x, (k, k), self.stride, self.padding)
+        return windows.reshape(x.shape[0], -1, windows.shape[4] * windows.shape[5])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
+        n, _, h, w = x.shape
         k = self.kernel_size
-        windows = im2col_windows(x, (k, k), self.stride, self.padding)
-        # windows: (N, C, KH, KW, OH, OW); weight: (O, C, KH, KW)
-        out = np.einsum("ncabij,ocab->noij", windows, self.weight.data, optimize=True)
+        out_h = conv_output_size(h, k, self.stride, self.padding)
+        out_w = conv_output_size(w, k, self.stride, self.padding)
+        weight = self.weight.data.reshape(self.out_channels, -1)
+        out = np.empty((n, self.out_channels, out_h * out_w),
+                       dtype=np.result_type(x, weight))
+        # Training keeps ``cols`` for backward, so the batch is one block.
+        # Evaluation batches are large and never back-propagated: walk them
+        # in blocks whose window copy stays cache-sized, keep only the
+        # input, and let backward() re-extract if it is ever called.
+        keep_cols = self.training or self._pointwise
+        per_sample = weight.shape[1] * out_h * out_w * out.itemsize
+        block = max(1, n if keep_cols else _EVAL_COLS_BYTES // per_sample)
+        cols = None
+        for start in range(0, n, block):
+            cols = self._cols(x[start:start + block])
+            np.matmul(weight, cols, out=out[start:start + block])
+        self._cache = (x, cols if keep_cols else None)
+        out = out.reshape(n, self.out_channels, out_h, out_w)
         if self.bias is not None:
             out += self.bias.data[None, :, None, None]
-        self._cache = (windows, x.shape)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        windows, x_shape = _require_cache(self._cache, self)
-        k = self.kernel_size
-        self.weight.grad += np.einsum(
-            "ncabij,noij->ocab", windows, grad_output, optimize=True
-        )
+        x, cols = _require_cache(self._cache, self)
+        if cols is None:
+            cols = self._cols(x)
+        grad = grad_output.reshape(x.shape[0], self.out_channels, -1)
+        self.weight.grad += np.matmul(grad, cols.transpose(0, 2, 1)).sum(
+            axis=0).reshape(self.weight.data.shape)
         if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=(0, 2, 3))
-        grad_windows = np.einsum(
-            "ocab,noij->ncabij", self.weight.data, grad_output, optimize=True
-        )
-        return col2im_windows(grad_windows, x_shape, (k, k), self.stride, self.padding)
+            self.bias.grad += grad.sum(axis=(0, 2))
+        grad_cols = self.weight.data.reshape(self.out_channels, -1).T @ grad
+        if self._pointwise:
+            return grad_cols.reshape(x.shape)
+        k = self.kernel_size
+        grad_windows = grad_cols.reshape(
+            x.shape[0], self.in_channels, k, k, *grad_output.shape[2:])
+        return col2im_windows(grad_windows, x.shape, (k, k), self.stride,
+                              self.padding)
 
     def __repr__(self) -> str:
         return (
@@ -149,7 +193,8 @@ class DepthwiseConv2d(Module):
 
     This is the ``groups == in_channels`` convolution that MobileNet V2's
     inverted residual blocks are built from. Weight shape is
-    ``(channels, KH, KW)``.
+    ``(channels, KH, KW)``. With no channel mixing there is no GEMM to feed:
+    the layer is ``KH*KW`` shifted multiply-adds on the padded input.
     """
 
     def __init__(self, channels: int, kernel_size: int, *, stride: int = 1,
@@ -171,33 +216,46 @@ class DepthwiseConv2d(Module):
             rng.normal(0.0, scale, size=(channels, kernel_size, kernel_size))
         )
         self.bias = Parameter(init.zeros((channels,))) if bias else None
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
+        self._padded_input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(
                 f"DepthwiseConv2d expected (N, {self.channels}, H, W), got {x.shape}"
             )
+        n, c, h, w = x.shape
         k = self.kernel_size
-        windows = im2col_windows(x, (k, k), self.stride, self.padding)
-        out = np.einsum("ncabij,cab->ncij", windows, self.weight.data, optimize=True)
+        out_h = conv_output_size(h, k, self.stride, self.padding)
+        out_w = conv_output_size(w, k, self.stride, self.padding)
+        padded = pad_spatial(x, self.padding)
+        weight = self.weight.data[:, :, :, None, None]
+        out = np.zeros((n, c, out_h, out_w), dtype=np.result_type(x, weight))
         if self.bias is not None:
             out += self.bias.data[None, :, None, None]
-        self._cache = (windows, x.shape)
+        term = np.empty_like(out)
+        for i, j, index in window_slices((k, k), self.stride, out_h, out_w):
+            np.multiply(padded[index], weight[:, i, j], out=term)
+            out += term
+        self._padded_input = padded
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        windows, x_shape = _require_cache(self._cache, self)
+        padded = _require_cache(self._padded_input, self)
         k = self.kernel_size
-        self.weight.grad += np.einsum(
-            "ncabij,ncij->cab", windows, grad_output, optimize=True
-        )
+        out_h, out_w = grad_output.shape[2:]
+        weight = self.weight.data[:, :, :, None, None]
+        grad_weight = np.empty_like(self.weight.data)
+        grad_padded = np.zeros(padded.shape, dtype=grad_output.dtype)
+        term = np.empty_like(grad_output)
+        for i, j, index in window_slices((k, k), self.stride, out_h, out_w):
+            np.multiply(padded[index], grad_output, out=term)
+            grad_weight[:, i, j] = term.sum(axis=(0, 2, 3))
+            np.multiply(grad_output, weight[:, i, j], out=term)
+            grad_padded[index] += term
+        self.weight.grad += grad_weight
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))
-        grad_windows = np.einsum(
-            "cab,ncij->ncabij", self.weight.data, grad_output, optimize=True
-        )
-        return col2im_windows(grad_windows, x_shape, (k, k), self.stride, self.padding)
+        return unpad_spatial(grad_padded, self.padding)
 
     def __repr__(self) -> str:
         return (
@@ -240,10 +298,13 @@ class _BatchNorm(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)
         axes = self._reduce_axes
+        count = x.size // self.num_features
         if self.training:
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            count = x.size // self.num_features
+            # ``x.var`` spelled out, so its ``x - mean`` pass is kept as the
+            # start of ``x_hat`` instead of being computed twice.
+            x_hat = x - self._expand(mean, x.ndim)
+            var = np.multiply(x_hat, x_hat).sum(axis=axes) / count
             # Track statistics with an exponential moving average, using the
             # unbiased variance for the running estimate (matching the
             # convention of mainstream frameworks).
@@ -255,14 +316,13 @@ class _BatchNorm(Module):
             self.set_buffer("running_mean", new_mean)
             self.set_buffer("running_var", new_var)
         else:
-            mean = self._buffers["running_mean"]
             var = self._buffers["running_var"]
+            x_hat = x - self._expand(self._buffers["running_mean"], x.ndim)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - self._expand(mean, x.ndim)) * self._expand(inv_std, x.ndim)
-        out = x_hat * self._expand(self.weight.data, x.ndim) \
-            + self._expand(self.bias.data, x.ndim)
-        self._cache = (x_hat, inv_std, x.ndim, x.size // self.num_features,
-                       self.training)
+        x_hat *= self._expand(inv_std, x.ndim)
+        out = x_hat * self._expand(self.weight.data, x.ndim)
+        out += self._expand(self.bias.data, x.ndim)
+        self._cache = (x_hat, inv_std, x.ndim, count, self.training)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -386,7 +446,8 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # fmax, not maximum: a NaN input maps to 0, as the mask says.
+        return np.fmax(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         mask = _require_cache(self._mask, self)
@@ -458,74 +519,106 @@ class Sigmoid(Module):
         return grad_output * out * (1.0 - out)
 
 
-class MaxPool2d(Module):
-    """Max pooling with square kernel and stride."""
+class _Pool2d(Module):
+    """Shared geometry of the poolings: square kernel, stride and padding.
+
+    Neither pooling builds windows; both reduce over the ``k*k`` strided
+    slices of the padded input.
+    """
 
     def __init__(self, kernel_size: int, *, stride: Optional[int] = None,
                  padding: int = 0) -> None:
         super().__init__()
         if kernel_size <= 0:
             raise ConfigurationError(f"kernel_size must be positive, got {kernel_size}")
+        stride = stride if stride is not None else kernel_size
+        if stride <= 0:
+            raise ConfigurationError(f"stride must be positive, got {stride}")
+        if padding < 0:
+            raise ConfigurationError(f"padding must be >= 0, got {padding}")
         self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
+        self.stride = stride
         self.padding = padding
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _slices(self, x_shape: Tuple[int, ...]) -> list:
+        """One index per window cell, row-major, into the padded input."""
+        if len(x_shape) != 4:
+            raise ShapeError(
+                f"{type(self).__name__} expected (N, C, H, W), got {x_shape}"
+            )
         k = self.kernel_size
-        windows = im2col_windows(x, (k, k), self.stride, self.padding)
-        n, c, _, _, oh, ow = windows.shape
-        flat = windows.reshape(n, c, k * k, oh, ow)
-        argmax = flat.argmax(axis=2)
-        out = np.take_along_axis(flat, argmax[:, :, None], axis=2)[:, :, 0]
-        self._cache = (argmax, x.shape, (n, c, oh, ow))
+        out_h = conv_output_size(x_shape[2], k, self.stride, self.padding)
+        out_w = conv_output_size(x_shape[3], k, self.stride, self.padding)
+        return [index for _, _, index
+                in window_slices((k, k), self.stride, out_h, out_w)]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(k={self.kernel_size}, s={self.stride})"
+
+
+class MaxPool2d(_Pool2d):
+    """Max pooling with square kernel and stride.
+
+    Padding is ``-inf``, so a padded cell never wins. Among equal maxima the
+    first cell in row-major window order wins and receives the whole
+    gradient. The forward is a running maximum only; which cell won is
+    worked out in ``backward``, so evaluation never pays for it.
+    """
+
+    def __init__(self, kernel_size: int, *, stride: Optional[int] = None,
+                 padding: int = 0) -> None:
+        super().__init__(kernel_size, stride=stride, padding=padding)
+        if padding >= kernel_size:
+            # A border window would hold padding only and have no maximum.
+            raise ConfigurationError(
+                f"MaxPool2d padding must be < kernel_size, got "
+                f"padding={padding}, kernel_size={kernel_size}"
+            )
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        slices = self._slices(x.shape)
+        padded = pad_spatial(x, self.padding, -np.inf)
+        out = padded[slices[0]].copy()
+        for index in slices[1:]:
+            np.maximum(out, padded[index], out=out)
+        self._cache = (padded, out, slices)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        argmax, x_shape, out_shape = _require_cache(self._cache, self)
-        n, c, oh, ow = out_shape
-        k = self.kernel_size
-        grad_flat = np.zeros((n, c, k * k, oh, ow), dtype=grad_output.dtype)
-        np.put_along_axis(grad_flat, argmax[:, :, None], grad_output[:, :, None], axis=2)
-        grad_windows = grad_flat.reshape(n, c, k, k, oh, ow)
-        return col2im_windows(grad_windows, x_shape, (k, k), self.stride, self.padding)
+        padded, out, slices = _require_cache(self._cache, self)
+        grad_padded = np.zeros(padded.shape, dtype=grad_output.dtype)
+        claimed = np.zeros(out.shape, dtype=bool)
+        term = np.empty_like(grad_output)
+        for index in slices:
+            # The first cell equal to the maximum takes the window.
+            wins = padded[index] == out
+            np.greater(wins, claimed, out=wins)
+            claimed |= wins
+            np.multiply(grad_output, wins, out=term)
+            grad_padded[index] += term
+        return unpad_spatial(grad_padded, self.padding)
 
-    def __repr__(self) -> str:
-        return f"MaxPool2d(k={self.kernel_size}, s={self.stride})"
 
-
-class AvgPool2d(Module):
-    """Average pooling with square kernel and stride."""
-
-    def __init__(self, kernel_size: int, *, stride: Optional[int] = None,
-                 padding: int = 0) -> None:
-        super().__init__()
-        if kernel_size <= 0:
-            raise ConfigurationError(f"kernel_size must be positive, got {kernel_size}")
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self.padding = padding
-        self._cache = None
+class AvgPool2d(_Pool2d):
+    """Average pooling with square kernel and stride (zero padding counts)."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        windows = im2col_windows(x, (k, k), self.stride, self.padding)
-        self._cache = x.shape
-        return windows.mean(axis=(2, 3))
+        slices = self._slices(x.shape)
+        padded = pad_spatial(x, self.padding)
+        out = padded[slices[0]].copy()
+        for index in slices[1:]:
+            out += padded[index]
+        self._cache = (padded.shape, slices)
+        return out / self.kernel_size ** 2
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x_shape = _require_cache(self._cache, self)
-        k = self.kernel_size
-        per_cell = grad_output / (k * k)
-        grad_windows = np.broadcast_to(
-            per_cell[:, :, None, None], per_cell.shape[:2] + (k, k) + per_cell.shape[2:]
-        )
-        return col2im_windows(
-            np.ascontiguousarray(grad_windows), x_shape, (k, k), self.stride, self.padding
-        )
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d(k={self.kernel_size}, s={self.stride})"
+        padded_shape, slices = _require_cache(self._cache, self)
+        per_cell = grad_output / self.kernel_size ** 2
+        grad_padded = np.zeros(padded_shape, dtype=grad_output.dtype)
+        for index in slices:
+            grad_padded[index] += per_cell
+        return unpad_spatial(grad_padded, self.padding)
 
 
 class GlobalAvgPool2d(Module):
