@@ -114,6 +114,21 @@ def degraded_trim_count(num_received: int, expected_models: int,
     return full
 
 
+def _trimmed_rows_mean(stack: np.ndarray, count: int,
+                       ordered: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mean of what is left after ``count`` entries leave each tail.
+
+    ``count`` is already validated (``0 <= 2 * count < num_models``).
+    ``ordered`` is ``np.sort(stack, axis=0)`` when the caller holds it
+    already (the adaptive rule reads its median from the same sort).
+    """
+    if count == 0:
+        return stack.mean(axis=0)
+    if ordered is None:
+        ordered = np.sort(stack, axis=0)
+    return ordered[count:stack.shape[0] - count].mean(axis=0)
+
+
 def trimmed_mean_by_count(stack: np.ndarray, count: int) -> np.ndarray:
     """Trimmed mean with an explicit per-tail count instead of a ratio.
 
@@ -129,10 +144,7 @@ def trimmed_mean_by_count(stack: np.ndarray, count: int) -> np.ndarray:
             f"trimming {count} from each tail of {stack.shape[0]} models "
             f"leaves nothing"
         )
-    if count == 0:
-        return stack.mean(axis=0)
-    ordered = np.sort(stack, axis=0)
-    return ordered[count:stack.shape[0] - count].mean(axis=0)
+    return _trimmed_rows_mean(stack, count)
 
 
 def trimmed_mean(stack: np.ndarray, trim_ratio: float) -> np.ndarray:
@@ -147,11 +159,7 @@ def trimmed_mean(stack: np.ndarray, trim_ratio: float) -> np.ndarray:
     Example (paper, Section IV-B): ``trmean_0.2{1, 2, 3, 4, 5} = 3``.
     """
     stack = _check_stack(stack)
-    count = trim_count(stack.shape[0], trim_ratio)
-    if count == 0:
-        return stack.mean(axis=0)
-    ordered = np.sort(stack, axis=0)
-    return ordered[count:stack.shape[0] - count].mean(axis=0)
+    return _trimmed_rows_mean(stack, trim_count(stack.shape[0], trim_ratio))
 
 
 def coordinate_median(stack: np.ndarray) -> np.ndarray:
@@ -309,6 +317,61 @@ def bulyan(stack: np.ndarray, num_byzantine: int) -> np.ndarray:
 # -- adaptive Byzantine-count estimation -------------------------------------
 
 
+def _median_of_sorted(ordered: np.ndarray) -> np.ndarray:
+    """Coordinate median read off ``np.sort(stack, axis=0)``.
+
+    Bit-equal to ``np.median(stack, axis=0)``: the middle row, or the
+    midpoint of the two middle rows, and NaN wherever a column holds one
+    (NaNs sort last, so the last row shows them).
+    """
+    n = ordered.shape[0]
+    middle = n // 2
+    center = ordered[middle] if n % 2 \
+        else 0.5 * (ordered[middle - 1] + ordered[middle])
+    has_nan = np.isnan(ordered[-1])
+    if has_nan.any():
+        center = np.where(has_nan, np.nan, center)
+    return center
+
+
+def _mad_scores(stack: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Modified z-scores of the rows' distances to ``center``."""
+    # One row at a time: a (P, d) difference would be a second full-size
+    # temporary next to the caller's sorted copy.
+    distances = np.empty(stack.shape[0])
+    diff = np.empty(stack.shape[1])
+    for i, row in enumerate(stack):
+        np.subtract(row, center, out=diff)
+        distances[i] = np.einsum("j,j->", diff, diff)
+    np.sqrt(distances, out=distances)
+    median_distance = float(np.median(distances))
+    deviations = np.abs(distances - median_distance)
+    mad = float(np.median(deviations))
+    if mad <= 0.0:
+        if float(deviations.max()) <= 0.0:
+            return np.zeros(stack.shape[0])
+        mad = 1e-12 * max(float(distances.max()), 1.0)
+    return 0.6745 * (distances - median_distance) / mad
+
+
+def _flag_outliers(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Rows scoring above ``threshold``, at most ``(n - 1) // 2`` of them.
+
+    When more are flagged only the worst-scoring ones are kept (stable
+    order on ties), so trimming that many per tail stays well-defined.
+    """
+    if threshold <= 0:
+        raise ConfigurationError(
+            f"threshold must be positive, got {threshold}"
+        )
+    flagged = np.flatnonzero(scores > threshold)
+    max_count = (scores.size - 1) // 2
+    if flagged.size > max_count:
+        worst_first = flagged[np.argsort(-scores[flagged], kind="stable")]
+        flagged = worst_first[:max_count]
+    return flagged
+
+
 def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
     """Modified z-score of each row's distance to the coordinate median.
 
@@ -327,17 +390,7 @@ def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
     all rows score 0.
     """
     stack = _check_stack(stack)
-    center = np.median(stack, axis=0)
-    deltas = stack - center
-    distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-    median_distance = float(np.median(distances))
-    deviations = np.abs(distances - median_distance)
-    mad = float(np.median(deviations))
-    if mad <= 0.0:
-        if float(deviations.max()) <= 0.0:
-            return np.zeros(stack.shape[0])
-        mad = 1e-12 * max(float(distances.max()), 1.0)
-    return 0.6745 * (distances - median_distance) / mad
+    return _mad_scores(stack, _median_of_sorted(np.sort(stack, axis=0)))
 
 
 def estimate_byzantine_count(stack: np.ndarray, *,
@@ -351,8 +404,7 @@ def estimate_byzantine_count(stack: np.ndarray, *,
     under-estimating admits tampered models — the per-round estimate tracks
     a time-varying true ``B`` instead of trusting a static config value.
     """
-    _, count, _ = adaptive_trimmed_mean_info(stack, threshold=threshold)
-    return count
+    return int(_flag_outliers(mad_outlier_scores(stack), threshold).size)
 
 
 def adaptive_trimmed_mean_info(
@@ -367,23 +419,19 @@ def adaptive_trimmed_mean_info(
     outliers (sorted). When more than ``floor((n-1)/2)`` rows are flagged
     only the worst-scoring ones are kept so the trim remains well-defined.
 
+    The stack is sorted once; the median the scores are measured from and
+    the trimmed mean are both read off that sorted copy.
+
     A deterministic pure function of the stack: no randomness, stable
     tie-breaking — the property the execution backends' bit-identity
     contract requires.
     """
     stack = _check_stack(stack)
-    if threshold <= 0:
-        raise ConfigurationError(
-            f"threshold must be positive, got {threshold}"
-        )
-    scores = mad_outlier_scores(stack)
-    flagged = np.flatnonzero(scores > threshold)
-    max_count = (stack.shape[0] - 1) // 2
-    if flagged.size > max_count:
-        worst_first = flagged[np.argsort(-scores[flagged], kind="stable")]
-        flagged = worst_first[:max_count]
+    ordered = np.sort(stack, axis=0)
+    scores = _mad_scores(stack, _median_of_sorted(ordered))
+    flagged = _flag_outliers(scores, threshold)
     b_hat = int(flagged.size)
-    vector = trimmed_mean_by_count(stack, b_hat)
+    vector = _trimmed_rows_mean(stack, b_hat, ordered)
     return vector, b_hat, tuple(sorted(int(i) for i in flagged))
 
 

@@ -81,13 +81,12 @@ class _RoundState:
     start_vectors: Dict[int, np.ndarray] = field(default_factory=dict)
     train_loss: float = float("nan")
     all_aggregates: Optional[np.ndarray] = None
-    broadcast_cache: Dict[int, np.ndarray] = field(default_factory=dict)
-    # With codecs active: the wire payload per broadcasting PS (the cache
-    # above then holds its *decoded* round-trip, which is what clients see),
-    # the decode memo for in-process payload -> dense lookups, and the
-    # shared reference this round's payloads were encoded against (workers
-    # decode with it; the live reference advances at the end of the filter
-    # phase).
+    # The one wire payload each broadcasting PS sends to every client this
+    # round (dense vector, or the encoded delta with codecs active). With
+    # codecs: the decode memo for in-process payload -> dense lookups, and
+    # the shared reference this round's payloads were encoded against
+    # (workers decode with it; the live reference advances at the end of
+    # the filter phase).
     broadcast_payloads: Dict[int, object] = field(default_factory=dict)
     decoded_payloads: Dict[int, "tuple"] = field(default_factory=dict)
     filter_references: Optional[np.ndarray] = None
@@ -637,6 +636,7 @@ class FedMSTrainer:
         residual produced here (what this encoding truncated) must only be
         adopted by the caller once the payload actually delivers — a
         dropped upload communicates nothing, so the old residual stays.
+        Called once per participating client per round.
         """
         if not self._codec_active:
             return vector, None
@@ -684,31 +684,38 @@ class FedMSTrainer:
             rng=self._assignment_rng,
         )
         for client, targets in zip(state.participants, assignment):
-            vector = state.vectors[client.client_id]
+            client_id = client.client_id
+            # One encode per client per round: every assigned PS and every
+            # retry carries the same payload, and the error-feedback
+            # residual it left advances once, only if something delivered
+            # (a dropped upload communicates nothing).
+            payload, residual = self._encode_upload(
+                state.vectors[client_id], client_id, state
+            )
+            delivered = False
             for index in targets:
-                self._upload_with_retry(
-                    client.client_id, vector, candidates[index], t, state
+                delivered |= self._upload_with_retry(
+                    client_id, payload, candidates[index], t, state
                 )
+            if delivered and residual is not None:
+                self._upload_residuals[client_id] = residual
 
-    def _upload_with_retry(self, client_id: int, vector: np.ndarray,
+    def _upload_with_retry(self, client_id: int, payload: object,
                            target: int, t: int, state: _RoundState) -> bool:
         """Send one upload, retrying per the policy on failure.
 
         The successful send is the only one counted as an upload message
         (the ``O(K)`` accounting); failed attempts are attributed as drops
-        and the retry attempts as ``retries_by_tag["upload"]``. The payload
-        is encoded once — the reference is shared by every PS, so a retry
-        re-sampled onto a different PS resends the same bytes — and dropped
-        attempts are charged at encoded size too. The error-feedback
-        residual advances only when an attempt delivers.
+        and the retry attempts as ``retries_by_tag["upload"]``. The
+        reference is shared by every PS, so a retry re-sampled onto a
+        different PS resends the same ``payload``, and dropped attempts
+        are charged at encoded size too. Returns whether an attempt
+        delivered.
         """
-        payload, residual = self._encode_upload(vector, client_id, state)
         if self.network.send(Message(
             NodeId.client(client_id), NodeId.server(target), payload,
             tag="upload", round_index=t,
         )):
-            if residual is not None:
-                self._upload_residuals[client_id] = residual
             return True
         policy = self.retry_policy
         current = target
@@ -727,8 +734,6 @@ class FedMSTrainer:
                 NodeId.client(client_id), NodeId.server(current), payload,
                 tag="upload", round_index=t,
             )):
-                if residual is not None:
-                    self._upload_residuals[client_id] = residual
                 return True
         state.upload_failures += 1
         return False
@@ -869,49 +874,60 @@ class FedMSTrainer:
             del self._late_broadcasts[server_id]
 
     def _phase_filter(self, t: int) -> None:
-        """Stage 3 (client side): the Def() filter, quorum-aware.
+        """Stage 3 (client side): the Def() filter, quorum-aware, evaluated
+        once per distinct received stack.
 
-        Per-client filtering is embarrassingly parallel, so every client
-        whose rule has a picklable :class:`FilterSpec` is fanned out
-        through the execution backend; custom filter closures run
-        in-process.
+        Clients are grouped by what they received: the ``(sender, payload
+        object)`` pairs of their messages. A PS that does not lie per
+        client makes one payload object a round and the network queues it
+        untouched, and every payload of the round exists before this phase
+        starts, so equal keys mean bit-equal stacks (a client-dependent
+        attack makes one object per receiver and never shares). Each
+        group's filter runs once and its output is installed in every
+        member: a lossless round is one group, a crashed or late PS is
+        missing for everyone and still leaves one, and only clients behind
+        a lossy link get a stack of their own.
+
+        Groups whose rule has a picklable :class:`FilterSpec` are fanned
+        out through the execution backend; estimating rules and custom
+        closures run in-process.
         """
         state = self._round
         assert state is not None
-        config = self.config
-        shared_filtered = self._shared_filtered_model(state)
-        expected = config.num_servers
-        backend_jobs: List[FilterJob] = []
+        expected = self.config.num_servers
+        groups: Dict[tuple, "tuple[List[Message], List[Client]]"] = {}
         for client in state.active_clients:
             messages = self.network.receive(NodeId.client(client.client_id))
-            received = [self._payload_vector(message.payload, state)
-                        for message in messages]
-            quorum = len(received)
-            state.models_received[client.client_id] = quorum
-            if shared_filtered is not None:
-                # Every client received the identical stack; adopt the
-                # precomputed filter output instead of recomputing it K
-                # times.
-                client.set_model_vector(shared_filtered)
-                client.optimizer.reset_state()
-            elif quorum == 0:
+            state.models_received[client.client_id] = len(messages)
+            key = tuple((message.sender.index, id(message.payload))
+                        for message in messages)
+            groups.setdefault(key, (messages, []))[1].append(client)
+        backend_jobs: List[FilterJob] = []
+        # A group, and its backend job, is named after its first member.
+        members_of: Dict[int, List[Client]] = {}
+        for messages, members in groups.values():
+            quorum = len(messages)
+            member_ids = [client.client_id for client in members]
+            members_of[member_ids[0]] = members
+            if quorum == 0:
                 # A client can miss every global model this round; it
                 # rolls back to its previous feasible model rather than
                 # keep unfiltered local drift.
-                self._fall_back(client, state)
+                self._fall_back(members, state)
             elif self._filter_info_fn is not None:
                 # Estimating rules (adaptive-beta, loss-based) need no
                 # expected-P trim count, so a reduced quorum is filtered
                 # natively — B-hat is re-estimated on whatever arrived.
                 if quorum < expected:
-                    state.degraded_clients.append(client.client_id)
-                outcome = self._filter_info_fn(np.stack(received))
+                    state.degraded_clients.extend(member_ids)
+                outcome = self._filter_info_fn(
+                    self._received_stack(messages, state)
+                )
                 self._record_filter_outcome(
                     state, outcome,
                     sender_ids=[m.sender.index for m in messages],
                 )
-                client.set_model_vector(outcome.vector)
-                client.optimizer.reset_state()
+                self._adopt(members, outcome.vector)
             elif quorum < expected and self._degraded_trim_ratio is not None:
                 count = degraded_trim_count(
                     quorum, expected, self._degraded_trim_ratio
@@ -920,37 +936,50 @@ class FedMSTrainer:
                     # Too few models to out-vote the Byzantine PSs
                     # (q <= 2B): keep the previous feasible model rather
                     # than adopt an adversary-controllable aggregate.
-                    self._fall_back(client, state)
+                    self._fall_back(members, state)
                 else:
-                    state.degraded_clients.append(client.client_id)
+                    state.degraded_clients.extend(member_ids)
                     backend_jobs.append((
-                        client.client_id,
+                        member_ids[0],
                         self._filter_job_payload(messages, state),
                         FilterSpec("trim_count", count),
                     ))
             elif self._filter_spec is not None:
                 backend_jobs.append((
-                    client.client_id,
+                    member_ids[0],
                     self._filter_job_payload(messages, state),
                     self._filter_spec,
                 ))
             else:
-                client.filter_received(received, self.filter_rule)
+                self._adopt(members, self.filter_rule(
+                    self._received_stack(messages, state)
+                ))
         if backend_jobs:
             results = self.execution.filter_clients(
                 backend_jobs, references=state.filter_references
             )
-            for client_id, vector in results.items():
-                client = self.clients[client_id]
-                client.set_model_vector(vector)
-                client.optimizer.reset_state()
+            for job_id, vector in results.items():
+                self._adopt(members_of[job_id], vector)
         if self._codec_active:
             # Advance the shared reference to the consensus the filter just
             # produced. Client 0's post-filter model is that consensus on
             # the healthy path (all clients coincide); on degraded rounds
             # any single choice works — the next deltas carry each party's
             # offset from it, so nothing is lost, only re-sent.
-            self._reference = np.array(self.clients[0].model_vector())
+            self._reference = self.clients[0].model_vector()
+
+    def _received_stack(self, messages: Sequence[Message],
+                        state: _RoundState) -> np.ndarray:
+        """Dense ``(q, d)`` stack of the models ``messages`` carry."""
+        return np.stack([self._payload_vector(message.payload, state)
+                         for message in messages])
+
+    @staticmethod
+    def _adopt(members: Sequence[Client], vector: np.ndarray) -> None:
+        """Install a group's filter output in every member."""
+        for client in members:
+            client.set_model_vector(vector)
+            client.optimizer.reset_state()
 
     def _filter_job_payload(self, messages: Sequence[Message],
                             state: _RoundState) -> object:
@@ -969,28 +998,29 @@ class FedMSTrainer:
             ]
         return np.stack([message.payload for message in messages])
 
-    def _fall_back(self, client: Client, state: _RoundState) -> None:
-        """Restore ``client``'s previous feasible model.
+    def _fall_back(self, members: Sequence[Client],
+                   state: _RoundState) -> None:
+        """Restore each member's own previous feasible model.
 
         Undoes this round's local training (if the client trained): without
         a safely filterable quorum the client must not let unfiltered local
         drift replace the last model it knows satisfied the filter.
         """
-        state.fallback_clients.append(client.client_id)
-        start_vector = state.start_vectors.get(client.client_id)
-        if start_vector is not None:
-            client.set_model_vector(start_vector)
-            client.optimizer.reset_state()
+        for client in members:
+            state.fallback_clients.append(client.client_id)
+            start_vector = state.start_vectors.get(client.client_id)
+            if start_vector is not None:
+                client.set_model_vector(start_vector)
+                client.optimizer.reset_state()
 
     def _disseminated_payload(self, server: ParameterServer, client_id: int,
                               round_index: int, state: _RoundState) -> object:
         """Wire payload ``server`` sends to ``client_id``.
 
         Attacks that are not client-dependent produce one tampered vector
-        per round, so it is computed (and encoded) once and broadcast;
-        ``state.broadcast_cache`` then holds the model *as receivers decode
-        it* — the encode/decode round-trip when a codec is active — which
-        is exactly what the shared-filter fast path must operate on.
+        per round, so it is computed (and encoded) once and that one
+        payload object is broadcast — which is what lets the filter phase
+        recognise clients holding the same stack.
         """
         client_dependent = (
             isinstance(server, ByzantineParameterServer)
@@ -1005,26 +1035,25 @@ class FedMSTrainer:
             # advance per-round sender state once per client.
             return self._encode_for_wire(model, round_index, state)
         server_id = server.server_id
-        if server_id not in state.broadcast_cache:
+        if server_id not in state.broadcast_payloads:
             model = server.disseminate(
                 round_index=round_index, client_id=None,
                 all_server_aggregates=state.all_aggregates,
             )
-            payload = self._encode_for_wire(model, round_index, state,
-                                            residual_key=server_id)
-            state.broadcast_payloads[server_id] = payload
-            state.broadcast_cache[server_id] = \
-                self._payload_vector(payload, state)
+            state.broadcast_payloads[server_id] = self._encode_for_wire(
+                model, round_index, state, residual_key=server_id
+            )
         return state.broadcast_payloads[server_id]
 
     def _record_filter_outcome(self, state: _RoundState,
                                outcome: FilterOutcome,
                                sender_ids: Sequence[int]) -> None:
-        """Fold one client's estimating-filter verdict into the round.
+        """Fold one group's estimating-filter verdict into the round.
 
-        ``estimated_byzantine`` keeps the worst (largest) per-client
-        estimate; ``filtered_model_ids`` accumulates every PS whose model
-        any client rejected.
+        ``estimated_byzantine`` keeps the worst (largest) estimate over
+        the groups; ``filtered_model_ids`` accumulates every PS whose model
+        any client rejected. Max and union are idempotent, so once per
+        group records what once per member would.
         """
         if outcome.estimated_byzantine is not None:
             previous = state.estimated_byzantine
@@ -1034,34 +1063,6 @@ class FedMSTrainer:
             )
         for row in outcome.rejected_rows:
             state.filtered_model_ids.add(int(sender_ids[row]))
-
-    def _shared_filtered_model(self, state: _RoundState
-                               ) -> Optional[np.ndarray]:
-        """Filter output shared by all clients, when provably identical.
-
-        When every PS broadcast one model this round (no client-dependent
-        attack) and the network cannot drop messages, all clients receive
-        the same ``P`` models and the filter is a pure function of that
-        stack — so it is computed once. Returns ``None`` whenever per-client
-        results could differ (inconsistent attacks, lossy networks, or any
-        fault injection).
-        """
-        broadcast_cache = state.broadcast_cache
-        if not self.network.is_lossless \
-                or len(broadcast_cache) != len(self.servers):
-            return None
-        stack = np.stack([
-            broadcast_cache[server.server_id] for server in self.servers
-        ])
-        if self._filter_info_fn is not None:
-            # Stack rows follow server-id order, so rejected row i is PS i.
-            outcome = self._filter_info_fn(stack)
-            self._record_filter_outcome(
-                state, outcome,
-                sender_ids=[server.server_id for server in self.servers],
-            )
-            return outcome.vector
-        return self.filter_rule(stack)
 
     def _evaluate(self) -> "tuple[float, float]":
         """Mean (loss, accuracy) over the first ``eval_clients`` clients.

@@ -177,7 +177,10 @@ class ProcessPoolBackend(ExecutionBackend):
     def filter_clients(self, jobs: Sequence[FilterJob], *,
                        references: Optional[np.ndarray] = None
                        ) -> Dict[int, np.ndarray]:
-        if self._degraded or not jobs:
+        # A lone job has nothing to run beside: sending its stack to a
+        # worker would only add the pickling (the trainer submits one job
+        # per distinct received stack, which is usually one).
+        if self._degraded or len(jobs) < 2:
             return self._fallback.filter_clients(jobs, references=references)
         if references is not None:
             if self._refs is None:

@@ -1,0 +1,288 @@
+"""The filter phase runs Def() once per distinct received stack.
+
+``FedMSTrainer._phase_filter`` groups clients by the ``(sender, payload
+object)`` pairs they received and evaluates the filter once per group.
+Two things are pinned here. *Equivalence*: a grouped run equals a
+reference run of the same seed in which every client is handed private
+copies of its payloads (no two clients share a key, so every stack is
+filtered separately), on every branch of the phase. *Economy*: the number
+of filter evaluations per round is the number of distinct received sets,
+which is 1 whenever nothing separates the clients and K when a
+client-dependent attack does.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro.aggregation import trimmed_mean
+from repro.attacks import make_attack
+from repro.common import RngFactory
+from repro.core import FedMSConfig, FedMSTrainer
+from repro.core.codecs import EncodedUpdate
+from repro.data import ArrayDataset, iid_partition
+from repro.models import SoftmaxRegression
+from repro.simulation import (
+    FaultInjector,
+    FaultPlan,
+    LinkPartition,
+    NodeId,
+    ServerCrash,
+)
+
+ROUNDS = 4
+#: One PS down from round 1 on, and three clients each behind their own
+#: severed links in rounds 0-2 (2, 3 and 3 distinct received sets); round 3
+#: has the crash only. Clients 3.. are never separated.
+PLAN = FaultPlan(
+    crashes=(ServerCrash(4, 1),),
+    partitions=(
+        LinkPartition(0, 2, 1, 3),
+        LinkPartition(1, 2, 1, 3),
+        LinkPartition(1, 3, 2, 3),
+        LinkPartition(2, 0, 0, 2),
+    ),
+)
+
+
+def make_blobs(n=300, num_classes=3, dim=6, seed=0):
+    centers = np.random.default_rng(42).normal(scale=4.0,
+                                               size=(num_classes, dim))
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % num_classes
+    features = centers[labels] + rng.normal(size=(n, dim))
+    order = rng.permutation(n)
+    return ArrayDataset(features[order], labels[order])
+
+
+def make_trainer(*, num_clients=6, num_servers=10, num_byzantine=2,
+                 attack="noise", plan=None, filter_rule=None, seed=0,
+                 **config_kwargs):
+    data = make_blobs(seed=seed)
+    test = make_blobs(n=120, seed=seed + 1)
+    parts = iid_partition(data, num_clients,
+                          rng=RngFactory(seed).make("part"))
+    config = FedMSConfig(
+        num_clients=num_clients,
+        num_servers=num_servers,
+        num_byzantine=num_byzantine,
+        local_steps=2,
+        batch_size=8,
+        learning_rate=0.2,
+        eval_clients=2,
+        seed=seed,
+        **config_kwargs,
+    )
+    return FedMSTrainer(
+        config,
+        model_factory=lambda rng: SoftmaxRegression(6, 3, rng=rng),
+        client_datasets=parts,
+        test_dataset=test,
+        attack=make_attack(attack) if num_byzantine else None,
+        filter_rule=filter_rule,
+        fault_injector=FaultInjector(plan) if plan is not None else None,
+    )
+
+
+def filter_every_stack_separately(trainer):
+    """Turn ``trainer`` into the reference: every client receives private
+    copies of its payloads, so no two clients ever share a group."""
+    receive = trainer.network.receive
+
+    def private(recipient):
+        messages = receive(recipient)
+        if recipient.role != NodeId.CLIENT_ROLE:
+            return messages
+        for message in messages:
+            payload = message.payload
+            if isinstance(payload, EncodedUpdate):
+                clone = copy.copy(payload)
+                memo = trainer._round.decoded_payloads
+                memo[id(clone)] = (clone, memo[id(payload)][1])
+            else:
+                clone = np.array(payload)
+            message.payload = clone
+        return messages
+
+    trainer.network.receive = private
+    return trainer
+
+
+def count_evaluations(trainer):
+    """Per-round counts of Def() evaluations, whichever branch runs them:
+    the estimating ``info_fn``, backend filter jobs, or the plain rule."""
+    counts = []
+    trainer.scheduler.add_round_hook(lambda t: counts.append(0))
+
+    def counted(fn, weight=lambda *args: 1):
+        def wrapper(*args, **kwargs):
+            counts[-1] += weight(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    if trainer._filter_info_fn is not None:
+        trainer._filter_info_fn = counted(trainer._filter_info_fn)
+    trainer.filter_rule = counted(trainer.filter_rule)
+    trainer.execution.filter_clients = counted(
+        trainer.execution.filter_clients, weight=len)
+    return counts
+
+
+def distinct_received_sets(trainer):
+    """How many different sender sets the active clients see this round,
+    read off the injector (valid until the next round begins)."""
+    injector = trainer.fault_injector
+    servers = injector.alive_servers(trainer.config.num_servers)
+    return len({
+        frozenset(s for s in servers if injector.link_up(k, s))
+        for k in injector.active_clients(trainer.config.num_clients)
+    })
+
+
+def assert_rounds_equal(grouped, reference, rounds=ROUNDS):
+    for _ in range(rounds):
+        ours, theirs = grouped.run_round(), reference.run_round()
+        for name in ("train_loss", "test_loss", "test_accuracy",
+                     "models_received", "degraded_clients",
+                     "fallback_clients", "estimated_byzantine",
+                     "filtered_model_ids", "upload_bytes"):
+            assert getattr(ours, name) == getattr(theirs, name), name
+        for mine, other in zip(grouped.clients, reference.clients):
+            np.testing.assert_array_equal(mine.model_vector(),
+                                          other.model_vector())
+
+
+SCENARIOS = {
+    # Estimating rule: a reduced quorum is re-estimated natively.
+    "adaptive": dict(filter_rule_name="adaptive_trimmed_mean", plan=PLAN),
+    "adaptive_codec": dict(filter_rule_name="adaptive_trimmed_mean",
+                           upload_codecs=["topk(0.2)", "int8"], plan=PLAN),
+    # Static rule, q in {7, 8, 9} > 2B: the trim_count branch.
+    "static_trim_count": dict(plan=PLAN),
+    "static_codec": dict(upload_codecs=["topk(0.2)", "int8"], plan=PLAN),
+    # Static rule, P=5 B=2: one crash leaves q <= 4 = 2B, so every client
+    # falls back to its own previous model from round 1 on.
+    "static_fallback": dict(num_servers=5, plan=PLAN),
+    # An opaque closure: no FilterSpec, no degraded trim count.
+    "custom_closure": dict(
+        filter_rule=lambda stack: trimmed_mean(stack, 0.25), plan=PLAN),
+    # One payload object per receiver: nothing is ever shared.
+    "inconsistent": dict(attack="inconsistent"),
+}
+
+
+class TestGroupedEqualsPerClient:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_matches_reference(self, name):
+        grouped = make_trainer(**SCENARIOS[name])
+        reference = filter_every_stack_separately(
+            make_trainer(**SCENARIOS[name]))
+        assert_rounds_equal(grouped, reference)
+
+    def test_scenarios_reach_their_branches(self):
+        def history(name):
+            return make_trainer(**SCENARIOS[name]).run(ROUNDS).records
+
+        adaptive = history("adaptive")
+        assert any(r.degraded_clients for r in adaptive)
+        assert any(r.filtered_model_ids for r in adaptive)
+        assert len({tuple(sorted(r.models_received.values()))
+                    for r in adaptive}) > 1
+        trim_count = history("static_trim_count")
+        assert any(r.degraded_clients for r in trim_count)
+        assert not any(r.fallback_clients for r in trim_count)
+        fallback = history("static_fallback")
+        assert fallback[-1].fallback_clients == list(range(6))
+
+    def test_reference_really_filters_per_client(self):
+        trainer = filter_every_stack_separately(
+            make_trainer(filter_rule_name="adaptive_trimmed_mean"))
+        counts = count_evaluations(trainer)
+        trainer.run_round()
+        assert counts == [trainer.config.num_clients]
+
+
+class TestEvaluationsPerRound:
+    @pytest.mark.parametrize("kwargs", [
+        dict(filter_rule_name="adaptive_trimmed_mean"),
+        dict(),
+        dict(filter_rule=lambda stack: trimmed_mean(stack, 0.2)),
+    ], ids=["adaptive", "static", "closure"])
+    def test_lossless_round_is_one_evaluation(self, kwargs):
+        trainer = make_trainer(num_clients=20, **kwargs)
+        counts = count_evaluations(trainer)
+        trainer.run(3)
+        assert counts == [1, 1, 1]
+
+    def test_deadline_round_with_a_late_server_is_one_evaluation(self):
+        # The late PS is late for everyone, and a stale broadcast admitted
+        # the round after is one payload for everyone too.
+        trainer = make_trainer(
+            num_clients=8, filter_rule_name="adaptive_trimmed_mean",
+            aggregation_mode="deadline", straggler_rate=0.3, seed=1)
+        counts = count_evaluations(trainer)
+        history = trainer.run(6)
+        assert any(r.deadline_missed for r in history.records)
+        assert any(r.late_admitted for r in history.records)
+        assert counts == [1] * 6
+
+    def test_inconsistent_attack_never_shares(self):
+        trainer = make_trainer(attack="inconsistent",
+                               filter_rule_name="adaptive_trimmed_mean")
+        counts = count_evaluations(trainer)
+        trainer.run(2)
+        assert counts == [trainer.config.num_clients] * 2
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(filter_rule_name="adaptive_trimmed_mean"), dict(),
+    ], ids=["adaptive", "static"])
+    def test_partitions_cost_one_evaluation_per_received_set(self, kwargs):
+        trainer = make_trainer(plan=PLAN, **kwargs)
+        counts = count_evaluations(trainer)
+        expected = []
+        for _ in range(ROUNDS):
+            trainer.run_round()
+            expected.append(distinct_received_sets(trainer))
+        assert counts == expected
+        assert 1 < max(expected) < trainer.config.num_clients
+        assert min(expected) == 1
+
+
+class TestBackendsWithGroups:
+    def test_bit_identical_with_partitions_adaptive_and_codecs(self):
+        results = {}
+        for backend in ("serial", "thread", "process"):
+            with make_trainer(
+                plan=PLAN, filter_rule_name="adaptive_trimmed_mean",
+                upload_codecs=["topk(0.05)", "int8"],
+                execution_backend=backend, num_workers=2,
+            ) as trainer:
+                history = trainer.run(ROUNDS)
+                assert not getattr(trainer.execution, "degraded", False)
+                results[backend] = (
+                    [(r.train_loss, r.test_loss, r.test_accuracy,
+                      r.models_received, r.degraded_clients,
+                      r.estimated_byzantine, r.filtered_model_ids)
+                     for r in history.records],
+                    [c.model_vector().tobytes() for c in trainer.clients],
+                )
+        assert results["serial"] == results["thread"]
+        assert results["serial"] == results["process"]
+
+    @pytest.mark.parametrize("codecs", [None, ["topk(0.2)", "int8"]],
+                             ids=["dense", "codec"])
+    def test_static_groups_bit_identical_across_backends(self, codecs):
+        # Grouped trim_count jobs go through the pools (dense stacks, or
+        # encoded payloads the workers decode): one job per group,
+        # installed in every member.
+        results = {}
+        for backend in ("serial", "thread", "process"):
+            with make_trainer(plan=PLAN, execution_backend=backend,
+                              num_workers=2,
+                              upload_codecs=codecs) as trainer:
+                trainer.run(ROUNDS)
+                results[backend] = [c.model_vector().tobytes()
+                                    for c in trainer.clients]
+        assert results["serial"] == results["thread"]
+        assert results["serial"] == results["process"]

@@ -10,8 +10,10 @@ import numpy as np
 from repro.attacks import RandomAttack
 from repro.common import RngFactory
 from repro.core import FedMSConfig, FedMSTrainer
+from repro.core.upload import RetryPolicy
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
+from repro.simulation import Network
 
 DIM = 6 * 3 + 3  # SoftmaxRegression(6, 3): weights + bias
 
@@ -27,7 +29,7 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
 
 
 def make_trainer(upload_codecs, *, num_clients=8, num_servers=5,
-                 num_byzantine=0, seed=0, **config_kwargs):
+                 num_byzantine=0, seed=0, network=None, **config_kwargs):
     data = make_blobs(seed=seed)
     test = make_blobs(n=120, seed=seed + 1)
     parts = iid_partition(data, num_clients, rng=RngFactory(seed).make("p"))
@@ -49,6 +51,7 @@ def make_trainer(upload_codecs, *, num_clients=8, num_servers=5,
         test_dataset=test,
         attack=RandomAttack() if num_byzantine else None,
         byzantine_ids=list(range(num_byzantine)) if num_byzantine else None,
+        network=network,
     )
 
 
@@ -109,3 +112,125 @@ class TestTrajectory:
             filter_rule_name="adaptive_trimmed_mean",
         ).run(6)
         assert history.final_accuracy > 0.5  # blobs are separable
+
+
+class TestMultiUploadEncodesOnce:
+    """``upload_strategy="multi"``: one encode per client per round, the
+    same payload to every assigned PS and every retry, one EF-SGD step."""
+
+    CLIENTS = 4
+
+    def make(self, drop_rule=None, **config_kwargs):
+        trainer = make_trainer(
+            ["topk(0.2)", "int8"], num_clients=self.CLIENTS,
+            upload_strategy="multi", uploads_per_client=3,
+            network=Network(drop_rule=drop_rule), **config_kwargs,
+        )
+        # Every upload offered to the wire (delivered or not), the number
+        # of upload encodes, and the vectors the clients trained.
+        trainer.offered, trainer.encodes, trainer.trained = [], [], {}
+        send, encode = trainer.network.send, trainer.codec.encode
+        train = trainer.execution.train_clients
+
+        def recording_send(message):
+            if message.tag == "upload":
+                trainer.offered.append(message)
+            return send(message)
+
+        def counting_encode(*args, **kwargs):
+            trainer.encodes.append(1)
+            return encode(*args, **kwargs)
+
+        def recording_train(round_index, jobs):
+            results = train(round_index, jobs)
+            trainer.trained = {k: v for k, (v, _) in results.items()}
+            return results
+
+        trainer.network.send = recording_send
+        trainer.raw_encode, trainer.codec.encode = encode, counting_encode
+        trainer.execution.train_clients = recording_train
+        return trainer
+
+    @staticmethod
+    def drop_first_upload_of_client_0():
+        """``(drop_rule, dropped)``: loses client 0's first upload attempt
+        of the run and records the message."""
+        dropped = []
+
+        def drop_rule(message):
+            if (message.tag == "upload" and message.sender.index == 0
+                    and not dropped):
+                dropped.append(message)
+                return True
+            return False
+
+        return drop_rule, dropped
+
+    def expected_residuals(self, trainer):
+        """Run one round; ``(delta + e) - C(delta + e)`` per client."""
+        reference = trainer._reference.copy()
+        before = {k: v.copy() for k, v in trainer._upload_residuals.items()}
+        trainer.run_round()
+        expected = {}
+        for client_id, vector in trainer.trained.items():
+            total = vector - reference
+            if client_id in before:
+                total = total + before[client_id]
+            expected[client_id] = total - trainer.raw_encode(total).decode()
+        return expected
+
+    def test_all_targets_receive_one_payload_object(self):
+        trainer = self.make()
+        record = trainer.run_round()
+        assert record.upload_messages == 3 * self.CLIENTS
+        assert len(trainer.encodes) == self.CLIENTS
+        for client_id in range(self.CLIENTS):
+            mine = [m for m in trainer.offered
+                    if m.sender.index == client_id]
+            assert len({m.recipient.index for m in mine}) == 3
+            assert all(m.payload is mine[0].payload for m in mine)
+
+    def test_residual_is_one_error_feedback_step(self):
+        trainer = self.make()
+        for _ in range(3):  # round 0 starts from no residual, then e != 0
+            expected = self.expected_residuals(trainer)
+            assert sorted(expected) == list(range(self.CLIENTS))
+            for client_id, residual in expected.items():
+                np.testing.assert_array_equal(
+                    trainer._upload_residuals[client_id], residual)
+
+    def test_retry_resends_the_same_payload(self):
+        drop_rule, dropped = self.drop_first_upload_of_client_0()
+        trainer = self.make(drop_rule)
+        expected = self.expected_residuals(trainer)
+        record = trainer.history.records[-1]
+        assert record.upload_retries == 1 and record.upload_failures == 0
+        mine = [m for m in trainer.offered if m.sender.index == 0]
+        assert len(mine) == 4  # the lost attempt, its retry, two more PSs
+        assert all(m.payload is dropped[0].payload for m in mine)
+        assert len(trainer.encodes) == self.CLIENTS
+        np.testing.assert_array_equal(trainer._upload_residuals[0],
+                                      expected[0])
+
+    def test_partial_delivery_advances_the_residual_once(self):
+        drop_rule, _ = self.drop_first_upload_of_client_0()
+        trainer = self.make(drop_rule,
+                            retry_policy=RetryPolicy(max_retries=0))
+        expected = self.expected_residuals(trainer)
+        record = trainer.history.records[-1]
+        assert record.upload_failures == 1
+        assert record.upload_messages == 3 * self.CLIENTS - 1
+        np.testing.assert_array_equal(trainer._upload_residuals[0],
+                                      expected[0])
+
+    def test_round_with_every_attempt_dropped_keeps_the_residual(self):
+        trainer = self.make(
+            lambda m: m.tag == "upload" and m.round_index == 1)
+        trainer.run_round()
+        before = dict(trainer._upload_residuals)
+        record = trainer.run_round()
+        assert record.upload_messages == 0
+        assert record.upload_failures == 3 * self.CLIENTS
+        assert len(trainer.encodes) == 2 * self.CLIENTS
+        for client_id, residual in before.items():
+            assert trainer._upload_residuals[client_id] is residual
