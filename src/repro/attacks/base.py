@@ -16,11 +16,15 @@ vector a given client will receive.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-__all__ = ["AttackContext", "Attack"]
+__all__ = ["AttackContext", "Attack", "ServerAggregates"]
+
+#: The adversary's ``(P, dim)`` view of a round: the array, a zero-argument
+#: callable that builds it when first read, or ``None``.
+ServerAggregates = Union[None, np.ndarray, Callable[[], np.ndarray]]
 
 
 class AttackContext:
@@ -41,7 +45,10 @@ class AttackContext:
         (the state a Backward/Safeguard attack needs).
     all_server_aggregates:
         Adaptive knowledge: the honest aggregates of *all* PSs this round,
-        shape ``(P, dim)``, or ``None`` for attacks that do not use it.
+        shape ``(P, dim)``, or ``None`` when unavailable. The constructor
+        also accepts a zero-argument callable returning that array; it is
+        called on the first read, so a round whose attacks never look never
+        builds the stack.
     client_id:
         The client about to receive the tampered model, or ``None`` when the
         same model is broadcast to everyone. Lets an attack send different
@@ -54,15 +61,21 @@ class AttackContext:
                  true_aggregate: np.ndarray,
                  previous_aggregates: List[np.ndarray],
                  rng: np.random.Generator,
-                 all_server_aggregates: Optional[np.ndarray] = None,
+                 all_server_aggregates: ServerAggregates = None,
                  client_id: Optional[int] = None) -> None:
         self.round_index = round_index
         self.server_id = server_id
         self.true_aggregate = true_aggregate
         self.previous_aggregates = previous_aggregates
-        self.all_server_aggregates = all_server_aggregates
+        self._all_server_aggregates = all_server_aggregates
         self.client_id = client_id
         self.rng = rng
+
+    @property
+    def all_server_aggregates(self) -> Optional[np.ndarray]:
+        if callable(self._all_server_aggregates):
+            self._all_server_aggregates = self._all_server_aggregates()
+        return self._all_server_aggregates
 
 
 class Attack:

@@ -86,16 +86,52 @@ class Client:
         self.optimizer = SGD(model.parameters(), lr=self.lr_schedule(0),
                              weight_decay=weight_decay)
         self.last_train_loss: Optional[float] = None
+        # The model is fed data batches, whose gradient nobody reads.
+        input_layer = model.input_layer()
+        if input_layer is not None:
+            input_layer.needs_input_grad = False
+        # The read-only vector the model's state currently equals, when
+        # known: set on adopting one and by shared_model_vector(), cleared
+        # when local_train starts stepping. Anything else that writes the
+        # parameters must go through set_model_vector.
+        self._current_vector: Optional[np.ndarray] = None
 
     # -- model state --------------------------------------------------------
 
     def model_vector(self) -> np.ndarray:
-        """The client's current local model as a flat vector."""
+        """The client's current local model as a private, writable vector."""
         return to_vector(self.model, include_buffers=self.include_buffers)
 
+    def shared_model_vector(self) -> np.ndarray:
+        """The client's current local model as a read-only vector.
+
+        Shared, not copied: the object the client last adopted or
+        snapshotted, which other clients and the trainer may hold too. A
+        snapshot is taken only when the model changed since.
+        """
+        if self._current_vector is None:
+            vector = self.model_vector()
+            vector.flags.writeable = False
+            self._current_vector = vector
+        return self._current_vector
+
     def set_model_vector(self, vector: np.ndarray) -> None:
-        """Adopt a (filtered) global model as the starting point."""
+        """Adopt a (filtered) global model as the starting point.
+
+        Costs nothing when ``vector`` is the very object the model already
+        equals. Only a read-only ``float64`` vector that owns its memory is
+        remembered that way: a writable one, or a view of somebody else's
+        buffer, can change after the load.
+        """
+        if self._current_vector is not None \
+                and vector is self._current_vector:
+            return
+        self._current_vector = None
         from_vector(self.model, vector, include_buffers=self.include_buffers)
+        if (isinstance(vector, np.ndarray) and vector.base is None
+                and not vector.flags.writeable
+                and vector.dtype == np.float64 and vector.ndim == 1):
+            self._current_vector = vector
 
     def _prepare(self, features: np.ndarray) -> np.ndarray:
         if self.flatten_inputs:
@@ -105,7 +141,8 @@ class Client:
     # -- Algorithm 1, lines 8-10: local training ----------------------------
 
     def local_train(self, round_index: int, local_steps: int) -> np.ndarray:
-        """Run ``E`` mini-batch SGD steps; returns the updated model vector.
+        """Run ``E`` mini-batch SGD steps; returns the updated model vector
+        (read-only: see :meth:`shared_model_vector`).
 
         The learning rate of local iteration ``i`` in round ``t`` is
         ``lr_schedule(t * E + i)`` — the global-step indexing the paper's
@@ -118,6 +155,7 @@ class Client:
             )))
         self.model.train()
         losses = []
+        self._current_vector = None
         for i in range(local_steps):
             features, labels = self.loader.sample_batch()
             self.optimizer.set_lr(self.lr_schedule(round_index * local_steps + i))
@@ -128,7 +166,7 @@ class Client:
             self.optimizer.step()
             losses.append(loss)
         self.last_train_loss = float(np.mean(losses))
-        return self.model_vector()
+        return self.shared_model_vector()
 
     # -- Algorithm 1, line 13: the Def() filter -----------------------------
 

@@ -56,7 +56,11 @@ from .codecs import (
 )
 from .config import FedMSConfig
 from .history import RoundRecord, TrainingHistory
-from .server import ByzantineParameterServer, ParameterServer
+from .server import (
+    ByzantineParameterServer,
+    ParameterServer,
+    adversary_view,
+)
 
 __all__ = ["HierarchicalTrainer"]
 
@@ -301,9 +305,7 @@ class HierarchicalTrainer:
             uploads = [self._decode_payload(m.payload) for m in
                        self.network.receive(NodeId.server(server.server_id))]
             server.aggregate(uploads)
-        all_aggregates = np.stack(
-            [server.current_aggregate for server in self.servers]
-        )
+        all_aggregates = adversary_view(self.servers)
 
         # 4: inter-server exchange. What PS j *sends* to peers is its
         # dissemination output (tampered on Byzantine PSs); each benign PS
@@ -470,6 +472,20 @@ class HierarchicalTrainer:
         weights_arr /= weights_arr.sum()
         return (float(np.dot(losses, weights_arr)),
                 float(np.dot(accuracies, weights_arr)))
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def close(self) -> None:
+        """Nothing to release: this trainer runs its clients in-process.
+
+        Present so all three trainers share one lifecycle.
+        """
+
+    def __enter__(self) -> "HierarchicalTrainer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run(self, num_rounds: int, *, eval_every: int = 1) -> TrainingHistory:
         """Run ``num_rounds`` rounds, evaluating every ``eval_every``."""

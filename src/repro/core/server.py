@@ -10,15 +10,16 @@ aggregate history — then tampers the outgoing model through an
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import functools
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..aggregation import AggregationRule
-from ..attacks.base import Attack, AttackContext
+from ..attacks.base import Attack, AttackContext, ServerAggregates
 from ..common.errors import ProtocolError
 
-__all__ = ["ParameterServer", "ByzantineParameterServer"]
+__all__ = ["ParameterServer", "ByzantineParameterServer", "adversary_view"]
 
 
 class ParameterServer:
@@ -71,12 +72,19 @@ class ParameterServer:
         model ``w_0`` (which every PS distributed to the clients) when it
         happens in the very first round.
         """
-        if uploads:
-            stack = np.stack(uploads)
-            if self.aggregation_rule is not None:
-                aggregate = self.aggregation_rule(stack)
+        if uploads and self.aggregation_rule is not None:
+            aggregate = self.aggregation_rule(np.stack(uploads))
+        elif uploads:
+            # The plain mean as a running sum, in the order
+            # ``np.stack(uploads).mean(axis=0)`` reduces in (bit-equal),
+            # without copying the uploads into a stack first.
+            if len(uploads) == 1:
+                aggregate = np.array(uploads[0], dtype=np.float64)
             else:
-                aggregate = stack.mean(axis=0)
+                aggregate = np.add(uploads[0], uploads[1], dtype=np.float64)
+                for upload in uploads[2:]:
+                    aggregate += upload
+                aggregate /= len(uploads)
         else:
             self.rounds_without_uploads += 1
             if self.aggregate_history:
@@ -94,11 +102,18 @@ class ParameterServer:
         return aggregate
 
     def disseminate(self, *, round_index: int, client_id: Optional[int] = None,
-                    all_server_aggregates: Optional[np.ndarray] = None
+                    all_server_aggregates: ServerAggregates = None
                     ) -> np.ndarray:
-        """The model this PS sends to ``client_id`` (benign: the truth)."""
+        """The model this PS sends to ``client_id`` (benign: the truth).
+
+        A read-only view of the aggregate, not a copy: receivers only read
+        it, and one that tried to write would raise instead of changing
+        this PS's history.
+        """
         self.last_disseminated_round = round_index
-        return self.current_aggregate.copy()
+        model = self.current_aggregate.view()
+        model.flags.writeable = False
+        return model
 
     def __repr__(self) -> str:
         return f"ParameterServer(id={self.server_id})"
@@ -126,7 +141,7 @@ class ByzantineParameterServer(ParameterServer):
         return True
 
     def disseminate(self, *, round_index: int, client_id: Optional[int] = None,
-                    all_server_aggregates: Optional[np.ndarray] = None
+                    all_server_aggregates: ServerAggregates = None
                     ) -> np.ndarray:
         self.last_disseminated_round = round_index
         context = AttackContext(
@@ -143,3 +158,23 @@ class ByzantineParameterServer(ParameterServer):
     def __repr__(self) -> str:
         return (f"ByzantineParameterServer(id={self.server_id}, "
                 f"attack={self.attack!r})")
+
+
+def adversary_view(servers: Sequence[ParameterServer], *,
+                   default: Optional[np.ndarray] = None
+                   ) -> Callable[[], np.ndarray]:
+    """The ``(P, d)`` stack of every PS's latest honest aggregate, on demand.
+
+    What a trainer passes as ``all_server_aggregates`` once the round's
+    aggregation is done: the stack is built by the first attack that reads
+    it and shared by the rest, so a round whose attacks never look does not
+    pay for it. A PS that has not aggregated yet contributes ``default``.
+    """
+    @functools.lru_cache(maxsize=None)
+    def view() -> np.ndarray:
+        return np.stack([
+            server.aggregate_history[-1] if server.aggregate_history
+            else default
+            for server in servers
+        ])
+    return view

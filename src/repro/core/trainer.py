@@ -63,12 +63,22 @@ from .config import FedMSConfig
 from .filtering import FilterOutcome, quorum_floor, resolve_filter
 from .health import HealthLedger, HealthPolicy
 from .history import RoundRecord, TrainingHistory
-from .server import ByzantineParameterServer, ParameterServer
+from .server import (
+    ByzantineParameterServer,
+    ParameterServer,
+    adversary_view,
+)
 from .upload import UploadStrategy, make_upload_strategy
 
 __all__ = ["FedMSTrainer", "make_fedavg_trainer"]
 
 ModelFactory = Callable[[np.random.Generator], Module]
+
+
+def _frozen(vector: np.ndarray) -> np.ndarray:
+    """``vector``, marked read-only so it can be shared by reference."""
+    vector.flags.writeable = False
+    return vector
 
 
 @dataclass
@@ -80,7 +90,9 @@ class _RoundState:
     vectors: Dict[int, np.ndarray] = field(default_factory=dict)
     start_vectors: Dict[int, np.ndarray] = field(default_factory=dict)
     train_loss: float = float("nan")
-    all_aggregates: Optional[np.ndarray] = None
+    # The adversary's (P, d) view of this round's honest aggregates, built
+    # when an attack first reads it.
+    all_aggregates: Optional[Callable[[], np.ndarray]] = None
     # The one wire payload each broadcasting PS sends to every client this
     # round (dense vector, or the encoded delta with codecs active). With
     # codecs: the decode memo for in-process payload -> dense lookups, and
@@ -271,8 +283,9 @@ class FedMSTrainer:
 
         # Shared initial model w_0 (Algorithm 1, line 6).
         init_model = model_factory(self.rngs.make("init/global"))
-        initial_vector = to_vector(init_model,
-                                   include_buffers=config.include_buffers)
+        initial_vector = _frozen(to_vector(
+            init_model, include_buffers=config.include_buffers
+        ))
         self._initial_vector = initial_vector
 
         # Upload codec pipeline. Every wire leg carries the *delta* against
@@ -564,16 +577,19 @@ class FedMSTrainer:
         for client in participants:
             # The pre-training vector is the client's previous feasible
             # model — the fallback target when this round's quorum turns
-            # out to be too small to filter safely.
-            start_vector = client.model_vector()
+            # out to be too small to filter safely. It is the object the
+            # client adopted, not a copy.
+            start_vector = client.shared_model_vector()
             state.start_vectors[client.client_id] = start_vector
             jobs.append((client.client_id, start_vector))
         results = self.execution.train_clients(t, jobs)
         for client in participants:
             vector, loss = results[client.client_id]
-            # Sync the main-process replica with the trained state (pool
-            # backends trained a worker-side replica; for the serial
-            # backend this re-loads the values the model already holds).
+            # Sync the main-process replica with the trained state: pool
+            # backends trained a worker-side replica, while the serial
+            # backend returns the client's own snapshot, which costs nothing
+            # to adopt.
+            vector = _frozen(vector)
             client.set_model_vector(vector)
             client.last_train_loss = loss
             if client.client_id in self.byzantine_client_ids:
@@ -762,13 +778,11 @@ class FedMSTrainer:
             uploads = [self._payload_vector(m.payload, state) for m in
                        self.network.receive(NodeId.server(server.server_id))]
             server.aggregate(uploads)
-        # The adversary's view (Safeguard/Backward attacks) keeps the full
-        # P-row shape; a crashed PS that never aggregated contributes w_0.
-        state.all_aggregates = np.stack([
-            server.aggregate_history[-1] if server.aggregate_history
-            else self._initial_vector
-            for server in self.servers
-        ])
+        # The adversary's view (the adaptive attacks) keeps the full P-row
+        # shape; a crashed PS that never aggregated contributes w_0.
+        state.all_aggregates = adversary_view(
+            self.servers, default=self._initial_vector
+        )
 
     def _phase_disseminate(self, t: int) -> None:
         """Stage 3 (server side): every admitted PS sends to every client.
@@ -966,7 +980,7 @@ class FedMSTrainer:
             # the healthy path (all clients coincide); on degraded rounds
             # any single choice works — the next deltas carry each party's
             # offset from it, so nothing is lost, only re-sent.
-            self._reference = self.clients[0].model_vector()
+            self._reference = self.clients[0].shared_model_vector()
 
     def _received_stack(self, messages: Sequence[Message],
                         state: _RoundState) -> np.ndarray:
@@ -976,7 +990,13 @@ class FedMSTrainer:
 
     @staticmethod
     def _adopt(members: Sequence[Client], vector: np.ndarray) -> None:
-        """Install a group's filter output in every member."""
+        """Install a group's filter output in every member.
+
+        Frozen first, so the members share the one object: the next
+        round's start vectors and the evaluation see them coincide by
+        identity, and a write to it raises instead of changing K replicas.
+        """
+        vector = _frozen(vector)
         for client in members:
             client.set_model_vector(vector)
             client.optimizer.reset_state()
@@ -1074,9 +1094,13 @@ class FedMSTrainer:
         """
         eval_clients = self.clients[:self.config.eval_clients]
         if len(eval_clients) > 1:
-            reference = eval_clients[0].model_vector()
-            if all(np.array_equal(reference, client.model_vector())
-                   for client in eval_clients[1:]):
+            # Clients that adopted one filter output hold the same object;
+            # only the others are compared by value.
+            vectors = [client.shared_model_vector()
+                       for client in eval_clients]
+            if all(vector is vectors[0]
+                   or np.array_equal(vectors[0], vector)
+                   for vector in vectors[1:]):
                 loss, acc = eval_clients[0].evaluate(self.test_dataset)
                 return float(loss), float(acc)
         losses, accuracies = [], []
@@ -1140,7 +1164,10 @@ class FedMSTrainer:
             path = path + ".npz"
         with np.load(path, allow_pickle=False) as archive:
             round_index = int(archive["round_index"])
-            global_model = archive["global_model"]
+            # An array of its own, not a view of the archive's bytes: only
+            # an owner is shared by reference between the clients.
+            global_model = _frozen(np.array(archive["global_model"],
+                                            dtype=np.float64))
             for server in self.servers:
                 key = f"server/{server.server_id}/aggregate"
                 if key in archive.files:

@@ -109,8 +109,10 @@ class SerialBackend(ExecutionBackend):
     """The historical in-process loop, now behind the backend interface.
 
     Trains directly on the trainer's own :class:`~repro.core.client.Client`
-    objects (no replicas, no copies) — the reference implementation the
-    parallel backends must match bit for bit.
+    objects (no replicas, no copies: a start vector that is the object the
+    client already holds is not reloaded, and the trained vector returned
+    is the client's own read-only snapshot) — the reference implementation
+    the parallel backends must match bit for bit.
     """
 
     name = "serial"

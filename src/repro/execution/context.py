@@ -66,7 +66,10 @@ class WorkerRuntime:
         Returns ``(trained_vector, mean_train_loss)``.
         """
         client = self._client(client_id)
-        client.set_model_vector(start_vector)
+        # The shells share one replica, so none of them knows what it holds
+        # after another ran: a fresh view is never the object a shell
+        # remembers, which makes the load unconditional.
+        client.set_model_vector(start_vector.view())
         client.optimizer.reset_state()
         vector = client.local_train(round_index, self.spec.local_steps)
         return vector, float(client.last_train_loss)

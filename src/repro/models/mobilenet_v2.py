@@ -117,6 +117,9 @@ class MobileNetV2(Module):
         self.head_dropout = Dropout(dropout, rng=rng) if dropout > 0 else None
         self.classifier = Linear(self.last_channel, num_classes, rng=rng)
 
+    def input_layer(self) -> Optional[Module]:
+        return self.features.input_layer()
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.features(x)
         out = self.pool(out)

@@ -106,6 +106,9 @@ class SmallCNN(Module):
         )
         self.classifier = Linear(channels * 2, num_classes, rng=rng)
 
+    def input_layer(self) -> Optional[Module]:
+        return self.body.input_layer()
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.classifier(self.body(x))
 

@@ -84,11 +84,22 @@ class Linear(Module):
             out = out + self.bias.data
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def input_layer(self) -> Module:
+        return self
+
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         x = _require_cache(self._input, self)
-        self.weight.grad += x.T @ grad_output
+        # The first accumulation after zero_grad is written straight into
+        # the gradient buffer: no weight-sized temporary, no add to zeros.
+        grad_weight = self.weight.claim_grad()
+        if grad_weight is not None:
+            np.matmul(x.T, grad_output, out=grad_weight)
+        else:
+            self.weight.grad += x.T @ grad_output
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
+        if not self.needs_input_grad:
+            return None
         return grad_output @ self.weight.data.T
 
     def __repr__(self) -> str:
@@ -163,7 +174,10 @@ class Conv2d(Module):
             out += self.bias.data[None, :, None, None]
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def input_layer(self) -> Module:
+        return self
+
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         x, cols = _require_cache(self._cache, self)
         if cols is None:
             cols = self._cols(x)
@@ -172,6 +186,8 @@ class Conv2d(Module):
             axis=0).reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(0, 2))
+        if not self.needs_input_grad:
+            return None
         grad_cols = self.weight.data.reshape(self.out_channels, -1).T @ grad
         if self._pointwise:
             return grad_cols.reshape(x.shape)

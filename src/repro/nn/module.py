@@ -35,14 +35,30 @@ class Parameter:
         The parameter value, a ``float64`` ndarray.
     grad:
         The accumulated gradient, same shape as ``data``. Reset with
-        :meth:`zero_grad`.
+        :meth:`zero_grad`, which only marks the buffer stale: the zeros are
+        written when ``grad`` is next read, or never, when a layer takes the
+        buffer with :meth:`claim_grad` to overwrite it whole.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "_grad", "_grad_stale")
 
     def __init__(self, data: np.ndarray) -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = np.zeros_like(self.data)
+        self._grad_stale = False
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad_stale:
+            self._grad.fill(0.0)
+            self._grad_stale = False
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        # ``param.grad += g`` lands here with the buffer it just read.
+        self._grad = value
+        self._grad_stale = False
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -53,8 +69,20 @@ class Parameter:
         return int(self.data.size)
 
     def zero_grad(self) -> None:
-        """Reset the accumulated gradient to zero in place."""
-        self.grad.fill(0.0)
+        """Reset the accumulated gradient to zero."""
+        self._grad_stale = True
+
+    def claim_grad(self) -> Optional[np.ndarray]:
+        """The gradient buffer, if the next accumulation is the first.
+
+        The caller must overwrite every entry with that accumulation (the
+        buffer holds stale values, not zeros). Returns ``None`` once
+        something accumulated since :meth:`zero_grad`; add to ``grad`` then.
+        """
+        if not self._grad_stale:
+            return None
+        self._grad_stale = False
+        return self._grad
 
     def __repr__(self) -> str:
         return f"Parameter(shape={self.data.shape})"
@@ -68,6 +96,13 @@ class Module:
     traversal order. They then implement :meth:`forward` and
     :meth:`backward`.
     """
+
+    #: Whether ``backward`` must return the gradient with respect to the
+    #: input. The owner of a model clears it on the layer that is fed the
+    #: data (:meth:`input_layer`), whose input gradient nobody reads;
+    #: ``Linear`` and ``Conv2d`` then return ``None`` after accumulating
+    #: their parameter gradients.
+    needs_input_grad = True
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
@@ -138,6 +173,14 @@ class Module:
         yield self
         for child in self._modules.values():
             yield from child.modules()
+
+    def input_layer(self) -> Optional["Module"]:
+        """The layer this module hands its input to unchanged, if it says.
+
+        ``None`` (the default) means the module does not say, and nothing
+        may skip an input gradient on its behalf.
+        """
+        return None
 
     def num_parameters(self) -> int:
         """Total number of scalar trainable parameters."""
@@ -212,7 +255,8 @@ class Module:
         """Backpropagate ``grad_output``; must be overridden.
 
         Returns the gradient with respect to the input of the most recent
-        :meth:`forward` call and accumulates parameter gradients.
+        :meth:`forward` call (``None`` where ``needs_input_grad`` is
+        cleared) and accumulates parameter gradients.
         """
         raise NotImplementedError
 
@@ -260,6 +304,11 @@ class Sequential(Module):
 
     def __getitem__(self, index: int) -> Module:
         return self.layers[index]
+
+    def input_layer(self) -> Optional[Module]:
+        if not self._layer_order:
+            return None
+        return getattr(self, self._layer_order[0]).input_layer()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:

@@ -18,7 +18,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..common.errors import ShapeError
-from .module import Module
+from .module import Module, Parameter
 
 __all__ = [
     "vector_size",
@@ -29,49 +29,70 @@ __all__ = [
 ]
 
 
-def _chunks(module: Module, include_buffers: bool) -> List[np.ndarray]:
-    arrays = [param.data for param in module.parameters()]
-    if include_buffers:
-        arrays.extend(buf for _, buf in module.named_buffers())
-    return arrays
+def _state(module: Module, include_buffers: bool
+           ) -> Tuple[List[Parameter], List[Tuple[Module, str]], int]:
+    """Parameters, ``(owner, local name)`` of buffers, and the vector length.
+
+    One pre-order walk of the module tree: the order ``parameters()`` and
+    ``named_buffers()`` yield.
+    """
+    params: List[Parameter] = []
+    buffers: List[Tuple[Module, str]] = []
+    size = 0
+    pending = [module]
+    while pending:
+        current = pending.pop()
+        for param in current._parameters.values():
+            params.append(param)
+            size += param.data.size
+        if include_buffers:
+            for name, buf in current._buffers.items():
+                buffers.append((current, name))
+                size += buf.size
+        pending.extend(reversed(current._modules.values()))
+    return params, buffers, size
 
 
 def vector_size(module: Module, *, include_buffers: bool = True) -> int:
     """Length of the flat vector for ``module``."""
-    return sum(int(a.size) for a in _chunks(module, include_buffers))
+    return _state(module, include_buffers)[2]
 
 
 def to_vector(module: Module, *, include_buffers: bool = True) -> np.ndarray:
     """Copy the model state into a flat ``float64`` vector."""
-    arrays = _chunks(module, include_buffers)
+    params, buffers, _ = _state(module, include_buffers)
+    arrays = [param.data.ravel() for param in params]
+    arrays.extend(owner._buffers[name].ravel() for owner, name in buffers)
     if not arrays:
         return np.zeros(0, dtype=np.float64)
-    return np.concatenate([a.ravel() for a in arrays]).astype(np.float64, copy=False)
+    return np.concatenate(arrays).astype(np.float64, copy=False)
 
 
 def from_vector(module: Module, vector: np.ndarray, *,
                 include_buffers: bool = True) -> None:
-    """Load a flat vector produced by :func:`to_vector` back into ``module``."""
+    """Load a flat vector produced by :func:`to_vector` back into ``module``.
+
+    The model keeps no view of ``vector``: parameters are written in place
+    and buffers are replaced by copies.
+    """
     vector = np.asarray(vector, dtype=np.float64).ravel()
-    expected = vector_size(module, include_buffers=include_buffers)
+    params, buffers, expected = _state(module, include_buffers)
     if vector.size != expected:
         raise ShapeError(
             f"vector has {vector.size} entries, model expects {expected}"
         )
     offset = 0
-    for param in module.parameters():
+    for param in params:
         size = param.size
         param.data[...] = vector[offset:offset + size].reshape(param.data.shape)
         offset += size
-    if include_buffers:
-        owners = module._buffer_owners()
-        for name, buf in module.named_buffers():
-            size = int(buf.size)
-            owner, local_name = owners[name]
-            owner.set_buffer(
-                local_name, vector[offset:offset + size].reshape(buf.shape)
-            )
-            offset += size
+    for owner, name in buffers:
+        buf = owner._buffers[name]
+        size = int(buf.size)
+        owner.set_buffer(
+            name, vector[offset:offset + size].reshape(buf.shape).copy()
+        )
+        offset += size
 
 
 def gradient_vector(module: Module) -> np.ndarray:

@@ -13,6 +13,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -24,6 +25,22 @@ from ..data.datasets import ArrayDataset
 
 __all__ = ["BlobShardSpec", "ArrayShardSpec", "make_blob_population",
            "make_blob_test_dataset"]
+
+
+@functools.lru_cache(maxsize=8)
+def _blob_centers(centers_seed: int, center_scale: float, num_classes: int,
+                  feature_dim: int) -> np.ndarray:
+    """The class centres every shard of one population shares.
+
+    Memoised (per process, so also inside pool workers) because every
+    sampled client of every round asks for the same ones; read-only
+    because the one array is handed to all of them.
+    """
+    centers = np.random.default_rng(centers_seed).normal(
+        scale=center_scale, size=(num_classes, feature_dim),
+    )
+    centers.flags.writeable = False
+    return centers
 
 
 @dataclass(frozen=True)
@@ -70,10 +87,8 @@ class BlobShardSpec:
 
     def materialize(self) -> ArrayDataset:
         """Rebuild the shard's dataset; a pure function of the spec."""
-        centers = np.random.default_rng(self.centers_seed).normal(
-            scale=self.center_scale,
-            size=(self.num_classes, self.feature_dim),
-        )
+        centers = _blob_centers(self.centers_seed, self.center_scale,
+                                self.num_classes, self.feature_dim)
         rng = np.random.default_rng(self.shard_seed)
         labels = np.arange(self.num_samples) % self.num_classes
         if self.primary_class is not None:

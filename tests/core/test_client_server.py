@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.aggregation import make_rule
 from repro.attacks import NoiseAttack, RandomAttack, SignFlipAttack
@@ -136,6 +139,62 @@ class TestParameterServer:
         result = server.disseminate(round_index=0)
         np.testing.assert_array_equal(result, [1.0, 2.0])
         assert not server.is_byzantine
+
+
+class TestRunningSumMean:
+    """The plain mean is a running sum over the uploads, bit-equal to the
+    ``np.stack(uploads).mean(axis=0)`` it replaced."""
+
+    @pytest.mark.parametrize("count", range(1, 21))
+    def test_bit_equal_to_stacked_mean(self, count):
+        rng = np.random.default_rng(count)
+        uploads = [rng.normal(scale=10.0 ** rng.integers(-3, 4), size=257)
+                   for _ in range(count)]
+        result = ParameterServer(0).aggregate(uploads)
+        np.testing.assert_array_equal(result,
+                                      np.stack(uploads).mean(axis=0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12),
+                                            st.integers(1, 9)),
+                      elements=st.floats(-1e6, 1e6)))
+    def test_bit_equal_on_arbitrary_stacks(self, stack):
+        result = ParameterServer(0).aggregate(list(stack))
+        np.testing.assert_array_equal(result, stack.mean(axis=0))
+
+    def test_uploads_are_left_untouched_and_not_aliased(self):
+        for count in (1, 2, 5):
+            uploads = [np.full(4, float(i + 1)) for i in range(count)]
+            for upload in uploads:
+                upload.flags.writeable = False
+            result = ParameterServer(0).aggregate(uploads)
+            assert all(not np.shares_memory(result, u) for u in uploads)
+            for i, upload in enumerate(uploads):
+                np.testing.assert_array_equal(upload, float(i + 1))
+
+    def test_robust_rule_still_receives_the_stack(self):
+        seen = []
+
+        def rule(stack):
+            seen.append(stack)
+            return np.median(stack, axis=0)
+
+        server = ParameterServer(0, aggregation_rule=rule)
+        uploads = [np.array([1.0, 5.0]), np.array([2.0, 6.0]),
+                   np.array([9.0, 7.0])]
+        result = server.aggregate(uploads)
+        assert len(seen) == 1 and seen[0].shape == (3, 2)
+        np.testing.assert_array_equal(seen[0], np.stack(uploads))
+        np.testing.assert_array_equal(result, [2.0, 6.0])
+
+    def test_dissemination_is_a_read_only_view(self):
+        server = ParameterServer(0)
+        server.aggregate([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
+        sent = server.disseminate(round_index=0)
+        assert np.shares_memory(sent, server.current_aggregate)
+        with pytest.raises(ValueError):
+            sent[0] = 99.0
+        np.testing.assert_array_equal(server.current_aggregate, [2.0, 3.0])
 
 
 class TestByzantineParameterServer:
