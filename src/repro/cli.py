@@ -13,7 +13,6 @@ Usage::
     python -m repro adaptive --attack dispersion_mimicry
     python -m repro population --scale tiny
     python -m repro quickstart
-    python -m repro perf --profile smoke
 
 Scale is controlled by ``REPRO_BENCH_SCALE`` (smoke/reduced/paper) or the
 ``--scale`` flag. The execution backend of every run is controlled by
@@ -36,12 +35,10 @@ from .core.config import (
 )
 from .execution import EXECUTION_BACKENDS
 from .experiments import (
-    PERF_PROFILES,
     SCALES,
     ascii_curves,
     current_scale,
     format_figure,
-    format_report,
     run_adaptive_crossover,
     run_async_deadline,
     run_comm_codecs,
@@ -55,8 +52,6 @@ from .experiments import (
     run_fig4_heterogeneity,
     run_fig5_alpha_panel,
     run_filter_ablation,
-    run_round_loop_perf,
-    write_bench_file,
 )
 
 __all__ = ["main", "build_parser"]
@@ -67,7 +62,7 @@ HELP_EPILOG = """\
 command groups:
   paper figures   fig2, fig3, fig4, fig5, comm, convergence, ablation, all
   extensions      faults, adaptive, population, async
-  ops             quickstart, perf
+  ops             quickstart
 
 Run 'python -m repro <command> --help' for per-command flags.
 """
@@ -193,16 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("quickstart", help="tiny end-to-end demo run")
 
-    perf = commands.add_parser(
-        "perf", help="round-loop throughput per execution backend")
-    perf.add_argument("--profile", default="smoke",
-                      choices=sorted(PERF_PROFILES))
-    perf.add_argument("--output", default=None,
-                      help="where to write the JSON report (default: "
-                           "BENCH_round_loop.json at the repo root)")
-    perf.add_argument("--no-write", action="store_true",
-                      help="print the table only, do not write the report")
-
     commands.add_parser(
         "all", help=f"every paper figure ({', '.join(PAPER_ATTACKS)} panels, "
                     "fig3 sweep, fig4, fig5 sweep, comm, convergence)")
@@ -238,15 +223,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.codecs:
         os.environ[UPLOAD_CODECS_ENV] = ",".join(args.codecs)
 
-    if args.command == "perf":
-        report = run_round_loop_perf(args.profile,
-                                     num_workers=args.workers or 0,
-                                     seed=seed)
-        print(format_report(report))
-        if not args.no_write:
-            path = write_bench_file(report, args.output)
-            print(f"wrote {path}")
-    elif args.command == "fig2":
+    if args.command == "fig2":
         _emit(run_fig2_attack_panel(args.attack, scale=scale, seed=seed))
     elif args.command == "fig3":
         _emit(run_fig3_epsilon_panel(args.epsilon, scale=scale, seed=seed))

@@ -188,7 +188,7 @@ class FedMSConfig:
         :class:`~repro.population.PopulationTrainer` consume for failed
         sends. ``None`` (default) derives one from ``faults``; supplying
         retry knobs through ``faults`` *and* a divergent ``retry_policy``
-        is deprecated — the explicit policy wins.
+        is a ``ConfigurationError``.
     aggregation_mode:
         ``"barrier"`` (paper default — every round waits for all alive
         PSs) or ``"deadline"`` — aggregate whatever arrived when the
@@ -317,18 +317,10 @@ class FedMSConfig:
                 or isinstance(self.retry_policy, RetryPolicy),
                 f"retry_policy must be a RetryPolicy, got "
                 f"{type(self.retry_policy)}")
-        if (self.retry_policy is not None and self.faults is not None
-                and RetryPolicy.from_config(self.faults)
-                != self.retry_policy):
-            import warnings
-
-            warnings.warn(
-                "passing divergent retry knobs through both "
-                "FedMSConfig.retry_policy and FaultConfig is deprecated; "
-                "the explicit retry_policy wins — drop the FaultConfig "
-                "retry fields",
-                DeprecationWarning, stacklevel=3,
-            )
+        require(self.retry_policy is None or self.faults is None
+                or RetryPolicy.from_config(self.faults) == self.retry_policy,
+                "retry knobs passed through both FedMSConfig.retry_policy "
+                "and FaultConfig disagree; set them in one place")
         require(self.aggregation_mode in ("barrier", "deadline"),
                 f"aggregation_mode must be 'barrier' or 'deadline', got "
                 f"{self.aggregation_mode!r}")
@@ -432,12 +424,9 @@ class FedMSConfig:
 
     @property
     def resolved_retry_policy(self) -> "RetryPolicy":
-        """The retry policy both trainers consume.
-
-        The explicit ``retry_policy`` wins; otherwise one is derived from
-        the (possibly default) ``faults`` knobs, preserving the legacy
-        FaultConfig route.
-        """
+        """The retry policy every trainer consumes: the explicit
+        ``retry_policy``, otherwise the one the (possibly default)
+        ``faults`` knobs describe."""
         if self.retry_policy is not None:
             return self.retry_policy
         return RetryPolicy.from_config(self.resolved_faults)

@@ -20,60 +20,66 @@ Round structure:
 5. each PS disseminates its combined global model to its own group only —
    a Byzantine PS disseminates whatever it wants.
 
-Wire-level extensions shared with the other trainers (docs/upload.md,
-docs/faults.md): ``config.upload_codecs`` compresses all three legs
-(upload, inter-server exchange, dissemination) as deltas against a
-trainer-wide reference model with per-sender error feedback; sends retry
-per ``config.resolved_retry_policy``; and ``aggregation_mode="deadline"``
-times the inter-server exchange with a
-:class:`~repro.simulation.clock.VirtualClock` — a PS whose contribution
-misses the deadline is excluded from every peer's combine this round and
-its model is buffered for bounded-staleness admission next round.
+The five steps are the scheduler phases ``train``, ``upload``,
+``aggregate``, ``tier_filter`` (the exchange: each PS filters its peers'
+models, a one-level tier filter) and ``disseminate``. Everything
+wire-level comes from :class:`~repro.core.engine.RoundEngine`
+(docs/upload.md, docs/faults.md): ``config.upload_codecs`` compresses all
+three legs as deltas against a trainer-wide reference with per-sender
+error feedback; every send retries per ``config.resolved_retry_policy``;
+and ``aggregation_mode="deadline"`` gates the inter-server exchange, the
+only stage with cross-PS fan-in (group uploads and dissemination are
+intra-group) — a PS whose contribution misses the deadline is excluded
+from every peer's combine this round and its model is buffered for
+bounded-staleness admission next round.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..aggregation import AggregationRule, mean
 from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
-from ..common.rng import RngFactory
 from ..data.datasets import ArrayDataset
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
-from ..nn.serialization import to_vector
-from ..simulation.clock import VirtualClock, split_by_deadline
 from ..simulation.network import Message, Network, NodeId
 from .client import Client
-from .codecs import (
-    EncodedUpdate,
-    broadcast_variant,
-    make_codec_pipeline,
-)
 from .config import FedMSConfig
-from .history import RoundRecord, TrainingHistory
-from .server import (
-    ByzantineParameterServer,
-    ParameterServer,
-    adversary_view,
-)
+from .engine import LateBuffer, RoundEngine, RoundState, place_byzantine
+from .server import ParameterServer, adversary_view, make_servers
 
 __all__ = ["HierarchicalTrainer"]
 
 ModelFactory = Callable[[np.random.Generator], Module]
 
 
-class HierarchicalTrainer:
+@dataclass
+class _RoundState(RoundState):
+    """The grouped topology's working state, on top of the engine's."""
+
+    vectors: Dict[int, np.ndarray] = field(default_factory=dict)
+    all_aggregates: Optional[Callable[[], np.ndarray]] = None
+    # Each PS's combined global model, indexed by server id.
+    global_models: List[np.ndarray] = field(default_factory=list)
+
+
+class HierarchicalTrainer(RoundEngine):
     """Grouped multi-server FL with an inter-server aggregation stage.
 
     Accepts the same :class:`FedMSConfig` as :class:`FedMSTrainer`
-    (``upload_strategy`` is ignored — grouping is static). Group membership
-    defaults to ``client k -> PS (k mod P)``.
+    (``upload_strategy`` and ``health_scoring`` are ignored, with a
+    warning — grouping is static, so there is nothing to sample and no PS
+    a client could avoid). Group membership defaults to
+    ``client k -> PS (k mod P)``.
     """
+
+    round_state = _RoundState
 
     def __init__(self, config: FedMSConfig, *, model_factory: ModelFactory,
                  client_datasets: Sequence[ArrayDataset],
@@ -94,17 +100,17 @@ class HierarchicalTrainer:
             raise ConfigurationError(
                 "config.num_byzantine > 0 requires an attack"
             )
-        if config.upload_strategy != "sparse":
-            warnings.warn(
-                f"HierarchicalTrainer ignores "
-                f"upload_strategy={config.upload_strategy!r}: grouping is "
-                f"static, every client uploads to its fixed group PS",
-                RuntimeWarning, stacklevel=2,
-            )
-        self.config = config
-        self.test_dataset = test_dataset
-        self.network = network if network is not None else Network()
-        self.rngs = RngFactory(config.seed)
+        for name, default in (("upload_strategy", "sparse"),
+                              ("health_scoring", False)):
+            if getattr(config, name) != default:
+                warnings.warn(
+                    f"HierarchicalTrainer ignores "
+                    f"{name}={getattr(config, name)!r}: grouping is "
+                    f"static, every client uploads to its fixed group PS",
+                    RuntimeWarning, stacklevel=2,
+                )
+        super().__init__(config, model_factory=model_factory,
+                         test_dataset=test_dataset, network=network)
         self.inter_server_rule: AggregationRule = (
             inter_server_rule if inter_server_rule is not None else mean
         )
@@ -132,10 +138,6 @@ class HierarchicalTrainer:
                 f"{sorted(set(range(config.num_servers)) - present)} are empty"
             )
 
-        init_model = model_factory(self.rngs.make("init/global"))
-        initial_vector = to_vector(init_model,
-                                   include_buffers=config.include_buffers)
-
         self.clients: List[Client] = []
         for k in range(config.num_clients):
             client = Client(
@@ -149,309 +151,172 @@ class HierarchicalTrainer:
                 include_buffers=config.include_buffers,
                 flatten_inputs=flatten_inputs,
             )
-            client.set_model_vector(initial_vector)
+            client.set_model_vector(self.initial_vector)
             self.clients.append(client)
 
-        if byzantine_ids is None:
-            chosen = self.rngs.make("byzantine/placement").choice(
-                config.num_servers, size=config.num_byzantine, replace=False
-            )
-            self.byzantine_ids = frozenset(int(i) for i in chosen)
-        else:
-            self.byzantine_ids = frozenset(int(i) for i in byzantine_ids)
-            if len(self.byzantine_ids) != config.num_byzantine:
-                raise ConfigurationError(
-                    f"byzantine_ids has {len(self.byzantine_ids)} ids, "
-                    f"expected {config.num_byzantine}"
-                )
-
-        self.servers: List[ParameterServer] = []
-        for i in range(config.num_servers):
-            if i in self.byzantine_ids:
-                assert attack is not None
-                self.servers.append(ByzantineParameterServer(
-                    i, attack, rng=self.rngs.make(f"attack/server/{i}"),
-                    initial_model=initial_vector,
-                ))
-            else:
-                self.servers.append(ParameterServer(
-                    i, initial_model=initial_vector,
-                ))
-
-        self.retry_policy = config.resolved_retry_policy
-
-        # Virtual timing of the inter-server exchange (the only stage
-        # with cross-PS fan-in here; group uploads and dissemination are
-        # intra-group). Barrier mode just measures; deadline mode excludes
-        # the contributions that missed the deadline.
-        self.clock = VirtualClock(
-            config.seed,
-            straggler_rate=config.straggler_rate,
-            straggler_factor=config.straggler_factor,
+        self.byzantine_ids = place_byzantine(
+            byzantine_ids, count=config.num_byzantine,
+            total=config.num_servers, what="byzantine_ids",
+            rng=self.rngs.make("byzantine/placement"),
         )
-        self._deadline_s: Optional[float] = None
-        if config.deadline_mode:
-            self._deadline_s = (
-                config.deadline_s if config.deadline_s is not None
-                else self.clock.deadline_for_quantile(config.deadline_quantile)
-            )
-        # PS id -> (origin round, dense exchange model) for contributions
-        # that missed a deadline, held for bounded-staleness admission.
-        self._late_exchanges: Dict[int, Tuple[int, np.ndarray]] = {}
-
-        # Codecs on all three legs. The shared reference is trainer-wide:
-        # it starts at the initial model every party holds and advances to
-        # the mean of the PSs' combined global models each round — the
-        # natural "posted" model all groups track up to inter-server
-        # disagreement. Error-feedback residuals are per sender and only
-        # advance on delivered sends; per-receiver encodes (a Byzantine
-        # PS's client-dependent dissemination) carry no residual.
-        self.codec = make_codec_pipeline(config.resolved_upload_codecs)
-        self.broadcast_codec = broadcast_variant(self.codec)
-        self._codec_active = not self.codec.is_identity
-        self._reference: Optional[np.ndarray] = (
-            np.array(initial_vector) if self._codec_active else None
+        self.servers: List[ParameterServer] = make_servers(
+            config.num_servers, self.byzantine_ids, attack, self.rngs,
+            initial_model=self.initial_vector,
         )
-        self._upload_residuals: Dict[int, np.ndarray] = {}
-        self._exchange_residuals: Dict[int, np.ndarray] = {}
-        self._dissemination_residuals: Dict[int, np.ndarray] = {}
 
-        self.history = TrainingHistory()
-        self._round_index = 0
+        # The exchange and group dissemination are sibling-aligned legs.
+        # The wire's shared reference is trainer-wide: it starts at the
+        # initial model every party holds and advances to the mean of the
+        # PSs' combined global models each round — the natural "posted"
+        # model all groups track up to inter-server disagreement.
+        self.broadcast_codec = self.wire.broadcast_codec
+        # Exchange contributions that missed a deadline, held for
+        # bounded-staleness admission.
+        self._late_exchanges = LateBuffer()
 
-    # -- wire helpers --------------------------------------------------------
+        self.scheduler.add_phase("train", self._phase_train)
+        self.scheduler.add_phase("upload", self._phase_upload)
+        self.scheduler.add_phase("aggregate", self._phase_aggregate)
+        self.scheduler.add_phase("tier_filter", self._phase_tier_filter)
+        self.scheduler.add_phase("disseminate", self._phase_disseminate)
 
-    def _send_with_retry(self, message: Message,
-                         counters: Dict[str, float]) -> bool:
-        """Send to the fixed recipient, retrying per the policy.
+    # -- phases --------------------------------------------------------------
 
-        Group membership and the all-to-all exchange are static, so a
-        retry re-offers the identical message after backoff. Dropped
-        attempts are charged to the message's tag in ``TrafficStats``.
-        """
-        if self.network.send(message):
-            return True
-        policy = self.retry_policy
-        for attempt in range(1, policy.max_retries + 1):
-            self.network.stats.record_retry(message.tag)
-            counters["retries"] += 1
-            counters["backoff_s"] += policy.backoff_s(attempt)
-            if self.network.send(message):
-                return True
-        counters["failures"] += 1
-        return False
-
-    def _encode_delta(self, pipeline, vector: np.ndarray, *,
-                      residuals: Optional[Dict[int, np.ndarray]] = None,
-                      residual_key: Optional[int] = None,
-                      salt: Optional[int] = None) -> object:
-        """Encode ``vector`` as a delta against the shared reference.
-
-        With ``residuals``/``residual_key`` the sender's accumulated
-        error feedback is folded in and advanced immediately — callers on
-        lossy paths must instead pass no residual dict and manage adoption
-        themselves (here all hierarchical legs deliver unless a custom
-        network injects drops, in which case the truncation loss is the
-        documented trade-off).
-        """
-        if not self._codec_active:
-            return vector
-        assert self._reference is not None
-        delta = vector - self._reference
-        if residuals is not None and residual_key is not None:
-            residual = residuals.get(residual_key)
-            if residual is not None:
-                delta = delta + residual
-        encoded = (pipeline.encode(delta, salt=salt) if salt is not None
-                   else pipeline.encode(delta))
-        if residuals is not None and residual_key is not None:
-            residuals[residual_key] = delta - encoded.decode()
-        return encoded
-
-    def _decode_payload(self, payload: object) -> np.ndarray:
-        """Dense vector a receiver reconstructs from a wire payload."""
-        if isinstance(payload, EncodedUpdate):
-            assert self._reference is not None
-            return self._reference + payload.decode()
-        return payload  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-
-    def run_round(self, *, evaluate: bool = True) -> RoundRecord:
-        """One grouped round: train, group-aggregate, exchange, disseminate."""
-        config = self.config
-        t = self._round_index
-        messages_before = self.network.stats.messages_by_tag.get("upload", 0)
-        bytes_before = self.network.stats.bytes_by_tag.get("upload", 0)
-        counters: Dict[str, float] = {
-            "retries": 0, "failures": 0, "backoff_s": 0.0,
-        }
-
-        # 1+2: local training, upload to the fixed group PS.
-        for client, group in zip(self.clients, self.group_of_client):
-            vector = client.local_train(t, config.local_steps)
-            payload = self._encode_delta(
-                self.codec, vector,
-                residuals=self._upload_residuals,
-                residual_key=client.client_id,
+    def _phase_train(self, t: int) -> None:
+        """1: local SGD on every client (same as Fed-MS)."""
+        state = self._round
+        assert state is not None
+        for client in self.clients:
+            state.vectors[client.client_id] = client.local_train(
+                t, self.config.local_steps
             )
-            self._send_with_retry(Message(
-                NodeId.client(client.client_id), NodeId.server(group),
-                payload, tag="upload", round_index=t,
-            ), counters)
-
-        # 3: per-group aggregation (honest on every PS).
-        for server in self.servers:
-            uploads = [self._decode_payload(m.payload) for m in
-                       self.network.receive(NodeId.server(server.server_id))]
-            server.aggregate(uploads)
-        all_aggregates = adversary_view(self.servers)
-
-        # 4: inter-server exchange. What PS j *sends* to peers is its
-        # dissemination output (tampered on Byzantine PSs); each benign PS
-        # combines the contributions that reached it (its own true
-        # aggregate always included — a PS is never late to itself).
-        outgoing = [
-            server.disseminate(round_index=t,
-                               all_server_aggregates=all_aggregates)
-            for server in self.servers
-        ]
-        num_servers = config.num_servers
-        arrivals = self.clock.arrivals(t, "inter_server", range(num_servers))
-        late_ids: "frozenset[int]" = frozenset()
-        late_admitted = 0
-        if self._deadline_s is not None:
-            _, late = split_by_deadline(arrivals, self._deadline_s)
-            late_ids = frozenset(late)
-        stage_s = self.clock.stage_seconds(arrivals,
-                                           deadline_s=self._deadline_s)
-        # Bounded-staleness admission: a PS late *again* this round is
-        # represented by its buffered previous model (the message finally
-        # arriving); an on-time PS supersedes and drops its stale buffer.
-        admitted_stale: Dict[int, np.ndarray] = {}
-        for sid in sorted(self._late_exchanges):
-            origin, stale_vector = self._late_exchanges[sid]
-            del self._late_exchanges[sid]
-            if t - origin > config.max_staleness:
-                continue
-            if sid in late_ids:
-                admitted_stale[sid] = stale_vector
-        for sid in late_ids:
-            self._late_exchanges[sid] = (t, outgoing[sid])
-        late_admitted = len(admitted_stale)
-        # One encode per sender per round (the exchange is a broadcast of
-        # the same model to every peer): residual-fed for fresh sends,
-        # residual-free for stale re-sends. Receivers use the decoded
-        # round-trip so the combine sees exactly what the wire carried.
-        exchange_payloads: Dict[int, object] = {}
-        exchange_vectors: Dict[int, np.ndarray] = {}
-        for sid in range(num_servers):
-            if sid in late_ids:
-                if sid in admitted_stale:
-                    payload = self._encode_delta(
-                        self.broadcast_codec, admitted_stale[sid], salt=t,
-                    )
-                    exchange_payloads[sid] = payload
-                    exchange_vectors[sid] = self._decode_payload(payload)
-                continue
-            payload = self._encode_delta(
-                self.broadcast_codec, outgoing[sid],
-                residuals=self._exchange_residuals, residual_key=sid,
-                salt=t,
-            )
-            exchange_payloads[sid] = payload
-            exchange_vectors[sid] = self._decode_payload(payload)
-        global_models: List[np.ndarray] = []
-        for server in self.servers:
-            contributions = [
-                exchange_vectors[peer.server_id]
-                if peer.server_id != server.server_id
-                else server.current_aggregate
-                for peer in self.servers
-                if peer.server_id == server.server_id
-                or peer.server_id in exchange_vectors
-            ]
-            global_models.append(self.inter_server_rule(np.stack(contributions)))
-            # Inter-server traffic: one message per contributing peer.
-            for peer in self.servers:
-                if peer.server_id == server.server_id:
-                    continue
-                if peer.server_id not in exchange_payloads:
-                    continue
-                self._send_with_retry(Message(
-                    NodeId.server(peer.server_id),
-                    NodeId.server(server.server_id),
-                    exchange_payloads[peer.server_id],
-                    tag="inter_server", round_index=t,
-                ), counters)
-                self.network.receive(NodeId.server(server.server_id))
-
-        # 5: group dissemination — Byzantine PSs ignore the exchange and
-        # send their tampered model; clients have no second opinion.
-        train_loss = float(np.mean(
+        state.train_loss = float(np.mean(
             [client.last_train_loss for client in self.clients]
         ))
-        # Benign groups broadcast one model to all members: encode once
-        # per group with the PS's dissemination residual. A Byzantine
-        # PS's output is client-dependent, so it is encoded per receiver
-        # without residual (a per-receiver encode must not advance one).
-        group_payloads: Dict[int, object] = {}
-        for group, server in enumerate(self.servers):
-            if not server.is_byzantine:
-                group_payloads[group] = self._encode_delta(
-                    self.broadcast_codec, global_models[group],
-                    residuals=self._dissemination_residuals,
-                    residual_key=group, salt=t,
+
+    def _phase_upload(self, t: int) -> None:
+        """2: each client uploads to its *fixed* group PS (cost ``K``)."""
+        state = self._round
+        assert state is not None
+        for client, group in zip(self.clients, self.group_of_client):
+            client_id = client.client_id
+            payload, residual = self.wire.encode_upload(
+                state.vectors[client_id], client_id
+            )
+            if self.send_with_retry(Message(
+                NodeId.client(client_id), NodeId.server(group),
+                payload, tag="upload", round_index=t,
+            ), state):
+                self.wire.adopt("upload", client_id, residual)
+
+    def _phase_aggregate(self, t: int) -> None:
+        """3: per-group aggregation (honest on every PS)."""
+        state = self._round
+        assert state is not None
+        for server in self.servers:
+            uploads = [self.wire.decode(m.payload) for m in
+                       self.network.receive(NodeId.server(server.server_id))]
+            server.aggregate(uploads)
+        state.all_aggregates = adversary_view(self.servers)
+
+    def _phase_tier_filter(self, t: int) -> None:
+        """4: inter-server exchange, each PS filtering its peers' models
+        with ``inter_server_rule`` (a one-level tier filter).
+
+        What PS j *sends* to peers is its dissemination output (tampered
+        on Byzantine PSs); each PS combines the contributions that reached
+        it with its own true aggregate — a PS is never late to itself. A
+        PS late *again* this round is represented by its buffered previous
+        model (the message finally arriving); see :class:`LateBuffer`.
+        """
+        state = self._round
+        assert state is not None
+        outgoing = [
+            server.disseminate(round_index=t,
+                               all_server_aggregates=state.all_aggregates)
+            for server in self.servers
+        ]
+        late = set(self.deadline_gate(
+            "inter_server", range(len(self.servers)), state
+        ))
+        stale = self._late_exchanges.take_admissible(
+            t, self.config.max_staleness, late=late
+        )
+        state.late_admitted += len(stale)
+        for sender in late:
+            self._late_exchanges.hold(sender, t, outgoing[sender])
+        # One encode per sender per round (the exchange is a broadcast of
+        # the same model to every peer): residual-fed for fresh sends,
+        # residual-free for stale re-sends.
+        sent: Dict[int, "tuple"] = {}
+        for sender, model in enumerate(outgoing):
+            if sender not in late:
+                sent[sender] = self.wire.encode_broadcast(
+                    model, t, leg="exchange", sender=sender
                 )
+            elif sender in stale:
+                sent[sender] = self.wire.encode_broadcast(stale[sender], t)
+        for server in self.servers:
+            me = server.server_id
+            for sender, (payload, residual) in sent.items():
+                if sender != me and self.send_with_retry(Message(
+                    NodeId.server(sender), NodeId.server(me), payload,
+                    tag="inter_server", round_index=t,
+                ), state):
+                    self.wire.adopt("exchange", sender, residual)
+            # The combine sees exactly what the wire carried, in PS order.
+            received = {
+                m.sender.index: self.wire.decode(m.payload)
+                for m in self.network.receive(NodeId.server(me))
+            }
+            received[me] = server.current_aggregate
+            state.global_models.append(self.inter_server_rule(
+                np.stack([received[s] for s in sorted(received)])
+            ))
+
+    def _phase_disseminate(self, t: int) -> None:
+        """5: group dissemination — Byzantine PSs ignore the exchange and
+        send their tampered model; clients have no second opinion.
+
+        Benign groups broadcast one model to all members: encoded once per
+        group, with the PS's dissemination residual. A Byzantine PS's
+        output is client-dependent, so it is encoded per receiver.
+        """
+        state = self._round
+        assert state is not None
+        group_payloads = {
+            group: self.wire.encode_broadcast(
+                state.global_models[group], t,
+                leg="dissemination", sender=group,
+            )
+            for group, server in enumerate(self.servers)
+            if not server.is_byzantine
+        }
         for client, group in zip(self.clients, self.group_of_client):
             server = self.servers[group]
             if server.is_byzantine:
-                model = server.disseminate(
-                    round_index=t, client_id=client.client_id,
-                    all_server_aggregates=all_aggregates,
-                )
-                payload = self._encode_delta(self.broadcast_codec, model,
-                                             salt=t)
+                payload, residual = self.wire.encode_broadcast(
+                    server.disseminate(
+                        round_index=t, client_id=client.client_id,
+                        all_server_aggregates=state.all_aggregates,
+                    ), t)
             else:
-                payload = group_payloads[group]
-            self._send_with_retry(Message(
+                payload, residual = group_payloads[group]
+            if self.send_with_retry(Message(
                 NodeId.server(group), NodeId.client(client.client_id),
                 payload, tag="dissemination", round_index=t,
-            ), counters)
+            ), state):
+                self.wire.adopt("dissemination", group, residual)
             received = self.network.receive(NodeId.client(client.client_id))
             if received:
                 client.set_model_vector(
-                    self._decode_payload(received[-1].payload)
+                    self.wire.decode(received[-1].payload)
                 )
                 client.optimizer.reset_state()
-
-        if self._codec_active:
+        if self.wire.active:
             # Next round's shared reference: the consensus the groups
             # track up to inter-server disagreement.
-            self._reference = np.mean(np.stack(global_models), axis=0)
-
-        record = RoundRecord(
-            round_index=t,
-            train_loss=train_loss,
-            upload_messages=(
-                self.network.stats.messages_by_tag.get("upload", 0)
-                - messages_before
-            ),
-            upload_bytes=(
-                self.network.stats.bytes_by_tag.get("upload", 0) - bytes_before
-            ),
-            upload_retries=int(counters["retries"]),
-            upload_failures=int(counters["failures"]),
-            dissemination_messages=config.num_clients,
-            simulated_time_s=stage_s,
-            deadline_missed=len(late_ids),
-            late_admitted=late_admitted,
-        )
-        if evaluate:
-            record.test_loss, record.test_accuracy = self._evaluate()
-        self.history.append(record)
-        self._round_index += 1
-        return record
+            self.wire.advance(np.mean(np.stack(state.global_models), axis=0))
 
     def _evaluate(self) -> "tuple[float, float]":
         """Mean (loss, accuracy) over one client per group, then averaged
@@ -472,30 +337,3 @@ class HierarchicalTrainer:
         weights_arr /= weights_arr.sum()
         return (float(np.dot(losses, weights_arr)),
                 float(np.dot(accuracies, weights_arr)))
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Nothing to release: this trainer runs its clients in-process.
-
-        Present so all three trainers share one lifecycle.
-        """
-
-    def __enter__(self) -> "HierarchicalTrainer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def run(self, num_rounds: int, *, eval_every: int = 1) -> TrainingHistory:
-        """Run ``num_rounds`` rounds, evaluating every ``eval_every``."""
-        if num_rounds <= 0:
-            raise ConfigurationError(f"num_rounds must be positive, got {num_rounds}")
-        if eval_every <= 0:
-            raise ConfigurationError(f"eval_every must be positive, got {eval_every}")
-        for offset in range(num_rounds):
-            is_last = offset == num_rounds - 1
-            self.run_round(
-                evaluate=is_last or (self._round_index + 1) % eval_every == 0
-            )
-        return self.history

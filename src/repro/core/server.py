@@ -11,15 +11,17 @@ aggregate history — then tampers the outgoing model through an
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Sequence
+from typing import AbstractSet, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..aggregation import AggregationRule
 from ..attacks.base import Attack, AttackContext, ServerAggregates
 from ..common.errors import ProtocolError
+from ..common.rng import RngFactory
 
-__all__ = ["ParameterServer", "ByzantineParameterServer", "adversary_view"]
+__all__ = ["ParameterServer", "ByzantineParameterServer", "make_servers",
+           "adversary_view"]
 
 
 class ParameterServer:
@@ -75,9 +77,11 @@ class ParameterServer:
         if uploads and self.aggregation_rule is not None:
             aggregate = self.aggregation_rule(np.stack(uploads))
         elif uploads:
-            # The plain mean as a running sum, in the order
-            # ``np.stack(uploads).mean(axis=0)`` reduces in (bit-equal),
-            # without copying the uploads into a stack first.
+            # The plain mean as a running sum, without copying the uploads
+            # into a stack first. For d >= 2 this is the order
+            # ``np.stack(uploads).mean(axis=0)`` reduces in (bit-equal);
+            # with d = 1 the reduced axis is contiguous and numpy sums
+            # pairwise, so the two agree only to 1 ulp once n >= 8.
             if len(uploads) == 1:
                 aggregate = np.array(uploads[0], dtype=np.float64)
             else:
@@ -158,6 +162,23 @@ class ByzantineParameterServer(ParameterServer):
     def __repr__(self) -> str:
         return (f"ByzantineParameterServer(id={self.server_id}, "
                 f"attack={self.attack!r})")
+
+
+def make_servers(count: int, byzantine_ids: AbstractSet[int],
+                 attack: Optional[Attack], rngs: RngFactory, *,
+                 initial_model: np.ndarray,
+                 aggregation_rule: Optional[AggregationRule] = None
+                 ) -> List[ParameterServer]:
+    """``count`` PSs; the ones in ``byzantine_ids`` run ``attack``, each on
+    its own ``attack/server/<id>`` stream."""
+    common = dict(initial_model=initial_model,
+                  aggregation_rule=aggregation_rule)
+    return [
+        ByzantineParameterServer(
+            i, attack, rng=rngs.make(f"attack/server/{i}"), **common)
+        if i in byzantine_ids else ParameterServer(i, **common)
+        for i in range(count)
+    ]
 
 
 def adversary_view(servers: Sequence[ParameterServer], *,

@@ -7,20 +7,20 @@ servers (:mod:`repro.core.server`, :mod:`repro.attacks`); each client then
 filters the received global models with the beta-trimmed mean
 (:mod:`repro.aggregation`) to obtain its next feasible global model.
 
-The round itself is structured as named phases on a
-:class:`~repro.simulation.scheduler.RoundScheduler` (train, upload,
-aggregate, disseminate, filter), with an optional
-:class:`~repro.simulation.faults.FaultInjector` driven as a per-round hook.
-Under faults the loop degrades instead of crashing: failed uploads retry
+The trainer is the flat topology on the shared
+:class:`~repro.core.engine.RoundEngine`: its round is the scheduler phases
+train, upload, aggregate, disseminate and filter, with an optional
+:class:`~repro.simulation.faults.FaultInjector` driven as a per-round hook;
+the retrying send, the codec wire, the deadline gate, the record and the
+multi-round driver are the engine's. Under faults the loop degrades instead of crashing: failed uploads retry
 with bounded backoff and re-sample an alive PS, crashed PSs simply miss
 rounds, and a client receiving only ``q < P`` models filters them with the
 degraded-quorum trim count (falling back to its previous feasible model
 when ``q`` is too small to out-vote the Byzantine PSs).
 
 Two orthogonal robustness layers ride on top (see docs/faults.md): with
-``config.aggregation_mode="deadline"`` a deterministic
-:class:`~repro.simulation.clock.VirtualClock` times every broadcast and
-the round aggregates whatever arrived by the deadline (late broadcasts
+``config.aggregation_mode="deadline"`` the engine's deadline gate times
+every broadcast and the round aggregates whatever arrived by the deadline (late broadcasts
 are buffered and admitted next round within ``config.max_staleness``);
 with ``config.health_scoring`` a per-PS reputation ledger
 (:mod:`repro.core.health`) circuit-breaks persistently-bad PSs out of
@@ -41,32 +41,25 @@ from ..aggregation import (
 )
 from ..attacks.base import Attack
 from ..attacks.client_attacks import ClientAttack, ClientAttackContext
-from ..common.errors import ConfigurationError, ProtocolError
-from ..common.rng import RngFactory
+from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
 from ..execution import FilterJob, FilterSpec, WorkerSpec, make_backend
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
-from ..nn.serialization import from_vector, to_vector
-from ..simulation.clock import VirtualClock, split_by_deadline
 from ..simulation.faults import FaultInjector
 from ..simulation.network import Message, Network, NodeId
-from ..simulation.scheduler import RoundScheduler
 from .client import Client
-from .codecs import (
-    CodecPipeline,
-    EncodedUpdate,
-    broadcast_variant,
-    make_codec_pipeline,
-)
+from .codecs import EncodedUpdate
 from .config import FedMSConfig
+from .engine import LateBuffer, RoundEngine, RoundState, place_byzantine
 from .filtering import FilterOutcome, quorum_floor, resolve_filter
 from .health import HealthLedger, HealthPolicy
-from .history import RoundRecord, TrainingHistory
+from .history import RoundRecord
 from .server import (
     ByzantineParameterServer,
     ParameterServer,
     adversary_view,
+    make_servers,
 )
 from .upload import UploadStrategy, make_upload_strategy
 
@@ -82,27 +75,20 @@ def _frozen(vector: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _RoundState:
-    """Working state threaded through the phases of one round."""
+class _RoundState(RoundState):
+    """The flat topology's working state, on top of the engine's."""
 
     participants: List[Client] = field(default_factory=list)
     active_clients: List[Client] = field(default_factory=list)
     vectors: Dict[int, np.ndarray] = field(default_factory=dict)
     start_vectors: Dict[int, np.ndarray] = field(default_factory=dict)
-    train_loss: float = float("nan")
     # The adversary's (P, d) view of this round's honest aggregates, built
     # when an attack first reads it.
     all_aggregates: Optional[Callable[[], np.ndarray]] = None
-    # The one wire payload each broadcasting PS sends to every client this
-    # round (dense vector, or the encoded delta with codecs active). With
-    # codecs: the decode memo for in-process payload -> dense lookups, and
-    # the shared reference this round's payloads were encoded against
-    # (workers decode with it; the live reference advances at the end of
-    # the filter phase).
-    broadcast_payloads: Dict[int, object] = field(default_factory=dict)
-    decoded_payloads: Dict[int, "tuple"] = field(default_factory=dict)
-    filter_references: Optional[np.ndarray] = None
-    fault_events: List[str] = field(default_factory=list)
+    # ``(payload, residual)`` of the one wire payload each broadcasting PS
+    # sends to every client this round (the dense vector, or the encoded
+    # delta with codecs active).
+    broadcast_payloads: Dict[int, "tuple"] = field(default_factory=dict)
     alive_server_ids: List[int] = field(default_factory=list)
     # Alive minus health-excluded: the PSs that take uploads, broadcast
     # and count toward quorum this round. Equal to ``alive_server_ids``
@@ -110,12 +96,6 @@ class _RoundState:
     admitted_server_ids: List[int] = field(default_factory=list)
     excluded_server_ids: List[int] = field(default_factory=list)
     late_server_ids: List[int] = field(default_factory=list)
-    deadline_missed: int = 0
-    late_admitted: int = 0
-    simulated_time_s: float = 0.0
-    upload_retries: int = 0
-    upload_failures: int = 0
-    backoff_s: float = 0.0
     models_received: Dict[int, int] = field(default_factory=dict)
     degraded_clients: List[int] = field(default_factory=list)
     fallback_clients: List[int] = field(default_factory=list)
@@ -123,7 +103,7 @@ class _RoundState:
     filtered_model_ids: Set[int] = field(default_factory=set)
 
 
-class FedMSTrainer:
+class FedMSTrainer(RoundEngine):
     """Simulates Fed-MS end to end.
 
     Parameters
@@ -215,10 +195,8 @@ class FedMSTrainer:
                 f"Byzantine clients must be a strict minority: "
                 f"2*{num_byzantine_clients} >= {config.num_clients}"
             )
-        self.config = config
-        self.test_dataset = test_dataset
-        self.network = network if network is not None else Network()
-        self.rngs = RngFactory(config.seed)
+        super().__init__(config, model_factory=model_factory,
+                         test_dataset=test_dataset, network=network)
         self.upload_strategy: UploadStrategy = make_upload_strategy(config)
         # Def() in every form the round loop needs: the plain closure, a
         # picklable FilterSpec when the backends can fan it out, the beta
@@ -239,39 +217,26 @@ class FedMSTrainer:
             resolved.degraded_trim_ratio
         self._filter_info_fn = resolved.info_fn
         self._resolved_filter = resolved
+        # Picklable description of the Def() filter, when it has one:
+        # fan-out-able to workers. Estimating rules and custom closures
+        # are applied in-process.
+        self._filter_spec: Optional[FilterSpec] = resolved.spec
 
         self.fault_config = config.resolved_faults
         self.fault_injector = fault_injector
         if fault_injector is not None:
-            fault_injector.plan.validate_topology(
-                num_clients=config.num_clients,
-                num_servers=config.num_servers,
-            )
-            if fault_injector.round_deadline_s is None:
-                fault_injector.round_deadline_s = \
-                    self.fault_config.round_deadline_s
-            self.network.add_drop_rule(fault_injector.should_drop)
-        self.retry_policy = config.resolved_retry_policy
+            self._attach_injector(fault_injector,
+                                  num_clients=config.num_clients,
+                                  num_servers=config.num_servers)
 
-        # Virtual message timing. Every arrival draw is a pure function of
-        # (seed, round, leg, sender), so timing never perturbs the training
-        # streams and stays bit-identical across execution backends. In
-        # barrier mode the clock only *measures* (simulated round time); in
-        # deadline mode it decides which broadcasts make the round.
-        self.clock = VirtualClock(
-            config.seed,
-            straggler_rate=config.straggler_rate,
-            straggler_factor=config.straggler_factor,
-        )
-        self._deadline_s: Optional[float] = None
-        if config.deadline_mode:
-            self._deadline_s = (
-                config.deadline_s if config.deadline_s is not None
-                else self.clock.deadline_for_quantile(config.deadline_quantile)
-            )
+        # The dissemination leg is the wire's trim-compatible variant: the
+        # coordinate-wise Def() filters need every honest PS to transmit
+        # the same support each round. The reference every leg's delta is
+        # taken against is the previous round's consensus filter output.
+        self.broadcast_codec = self.wire.broadcast_codec
         # Broadcasts that missed a round's deadline, buffered for
-        # bounded-staleness admission: server_id -> (origin_round, vector).
-        self._late_broadcasts: Dict[int, "tuple[int, np.ndarray]"] = {}
+        # bounded-staleness admission.
+        self._late_broadcasts = LateBuffer()
 
         # Per-PS reputation ledger + circuit breaker (docs/faults.md).
         # Runs entirely in the main process on structured evidence, so it
@@ -281,47 +246,7 @@ class FedMSTrainer:
             if config.health_scoring else None
         )
 
-        # Shared initial model w_0 (Algorithm 1, line 6).
-        init_model = model_factory(self.rngs.make("init/global"))
-        initial_vector = _frozen(to_vector(
-            init_model, include_buffers=config.include_buffers
-        ))
-        self._initial_vector = initial_vector
-
-        # Upload codec pipeline. Every wire leg carries the *delta* against
-        # one shared reference every honest party knows: the previous
-        # round's consensus filter output (w_0 before the first round).
-        # Upload deltas are then pure local-training progress and decoded
-        # broadcasts agree exactly on every coordinate the codec dropped
-        # (they all decode to the reference there), so the coordinate-wise
-        # trimmed mean is not skewed by per-PS staleness. Attacks tamper
-        # with the pre-encode vector (dissemination encodes the PS's
-        # already-tampered output), so colluders gain nothing from the
-        # codec. See docs/upload.md.
-        self.codec: CodecPipeline = make_codec_pipeline(
-            config.resolved_upload_codecs
-        )
-        # The dissemination leg uses the trim-compatible variant: the
-        # coordinate-wise Def() filters need every honest PS to transmit
-        # the *same* support each round (a per-PS top-k makes each fresh
-        # coordinate a minority outlier the trim removes), so magnitude
-        # supports become the shared round-cycling support.
-        self.broadcast_codec: CodecPipeline = broadcast_variant(self.codec)
-        self._codec_active = not self.codec.is_identity
-        self._reference: Optional[np.ndarray] = (
-            np.array(initial_vector) if self._codec_active else None
-        )
-        # Error feedback (EF-SGD, Stich et al. 2018; Karimireddy et al.
-        # 2019) on both legs: each client folds the part of its last upload
-        # the codec truncated into its next upload delta, and each PS does
-        # the same for its broadcast (the double-compression scheme of Tang
-        # et al. 2019), so lossy compression delays information instead of
-        # destroying it. Anything the *filter* declines only leaves the
-        # reference unchanged — the senders' next deltas still contain it,
-        # an automatic retransmission.
-        self._upload_residuals: Dict[int, np.ndarray] = {}
-        self._broadcast_residuals: Dict[int, np.ndarray] = {}
-
+        initial_vector = self.initial_vector
         self.clients: List[Client] = []
         for k in range(config.num_clients):
             client = Client(
@@ -359,176 +284,78 @@ class FedMSTrainer:
                 num_clients=config.num_clients,
                 # Makes the process backend allocate the shared
                 # codec-reference vector workers decode against.
-                codec_references=self._codec_active,
+                codec_references=self.wire.active,
                 model_factory=model_factory,
                 datasets=list(client_datasets),
                 lr_schedule=lr_schedule,
             ),
             num_workers=config.resolved_num_workers,
         )
-        # Picklable description of the Def() filter, when it has one:
-        # fan-out-able to workers. Estimating rules and custom closures
-        # are applied in-process.
-        self._filter_spec: Optional[FilterSpec] = resolved.spec
 
-        self.byzantine_ids = self._resolve_byzantine_ids(byzantine_ids)
+        self.byzantine_ids = place_byzantine(
+            byzantine_ids, count=config.num_byzantine,
+            total=config.num_servers, what="byzantine_ids",
+            rng=self.rngs.make("byzantine/placement"),
+        )
         self.client_attack = client_attack
-        self.byzantine_client_ids = self._resolve_byzantine_client_ids(
-            num_byzantine_clients, byzantine_client_ids
+        # The future-work extension: placement defaults to a uniformly
+        # random subset, like the Byzantine PSs.
+        self.byzantine_client_ids = place_byzantine(
+            byzantine_client_ids, count=num_byzantine_clients,
+            total=config.num_clients, what="byzantine_client_ids",
+            rng=self.rngs.make("byzantine/client_placement"),
         )
         self._client_attack_rngs = {
             k: self.rngs.make(f"client_attack/{k}")
             for k in self.byzantine_client_ids
         }
-        self.servers: List[ParameterServer] = []
-        for i in range(config.num_servers):
-            if i in self.byzantine_ids:
-                assert attack is not None
-                self.servers.append(ByzantineParameterServer(
-                    i, attack, rng=self.rngs.make(f"attack/server/{i}"),
-                    initial_model=initial_vector,
-                    aggregation_rule=server_rule,
-                ))
-            else:
-                self.servers.append(ParameterServer(
-                    i, initial_model=initial_vector,
-                    aggregation_rule=server_rule,
-                ))
+        self.servers: List[ParameterServer] = make_servers(
+            config.num_servers, self.byzantine_ids, attack, self.rngs,
+            initial_model=initial_vector, aggregation_rule=server_rule,
+        )
 
         self._assignment_rng = self.rngs.make("upload/assignment")
         self._participation_rng = self.rngs.make("participation")
         self._retry_rng = self.rngs.make("upload/retry")
-        self.history = TrainingHistory()
 
         # Algorithm 1's three synchronized stages, as scheduler phases
         # (per-phase wall-clock lands in ``scheduler.phase_seconds``).
-        self.scheduler = RoundScheduler()
-        if fault_injector is not None:
-            self.scheduler.add_round_hook(self._begin_round_faults)
         self.scheduler.add_phase("train", self._phase_train)
         self.scheduler.add_phase("upload", self._phase_upload)
         self.scheduler.add_phase("aggregate", self._phase_aggregate)
         self.scheduler.add_phase("disseminate", self._phase_disseminate)
         self.scheduler.add_phase("filter", self._phase_filter)
-        self._round: Optional[_RoundState] = None
 
-    def _resolve_byzantine_ids(self,
-                               byzantine_ids: Optional[Sequence[int]]) -> frozenset:
-        config = self.config
-        if byzantine_ids is None:
-            chosen = self.rngs.make("byzantine/placement").choice(
-                config.num_servers, size=config.num_byzantine, replace=False
-            )
-            return frozenset(int(i) for i in chosen)
-        ids = frozenset(int(i) for i in byzantine_ids)
-        if len(ids) != config.num_byzantine:
-            raise ConfigurationError(
-                f"byzantine_ids has {len(ids)} distinct ids, expected "
-                f"{config.num_byzantine}"
-            )
-        if ids and (min(ids) < 0 or max(ids) >= config.num_servers):
-            raise ConfigurationError(
-                f"byzantine_ids out of range [0, {config.num_servers})"
-            )
-        return ids
+    round_state = _RoundState
 
-    def _resolve_byzantine_client_ids(self, count: int,
-                                      ids: Optional[Sequence[int]]
-                                      ) -> frozenset:
-        config = self.config
-        if ids is None:
-            if count == 0:
-                return frozenset()
-            chosen = self.rngs.make("byzantine/client_placement").choice(
-                config.num_clients, size=count, replace=False
-            )
-            return frozenset(int(i) for i in chosen)
-        resolved = frozenset(int(i) for i in ids)
-        if len(resolved) != count:
-            raise ConfigurationError(
-                f"byzantine_client_ids has {len(resolved)} distinct ids, "
-                f"expected {count}"
-            )
-        if resolved and (min(resolved) < 0
-                         or max(resolved) >= config.num_clients):
-            raise ConfigurationError(
-                f"byzantine_client_ids out of range [0, {config.num_clients})"
-            )
-        return resolved
-
-    # -- one global round ----------------------------------------------------
-
-    def run_round(self, *, evaluate: bool = True) -> RoundRecord:
-        """Execute local training, aggregation, dissemination and filtering."""
-        stats = self.network.stats
-        bytes_before = stats.bytes_by_tag.get("upload", 0)
-        messages_before = stats.messages_by_tag.get("upload", 0)
-        dissemination_before = stats.messages_by_tag.get("dissemination", 0)
-
-        state = self._round = _RoundState()
-        t = self.scheduler.run_round()
+    def _complete_record(self, record: RoundRecord,
+                         state: _RoundState) -> None:
         # Round deadline: whatever is still queued (e.g. models addressed
         # to offline clients) expires here and is counted as cleared.
-        cleared = self.network.clear()
-
-        health_scores: Dict[int, float] = {}
-        breaker_states: Dict[int, str] = {}
+        record.cleared_messages = self.network.clear()
         if self._health is not None:
             # Fold this round's structured evidence into the ledger; the
             # resulting exclusions take effect at the *next* round's start.
             crashed = (set(range(self.config.num_servers))
                        - set(state.alive_server_ids))
             state.fault_events.extend(self._health.observe_round(
-                t,
+                state.round_index,
                 crashed=crashed,
                 straggling=state.late_server_ids,
                 filtered=state.filtered_model_ids,
             ))
             snapshot = self._health.snapshot()
-            health_scores = snapshot["scores"]
-            breaker_states = snapshot["states"]
+            record.health_scores = snapshot["scores"]
+            record.breaker_states = snapshot["states"]
+        record.alive_servers = len(state.alive_server_ids)
+        record.models_received = dict(state.models_received)
+        record.degraded_clients = sorted(state.degraded_clients)
+        record.fallback_clients = sorted(state.fallback_clients)
+        record.estimated_byzantine = state.estimated_byzantine
+        record.filtered_model_ids = sorted(state.filtered_model_ids)
+        record.excluded_servers = list(state.excluded_server_ids)
 
-        record = RoundRecord(
-            round_index=t,
-            train_loss=state.train_loss,
-            upload_messages=(
-                stats.messages_by_tag.get("upload", 0) - messages_before
-            ),
-            upload_bytes=(
-                stats.bytes_by_tag.get("upload", 0) - bytes_before
-            ),
-            dissemination_messages=(
-                stats.messages_by_tag.get("dissemination", 0)
-                - dissemination_before
-            ),
-            upload_retries=state.upload_retries,
-            upload_failures=state.upload_failures,
-            cleared_messages=cleared,
-            alive_servers=len(state.alive_server_ids),
-            models_received=dict(state.models_received),
-            degraded_clients=sorted(state.degraded_clients),
-            fallback_clients=sorted(state.fallback_clients),
-            fault_events=list(state.fault_events),
-            estimated_byzantine=state.estimated_byzantine,
-            filtered_model_ids=sorted(state.filtered_model_ids),
-            simulated_time_s=state.simulated_time_s,
-            deadline_missed=state.deadline_missed,
-            late_admitted=state.late_admitted,
-            health_scores=health_scores,
-            breaker_states=breaker_states,
-            excluded_servers=list(state.excluded_server_ids),
-        )
-        if evaluate:
-            record.test_loss, record.test_accuracy = self._evaluate()
-        self.history.append(record)
-        self._round = None
-        return record
-
-    # -- round hook + phases -------------------------------------------------
-
-    def _begin_round_faults(self, t: int) -> None:
-        assert self.fault_injector is not None and self._round is not None
-        self._round.fault_events = self.fault_injector.begin_round(t)
+    # -- phases --------------------------------------------------------------
 
     def _alive_server_ids(self) -> List[int]:
         if self.fault_injector is None:
@@ -607,80 +434,6 @@ class FedMSTrainer:
                 [client.last_train_loss for client in participants]
             ))
 
-    # -- codec plumbing ------------------------------------------------------
-
-    def _encode_for_wire(self, vector: np.ndarray, round_index: int,
-                         state: _RoundState, *,
-                         residual_key: Optional[int] = None) -> object:
-        """Dissemination wire payload for ``vector``: the encoded delta
-        against the shared reference (the dense vector itself with no
-        codec). Uses the trim-compatible broadcast pipeline, salted with
-        the round index so every PS transmits the same cyclic support.
-
-        ``residual_key``, when given, applies and advances the sender PS's
-        broadcast error-feedback residual — only the one-per-round
-        broadcast path may use it (a per-client encode would advance the
-        residual once per receiver). Because encode/decode are
-        deterministic, the receiver-side decode is computed once right
-        here and memoized on the round state, so in-process receive paths
-        never decode twice.
-        """
-        if not self._codec_active:
-            return vector
-        assert self._reference is not None
-        delta = vector - self._reference
-        if residual_key is not None:
-            residual = self._broadcast_residuals.get(residual_key)
-            if residual is not None:
-                delta = delta + residual
-        encoded = self.broadcast_codec.encode(delta, salt=round_index)
-        decoded_delta = encoded.decode()
-        if residual_key is not None:
-            self._broadcast_residuals[residual_key] = delta - decoded_delta
-        state.decoded_payloads[id(encoded)] = (
-            encoded, self._reference + decoded_delta
-        )
-        return encoded
-
-    def _encode_upload(self, vector: np.ndarray, client_id: int,
-                       state: _RoundState
-                       ) -> "tuple[object, Optional[np.ndarray]]":
-        """Encode one client upload; returns ``(payload, residual)``.
-
-        The delta against the shared reference is topped up with the
-        client's accumulated error-feedback residual before encoding. The
-        residual produced here (what this encoding truncated) must only be
-        adopted by the caller once the payload actually delivers — a
-        dropped upload communicates nothing, so the old residual stays.
-        Called once per participating client per round.
-        """
-        if not self._codec_active:
-            return vector, None
-        assert self._reference is not None
-        delta = vector - self._reference
-        residual = self._upload_residuals.get(client_id)
-        if residual is not None:
-            delta = delta + residual
-        encoded = self.codec.encode(delta)
-        decoded_delta = encoded.decode()
-        state.decoded_payloads[id(encoded)] = (
-            encoded, self._reference + decoded_delta
-        )
-        return encoded, delta - decoded_delta
-
-    def _payload_vector(self, payload: object,
-                        state: _RoundState) -> np.ndarray:
-        """Dense vector a receiver obtains from a wire payload."""
-        if isinstance(payload, EncodedUpdate):
-            entry = state.decoded_payloads.get(id(payload))
-            if entry is None or entry[0] is not payload:
-                raise ProtocolError(
-                    "encoded payload has no recorded decode; it was not "
-                    "produced by this round's _encode_for_wire"
-                )
-            return entry[1]
-        return payload  # type: ignore[return-value]
-
     def _phase_upload(self, t: int) -> None:
         """Stage 2 (client side): sparse upload with bounded retry.
 
@@ -689,6 +442,11 @@ class FedMSTrainer:
         full ``range(P)`` when nothing is excluded — so with health
         scoring off (or no open breakers) the draws are bit-identical to
         the unpooled assignment.
+
+        A failed upload retries the same PS once (the loss may be a
+        transient packet drop), then re-samples among the admitted PSs.
+        The reference is shared by every PS, so a retry re-sampled onto a
+        different PS resends the same payload.
         """
         state = self._round
         assert state is not None
@@ -699,60 +457,30 @@ class FedMSTrainer:
             len(state.participants), len(candidates),
             rng=self._assignment_rng,
         )
+
+        def next_target(attempt: int, failed: int) -> Optional[int]:
+            return self.retry_policy.next_target(
+                attempt, failed, state.admitted_server_ids,
+                rng=self._retry_rng,
+            )
+
         for client, targets in zip(state.participants, assignment):
             client_id = client.client_id
             # One encode per client per round: every assigned PS and every
             # retry carries the same payload, and the error-feedback
-            # residual it left advances once, only if something delivered
-            # (a dropped upload communicates nothing).
-            payload, residual = self._encode_upload(
-                state.vectors[client_id], client_id, state
+            # residual it left advances once, only if something delivered.
+            payload, residual = self.wire.encode_upload(
+                state.vectors[client_id], client_id
             )
             delivered = False
             for index in targets:
-                delivered |= self._upload_with_retry(
-                    client_id, payload, candidates[index], t, state
-                )
-            if delivered and residual is not None:
-                self._upload_residuals[client_id] = residual
-
-    def _upload_with_retry(self, client_id: int, payload: object,
-                           target: int, t: int, state: _RoundState) -> bool:
-        """Send one upload, retrying per the policy on failure.
-
-        The successful send is the only one counted as an upload message
-        (the ``O(K)`` accounting); failed attempts are attributed as drops
-        and the retry attempts as ``retries_by_tag["upload"]``. The
-        reference is shared by every PS, so a retry re-sampled onto a
-        different PS resends the same ``payload``, and dropped attempts
-        are charged at encoded size too. Returns whether an attempt
-        delivered.
-        """
-        if self.network.send(Message(
-            NodeId.client(client_id), NodeId.server(target), payload,
-            tag="upload", round_index=t,
-        )):
-            return True
-        policy = self.retry_policy
-        current = target
-        for attempt in range(1, policy.max_retries + 1):
-            self.network.stats.record_retry("upload")
-            state.upload_retries += 1
-            state.backoff_s += policy.backoff_s(attempt)
-            next_target = policy.next_target(
-                attempt, current, state.admitted_server_ids,
-                rng=self._retry_rng
-            )
-            if next_target is None:
-                break
-            current = next_target
-            if self.network.send(Message(
-                NodeId.client(client_id), NodeId.server(current), payload,
-                tag="upload", round_index=t,
-            )):
-                return True
-        state.upload_failures += 1
-        return False
+                delivered |= self.send_with_retry(Message(
+                    NodeId.client(client_id),
+                    NodeId.server(candidates[index]),
+                    payload, tag="upload", round_index=t,
+                ), state, next_target)
+            if delivered:
+                self.wire.adopt("upload", client_id, residual)
 
     def _phase_aggregate(self, t: int) -> None:
         """Stage 2 (server side): honest aggregation on every alive PS.
@@ -775,25 +503,23 @@ class FedMSTrainer:
             # aggregate history freezes until readmission.
             if server.server_id not in admitted:
                 continue
-            uploads = [self._payload_vector(m.payload, state) for m in
+            uploads = [self.wire.decode(m.payload) for m in
                        self.network.receive(NodeId.server(server.server_id))]
             server.aggregate(uploads)
         # The adversary's view (the adaptive attacks) keeps the full P-row
         # shape; a crashed PS that never aggregated contributes w_0.
         state.all_aggregates = adversary_view(
-            self.servers, default=self._initial_vector
+            self.servers, default=self.initial_vector
         )
 
     def _phase_disseminate(self, t: int) -> None:
         """Stage 3 (server side): every admitted PS sends to every client.
 
-        The virtual clock assigns each admitted PS's broadcast an arrival
-        time. Barrier mode waits for the slowest (that max is the round's
-        simulated duration); deadline mode closes the round at the
-        deadline — broadcasts arriving later are withheld this round,
-        buffered, and admitted next round while within the staleness
-        bound, *only* when the sender produced no fresh on-time broadcast
-        (a strategically-straggling PS never gets two votes in one round).
+        The deadline gate times each admitted PS's broadcast; one that
+        misses the deadline is withheld this round and buffered, and is
+        admitted next round while within the staleness bound *only* when
+        its sender is late again (see :class:`LateBuffer`). PSs currently
+        crashed or excluded keep their buffer until it expires.
         """
         state = self._round
         assert state is not None
@@ -805,36 +531,41 @@ class FedMSTrainer:
                 client for client in self.clients
                 if self.fault_injector.client_active(client.client_id)
             ]
-        arrivals = self.clock.arrivals(t, "broadcast",
-                                       sorted(admitted))
-        deadline = self._deadline_s
-        if deadline is not None:
-            _, late_ids = split_by_deadline(arrivals, deadline)
-        else:
-            late_ids = []
-        state.late_server_ids = list(late_ids)
-        state.deadline_missed = len(late_ids)
-        stage_s = self.clock.stage_seconds(arrivals, deadline_s=deadline)
-        state.simulated_time_s = stage_s + state.backoff_s
-        self.scheduler.record_simulated("disseminate", stage_s)
-        late = set(late_ids)
-        self._admit_stale_broadcasts(t, state, admitted, late)
+        state.late_server_ids = self.deadline_gate(
+            "broadcast", sorted(admitted), state
+        )
+        late = set(state.late_server_ids)
+        stale = self._late_broadcasts.take_admissible(
+            t, self.config.max_staleness, late=late,
+            absent=set(range(self.config.num_servers)) - admitted,
+        )
+        for server_id, vector in stale.items():
+            payload, _ = self.wire.encode_broadcast(vector, t)
+            for client in self.clients:
+                self.network.send(Message(
+                    NodeId.server(server_id), NodeId.client(client.client_id),
+                    payload, tag="dissemination", round_index=t,
+                ))
+        state.late_admitted += len(stale)
         for client in self.clients:
             for server in self.servers:
                 if server.server_id not in admitted \
                         or server.server_id in late:
                     continue
-                payload = self._disseminated_payload(
+                payload, residual = self._disseminated_payload(
                     server, client.client_id, t, state
                 )
-                self.network.send(Message(
+                if self.network.send(Message(
                     NodeId.server(server.server_id),
                     NodeId.client(client.client_id),
                     payload,
                     tag="dissemination",
                     round_index=t,
-                ))
-        for server_id in late_ids:
+                )):
+                    # One delivered copy is enough: a broadcast no client
+                    # received communicated nothing.
+                    self.wire.adopt("broadcast", server.server_id, residual)
+        for server_id in state.late_server_ids:
             # The broadcast happened — it just missed the deadline. Buffer
             # the model as of *this* round for next-round stale admission.
             # Client-dependent attacks are flattened to their broadcast
@@ -844,48 +575,7 @@ class FedMSTrainer:
                 round_index=t, client_id=None,
                 all_server_aggregates=state.all_aggregates,
             )
-            self._late_broadcasts[server_id] = (t, vector)
-        if self._codec_active:
-            assert self._reference is not None
-            # Workers decoding this round's filter jobs do so against the
-            # reference the payloads were encoded with; the live reference
-            # advances at the end of the filter phase, after these jobs ran.
-            state.filter_references = self._reference
-
-    def _admit_stale_broadcasts(self, t: int, state: _RoundState,
-                                admitted: Set[int], late: Set[int]) -> None:
-        """Deliver buffered late broadcasts still within the staleness bound.
-
-        A buffered broadcast from round ``t0`` is admitted in round ``t``
-        when ``t - t0 <= max_staleness``, its sender is admitted, and the
-        sender has no fresh on-time broadcast this round (fresh supersedes
-        stale — the buffer is simply dropped). Senders currently crashed
-        or excluded keep their buffer until it expires.
-        """
-        if not self._late_broadcasts:
-            return
-        max_staleness = self.config.max_staleness
-        for server_id in sorted(self._late_broadcasts):
-            origin, vector = self._late_broadcasts[server_id]
-            if t - origin > max_staleness:
-                del self._late_broadcasts[server_id]
-                continue
-            if server_id not in admitted:
-                continue
-            if server_id not in late:
-                del self._late_broadcasts[server_id]
-                continue
-            payload = self._encode_for_wire(vector, t, state)
-            for client in self.clients:
-                self.network.send(Message(
-                    NodeId.server(server_id),
-                    NodeId.client(client.client_id),
-                    payload,
-                    tag="dissemination",
-                    round_index=t,
-                ))
-            state.late_admitted += 1
-            del self._late_broadcasts[server_id]
+            self._late_broadcasts.hold(server_id, t, vector)
 
     def _phase_filter(self, t: int) -> None:
         """Stage 3 (client side): the Def() filter, quorum-aware, evaluated
@@ -935,7 +625,7 @@ class FedMSTrainer:
                 if quorum < expected:
                     state.degraded_clients.extend(member_ids)
                 outcome = self._filter_info_fn(
-                    self._received_stack(messages, state)
+                    self._received_stack(messages)
                 )
                 self._record_filter_outcome(
                     state, outcome,
@@ -955,37 +645,36 @@ class FedMSTrainer:
                     state.degraded_clients.extend(member_ids)
                     backend_jobs.append((
                         member_ids[0],
-                        self._filter_job_payload(messages, state),
+                        self._filter_job_payload(messages),
                         FilterSpec("trim_count", count),
                     ))
             elif self._filter_spec is not None:
                 backend_jobs.append((
                     member_ids[0],
-                    self._filter_job_payload(messages, state),
+                    self._filter_job_payload(messages),
                     self._filter_spec,
                 ))
             else:
                 self._adopt(members, self.filter_rule(
-                    self._received_stack(messages, state)
+                    self._received_stack(messages)
                 ))
         if backend_jobs:
+            # Workers decode encoded payloads against the reference they
+            # were encoded with; it advances only below, after these jobs.
             results = self.execution.filter_clients(
-                backend_jobs, references=state.filter_references
+                backend_jobs, references=self.wire.reference
             )
             for job_id, vector in results.items():
                 self._adopt(members_of[job_id], vector)
-        if self._codec_active:
-            # Advance the shared reference to the consensus the filter just
-            # produced. Client 0's post-filter model is that consensus on
-            # the healthy path (all clients coincide); on degraded rounds
-            # any single choice works — the next deltas carry each party's
-            # offset from it, so nothing is lost, only re-sent.
-            self._reference = self.clients[0].shared_model_vector()
+        if self.wire.active:
+            # The next shared reference is the consensus the filter just
+            # produced: client 0's post-filter model (on the healthy path
+            # all clients coincide).
+            self.wire.advance(self.clients[0].shared_model_vector())
 
-    def _received_stack(self, messages: Sequence[Message],
-                        state: _RoundState) -> np.ndarray:
+    def _received_stack(self, messages: Sequence[Message]) -> np.ndarray:
         """Dense ``(q, d)`` stack of the models ``messages`` carry."""
-        return np.stack([self._payload_vector(message.payload, state)
+        return np.stack([self.wire.decode(message.payload)
                          for message in messages])
 
     @staticmethod
@@ -1001,8 +690,7 @@ class FedMSTrainer:
             client.set_model_vector(vector)
             client.optimizer.reset_state()
 
-    def _filter_job_payload(self, messages: Sequence[Message],
-                            state: _RoundState) -> object:
+    def _filter_job_payload(self, messages: Sequence[Message]) -> object:
         """Backend filter-job payload for one client's received models.
 
         With a codec active the *encoded* updates travel to the workers,
@@ -1010,7 +698,7 @@ class FedMSTrainer:
         executor-queue transfers is the point. Otherwise the dense stack
         is shipped, as before.
         """
-        if self._codec_active:
+        if self.wire.active:
             return [
                 message.payload if isinstance(message.payload, EncodedUpdate)
                 else np.asarray(message.payload)
@@ -1034,8 +722,9 @@ class FedMSTrainer:
                 client.optimizer.reset_state()
 
     def _disseminated_payload(self, server: ParameterServer, client_id: int,
-                              round_index: int, state: _RoundState) -> object:
-        """Wire payload ``server`` sends to ``client_id``.
+                              round_index: int, state: _RoundState
+                              ) -> "tuple[object, Optional[np.ndarray]]":
+        """``(payload, residual)`` of what ``server`` sends to ``client_id``.
 
         Attacks that are not client-dependent produce one tampered vector
         per round, so it is computed (and encoded) once and that one
@@ -1051,17 +740,16 @@ class FedMSTrainer:
                 round_index=round_index, client_id=client_id,
                 all_server_aggregates=state.all_aggregates,
             )
-            # No broadcast residual: a per-receiver encode must not
-            # advance per-round sender state once per client.
-            return self._encode_for_wire(model, round_index, state)
+            # Residual-free: a per-receiver encode is not a broadcast.
+            return self.wire.encode_broadcast(model, round_index)
         server_id = server.server_id
         if server_id not in state.broadcast_payloads:
             model = server.disseminate(
                 round_index=round_index, client_id=None,
                 all_server_aggregates=state.all_aggregates,
             )
-            state.broadcast_payloads[server_id] = self._encode_for_wire(
-                model, round_index, state, residual_key=server_id
+            state.broadcast_payloads[server_id] = self.wire.encode_broadcast(
+                model, round_index, leg="broadcast", sender=server_id
             )
         return state.broadcast_payloads[server_id]
 
@@ -1109,22 +797,6 @@ class FedMSTrainer:
             losses.append(loss)
             accuracies.append(acc)
         return float(np.mean(losses)), float(np.mean(accuracies))
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release execution-backend resources (worker pools, shared memory).
-
-        Idempotent; a trainer on the serial backend has nothing to release.
-        Use the trainer as a context manager to get this automatically.
-        """
-        self.execution.close()
-
-    def __enter__(self) -> "FedMSTrainer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- persistence -----------------------------------------------------------
 
@@ -1177,30 +849,6 @@ class FedMSTrainer:
             client.optimizer.reset_state()
         self.scheduler.set_round_index(round_index)
         return round_index
-
-    # -- multi-round driver ----------------------------------------------------
-
-    def run(self, num_rounds: int, *, eval_every: int = 1,
-            progress: Optional[Callable[[RoundRecord], None]] = None
-            ) -> TrainingHistory:
-        """Run ``num_rounds`` rounds; evaluate every ``eval_every`` rounds.
-
-        The final round is always evaluated. ``progress``, when given, is
-        called with each completed :class:`RoundRecord`.
-        """
-        if num_rounds <= 0:
-            raise ConfigurationError(f"num_rounds must be positive, got {num_rounds}")
-        if eval_every <= 0:
-            raise ConfigurationError(f"eval_every must be positive, got {eval_every}")
-        for offset in range(num_rounds):
-            is_last = offset == num_rounds - 1
-            should_evaluate = (
-                is_last or (self.scheduler.round_index + 1) % eval_every == 0
-            )
-            record = self.run_round(evaluate=should_evaluate)
-            if progress is not None:
-                progress(record)
-        return self.history
 
 
 def make_fedavg_trainer(*, model_factory: ModelFactory,

@@ -15,9 +15,8 @@ gracefully instead of silently shrinking every PS's aggregate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -178,46 +177,25 @@ class MultiUpload(UploadStrategy):
         return num_clients * self.count
 
 
-def make_upload_strategy(config: Union[str, "object"], *,
-                         uploads_per_client: Optional[int] = None
-                         ) -> UploadStrategy:
+def make_upload_strategy(config: "object") -> UploadStrategy:
     """Build an upload strategy from a :class:`FedMSConfig`.
 
-    Pass the config object; the strategy name and ``uploads_per_client``
-    are read from it (duck-typed on the ``upload_strategy`` attribute, so
-    this module stays import-free of ``repro.core.config``).
-
-    The legacy form ``make_upload_strategy("sparse", uploads_per_client=1)``
-    is deprecated: it bypasses the config's eager validation (e.g.
-    ``uploads_per_client <= num_servers``) and will be removed.
+    The strategy name and ``uploads_per_client`` are read from the config
+    (duck-typed on the ``upload_strategy`` attribute, so this module stays
+    import-free of ``repro.core.config``), which has validated them eagerly
+    (e.g. ``uploads_per_client <= num_servers``).
     """
-    if isinstance(config, str):
-        warnings.warn(
-            "make_upload_strategy(name, uploads_per_client=...) is "
-            "deprecated; pass a FedMSConfig and set its upload_strategy/"
-            "uploads_per_client fields instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        name = config
-        count = 1 if uploads_per_client is None else uploads_per_client
-    elif hasattr(config, "upload_strategy"):
-        if uploads_per_client is not None:
-            raise ConfigurationError(
-                "uploads_per_client is only accepted with the deprecated "
-                "name form; set FedMSConfig.uploads_per_client instead"
-            )
-        name = config.upload_strategy
-        count = config.uploads_per_client
-    else:
+    if not hasattr(config, "upload_strategy"):
         raise ConfigurationError(
-            f"expected a FedMSConfig or a strategy name, got {config!r}"
+            f"expected a FedMSConfig, got {config!r}"
         )
+    name = config.upload_strategy
     if name == "sparse":
         return SparseUpload()
     if name == "full":
         return FullUpload()
     if name == "multi":
-        return MultiUpload(count)
+        return MultiUpload(config.uploads_per_client)
     raise ConfigurationError(
         f"unknown upload strategy {name!r}; expected sparse/full/multi"
     )

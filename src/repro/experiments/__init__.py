@@ -9,15 +9,6 @@ from .paper import (
     PAPER_FIG3_VANILLA_FINAL,
     PAPER_FIG5_FEDMS_FINAL,
 )
-from .perf import (
-    BENCH_FILENAME,
-    PERF_PROFILES,
-    POPULATION_PERF,
-    PerfProfile,
-    format_report,
-    run_round_loop_perf,
-    write_bench_file,
-)
 from .population import (
     POPULATION_PRESETS,
     PopulationPreset,
@@ -66,18 +57,11 @@ __all__ = [
     "run_fault_tolerance",
     "run_adaptive_crossover",
     "ADAPTIVE_CROSSOVER_VARIANTS",
-    "BENCH_FILENAME",
-    "PERF_PROFILES",
-    "POPULATION_PERF",
     "POPULATION_PRESETS",
     "PopulationPreset",
     "build_population_trainer",
     "run_population_comm",
     "run_population_scale",
-    "PerfProfile",
-    "format_report",
-    "run_round_loop_perf",
-    "write_bench_file",
     "ascii_curve",
     "ascii_curves",
     "format_curves",

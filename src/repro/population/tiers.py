@@ -38,6 +38,7 @@ import numpy as np
 from ..aggregation import trimmed_mean_by_count
 from ..attacks.base import Attack, AttackContext
 from ..common.errors import ConfigurationError, ProtocolError
+from ..core.engine import LateBuffer
 from ..core.filtering import FilterOutcome
 
 __all__ = ["TierTopology", "TierOutcome", "TierAggregator"]
@@ -196,8 +197,8 @@ class TierAggregator:
         ]
         self.rounds_without_quorum = 0
         # Child forwards that missed a deadline, buffered for
-        # bounded-staleness admission: child index -> (origin round, vector).
-        self._late_children: Dict[int, Tuple[int, np.ndarray]] = {}
+        # bounded-staleness admission.
+        self._late_children = LateBuffer()
 
     @property
     def is_byzantine(self) -> bool:
@@ -262,42 +263,19 @@ class TierAggregator:
 
     def buffer_late(self, child_index: int, round_index: int,
                     vector: np.ndarray) -> None:
-        """Buffer a child's deadline-missing forward for stale admission.
-
-        The forward happened — it just arrived after this round's
-        deadline. A newer buffer for the same child replaces the old one
-        (only the most recent late forward is ever admissible).
-        """
-        self._late_children[child_index] = (round_index, np.array(vector))
+        """Buffer a child's deadline-missing forward for stale admission."""
+        self._late_children.hold(child_index, round_index, vector)
 
     def take_admissible(self, round_index: int, max_staleness: int, *,
                         late_children: AbstractSet[int],
                         absent_children: AbstractSet[int] = frozenset(),
                         ) -> Dict[int, np.ndarray]:
-        """Pop the buffered forwards admissible in ``round_index``.
-
-        A buffer from round ``t0`` is admitted when
-        ``round_index - t0 <= max_staleness`` and its child is late
-        *again* this round (``late_children``) — a child whose fresh
-        forward made the deadline supersedes its stale buffer, which is
-        discarded, so no child ever contributes two models to one round.
-        Children in ``absent_children`` (crashed, no output this round)
-        keep their buffer until it expires.
-        """
-        admitted: Dict[int, np.ndarray] = {}
-        for child in sorted(self._late_children):
-            origin, vector = self._late_children[child]
-            if round_index - origin > max_staleness:
-                del self._late_children[child]
-                continue
-            if child in absent_children:
-                continue
-            if child not in late_children:
-                del self._late_children[child]
-                continue
-            admitted[child] = vector
-            del self._late_children[child]
-        return admitted
+        """Pop the buffered forwards admissible in ``round_index`` (the
+        rule is :meth:`repro.core.engine.LateBuffer.take_admissible`)."""
+        return self._late_children.take_admissible(
+            round_index, max_staleness,
+            late=late_children, absent=absent_children,
+        )
 
     def outgoing(self, round_index: int, *,
                  peer_outputs: Optional[np.ndarray] = None) -> np.ndarray:

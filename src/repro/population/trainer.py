@@ -26,46 +26,40 @@ One :class:`PopulationTrainer` round:
 Peak materialized-client state stays ``O(sampled + tiers)`` — asserted by
 ``benchmarks/test_ext_population.py`` at K up to 5000.
 
-Wire-level extensions (see docs/upload.md and docs/faults.md):
-``config.upload_codecs`` compresses the ``tier0_upload`` and
-``tier<t>_exchange`` legs (deltas against the round's fetched global
-model, with per-sender error feedback); every upload/exchange send
-retries per ``config.resolved_retry_policy`` with full
-:class:`~repro.simulation.network.TrafficStats` drop/retry attribution;
-and with ``config.aggregation_mode="deadline"`` a
-:class:`~repro.simulation.clock.VirtualClock` times each exchange leg so
-parents combine whatever arrived by the deadline — late forwards are
-buffered on the parent and admitted next round within
+Everything wire-level comes from
+:class:`~repro.core.engine.RoundEngine` (see docs/upload.md and
+docs/faults.md): ``config.upload_codecs`` compresses the ``tier0_upload``
+and ``tier<t>_exchange`` legs (deltas against the round's fetched global
+model — the reference all parties honestly share, clients pull it over
+the reliable ``model_fetch`` plane — with per-client residuals on uploads
+and per-child residuals, keyed by global index, on exchange forwards);
+every upload/exchange send retries to its static target per
+``config.resolved_retry_policy``; and with
+``config.aggregation_mode="deadline"`` each exchange leg passes the
+deadline gate, so parents combine whatever arrived by the deadline — late
+forwards are buffered on the parent and admitted next round within
 ``config.max_staleness`` (no child contributes twice to one round).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
-from ..common.rng import RngFactory
 from ..core.client import Client
-from ..core.codecs import (
-    CodecPipeline,
-    EncodedUpdate,
-    broadcast_variant,
-    make_codec_pipeline,
-)
 from ..core.config import FedMSConfig
+from ..core.engine import RoundEngine, RoundState, place_byzantine
 from ..core.filtering import resolve_filter
-from ..core.history import RoundRecord, TrainingHistory
+from ..core.history import RoundRecord
 from ..data.datasets import ArrayDataset
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
-from ..nn.serialization import to_vector
-from ..simulation.clock import VirtualClock, split_by_deadline
 from ..simulation.faults import FaultInjector, FaultPlan
 from ..simulation.network import Message, Network, NodeId
-from ..simulation.scheduler import RoundScheduler
 from .churn import ChurnPlan, ChurnScheduler
 from .clients import ClientPopulation
 from .executor import (
@@ -90,32 +84,20 @@ def exchange_tag(tier: int) -> str:
     return f"tier{tier}_exchange"
 
 
-class _RoundState:
-    """Mutable scratch shared by the phases of one round."""
+@dataclass
+class _RoundState(RoundState):
+    """The tiered topology's working state, on top of the engine's."""
 
-    __slots__ = ("round_index", "active_ids", "sampled_ids", "churn_events",
-                 "fault_events", "results", "tier_outcomes",
-                 "materialized", "retries", "send_failures", "backoff_s",
-                 "deadline_missed", "late_admitted", "simulated_time_s")
-
-    def __init__(self, round_index: int) -> None:
-        self.round_index = round_index
-        self.active_ids: List[int] = []
-        self.sampled_ids: List[int] = []
-        self.churn_events: List[str] = []
-        self.fault_events: List[str] = []
-        self.results: Dict[int, "tuple"] = {}
-        self.tier_outcomes: Dict[int, Dict[int, TierOutcome]] = {}
-        self.materialized = 0
-        self.retries = 0
-        self.send_failures = 0
-        self.backoff_s = 0.0
-        self.deadline_missed = 0
-        self.late_admitted = 0
-        self.simulated_time_s = 0.0
+    active_ids: List[int] = field(default_factory=list)
+    sampled_ids: List[int] = field(default_factory=list)
+    churn_events: List[str] = field(default_factory=list)
+    results: Dict[int, "tuple"] = field(default_factory=dict)
+    tier_outcomes: Dict[int, Dict[int, TierOutcome]] = field(
+        default_factory=dict)
+    materialized: int = 0
 
 
-class PopulationTrainer:
+class PopulationTrainer(RoundEngine):
     """Sampled, churning, tier-aggregated Fed-MS at population scale.
 
     Requires ``config.population_size`` (matching ``len(shard_specs)``)
@@ -127,6 +109,10 @@ class PopulationTrainer:
     changing population. ``fault_plan`` crashes *aggregators* (by global
     index) and drops clients, composing with churn.
     """
+
+    upload_tag = UPLOAD_TAG
+    downlink_tag = FETCH_TAG
+    round_state = _RoundState
 
     def __init__(self, config: FedMSConfig, *,
                  model_factory: ModelFactory,
@@ -151,22 +137,18 @@ class PopulationTrainer:
                 f"{len(shard_specs)} shard specs for a population of "
                 f"{config.population_size}"
             )
-        self.config = config
-        self.test_dataset = test_dataset
-        self.network = network if network is not None else Network()
-        self.rngs = RngFactory(config.seed)
-        self.topology = TierTopology(config.tier_spec,
-                                     config.resolved_tier_byzantine)
-        if any(self.topology.byzantine) and attack is None:
+        topology = TierTopology(config.tier_spec,
+                                config.resolved_tier_byzantine)
+        if any(topology.byzantine) and attack is None:
             raise ConfigurationError(
                 "tier_byzantine places Byzantine aggregators but no attack "
                 "was supplied"
             )
-
-        init_model = model_factory(self.rngs.make("population/init/global"))
-        self._global_vector = to_vector(
-            init_model, include_buffers=config.include_buffers
-        )
+        super().__init__(config, model_factory=model_factory,
+                         test_dataset=test_dataset, network=network,
+                         init_stream="population/init/global")
+        self.topology = topology
+        self._global_vector = self.initial_vector
 
         self.population = ClientPopulation(
             shard_specs,
@@ -180,8 +162,7 @@ class PopulationTrainer:
             flatten_inputs=flatten_inputs,
         )
 
-        self.byzantine_tier_ids = self._place_byzantine(byzantine_tier_ids,
-                                                        attack)
+        self.byzantine_tier_ids = self._place_byzantine(byzantine_tier_ids)
         self.tiers: List[List[TierAggregator]] = []
         for tier, count in enumerate(self.topology.counts):
             row: List[TierAggregator] = []
@@ -231,53 +212,16 @@ class PopulationTrainer:
 
         self.injector: Optional[FaultInjector] = None
         if fault_plan is not None and not fault_plan.is_empty:
-            fault_plan.validate_topology(
-                num_clients=config.population_size,
+            self.injector = FaultInjector(fault_plan)
+            self._attach_injector(
+                self.injector, num_clients=config.population_size,
                 num_servers=self.topology.total_aggregators,
             )
-            self.injector = FaultInjector(
-                fault_plan,
-                round_deadline_s=config.resolved_faults.round_deadline_s,
-            )
-            self.network.add_drop_rule(self.injector.should_drop)
 
-        self.retry_policy = config.resolved_retry_policy
-
-        # Virtual timing of the tier-exchange legs. Barrier mode only
-        # measures (per-round simulated time); deadline mode decides which
-        # child forwards make each parent's round. Draws live on their own
-        # named streams, so they never perturb training randomness.
-        self.clock = VirtualClock(
-            config.seed,
-            straggler_rate=config.straggler_rate,
-            straggler_factor=config.straggler_factor,
-        )
-        self._deadline_s: Optional[float] = None
-        if config.deadline_mode:
-            self._deadline_s = (
-                config.deadline_s if config.deadline_s is not None
-                else self.clock.deadline_for_quantile(config.deadline_quantile)
-            )
-
-        # Upload codecs on the client->edge and tier-exchange legs. Every
-        # encoded payload is the delta against the round's fetched global
-        # model (the reference all parties honestly share — clients pull it
-        # over the reliable model_fetch plane). Exchange legs use the
-        # trim-compatible broadcast variant so sibling forwards stay
-        # coordinate-aligned under the parent's trimmed filter. Error
-        # feedback: per-client residuals on uploads, per-child residuals
-        # (keyed by global index) on exchange forwards, both adopted only
-        # when the payload actually delivers.
-        self.codec: CodecPipeline = make_codec_pipeline(
-            config.resolved_upload_codecs
-        )
-        self.exchange_codec: CodecPipeline = broadcast_variant(self.codec)
-        self._codec_active = not self.codec.is_identity
-        self._reference: Optional[np.ndarray] = (
-            np.array(self._global_vector) if self._codec_active else None
-        )
-        self._upload_residuals: Dict[int, np.ndarray] = {}
-        self._forward_residuals: Dict[int, np.ndarray] = {}
+        # Exchange legs use the wire's trim-compatible variant so sibling
+        # forwards stay coordinate-aligned under the parent's trimmed
+        # filter.
+        self.exchange_codec = self.wire.broadcast_codec
 
         max_sample = max(1, round(config.sample_fraction
                                   * config.population_size))
@@ -307,47 +251,33 @@ class PopulationTrainer:
             flatten_inputs=flatten_inputs,
         )
 
-        self.history = TrainingHistory()
-        self.scheduler = RoundScheduler()
         self.scheduler.add_round_hook(self._begin_round)
         self.scheduler.add_phase("sample", self._phase_sample)
         self.scheduler.add_phase("train", self._phase_train)
         self.scheduler.add_phase("edge_aggregate", self._phase_edge_aggregate)
         self.scheduler.add_phase("tier_filter", self._phase_tier_filter)
         self.scheduler.add_phase("finalize", self._phase_finalize)
-        self._state: Optional[_RoundState] = None
 
     # -- setup helpers -------------------------------------------------------
 
-    def _place_byzantine(self, explicit, attack) -> Dict[int, frozenset]:
-        placed: Dict[int, frozenset] = {}
-        for tier, budget in enumerate(self.topology.byzantine):
-            if explicit is not None and tier in explicit:
-                ids = frozenset(int(i) for i in explicit[tier])
-                if len(ids) != budget:
-                    raise ConfigurationError(
-                        f"tier {tier}: {len(ids)} explicit Byzantine ids "
-                        f"for a budget of {budget}"
-                    )
-                if any(not 0 <= i < self.topology.counts[tier] for i in ids):
-                    raise ConfigurationError(
-                        f"tier {tier}: Byzantine ids outside "
-                        f"[0, {self.topology.counts[tier]})"
-                    )
-                placed[tier] = ids
-            elif budget > 0:
-                chosen = self.rngs.make(
-                    f"population/byzantine/tier/{tier}"
-                ).choice(self.topology.counts[tier], size=budget,
-                         replace=False)
-                placed[tier] = frozenset(int(i) for i in chosen)
-        if explicit is not None:
-            extra = set(explicit) - set(placed)
-            if extra:
-                raise ConfigurationError(
-                    f"byzantine_tier_ids names tiers {sorted(extra)} whose "
-                    f"budget is 0"
-                )
+    def _place_byzantine(self, explicit) -> Dict[int, frozenset]:
+        explicit = explicit or {}
+        placed = {
+            tier: place_byzantine(
+                explicit.get(tier), count=budget,
+                total=self.topology.counts[tier],
+                what=f"byzantine_tier_ids[{tier}]",
+                rng=self.rngs.make(f"population/byzantine/tier/{tier}"),
+            )
+            for tier, budget in enumerate(self.topology.byzantine)
+            if budget > 0 or tier in explicit
+        }
+        extra = set(explicit) - set(placed)
+        if extra:
+            raise ConfigurationError(
+                f"byzantine_tier_ids names tiers {sorted(extra)} whose "
+                f"budget is 0"
+            )
         return placed
 
     @property
@@ -362,93 +292,13 @@ class PopulationTrainer:
             self.topology.global_index(tier, index)
         )
 
-    # -- wire helpers --------------------------------------------------------
-
-    def _send_with_retry(self, message: Message, state: _RoundState) -> bool:
-        """Send with the configured retry policy to the same static target.
-
-        The sharded topology is static — a client's edge and a child's
-        parent never change — so unlike the flat trainer's re-sampled
-        upload target, a retry here re-offers the identical message to the
-        same recipient after backoff. Every dropped attempt (first and
-        retries alike) is charged to the leg's tag in ``TrafficStats``
-        (``dropped_bytes_by_tag``, hence ``offered_bytes_total``);
-        exhausting the policy counts one send failure.
-        """
-        if self.network.send(message):
-            return True
-        policy = self.retry_policy
-        for attempt in range(1, policy.max_retries + 1):
-            self.network.stats.record_retry(message.tag)
-            state.retries += 1
-            state.backoff_s += policy.backoff_s(attempt)
-            if self.network.send(message):
-                return True
-        state.send_failures += 1
-        return False
-
-    def _encode_upload(self, vector: np.ndarray, client_id: int
-                       ) -> "tuple[object, Optional[np.ndarray]]":
-        """Encode one client upload; returns ``(payload, residual)``.
-
-        The delta against the round's fetched global model is topped up
-        with the client's accumulated error-feedback residual. The caller
-        adopts the returned residual (what this encoding truncated) only
-        once the payload actually delivers — a dropped upload communicates
-        nothing, so the old residual stays.
-        """
-        if not self._codec_active:
-            return vector, None
-        assert self._reference is not None
-        delta = vector - self._reference
-        residual = self._upload_residuals.get(client_id)
-        if residual is not None:
-            delta = delta + residual
-        encoded = self.codec.encode(delta)
-        return encoded, delta - encoded.decode()
-
-    def _encode_forward(self, vector: np.ndarray, child_gid: int,
-                        round_index: int, *, with_residual: bool = True
-                        ) -> "tuple[object, Optional[np.ndarray]]":
-        """Encode a tier-exchange forward; returns ``(payload, residual)``.
-
-        Uses the trim-compatible broadcast variant salted with the round
-        index so sibling forwards share one coordinate support under the
-        parent's trimmed filter. ``with_residual=False`` is the stale
-        re-send path: a buffered late forward is transmitted verbatim and
-        must not touch the child's live residual.
-        """
-        if not self._codec_active:
-            return vector, None
-        assert self._reference is not None
-        delta = vector - self._reference
-        if with_residual:
-            residual = self._forward_residuals.get(child_gid)
-            if residual is not None:
-                delta = delta + residual
-        encoded = self.exchange_codec.encode(delta, salt=round_index)
-        if not with_residual:
-            return encoded, None
-        return encoded, delta - encoded.decode()
-
-    def _decode_payload(self, payload: object) -> np.ndarray:
-        """Dense vector a receiver reconstructs from a wire payload."""
-        if isinstance(payload, EncodedUpdate):
-            assert self._reference is not None
-            return self._reference + payload.decode()
-        return payload  # type: ignore[return-value]
-
     # -- round phases --------------------------------------------------------
 
     def _begin_round(self, t: int) -> None:
-        state = _RoundState(t)
-        state.churn_events = self.churn.begin_round(t)
-        if self.injector is not None:
-            state.fault_events = self.injector.begin_round(t)
-        self._state = state
+        self._round.churn_events = self.churn.begin_round(t)
 
     def _phase_sample(self, t: int) -> None:
-        state = self._state
+        state = self._round
         assert state is not None
         active = self.churn.active_ids()
         if self.injector is not None:
@@ -473,7 +323,7 @@ class PopulationTrainer:
         self.network.stats.record_materialized(state.materialized)
 
     def _phase_train(self, t: int) -> None:
-        state = self._state
+        state = self._round
         assert state is not None
         jobs = [
             PopulationJob(
@@ -487,20 +337,22 @@ class PopulationTrainer:
         state.results = self.execution.train(
             t, self.config.local_steps, jobs
         )
+        losses = [state.results[cid][1] for cid in state.sampled_ids]
+        if losses:
+            state.train_loss = float(np.mean(losses))
         for cid in state.sampled_ids:
             vector, _ = state.results[cid]
             edge = self.topology.edge_of_client(cid)
-            payload, residual = self._encode_upload(vector, cid)
-            delivered = self._send_with_retry(Message(
+            payload, residual = self.wire.encode_upload(vector, cid)
+            if self.send_with_retry(Message(
                 NodeId.client(cid),
                 NodeId.server(self.topology.global_index(0, edge)),
                 payload, tag=UPLOAD_TAG, round_index=t,
-            ), state)
-            if delivered and residual is not None:
-                self._upload_residuals[cid] = residual
+            ), state):
+                self.wire.adopt("upload", cid, residual)
 
     def _phase_edge_aggregate(self, t: int) -> None:
-        state = self._state
+        state = self._round
         assert state is not None
         outcomes: Dict[int, TierOutcome] = {}
         for edge in self.tiers[0]:
@@ -509,13 +361,13 @@ class PopulationTrainer:
             )
             if not self._aggregator_alive(0, edge.index):
                 continue
-            uploads = [self._decode_payload(m.payload) for m in inbox]
+            uploads = [self.wire.decode(m.payload) for m in inbox]
             senders = [m.sender.index for m in inbox]
             outcomes[edge.index] = edge.combine(uploads, senders)
         state.tier_outcomes[0] = outcomes
 
     def _phase_tier_filter(self, t: int) -> None:
-        state = self._state
+        state = self._round
         assert state is not None
         for tier in range(1, self.topology.num_tiers):
             below = self.tiers[tier - 1]
@@ -529,25 +381,14 @@ class PopulationTrainer:
                 child.index: child.outgoing(t, peer_outputs=peer_outputs)
                 for child in below if child.index in produced
             }
-            # Virtual timing of the exchange leg. The per-(round, leg,
-            # child) arrival draws are order-independent, so this neither
-            # perturbs training randomness nor varies across execution
-            # backends. Barrier mode waits out the slowest forward;
-            # deadline mode moves on when the deadline fires — a late
-            # child's forward is withheld (it would not have arrived) and
-            # buffered on its parent for bounded-staleness admission.
+            # Barrier mode waits out the slowest forward; deadline mode
+            # moves on when the deadline fires — a late child's forward is
+            # withheld (it would not have arrived) and buffered on its
+            # parent for bounded-staleness admission.
             leg = exchange_tag(tier)
-            arrivals = self.clock.arrivals(t, leg, sorted(forwarded))
-            late_ids: "frozenset[int]" = frozenset()
-            if self._deadline_s is not None:
-                _, late = split_by_deadline(arrivals, self._deadline_s)
-                late_ids = frozenset(late)
-                state.deadline_missed += len(late)
-            stage_s = self.clock.stage_seconds(
-                arrivals, deadline_s=self._deadline_s
+            late_ids = frozenset(
+                self.deadline_gate(leg, sorted(forwarded), state)
             )
-            state.simulated_time_s += stage_s
-            self.scheduler.record_simulated(leg, stage_s)
             outcomes: Dict[int, TierOutcome] = {}
             base_gid = self.topology.global_index(tier - 1, 0)
             for parent in self.tiers[tier]:
@@ -561,19 +402,18 @@ class PopulationTrainer:
                 )
                 # Admitted stale forwards go on the wire now — the late
                 # message finally arrives this round — encoded with this
-                # round's salt but without advancing the child's live
-                # residual (the buffered vector is a re-send, not fresh).
+                # round's salt, residual-free (the buffered vector is a
+                # re-send, not fresh progress).
                 for child_index in sorted(stale):
-                    payload, _ = self._encode_forward(
-                        stale[child_index], base_gid + child_index, t,
-                        with_residual=False,
+                    payload, _ = self.wire.encode_broadcast(
+                        stale[child_index], t
                     )
-                    self._send_with_retry(Message(
+                    self.send_with_retry(Message(
                         NodeId.server(base_gid + child_index),
                         NodeId.server(parent.global_index),
                         payload, tag=leg, round_index=t,
                     ), state)
-                    state.late_admitted += 1
+                state.late_admitted += len(stale)
                 for child_index in children:
                     if child_index not in forwarded:
                         continue
@@ -582,22 +422,22 @@ class PopulationTrainer:
                                            forwarded[child_index])
                         continue
                     child_gid = base_gid + child_index
-                    payload, residual = self._encode_forward(
-                        forwarded[child_index], child_gid, t
+                    payload, residual = self.wire.encode_broadcast(
+                        forwarded[child_index], t,
+                        leg="forward", sender=child_gid,
                     )
-                    delivered = self._send_with_retry(Message(
+                    if self.send_with_retry(Message(
                         NodeId.server(child_gid),
                         NodeId.server(parent.global_index),
                         payload, tag=leg, round_index=t,
-                    ), state)
-                    if delivered and residual is not None:
-                        self._forward_residuals[child_gid] = residual
+                    ), state):
+                        self.wire.adopt("forward", child_gid, residual)
                 inbox = self.network.receive(
                     NodeId.server(parent.global_index)
                 )
                 if not self._aggregator_alive(tier, parent.index):
                     continue
-                vectors = [self._decode_payload(m.payload) for m in inbox]
+                vectors = [self.wire.decode(m.payload) for m in inbox]
                 children_ids = [m.sender.index - base_gid for m in inbox]
                 outcomes[parent.index] = parent.combine(
                     vectors, children_ids, info_fn=self._filter.info_fn,
@@ -605,23 +445,19 @@ class PopulationTrainer:
             state.tier_outcomes[tier] = outcomes
         top = self.tiers[-1][0]
         self._global_vector = top.current_output.copy()
-        if self._codec_active:
+        if self.wire.active:
             # Next round's shared reference is the new global model —
             # clients fetch it at check-in, edges and parents track it
             # here, so every leg's deltas stay mutually decodable.
-            self._reference = np.array(self._global_vector)
+            self.wire.advance(np.array(self._global_vector))
 
     def _phase_finalize(self, t: int) -> None:
-        state = self._state
-        assert state is not None
         self.population.release_all()
 
     # -- round records -------------------------------------------------------
 
-    def _build_record(self, state: _RoundState) -> RoundRecord:
-        stats = self.network.stats
-        losses = [state.results[cid][1] for cid in state.sampled_ids]
-        train_loss = float(np.mean(losses)) if losses else float("nan")
+    def _complete_record(self, record: RoundRecord,
+                         state: _RoundState) -> None:
         tier_est: Dict[int, int] = {}
         tier_rejected: Dict[int, List[int]] = {}
         tier_degraded: Dict[int, List[int]] = {}
@@ -654,84 +490,21 @@ class PopulationTrainer:
             rejected.sort()
         for fell_back in tier_fallback.values():
             fell_back.sort()
-        alive = None
         if self.injector is not None:
-            alive = len(self.injector.alive_servers(
+            record.alive_servers = len(self.injector.alive_servers(
                 self.topology.total_aggregators
             ))
-        return RoundRecord(
-            round_index=state.round_index,
-            train_loss=train_loss,
-            upload_messages=stats.messages_by_tag.get(UPLOAD_TAG, 0)
-            - self._uploads_before[0],
-            upload_bytes=stats.bytes_by_tag.get(UPLOAD_TAG, 0)
-            - self._uploads_before[1],
-            dissemination_messages=stats.messages_by_tag.get(FETCH_TAG, 0)
-            - self._uploads_before[2],
-            upload_retries=state.retries,
-            upload_failures=state.send_failures,
-            alive_servers=alive,
-            simulated_time_s=state.simulated_time_s,
-            deadline_missed=state.deadline_missed,
-            late_admitted=state.late_admitted,
-            fault_events=state.fault_events,
-            estimated_byzantine=max(tier_est.values()) if tier_est else None,
-            num_active_clients=len(state.active_ids),
-            num_sampled_clients=len(state.sampled_ids),
-            materialized_clients=state.materialized,
-            churn_events=state.churn_events,
-            tier_estimated_byzantine=tier_est,
-            tier_filtered_model_ids=tier_rejected,
-            tier_degraded_aggregators=tier_degraded,
-            tier_fallback_aggregators=tier_fallback,
-        )
-
-    # -- public API ----------------------------------------------------------
-
-    def run_round(self, *, evaluate: bool = True) -> RoundRecord:
-        """Execute one full population round; returns its record."""
-        stats = self.network.stats
-        self._uploads_before = (
-            stats.messages_by_tag.get(UPLOAD_TAG, 0),
-            stats.bytes_by_tag.get(UPLOAD_TAG, 0),
-            stats.messages_by_tag.get(FETCH_TAG, 0),
-        )
-        self.scheduler.run_round()
-        state = self._state
-        assert state is not None
-        record = self._build_record(state)
-        if evaluate:
-            record.test_loss, record.test_accuracy = self._evaluate()
-        self.history.append(record)
-        self._state = None
-        return record
-
-    def run(self, num_rounds: int, *, eval_every: int = 1) -> TrainingHistory:
-        """Run ``num_rounds`` rounds, evaluating every ``eval_every``."""
-        if num_rounds <= 0:
-            raise ConfigurationError(
-                f"num_rounds must be positive, got {num_rounds}"
-            )
-        if eval_every <= 0:
-            raise ConfigurationError(
-                f"eval_every must be positive, got {eval_every}"
-            )
-        for offset in range(num_rounds):
-            is_last = offset == num_rounds - 1
-            next_round = self.scheduler.round_index + 1
-            self.run_round(evaluate=is_last or next_round % eval_every == 0)
-        return self.history
+        record.estimated_byzantine = \
+            max(tier_est.values()) if tier_est else None
+        record.num_active_clients = len(state.active_ids)
+        record.num_sampled_clients = len(state.sampled_ids)
+        record.materialized_clients = state.materialized
+        record.churn_events = state.churn_events
+        record.tier_estimated_byzantine = tier_est
+        record.tier_filtered_model_ids = tier_rejected
+        record.tier_degraded_aggregators = tier_degraded
+        record.tier_fallback_aggregators = tier_fallback
 
     def _evaluate(self) -> "tuple[float, float]":
         self._eval_client.set_model_vector(self._global_vector)
         return self._eval_client.evaluate(self.test_dataset)
-
-    def close(self) -> None:
-        """Release the execution pool (if any)."""
-        self.execution.close()
-
-    def __enter__(self) -> "PopulationTrainer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.attacks import make_attack
-from repro.common import RngFactory
+from repro.common import ConfigurationError, RngFactory
 from repro.core import FedMSConfig, FedMSTrainer
 from repro.core.filtering import quorum_floor
 from repro.core.health import BreakerState
@@ -194,7 +194,8 @@ class TestRetryPolicyUnification:
     def test_divergent_legacy_kwargs_warn(self):
         from repro.core import FaultConfig
 
-        with pytest.warns(DeprecationWarning):
+        # The deprecation ended: divergent knobs are now an error.
+        with pytest.raises(ConfigurationError):
             FedMSConfig(
                 num_clients=4, num_servers=3, num_byzantine=0,
                 retry_policy=RetryPolicy(max_retries=5),

@@ -98,8 +98,6 @@ def filter_every_stack_separately(trainer):
             payload = message.payload
             if isinstance(payload, EncodedUpdate):
                 clone = copy.copy(payload)
-                memo = trainer._round.decoded_payloads
-                memo[id(clone)] = (clone, memo[id(payload)][1])
             else:
                 clone = np.array(payload)
             message.payload = clone

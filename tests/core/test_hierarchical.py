@@ -186,7 +186,7 @@ class TestIgnoredConfigWarning:
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             trainer = self._construct(upload_codecs=["topk(0.1)", "int8"])
-        assert trainer._codec_active
+        assert trainer.wire.active
         trainer.run_round(evaluate=False)
         stats = trainer.network.stats
         dense = self._construct()

@@ -168,8 +168,9 @@ class TestMultiUploadEncodesOnce:
 
     def expected_residuals(self, trainer):
         """Run one round; ``(delta + e) - C(delta + e)`` per client."""
-        reference = trainer._reference.copy()
-        before = {k: v.copy() for k, v in trainer._upload_residuals.items()}
+        reference = trainer.wire.reference.copy()
+        before = {k: v.copy()
+                  for k, v in trainer.wire.residuals["upload"].items()}
         trainer.run_round()
         expected = {}
         for client_id, vector in trainer.trained.items():
@@ -197,7 +198,7 @@ class TestMultiUploadEncodesOnce:
             assert sorted(expected) == list(range(self.CLIENTS))
             for client_id, residual in expected.items():
                 np.testing.assert_array_equal(
-                    trainer._upload_residuals[client_id], residual)
+                    trainer.wire.residuals["upload"][client_id], residual)
 
     def test_retry_resends_the_same_payload(self):
         drop_rule, dropped = self.drop_first_upload_of_client_0()
@@ -209,7 +210,7 @@ class TestMultiUploadEncodesOnce:
         assert len(mine) == 4  # the lost attempt, its retry, two more PSs
         assert all(m.payload is dropped[0].payload for m in mine)
         assert len(trainer.encodes) == self.CLIENTS
-        np.testing.assert_array_equal(trainer._upload_residuals[0],
+        np.testing.assert_array_equal(trainer.wire.residuals["upload"][0],
                                       expected[0])
 
     def test_partial_delivery_advances_the_residual_once(self):
@@ -220,17 +221,38 @@ class TestMultiUploadEncodesOnce:
         record = trainer.history.records[-1]
         assert record.upload_failures == 1
         assert record.upload_messages == 3 * self.CLIENTS - 1
-        np.testing.assert_array_equal(trainer._upload_residuals[0],
+        np.testing.assert_array_equal(trainer.wire.residuals["upload"][0],
                                       expected[0])
 
     def test_round_with_every_attempt_dropped_keeps_the_residual(self):
         trainer = self.make(
             lambda m: m.tag == "upload" and m.round_index == 1)
         trainer.run_round()
-        before = dict(trainer._upload_residuals)
+        before = dict(trainer.wire.residuals["upload"])
         record = trainer.run_round()
         assert record.upload_messages == 0
         assert record.upload_failures == 3 * self.CLIENTS
         assert len(trainer.encodes) == 2 * self.CLIENTS
         for client_id, residual in before.items():
-            assert trainer._upload_residuals[client_id] is residual
+            assert trainer.wire.residuals["upload"][client_id] is residual
+
+
+class TestDefaultChainWireBytes:
+    def test_default_chain_sends_at_most_a_fifth_of_identity_bytes(self):
+        """The default chain ``topk(0.05)+int8`` puts at most 0.2x the
+        identity bytes on the wire per round, all legs together (the gate
+        the retired ``python -m repro perf`` harness carried)."""
+        def bytes_per_round(codecs):
+            trainer = make_trainer(codecs, num_clients=16)
+            trainer.run_round(evaluate=False)
+            stats = trainer.network.stats
+            before = stats.offered_bytes_total
+            for _ in range(3):
+                trainer.run_round(evaluate=False)
+            assert stats.offered_bytes_total == (
+                stats.bytes_total + stats.dropped_bytes_total)
+            return (stats.offered_bytes_total - before) / 3
+
+        identity = bytes_per_round([])
+        compressed = bytes_per_round(["topk(0.05)", "int8"])
+        assert 0 < compressed <= 0.2 * identity

@@ -95,15 +95,13 @@ class TestFactory:
             _config(upload_strategy="smoke_signals")
 
     def test_legacy_name_form_is_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            strategy = make_upload_strategy("sparse")
-        assert isinstance(strategy, SparseUpload)
-        with pytest.warns(DeprecationWarning):
-            multi = make_upload_strategy("multi", uploads_per_client=3)
-        assert multi.count == 3
+        # The deprecation ended: a strategy name is no longer a config.
+        with pytest.raises(ConfigurationError):
+            make_upload_strategy("sparse")
 
     def test_config_form_rejects_stray_kwarg(self):
-        with pytest.raises(ConfigurationError):
+        # The keyword went with the name form it belonged to.
+        with pytest.raises(TypeError):
             make_upload_strategy(_config(), uploads_per_client=2)
 
     def test_rejects_non_config_argument(self):

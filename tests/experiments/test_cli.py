@@ -39,11 +39,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--backend", "gpu", "fig4"])
 
-    def test_perf_defaults(self):
-        args = build_parser().parse_args(["perf"])
-        assert args.command == "perf"
-        assert args.profile == "smoke"
-
     def test_codec_flag_is_repeatable(self):
         args = build_parser().parse_args(
             ["--codec", "topk(0.05)", "--codec", "int8", "fig2"]
@@ -148,20 +143,6 @@ class TestCommands:
         assert main(["--backend", "thread", "--workers", "2", "fig4"]) == 0
         assert os.environ["REPRO_EXECUTION_BACKEND"] == "thread"
         assert os.environ["REPRO_NUM_WORKERS"] == "2"
-
-    def test_perf_runs_and_writes_report(self, capsys, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(["perf", "--profile", "smoke", "--output",
-                     str(out)]) == 0
-        output = capsys.readouterr().out
-        assert "round-loop perf" in output
-        assert out.exists()
-
-    def test_perf_no_write(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["perf", "--no-write"]) == 0
-        assert "rounds/s" in capsys.readouterr().out
-        assert not (tmp_path / "BENCH_round_loop.json").exists()
 
     def test_quickstart_runs(self, capsys):
         assert main(["quickstart"]) == 0
