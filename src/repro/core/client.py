@@ -12,32 +12,46 @@ Each round a client (Algorithm 1, client side):
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..aggregation import AggregationRule
-from ..common.errors import ProtocolError
+from ..common.errors import ProtocolError, ShapeError
 from ..common.rng import stream_seed
 from ..data.datasets import ArrayDataset, DataLoader
 from ..nn.losses import accuracy, cross_entropy
 from ..nn.module import Module
 from ..nn.optim import SGD
 from ..nn.schedules import ConstantLR, LRSchedule
-from ..nn.serialization import from_vector, to_vector
+from ..nn.serialization import flatten_state, from_vector, to_vector
 
-__all__ = ["Client"]
+__all__ = ["Client", "frozen"]
+
+
+def frozen(vector: np.ndarray) -> np.ndarray:
+    """``vector``, marked read-only so it can be shared by reference."""
+    vector.flags.writeable = False
+    return vector
 
 
 class Client:
-    """A federated client with its own model replica and local data.
+    """A federated client: local data, a schedule and one state vector.
+
+    The client *is* its state: a read-only ``float64`` vector of every
+    parameter and buffer. The model it is given is only where that state is
+    trained and scored, and may be shared with other clients (never across
+    threads): ``client.model`` equals this client's ``state`` only inside
+    :meth:`local_train` and :meth:`evaluate`. ``state`` changes, to another
+    object, only in :meth:`set_model_vector` and :meth:`local_train`.
 
     Parameters
     ----------
     client_id:
         Index ``k`` of this client.
     model:
-        The client's model replica (exclusively owned by this client).
+        The replica this client runs on; the client starts from the values
+        it has when the client is created.
     dataset:
         Local training data ``D_k``.
     batch_size:
@@ -74,7 +88,6 @@ class Client:
                  flatten_inputs: bool = False,
                  batch_seed: Optional[int] = None) -> None:
         self.client_id = client_id
-        self.model = model
         self.dataset = dataset
         self.loader = DataLoader(dataset, batch_size, rng=rng)
         self.lr_schedule: LRSchedule = (
@@ -83,55 +96,85 @@ class Client:
         self.include_buffers = include_buffers
         self.flatten_inputs = flatten_inputs
         self.batch_seed = batch_seed
-        self.optimizer = SGD(model.parameters(), lr=self.lr_schedule(0),
-                             weight_decay=weight_decay)
+        self.weight_decay = weight_decay
         self.last_train_loss: Optional[float] = None
-        # The model is fed data batches, whose gradient nobody reads.
-        input_layer = model.input_layer()
-        if input_layer is not None:
-            input_layer.needs_input_grad = False
-        # The read-only vector the model's state currently equals, when
-        # known: set on adopting one and by shared_model_vector(), cleared
-        # when local_train starts stepping. Anything else that writes the
-        # parameters must go through set_model_vector.
-        self._current_vector: Optional[np.ndarray] = None
+        # The record that makes ``model`` a replica, found again by every
+        # later client handed the module: its flat buffers, its optimizer
+        # and ``holds``, the state object the model currently equals
+        # (``None`` while it is being stepped). Looked up, not re-derived:
+        # building a client on a replica must not cost a walk of the model.
+        replica = getattr(model, "_flat", None) or flatten_state(model)
+        if not hasattr(replica, "holds"):
+            # The model is fed data batches, whose gradient nobody reads.
+            input_layer = model.input_layer()
+            if input_layer is not None:
+                input_layer.needs_input_grad = False
+            replica.optimizer = SGD(model.parameters(), lr=self.lr_schedule(0),
+                                    weight_decay=weight_decay)
+            replica.holds = None
+        if replica.holds is None:
+            replica.holds = frozen(to_vector(model))
+        self.model = model
+        self.optimizer: SGD = replica.optimizer
+        self._replica = replica
+        # Length of the vectors exchanged: the whole state, or only its
+        # parameter prefix (this client's buffers then never leave it).
+        self._wire_size = (replica.state if include_buffers
+                           else replica.grads).size
+        self._adopt(replica.holds)
 
     # -- model state --------------------------------------------------------
 
+    def _adopt(self, state: np.ndarray) -> None:
+        self.state = state
+        self._wire = state if self._wire_size == state.size \
+            else state[:self._wire_size]
+
+    def _load(self) -> None:
+        """Make the replica equal this client's state, if it is not."""
+        if self._replica.holds is not self.state:
+            from_vector(self.model, self.state)
+            self._replica.holds = self.state
+
     def model_vector(self) -> np.ndarray:
         """The client's current local model as a private, writable vector."""
-        return to_vector(self.model, include_buffers=self.include_buffers)
+        return self._wire.copy()
 
     def shared_model_vector(self) -> np.ndarray:
         """The client's current local model as a read-only vector.
 
         Shared, not copied: the object the client last adopted or
-        snapshotted, which other clients and the trainer may hold too. A
-        snapshot is taken only when the model changed since.
+        snapshotted (``state``, or its parameter prefix without
+        ``include_buffers``), which other clients and the trainer may hold
+        too.
         """
-        if self._current_vector is None:
-            vector = self.model_vector()
-            vector.flags.writeable = False
-            self._current_vector = vector
-        return self._current_vector
+        return self._wire
 
     def set_model_vector(self, vector: np.ndarray) -> None:
         """Adopt a (filtered) global model as the starting point.
 
-        Costs nothing when ``vector`` is the very object the model already
-        equals. Only a read-only ``float64`` vector that owns its memory is
-        remembered that way: a writable one, or a view of somebody else's
-        buffer, can change after the load.
+        ``vector`` is a model vector or a full state. A read-only
+        ``float64`` state that owns its memory is adopted by reference;
+        anything else (writable, a view of somebody else's buffer, a
+        parameter prefix to join with this client's buffers) can change
+        later or is not a state, and is copied once. The replica is not
+        touched: it is loaded when the client next trains or evaluates.
         """
-        if self._current_vector is not None \
-                and vector is self._current_vector:
+        if vector is self._wire or vector is self.state:
             return
-        self._current_vector = None
-        from_vector(self.model, vector, include_buffers=self.include_buffers)
-        if (isinstance(vector, np.ndarray) and vector.base is None
-                and not vector.flags.writeable
-                and vector.dtype == np.float64 and vector.ndim == 1):
-            self._current_vector = vector
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.size not in (self._wire_size, self.state.size):
+            raise ShapeError(
+                f"vector has {vector.size} entries, client {self.client_id} "
+                f"expects {self._wire_size}"
+            )
+        if vector.size < self.state.size:
+            vector = np.concatenate((vector.ravel(),
+                                     self.state[vector.size:]))
+        elif vector.ndim != 1 or vector.base is not None \
+                or vector.flags.writeable:
+            vector = vector.flatten()
+        self._adopt(frozen(vector))
 
     def _prepare(self, features: np.ndarray) -> np.ndarray:
         if self.flatten_inputs:
@@ -153,9 +196,11 @@ class Client:
                 self.batch_seed,
                 f"batches/client/{self.client_id}/round/{round_index}",
             )))
+        self._load()
+        self._replica.holds = None  # dirty until the snapshot below
+        self.optimizer.weight_decay = self.weight_decay
         self.model.train()
         losses = []
-        self._current_vector = None
         for i in range(local_steps):
             features, labels = self.loader.sample_batch()
             self.optimizer.set_lr(self.lr_schedule(round_index * local_steps + i))
@@ -166,7 +211,9 @@ class Client:
             self.optimizer.step()
             losses.append(loss)
         self.last_train_loss = float(np.mean(losses))
-        return self.shared_model_vector()
+        self._adopt(frozen(to_vector(self.model)))
+        self._replica.holds = self.state
+        return self._wire
 
     # -- Algorithm 1, line 13: the Def() filter -----------------------------
 
@@ -192,6 +239,7 @@ class Client:
     def evaluate(self, dataset: ArrayDataset, *,
                  batch_size: int = 256) -> "tuple[float, float]":
         """``(test_loss, test_accuracy)`` of the current model on ``dataset``."""
+        self._load()
         self.model.eval()
         total_loss = 0.0
         total_correct = 0.0

@@ -34,6 +34,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -48,6 +49,7 @@ from ..simulation.clock import VirtualClock, split_by_deadline
 from ..simulation.faults import FaultInjector
 from ..simulation.network import Message, Network, NodeId
 from ..simulation.scheduler import RoundScheduler
+from .client import Client
 from .config import FedMSConfig
 from .history import RoundRecord, TrainingHistory
 from .wire import DeltaWire
@@ -203,6 +205,24 @@ class RoundEngine:
         self.scheduler = RoundScheduler()
         self._round: Optional[RoundState] = None
 
+    def make_clients(self, model_factory: ModelFactory,
+                     datasets: Sequence[ArrayDataset],
+                     **client_options) -> List[Client]:
+        """One client per dataset, all on this process's one model replica
+        (its own initial weights are never read: they start from ``w_0``)."""
+        replica = model_factory(self.rngs.make("init/replica"))
+        clients = [
+            Client(k, replica, dataset, batch_size=self.config.batch_size,
+                   rng=self.rngs.make(f"batches/client/{k}"),
+                   learning_rate=self.config.learning_rate,
+                   include_buffers=self.config.include_buffers,
+                   **client_options)
+            for k, dataset in enumerate(datasets)
+        ]
+        for client in clients:
+            client.set_model_vector(self.initial_vector)
+        return clients
+
     def _attach_injector(self, injector: FaultInjector, *, num_clients: int,
                          num_servers: int) -> None:
         """Drive ``injector`` from this engine: validated against the
@@ -318,6 +338,16 @@ class RoundEngine:
     def _evaluate(self) -> "tuple[float, float]":
         """``(test_loss, test_accuracy)`` of the current global model."""
         raise NotImplementedError
+
+    def score_clients(self, clients: Sequence) -> "List[tuple[float, float]]":
+        """Each client's ``(test_loss, test_accuracy)``, scoring every
+        distinct state object once: clients that adopted the same filter
+        output share it."""
+        scores: Dict[int, "tuple[float, float]"] = {}
+        for client in clients:
+            if id(client.state) not in scores:
+                scores[id(client.state)] = client.evaluate(self.test_dataset)
+        return [scores[id(client.state)] for client in clients]
 
     def run(self, num_rounds: int, *, eval_every: int = 1,
             progress: Optional[Callable[[RoundRecord], None]] = None

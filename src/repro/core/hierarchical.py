@@ -49,7 +49,7 @@ from ..data.datasets import ArrayDataset
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
 from ..simulation.network import Message, Network, NodeId
-from .client import Client
+from .client import Client, frozen
 from .config import FedMSConfig
 from .engine import LateBuffer, RoundEngine, RoundState, place_byzantine
 from .server import ParameterServer, adversary_view, make_servers
@@ -138,21 +138,10 @@ class HierarchicalTrainer(RoundEngine):
                 f"{sorted(set(range(config.num_servers)) - present)} are empty"
             )
 
-        self.clients: List[Client] = []
-        for k in range(config.num_clients):
-            client = Client(
-                k,
-                model_factory(self.rngs.make(f"init/client/{k}")),
-                client_datasets[k],
-                batch_size=config.batch_size,
-                rng=self.rngs.make(f"batches/client/{k}"),
-                lr_schedule=lr_schedule,
-                learning_rate=config.learning_rate,
-                include_buffers=config.include_buffers,
-                flatten_inputs=flatten_inputs,
-            )
-            client.set_model_vector(self.initial_vector)
-            self.clients.append(client)
+        self.clients: List[Client] = self.make_clients(
+            model_factory, client_datasets, lr_schedule=lr_schedule,
+            flatten_inputs=flatten_inputs,
+        )
 
         self.byzantine_ids = place_byzantine(
             byzantine_ids, count=config.num_byzantine,
@@ -256,6 +245,10 @@ class HierarchicalTrainer(RoundEngine):
                 )
             elif sender in stale:
                 sent[sender] = self.wire.encode_broadcast(stale[sender], t)
+        # PSs that hold the same arrays combine once and share the read-only
+        # result (without codecs a benign PS's own aggregate is the array its
+        # peers received a view of: every PS neither late nor cut off).
+        combined: Dict[tuple, np.ndarray] = {}
         for server in self.servers:
             me = server.server_id
             for sender, (payload, residual) in sent.items():
@@ -270,9 +263,14 @@ class HierarchicalTrainer(RoundEngine):
                 for m in self.network.receive(NodeId.server(me))
             }
             received[me] = server.current_aggregate
-            state.global_models.append(self.inter_server_rule(
-                np.stack([received[s] for s in sorted(received)])
-            ))
+            senders = sorted(received)
+            rows = [received[s] for s in senders]
+            # Who sent what, by the memory it occupies.
+            key = tuple((s, row.ctypes.data, row.strides)
+                        for s, row in zip(senders, rows))
+            if key not in combined:
+                combined[key] = frozen(self.inter_server_rule(np.stack(rows)))
+            state.global_models.append(combined[key])
 
     def _phase_disseminate(self, t: int) -> None:
         """5: group dissemination — Byzantine PSs ignore the exchange and
@@ -323,17 +321,13 @@ class HierarchicalTrainer(RoundEngine):
         with group sizes as weights — the population-average accuracy."""
         group_sizes = np.bincount(self.group_of_client,
                                   minlength=self.config.num_servers)
-        losses, accuracies, weights = [], [], []
-        seen_groups = set()
+        # group -> its first client; groups in order of first appearance.
+        first: Dict[int, Client] = {}
         for client, group in zip(self.clients, self.group_of_client):
-            if group in seen_groups:
-                continue
-            seen_groups.add(group)
-            loss, acc = client.evaluate(self.test_dataset)
-            losses.append(loss)
-            accuracies.append(acc)
-            weights.append(group_sizes[group])
-        weights_arr = np.asarray(weights, dtype=np.float64)
-        weights_arr /= weights_arr.sum()
-        return (float(np.dot(losses, weights_arr)),
-                float(np.dot(accuracies, weights_arr)))
+            first.setdefault(group, client)
+        losses, accuracies = zip(*self.score_clients(list(first.values())))
+        weights = np.asarray([group_sizes[g] for g in first],
+                             dtype=np.float64)
+        weights /= weights.sum()
+        return (float(np.dot(losses, weights)),
+                float(np.dot(accuracies, weights)))

@@ -48,7 +48,7 @@ from ..nn.module import Module
 from ..nn.schedules import LRSchedule
 from ..simulation.faults import FaultInjector
 from ..simulation.network import Message, Network, NodeId
-from .client import Client
+from .client import Client, frozen
 from .codecs import EncodedUpdate
 from .config import FedMSConfig
 from .engine import LateBuffer, RoundEngine, RoundState, place_byzantine
@@ -66,12 +66,6 @@ from .upload import UploadStrategy, make_upload_strategy
 __all__ = ["FedMSTrainer", "make_fedavg_trainer"]
 
 ModelFactory = Callable[[np.random.Generator], Module]
-
-
-def _frozen(vector: np.ndarray) -> np.ndarray:
-    """``vector``, marked read-only so it can be shared by reference."""
-    vector.flags.writeable = False
-    return vector
 
 
 @dataclass
@@ -111,8 +105,9 @@ class FedMSTrainer(RoundEngine):
     config:
         Topology and hyper-parameters (``K``, ``P``, ``B``, ``E``, beta, ...).
     model_factory:
-        Builds one model replica from a random generator. Called once per
-        client plus once for the shared initial model ``w_0``.
+        Builds one model from a random generator. Called for the shared
+        initial model ``w_0`` and once per execution context (this process,
+        each pool worker) for the replica its clients train on in turn.
     client_datasets:
         One local dataset per client (length must equal ``config.num_clients``);
         typically the output of :func:`repro.data.dirichlet_partition`.
@@ -247,23 +242,11 @@ class FedMSTrainer(RoundEngine):
         )
 
         initial_vector = self.initial_vector
-        self.clients: List[Client] = []
-        for k in range(config.num_clients):
-            client = Client(
-                k,
-                model_factory(self.rngs.make(f"init/client/{k}")),
-                client_datasets[k],
-                batch_size=config.batch_size,
-                rng=self.rngs.make(f"batches/client/{k}"),
-                lr_schedule=lr_schedule,
-                learning_rate=config.learning_rate,
-                weight_decay=weight_decay,
-                include_buffers=config.include_buffers,
-                flatten_inputs=flatten_inputs,
-                batch_seed=config.seed,
-            )
-            client.set_model_vector(initial_vector)
-            self.clients.append(client)
+        self.clients: List[Client] = self.make_clients(
+            model_factory, client_datasets, lr_schedule=lr_schedule,
+            weight_decay=weight_decay, flatten_inputs=flatten_inputs,
+            batch_seed=config.seed,
+        )
 
         # The execution backend runs the embarrassingly-parallel stages
         # (local training, client-side filtering); all backends are
@@ -406,19 +389,18 @@ class FedMSTrainer(RoundEngine):
             # model — the fallback target when this round's quorum turns
             # out to be too small to filter safely. It is the object the
             # client adopted, not a copy.
-            start_vector = client.shared_model_vector()
-            state.start_vectors[client.client_id] = start_vector
-            jobs.append((client.client_id, start_vector))
+            state.start_vectors[client.client_id] = \
+                client.shared_model_vector()
+            jobs.append((client.client_id, client.state))
         results = self.execution.train_clients(t, jobs)
         for client in participants:
-            vector, loss = results[client.client_id]
-            # Sync the main-process replica with the trained state: pool
-            # backends trained a worker-side replica, while the serial
-            # backend returns the client's own snapshot, which costs nothing
-            # to adopt.
-            vector = _frozen(vector)
-            client.set_model_vector(vector)
+            trained, loss = results[client.client_id]
+            # A pool backend trained a worker-side client: its state becomes
+            # this one's, by reference. The serial backend returns the
+            # client's own state, which costs nothing to adopt.
+            client.set_model_vector(frozen(trained))
             client.last_train_loss = loss
+            vector = client.shared_model_vector()
             if client.client_id in self.byzantine_client_ids:
                 assert self.client_attack is not None
                 vector = self.client_attack.tamper(ClientAttackContext(
@@ -685,7 +667,7 @@ class FedMSTrainer(RoundEngine):
         round's start vectors and the evaluation see them coincide by
         identity, and a write to it raises instead of changing K replicas.
         """
-        vector = _frozen(vector)
+        vector = frozen(vector)
         for client in members:
             client.set_model_vector(vector)
             client.optimizer.reset_state()
@@ -781,21 +763,14 @@ class FedMSTrainer(RoundEngine):
         vectors are bit-equal the test set is scored once.
         """
         eval_clients = self.clients[:self.config.eval_clients]
-        if len(eval_clients) > 1:
-            # Clients that adopted one filter output hold the same object;
-            # only the others are compared by value.
-            vectors = [client.shared_model_vector()
-                       for client in eval_clients]
-            if all(vector is vectors[0]
-                   or np.array_equal(vectors[0], vector)
-                   for vector in vectors[1:]):
-                loss, acc = eval_clients[0].evaluate(self.test_dataset)
-                return float(loss), float(acc)
-        losses, accuracies = [], []
-        for client in eval_clients:
-            loss, acc = client.evaluate(self.test_dataset)
-            losses.append(loss)
-            accuracies.append(acc)
+        # Clients that adopted one filter output hold the same object;
+        # only the others are compared by value.
+        vectors = [client.shared_model_vector() for client in eval_clients]
+        if all(vector is vectors[0] or np.array_equal(vectors[0], vector)
+               for vector in vectors[1:]):
+            loss, acc = eval_clients[0].evaluate(self.test_dataset)
+            return float(loss), float(acc)
+        losses, accuracies = zip(*self.score_clients(eval_clients))
         return float(np.mean(losses)), float(np.mean(accuracies))
 
     # -- persistence -----------------------------------------------------------
@@ -838,7 +813,7 @@ class FedMSTrainer(RoundEngine):
             round_index = int(archive["round_index"])
             # An array of its own, not a view of the archive's bytes: only
             # an owner is shared by reference between the clients.
-            global_model = _frozen(np.array(archive["global_model"],
+            global_model = frozen(np.array(archive["global_model"],
                                             dtype=np.float64))
             for server in self.servers:
                 key = f"server/{server.server_id}/aggregate"

@@ -42,7 +42,8 @@ __all__ = [
 #: Names accepted by :func:`make_backend` and ``FedMSConfig.execution_backend``.
 EXECUTION_BACKENDS = ("serial", "thread", "process")
 
-#: ``(client_id, start_vector)`` — one client's local-training input.
+#: ``(client_id, start_vector)`` — one client's local-training input: its
+#: whole state (``Client.state``), as is what ``train_clients`` returns.
 TrainJob = Tuple[int, np.ndarray]
 #: ``(client_id, received_models, filter_spec)``. ``received_models`` is
 #: either a dense ``(q, D)`` stack, or — when upload codecs are active — a
@@ -109,9 +110,9 @@ class SerialBackend(ExecutionBackend):
     """The historical in-process loop, now behind the backend interface.
 
     Trains directly on the trainer's own :class:`~repro.core.client.Client`
-    objects (no replicas, no copies: a start vector that is the object the
-    client already holds is not reloaded, and the trained vector returned
-    is the client's own read-only snapshot) — the reference implementation
+    objects (no copies: a start vector that is the object the client
+    already holds is not adopted again, and the trained state returned is
+    the client's own read-only snapshot) — the reference implementation
     the parallel backends must match bit for bit.
     """
 
@@ -121,6 +122,11 @@ class SerialBackend(ExecutionBackend):
         self._clients = {client.client_id: client for client in clients}
         self._spec = spec
 
+    @property
+    def state_dim(self) -> int:
+        """Length of a client's state: the vectors of a train job."""
+        return int(next(iter(self._clients.values())).state.size)
+
     def train_clients(self, round_index: int, jobs: Sequence[TrainJob]
                       ) -> Dict[int, Tuple[np.ndarray, float]]:
         results: Dict[int, Tuple[np.ndarray, float]] = {}
@@ -128,8 +134,8 @@ class SerialBackend(ExecutionBackend):
             client = self._clients[client_id]
             client.set_model_vector(start_vector)
             client.optimizer.reset_state()
-            vector = client.local_train(round_index, self._spec.local_steps)
-            results[client_id] = (vector, float(client.last_train_loss))
+            client.local_train(round_index, self._spec.local_steps)
+            results[client_id] = (client.state, float(client.last_train_loss))
         return results
 
     def filter_clients(self, jobs: Sequence[FilterJob], *,

@@ -66,9 +66,8 @@ def _train_chunk(round_index: int,
         and _RESULTS is not None
     losses: List[Tuple[int, float]] = []
     for client_id in client_ids:
-        vector, loss = _RUNTIME.train(
-            client_id, round_index, np.array(_STARTS[client_id])
-        )
+        # Straight from the shared row: adopting it is the one copy.
+        vector, loss = _RUNTIME.train(client_id, round_index, _STARTS[client_id])
         _RESULTS[client_id] = vector
         losses.append((client_id, loss))
     return losses
@@ -103,7 +102,8 @@ class ProcessPoolBackend(ExecutionBackend):
         self._fallback = fallback
         self._degraded = False
         self._store = SharedDatasetStore(spec.datasets)
-        self._buffers = SharedVectorBuffer(spec.num_clients, spec.model_dim)
+        self._buffers = SharedVectorBuffer(spec.num_clients,
+                                           fallback.state_dim)
         # Codec reference: one (D,) shared vector the main process
         # refreshes before each filter fan-out and workers read in place.
         # Allocated up front — workers inherit mappings at fork time, and

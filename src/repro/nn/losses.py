@@ -12,7 +12,6 @@ from typing import Tuple
 import numpy as np
 
 from ..common.errors import ShapeError
-from .functional import log_softmax, softmax
 
 __all__ = ["cross_entropy", "mse_loss", "l2_penalty", "accuracy"]
 
@@ -39,11 +38,16 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.nda
         raise ShapeError(
             f"labels must be ({logits.shape[0]},), got {labels.shape}"
         )
+    # ``log_softmax`` and ``softmax`` (repro.nn.functional) off one shift,
+    # one exp and one row sum; bit-equal to calling both.
     n = logits.shape[0]
-    log_probs = log_softmax(logits, axis=1)
-    loss = -float(log_probs[np.arange(n), labels].mean())
-    grad = softmax(logits, axis=1)
-    grad[np.arange(n), labels] -= 1.0
+    picked = (np.arange(n), labels)
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    grad = np.exp(shifted)
+    sums = np.sum(grad, axis=1, keepdims=True)
+    loss = -float((shifted[picked] - np.log(sums)[:, 0]).mean())
+    grad /= sums
+    grad[picked] -= 1.0
     return loss, grad / n
 
 

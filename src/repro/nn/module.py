@@ -131,12 +131,17 @@ class Module:
         the model and, by default, travel with the flattened parameter
         vector used for federated aggregation.
         """
-        array = np.asarray(value, dtype=np.float64)
+        array = np.array(value, dtype=np.float64)
         self._buffers[name] = array
         object.__setattr__(self, name, array)
 
     def set_buffer(self, name: str, value: np.ndarray) -> None:
-        """Overwrite a previously registered buffer, keeping its shape."""
+        """Overwrite a previously registered buffer in place.
+
+        The buffer stays the array it was (after
+        :func:`~repro.nn.serialization.flatten_state`, a view of the
+        module's state buffer) and never aliases ``value``.
+        """
         if name not in self._buffers:
             raise KeyError(f"no buffer named {name!r} on {type(self).__name__}")
         current = self._buffers[name]
@@ -145,8 +150,13 @@ class Module:
             raise ShapeError(
                 f"buffer {name!r} has shape {current.shape}, got {array.shape}"
             )
-        self._buffers[name] = array
-        object.__setattr__(self, name, array)
+        np.copyto(current, array)
+
+    def __getstate__(self) -> dict:
+        """A copy or pickle is a plain module: array views into the flat
+        buffers of ``flatten_state`` do not survive either."""
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_flat"}
 
     # -- traversal ---------------------------------------------------------
 
@@ -198,33 +208,22 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters and buffers from :meth:`state_dict` output."""
-        for name, param in self.named_parameters():
-            if name not in state:
-                raise KeyError(f"state dict missing parameter {name!r}")
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != param.data.shape:
-                raise ShapeError(
-                    f"parameter {name!r} has shape {param.data.shape}, "
-                    f"state has {value.shape}"
-                )
-            param.data[...] = value
-        buffer_owners = self._buffer_owners()
-        for name, _ in self.named_buffers():
-            key = f"buffer:{name}"
-            if key not in state:
-                raise KeyError(f"state dict missing buffer {name!r}")
-            owner, local_name = buffer_owners[name]
-            owner.set_buffer(local_name, state[key])
+        """Load parameters and buffers from :meth:`state_dict` output.
 
-    def _buffer_owners(self, prefix: str = "") -> Dict[str, Tuple["Module", str]]:
-        """Map dotted buffer names to their (owning module, local name)."""
-        owners: Dict[str, Tuple[Module, str]] = {}
-        for name in self._buffers:
-            owners[f"{prefix}{name}"] = (self, name)
-        for child_name, child in self._modules.items():
-            owners.update(child._buffer_owners(prefix=f"{prefix}{child_name}."))
-        return owners
+        Written in place: every array stays the array (or view) it was.
+        """
+        targets = {name: param.data for name, param in self.named_parameters()}
+        targets.update((f"buffer:{name}", buf)
+                       for name, buf in self.named_buffers())
+        for key, target in targets.items():
+            if key not in state:
+                raise KeyError(f"state dict missing {key!r}")
+            value = np.asarray(state[key], dtype=np.float64)
+            if value.shape != target.shape:
+                raise ShapeError(
+                    f"{key!r} has shape {target.shape}, state has {value.shape}"
+                )
+            target[...] = value
 
     # -- training mode -----------------------------------------------------
 

@@ -7,7 +7,7 @@ provided for the standalone/centralized training paths and ablations.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -15,6 +15,23 @@ from ..common.errors import ConfigurationError
 from .module import Parameter
 
 __all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+
+
+#: Elements per block of the fused step: its three or four ``float64``
+#: streams of this length stay in a 1 MiB L2 cache.
+_BLOCK = 16384
+
+
+def _tiled(arrays: List[np.ndarray]) -> Optional[np.ndarray]:
+    """The 1-D array that ``arrays`` tile back to back in order, if any."""
+    base = arrays[0].base
+    if base is None or base.ndim != 1 or any(
+            a.base is not base or not a.flags.c_contiguous for a in arrays):
+        return None
+    starts = [(a.ctypes.data - base.ctypes.data) // base.itemsize
+              for a in arrays]
+    stops = [start + a.size for start, a in zip(starts, arrays)]
+    return base[starts[0]:stops[-1]] if starts[1:] == stops[:-1] else None
 
 
 class Optimizer:
@@ -62,31 +79,67 @@ class SGD(Optimizer):
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.nesterov = nesterov
-        self._velocity: Optional[List[np.ndarray]] = (
-            [np.zeros_like(p.data) for p in self.params] if momentum > 0 else None
+        # One buffer over all parameters, in their order.
+        self._velocity: Optional[np.ndarray] = (
+            np.zeros(sum(param.size for param in self.params))
+            if momentum > 0 else None
         )
+        # Parameters and gradients that each tile one buffer (a module after
+        # ``flatten_state``) step in one fused pass: the (weights, gradient,
+        # velocity, scratch, scratch) blocks of that buffer.
+        data = _tiled([param.data for param in self.params])
+        grads = _tiled([param._grad for param in self.params])
+        self._blocks: List[tuple] = []
+        if data is not None and grads is not None:
+            scratch = np.empty((2, min(_BLOCK, data.size)))
+            for start in range(0, data.size, _BLOCK):
+                span = slice(start, start + _BLOCK)
+                self._blocks.append((
+                    data[span], grads[span],
+                    None if self._velocity is None else self._velocity[span],
+                    *scratch[:, :data[span].size]))
 
     def step(self) -> None:
-        """Apply one update using the gradients currently stored on params."""
-        for index, param in enumerate(self.params):
-            grad = param.grad
-            if self.weight_decay > 0:
-                grad = grad + self.weight_decay * param.data
-            if self._velocity is not None:
-                velocity = self._velocity[index]
-                velocity *= self.momentum
-                velocity += grad
-                if self.nesterov:
-                    grad = grad + self.momentum * velocity
-                else:
-                    grad = velocity
-            param.data -= self.lr * grad
+        """Apply one update using the gradients currently stored on params:
+        parameter by parameter, or (the same arithmetic, with no d-sized
+        temporary) block by block over the one buffer the parameters tile."""
+        if self._blocks:
+            for param in self.params:
+                param.grad  # writes the zeros a lazily reset gradient owes
+        for block in self._blocks or self._parameter_blocks():
+            self._update(*block)
+
+    def _parameter_blocks(self) -> Iterator[tuple]:
+        offset = 0
+        for param in self.params:
+            span = slice(offset, offset + param.size)
+            yield (param.data, param.grad, None if self._velocity is None
+                   else self._velocity[span].reshape(param.shape))
+            offset += param.size
+
+    def _update(self, weights: np.ndarray, grad: np.ndarray,
+                velocity: Optional[np.ndarray],
+                update: Optional[np.ndarray] = None,
+                other: Optional[np.ndarray] = None) -> None:
+        """One SGD update of ``weights``, in place; ``update`` and ``other``
+        are scratch of its shape (allocated when not given)."""
+        if self.weight_decay > 0:
+            update = np.multiply(weights, self.weight_decay, out=update)
+            grad = np.add(grad, update, out=update)
+        if velocity is not None:
+            velocity *= self.momentum
+            velocity += grad
+            if self.nesterov:
+                other = np.multiply(velocity, self.momentum, out=other)
+                grad = np.add(grad, other, out=update)
+            else:
+                grad = velocity
+        weights -= np.multiply(grad, self.lr, out=update)
 
     def reset_state(self) -> None:
         """Clear momentum buffers (used when a client adopts a new global model)."""
         if self._velocity is not None:
-            for velocity in self._velocity:
-                velocity.fill(0.0)
+            self._velocity.fill(0.0)
 
 
 class Adam(Optimizer):

@@ -13,6 +13,7 @@ evaluate the shared weights under different normalization statistics.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Tuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .module import Module, Parameter
 
 __all__ = [
     "vector_size",
+    "flatten_state",
     "to_vector",
     "from_vector",
     "gradient_vector",
@@ -58,41 +60,86 @@ def vector_size(module: Module, *, include_buffers: bool = True) -> int:
     return _state(module, include_buffers)[2]
 
 
+def flatten_state(module: Module) -> SimpleNamespace:
+    """Move ``module``'s state into one contiguous buffer and its gradients
+    into another, keeping the values; returns the record of the two.
+
+    Every ``Parameter.data`` and buffer becomes a view of ``state``, an array
+    in the :func:`to_vector` layout, and every gradient a view of ``grads``:
+    ``to_vector`` is then one copy, ``from_vector`` one assignment,
+    ``SGD.step`` one fused pass. Idempotent (the same record, on which the
+    module's owner may keep what depends on the buffers); call it again
+    after adding a parameter or buffer.
+    """
+    params, buffers, size = _state(module, True)
+    flat = getattr(module, "_flat", None)
+    if flat is not None and flat.state.size == size \
+            and all(p.data.base is flat.state and p._grad.base is flat.grads
+                    for p in params) \
+            and all(o._buffers[n].base is flat.state for o, n in buffers):
+        return flat
+    flat = module._flat = SimpleNamespace(
+        state=np.empty(size),
+        grads=np.empty(sum(param.size for param in params)))
+
+    def moved(array: np.ndarray, target: np.ndarray) -> np.ndarray:
+        view = target[offset:offset + array.size].reshape(array.shape)
+        view[...] = array
+        return view
+
+    offset = 0
+    for param in params:
+        param.data = moved(param.data, flat.state)
+        param._grad = moved(param._grad, flat.grads)
+        offset += param.size
+    for owner, name in buffers:
+        view = owner._buffers[name] = moved(owner._buffers[name], flat.state)
+        object.__setattr__(owner, name, view)
+        offset += view.size
+    return flat
+
+
+def _arrays(module: Module, include_buffers: bool
+            ) -> Tuple[List[np.ndarray], int]:
+    """The live arrays whose concatenation is the vector, and its length:
+    the one state buffer of a flattened module, else every parameter and
+    buffer."""
+    flat = getattr(module, "_flat", None)
+    if flat is not None:
+        state = flat.state if include_buffers \
+            else flat.state[:flat.grads.size]
+        return [state], state.size
+    params, buffers, size = _state(module, include_buffers)
+    return ([param.data for param in params]
+            + [owner._buffers[name] for owner, name in buffers]), size
+
+
 def to_vector(module: Module, *, include_buffers: bool = True) -> np.ndarray:
     """Copy the model state into a flat ``float64`` vector."""
-    params, buffers, _ = _state(module, include_buffers)
-    arrays = [param.data.ravel() for param in params]
-    arrays.extend(owner._buffers[name].ravel() for owner, name in buffers)
+    arrays, _ = _arrays(module, include_buffers)
     if not arrays:
         return np.zeros(0, dtype=np.float64)
-    return np.concatenate(arrays).astype(np.float64, copy=False)
+    return np.concatenate([array.ravel() for array in arrays]) \
+        .astype(np.float64, copy=False)
 
 
 def from_vector(module: Module, vector: np.ndarray, *,
                 include_buffers: bool = True) -> None:
     """Load a flat vector produced by :func:`to_vector` back into ``module``.
 
-    The model keeps no view of ``vector``: parameters are written in place
-    and buffers are replaced by copies.
+    The model keeps no view of ``vector``: parameters and buffers are
+    written in place.
     """
     vector = np.asarray(vector, dtype=np.float64).ravel()
-    params, buffers, expected = _state(module, include_buffers)
+    arrays, expected = _arrays(module, include_buffers)
     if vector.size != expected:
         raise ShapeError(
             f"vector has {vector.size} entries, model expects {expected}"
         )
     offset = 0
-    for param in params:
-        size = param.size
-        param.data[...] = vector[offset:offset + size].reshape(param.data.shape)
-        offset += size
-    for owner, name in buffers:
-        buf = owner._buffers[name]
-        size = int(buf.size)
-        owner.set_buffer(
-            name, vector[offset:offset + size].reshape(buf.shape).copy()
-        )
-        offset += size
+    for array in arrays:
+        array[...] = vector[offset:offset + array.size].reshape(array.shape)
+        offset += array.size
 
 
 def gradient_vector(module: Module) -> np.ndarray:

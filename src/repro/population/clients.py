@@ -3,22 +3,24 @@
 A :class:`ClientPopulation` knows about every client but holds, per
 client, only a :class:`ClientDescriptor` — the shard spec plus
 participation statistics, a few dozen bytes. When a round samples a
-client, :meth:`ClientPopulation.materialize` binds it to a pooled
-:class:`~repro.core.client.Client` slot: the shard's dataset is rebuilt
-from its spec, a fresh loader is attached, and the slot's model replica is
-reused. :meth:`release_all` returns the slots at the end of the round and
-drops the dataset references, so live heavy state is ``O(sampled)``, never
+client, :meth:`ClientPopulation.materialize` builds a
+:class:`~repro.core.client.Client` for it on the population's one model
+replica: the shard's dataset is rebuilt from its spec and a fresh loader is
+attached; the client itself is a state vector, adopted by reference.
+:meth:`release_all` drops the clients' dataset references at the end of the
+round, so live heavy state is ``O(sampled)`` datasets plus one model, never
 ``O(K)`` — :attr:`peak_materialized` is the auditable high-water mark.
 
-Correctness under slot reuse relies on the ``batch_seed`` contract of
+Correctness on the shared replica relies on the ``batch_seed`` contract of
 :class:`~repro.core.client.Client`: the mini-batch stream is re-derived
-from ``(seed, client_id, round)`` at every ``local_train`` call, and the
-model is overwritten with the fetched global vector at materialization, so
-nothing about a slot's previous occupant can leak into a round's result.
+from ``(seed, client_id, round)`` at every ``local_train`` call, and a
+client loads its own state before it trains, so nothing about the client
+that ran before it can leak into a round's result.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -27,7 +29,6 @@ import numpy as np
 from ..common.errors import ConfigurationError, ProtocolError
 from ..common.rng import RngFactory
 from ..core.client import Client
-from ..data.datasets import DataLoader
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
 
@@ -48,7 +49,7 @@ class ClientDescriptor:
 
 
 class ClientPopulation:
-    """K descriptors plus a reusable pool of materialized client slots."""
+    """K descriptors plus the one model replica sampled clients run on."""
 
     def __init__(self, shard_specs: Sequence[object], *,
                  model_factory: ModelFactory, batch_size: int,
@@ -67,18 +68,18 @@ class ClientPopulation:
                 )
         self.descriptors = [ClientDescriptor(cid, spec)
                             for cid, spec in enumerate(shard_specs)]
-        self._model_factory = model_factory
-        self._batch_size = batch_size
-        self._rngs = rngs
-        self._batch_seed = batch_seed
-        self._learning_rate = learning_rate
-        self._lr_schedule = lr_schedule
-        self._weight_decay = weight_decay
-        self._include_buffers = include_buffers
-        self._flatten_inputs = flatten_inputs
-        self._pool: List[Client] = []
+        #: The replica every materialized client trains on, in turn.
+        self.model = model_factory(rngs.make("population/replica"))
+        # ``Client(client_id, self.model, dataset)`` with everything else
+        # bound. The constructor rng is never consulted: batch_seed
+        # re-derives the stream per (client, round).
+        self._make_client = functools.partial(
+            Client, batch_size=batch_size, rng=np.random.default_rng(0),
+            lr_schedule=lr_schedule, learning_rate=learning_rate,
+            weight_decay=weight_decay, include_buffers=include_buffers,
+            flatten_inputs=flatten_inputs, batch_seed=batch_seed,
+        )
         self._active: Dict[int, Client] = {}
-        self._num_slots = 0
         self.peak_materialized = 0
 
     def __len__(self) -> int:
@@ -87,7 +88,7 @@ class ClientPopulation:
     # -- materialization ----------------------------------------------------
 
     def materialize(self, client_id: int, round_index: int) -> Client:
-        """Bind ``client_id`` to a client slot (reusing a pooled one)."""
+        """Build ``client_id``'s client on the population's replica."""
         if not 0 <= client_id < len(self.descriptors):
             raise ProtocolError(
                 f"client {client_id} outside population of "
@@ -96,32 +97,8 @@ class ClientPopulation:
         if client_id in self._active:
             return self._active[client_id]
         descriptor = self.descriptors[client_id]
-        dataset = descriptor.shard.materialize()
-        if self._pool:
-            client = self._pool.pop()
-            client.client_id = client_id
-            client.dataset = dataset
-            client.loader = DataLoader(dataset, self._batch_size,
-                                       rng=np.random.default_rng(0))
-        else:
-            self._num_slots += 1
-            client = Client(
-                client_id,
-                self._model_factory(
-                    self._rngs.make(f"population/slot/{self._num_slots}")
-                ),
-                dataset,
-                batch_size=self._batch_size,
-                # The constructor rng is never consulted: batch_seed
-                # re-derives the stream per (client, round).
-                rng=np.random.default_rng(0),
-                lr_schedule=self._lr_schedule,
-                learning_rate=self._learning_rate,
-                weight_decay=self._weight_decay,
-                include_buffers=self._include_buffers,
-                flatten_inputs=self._flatten_inputs,
-                batch_seed=self._batch_seed,
-            )
+        client = self._make_client(client_id, self.model,
+                                   descriptor.shard.materialize())
         self._active[client_id] = client
         descriptor.rounds_participated += 1
         descriptor.last_round = round_index
@@ -130,13 +107,12 @@ class ClientPopulation:
         return client
 
     def release_all(self) -> None:
-        """Return every materialized slot to the pool, dropping datasets."""
+        """Forget every materialized client, dropping its dataset."""
         for client_id, client in self._active.items():
             descriptor = self.descriptors[client_id]
             descriptor.last_train_loss = client.last_train_loss
             client.dataset = None  # type: ignore[assignment]
             client.loader = None  # type: ignore[assignment]
-            self._pool.append(client)
         self._active.clear()
 
     # -- introspection ------------------------------------------------------
@@ -151,9 +127,9 @@ class ClientPopulation:
 
     @property
     def num_slots(self) -> int:
-        """How many heavyweight client slots were ever created."""
-        return self._num_slots
+        """How many model replicas this population ever created: one."""
+        return 1
 
     def holds_model(self, client_id: int) -> bool:
-        """True while ``client_id`` is bound to a materialized slot."""
+        """True while ``client_id`` is materialized."""
         return client_id in self._active

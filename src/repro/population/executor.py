@@ -13,25 +13,27 @@ client id rather than completion order.
 
 The process path ships each job's *shard spec* (picklable, tiny) to a
 persistent fork-based pool; workers rebuild the dataset on demand and
-reuse one scratch client slot, so worker-side state stays ``O(1)`` per
-worker. Platforms without the ``fork`` start method degrade to serial
-with a warning, mirroring ``repro.execution.make_backend``.
+train every job on one model replica of their own, so worker-side state
+stays ``O(1)`` per worker. Platforms without the ``fork`` start method
+degrade to serial with a warning, mirroring
+``repro.execution.make_backend``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
-from ..core.client import Client
-from ..data.datasets import DataLoader
+from ..core.client import Client, frozen
 from ..execution import EXECUTION_BACKENDS, resolve_num_workers
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
@@ -49,7 +51,7 @@ class PopulationJob:
     client_id: int
     start_vector: np.ndarray
     shard: object
-    client: Optional[Client] = None  # materialized slot (serial/thread path)
+    client: Optional[Client] = None  # materialized (serial/thread path)
 
 
 @dataclass
@@ -98,6 +100,26 @@ def _train_materialized(client: Client, round_index: int, local_steps: int,
     return vector, client.last_train_loss
 
 
+def _train_on(worker, params: "PopulationWorkerParams", client_id: int,
+              dataset, round_index: int, local_steps: int,
+              start_vector: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Train ``client_id`` on the model replica that ``worker`` (a pool
+    thread's or pool process's own namespace) builds on first use."""
+    if not hasattr(worker, "model"):
+        worker.model = params.model_factory(np.random.default_rng(0))
+    return _train_materialized(Client(
+        client_id, worker.model, dataset,
+        batch_size=params.batch_size,
+        rng=np.random.default_rng(0),
+        lr_schedule=params.lr_schedule,
+        learning_rate=params.learning_rate,
+        weight_decay=params.weight_decay,
+        include_buffers=params.include_buffers,
+        flatten_inputs=params.flatten_inputs,
+        batch_seed=params.seed,
+    ), round_index, local_steps, start_vector)
+
+
 class SerialPopulationExecutor(PopulationExecutor):
     name = "serial"
 
@@ -112,18 +134,22 @@ class SerialPopulationExecutor(PopulationExecutor):
 
 
 class ThreadPopulationExecutor(PopulationExecutor):
-    """Thread-pool fan-out over the materialized client slots.
+    """Thread-pool fan-out over the materialized clients' datasets.
 
-    Each job touches a distinct :class:`Client` (distinct model arrays),
-    so jobs share no mutable state; numpy releases the GIL in the BLAS
-    kernels, which is where a thread pool can help.
+    The materialized clients all run on the population's one replica, which
+    two threads may never share: each worker thread builds a replica of its
+    own on first use and trains its jobs there. numpy releases the GIL in
+    the BLAS kernels, which is where a thread pool can help.
     """
 
     name = "thread"
 
-    def __init__(self, num_workers: int) -> None:
+    def __init__(self, params: PopulationWorkerParams,
+                 num_workers: int) -> None:
+        self._params = params
         self._num_workers = num_workers
         self._pool: Optional[ThreadPoolExecutor] = None
+        self._local = threading.local()
 
     def train(self, round_index, local_steps, jobs):
         if self._pool is None:
@@ -132,9 +158,9 @@ class ThreadPopulationExecutor(PopulationExecutor):
         for job in jobs:
             assert job.client is not None, "thread path needs materialized clients"
             futures[job.client_id] = self._pool.submit(
-                _train_materialized, job.client, round_index, local_steps,
-                job.start_vector,
-            )
+                _train_on, self._local, self._params, job.client_id,
+                job.client.dataset, round_index, local_steps,
+                job.start_vector)
         return {cid: future.result() for cid, future in futures.items()}
 
     def close(self) -> None:
@@ -147,45 +173,22 @@ class ThreadPopulationExecutor(PopulationExecutor):
 
 # Installed in each worker by the pool initializer; inherited via fork, so
 # non-picklable model factories (lambdas, closures) work unchanged.
-_WORKER_STATE: Optional[dict] = None
+_WORKER: Optional[SimpleNamespace] = None
 
 
 def _init_population_worker(params: PopulationWorkerParams) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = {"params": params, "client": None}
+    global _WORKER
+    _WORKER = SimpleNamespace(params=params)
 
 
 def _train_population_task(task) -> Tuple[int, np.ndarray, float]:
     client_id, round_index, local_steps, start_vector, shard = task
-    assert _WORKER_STATE is not None, "worker not initialized"
-    params: PopulationWorkerParams = _WORKER_STATE["params"]
-    dataset = shard.materialize()
-    client: Optional[Client] = _WORKER_STATE["client"]
-    if client is None:
-        client = Client(
-            client_id,
-            params.model_factory(np.random.default_rng(0)),
-            dataset,
-            batch_size=params.batch_size,
-            rng=np.random.default_rng(0),
-            lr_schedule=params.lr_schedule,
-            learning_rate=params.learning_rate,
-            weight_decay=params.weight_decay,
-            include_buffers=params.include_buffers,
-            flatten_inputs=params.flatten_inputs,
-            batch_seed=params.seed,
-        )
-        _WORKER_STATE["client"] = client
-    else:
-        client.client_id = client_id
-        client.dataset = dataset
-        client.loader = DataLoader(dataset, params.batch_size,
-                                   rng=np.random.default_rng(0))
-    client.set_model_vector(start_vector)
-    client.optimizer.reset_state()
-    vector = client.local_train(round_index, local_steps)
-    assert client.last_train_loss is not None
-    return client_id, vector, client.last_train_loss
+    assert _WORKER is not None, "worker not initialized"
+    # The unpickled start vector is this task's alone: adopted, not copied.
+    vector, loss = _train_on(
+        _WORKER, _WORKER.params, client_id, shard.materialize(),
+        round_index, local_steps, frozen(start_vector))
+    return client_id, vector, loss
 
 
 class ProcessPopulationExecutor(PopulationExecutor):
@@ -235,14 +238,7 @@ class ProcessPopulationExecutor(PopulationExecutor):
             self.close()
             return self._serial(round_index, local_steps, jobs)
 
-    def _serial(self, round_index, local_steps, jobs):
-        results = {}
-        for job in jobs:
-            assert job.client is not None
-            results[job.client_id] = _train_materialized(
-                job.client, round_index, local_steps, job.start_vector
-            )
-        return results
+    _serial = SerialPopulationExecutor.train
 
     def close(self) -> None:
         if self._pool is not None:
@@ -270,7 +266,7 @@ def make_population_executor(name: str, *, params: PopulationWorkerParams,
     if name == "serial" or workers <= 1:
         return SerialPopulationExecutor()
     if name == "thread":
-        return ThreadPopulationExecutor(workers)
+        return ThreadPopulationExecutor(params, workers)
     if "fork" not in multiprocessing.get_all_start_methods():
         warnings.warn(
             "population process executor needs the 'fork' start method; "

@@ -50,7 +50,7 @@ import numpy as np
 
 from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
-from ..core.client import Client
+from ..core.client import Client, frozen
 from ..core.config import FedMSConfig
 from ..core.engine import RoundEngine, RoundState, place_byzantine
 from ..core.filtering import resolve_filter
@@ -243,7 +243,7 @@ class PopulationTrainer(RoundEngine):
 
         self._eval_client = Client(
             0,
-            model_factory(self.rngs.make("population/eval")),
+            self.population.model,
             test_dataset,
             batch_size=256,
             rng=np.random.default_rng(0),
@@ -444,7 +444,8 @@ class PopulationTrainer(RoundEngine):
                 )
             state.tier_outcomes[tier] = outcomes
         top = self.tiers[-1][0]
-        self._global_vector = top.current_output.copy()
+        # Read-only: sampled clients and the evaluation adopt it by reference.
+        self._global_vector = frozen(top.current_output.copy())
         if self.wire.active:
             # Next round's shared reference is the new global model —
             # clients fetch it at check-in, edges and parents track it

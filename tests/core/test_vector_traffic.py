@@ -1,8 +1,9 @@
 """Who owns a model vector, and how often one is copied.
 
-A client remembers which read-only vector its model equals, so the trainer
-hands vectors around by reference: one ``to_vector`` (the trained snapshot)
-and one ``from_vector`` (the adopted filter output) per client per round.
+A client is a read-only state vector and the trainer's clients share one
+model replica, so the trainer hands vectors around by reference: adopting
+one copies nothing, and a client costs one ``from_vector`` (its state loaded
+into the replica) and one ``to_vector`` (the trained snapshot) per round.
 The same arrays are frozen, so a write to a shared one raises instead of
 changing somebody else's model; ``Client.model_vector()`` stays the
 copying read. The adversary's ``(P, d)`` view is stacked only when an
@@ -82,10 +83,18 @@ class TestCopiesPerRound:
     def test_serial_lossless_round_copies_each_model_once_each_way(
             self, copies):
         trainer = make_trainer()
-        for _ in range(3):
+        # K loads and K snapshots to train; scoring the one shared filter
+        # output is one more load, which client 0's next round then skips.
+        for loads in (K + 1, K, K):
             copies.update(to_vector=0, from_vector=0)
             trainer.run_round(evaluate=True)
-            assert copies == {"to_vector": K, "from_vector": K}
+            assert copies == {"to_vector": K, "from_vector": loads}
+        copies.update(to_vector=0, from_vector=0)
+        trainer.run_round(evaluate=False)
+        assert copies == {"to_vector": K, "from_vector": K - 1}
+        copies.update(to_vector=0, from_vector=0)
+        trainer.run_round(evaluate=False)
+        assert copies == {"to_vector": K, "from_vector": K}
 
     def test_clients_share_the_adopted_object(self):
         trainer = make_trainer()
@@ -252,9 +261,13 @@ class TestClientRemembersOnlyWhatCannotChange:
         copies.update(to_vector=0, from_vector=0)
         client.set_model_vector(frozen)
         client.set_model_vector(frozen)
-        assert copies["from_vector"] == 1
         assert client.shared_model_vector() is frozen
         np.testing.assert_array_equal(client.model_vector(), frozen)
+        # Adoption is by reference; the replica is loaded on first use.
+        assert copies == {"to_vector": 0, "from_vector": 0}
+        client.evaluate(client.dataset)
+        client.evaluate(client.dataset)
+        assert copies == {"to_vector": 0, "from_vector": 1}
 
     def test_training_forgets_the_adopted_vector(self):
         client = make_batchnorm_client()
@@ -292,7 +305,9 @@ class TestFallbackRound:
         copies.update(to_vector=0, from_vector=0)
         record = trainer.run_round(evaluate=False)
         assert record.fallback_clients == list(range(K))
-        assert copies == {"to_vector": K, "from_vector": K}
+        # Training only: falling back adopts the start vectors by reference
+        # (and client 0 was still loaded from the previous evaluation).
+        assert copies == {"to_vector": K, "from_vector": K - 1}
         for client, expected in zip(trainer.clients, start):
             np.testing.assert_array_equal(client.model_vector(), expected)
             assert client.shared_model_vector() is shared

@@ -23,7 +23,7 @@ from repro.core.config import (
     EXECUTION_BACKEND_ENV,
     NUM_WORKERS_ENV,
 )
-from repro.data import ArrayDataset, iid_partition
+from repro.data import ArrayDataset, iid_partition, make_synthetic_cifar10
 from repro.execution import (
     EXECUTION_BACKENDS,
     ProcessPoolBackend,
@@ -32,7 +32,7 @@ from repro.execution import (
     make_backend,
     resolve_num_workers,
 )
-from repro.models import SoftmaxRegression
+from repro.models import SmallCNN, SoftmaxRegression
 from repro.simulation import FaultInjector, FaultPlan, ServerCrash
 
 BACKENDS = ("serial", "thread", "process")
@@ -202,6 +202,36 @@ class TestBitIdentity:
             fingerprints[backend] = history_fingerprint(history)
         assert fingerprints["serial"] == fingerprints["thread"]
         assert fingerprints["serial"] == fingerprints["process"]
+
+
+class TestBatchNormStatistics:
+    """A batch-norm model's running statistics are client state: whoever
+    trains a client hands them back, so the main-process client that
+    evaluates has them on every backend, on the wire or not."""
+
+    @pytest.mark.parametrize("include_buffers", [False, True])
+    def test_backends_bit_identical(self, include_buffers):
+        train, test = make_synthetic_cifar10(
+            160, 64, rng=RngFactory(0).make("data"))
+        parts = iid_partition(train, 4, rng=RngFactory(0).make("part"))
+        config = dict(num_clients=4, num_servers=4, num_byzantine=0,
+                      local_steps=2, batch_size=8, learning_rate=0.1,
+                      include_buffers=include_buffers, num_workers=2, seed=0)
+        fingerprints, vectors = {}, {}
+        for backend in BACKENDS:
+            with FedMSTrainer(
+                FedMSConfig(execution_backend=backend, **config),
+                model_factory=lambda rng: SmallCNN(10, channels=4, rng=rng),
+                client_datasets=parts, test_dataset=test,
+            ) as trainer:
+                history = trainer.run(4)
+                assert not getattr(trainer.execution, "degraded", False)
+                fingerprints[backend] = history_fingerprint(history)
+                vectors[backend] = [c.model_vector() for c in trainer.clients]
+        for backend in ("thread", "process"):
+            assert fingerprints[backend] == fingerprints["serial"]
+            for got, want in zip(vectors[backend], vectors["serial"]):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestWorkerCrash:

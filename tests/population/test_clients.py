@@ -1,4 +1,4 @@
-"""Lazy materialization: descriptors, slot pooling, shard specs."""
+"""Lazy materialization: descriptors, the one replica, shard specs."""
 
 import numpy as np
 import pytest
@@ -87,9 +87,11 @@ class TestLazyMaterialization:
             for cid in range(round_index * 5, round_index * 5 + 5):
                 population.materialize(cid, round_index)
             population.release_all()
-        # 20 distinct clients trained, but only 5 slots ever existed.
-        assert population.num_slots == 5
+        # 20 distinct clients materialized, five at a time, on one replica.
+        assert population.num_slots == 1
         assert population.peak_materialized == 5
+        assert {id(population.materialize(cid, 4).model)
+                for cid in range(20)} == {id(population.model)}
 
     def test_materialize_is_idempotent_within_round(self):
         population = make_population(10)
