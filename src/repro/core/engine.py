@@ -26,6 +26,7 @@ Four invariants live here and nowhere else:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
@@ -162,10 +163,21 @@ class RoundEngine:
     upload_tag = "upload"
     downlink_tag = "dissemination"
     round_state = RoundState
+    #: Config fields this topology does not read -> the values that lose
+    #: nothing by it. Any other value draws one ``RuntimeWarning`` at
+    #: construction: a setting is never dropped silently.
+    ignored_config: Dict[str, tuple] = {}
 
     def __init__(self, config: FedMSConfig, *, model_factory: ModelFactory,
                  test_dataset: ArrayDataset, network: Optional[Network],
                  init_stream: str = "init/global") -> None:
+        for name, unset in self.ignored_config.items():
+            value = getattr(config, name)
+            if value not in unset:
+                warnings.warn(
+                    f"{type(self).__name__} ignores {name}={value!r}",
+                    RuntimeWarning, stacklevel=3,
+                )
         self.config = config
         self.test_dataset = test_dataset
         self.network = network if network is not None else Network()

@@ -36,7 +36,6 @@ bounded-staleness admission next round.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -75,11 +74,15 @@ class HierarchicalTrainer(RoundEngine):
     Accepts the same :class:`FedMSConfig` as :class:`FedMSTrainer`
     (``upload_strategy`` and ``health_scoring`` are ignored, with a
     warning — grouping is static, so there is nothing to sample and no PS
-    a client could avoid). Group membership defaults to
-    ``client k -> PS (k mod P)``.
+    a client could avoid — and so is an explicit ``execution_backend``
+    other than ``serial``: clients train in-process). Group membership
+    defaults to ``client k -> PS (k mod P)``.
     """
 
     round_state = _RoundState
+    ignored_config = {"upload_strategy": ("sparse",),
+                      "health_scoring": (False,),
+                      "execution_backend": (None, "serial")}
 
     def __init__(self, config: FedMSConfig, *, model_factory: ModelFactory,
                  client_datasets: Sequence[ArrayDataset],
@@ -100,15 +103,6 @@ class HierarchicalTrainer(RoundEngine):
             raise ConfigurationError(
                 "config.num_byzantine > 0 requires an attack"
             )
-        for name, default in (("upload_strategy", "sparse"),
-                              ("health_scoring", False)):
-            if getattr(config, name) != default:
-                warnings.warn(
-                    f"HierarchicalTrainer ignores "
-                    f"{name}={getattr(config, name)!r}: grouping is "
-                    f"static, every client uploads to its fixed group PS",
-                    RuntimeWarning, stacklevel=2,
-                )
         super().__init__(config, model_factory=model_factory,
                          test_dataset=test_dataset, network=network)
         self.inter_server_rule: AggregationRule = (

@@ -252,9 +252,10 @@ class FedMSTrainer(RoundEngine):
         # (local training, client-side filtering); all backends are
         # bit-identical for the same seed, so this is purely a wall-clock
         # choice. See docs/execution.md.
+        clients = self.clients
         self.execution = make_backend(
             config.resolved_execution_backend,
-            clients=self.clients,
+            client_of=lambda client_id, t: clients[client_id],
             spec=WorkerSpec(
                 seed=config.seed,
                 local_steps=config.local_steps,
@@ -263,11 +264,8 @@ class FedMSTrainer(RoundEngine):
                 weight_decay=weight_decay,
                 include_buffers=config.include_buffers,
                 flatten_inputs=flatten_inputs,
-                model_dim=int(initial_vector.size),
-                num_clients=config.num_clients,
-                # Makes the process backend allocate the shared
-                # codec-reference vector workers decode against.
-                codec_references=self.wire.active,
+                cohort=config.num_clients,
+                state_dim=int(clients[0].state.size),
                 model_factory=model_factory,
                 datasets=list(client_datasets),
                 lr_schedule=lr_schedule,
@@ -641,8 +639,8 @@ class FedMSTrainer(RoundEngine):
                     self._received_stack(messages)
                 ))
         if backend_jobs:
-            # Workers decode encoded payloads against the reference they
-            # were encoded with; it advances only below, after these jobs.
+            # Encoded payloads decode against the reference they were
+            # encoded with; it advances only below, after these jobs.
             results = self.execution.filter_clients(
                 backend_jobs, references=self.wire.reference
             )
@@ -675,10 +673,9 @@ class FedMSTrainer(RoundEngine):
     def _filter_job_payload(self, messages: Sequence[Message]) -> object:
         """Backend filter-job payload for one client's received models.
 
-        With a codec active the *encoded* updates travel to the workers,
-        which decode them against the shared reference — smaller
-        executor-queue transfers is the point. Otherwise the dense stack
-        is shipped, as before.
+        With a codec active the *encoded* updates are handed over and
+        whoever runs the job decodes them against the shared reference;
+        otherwise the dense stack.
         """
         if self.wire.active:
             return [

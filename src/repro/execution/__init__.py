@@ -4,13 +4,17 @@ The per-round client work — local SGD in ``_phase_train`` and the Def()
 filter in ``_phase_filter`` — is embarrassingly parallel across clients.
 This package turns that per-client step into an
 :class:`~repro.execution.backend.ExecutionBackend` with three
-implementations:
+implementations, the only ones in the repository: ``FedMSTrainer`` and
+``PopulationTrainer`` both build theirs through :func:`make_backend`.
 
-* :class:`SerialBackend` — the historical single-process loop (default);
+* :class:`SerialBackend` — the historical single-process loop (default),
+  on the client objects the trainer hands it (resident, or materialised
+  on demand);
 * :class:`ThreadBackend` — a thread pool over per-thread model replicas,
   cheap smoke-scaling (numpy releases the GIL inside the matmuls);
-* :class:`ProcessPoolBackend` — persistent ``multiprocessing`` workers fed
-  through :mod:`multiprocessing.shared_memory` zero-copy buffers.
+* :class:`ProcessPoolBackend` — persistent forked workers that read the
+  spec's datasets copy-on-write and exchange vectors through two
+  :mod:`multiprocessing.shared_memory` buffers.
 
 All backends are **bit-identical** for the same seed: the per-client batch
 stream of round ``t`` is re-derived from ``(seed, client_id, t)`` rather
@@ -30,7 +34,7 @@ from .backend import (
     resolve_num_workers,
 )
 from .process_pool import ProcessPoolBackend
-from .shared import SharedDatasetStore, SharedNDArray, SharedVectorBuffer
+from .shared import SharedNDArray, SharedVectorBuffer
 from .spec import FilterSpec, WorkerSpec
 from .thread import ThreadBackend
 
@@ -48,6 +52,5 @@ __all__ = [
     "FilterSpec",
     "WorkerSpec",
     "SharedNDArray",
-    "SharedDatasetStore",
     "SharedVectorBuffer",
 ]

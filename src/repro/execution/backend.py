@@ -21,7 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +43,12 @@ __all__ = [
 EXECUTION_BACKENDS = ("serial", "thread", "process")
 
 #: ``(client_id, start_vector)`` — one client's local-training input: its
-#: whole state (``Client.state``), as is what ``train_clients`` returns.
+#: whole state (``Client.state``) or a wire vector (the state's parameter
+#: prefix); ``train_clients`` always returns whole states.
 TrainJob = Tuple[int, np.ndarray]
+#: ``client_of(client_id, round_index)`` — the trainer's own client object
+#: for the serial path: a resident client, or one materialised on demand.
+ClientOf = Callable[[int, int], object]
 #: ``(client_id, received_models, filter_spec)``. ``received_models`` is
 #: either a dense ``(q, D)`` stack, or — when upload codecs are active — a
 #: list mixing dense rows and encoded updates; see
@@ -59,8 +63,7 @@ def materialize_stack(payload: object,
     Encoded entries are self-describing (``encoded.decode()`` needs no
     codec state — duck-typed here, so this package never imports
     ``repro.core``) and carry the *delta* against the shared codec
-    reference, which the caller supplies as ``references`` (the process
-    backend reads it from shared memory instead).
+    reference, which the caller supplies as ``references``.
     """
     if isinstance(payload, np.ndarray):
         return payload
@@ -80,10 +83,13 @@ class ExecutionBackend:
     """Executes per-client round steps; see the module docstring."""
 
     name: str = ""
+    #: True once a pool failed (or could not be built) and the serial
+    #: fallback took over for the rest of the run.
+    degraded = False
 
     def train_clients(self, round_index: int, jobs: Sequence[TrainJob]
                       ) -> Dict[int, Tuple[np.ndarray, float]]:
-        """Run local training for every job; returns ``{id: (vector, loss)}``."""
+        """Run local training for every job; returns ``{id: (state, loss)}``."""
         raise NotImplementedError
 
     def filter_clients(self, jobs: Sequence[FilterJob], *,
@@ -92,9 +98,12 @@ class ExecutionBackend:
         """Apply each job's filter spec to its stack; ``{id: filtered}``.
 
         ``references`` is the shared ``(D,)`` codec reference vector for
-        decoding encoded job payloads (``None`` when codecs are off).
+        decoding encoded job payloads (``None`` when codecs are off). In
+        place, in the calling process: moving the stacks costs more than
+        the rule (measured in docs/execution.md).
         """
-        raise NotImplementedError
+        return {client_id: spec(materialize_stack(stack, references))
+                for client_id, stack, spec in jobs}
 
     def close(self) -> None:
         """Release pools and shared-memory blocks (idempotent)."""
@@ -110,39 +119,29 @@ class SerialBackend(ExecutionBackend):
     """The historical in-process loop, now behind the backend interface.
 
     Trains directly on the trainer's own :class:`~repro.core.client.Client`
-    objects (no copies: a start vector that is the object the client
-    already holds is not adopted again, and the trained state returned is
-    the client's own read-only snapshot) — the reference implementation
-    the parallel backends must match bit for bit.
+    objects, which ``client_of(client_id, round_index)`` hands over (no
+    copies: a start vector that is the object the client already holds is
+    not adopted again, and the trained state returned is the client's own
+    read-only snapshot) — the reference implementation the parallel
+    backends must match bit for bit, and their fallback when a worker dies.
     """
 
     name = "serial"
 
-    def __init__(self, clients: Sequence[object], spec: WorkerSpec) -> None:
-        self._clients = {client.client_id: client for client in clients}
+    def __init__(self, client_of: ClientOf, spec: WorkerSpec) -> None:
+        self._client_of = client_of
         self._spec = spec
-
-    @property
-    def state_dim(self) -> int:
-        """Length of a client's state: the vectors of a train job."""
-        return int(next(iter(self._clients.values())).state.size)
 
     def train_clients(self, round_index: int, jobs: Sequence[TrainJob]
                       ) -> Dict[int, Tuple[np.ndarray, float]]:
         results: Dict[int, Tuple[np.ndarray, float]] = {}
         for client_id, start_vector in jobs:
-            client = self._clients[client_id]
+            client = self._client_of(client_id, round_index)
             client.set_model_vector(start_vector)
             client.optimizer.reset_state()
             client.local_train(round_index, self._spec.local_steps)
             results[client_id] = (client.state, float(client.last_train_loss))
         return results
-
-    def filter_clients(self, jobs: Sequence[FilterJob], *,
-                       references: Optional[np.ndarray] = None
-                       ) -> Dict[int, np.ndarray]:
-        return {client_id: spec(materialize_stack(stack, references))
-                for client_id, stack, spec in jobs}
 
 
 def resolve_num_workers(requested: int, *, max_useful: int) -> int:
@@ -160,37 +159,38 @@ def resolve_num_workers(requested: int, *, max_useful: int) -> int:
     return max(1, min(workers, max_useful))
 
 
-def make_backend(name: str, *, clients: Sequence[object], spec: WorkerSpec,
+def make_backend(name: str, *, client_of: ClientOf, spec: WorkerSpec,
                  num_workers: int = 0) -> ExecutionBackend:
     """Build the execution backend ``name`` for one trainer.
 
-    ``clients`` are the trainer's own client objects — the serial backend
-    trains on them directly, and pool backends keep a serial fallback over
-    them for graceful degradation when workers die.
+    ``client_of(client_id, round_index)`` returns the trainer's own client
+    object — the serial backend trains on it directly, and pool backends
+    keep that serial backend as the fallback they degrade to when workers
+    die.
     """
     if name not in EXECUTION_BACKENDS:
         raise ConfigurationError(
             f"unknown execution backend {name!r}; "
             f"expected one of {EXECUTION_BACKENDS}"
         )
-    serial = SerialBackend(clients, spec)
+    serial = SerialBackend(client_of, spec)
     if name == "serial":
         return serial
-    workers = resolve_num_workers(num_workers, max_useful=spec.num_clients)
+    workers = resolve_num_workers(num_workers, max_useful=spec.cohort)
     if name == "thread":
         from .thread import ThreadBackend
 
         return ThreadBackend(spec, num_workers=workers, fallback=serial)
-    if multiprocessing.get_start_method() != "fork":
-        # Worker state (model factories, schedules, shared-memory views) is
-        # handed over by fork inheritance; without fork the spec would have
-        # to survive pickling, which lambda factories do not.
+    if "fork" not in multiprocessing.get_all_start_methods():
+        # Worker state (model factories, schedules, datasets) is handed
+        # over by fork inheritance; without fork the spec would have to
+        # survive pickling, which lambda factories do not.
         warnings.warn(
-            "ProcessPoolBackend requires the 'fork' start method "
-            f"(got {multiprocessing.get_start_method()!r}); "
-            "falling back to serial execution",
+            "ProcessPoolBackend requires the 'fork' start method; "
+            "degrading to serial execution",
             RuntimeWarning,
         )
+        serial.degraded = True
         return serial
     from .process_pool import ProcessPoolBackend
 

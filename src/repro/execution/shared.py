@@ -1,29 +1,27 @@
-"""Zero-copy shared-memory carriers for model vectors and client datasets.
+"""Zero-copy shared-memory carriers for model vectors.
 
 The process-pool backend must move two kinds of payload between the main
 process and its workers every round: the per-client start vectors (main ->
-worker) and the trained update vectors (worker -> main). Pickling those
-through the executor's queues would re-serialize ``K x D`` floats per round;
+worker) and the trained states (worker -> main). Pickling those through the
+executor's queues would re-serialize ``cohort x D`` floats per round;
 instead both live in :mod:`multiprocessing.shared_memory` blocks that are
-mapped once and then read/written in place — the queues only carry client
-ids and scalar losses.
+mapped once and then read/written in place — the queues only carry row
+numbers, client ids and scalar losses.
 
-Client datasets are likewise packed into one shared block at pool start
-(:class:`SharedDatasetStore`) so workers index numpy views of the same
-physical pages rather than holding pickled copies.
+Client datasets need no carrier: workers are forked, so they read the
+parent's datasets copy-on-write.
 """
 
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
-from ..data.datasets import ArrayDataset
 
-__all__ = ["SharedNDArray", "SharedVectorBuffer", "SharedDatasetStore"]
+__all__ = ["SharedNDArray", "SharedVectorBuffer"]
 
 
 class SharedNDArray:
@@ -64,20 +62,21 @@ class SharedNDArray:
 
 
 class SharedVectorBuffer:
-    """Paired ``(num_clients, dim)`` in/out blocks for model vectors.
+    """Paired ``(rows, dim)`` in/out blocks for model vectors.
 
-    ``starts[k]`` carries client ``k``'s start vector into the workers;
-    ``results[k]`` carries the trained vector back. Rows are overwritten
-    every round, so readers must copy anything they want to keep.
+    ``starts[i]`` carries the start vector of the round's ``i``-th job into
+    the workers; ``results[i]`` carries the trained state back. Rows are
+    overwritten every round, so readers must copy anything they want to
+    keep.
     """
 
-    def __init__(self, num_clients: int, dim: int) -> None:
-        if num_clients <= 0 or dim <= 0:
+    def __init__(self, rows: int, dim: int) -> None:
+        if rows <= 0 or dim <= 0:
             raise ConfigurationError(
-                f"invalid vector buffer shape ({num_clients}, {dim})"
+                f"invalid vector buffer shape ({rows}, {dim})"
             )
-        self._starts = SharedNDArray((num_clients, dim))
-        self._results = SharedNDArray((num_clients, dim))
+        self._starts = SharedNDArray((rows, dim))
+        self._results = SharedNDArray((rows, dim))
 
     @property
     def starts(self) -> np.ndarray:
@@ -94,62 +93,3 @@ class SharedVectorBuffer:
     def close(self) -> None:
         self._starts.close()
         self._results.close()
-
-
-class SharedDatasetStore:
-    """All client shards packed into one pair of shared blocks.
-
-    Features are concatenated along axis 0 (clients share the trailing
-    shape) and labels alongside; :meth:`dataset` returns an
-    :class:`~repro.data.datasets.ArrayDataset` whose arrays are zero-copy
-    views into the shared pages.
-    """
-
-    def __init__(self, datasets: Sequence[ArrayDataset]) -> None:
-        if not datasets:
-            raise ConfigurationError("cannot share an empty dataset list")
-        trailing = datasets[0].features.shape[1:]
-        for index, dataset in enumerate(datasets):
-            if dataset.features.shape[1:] != trailing:
-                raise ConfigurationError(
-                    f"client {index} features have trailing shape "
-                    f"{dataset.features.shape[1:]}, expected {trailing}"
-                )
-        lengths = [len(dataset) for dataset in datasets]
-        total = sum(lengths)
-        self._features = SharedNDArray((total, *trailing), dtype=np.float64)
-        self._labels = SharedNDArray((total,), dtype=np.int64)
-        self._offsets: List[Tuple[int, int]] = []
-        cursor = 0
-        for dataset, length in zip(datasets, lengths):
-            self._features.array[cursor:cursor + length] = dataset.features
-            self._labels.array[cursor:cursor + length] = dataset.labels
-            self._offsets.append((cursor, cursor + length))
-            cursor += length
-        self._views: Optional[List[ArrayDataset]] = None
-
-    @property
-    def num_clients(self) -> int:
-        return len(self._offsets)
-
-    @property
-    def nbytes(self) -> int:
-        return self._features.nbytes + self._labels.nbytes
-
-    def dataset(self, client_id: int) -> ArrayDataset:
-        return self.datasets()[client_id]
-
-    def datasets(self) -> List[ArrayDataset]:
-        """One zero-copy :class:`ArrayDataset` view per client."""
-        if self._views is None:
-            self._views = [
-                ArrayDataset(self._features.array[start:stop],
-                             self._labels.array[start:stop])
-                for start, stop in self._offsets
-            ]
-        return self._views
-
-    def close(self) -> None:
-        self._views = None
-        self._features.close()
-        self._labels.close()

@@ -4,7 +4,8 @@
 training step away from the main process: the hyper-parameters, the model
 factory, the learning-rate schedule and the per-client datasets. It is
 handed to process workers by fork inheritance (never pickled), so factories
-and schedules may be arbitrary callables, including lambdas.
+and schedules may be arbitrary callables, including lambdas, and the
+datasets are read copy-on-write, not copied.
 
 :class:`FilterSpec` is the picklable description of the Def() filter for
 the rules the trainer can name — the beta-trimmed mean (by ratio or by the
@@ -59,9 +60,12 @@ class WorkerSpec:
     """Everything needed to run one client's local-training step anywhere.
 
     Parameters mirror the slice of :class:`~repro.core.config.FedMSConfig`
-    and trainer arguments that affect local training. ``datasets`` holds
-    one dataset per client id (index = client id); process backends swap
-    these for shared-memory views before forking workers.
+    and trainer arguments that affect local training. ``datasets`` is
+    anything indexable by client id: a list of resident datasets, or a
+    lazy view that builds a client's shard when asked. ``cohort`` is the
+    most jobs one round can offer (it sizes the shared vector rows and
+    caps the worker count) and ``state_dim`` the length of a client's whole
+    state; the trainer computes both.
     """
 
     seed: int
@@ -71,26 +75,18 @@ class WorkerSpec:
     weight_decay: float
     include_buffers: bool
     flatten_inputs: bool
-    model_dim: int
-    num_clients: int
+    cohort: int
+    state_dim: int
     model_factory: Callable[[np.random.Generator], object]
     datasets: Sequence[object] = field(default_factory=list)
     lr_schedule: Optional[object] = None
-    #: True when upload codecs are active: the process backend then
-    #: allocates a shared-memory reference vector (``model_dim`` floats)
-    #: that workers decode encoded filter payloads against.
-    codec_references: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_clients <= 0:
+        if self.state_dim <= 0:
             raise ConfigurationError(
-                f"num_clients must be positive, got {self.num_clients}"
+                f"state_dim must be positive, got {self.state_dim}"
             )
-        if self.model_dim <= 0:
+        if not 0 < self.cohort <= len(self.datasets):
             raise ConfigurationError(
-                f"model_dim must be positive, got {self.model_dim}"
-            )
-        if len(self.datasets) != self.num_clients:
-            raise ConfigurationError(
-                f"{len(self.datasets)} datasets for {self.num_clients} clients"
+                f"a cohort of {self.cohort} from {len(self.datasets)} datasets"
             )

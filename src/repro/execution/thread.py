@@ -1,10 +1,11 @@
 """Thread-pool execution backend.
 
 Cheap smoke scaling: worker threads share the process address space, so
-datasets need no copies and jobs need no pickling. Each thread checks a
-:class:`~repro.execution.context.WorkerRuntime` (its own model replica +
-optimizer) out of a pool for the duration of one job, which keeps the
-mutable forward/backward state of a model confined to one thread at a
+datasets need no copies and jobs need no pickling (which is why fanning
+the filter out pays here and nowhere else: docs/execution.md). Each thread
+checks a :class:`~repro.execution.context.WorkerRuntime` (its own model
+replica + optimizer) out of a pool for the duration of one job, which keeps
+the mutable forward/backward state of a model confined to one thread at a
 time. Real speedups are bounded by the GIL, but numpy releases it inside
 the dense kernels, so medium-sized models still overlap.
 """
@@ -41,7 +42,6 @@ class ThreadBackend(ExecutionBackend):
         self.spec = spec
         self.num_workers = num_workers
         self._fallback = fallback
-        self._degraded = False
         self._runtimes: "queue.Queue[WorkerRuntime]" = queue.Queue()
         for _ in range(num_workers):
             self._runtimes.put(WorkerRuntime(spec))
@@ -49,13 +49,8 @@ class ThreadBackend(ExecutionBackend):
             max_workers=num_workers, thread_name_prefix="repro-exec"
         )
 
-    @property
-    def degraded(self) -> bool:
-        """True once the pool failed and execution fell back to serial."""
-        return self._degraded
-
     def _degrade(self, error: BaseException) -> None:
-        self._degraded = True
+        self.degraded = True
         warnings.warn(
             f"thread backend failed ({error!r}); degrading to serial "
             "execution for the rest of the run",
@@ -74,7 +69,7 @@ class ThreadBackend(ExecutionBackend):
 
     def train_clients(self, round_index: int, jobs: Sequence[TrainJob]
                       ) -> Dict[int, Tuple[np.ndarray, float]]:
-        if self._degraded:
+        if self.degraded:
             return self._fallback.train_clients(round_index, jobs)
         try:
             futures = [
@@ -97,7 +92,7 @@ class ThreadBackend(ExecutionBackend):
     def filter_clients(self, jobs: Sequence[FilterJob], *,
                        references: Optional[np.ndarray] = None
                        ) -> Dict[int, np.ndarray]:
-        if self._degraded:
+        if self.degraded:
             return self._fallback.filter_clients(jobs, references=references)
         try:
             futures = {

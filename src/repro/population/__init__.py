@@ -16,22 +16,18 @@ clients:
   specs that materialize on demand.
 * :mod:`~repro.population.tiers` — sharded edge -> region -> global
   aggregation with the per-tier tolerance ``q_t >= 2*B_t + 1``.
-* :mod:`~repro.population.executor` — serial/thread/process execution of
-  the sampled cohort.
 * :mod:`~repro.population.trainer` — the :class:`PopulationTrainer`
   orchestrating all of the above.
+
+The sampled cohort trains on the backends of :mod:`repro.execution`, the
+same serial/thread/process family the flat trainer uses; a worker gets a
+client's data by indexing the population's lazy ``datasets`` view.
 
 See ``docs/population.md`` for the topology and tolerance math.
 """
 
 from .churn import ChurnPlan, ChurnScheduler, MembershipWindow
 from .clients import ClientDescriptor, ClientPopulation
-from .executor import (
-    PopulationExecutor,
-    PopulationJob,
-    PopulationWorkerParams,
-    make_population_executor,
-)
 from .sampling import sample_clients, sample_size
 from .shards import (
     ArrayShardSpec,
@@ -50,16 +46,12 @@ __all__ = [
     "ClientDescriptor",
     "ClientPopulation",
     "MembershipWindow",
-    "PopulationExecutor",
-    "PopulationJob",
     "PopulationTrainer",
-    "PopulationWorkerParams",
     "TierAggregator",
     "TierOutcome",
     "TierTopology",
     "make_blob_population",
     "make_blob_test_dataset",
-    "make_population_executor",
     "sample_clients",
     "sample_size",
 ]

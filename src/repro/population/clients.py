@@ -48,6 +48,21 @@ class ClientDescriptor:
     last_train_loss: Optional[float] = field(default=None, repr=False)
 
 
+class _ShardDatasets:
+    """``datasets[client_id]``: the client's shard, built from its
+    descriptor on every access and kept by nobody. This is what a pool
+    worker of :mod:`repro.execution` indexes instead of a resident list."""
+
+    def __init__(self, descriptors: Sequence[ClientDescriptor]) -> None:
+        self._descriptors = descriptors
+
+    def __len__(self) -> int:
+        return len(self._descriptors)
+
+    def __getitem__(self, client_id: int):
+        return self._descriptors[client_id].shard.materialize()
+
+
 class ClientPopulation:
     """K descriptors plus the one model replica sampled clients run on."""
 
@@ -68,6 +83,7 @@ class ClientPopulation:
                 )
         self.descriptors = [ClientDescriptor(cid, spec)
                             for cid, spec in enumerate(shard_specs)]
+        self.datasets = _ShardDatasets(self.descriptors)
         #: The replica every materialized client trains on, in turn.
         self.model = model_factory(rngs.make("population/replica"))
         # ``Client(client_id, self.model, dataset)`` with everything else
@@ -98,7 +114,7 @@ class ClientPopulation:
             return self._active[client_id]
         descriptor = self.descriptors[client_id]
         client = self._make_client(client_id, self.model,
-                                   descriptor.shard.materialize())
+                                   self.datasets[client_id])
         self._active[client_id] = client
         descriptor.rounds_participated += 1
         descriptor.last_round = round_index

@@ -56,18 +56,14 @@ from ..core.engine import RoundEngine, RoundState, place_byzantine
 from ..core.filtering import resolve_filter
 from ..core.history import RoundRecord
 from ..data.datasets import ArrayDataset
+from ..execution import WorkerSpec, make_backend
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
 from ..simulation.faults import FaultInjector, FaultPlan
 from ..simulation.network import Message, Network, NodeId
 from .churn import ChurnPlan, ChurnScheduler
 from .clients import ClientPopulation
-from .executor import (
-    PopulationJob,
-    PopulationWorkerParams,
-    make_population_executor,
-)
-from .sampling import sample_clients
+from .sampling import sample_clients, sample_size
 from .tiers import TierAggregator, TierOutcome, TierTopology
 
 __all__ = ["PopulationTrainer"]
@@ -113,6 +109,9 @@ class PopulationTrainer(RoundEngine):
     upload_tag = UPLOAD_TAG
     downlink_tag = FETCH_TAG
     round_state = _RoundState
+    # Every client uploads to its static edge; aggregators carry no ledger.
+    ignored_config = {"upload_strategy": ("sparse",),
+                      "health_scoring": (False,)}
 
     def __init__(self, config: FedMSConfig, *,
                  model_factory: ModelFactory,
@@ -223,24 +222,6 @@ class PopulationTrainer(RoundEngine):
         # filter.
         self.exchange_codec = self.wire.broadcast_codec
 
-        max_sample = max(1, round(config.sample_fraction
-                                  * config.population_size))
-        self.execution = make_population_executor(
-            config.resolved_execution_backend,
-            params=PopulationWorkerParams(
-                model_factory=model_factory,
-                batch_size=config.batch_size,
-                local_steps=config.local_steps,
-                learning_rate=config.learning_rate,
-                seed=config.seed,
-                lr_schedule=lr_schedule,
-                include_buffers=config.include_buffers,
-                flatten_inputs=flatten_inputs,
-            ),
-            num_workers=config.resolved_num_workers,
-            max_useful=max_sample,
-        )
-
         self._eval_client = Client(
             0,
             self.population.model,
@@ -249,6 +230,34 @@ class PopulationTrainer(RoundEngine):
             rng=np.random.default_rng(0),
             include_buffers=config.include_buffers,
             flatten_inputs=flatten_inputs,
+        )
+
+        # The same backends as the flat trainer (docs/execution.md). The
+        # serial path trains the clients the population materialises
+        # (``materialize`` looked up per call: tracers rebind it on the
+        # instance); pool workers index the lazy dataset view.
+        population = self.population
+        self.execution = make_backend(
+            config.resolved_execution_backend,
+            client_of=lambda client_id, t:
+                population.materialize(client_id, t),
+            spec=WorkerSpec(
+                seed=config.seed,
+                local_steps=config.local_steps,
+                batch_size=config.batch_size,
+                learning_rate=config.learning_rate,
+                weight_decay=0.0,
+                include_buffers=config.include_buffers,
+                flatten_inputs=flatten_inputs,
+                # The most clients one round can sample.
+                cohort=sample_size(config.population_size,
+                                   config.sample_fraction),
+                state_dim=int(self._eval_client.state.size),
+                model_factory=model_factory,
+                datasets=population.datasets,
+                lr_schedule=lr_schedule,
+            ),
+            num_workers=config.resolved_num_workers,
         )
 
         self.scheduler.add_round_hook(self._begin_round)
@@ -325,25 +334,20 @@ class PopulationTrainer(RoundEngine):
     def _phase_train(self, t: int) -> None:
         state = self._round
         assert state is not None
-        jobs = [
-            PopulationJob(
-                client_id=cid,
-                start_vector=self._global_vector,
-                shard=self.population.descriptors[cid].shard,
-                client=self.population.materialize(cid, t),
-            )
-            for cid in state.sampled_ids
-        ]
-        state.results = self.execution.train(
-            t, self.config.local_steps, jobs
+        state.results = self.execution.train_clients(
+            t, [(cid, self._global_vector) for cid in state.sampled_ids]
         )
         losses = [state.results[cid][1] for cid in state.sampled_ids]
         if losses:
             state.train_loss = float(np.mean(losses))
+        wire_length = self._global_vector.size
         for cid in state.sampled_ids:
-            vector, _ = state.results[cid]
+            # Backends return whole states; batch-norm statistics stay off
+            # the wire unless ``include_buffers`` put them in the model.
+            trained, _ = state.results[cid]
             edge = self.topology.edge_of_client(cid)
-            payload, residual = self.wire.encode_upload(vector, cid)
+            payload, residual = self.wire.encode_upload(
+                trained[:wire_length], cid)
             if self.send_with_retry(Message(
                 NodeId.client(cid),
                 NodeId.server(self.topology.global_index(0, edge)),

@@ -340,6 +340,29 @@ class TestHierarchicalSharesTheChecks:
             warnings.simplefilter("error")
             build("hierarchical")
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("population", "upload_strategy", "full"),
+        ("population", "health_scoring", True),
+        ("hierarchical", "execution_backend", "thread"),
+    ])
+    def test_each_trainer_names_the_fields_it_does_not_read(
+            self, kind, field, value):
+        """The population said nothing; the grouped trainer said nothing
+        about a pool it never builds. One loop, in the engine."""
+        with pytest.warns(RuntimeWarning,
+                          match=f"Trainer ignores {field}={value!r}") as seen:
+            build(kind, **{field: value}).close()
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("kind", TRAINERS)
+    def test_environment_backend_is_not_an_explicit_choice(
+            self, kind, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTION_BACKEND", "thread")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build(kind).close()
+            build(kind, execution_backend="serial").close()
+
     def test_exchange_combines_only_what_was_delivered(self):
         """A contribution the network lost is not in the combine: with the
         whole exchange dropped every PS keeps its own group aggregate."""

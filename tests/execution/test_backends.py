@@ -33,6 +33,11 @@ from repro.execution import (
     resolve_num_workers,
 )
 from repro.models import SmallCNN, SoftmaxRegression
+from repro.population import (
+    PopulationTrainer,
+    make_blob_population,
+    make_blob_test_dataset,
+)
 from repro.simulation import FaultInjector, FaultPlan, ServerCrash
 
 BACKENDS = ("serial", "thread", "process")
@@ -234,31 +239,66 @@ class TestBatchNormStatistics:
                 np.testing.assert_array_equal(got, want)
 
 
+def kill_a_worker(backend):
+    """Kill a worker out from under ``backend``. Waiting on the kill future
+    guarantees the executor has noticed the death before the next round."""
+    assert isinstance(backend, ProcessPoolBackend)
+    future = backend._executor.submit(os._exit, 1)
+    with pytest.raises(BrokenProcessPool):
+        future.result()
+
+
+def make_population_trainer(backend):
+    config = FedMSConfig(
+        num_clients=40, num_servers=7, num_byzantine=0, seed=3,
+        local_steps=2, batch_size=8, population_size=40,
+        sample_fraction=0.25, tier_spec=(4, 2, 1),
+        execution_backend=backend, num_workers=2,
+    )
+    return PopulationTrainer(
+        config, model_factory=lambda rng: SoftmaxRegression(6, 3, rng=rng),
+        shard_specs=make_blob_population(
+            40, samples_per_client=16, feature_dim=6, num_classes=3, seed=3),
+        test_dataset=make_blob_test_dataset(
+            num_samples=60, feature_dim=6, num_classes=3, seed=3),
+    )
+
+
 class TestWorkerCrash:
     def test_broken_pool_degrades_to_serial(self):
         with make_trainer("process") as trainer:
             backend = trainer.execution
-            assert isinstance(backend, ProcessPoolBackend)
             reference, _ = run_history("serial")
-            # Kill a worker out from under the backend: the next round
-            # must warn and fall back, not hang or crash the run.
-            # Waiting on the kill future guarantees the executor has
-            # noticed the death before the round runs.
-            future = backend._executor.submit(os._exit, 1)
-            with pytest.raises(BrokenProcessPool):
-                future.result()
+            # The next round must warn and fall back, not hang or crash
+            # the run.
+            kill_a_worker(backend)
             with pytest.warns(RuntimeWarning, match="degrad"):
                 history = trainer.run(3)
             assert backend.degraded
             assert history_fingerprint(history) == \
                 history_fingerprint(reference)
 
+    def test_population_pool_degrades_to_serial(self):
+        # The other trainer that owns a pool: same backend, same fallback
+        # (through ``population.materialize``), same results.
+        with make_population_trainer("serial") as trainer:
+            reference = trainer.run(3)
+            reference_vector = trainer.global_model_vector
+        with make_population_trainer("process") as trainer:
+            trainer.run_round()
+            kill_a_worker(trainer.execution)
+            with pytest.warns(RuntimeWarning, match="degrad"):
+                history = trainer.run(2)
+            assert trainer.execution.degraded
+            assert history_fingerprint(history) == \
+                history_fingerprint(reference)
+            np.testing.assert_array_equal(trainer.global_model_vector,
+                                          reference_vector)
+
     def test_degraded_pool_stays_serial(self):
         with make_trainer("process") as trainer:
             backend = trainer.execution
-            future = backend._executor.submit(os._exit, 1)
-            with pytest.raises(BrokenProcessPool):
-                future.result()
+            kill_a_worker(backend)
             with pytest.warns(RuntimeWarning):
                 trainer.run_round(evaluate=False)
             assert backend.degraded
@@ -285,6 +325,26 @@ class TestFactory:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             FedMSConfig(execution_backend="gpu")
+
+    def test_process_without_fork_falls_back_and_says_so(self, monkeypatch):
+        # The test is availability ("fork" offered at all), not the
+        # platform default: Python 3.14 defaults to forkserver on Linux
+        # and the pool asks for the fork context by name anyway.
+        monkeypatch.setattr("multiprocessing.get_start_method",
+                            lambda *args, **kwargs: "forkserver")
+        with make_trainer("process") as trainer:
+            assert isinstance(trainer.execution, ProcessPoolBackend)
+        monkeypatch.setattr("multiprocessing.get_all_start_methods",
+                            lambda: ["spawn"])
+        with pytest.warns(RuntimeWarning, match="fork"):
+            trainer = make_trainer("process")
+        with trainer:
+            assert isinstance(trainer.execution, SerialBackend)
+            assert trainer.execution.degraded
+            history = trainer.run(3)
+        reference, degraded = run_history("serial")
+        assert not degraded
+        assert history_fingerprint(history) == history_fingerprint(reference)
 
     def test_close_is_idempotent(self):
         trainer = make_trainer("process")

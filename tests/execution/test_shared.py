@@ -8,11 +8,11 @@ from repro.common import ConfigurationError
 from repro.data import ArrayDataset
 from repro.execution import (
     FilterSpec,
-    SharedDatasetStore,
     SharedNDArray,
     SharedVectorBuffer,
     WorkerSpec,
 )
+from repro.execution.context import WorkerRuntime
 from repro.models import SoftmaxRegression
 
 
@@ -52,40 +52,6 @@ class TestSharedVectorBuffer:
             buffers.close()
 
 
-class TestSharedDatasetStore:
-    def test_datasets_match_originals(self):
-        originals = [make_dataset(10, seed=0), make_dataset(7, seed=1)]
-        store = SharedDatasetStore(originals)
-        try:
-            views = store.datasets()
-            assert len(views) == 2
-            for view, original in zip(views, originals):
-                np.testing.assert_array_equal(view.features,
-                                              original.features)
-                np.testing.assert_array_equal(view.labels, original.labels)
-        finally:
-            store.close()
-
-    def test_views_are_zero_copy(self):
-        store = SharedDatasetStore([make_dataset(5)])
-        try:
-            view = store.datasets()[0]
-            assert not view.features.flags.owndata
-            assert not view.labels.flags.owndata
-        finally:
-            store.close()
-
-    def test_nbytes_accounts_for_payload(self):
-        originals = [make_dataset(10), make_dataset(6, seed=2)]
-        store = SharedDatasetStore(originals)
-        try:
-            expected = sum(d.features.nbytes + d.labels.nbytes
-                           for d in originals)
-            assert store.nbytes >= expected
-        finally:
-            store.close()
-
-
 class TestFilterSpec:
     def setup_method(self):
         self.stack = np.random.default_rng(0).normal(size=(7, 5))
@@ -117,7 +83,7 @@ class TestWorkerSpec:
         kwargs = dict(
             seed=0, local_steps=2, batch_size=4, learning_rate=0.1,
             weight_decay=0.0, include_buffers=True, flatten_inputs=False,
-            model_dim=15, num_clients=2,
+            cohort=2, state_dim=15,
             model_factory=lambda rng: SoftmaxRegression(4, 3, rng=rng),
             datasets=datasets, lr_schedule=None,
         )
@@ -126,12 +92,33 @@ class TestWorkerSpec:
 
     def test_valid(self):
         spec = self.make_spec()
-        assert spec.num_clients == 2
+        assert spec.cohort == 2
 
     def test_dataset_count_must_match(self):
+        # A round cannot offer more jobs than there are datasets.
         with pytest.raises(ConfigurationError):
-            self.make_spec(num_clients=3)
+            self.make_spec(cohort=3)
+        with pytest.raises(ConfigurationError):
+            self.make_spec(cohort=0)
 
     def test_model_dim_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            self.make_spec(model_dim=0)
+            self.make_spec(state_dim=0)
+
+    def test_datasets_may_be_a_lazy_indexable(self):
+        built = []
+
+        class Lazy:
+            def __len__(self):
+                return 5
+
+            def __getitem__(self, client_id):
+                built.append(client_id)
+                return make_dataset(8, seed=client_id)
+
+        spec = self.make_spec(datasets=Lazy(), cohort=2)
+        assert built == []  # the spec never touches a shard
+        state, loss = WorkerRuntime(spec).train(
+            4, 0, np.zeros(spec.state_dim))
+        assert built == [4]
+        assert state.shape == (spec.state_dim,) and np.isfinite(loss)
