@@ -13,17 +13,32 @@ rounds deep into a run).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
 from . import rules
 
-__all__ = ["AggregationRule", "available_rules", "make_rule",
+__all__ = ["AggregationRule", "apply_rule", "available_rules", "make_rule",
            "validate_rule_params"]
 
 AggregationRule = Callable[[np.ndarray], np.ndarray]
+
+
+def apply_rule(rule: AggregationRule,
+               rows: Sequence[np.ndarray]) -> np.ndarray:
+    """``rule`` over q received vectors, stacked only for whom it must be.
+
+    Callables defined in this library (the rules, :func:`make_rule`'s
+    closures, the trainers' estimating filters) take the vectors where
+    they lie; any other was written against ``AggregationRule`` and gets
+    the ``(q, d)`` array that promises.
+    """
+    module = getattr(rule, "__module__", None) or ""
+    if module.partition(".")[0] == __name__.partition(".")[0]:
+        return rule(rows)
+    return rule(np.stack(rows))
 
 #: Rules parameterized by ``num_byzantine`` and their minimum stack size
 #: as a function of ``f`` (Blanchard et al. 2017; Guerraoui & Rouault 2018).

@@ -8,16 +8,21 @@ other rules are the robust-aggregation baselines from the related work
 mean, used by the filter-ablation benchmark.
 
 All rules take a 2-D array ``stack`` of shape ``(num_models, dim)`` — one
-row per received model — and return a single vector of shape ``(dim,)``.
+row per received model — or a sequence of ``num_models`` equal-length
+vectors, and return a single vector of shape ``(dim,)``. The coordinate-wise
+rules (mean, the trimmed family, median) read a sequence where its vectors
+lie, through :mod:`~repro.aggregation.sortnet`; the rules that need the
+matrix stack it themselves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..common.errors import ConfigurationError, ConvergenceError, ShapeError
+from .sortnet import rank_mean, sort_rows
 
 __all__ = [
     "mean",
@@ -56,9 +61,25 @@ def _check_stack(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _check_rows(stack) -> Sequence[np.ndarray]:
+    """The row vectors of ``stack``: a ``(q, d)`` array as it is, a sequence
+    of q equal-length vectors as a list (checked, never stacked)."""
+    if isinstance(stack, np.ndarray):
+        return _check_stack(stack)
+    rows = [np.asarray(row, dtype=np.float64) for row in stack]
+    if not rows:
+        raise ShapeError("cannot aggregate an empty stack of models")
+    if any(row.ndim != 1 or row.shape != rows[0].shape for row in rows):
+        raise ShapeError(
+            f"expected equal-length vectors, got shapes "
+            f"{sorted({row.shape for row in rows})}"
+        )
+    return rows
+
+
 def mean(stack: np.ndarray) -> np.ndarray:
     """Plain coordinate-wise average (what a benign PS computes)."""
-    return _check_stack(stack).mean(axis=0)
+    return _trimmed_rows_mean(_check_rows(stack), 0)
 
 
 def trim_count(num_models: int, trim_ratio: float) -> int:
@@ -114,19 +135,36 @@ def degraded_trim_count(num_received: int, expected_models: int,
     return full
 
 
-def _trimmed_rows_mean(stack: np.ndarray, count: int,
-                       ordered: Optional[np.ndarray] = None) -> np.ndarray:
+def _trimmed_rows_mean(rows: Sequence[np.ndarray], count: int) -> np.ndarray:
     """Mean of what is left after ``count`` entries leave each tail.
 
     ``count`` is already validated (``0 <= 2 * count < num_models``).
-    ``ordered`` is ``np.sort(stack, axis=0)`` when the caller holds it
-    already (the adaptive rule reads its median from the same sort).
+    Bit-equal to :func:`_sort_and_reduce` on the stacked rows, NaN
+    included: the sort parks NaN last, so up to ``count`` of them per
+    coordinate are trimmed, while the network spreads one over its whole
+    column. Every kept rank depends on every input, so such a column shows
+    in the output and is recomputed the sort's way.
     """
+    if rows[0].shape[0] == 1 or \
+            (count == 0 and isinstance(rows, np.ndarray)):
+        # numpy sums a lone contiguous column pairwise, which no running
+        # sum reproduces; a matrix with nothing to trim is one reduce as is.
+        return _sort_and_reduce(np.asarray(rows), count)
+    out = rank_mean(rows, count, len(rows) - count)
+    poisoned = np.flatnonzero(np.isnan(out)) if count else ()
+    if len(poisoned):
+        # Two columns at least, to be reduced as the whole stack would be.
+        columns = np.resize(poisoned, max(len(poisoned), 2))
+        out[columns] = _sort_and_reduce(
+            np.stack([row[columns] for row in rows]), count)
+    return out
+
+
+def _sort_and_reduce(stack: np.ndarray, count: int) -> np.ndarray:
+    """The trimmed mean as numpy spells it: the kernel's reference."""
     if count == 0:
         return stack.mean(axis=0)
-    if ordered is None:
-        ordered = np.sort(stack, axis=0)
-    return ordered[count:stack.shape[0] - count].mean(axis=0)
+    return np.sort(stack, axis=0)[count:len(stack) - count].mean(axis=0)
 
 
 def trimmed_mean_by_count(stack: np.ndarray, count: int) -> np.ndarray:
@@ -136,15 +174,15 @@ def trimmed_mean_by_count(stack: np.ndarray, count: int) -> np.ndarray:
     a stack of only ``q < P`` rows (see :func:`degraded_trim_count`), a
     combination no ratio expresses exactly.
     """
-    stack = _check_stack(stack)
+    rows = _check_rows(stack)
     if count < 0:
         raise ConfigurationError(f"count must be >= 0, got {count}")
-    if 2 * count >= stack.shape[0]:
+    if 2 * count >= len(rows):
         raise ConfigurationError(
-            f"trimming {count} from each tail of {stack.shape[0]} models "
+            f"trimming {count} from each tail of {len(rows)} models "
             f"leaves nothing"
         )
-    return _trimmed_rows_mean(stack, count)
+    return _trimmed_rows_mean(rows, count)
 
 
 def trimmed_mean(stack: np.ndarray, trim_ratio: float) -> np.ndarray:
@@ -158,13 +196,18 @@ def trimmed_mean(stack: np.ndarray, trim_ratio: float) -> np.ndarray:
 
     Example (paper, Section IV-B): ``trmean_0.2{1, 2, 3, 4, 5} = 3``.
     """
-    stack = _check_stack(stack)
-    return _trimmed_rows_mean(stack, trim_count(stack.shape[0], trim_ratio))
+    rows = _check_rows(stack)
+    return _trimmed_rows_mean(rows, trim_count(len(rows), trim_ratio))
 
 
 def coordinate_median(stack: np.ndarray) -> np.ndarray:
-    """Coordinate-wise median (Yin et al., 2018 baseline)."""
-    return np.median(_check_stack(stack), axis=0)
+    """Coordinate-wise median (Yin et al., 2018 baseline).
+
+    The middle rank, or the mean of the two middle ranks; NaN wherever a
+    column holds one, as ``np.median`` has it.
+    """
+    rows = _check_rows(stack)
+    return rank_mean(rows, (len(rows) - 1) // 2, len(rows) // 2 + 1)
 
 
 def geometric_median(stack: np.ndarray, *, tolerance: float = 1e-9,
@@ -317,30 +360,13 @@ def bulyan(stack: np.ndarray, num_byzantine: int) -> np.ndarray:
 # -- adaptive Byzantine-count estimation -------------------------------------
 
 
-def _median_of_sorted(ordered: np.ndarray) -> np.ndarray:
-    """Coordinate median read off ``np.sort(stack, axis=0)``.
-
-    Bit-equal to ``np.median(stack, axis=0)``: the middle row, or the
-    midpoint of the two middle rows, and NaN wherever a column holds one
-    (NaNs sort last, so the last row shows them).
-    """
-    n = ordered.shape[0]
-    middle = n // 2
-    center = ordered[middle] if n % 2 \
-        else 0.5 * (ordered[middle - 1] + ordered[middle])
-    has_nan = np.isnan(ordered[-1])
-    if has_nan.any():
-        center = np.where(has_nan, np.nan, center)
-    return center
-
-
-def _mad_scores(stack: np.ndarray, center: np.ndarray) -> np.ndarray:
+def _mad_scores(rows: Sequence[np.ndarray], center: np.ndarray) -> np.ndarray:
     """Modified z-scores of the rows' distances to ``center``."""
     # One row at a time: a (P, d) difference would be a second full-size
     # temporary next to the caller's sorted copy.
-    distances = np.empty(stack.shape[0])
-    diff = np.empty(stack.shape[1])
-    for i, row in enumerate(stack):
+    distances = np.empty(len(rows))
+    diff = np.empty(center.shape[0])
+    for i, row in enumerate(rows):
         np.subtract(row, center, out=diff)
         distances[i] = np.einsum("j,j->", diff, diff)
     np.sqrt(distances, out=distances)
@@ -349,7 +375,7 @@ def _mad_scores(stack: np.ndarray, center: np.ndarray) -> np.ndarray:
     mad = float(np.median(deviations))
     if mad <= 0.0:
         if float(deviations.max()) <= 0.0:
-            return np.zeros(stack.shape[0])
+            return np.zeros(len(rows))
         mad = 1e-12 * max(float(distances.max()), 1.0)
     return 0.6745 * (distances - median_distance) / mad
 
@@ -389,8 +415,8 @@ def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
     threshold. If every distance is identical nothing is an outlier and
     all rows score 0.
     """
-    stack = _check_stack(stack)
-    return _mad_scores(stack, _median_of_sorted(np.sort(stack, axis=0)))
+    rows = _check_rows(stack)
+    return _mad_scores(rows, coordinate_median(rows))
 
 
 def estimate_byzantine_count(stack: np.ndarray, *,
@@ -419,19 +445,24 @@ def adaptive_trimmed_mean_info(
     outliers (sorted). When more than ``floor((n-1)/2)`` rows are flagged
     only the worst-scoring ones are kept so the trim remains well-defined.
 
-    The stack is sorted once; the median the scores are measured from and
-    the trimmed mean are both read off that sorted copy.
+    The rows are sorted once, block-wise into the one ``(n, d)`` buffer
+    this rule needs; the median the scores are measured from and the
+    trimmed mean are both read off it. A NaN anywhere makes every score
+    NaN, so nothing is flagged and the plain mean (NaN there) comes back.
 
     A deterministic pure function of the stack: no randomness, stable
     tie-breaking — the property the execution backends' bit-identity
     contract requires.
     """
-    stack = _check_stack(stack)
-    ordered = np.sort(stack, axis=0)
-    scores = _mad_scores(stack, _median_of_sorted(ordered))
-    flagged = _flag_outliers(scores, threshold)
+    rows = _check_rows(stack)
+    n = len(rows)
+    ordered = sort_rows(rows)
+    center = ordered[n // 2] if n % 2 \
+        else 0.5 * (ordered[n // 2 - 1] + ordered[n // 2])
+    flagged = _flag_outliers(_mad_scores(rows, center), threshold)
     b_hat = int(flagged.size)
-    vector = _trimmed_rows_mean(stack, b_hat, ordered)
+    vector = ordered[b_hat:n - b_hat].mean(axis=0) if b_hat \
+        else _trimmed_rows_mean(rows, 0)
     return vector, b_hat, tuple(sorted(int(i) for i in flagged))
 
 

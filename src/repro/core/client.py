@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import AggregationRule
+from ..aggregation import AggregationRule, apply_rule
 from ..common.errors import ProtocolError, ShapeError
 from ..common.rng import stream_seed
 from ..data.datasets import ArrayDataset, DataLoader
@@ -228,8 +228,7 @@ class Client:
             raise ProtocolError(
                 f"client {self.client_id} received no global models"
             )
-        stack = np.stack(received)
-        feasible = rule(stack)
+        feasible = apply_rule(rule, received)
         self.set_model_vector(feasible)
         self.optimizer.reset_state()
         return feasible

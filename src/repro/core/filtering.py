@@ -152,7 +152,7 @@ def _loss_based_outcome(stack: np.ndarray,
                         loss_fn: Callable[[np.ndarray], float]
                         ) -> FilterOutcome:
     vector, selected = loss_based_selection_info(stack, loss_fn)
-    rejected = tuple(i for i in range(stack.shape[0]) if i not in selected)
+    rejected = tuple(i for i in range(len(stack)) if i not in selected)
     return FilterOutcome(vector, len(rejected), rejected)
 
 

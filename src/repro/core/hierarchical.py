@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import AggregationRule, mean
+from ..aggregation import AggregationRule, apply_rule, mean
 from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
@@ -263,7 +263,8 @@ class HierarchicalTrainer(RoundEngine):
             key = tuple((s, row.ctypes.data, row.strides)
                         for s, row in zip(senders, rows))
             if key not in combined:
-                combined[key] = frozen(self.inter_server_rule(np.stack(rows)))
+                combined[key] = frozen(apply_rule(self.inter_server_rule,
+                                                  rows))
             state.global_models.append(combined[key])
 
     def _phase_disseminate(self, t: int) -> None:
@@ -308,7 +309,7 @@ class HierarchicalTrainer(RoundEngine):
         if self.wire.active:
             # Next round's shared reference: the consensus the groups
             # track up to inter-server disagreement.
-            self.wire.advance(np.mean(np.stack(state.global_models), axis=0))
+            self.wire.advance(mean(state.global_models))
 
     def _evaluate(self) -> "tuple[float, float]":
         """Mean (loss, accuracy) over one client per group, then averaged

@@ -15,7 +15,7 @@ from typing import AbstractSet, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import AggregationRule
+from ..aggregation import AggregationRule, apply_rule
 from ..attacks.base import Attack, AttackContext, ServerAggregates
 from ..common.errors import ProtocolError
 from ..common.rng import RngFactory
@@ -75,7 +75,7 @@ class ParameterServer:
         happens in the very first round.
         """
         if uploads and self.aggregation_rule is not None:
-            aggregate = self.aggregation_rule(np.stack(uploads))
+            aggregate = apply_rule(self.aggregation_rule, uploads)
         elif uploads:
             # The plain mean as a running sum, without copying the uploads
             # into a stack first. For d >= 2 this is the order

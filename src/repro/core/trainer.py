@@ -36,6 +36,7 @@ import numpy as np
 
 from ..aggregation import (
     AggregationRule,
+    apply_rule,
     degraded_trim_count,
     make_rule,
 )
@@ -49,7 +50,6 @@ from ..nn.schedules import LRSchedule
 from ..simulation.faults import FaultInjector
 from ..simulation.network import Message, Network, NodeId
 from .client import Client, frozen
-from .codecs import EncodedUpdate
 from .config import FedMSConfig
 from .engine import LateBuffer, RoundEngine, RoundState, place_byzantine
 from .filtering import FilterOutcome, quorum_floor, resolve_filter
@@ -591,6 +591,8 @@ class FedMSTrainer(RoundEngine):
         members_of: Dict[int, List[Client]] = {}
         for messages, members in groups.values():
             quorum = len(messages)
+            # The models as the wire left them: shared, read-only, unstacked.
+            received = [self.wire.decode(m.payload) for m in messages]
             member_ids = [client.client_id for client in members]
             members_of[member_ids[0]] = members
             if quorum == 0:
@@ -604,9 +606,7 @@ class FedMSTrainer(RoundEngine):
                 # natively — B-hat is re-estimated on whatever arrived.
                 if quorum < expected:
                     state.degraded_clients.extend(member_ids)
-                outcome = self._filter_info_fn(
-                    self._received_stack(messages)
-                )
+                outcome = self._filter_info_fn(received)
                 self._record_filter_outcome(
                     state, outcome,
                     sender_ids=[m.sender.index for m in messages],
@@ -624,26 +624,16 @@ class FedMSTrainer(RoundEngine):
                 else:
                     state.degraded_clients.extend(member_ids)
                     backend_jobs.append((
-                        member_ids[0],
-                        self._filter_job_payload(messages),
+                        member_ids[0], received,
                         FilterSpec("trim_count", count),
                     ))
             elif self._filter_spec is not None:
-                backend_jobs.append((
-                    member_ids[0],
-                    self._filter_job_payload(messages),
-                    self._filter_spec,
-                ))
+                backend_jobs.append(
+                    (member_ids[0], received, self._filter_spec))
             else:
-                self._adopt(members, self.filter_rule(
-                    self._received_stack(messages)
-                ))
+                self._adopt(members, apply_rule(self.filter_rule, received))
         if backend_jobs:
-            # Encoded payloads decode against the reference they were
-            # encoded with; it advances only below, after these jobs.
-            results = self.execution.filter_clients(
-                backend_jobs, references=self.wire.reference
-            )
+            results = self.execution.filter_clients(backend_jobs)
             for job_id, vector in results.items():
                 self._adopt(members_of[job_id], vector)
         if self.wire.active:
@@ -651,11 +641,6 @@ class FedMSTrainer(RoundEngine):
             # produced: client 0's post-filter model (on the healthy path
             # all clients coincide).
             self.wire.advance(self.clients[0].shared_model_vector())
-
-    def _received_stack(self, messages: Sequence[Message]) -> np.ndarray:
-        """Dense ``(q, d)`` stack of the models ``messages`` carry."""
-        return np.stack([self.wire.decode(message.payload)
-                         for message in messages])
 
     @staticmethod
     def _adopt(members: Sequence[Client], vector: np.ndarray) -> None:
@@ -669,21 +654,6 @@ class FedMSTrainer(RoundEngine):
         for client in members:
             client.set_model_vector(vector)
             client.optimizer.reset_state()
-
-    def _filter_job_payload(self, messages: Sequence[Message]) -> object:
-        """Backend filter-job payload for one client's received models.
-
-        With a codec active the *encoded* updates are handed over and
-        whoever runs the job decodes them against the shared reference;
-        otherwise the dense stack.
-        """
-        if self.wire.active:
-            return [
-                message.payload if isinstance(message.payload, EncodedUpdate)
-                else np.asarray(message.payload)
-                for message in messages
-            ]
-        return np.stack([message.payload for message in messages])
 
     def _fall_back(self, members: Sequence[Client],
                    state: _RoundState) -> None:

@@ -30,7 +30,6 @@ from .backend import (
     SerialBackend,
     TrainJob,
     make_backend,
-    materialize_stack,
     resolve_num_workers,
 )
 from .process_pool import ProcessPoolBackend
@@ -45,7 +44,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessPoolBackend",
     "make_backend",
-    "materialize_stack",
     "resolve_num_workers",
     "TrainJob",
     "FilterJob",

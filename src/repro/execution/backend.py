@@ -21,7 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "make_backend",
-    "materialize_stack",
     "resolve_num_workers",
 ]
 
@@ -49,34 +48,10 @@ TrainJob = Tuple[int, np.ndarray]
 #: ``client_of(client_id, round_index)`` — the trainer's own client object
 #: for the serial path: a resident client, or one materialised on demand.
 ClientOf = Callable[[int, int], object]
-#: ``(client_id, received_models, filter_spec)``. ``received_models`` is
-#: either a dense ``(q, D)`` stack, or — when upload codecs are active — a
-#: list mixing dense rows and encoded updates; see
-#: :func:`materialize_stack`.
+#: ``(client_id, received_models, filter_spec)``: the q dense vectors the
+#: client received, a list of rows (each where the wire left it, only read)
+#: or a ``(q, D)`` array.
 FilterJob = Tuple[int, object, FilterSpec]
-
-
-def materialize_stack(payload: object,
-                      references: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense ``(q, D)`` stack from a filter-job payload.
-
-    Encoded entries are self-describing (``encoded.decode()`` needs no
-    codec state — duck-typed here, so this package never imports
-    ``repro.core``) and carry the *delta* against the shared codec
-    reference, which the caller supplies as ``references``.
-    """
-    if isinstance(payload, np.ndarray):
-        return payload
-    rows: List[np.ndarray] = []
-    for entry in payload:
-        if isinstance(entry, np.ndarray):
-            rows.append(entry)
-            continue
-        row = entry.decode()
-        if references is not None:
-            row = references + row
-        rows.append(row)
-    return np.stack(rows)
 
 
 class ExecutionBackend:
@@ -92,18 +67,14 @@ class ExecutionBackend:
         """Run local training for every job; returns ``{id: (state, loss)}``."""
         raise NotImplementedError
 
-    def filter_clients(self, jobs: Sequence[FilterJob], *,
-                       references: Optional[np.ndarray] = None
+    def filter_clients(self, jobs: Sequence[FilterJob]
                        ) -> Dict[int, np.ndarray]:
-        """Apply each job's filter spec to its stack; ``{id: filtered}``.
+        """Apply each job's filter spec to its rows; ``{id: filtered}``.
 
-        ``references`` is the shared ``(D,)`` codec reference vector for
-        decoding encoded job payloads (``None`` when codecs are off). In
-        place, in the calling process: moving the stacks costs more than
-        the rule (measured in docs/execution.md).
+        In place, in the calling process: moving the vectors costs more
+        than the rule (measured in docs/execution.md).
         """
-        return {client_id: spec(materialize_stack(stack, references))
-                for client_id, stack, spec in jobs}
+        return {client_id: spec(rows) for client_id, rows, spec in jobs}
 
     def close(self) -> None:
         """Release pools and shared-memory blocks (idempotent)."""

@@ -47,12 +47,12 @@ class FilterSpec:
                 f"expected one of {self._KINDS}"
             )
 
-    def __call__(self, stack: np.ndarray) -> np.ndarray:
+    def __call__(self, rows: Sequence[np.ndarray]) -> np.ndarray:
         if self.kind == "mean":
-            return mean(stack)
+            return mean(rows)
         if self.kind == "trim_ratio":
-            return trimmed_mean(stack, self.value)
-        return trimmed_mean_by_count(stack, int(self.value))
+            return trimmed_mean(rows, self.value)
+        return trimmed_mean_by_count(rows, int(self.value))
 
 
 @dataclass

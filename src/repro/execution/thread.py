@@ -15,7 +15,7 @@ from __future__ import annotations
 import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .backend import (
     FilterJob,
     SerialBackend,
     TrainJob,
-    materialize_stack,
 )
 from .context import WorkerRuntime
 from .spec import WorkerSpec
@@ -85,27 +84,18 @@ class ThreadBackend(ExecutionBackend):
             self._degrade(error)
             return self._fallback.train_clients(round_index, jobs)
 
-    @staticmethod
-    def _filter_one(spec, stack, references) -> np.ndarray:
-        return spec(materialize_stack(stack, references))
-
-    def filter_clients(self, jobs: Sequence[FilterJob], *,
-                       references: Optional[np.ndarray] = None
+    def filter_clients(self, jobs: Sequence[FilterJob]
                        ) -> Dict[int, np.ndarray]:
         if self.degraded:
-            return self._fallback.filter_clients(jobs, references=references)
+            return self._fallback.filter_clients(jobs)
         try:
-            futures = {
-                client_id: self._executor.submit(
-                    self._filter_one, spec, stack, references
-                )
-                for client_id, stack, spec in jobs
-            }
+            futures = {client_id: self._executor.submit(spec, rows)
+                       for client_id, rows, spec in jobs}
             return {client_id: future.result()
                     for client_id, future in futures.items()}
         except RuntimeError as error:
             self._degrade(error)
-            return self._fallback.filter_clients(jobs, references=references)
+            return self._fallback.filter_clients(jobs)
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)

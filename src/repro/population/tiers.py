@@ -35,7 +35,7 @@ from typing import (
 
 import numpy as np
 
-from ..aggregation import trimmed_mean_by_count
+from ..aggregation import apply_rule, trimmed_mean_by_count
 from ..attacks.base import Attack, AttackContext
 from ..common.errors import ConfigurationError, ProtocolError
 from ..core.engine import LateBuffer
@@ -242,9 +242,8 @@ class TierAggregator:
             )
             self._push(outcome.vector)
             return outcome
-        stack = np.stack(child_vectors)
         if info_fn is not None and self.tier >= 1:
-            info = info_fn(stack)
+            info = apply_rule(info_fn, child_vectors)
             outcome = TierOutcome(
                 info.vector, used_fallback=False, degraded=degraded,
                 estimated_byzantine=info.estimated_byzantine,
@@ -254,7 +253,7 @@ class TierAggregator:
             )
         else:
             outcome = TierOutcome(
-                trimmed_mean_by_count(stack, self.trim_budget),
+                trimmed_mean_by_count(child_vectors, self.trim_budget),
                 used_fallback=False, degraded=degraded,
                 estimated_byzantine=None, rejected_children=(),
             )

@@ -7,7 +7,8 @@ into the replica) and one ``to_vector`` (the trained snapshot) per round.
 The same arrays are frozen, so a write to a shared one raises instead of
 changing somebody else's model; ``Client.model_vector()`` stays the
 copying read. The adversary's ``(P, d)`` view is stacked only when an
-attack reads it.
+attack reads it, and the filter builds no ``(P, d)`` array at all (the
+adaptive rule one: the sorted buffer it reads twice).
 """
 
 import numpy as np
@@ -39,7 +40,8 @@ def make_blobs(n=320, num_classes=3, dim=6, seed=0):
 
 def make_trainer(*, attack="noise", num_byzantine=B, plan=None, seed=0,
                  byzantine_ids=None, **kwargs):
-    config_keys = ("execution_backend", "num_workers", "upload_strategy")
+    config_keys = ("execution_backend", "num_workers", "upload_strategy",
+                   "filter_rule_name")
     config_kwargs = {key: kwargs.pop(key) for key in config_keys
                      if key in kwargs}
     data = make_blobs(seed=seed)
@@ -125,25 +127,41 @@ class TestCopiesPerRound:
 
 
 class TestAdversaryView:
-    def count_stacks(self, monkeypatch, shape):
+    def count_arrays(self, monkeypatch, shape):
+        """Every fresh array of ``shape`` numpy's constructors hand out."""
         made = []
-        inner = np.stack
 
-        def stack(arrays, *args, **kwargs):
-            out = inner(arrays, *args, **kwargs)
-            if out.shape == shape:
-                made.append(out)
-            return out
+        def counting(inner):
+            def wrapper(*args, **kwargs):
+                out = inner(*args, **kwargs)
+                if getattr(out, "shape", None) == shape and out.base is None \
+                        and not any(out is arg for arg in args):
+                    made.append(out)
+                return out
+            return wrapper
 
-        monkeypatch.setattr(np, "stack", stack)
+        for name in ("stack", "vstack", "concatenate", "empty", "zeros",
+                     "array", "asarray", "sort", "copy"):
+            monkeypatch.setattr(np, name, counting(getattr(np, name)))
         return made
 
-    def test_noise_attack_round_stacks_p_by_d_once(self, monkeypatch):
+    def test_static_filter_round_builds_no_p_by_d_array(self, monkeypatch):
+        # The noise attack never reads the adversary's view and the trimmed
+        # mean reads the P received vectors where they lie.
         trainer = make_trainer(attack="noise")
-        made = self.count_stacks(monkeypatch, (P, DIM))
+        made = self.count_arrays(monkeypatch, (P, DIM))
+        for _ in range(3):
+            trainer.run_round(evaluate=False)
+            assert made == []
+
+    def test_adaptive_filter_round_builds_only_its_sorted_buffer(
+            self, monkeypatch):
+        trainer = make_trainer(attack="noise",
+                               filter_rule_name="adaptive_trimmed_mean")
+        made = self.count_arrays(monkeypatch, (P, DIM))
         for done in range(1, 4):
             trainer.run_round(evaluate=False)
-            assert len(made) == done  # the filter's stack, nothing else
+            assert len(made) == done  # one group, one ordered (P, d) buffer
 
     @pytest.mark.parametrize(
         "attack", ["inner_product", "colluding", "dispersion_mimicry"])
