@@ -17,11 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..aggregation import AggregationRule, apply_rule
-from ..common.errors import ProtocolError, ShapeError
+from ..common.errors import ConfigurationError, ProtocolError, ShapeError
 from ..common.rng import stream_seed
 from ..data.datasets import ArrayDataset, DataLoader
 from ..nn.losses import accuracy, cross_entropy
-from ..nn.module import Module
+from ..nn.module import Module, inference
 from ..nn.optim import SGD
 from ..nn.schedules import ConstantLR, LRSchedule
 from ..nn.serialization import flatten_state, from_vector, to_vector
@@ -237,19 +237,25 @@ class Client:
 
     def evaluate(self, dataset: ArrayDataset, *,
                  batch_size: int = 256) -> "tuple[float, float]":
-        """``(test_loss, test_accuracy)`` of the current model on ``dataset``."""
+        """``(test_loss, test_accuracy)`` of the current model on ``dataset``;
+        the model comes back in the mode it was found in, holding no caches."""
+        if len(dataset) == 0:
+            raise ConfigurationError("cannot evaluate on an empty dataset")
         self._load()
+        was_training = self.model.training
         self.model.eval()
         total_loss = 0.0
         total_correct = 0.0
-        count = 0
-        for start in range(0, len(dataset), batch_size):
-            # A slice, not an index array: each batch is a view, not a copy.
-            features, labels = dataset[start:start + batch_size]
-            logits = self.model(self._prepare(features))
-            loss, _ = cross_entropy(logits, labels)
-            total_loss += loss * len(labels)
-            total_correct += accuracy(logits, labels) * len(labels)
-            count += len(labels)
-        self.model.train()
-        return total_loss / count, total_correct / count
+        try:
+            with inference():
+                for start in range(0, len(dataset), batch_size):
+                    # A slice, not an index array: a view, not a copy.
+                    features, labels = dataset[start:start + batch_size]
+                    logits = self.model(self._prepare(features))
+                    loss, _ = cross_entropy(logits, labels)
+                    total_loss += loss * len(labels)
+                    total_correct += accuracy(logits, labels) * len(labels)
+        finally:
+            if was_training:
+                self.model.train()
+        return total_loss / len(dataset), total_correct / len(dataset)

@@ -34,6 +34,7 @@ from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
 from ..execution import FilterSpec
 from ..nn.losses import cross_entropy
+from ..nn.module import inference
 from ..nn.serialization import from_vector
 from .config import FedMSConfig
 
@@ -101,7 +102,8 @@ class RootLossEvaluator:
         features = self.features
         if self.flatten_inputs:
             features = features.reshape(features.shape[0], -1)
-        logits = self.model(features)
+        with inference():
+            logits = self.model(features)
         loss, _ = cross_entropy(logits, self.labels)
         return float(loss)
 

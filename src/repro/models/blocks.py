@@ -91,6 +91,10 @@ class InvertedResidual(Module):
         stages.append(BatchNorm2d(out_channels))
         self.block = Sequential(*stages)
 
+    @property
+    def rowwise(self) -> bool:
+        return self.block.rowwise
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.block(x)
         if self.use_residual:

@@ -37,7 +37,7 @@ from .metrics import (
     per_class_accuracy,
     top_k_accuracy,
 )
-from .module import Module, Parameter, Sequential
+from .module import Module, Parameter, Sequential, inference
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .schedules import (
     ConstantLR,
@@ -62,6 +62,7 @@ __all__ = [
     "Module",
     "Parameter",
     "Sequential",
+    "inference",
     "Linear",
     "Conv2d",
     "DepthwiseConv2d",

@@ -1,9 +1,10 @@
 """Neural-network layers with explicit forward/backward passes.
 
-Every layer caches the minimum state its backward pass needs during
-``forward``; calling ``backward`` before ``forward`` raises
-:class:`~repro.common.errors.ProtocolError`. All layers are gradient-checked
-in ``tests/nn/test_gradcheck.py``.
+Every layer leaves the minimum state its backward pass needs in its one
+``_cache`` slot during ``forward``; calling ``backward`` before ``forward``,
+or after a forward under :func:`~repro.nn.module.inference` (which empties
+the slot), raises :class:`~repro.common.errors.ProtocolError`. All layers are
+gradient-checked in ``tests/nn/test_gradcheck.py``.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ __all__ = [
     "Dropout",
 ]
 
-# Budget for the window copy (``cols``) of one eval-mode Conv2d block: small
-# enough to stay in cache and be reused warm from block to block.
-_EVAL_COLS_BYTES = 1 << 20
-
 
 def _require_cache(cache, layer: Module):
     if cache is None:
@@ -71,14 +68,13 @@ class Linear(Module):
         self.out_features = out_features
         self.weight = Parameter(init.he_normal(rng, (in_features, out_features)))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
-        self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
                 f"Linear expected (N, {self.in_features}), got {x.shape}"
             )
-        self._input = x
+        self._cache = x
         out = x @ self.weight.data
         if self.bias is not None:
             out = out + self.bias.data
@@ -88,7 +84,7 @@ class Linear(Module):
         return self
 
     def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
-        x = _require_cache(self._input, self)
+        x = _require_cache(self._cache, self)
         # The first accumulation after zero_grad is written straight into
         # the gradient buffer: no weight-sized temporary, no add to zeros.
         grad_weight = self.weight.claim_grad()
@@ -115,6 +111,8 @@ class Conv2d(Module):
     with stride 1 and no padding reads ``cols`` straight off the input.
     """
 
+    rowwise = True
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  *, stride: int = 1, padding: int = 0, bias: bool = True,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -134,8 +132,6 @@ class Conv2d(Module):
         )
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
         self._pointwise = kernel_size == 1 and stride == 1 and padding == 0
-        # (input, cols); cols is None after an eval-mode forward.
-        self._cache: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
 
     def _cols(self, x: np.ndarray) -> np.ndarray:
         """``(N, C*KH*KW, OH*OW)``: a view of ``x`` or of a fresh window copy."""
@@ -155,21 +151,9 @@ class Conv2d(Module):
         out_h = conv_output_size(h, k, self.stride, self.padding)
         out_w = conv_output_size(w, k, self.stride, self.padding)
         weight = self.weight.data.reshape(self.out_channels, -1)
-        out = np.empty((n, self.out_channels, out_h * out_w),
-                       dtype=np.result_type(x, weight))
-        # Training keeps ``cols`` for backward, so the batch is one block.
-        # Evaluation batches are large and never back-propagated: walk them
-        # in blocks whose window copy stays cache-sized, keep only the
-        # input, and let backward() re-extract if it is ever called.
-        keep_cols = self.training or self._pointwise
-        per_sample = weight.shape[1] * out_h * out_w * out.itemsize
-        block = max(1, n if keep_cols else _EVAL_COLS_BYTES // per_sample)
-        cols = None
-        for start in range(0, n, block):
-            cols = self._cols(x[start:start + block])
-            np.matmul(weight, cols, out=out[start:start + block])
-        self._cache = (x, cols if keep_cols else None)
-        out = out.reshape(n, self.out_channels, out_h, out_w)
+        cols = self._cols(x)
+        out = np.matmul(weight, cols).reshape(n, self.out_channels, out_h, out_w)
+        self._cache = (x, cols)
         if self.bias is not None:
             out += self.bias.data[None, :, None, None]
         return out
@@ -179,8 +163,6 @@ class Conv2d(Module):
 
     def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         x, cols = _require_cache(self._cache, self)
-        if cols is None:
-            cols = self._cols(x)
         grad = grad_output.reshape(x.shape[0], self.out_channels, -1)
         self.weight.grad += np.matmul(grad, cols.transpose(0, 2, 1)).sum(
             axis=0).reshape(self.weight.data.shape)
@@ -213,6 +195,8 @@ class DepthwiseConv2d(Module):
     the layer is ``KH*KW`` shifted multiply-adds on the padded input.
     """
 
+    rowwise = True
+
     def __init__(self, channels: int, kernel_size: int, *, stride: int = 1,
                  padding: int = 0, bias: bool = True,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -232,7 +216,6 @@ class DepthwiseConv2d(Module):
             rng.normal(0.0, scale, size=(channels, kernel_size, kernel_size))
         )
         self.bias = Parameter(init.zeros((channels,))) if bias else None
-        self._padded_input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.channels:
@@ -252,11 +235,11 @@ class DepthwiseConv2d(Module):
         for i, j, index in window_slices((k, k), self.stride, out_h, out_w):
             np.multiply(padded[index], weight[:, i, j], out=term)
             out += term
-        self._padded_input = padded
+        self._cache = padded
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        padded = _require_cache(self._padded_input, self)
+        padded = _require_cache(self._cache, self)
         k = self.kernel_size
         out_h, out_w = grad_output.shape[2:]
         weight = self.weight.data[:, :, :, None, None]
@@ -297,7 +280,11 @@ class _BatchNorm(Module):
         self.bias = Parameter(init.zeros((num_features,)))
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
-        self._cache = None
+
+    @property
+    def rowwise(self) -> bool:
+        # Training normalizes by the statistics of the whole batch.
+        return not self.training
 
     # Subclasses define which axes are reduced and how per-channel vectors
     # broadcast against the input.
@@ -396,6 +383,8 @@ class GroupNorm(Module):
     diverge and averaging BatchNorm buffers degrades the global model.
     """
 
+    rowwise = True
+
     def __init__(self, num_groups: int, num_channels: int, *,
                  eps: float = 1e-5) -> None:
         super().__init__()
@@ -414,7 +403,6 @@ class GroupNorm(Module):
         self.eps = float(eps)
         self.weight = Parameter(init.ones((num_channels,)))
         self.bias = Parameter(init.zeros((num_channels,)))
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.num_channels:
@@ -456,82 +444,75 @@ class GroupNorm(Module):
 class ReLU(Module):
     """Rectified linear unit."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: Optional[np.ndarray] = None
+    rowwise = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
+        self._cache = x > 0
         # fmax, not maximum: a NaN input maps to 0, as the mask says.
         return np.fmax(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask = _require_cache(self._mask, self)
+        mask = _require_cache(self._cache, self)
         return grad_output * mask
 
 
 class ReLU6(Module):
     """ReLU clipped at 6 — the activation used throughout MobileNet V2."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: Optional[np.ndarray] = None
+    rowwise = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = (x > 0) & (x < 6.0)
+        self._cache = (x > 0) & (x < 6.0)
         return np.clip(x, 0.0, 6.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask = _require_cache(self._mask, self)
+        mask = _require_cache(self._cache, self)
         return grad_output * mask
 
 
 class LeakyReLU(Module):
     """Leaky ReLU with configurable negative slope."""
 
+    rowwise = True
+
     def __init__(self, negative_slope: float = 0.01) -> None:
         super().__init__()
         self.negative_slope = float(negative_slope)
-        self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        self._cache = mask = x > 0
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask = _require_cache(self._mask, self)
+        mask = _require_cache(self._cache, self)
         return np.where(mask, grad_output, self.negative_slope * grad_output)
 
 
 class Tanh(Module):
     """Hyperbolic tangent."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
+    rowwise = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(x)
-        return self._output
+        self._cache = out = np.tanh(x)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        out = _require_cache(self._output, self)
+        out = _require_cache(self._cache, self)
         return grad_output * (1.0 - out * out)
 
 
 class Sigmoid(Module):
     """Logistic sigmoid."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Optional[np.ndarray] = None
+    rowwise = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-x))
-        return self._output
+        self._cache = out = 1.0 / (1.0 + np.exp(-x))
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        out = _require_cache(self._output, self)
+        out = _require_cache(self._cache, self)
         return grad_output * out * (1.0 - out)
 
 
@@ -541,6 +522,8 @@ class _Pool2d(Module):
     Neither pooling builds windows; both reduce over the ``k*k`` strided
     slices of the padded input.
     """
+
+    rowwise = True
 
     def __init__(self, kernel_size: int, *, stride: Optional[int] = None,
                  padding: int = 0) -> None:
@@ -555,7 +538,6 @@ class _Pool2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self._cache = None
 
     def _slices(self, x_shape: Tuple[int, ...]) -> list:
         """One index per window cell, row-major, into the padded input."""
@@ -640,18 +622,16 @@ class AvgPool2d(_Pool2d):
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions: ``(N, C, H, W) -> (N, C)``."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._input_shape = None
+    rowwise = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"expected (N, C, H, W), got {x.shape}")
-        self._input_shape = x.shape
+        self._cache = x.shape
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        shape = _require_cache(self._input_shape, self)
+        shape = _require_cache(self._cache, self)
         n, c, h, w = shape
         grad = grad_output[:, :, None, None] / (h * w)
         return np.broadcast_to(grad, shape).copy()
@@ -660,16 +640,14 @@ class GlobalAvgPool2d(Module):
 class Flatten(Module):
     """Reshape ``(N, ...)`` to ``(N, prod(...))``."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._input_shape = None
+    rowwise = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input_shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        shape = _require_cache(self._input_shape, self)
+        shape = _require_cache(self._cache, self)
         return grad_output.reshape(shape)
 
 
@@ -682,20 +660,25 @@ class Dropout(Module):
             raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
         self.p = float(p)
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._mask: Optional[np.ndarray] = None
+
+    @property
+    def rowwise(self) -> bool:
+        # Training draws one mask for the whole batch from the stream.
+        return not self.training
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # (mask,); the mask is None where the layer is the identity.
         if not self.training or self.p == 0.0:
-            self._mask = None
+            self._cache = (None,)
             return x
         keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        mask = (self._rng.random(x.shape) < keep) / keep
+        self._cache = (mask,)
+        return x * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
+        (mask,) = _require_cache(self._cache, self)
+        return grad_output if mask is None else grad_output * mask
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"
