@@ -16,9 +16,9 @@ from .codecs import (
 )
 from .config import FaultConfig, FedMSConfig
 from .filtering import (
-    FilterOutcome,
     ResolvedFilter,
     RootLossEvaluator,
+    Verdict,
     quorum_floor,
     resolve_filter,
 )
@@ -57,9 +57,9 @@ __all__ = [
     "FedMSTrainer",
     "HierarchicalTrainer",
     "make_fedavg_trainer",
-    "FilterOutcome",
     "ResolvedFilter",
     "RootLossEvaluator",
+    "Verdict",
     "quorum_floor",
     "resolve_filter",
     "BreakerState",

@@ -1,23 +1,21 @@
-"""The end-side client: local SGD plus the trimmed-mean model filter.
+"""The end-side client: local SGD from, and towards, a feasible model.
 
 Each round a client (Algorithm 1, client side):
 
 1. adopts a feasible global model (``set_model_vector``),
 2. runs ``E`` mini-batch SGD steps on its local dataset (``local_train``),
 3. uploads its final local model (``model_vector``), and
-4. filters the ``P`` received global models through ``Def()`` — the
-   beta-trimmed mean — to obtain the next feasible global model
-   (``filter_received``).
+4. adopts what ``Def()`` (:mod:`repro.core.filtering`, run by its trainer
+   once per distinct inbox) makes of the ``P`` received global models.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..aggregation import AggregationRule, apply_rule
-from ..common.errors import ConfigurationError, ProtocolError, ShapeError
+from ..common.errors import ConfigurationError, ShapeError
 from ..common.rng import stream_seed
 from ..data.datasets import ArrayDataset, DataLoader
 from ..nn.losses import accuracy, cross_entropy
@@ -214,24 +212,6 @@ class Client:
         self._adopt(frozen(to_vector(self.model)))
         self._replica.holds = self.state
         return self._wire
-
-    # -- Algorithm 1, line 13: the Def() filter -----------------------------
-
-    def filter_received(self, received: Sequence[np.ndarray],
-                        rule: AggregationRule) -> np.ndarray:
-        """Apply the model filter to the ``P`` received global models.
-
-        Returns the feasible global model and adopts it as the client's
-        current model (the start of next-round local training).
-        """
-        if not received:
-            raise ProtocolError(
-                f"client {self.client_id} received no global models"
-            )
-        feasible = apply_rule(rule, received)
-        self.set_model_vector(feasible)
-        self.optimizer.reset_state()
-        return feasible
 
     # -- evaluation ----------------------------------------------------------
 

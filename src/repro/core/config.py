@@ -350,37 +350,14 @@ class FedMSConfig:
                 "tier_byzantine requires a tier_spec")
         if self.tier_spec is not None:
             self.tier_spec = tuple(int(n) for n in self.tier_spec)
-            require(len(self.tier_spec) >= 1, "tier_spec must be non-empty")
-            for n in self.tier_spec:
-                check_positive_int(n, "tier_spec entries")
-            require(self.tier_spec[-1] == 1,
-                    f"the top tier must be a single global aggregator, got "
-                    f"tier_spec={self.tier_spec}")
-            require(all(a >= b for a, b in zip(self.tier_spec,
-                                               self.tier_spec[1:])),
-                    f"tier_spec must be non-increasing bottom-up, got "
-                    f"{self.tier_spec}")
-        if self.tier_byzantine is not None:
-            self.tier_byzantine = tuple(int(b) for b in self.tier_byzantine)
-            require(len(self.tier_byzantine) == len(self.tier_spec),
-                    f"tier_byzantine has {len(self.tier_byzantine)} entries "
-                    f"for {len(self.tier_spec)} tiers")
-            for b in self.tier_byzantine:
-                check_nonnegative_int(b, "tier_byzantine entries")
-            require(self.tier_byzantine[-1] == 0,
-                    "the global aggregator must be honest "
-                    "(tier_byzantine must end in 0)")
-            for t in range(1, len(self.tier_spec)):
-                budget = self.tier_byzantine[t - 1]
-                require(budget <= self.tier_spec[t - 1],
-                        f"tier_byzantine[{t - 1}]={budget} exceeds the "
-                        f"{self.tier_spec[t - 1]} aggregators at tier {t - 1}")
-                min_children = self.tier_spec[t - 1] // self.tier_spec[t]
-                require(min_children >= 2 * budget + 1,
-                        f"tier {t} quorum infeasible: parents see "
-                        f"{min_children} children but tolerating "
-                        f"B={budget} Byzantine tier-{t - 1} aggregators "
-                        f"needs q >= {2 * budget + 1}")
+            if self.tier_byzantine is not None:
+                self.tier_byzantine = tuple(
+                    int(b) for b in self.tier_byzantine)
+            # Eager, and in the topology's own words: its constructor is
+            # the one validation of counts, budgets and per-tier quorums.
+            from ..population.tiers import TierTopology
+
+            TierTopology(self.tier_spec, self.tier_byzantine)
         check_fraction(self.churn_join_rate, "churn_join_rate",
                        upper=1.0, inclusive_upper=False)
         check_fraction(self.churn_leave_rate, "churn_leave_rate",

@@ -11,7 +11,7 @@ driver and the lifecycle. A trainer is a subclass that registers the
 phases that *are* its topology (who aggregates, who filters) and says how
 it evaluates.
 
-Four invariants live here and nowhere else:
+Five invariants live here and nowhere else:
 
 * a send is retried per the policy and every attempt is attributed, so
   ``offered == delivered + dropped`` holds per tag
@@ -21,7 +21,9 @@ Four invariants live here and nowhere else:
 * simulated round time is the sum of the gated stages plus retry backoff
   (:meth:`RoundEngine.deadline_gate`, :meth:`RoundEngine.run_round`);
 * no sender contributes two models to one round and nothing older than
-  ``max_staleness`` is admitted (:meth:`LateBuffer.take_admissible`).
+  ``max_staleness`` is admitted (:meth:`LateBuffer.take_admissible`);
+* receivers that hold the same inbox share one ``Def()`` evaluation
+  (:meth:`RoundEngine.filter_once`).
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ from ..simulation.clock import VirtualClock, split_by_deadline
 from ..simulation.faults import FaultInjector
 from ..simulation.network import Message, Network, NodeId
 from ..simulation.scheduler import RoundScheduler
-from .client import Client
+from .client import Client, frozen
 from .config import FedMSConfig
+from .filtering import ResolvedFilter, Verdict
 from .history import RoundRecord, TrainingHistory
 from .wire import DeltaWire
 
@@ -100,6 +103,9 @@ class RoundState:
     deadline_missed: int = 0
     late_admitted: int = 0
     simulated_time_s: float = 0.0
+    # ``filter_once``: inbox key -> verdict, id(row) -> (row, its address).
+    verdicts: Dict[tuple, Verdict] = field(default_factory=dict)
+    addresses: Dict[int, tuple] = field(default_factory=dict)
 
 
 class LateBuffer:
@@ -307,6 +313,36 @@ class RoundEngine:
         state.simulated_time_s += stage_s
         self.scheduler.record_simulated(leg, stage_s)
         return late
+
+    def filter_once(self, rule: ResolvedFilter, rows: Sequence[np.ndarray],
+                    senders: Sequence[int], state: RoundState) -> Verdict:
+        """``rule``'s verdict on one inbox, evaluated once per distinct inbox
+        of the round and shared, read-only, by every receiver that holds it.
+
+        An inbox is who sent what, by the memory it occupies: a PS that
+        does not lie per receiver sends one array (or one payload, which
+        the wire's memo decodes to one array) to everyone, so equal keys
+        are the same rows; equal values at different addresses are never
+        merged. A lossless round is one inbox, a crashed or late sender is
+        missing for everyone and still leaves one, and only a receiver
+        behind a lossy link has one of its own. Reading an address costs a
+        microsecond and a flat round asks K x P times about P rows, so each
+        row's is read once and the row kept beside it: no address is reused
+        while the round lasts.
+        """
+        seen = state.addresses
+        for row in rows:
+            if id(row) not in seen:
+                seen[id(row)] = (row, row.ctypes.data)
+        key = tuple((sender, seen[id(row)][1], row.strides)
+                    for sender, row in zip(senders, rows))
+        verdict = state.verdicts.get(key)
+        if verdict is None:
+            verdict = state.verdicts[key] = rule(
+                rows, senders, expected=self.config.num_servers)
+            if verdict.vector is not None:
+                frozen(verdict.vector)
+        return verdict
 
     # -- one round -----------------------------------------------------------
 

@@ -1,54 +1,59 @@
-"""Resolution of the client-side ``Def()`` filter from configuration.
+"""``Def()``, Algorithm 1 line 13: the one quorum-aware filter decision.
 
-The trainer accepts the filter three ways — an explicit closure, a
+:func:`resolve_filter` turns the configuration (an explicit closure, a
 registry name in :attr:`FedMSConfig.filter_rule_name`, or the default
-static beta-trimmed mean — and each way executes differently: the static
-trimmed mean and plain mean have a picklable
-:class:`~repro.execution.spec.FilterSpec` the execution backends fan out;
-the estimating rules (adaptive-beta trimmed mean, FedGreed-style
-loss-based selection) run in the main process so their evidence (the
-per-round ``B-hat`` estimate, the rejected model identities) can be
-recorded in :class:`~repro.core.history.TrainingHistory`; opaque closures
-run in the main process with no recording. :class:`ResolvedFilter` carries
-all of that in one place.
+static beta-trimmed mean) into one callable,
+``filter(rows, senders, *, expected, budget=None) -> Verdict``, and every
+topology calls it: the flat trainer once per distinct client inbox, the
+grouped trainer once per distinct PS inbox, a tier parent once per round.
+The paper's guarantee is a property of this function: with ``B < P/2``
+Byzantine senders the trimmed mean by the absolute ``B`` keeps every
+coordinate inside the honest rows' range, at full quorum and at every
+reduced quorum ``q >= 2B+1``; below that floor the verdict is to fall back.
 
-Every estimating rule here is a deterministic pure function of the
-received stack, so running it in the main process preserves the execution
-backends' bit-identity contract by construction.
+Every rule here is a deterministic pure function of the received rows and
+runs in the calling process, which is what keeps the execution backends
+bit-identical by construction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..aggregation import (
     AggregationRule,
     adaptive_trimmed_mean_info,
+    apply_rule,
     loss_based_selection_info,
     make_rule,
     mean,
+    trim_count,
+    trimmed_mean_by_count,
 )
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
-from ..execution import FilterSpec
 from ..nn.losses import cross_entropy
 from ..nn.module import inference
 from ..nn.serialization import from_vector
 from .config import FedMSConfig
 
-__all__ = ["FilterOutcome", "RootLossEvaluator", "ResolvedFilter",
-           "quorum_floor", "resolve_filter"]
+__all__ = ["Verdict", "RootLossEvaluator", "ResolvedFilter", "quorum_floor",
+           "resolve_filter", "static_filter"]
+
+#: ``rows -> (vector, B-hat, rejected row indices)``: an estimating rule
+#: with the evidence behind its output.
+InfoFn = Callable[[Sequence[np.ndarray]],
+                  Tuple[np.ndarray, int, Tuple[int, ...]]]
 
 
 def quorum_floor(num_byzantine: int) -> int:
     """Minimum countable quorum that still tolerates ``num_byzantine`` PSs.
 
-    The trimmed filter keeps its absolute tolerance B only while
-    ``q >= 2B+1`` (``degraded_trim_count`` returns ``None`` at
-    ``q <= 2B``); health-based exclusions must never push the counted
-    quorum below this floor.
+    Trimming the absolute ``B`` per tail leaves an honest row only while
+    ``q >= 2B+1``; health-based exclusions must never push the counted
+    quorum below this floor either.
     """
     if num_byzantine < 0:
         raise ConfigurationError(
@@ -56,17 +61,20 @@ def quorum_floor(num_byzantine: int) -> int:
     return 2 * int(num_byzantine) + 1
 
 
-class FilterOutcome:
-    """What an estimating filter concluded about one received stack."""
+class Verdict(NamedTuple):
+    """What ``Def()`` concluded about one inbox.
 
-    __slots__ = ("vector", "estimated_byzantine", "rejected_rows")
+    ``vector`` is ``None`` when the quorum was below the floor: the
+    receiver keeps its previous feasible model. ``degraded`` says a filter
+    that carries a tolerance ran on fewer rows than ``expected``;
+    ``rejected`` names the senders (not the rows) an estimating rule
+    declined.
+    """
 
-    def __init__(self, vector: np.ndarray,
-                 estimated_byzantine: Optional[int],
-                 rejected_rows: Tuple[int, ...]) -> None:
-        self.vector = vector
-        self.estimated_byzantine = estimated_byzantine
-        self.rejected_rows = rejected_rows
+    vector: Optional[np.ndarray]
+    degraded: bool = False
+    estimated_byzantine: Optional[int] = None
+    rejected: Tuple[int, ...] = ()
 
 
 class RootLossEvaluator:
@@ -109,53 +117,59 @@ class RootLossEvaluator:
 
 
 class ResolvedFilter:
-    """The ``Def()`` filter in every form the trainer needs.
+    """``Def()`` as every topology calls it; see :meth:`__call__`.
 
     Attributes
     ----------
     rule:
-        Plain ``stack -> vector`` closure (always available).
-    spec:
-        Picklable :class:`FilterSpec` for backend fan-out, or ``None``
-        when the rule must run in the main process.
-    degraded_trim_ratio:
-        The beta used to recompute the trim count under a degraded
-        quorum; only the static trimmed mean has one — estimating rules
-        re-estimate on the reduced stack instead.
+        The plain ``stack -> vector`` closure behind it.
+    budget:
+        The absolute per-tail trim count ``B = trim_count(P, beta)`` of the
+        static trimmed mean; ``None`` for every other rule.
     info_fn:
-        ``stack -> FilterOutcome`` for estimating rules, ``None``
-        otherwise. Row indices in ``rejected_rows`` refer to the stack
-        passed in; the caller maps them back to server ids.
+        The estimating rules' ``rows -> (vector, B-hat, rejected rows)``;
+        ``None`` otherwise.
     """
 
     def __init__(self, rule: AggregationRule, *,
-                 spec: Optional[FilterSpec] = None,
-                 degraded_trim_ratio: Optional[float] = None,
-                 info_fn: Optional[Callable[[np.ndarray], FilterOutcome]]
-                 = None) -> None:
+                 budget: Optional[int] = None,
+                 info_fn: Optional[InfoFn] = None) -> None:
         self.rule = rule
-        self.spec = spec
-        self.degraded_trim_ratio = degraded_trim_ratio
+        self.budget = budget
         self.info_fn = info_fn
 
-    @property
-    def records_estimates(self) -> bool:
-        return self.info_fn is not None
+    def __call__(self, rows: Sequence[np.ndarray], senders: Sequence[int], *,
+                 expected: Optional[int],
+                 budget: Optional[int] = None) -> Verdict:
+        """Filter the ``q`` rows that ``senders`` delivered.
+
+        ``budget`` is the number of Byzantine senders the caller must
+        tolerate: the static rule's own ``B`` unless the caller names one
+        (a tier parent's comes from its topology). Below
+        ``quorum_floor(budget)`` rows the verdict is to fall back. The
+        static trimmed mean trims that absolute count at every ``q``, not
+        ``floor(beta * q)``: the adversary does not crash with the benign
+        senders. An estimating rule or an opaque closure called without a
+        budget has none to hold the quorum to: its floor is one row and
+        it runs on whatever arrived.
+        """
+        q = len(rows)
+        if budget is None:
+            budget = self.budget
+        if q < (1 if budget is None else quorum_floor(budget)):
+            return Verdict(None)
+        degraded = expected is not None and q < expected
+        if self.info_fn is not None:
+            vector, estimate, rejected_rows = self.info_fn(rows)
+            return Verdict(vector, degraded, estimate,
+                           tuple(int(senders[row]) for row in rejected_rows))
+        if self.budget is not None:
+            return Verdict(trimmed_mean_by_count(rows, budget), degraded)
+        return Verdict(apply_rule(self.rule, rows))
 
 
-def _adaptive_outcome(stack: np.ndarray, threshold: float) -> FilterOutcome:
-    vector, b_hat, flagged = adaptive_trimmed_mean_info(
-        stack, threshold=threshold
-    )
-    return FilterOutcome(vector, b_hat, flagged)
-
-
-def _loss_based_outcome(stack: np.ndarray,
-                        loss_fn: Callable[[np.ndarray], float]
-                        ) -> FilterOutcome:
-    vector, selected = loss_based_selection_info(stack, loss_fn)
-    rejected = tuple(i for i in range(len(stack)) if i not in selected)
-    return FilterOutcome(vector, len(rejected), rejected)
+#: The static trimmed mean for a caller that names its budget on every call.
+static_filter = ResolvedFilter(mean, budget=0)
 
 
 def resolve_filter(config: FedMSConfig, *,
@@ -166,7 +180,7 @@ def resolve_filter(config: FedMSConfig, *,
                    flatten_inputs: bool = False,
                    root_rng: Optional[np.random.Generator] = None
                    ) -> ResolvedFilter:
-    """Build the :class:`ResolvedFilter` a trainer will run.
+    """Build the ``Def()`` a trainer will call.
 
     ``filter_rule`` (an explicit closure) wins over
     ``config.filter_rule_name``; with neither, the paper's static
@@ -175,21 +189,21 @@ def resolve_filter(config: FedMSConfig, *,
     trainer passes its test set when no dedicated root set is supplied).
     """
     if filter_rule is not None:
-        spec = FilterSpec("mean") if filter_rule is mean else None
-        return ResolvedFilter(filter_rule, spec=spec)
+        return ResolvedFilter(filter_rule)
 
     name = config.filter_rule_name
     if name is None or name == "trimmed_mean":
         beta = config.resolved_trim_ratio
         rule = make_rule("trimmed_mean", trim_ratio=beta,
                          num_models=config.num_servers)
-        return ResolvedFilter(rule, spec=FilterSpec("trim_ratio", beta),
-                              degraded_trim_ratio=beta)
+        return ResolvedFilter(
+            rule, budget=trim_count(config.num_servers, beta))
     if name == "adaptive_trimmed_mean":
         threshold = config.mad_threshold
         rule = make_rule("adaptive_trimmed_mean", mad_threshold=threshold)
         return ResolvedFilter(
-            rule, info_fn=lambda stack: _adaptive_outcome(stack, threshold)
+            rule, info_fn=lambda rows: adaptive_trimmed_mean_info(
+                rows, threshold=threshold)
         )
     if name == "loss_based":
         if model_factory is None or root_dataset is None:
@@ -204,13 +218,16 @@ def resolve_filter(config: FedMSConfig, *,
             rng=(root_rng if root_rng is not None
                  else np.random.default_rng(config.seed)),
         )
-        rule = make_rule("loss_based", loss_fn=loss_fn)
-        return ResolvedFilter(
-            rule, info_fn=lambda stack: _loss_based_outcome(stack, loss_fn)
-        )
-    rule = make_rule(
+
+        def info_fn(rows):
+            vector, selected = loss_based_selection_info(rows, loss_fn)
+            rejected = tuple(i for i in range(len(rows))
+                             if i not in selected)
+            return vector, len(rejected), rejected
+
+        return ResolvedFilter(make_rule("loss_based", loss_fn=loss_fn),
+                              info_fn=info_fn)
+    return ResolvedFilter(make_rule(
         name, trim_ratio=config.resolved_trim_ratio,
         num_byzantine=config.num_byzantine, num_models=config.num_servers,
-    )
-    spec = FilterSpec("mean") if name == "mean" else None
-    return ResolvedFilter(rule, spec=spec)
+    ))

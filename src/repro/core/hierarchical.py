@@ -41,16 +41,17 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import AggregationRule, apply_rule, mean
+from ..aggregation import AggregationRule, mean
 from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
 from ..simulation.network import Message, Network, NodeId
-from .client import Client, frozen
+from .client import Client
 from .config import FedMSConfig
 from .engine import LateBuffer, RoundEngine, RoundState, place_byzantine
+from .filtering import ResolvedFilter
 from .server import ParameterServer, adversary_view, make_servers
 
 __all__ = ["HierarchicalTrainer"]
@@ -74,15 +75,19 @@ class HierarchicalTrainer(RoundEngine):
     Accepts the same :class:`FedMSConfig` as :class:`FedMSTrainer`
     (``upload_strategy`` and ``health_scoring`` are ignored, with a
     warning — grouping is static, so there is nothing to sample and no PS
-    a client could avoid — and so is an explicit ``execution_backend``
-    other than ``serial``: clients train in-process). Group membership
-    defaults to ``client k -> PS (k mod P)``.
+    a client could avoid — and so are an explicit ``execution_backend``
+    other than ``serial``, clients train in-process;
+    ``filter_rule_name``, the exchange combines with
+    ``inter_server_rule``; and ``participation_fraction``, every client
+    trains). Group membership defaults to ``client k -> PS (k mod P)``.
     """
 
     round_state = _RoundState
     ignored_config = {"upload_strategy": ("sparse",),
                       "health_scoring": (False,),
-                      "execution_backend": (None, "serial")}
+                      "execution_backend": (None, "serial"),
+                      "filter_rule_name": (None,),
+                      "participation_fraction": (1.0,)}
 
     def __init__(self, config: FedMSConfig, *, model_factory: ModelFactory,
                  client_datasets: Sequence[ArrayDataset],
@@ -200,7 +205,8 @@ class HierarchicalTrainer(RoundEngine):
             uploads = [self.wire.decode(m.payload) for m in
                        self.network.receive(NodeId.server(server.server_id))]
             server.aggregate(uploads)
-        state.all_aggregates = adversary_view(self.servers)
+        state.all_aggregates = adversary_view(
+            [server.current_aggregate for server in self.servers])
 
     def _phase_tier_filter(self, t: int) -> None:
         """4: inter-server exchange, each PS filtering its peers' models
@@ -242,7 +248,7 @@ class HierarchicalTrainer(RoundEngine):
         # PSs that hold the same arrays combine once and share the read-only
         # result (without codecs a benign PS's own aggregate is the array its
         # peers received a view of: every PS neither late nor cut off).
-        combined: Dict[tuple, np.ndarray] = {}
+        combine = ResolvedFilter(self.inter_server_rule)
         for server in self.servers:
             me = server.server_id
             for sender, (payload, residual) in sent.items():
@@ -258,14 +264,9 @@ class HierarchicalTrainer(RoundEngine):
             }
             received[me] = server.current_aggregate
             senders = sorted(received)
-            rows = [received[s] for s in senders]
-            # Who sent what, by the memory it occupies.
-            key = tuple((s, row.ctypes.data, row.strides)
-                        for s, row in zip(senders, rows))
-            if key not in combined:
-                combined[key] = frozen(apply_rule(self.inter_server_rule,
-                                                  rows))
-            state.global_models.append(combined[key])
+            state.global_models.append(self.filter_once(
+                combine, [received[s] for s in senders], senders, state,
+            ).vector)
 
     def _phase_disseminate(self, t: int) -> None:
         """5: group dissemination — Byzantine PSs ignore the exchange and

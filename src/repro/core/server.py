@@ -181,21 +181,13 @@ def make_servers(count: int, byzantine_ids: AbstractSet[int],
     ]
 
 
-def adversary_view(servers: Sequence[ParameterServer], *,
-                   default: Optional[np.ndarray] = None
+def adversary_view(vectors: Sequence[np.ndarray]
                    ) -> Callable[[], np.ndarray]:
-    """The ``(P, d)`` stack of every PS's latest honest aggregate, on demand.
+    """The ``(n, d)`` stack of the nodes' current honest vectors, on demand.
 
-    What a trainer passes as ``all_server_aggregates`` once the round's
-    aggregation is done: the stack is built by the first attack that reads
-    it and shared by the rest, so a round whose attacks never look does not
-    pay for it. A PS that has not aggregated yet contributes ``default``.
+    What a trainer passes as ``all_server_aggregates`` (a tier's
+    ``peer_outputs``) once the nodes have aggregated: the stack is built
+    by the first attack that reads it and shared by the rest, so a round
+    whose attacks never look does not pay for it.
     """
-    @functools.lru_cache(maxsize=None)
-    def view() -> np.ndarray:
-        return np.stack([
-            server.aggregate_history[-1] if server.aggregate_history
-            else default
-            for server in servers
-        ])
-    return view
+    return functools.lru_cache(maxsize=None)(lambda: np.stack(vectors))

@@ -34,17 +34,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..aggregation import (
-    AggregationRule,
-    apply_rule,
-    degraded_trim_count,
-    make_rule,
-)
+from ..aggregation import AggregationRule, make_rule
 from ..attacks.base import Attack
 from ..attacks.client_attacks import ClientAttack, ClientAttackContext
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
-from ..execution import FilterJob, FilterSpec, WorkerSpec, make_backend
+from ..execution import WorkerSpec, make_backend
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
 from ..simulation.faults import FaultInjector
@@ -52,7 +47,7 @@ from ..simulation.network import Message, Network, NodeId
 from .client import Client, frozen
 from .config import FedMSConfig
 from .engine import LateBuffer, RoundEngine, RoundState, place_byzantine
-from .filtering import FilterOutcome, quorum_floor, resolve_filter
+from .filtering import ResolvedFilter, quorum_floor, resolve_filter
 from .health import HealthLedger, HealthPolicy
 from .history import RoundRecord
 from .server import (
@@ -193,12 +188,8 @@ class FedMSTrainer(RoundEngine):
         super().__init__(config, model_factory=model_factory,
                          test_dataset=test_dataset, network=network)
         self.upload_strategy: UploadStrategy = make_upload_strategy(config)
-        # Def() in every form the round loop needs: the plain closure, a
-        # picklable FilterSpec when the backends can fan it out, the beta
-        # for degraded-quorum trim-count recomputation (static trimmed
-        # mean only — estimating rules re-estimate on the reduced stack),
-        # and the info_fn that yields B-hat + rejected rows for recording.
-        resolved = resolve_filter(
+        # Def(), quorum-aware: the one callable the filter phase runs.
+        self.filter_rule: ResolvedFilter = resolve_filter(
             config,
             filter_rule=filter_rule,
             model_factory=model_factory,
@@ -207,15 +198,6 @@ class FedMSTrainer(RoundEngine):
             flatten_inputs=flatten_inputs,
             root_rng=self.rngs.make("filter/root_batch"),
         )
-        self.filter_rule: AggregationRule = resolved.rule
-        self._degraded_trim_ratio: Optional[float] = \
-            resolved.degraded_trim_ratio
-        self._filter_info_fn = resolved.info_fn
-        self._resolved_filter = resolved
-        # Picklable description of the Def() filter, when it has one:
-        # fan-out-able to workers. Estimating rules and custom closures
-        # are applied in-process.
-        self._filter_spec: Optional[FilterSpec] = resolved.spec
 
         self.fault_config = config.resolved_faults
         self.fault_injector = fault_injector
@@ -248,10 +230,10 @@ class FedMSTrainer(RoundEngine):
             batch_seed=config.seed,
         )
 
-        # The execution backend runs the embarrassingly-parallel stages
-        # (local training, client-side filtering); all backends are
-        # bit-identical for the same seed, so this is purely a wall-clock
-        # choice. See docs/execution.md.
+        # The execution backend runs the embarrassingly-parallel stage,
+        # local training; all backends are bit-identical for the same
+        # seed, so this is purely a wall-clock choice. See
+        # docs/execution.md.
         clients = self.clients
         self.execution = make_backend(
             config.resolved_execution_backend,
@@ -488,9 +470,10 @@ class FedMSTrainer(RoundEngine):
             server.aggregate(uploads)
         # The adversary's view (the adaptive attacks) keeps the full P-row
         # shape; a crashed PS that never aggregated contributes w_0.
-        state.all_aggregates = adversary_view(
-            self.servers, default=self.initial_vector
-        )
+        state.all_aggregates = adversary_view([
+            server.aggregate_history[-1] if server.aggregate_history
+            else self.initial_vector for server in self.servers
+        ])
 
     def _phase_disseminate(self, t: int) -> None:
         """Stage 3 (server side): every admitted PS sends to every client.
@@ -558,117 +541,50 @@ class FedMSTrainer(RoundEngine):
             self._late_broadcasts.hold(server_id, t, vector)
 
     def _phase_filter(self, t: int) -> None:
-        """Stage 3 (client side): the Def() filter, quorum-aware, evaluated
-        once per distinct received stack.
+        """Stage 3 (client side): every active client adopts what ``Def()``
+        makes of its inbox, evaluated once per distinct inbox
+        (:meth:`~repro.core.engine.RoundEngine.filter_once`), or falls
+        back to its previous feasible model when the verdict has none.
 
-        Clients are grouped by what they received: the ``(sender, payload
-        object)`` pairs of their messages. A PS that does not lie per
-        client makes one payload object a round and the network queues it
-        untouched, and every payload of the round exists before this phase
-        starts, so equal keys mean bit-equal stacks (a client-dependent
-        attack makes one object per receiver and never shares). Each
-        group's filter runs once and its output is installed in every
-        member: a lossless round is one group, a crashed or late PS is
-        missing for everyone and still leaves one, and only clients behind
-        a lossy link get a stack of their own.
-
-        Groups whose rule has a picklable :class:`FilterSpec` are fanned
-        out through the execution backend; estimating rules and custom
-        closures run in-process.
+        ``estimated_byzantine`` keeps the worst (largest) estimate and
+        ``filtered_model_ids`` every PS any client rejected; max and union
+        are idempotent, so clients sharing a verdict record it once.
         """
         state = self._round
         assert state is not None
-        expected = self.config.num_servers
-        groups: Dict[tuple, "tuple[List[Message], List[Client]]"] = {}
         for client in state.active_clients:
             messages = self.network.receive(NodeId.client(client.client_id))
             state.models_received[client.client_id] = len(messages)
-            key = tuple((message.sender.index, id(message.payload))
-                        for message in messages)
-            groups.setdefault(key, (messages, []))[1].append(client)
-        backend_jobs: List[FilterJob] = []
-        # A group, and its backend job, is named after its first member.
-        members_of: Dict[int, List[Client]] = {}
-        for messages, members in groups.values():
-            quorum = len(messages)
             # The models as the wire left them: shared, read-only, unstacked.
-            received = [self.wire.decode(m.payload) for m in messages]
-            member_ids = [client.client_id for client in members]
-            members_of[member_ids[0]] = members
-            if quorum == 0:
-                # A client can miss every global model this round; it
-                # rolls back to its previous feasible model rather than
-                # keep unfiltered local drift.
-                self._fall_back(members, state)
-            elif self._filter_info_fn is not None:
-                # Estimating rules (adaptive-beta, loss-based) need no
-                # expected-P trim count, so a reduced quorum is filtered
-                # natively — B-hat is re-estimated on whatever arrived.
-                if quorum < expected:
-                    state.degraded_clients.extend(member_ids)
-                outcome = self._filter_info_fn(received)
-                self._record_filter_outcome(
-                    state, outcome,
-                    sender_ids=[m.sender.index for m in messages],
-                )
-                self._adopt(members, outcome.vector)
-            elif quorum < expected and self._degraded_trim_ratio is not None:
-                count = degraded_trim_count(
-                    quorum, expected, self._degraded_trim_ratio
-                )
-                if count is None:
-                    # Too few models to out-vote the Byzantine PSs
-                    # (q <= 2B): keep the previous feasible model rather
-                    # than adopt an adversary-controllable aggregate.
-                    self._fall_back(members, state)
-                else:
-                    state.degraded_clients.extend(member_ids)
-                    backend_jobs.append((
-                        member_ids[0], received,
-                        FilterSpec("trim_count", count),
-                    ))
-            elif self._filter_spec is not None:
-                backend_jobs.append(
-                    (member_ids[0], received, self._filter_spec))
+            verdict = self.filter_once(
+                self.filter_rule,
+                [self.wire.decode(m.payload) for m in messages],
+                [m.sender.index for m in messages], state,
+            )
+            if verdict.vector is None:
+                # No quorum the filter could safely use (none at all, or
+                # too few to out-vote the Byzantine PSs): undo this round's
+                # local training rather than keep unfiltered drift or adopt
+                # an adversary-controllable aggregate.
+                state.fallback_clients.append(client.client_id)
+                vector = state.start_vectors.get(client.client_id)
             else:
-                self._adopt(members, apply_rule(self.filter_rule, received))
-        if backend_jobs:
-            results = self.execution.filter_clients(backend_jobs)
-            for job_id, vector in results.items():
-                self._adopt(members_of[job_id], vector)
+                vector = verdict.vector
+                if verdict.degraded:
+                    state.degraded_clients.append(client.client_id)
+                if verdict.estimated_byzantine is not None:
+                    state.estimated_byzantine = max(
+                        state.estimated_byzantine or 0,
+                        verdict.estimated_byzantine)
+                state.filtered_model_ids.update(verdict.rejected)
+            if vector is not None:
+                client.set_model_vector(vector)
+                client.optimizer.reset_state()
         if self.wire.active:
             # The next shared reference is the consensus the filter just
             # produced: client 0's post-filter model (on the healthy path
             # all clients coincide).
             self.wire.advance(self.clients[0].shared_model_vector())
-
-    @staticmethod
-    def _adopt(members: Sequence[Client], vector: np.ndarray) -> None:
-        """Install a group's filter output in every member.
-
-        Frozen first, so the members share the one object: the next
-        round's start vectors and the evaluation see them coincide by
-        identity, and a write to it raises instead of changing K replicas.
-        """
-        vector = frozen(vector)
-        for client in members:
-            client.set_model_vector(vector)
-            client.optimizer.reset_state()
-
-    def _fall_back(self, members: Sequence[Client],
-                   state: _RoundState) -> None:
-        """Restore each member's own previous feasible model.
-
-        Undoes this round's local training (if the client trained): without
-        a safely filterable quorum the client must not let unfiltered local
-        drift replace the last model it knows satisfied the filter.
-        """
-        for client in members:
-            state.fallback_clients.append(client.client_id)
-            start_vector = state.start_vectors.get(client.client_id)
-            if start_vector is not None:
-                client.set_model_vector(start_vector)
-                client.optimizer.reset_state()
 
     def _disseminated_payload(self, server: ParameterServer, client_id: int,
                               round_index: int, state: _RoundState
@@ -701,25 +617,6 @@ class FedMSTrainer(RoundEngine):
                 model, round_index, leg="broadcast", sender=server_id
             )
         return state.broadcast_payloads[server_id]
-
-    def _record_filter_outcome(self, state: _RoundState,
-                               outcome: FilterOutcome,
-                               sender_ids: Sequence[int]) -> None:
-        """Fold one group's estimating-filter verdict into the round.
-
-        ``estimated_byzantine`` keeps the worst (largest) estimate over
-        the groups; ``filtered_model_ids`` accumulates every PS whose model
-        any client rejected. Max and union are idempotent, so once per
-        group records what once per member would.
-        """
-        if outcome.estimated_byzantine is not None:
-            previous = state.estimated_byzantine
-            state.estimated_byzantine = (
-                outcome.estimated_byzantine if previous is None
-                else max(previous, outcome.estimated_byzantine)
-            )
-        for row in outcome.rejected_rows:
-            state.filtered_model_ids.add(int(sender_ids[row]))
 
     def _evaluate(self) -> "tuple[float, float]":
         """Mean (loss, accuracy) over the first ``eval_clients`` clients.

@@ -1,8 +1,8 @@
 """Pluggable execution backends for the Fed-MS round loop.
 
-The per-round client work — local SGD in ``_phase_train`` and the Def()
-filter in ``_phase_filter`` — is embarrassingly parallel across clients.
-This package turns that per-client step into an
+The per-round client work, local SGD in ``_phase_train``, is
+embarrassingly parallel across clients. This package turns that
+per-client step into an
 :class:`~repro.execution.backend.ExecutionBackend` with three
 implementations, the only ones in the repository: ``FedMSTrainer`` and
 ``PopulationTrainer`` both build theirs through :func:`make_backend`.
@@ -26,7 +26,6 @@ shared-memory layout.
 from .backend import (
     EXECUTION_BACKENDS,
     ExecutionBackend,
-    FilterJob,
     SerialBackend,
     TrainJob,
     make_backend,
@@ -34,7 +33,7 @@ from .backend import (
 )
 from .process_pool import ProcessPoolBackend
 from .shared import SharedNDArray, SharedVectorBuffer
-from .spec import FilterSpec, WorkerSpec
+from .spec import WorkerSpec
 from .thread import ThreadBackend
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "make_backend",
     "resolve_num_workers",
     "TrainJob",
-    "FilterJob",
-    "FilterSpec",
     "WorkerSpec",
     "SharedNDArray",
     "SharedVectorBuffer",

@@ -1,13 +1,11 @@
 """The execution-backend interface, the serial reference, and the factory.
 
-A backend executes the two embarrassingly-parallel stages of a Fed-MS
-round on behalf of the trainer:
-
-* :meth:`ExecutionBackend.train_clients` — each participating client's
-  ``E`` local SGD steps from a given start vector;
-* :meth:`ExecutionBackend.filter_clients` — each client's Def() filter
-  over the stack of global models it received, for rules that have a
-  picklable :class:`~repro.execution.spec.FilterSpec`.
+A backend executes the embarrassingly-parallel stage of a Fed-MS round on
+behalf of the trainer, :meth:`ExecutionBackend.train_clients`: each
+participating client's ``E`` local SGD steps from a given start vector.
+The ``Def()`` filter is not one: it runs in the trainer, once per distinct
+inbox, because moving the vectors costs more than the rule (measured in
+docs/execution.md).
 
 The contract is strict determinism: for a fixed seed, every backend must
 return bit-identical vectors and losses for the same jobs. Training starts
@@ -26,12 +24,11 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError
-from .spec import FilterSpec, WorkerSpec
+from .spec import WorkerSpec
 
 __all__ = [
     "EXECUTION_BACKENDS",
     "TrainJob",
-    "FilterJob",
     "ExecutionBackend",
     "SerialBackend",
     "make_backend",
@@ -48,10 +45,6 @@ TrainJob = Tuple[int, np.ndarray]
 #: ``client_of(client_id, round_index)`` — the trainer's own client object
 #: for the serial path: a resident client, or one materialised on demand.
 ClientOf = Callable[[int, int], object]
-#: ``(client_id, received_models, filter_spec)``: the q dense vectors the
-#: client received, a list of rows (each where the wire left it, only read)
-#: or a ``(q, D)`` array.
-FilterJob = Tuple[int, object, FilterSpec]
 
 
 class ExecutionBackend:
@@ -66,15 +59,6 @@ class ExecutionBackend:
                       ) -> Dict[int, Tuple[np.ndarray, float]]:
         """Run local training for every job; returns ``{id: (state, loss)}``."""
         raise NotImplementedError
-
-    def filter_clients(self, jobs: Sequence[FilterJob]
-                       ) -> Dict[int, np.ndarray]:
-        """Apply each job's filter spec to its rows; ``{id: filtered}``.
-
-        In place, in the calling process: moving the vectors costs more
-        than the rule (measured in docs/execution.md).
-        """
-        return {client_id: spec(rows) for client_id, rows, spec in jobs}
 
     def close(self) -> None:
         """Release pools and shared-memory blocks (idempotent)."""

@@ -22,7 +22,7 @@ __all__ = ["WorkerRuntime"]
 
 
 class WorkerRuntime:
-    """Executes train/filter steps for any client named in its spec."""
+    """Executes the training step for any client named in its spec."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         # Imported lazily: repro.core imports repro.execution at module

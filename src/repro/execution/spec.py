@@ -6,11 +6,6 @@ factory, the learning-rate schedule and the per-client datasets. It is
 handed to process workers by fork inheritance (never pickled), so factories
 and schedules may be arbitrary callables, including lambdas, and the
 datasets are read copy-on-write, not copied.
-
-:class:`FilterSpec` is the picklable description of the Def() filter for
-the rules the trainer can name — the beta-trimmed mean (by ratio or by the
-degraded-quorum trim count) and the plain mean. Custom filter closures have
-no spec and are applied in the main process instead.
 """
 
 from __future__ import annotations
@@ -20,39 +15,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import mean, trimmed_mean, trimmed_mean_by_count
 from ..common.errors import ConfigurationError
 
-__all__ = ["FilterSpec", "WorkerSpec"]
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """A named, picklable aggregation rule for backend-side filtering.
-
-    ``kind`` is one of ``"mean"``, ``"trim_ratio"`` (value = beta) or
-    ``"trim_count"`` (value = the per-tail trim count of a degraded
-    quorum).
-    """
-
-    kind: str
-    value: float = 0.0
-
-    _KINDS = ("mean", "trim_ratio", "trim_count")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ConfigurationError(
-                f"unknown filter spec kind {self.kind!r}; "
-                f"expected one of {self._KINDS}"
-            )
-
-    def __call__(self, rows: Sequence[np.ndarray]) -> np.ndarray:
-        if self.kind == "mean":
-            return mean(rows)
-        if self.kind == "trim_ratio":
-            return trimmed_mean(rows, self.value)
-        return trimmed_mean_by_count(rows, int(self.value))
+__all__ = ["WorkerSpec"]
 
 
 @dataclass

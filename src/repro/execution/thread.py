@@ -1,8 +1,7 @@
 """Thread-pool execution backend.
 
 Cheap smoke scaling: worker threads share the process address space, so
-datasets need no copies and jobs need no pickling (which is why fanning
-the filter out pays here and nowhere else: docs/execution.md). Each thread
+datasets need no copies and jobs need no pickling. Each thread
 checks a :class:`~repro.execution.context.WorkerRuntime` (its own model
 replica + optimizer) out of a pool for the duration of one job, which keeps
 the mutable forward/backward state of a model confined to one thread at a
@@ -19,12 +18,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .backend import (
-    ExecutionBackend,
-    FilterJob,
-    SerialBackend,
-    TrainJob,
-)
+from .backend import ExecutionBackend, SerialBackend, TrainJob
 from .context import WorkerRuntime
 from .spec import WorkerSpec
 
@@ -83,19 +77,6 @@ class ThreadBackend(ExecutionBackend):
         except RuntimeError as error:  # e.g. pool shut down mid-run
             self._degrade(error)
             return self._fallback.train_clients(round_index, jobs)
-
-    def filter_clients(self, jobs: Sequence[FilterJob]
-                       ) -> Dict[int, np.ndarray]:
-        if self.degraded:
-            return self._fallback.filter_clients(jobs)
-        try:
-            futures = {client_id: self._executor.submit(spec, rows)
-                       for client_id, rows, spec in jobs}
-            return {client_id: future.result()
-                    for client_id, future in futures.items()}
-        except RuntimeError as error:
-            self._degrade(error)
-            return self._fallback.filter_clients(jobs)
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)

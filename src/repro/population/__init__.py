@@ -35,7 +35,7 @@ from .shards import (
     make_blob_population,
     make_blob_test_dataset,
 )
-from .tiers import TierAggregator, TierOutcome, TierTopology
+from .tiers import TierAggregator, TierTopology
 from .trainer import PopulationTrainer
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "MembershipWindow",
     "PopulationTrainer",
     "TierAggregator",
-    "TierOutcome",
     "TierTopology",
     "make_blob_population",
     "make_blob_test_dataset",

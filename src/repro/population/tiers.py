@@ -23,27 +23,21 @@ trimmed mean, or an estimating rule (adaptive-beta, loss-based) whose
 
 from __future__ import annotations
 
-from typing import (
-    AbstractSet,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import AbstractSet, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import apply_rule, trimmed_mean_by_count
-from ..attacks.base import Attack, AttackContext
+from ..attacks.base import Attack, AttackContext, ServerAggregates
 from ..common.errors import ConfigurationError, ProtocolError
 from ..core.engine import LateBuffer
-from ..core.filtering import FilterOutcome
+from ..core.filtering import (
+    ResolvedFilter,
+    Verdict,
+    quorum_floor,
+    static_filter,
+)
 
-__all__ = ["TierTopology", "TierOutcome", "TierAggregator"]
-
-InfoFn = Callable[[np.ndarray], FilterOutcome]
+__all__ = ["TierTopology", "TierAggregator"]
 
 
 class TierTopology:
@@ -88,7 +82,7 @@ class TierTopology:
             )
         for t in range(1, len(counts)):
             quorum = self.min_children(t)
-            needed = 2 * byzantine[t - 1] + 1
+            needed = quorum_floor(byzantine[t - 1])
             if quorum < needed:
                 raise ConfigurationError(
                     f"tier {t} infeasible: parents see {quorum} children "
@@ -145,22 +139,6 @@ class TierTopology:
         return self.byzantine[tier - 1]
 
 
-class TierOutcome:
-    """What one aggregator concluded from its children this round."""
-
-    __slots__ = ("vector", "used_fallback", "degraded",
-                 "estimated_byzantine", "rejected_children")
-
-    def __init__(self, vector: np.ndarray, *, used_fallback: bool,
-                 degraded: bool, estimated_byzantine: Optional[int],
-                 rejected_children: Tuple[int, ...]) -> None:
-        self.vector = vector
-        self.used_fallback = used_fallback
-        self.degraded = degraded
-        self.estimated_byzantine = estimated_byzantine
-        self.rejected_children = rejected_children
-
-
 class TierAggregator:
     """One aggregator node in the sharded topology.
 
@@ -214,51 +192,32 @@ class TierAggregator:
             self.output_history.pop(0)
 
     def combine(self, child_vectors: Sequence[np.ndarray],
-                child_indices: Sequence[int], *,
-                info_fn: Optional[InfoFn] = None) -> TierOutcome:
+                child_ids: Sequence[int], *,
+                filter: ResolvedFilter = static_filter) -> Verdict:
         """Fold the delivered children into this node's next output.
 
-        ``child_indices`` are the tier-local ids of the senders, in the
-        same order as ``child_vectors``; an estimating ``info_fn``'s
-        rejected rows are mapped back through them. Quorum semantics:
-        ``q >= 2B+1`` filters with the full trim budget (``degraded`` when
-        ``q`` is below the expected child count); anything smaller falls
-        back to the previous output.
+        ``child_ids`` name the senders, in the order of ``child_vectors``,
+        however the caller addresses them; the verdict's ``rejected`` are
+        among them. ``filter`` is held to this node's trim budget and
+        expected child count (:class:`~repro.core.filtering
+        .ResolvedFilter`: the static trimmed mean by that budget unless an
+        estimating rule is passed); on a verdict to fall back the node
+        keeps its previous output.
         """
-        if len(child_vectors) != len(child_indices):
+        if len(child_vectors) != len(child_ids):
             raise ProtocolError(
                 f"{len(child_vectors)} vectors for "
-                f"{len(child_indices)} child ids"
+                f"{len(child_ids)} child ids"
             )
-        q = len(child_vectors)
-        expected = self.expected_children
-        degraded = expected is not None and q < expected
-        if q == 0 or q < 2 * self.trim_budget + 1:
+        verdict = filter(child_vectors, child_ids,
+                         expected=self.expected_children,
+                         budget=self.trim_budget)
+        if verdict.vector is None:
             self.rounds_without_quorum += 1
-            outcome = TierOutcome(
-                self.current_output.copy(), used_fallback=True,
-                degraded=degraded, estimated_byzantine=None,
-                rejected_children=(),
-            )
-            self._push(outcome.vector)
-            return outcome
-        if info_fn is not None and self.tier >= 1:
-            info = apply_rule(info_fn, child_vectors)
-            outcome = TierOutcome(
-                info.vector, used_fallback=False, degraded=degraded,
-                estimated_byzantine=info.estimated_byzantine,
-                rejected_children=tuple(
-                    int(child_indices[row]) for row in info.rejected_rows
-                ),
-            )
+            self._push(self.current_output.copy())
         else:
-            outcome = TierOutcome(
-                trimmed_mean_by_count(child_vectors, self.trim_budget),
-                used_fallback=False, degraded=degraded,
-                estimated_byzantine=None, rejected_children=(),
-            )
-        self._push(outcome.vector)
-        return outcome
+            self._push(verdict.vector)
+        return verdict
 
     def buffer_late(self, child_index: int, round_index: int,
                     vector: np.ndarray) -> None:
@@ -277,7 +236,7 @@ class TierAggregator:
         )
 
     def outgoing(self, round_index: int, *,
-                 peer_outputs: Optional[np.ndarray] = None) -> np.ndarray:
+                 peer_outputs: ServerAggregates = None) -> np.ndarray:
         """The model this node forwards to its parent."""
         if self.attack is None:
             return self.current_output.copy()

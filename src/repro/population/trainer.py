@@ -53,8 +53,9 @@ from ..common.errors import ConfigurationError
 from ..core.client import Client, frozen
 from ..core.config import FedMSConfig
 from ..core.engine import RoundEngine, RoundState, place_byzantine
-from ..core.filtering import resolve_filter
+from ..core.filtering import Verdict, resolve_filter, static_filter
 from ..core.history import RoundRecord
+from ..core.server import adversary_view
 from ..data.datasets import ArrayDataset
 from ..execution import WorkerSpec, make_backend
 from ..nn.module import Module
@@ -64,7 +65,7 @@ from ..simulation.network import Message, Network, NodeId
 from .churn import ChurnPlan, ChurnScheduler
 from .clients import ClientPopulation
 from .sampling import sample_clients, sample_size
-from .tiers import TierAggregator, TierOutcome, TierTopology
+from .tiers import TierAggregator, TierTopology
 
 __all__ = ["PopulationTrainer"]
 
@@ -88,7 +89,7 @@ class _RoundState(RoundState):
     sampled_ids: List[int] = field(default_factory=list)
     churn_events: List[str] = field(default_factory=list)
     results: Dict[int, "tuple"] = field(default_factory=dict)
-    tier_outcomes: Dict[int, Dict[int, TierOutcome]] = field(
+    tier_outcomes: Dict[int, Dict[int, Verdict]] = field(
         default_factory=dict)
     materialized: int = 0
 
@@ -109,9 +110,11 @@ class PopulationTrainer(RoundEngine):
     upload_tag = UPLOAD_TAG
     downlink_tag = FETCH_TAG
     round_state = _RoundState
-    # Every client uploads to its static edge; aggregators carry no ledger.
+    # Every client uploads to its static edge; aggregators carry no ledger;
+    # the round's cohort is ``sample_fraction`` of the active population.
     ignored_config = {"upload_strategy": ("sparse",),
-                      "health_scoring": (False,)}
+                      "health_scoring": (False,),
+                      "participation_fraction": (1.0,)}
 
     def __init__(self, config: FedMSConfig, *,
                  model_factory: ModelFactory,
@@ -183,11 +186,10 @@ class PopulationTrainer(RoundEngine):
                 ))
             self.tiers.append(row)
 
-        # Estimating rules (adaptive-beta, loss-based) share one info_fn
-        # across tiers; the static path uses each tier's own trim budget
-        # instead of the flat config beta, so the resolved rule itself is
-        # only consulted through info_fn.
-        self._filter = resolve_filter(
+        # A tier parent trims by its own budget, not the flat config beta,
+        # unless the configured rule estimates one (adaptive-beta,
+        # loss-based): those share one filter across tiers.
+        resolved = resolve_filter(
             config,
             model_factory=model_factory,
             root_dataset=(root_dataset if root_dataset is not None
@@ -195,6 +197,8 @@ class PopulationTrainer(RoundEngine):
             flatten_inputs=flatten_inputs,
             root_rng=self.rngs.make("population/root"),
         )
+        self._filter = resolved if resolved.info_fn is not None \
+            else static_filter
 
         if churn_plan is not None:
             if churn_plan.population_size != config.population_size:
@@ -358,7 +362,7 @@ class PopulationTrainer(RoundEngine):
     def _phase_edge_aggregate(self, t: int) -> None:
         state = self._round
         assert state is not None
-        outcomes: Dict[int, TierOutcome] = {}
+        outcomes: Dict[int, Verdict] = {}
         for edge in self.tiers[0]:
             inbox = self.network.receive(
                 NodeId.server(edge.global_index)
@@ -379,8 +383,8 @@ class PopulationTrainer(RoundEngine):
             # What each live child forwards upward this round; Byzantine
             # children tamper here, with adaptive knowledge of their
             # tier's honest outputs.
-            peer_outputs = np.stack([child.current_output
-                                     for child in below])
+            peer_outputs = adversary_view(
+                [child.current_output for child in below])
             forwarded: Dict[int, np.ndarray] = {
                 child.index: child.outgoing(t, peer_outputs=peer_outputs)
                 for child in below if child.index in produced
@@ -393,7 +397,7 @@ class PopulationTrainer(RoundEngine):
             late_ids = frozenset(
                 self.deadline_gate(leg, sorted(forwarded), state)
             )
-            outcomes: Dict[int, TierOutcome] = {}
+            outcomes: Dict[int, Verdict] = {}
             base_gid = self.topology.global_index(tier - 1, 0)
             for parent in self.tiers[tier]:
                 children = self.topology.children_of(tier, parent.index)
@@ -441,10 +445,9 @@ class PopulationTrainer(RoundEngine):
                 )
                 if not self._aggregator_alive(tier, parent.index):
                     continue
-                vectors = [self.wire.decode(m.payload) for m in inbox]
-                children_ids = [m.sender.index - base_gid for m in inbox]
                 outcomes[parent.index] = parent.combine(
-                    vectors, children_ids, info_fn=self._filter.info_fn,
+                    [self.wire.decode(m.payload) for m in inbox],
+                    [m.sender.index for m in inbox], filter=self._filter,
                 )
             state.tier_outcomes[tier] = outcomes
         top = self.tiers[-1][0]
@@ -473,12 +476,10 @@ class PopulationTrainer(RoundEngine):
                 if outcome.estimated_byzantine is not None:
                     tier_est[tier] = max(tier_est.get(tier, 0),
                                          outcome.estimated_byzantine)
-                if outcome.rejected_children:
+                if outcome.rejected:
                     tier_rejected.setdefault(tier, []).extend(
-                        self.topology.global_index(tier - 1, child)
-                        for child in outcome.rejected_children
-                    )
-                if outcome.used_fallback:
+                        outcome.rejected)
+                if outcome.vector is None:
                     tier_fallback.setdefault(tier, []).append(gid)
                 elif outcome.degraded:
                     tier_degraded.setdefault(tier, []).append(gid)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.aggregation import make_rule
 from repro.attacks import NoiseAttack, RandomAttack, SignFlipAttack
 from repro.common import ProtocolError, RngFactory
 from repro.core import ByzantineParameterServer, Client, ParameterServer
@@ -64,20 +63,6 @@ class TestClient:
         b.local_train(round_index=50, local_steps=3)
         late_move = np.linalg.norm(b.model_vector() - start)
         assert late_move < early_move
-
-    def test_filter_received_adopts_output(self):
-        client = make_client()
-        dim = client.model_vector().size
-        models = [np.full(dim, float(v)) for v in [1, 2, 3, 4, 5]]
-        result = client.filter_received(models, make_rule("trimmed_mean",
-                                                          trim_ratio=0.2))
-        np.testing.assert_allclose(result, 3.0)
-        np.testing.assert_allclose(client.model_vector(), 3.0)
-
-    def test_filter_received_empty_raises(self):
-        client = make_client()
-        with pytest.raises(ProtocolError):
-            client.filter_received([], make_rule("mean"))
 
     def test_evaluate_returns_loss_and_accuracy(self):
         client = make_client()

@@ -1,14 +1,15 @@
-"""The filter phase runs Def() once per distinct received stack.
+"""Def() runs once per distinct inbox, on both trainers that can share one.
 
-``FedMSTrainer._phase_filter`` groups clients by the ``(sender, payload
-object)`` pairs they received and evaluates the filter once per group.
-Two things are pinned here. *Equivalence*: a grouped run equals a
-reference run of the same seed in which every client is handed private
-copies of its payloads (no two clients share a key, so every stack is
-filtered separately), on every branch of the phase. *Economy*: the number
-of filter evaluations per round is the number of distinct received sets,
-which is 1 whenever nothing separates the clients and K when a
-client-dependent attack does.
+``RoundEngine.filter_once`` keys an inbox by the ``(sender, address,
+strides)`` of its decoded rows; ``FedMSTrainer._phase_filter`` calls it per
+client and ``HierarchicalTrainer._phase_tier_filter`` per PS. Two things
+are pinned here. *Equivalence*: a run equals a reference run of the same
+seed in which every receiver is handed private copies of its payloads (no
+two receivers share a key, so every inbox is filtered separately), on
+every branch of the filter. *Economy*: the number of filter evaluations
+per round is the number of distinct inboxes, which is 1 whenever nothing
+separates the receivers and one per receiver when a client-dependent
+attack, a codec on the exchange or a severed link does.
 """
 
 import copy
@@ -19,14 +20,17 @@ import pytest
 from repro.aggregation import trimmed_mean
 from repro.attacks import make_attack
 from repro.common import RngFactory
-from repro.core import FedMSConfig, FedMSTrainer
+from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
 from repro.core.codecs import EncodedUpdate
+from repro.core.engine import RoundState
+from repro.core.filtering import ResolvedFilter
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
 from repro.simulation import (
     FaultInjector,
     FaultPlan,
     LinkPartition,
+    Network,
     NodeId,
     ServerCrash,
 )
@@ -58,7 +62,7 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
 
 def make_trainer(*, num_clients=6, num_servers=10, num_byzantine=2,
                  attack="noise", plan=None, filter_rule=None, seed=0,
-                 **config_kwargs):
+                 grouped=False, network=None, **config_kwargs):
     data = make_blobs(seed=seed)
     test = make_blobs(n=120, seed=seed + 1)
     parts = iid_partition(data, num_clients,
@@ -74,25 +78,35 @@ def make_trainer(*, num_clients=6, num_servers=10, num_byzantine=2,
         seed=seed,
         **config_kwargs,
     )
-    return FedMSTrainer(
-        config,
+    common = dict(
         model_factory=lambda rng: SoftmaxRegression(6, 3, rng=rng),
         client_datasets=parts,
         test_dataset=test,
         attack=make_attack(attack) if num_byzantine else None,
-        filter_rule=filter_rule,
+        network=network,
+    )
+    if grouped:
+        return HierarchicalTrainer(config, inter_server_rule=filter_rule,
+                                   **common)
+    return FedMSTrainer(
+        config, filter_rule=filter_rule,
         fault_injector=FaultInjector(plan) if plan is not None else None,
+        **common,
     )
 
 
 def filter_every_stack_separately(trainer):
-    """Turn ``trainer`` into the reference: every client receives private
-    copies of its payloads, so no two clients ever share a group."""
+    """Turn ``trainer`` into the reference: every filtering receiver (a
+    client, or a PS in the grouped exchange) gets private copies of its
+    payloads, so no two of them ever share an inbox."""
     receive = trainer.network.receive
+    filtering_role = (NodeId.SERVER_ROLE
+                      if isinstance(trainer, HierarchicalTrainer)
+                      else NodeId.CLIENT_ROLE)
 
     def private(recipient):
         messages = receive(recipient)
-        if recipient.role != NodeId.CLIENT_ROLE:
+        if recipient.role != filtering_role:
             return messages
         for message in messages:
             payload = message.payload
@@ -107,24 +121,22 @@ def filter_every_stack_separately(trainer):
     return trainer
 
 
-def count_evaluations(trainer):
-    """Per-round counts of Def() evaluations, whichever branch runs them:
-    the estimating ``info_fn``, backend filter jobs, or the plain rule."""
-    counts = []
-    trainer.scheduler.add_round_hook(lambda t: counts.append(0))
+@pytest.fixture
+def count_evaluations(monkeypatch):
+    """Per-round counts of Def() evaluations, at the one seam every
+    topology and every kind of rule goes through."""
+    def install(trainer):
+        counts = []
+        trainer.scheduler.add_round_hook(lambda t: counts.append(0))
+        evaluate = ResolvedFilter.__call__
 
-    def counted(fn, weight=lambda *args: 1):
-        def wrapper(*args, **kwargs):
-            counts[-1] += weight(*args)
-            return fn(*args, **kwargs)
-        return wrapper
+        def counted(self, rows, senders, **quorum):
+            counts[-1] += 1
+            return evaluate(self, rows, senders, **quorum)
 
-    if trainer._filter_info_fn is not None:
-        trainer._filter_info_fn = counted(trainer._filter_info_fn)
-    trainer.filter_rule = counted(trainer.filter_rule)
-    trainer.execution.filter_clients = counted(
-        trainer.execution.filter_clients, weight=len)
-    return counts
+        monkeypatch.setattr(ResolvedFilter, "__call__", counted)
+        return counts
+    return install
 
 
 def distinct_received_sets(trainer):
@@ -162,7 +174,7 @@ SCENARIOS = {
     # Static rule, P=5 B=2: one crash leaves q <= 4 = 2B, so every client
     # falls back to its own previous model from round 1 on.
     "static_fallback": dict(num_servers=5, plan=PLAN),
-    # An opaque closure: no FilterSpec, no degraded trim count.
+    # An opaque closure: no budget, so no floor and no degraded flag.
     "custom_closure": dict(
         filter_rule=lambda stack: trimmed_mean(stack, 0.25), plan=PLAN),
     # One payload object per receiver: nothing is ever shared.
@@ -193,7 +205,7 @@ class TestGroupedEqualsPerClient:
         fallback = history("static_fallback")
         assert fallback[-1].fallback_clients == list(range(6))
 
-    def test_reference_really_filters_per_client(self):
+    def test_reference_really_filters_per_client(self, count_evaluations):
         trainer = filter_every_stack_separately(
             make_trainer(filter_rule_name="adaptive_trimmed_mean"))
         counts = count_evaluations(trainer)
@@ -207,13 +219,15 @@ class TestEvaluationsPerRound:
         dict(),
         dict(filter_rule=lambda stack: trimmed_mean(stack, 0.2)),
     ], ids=["adaptive", "static", "closure"])
-    def test_lossless_round_is_one_evaluation(self, kwargs):
+    def test_lossless_round_is_one_evaluation(self, kwargs,
+                                              count_evaluations):
         trainer = make_trainer(num_clients=20, **kwargs)
         counts = count_evaluations(trainer)
         trainer.run(3)
         assert counts == [1, 1, 1]
 
-    def test_deadline_round_with_a_late_server_is_one_evaluation(self):
+    def test_deadline_round_with_a_late_server_is_one_evaluation(
+            self, count_evaluations):
         # The late PS is late for everyone, and a stale broadcast admitted
         # the round after is one payload for everyone too.
         trainer = make_trainer(
@@ -225,7 +239,8 @@ class TestEvaluationsPerRound:
         assert any(r.late_admitted for r in history.records)
         assert counts == [1] * 6
 
-    def test_inconsistent_attack_never_shares(self):
+    def test_inconsistent_attack_never_shares(
+            self, count_evaluations):
         trainer = make_trainer(attack="inconsistent",
                                filter_rule_name="adaptive_trimmed_mean")
         counts = count_evaluations(trainer)
@@ -235,7 +250,8 @@ class TestEvaluationsPerRound:
     @pytest.mark.parametrize("kwargs", [
         dict(filter_rule_name="adaptive_trimmed_mean"), dict(),
     ], ids=["adaptive", "static"])
-    def test_partitions_cost_one_evaluation_per_received_set(self, kwargs):
+    def test_partitions_cost_one_evaluation_per_received_set(
+            self, kwargs, count_evaluations):
         trainer = make_trainer(plan=PLAN, **kwargs)
         counts = count_evaluations(trainer)
         expected = []
@@ -245,6 +261,119 @@ class TestEvaluationsPerRound:
         assert counts == expected
         assert 1 < max(expected) < trainer.config.num_clients
         assert min(expected) == 1
+
+
+def cut_link(sender, recipient):
+    """A network that never carries ``sender``'s exchange to ``recipient``."""
+    return Network(drop_rule=lambda m: (
+        m.tag == "inter_server" and m.sender.index == sender
+        and m.recipient.index == recipient))
+
+
+#: The grouped exchange: K=10 clients in P=5 groups, honest unless said.
+GROUPED = dict(grouped=True, num_clients=10, num_servers=5, num_byzantine=0)
+GROUPED_SCENARIOS = {
+    "lossless": dict(),
+    "cut_link": dict(network=lambda: cut_link(1, 3)),
+    "late_server": dict(aggregation_mode="deadline", straggler_rate=0.3,
+                        seed=1),
+    # A PS holds its own true aggregate, its peers what the codec left.
+    "codec": dict(upload_codecs=["topk(0.2)", "int8"]),
+    "codec_cut_link": dict(upload_codecs=["topk(0.2)", "int8"],
+                           network=lambda: cut_link(1, 3)),
+    # A Byzantine PS sends one array and keeps another.
+    "byzantine": dict(num_byzantine=1,
+                      filter_rule=lambda stack: trimmed_mean(stack, 0.2)),
+}
+
+
+def make_grouped(name):
+    kwargs = dict(GROUPED, **GROUPED_SCENARIOS[name])
+    if "network" in kwargs:
+        kwargs["network"] = kwargs["network"]()
+    return make_trainer(**kwargs)
+
+
+class TestGroupedExchange:
+    @pytest.mark.parametrize("name", sorted(GROUPED_SCENARIOS))
+    def test_matches_combining_every_inbox_separately(self, name):
+        assert_rounds_equal(
+            make_grouped(name),
+            filter_every_stack_separately(make_grouped(name)))
+
+    def test_reference_really_combines_per_server(self, count_evaluations):
+        trainer = filter_every_stack_separately(make_grouped("lossless"))
+        counts = count_evaluations(trainer)
+        trainer.run_round()
+        assert counts == [5]
+
+    def test_lossless_barrier_round_is_one_evaluation(
+            self, count_evaluations):
+        trainer = make_grouped("lossless")
+        counts = count_evaluations(trainer)
+        trainer.run(3)
+        assert counts == [1, 1, 1]
+
+    def test_cut_link_gives_that_server_a_stack_of_its_own(
+            self, count_evaluations):
+        trainer = make_grouped("cut_link")
+        counts = count_evaluations(trainer)
+        history = trainer.run(3)
+        assert all(r.upload_failures for r in history.records)
+        assert counts == [2, 2, 2]
+
+    def test_late_server_gives_that_server_a_stack_of_its_own(
+            self, count_evaluations):
+        # A late PS is missing from every peer's inbox and present, as its
+        # own aggregate, in its own.
+        trainer = make_grouped("late_server")
+        counts = count_evaluations(trainer)
+        history = trainer.run(6)
+        late = [r.deadline_missed for r in history.records]
+        assert any(late) and any(r.late_admitted for r in history.records)
+        assert counts == [n + (n < 5) for n in late]
+
+    def test_codecs_give_every_server_a_stack_of_its_own(
+            self, count_evaluations):
+        trainer = make_grouped("codec")
+        counts = count_evaluations(trainer)
+        trainer.run(2)
+        assert counts == [5, 5]
+
+
+class TestNeverMergedByValue:
+    def test_equal_values_at_different_addresses_are_two_inboxes(
+            self, count_evaluations):
+        trainer = make_trainer(num_servers=3, num_byzantine=0)
+        counts = count_evaluations(trainer)
+        counts.append(0)
+        state = RoundState(0)
+        rows = [np.full(4, float(i)) for i in range(3)]
+        senders = [0, 1, 2]
+
+        def verdict(rows, senders=senders):
+            return trainer.filter_once(trainer.filter_rule, rows, senders,
+                                       state)
+
+        first = verdict(rows)
+        assert verdict(list(rows)) is first
+        assert verdict([row.view() for row in rows]) is first
+        assert counts == [1]
+        copies = verdict([row.copy() for row in rows])
+        assert copies is not first
+        np.testing.assert_array_equal(copies.vector, first.vector)
+        # Same memory from another sender, or in another layout.
+        assert verdict(rows, [0, 1, 3]) is not first
+        wide = np.zeros((3, 8))
+        assert verdict(list(wide[:, ::2])) is not verdict(list(wide[:, :4]))
+        assert counts == [5]
+        assert not first.vector.flags.writeable
+        # Every row object seen (3 originals, 3 views, 3 copies, 2 x 3
+        # slices) is held with its address, temporaries included, so a
+        # freed row's address cannot come back inside the round.
+        assert len(state.addresses) == 15
+        assert all(row.ctypes.data == address
+                   for row, address in state.addresses.values())
 
 
 class TestBackendsWithGroups:

@@ -71,38 +71,44 @@ class TestResolveFilter:
     def test_default_is_static_trimmed_mean(self):
         config = self.base_config(trim_ratio=0.2)
         resolved = resolve_filter(config)
-        assert resolved.spec is not None
-        assert resolved.spec.kind == "trim_ratio"
-        assert resolved.degraded_trim_ratio == pytest.approx(0.2)
+        assert resolved.budget == 1
         assert resolved.info_fn is None
-        assert not resolved.records_estimates
+        stack = np.random.default_rng(0).normal(size=(5, 8))
+        verdict = resolved(list(stack), range(5), expected=5)
+        np.testing.assert_array_equal(verdict.vector, resolved.rule(stack))
+        assert verdict[1:] == (False, None, ())
 
     def test_explicit_closure_wins_over_name(self):
         config = self.base_config(filter_rule_name="adaptive_trimmed_mean")
         custom = make_rule("median")
         resolved = resolve_filter(config, filter_rule=custom)
         assert resolved.rule is custom
-        assert resolved.spec is None
+        assert resolved.budget is None
         assert resolved.info_fn is None
 
     def test_mean_closure_gets_spec(self):
+        """The mean closure is the named mean: a plain rule, no tolerance,
+        so a reduced quorum is neither degraded nor refused."""
         resolved = resolve_filter(self.base_config(),
                                   filter_rule=make_rule("mean"))
-        assert resolved.spec is not None
-        assert resolved.spec.kind == "mean"
+        assert resolved.rule is mean
+        assert resolved.budget is None and resolved.info_fn is None
+        stack = np.random.default_rng(0).normal(size=(2, 8))
+        verdict = resolved(list(stack), [0, 3], expected=5)
+        np.testing.assert_array_equal(verdict.vector, mean(stack))
+        assert not verdict.degraded
 
     def test_adaptive_has_info_but_no_spec(self):
         config = self.base_config(filter_rule_name="adaptive_trimmed_mean")
         resolved = resolve_filter(config)
-        assert resolved.spec is None
-        assert resolved.degraded_trim_ratio is None
-        assert resolved.records_estimates
+        assert resolved.budget is None
+        assert resolved.info_fn is not None
         stack = np.random.default_rng(0).normal(size=(5, 8))
         stack[3] += 50.0
-        outcome = resolved.info_fn(stack)
-        assert outcome.estimated_byzantine == 1
-        assert outcome.rejected_rows == (3,)
-        np.testing.assert_array_equal(outcome.vector, resolved.rule(stack))
+        verdict = resolved(list(stack), [10, 11, 12, 13, 14], expected=5)
+        assert verdict.estimated_byzantine == 1
+        assert verdict.rejected == (13,)
+        np.testing.assert_array_equal(verdict.vector, resolved.rule(stack))
 
     def test_loss_based_requires_root_ingredients(self):
         config = self.base_config(filter_rule_name="loss_based")
@@ -112,7 +118,7 @@ class TestResolveFilter:
     def test_other_registry_names_resolve(self):
         config = self.base_config(filter_rule_name="median")
         resolved = resolve_filter(config)
-        assert resolved.spec is None
+        assert resolved.budget is None
         assert resolved.info_fn is None
         stack = np.random.default_rng(1).normal(size=(5, 4))
         np.testing.assert_array_equal(resolved.rule(stack),

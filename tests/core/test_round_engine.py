@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks import make_attack
 from repro.common import ConfigurationError, RngFactory
 from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
 from repro.core.engine import LateBuffer, RoundEngine
+from repro.core.server import adversary_view
 from repro.core.upload import RetryPolicy
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
@@ -63,13 +65,17 @@ def model_factory(rng):
     return SoftmaxRegression(FEATURES, CLASSES, rng=rng)
 
 
-def build(kind, *, network=None, **config_kwargs):
-    """One small trainer of each topology, honest nodes only."""
+def build(kind, *, network=None, attack=None, **config_kwargs):
+    """One small trainer of each topology: honest nodes only, or with
+    ``attack`` on one PS (one edge aggregator)."""
+    attack = make_attack(attack) if attack else None
     if kind == "population":
         kwargs = dict(num_clients=40, num_servers=7, num_byzantine=0,
                       population_size=40, sample_fraction=0.25,
                       tier_spec=(4, 2, 1), local_steps=2, batch_size=8,
                       seed=0)
+        if attack:
+            kwargs.update(tier_spec=(6, 2, 1), tier_byzantine=(1, 0, 0))
         kwargs.update(config_kwargs)
         return PopulationTrainer(
             FedMSConfig(**kwargs), model_factory=model_factory,
@@ -79,9 +85,10 @@ def build(kind, *, network=None, **config_kwargs):
             test_dataset=make_blob_test_dataset(
                 num_samples=60, feature_dim=FEATURES, num_classes=CLASSES,
                 seed=0),
-            network=network,
+            network=network, attack=attack,
         )
-    kwargs = dict(num_clients=6, num_servers=3, num_byzantine=0,
+    kwargs = dict(num_clients=6, num_servers=3,
+                  num_byzantine=1 if attack else 0,
                   local_steps=2, batch_size=8, eval_clients=2, seed=0)
     kwargs.update(config_kwargs)
     cls = FedMSTrainer if kind == "flat" else HierarchicalTrainer
@@ -90,6 +97,7 @@ def build(kind, *, network=None, **config_kwargs):
         client_datasets=iid_partition(make_blobs(), 6,
                                       rng=RngFactory(0).make("p")),
         test_dataset=make_blobs(n=60, seed=1), network=network,
+        attack=attack,
     )
 
 
@@ -315,6 +323,55 @@ class TestRoundDriver:
         trainer.close()
 
 
+@pytest.mark.parametrize("kind", TRAINERS)
+class TestAdversaryView:
+    """Every topology hands its attacks ``core.server.adversary_view``: the
+    ``(n, d)`` stack of the nodes' honest vectors exists only if read."""
+
+    def views(self, kind, monkeypatch):
+        module = {"flat": "repro.core.trainer",
+                  "hierarchical": "repro.core.hierarchical",
+                  "population": "repro.population.trainer"}[kind]
+        made = []
+
+        def recording(vectors):
+            made.append(adversary_view(vectors))
+            return made[-1]
+
+        monkeypatch.setattr(f"{module}.adversary_view", recording)
+        return made
+
+    def test_never_built_under_an_attack_that_does_not_look(
+            self, kind, monkeypatch):
+        made = self.views(kind, monkeypatch)
+        with build(kind, attack="noise") as trainer:
+            trainer.run(2)
+        assert made and all(v.cache_info().misses == 0 for v in made)
+
+    def test_built_once_under_an_attack_that_reads_it(
+            self, kind, monkeypatch):
+        made = self.views(kind, monkeypatch)
+        with build(kind, attack="inner_product") as trainer:
+            trainer.run(2)
+            lazy = final_vectors(trainer)
+        built = [v.cache_info() for v in made if v.cache_info().misses]
+        # One view per round is read (the population's second tier is
+        # honest), and it is one stack.
+        assert len(built) == 2 and all(i.misses == 1 for i in built)
+        monkeypatch.setattr(
+            f"{type(trainer).__module__}.adversary_view", np.stack)
+        with build(kind, attack="inner_product") as trainer:
+            trainer.run(2)
+            for ours, theirs in zip(final_vectors(trainer), lazy):
+                np.testing.assert_array_equal(ours, theirs)
+
+
+def final_vectors(trainer):
+    if isinstance(trainer, PopulationTrainer):
+        return [trainer.global_model_vector]
+    return [client.model_vector() for client in trainer.clients]
+
+
 class TestHierarchicalSharesTheChecks:
     def test_out_of_range_byzantine_id_is_rejected(self):
         """Satellite (a): at the parent ``[99]`` with P = 10 was accepted
@@ -343,7 +400,10 @@ class TestHierarchicalSharesTheChecks:
     @pytest.mark.parametrize("kind, field, value", [
         ("population", "upload_strategy", "full"),
         ("population", "health_scoring", True),
+        ("population", "participation_fraction", 0.5),
         ("hierarchical", "execution_backend", "thread"),
+        ("hierarchical", "filter_rule_name", "median"),
+        ("hierarchical", "participation_fraction", 0.5),
     ])
     def test_each_trainer_names_the_fields_it_does_not_read(
             self, kind, field, value):

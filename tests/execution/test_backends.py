@@ -26,6 +26,7 @@ from repro.core.config import (
 from repro.data import ArrayDataset, iid_partition, make_synthetic_cifar10
 from repro.execution import (
     EXECUTION_BACKENDS,
+    ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
     ThreadBackend,
@@ -196,8 +197,8 @@ class TestBitIdentity:
         assert fingerprints["serial"] == fingerprints["process"]
 
     def test_codecs_adaptive_filter_bit_identical(self):
-        # Estimating rules decode in the main process (no FilterSpec);
-        # the memoized decode path must agree with worker-side decodes.
+        # The filter reads the wire's memoized decodes in the main process;
+        # they must agree with what the workers trained from.
         fingerprints = {}
         for backend in BACKENDS:
             history, _ = run_history(
@@ -321,6 +322,18 @@ class TestFactory:
             with make_trainer(backend) as trainer:
                 assert isinstance(trainer.execution, expected)
                 assert trainer.execution.name == backend
+
+    def test_a_backend_is_train_clients_and_close(self):
+        """The whole public surface, so that a filter stage (deleted: the
+        rule costs less than moving its vectors, docs/execution.md) cannot
+        grow back unnoticed."""
+        contract = {"train_clients", "close", "name", "degraded"}
+        for cls, extra in ((ExecutionBackend, set()), (SerialBackend, set()),
+                           (ThreadBackend, set()),
+                           (ProcessPoolBackend, {"shared_nbytes"})):
+            public = {name for base in cls.__mro__[:-1]
+                      for name in vars(base) if not name.startswith("_")}
+            assert public == contract | extra, cls.__name__
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):

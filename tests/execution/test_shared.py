@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.aggregation import mean, trimmed_mean, trimmed_mean_by_count
 from repro.common import ConfigurationError
 from repro.data import ArrayDataset
 from repro.execution import (
-    FilterSpec,
     SharedNDArray,
     SharedVectorBuffer,
     WorkerSpec,
@@ -50,31 +48,6 @@ class TestSharedVectorBuffer:
             assert buffers.nbytes == 2 * 4 * 6 * 8
         finally:
             buffers.close()
-
-
-class TestFilterSpec:
-    def setup_method(self):
-        self.stack = np.random.default_rng(0).normal(size=(7, 5))
-
-    def test_mean(self):
-        np.testing.assert_array_equal(FilterSpec("mean")(self.stack),
-                                      mean(self.stack))
-
-    def test_trim_ratio(self):
-        np.testing.assert_array_equal(
-            FilterSpec("trim_ratio", 0.2)(self.stack),
-            trimmed_mean(self.stack, trim_ratio=0.2),
-        )
-
-    def test_trim_count(self):
-        np.testing.assert_array_equal(
-            FilterSpec("trim_count", 2)(self.stack),
-            trimmed_mean_by_count(self.stack, 2),
-        )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FilterSpec("median")
 
 
 class TestWorkerSpec:

@@ -5,8 +5,10 @@ import pytest
 
 from repro.attacks import make_attack
 from repro.common.errors import ConfigurationError, ProtocolError
-from repro.core.filtering import FilterOutcome
+from repro.core.filtering import ResolvedFilter
 from repro.population import TierAggregator, TierTopology
+
+from .test_trainer import make_config, make_trainer
 
 
 class TestTierTopology:
@@ -60,7 +62,6 @@ class TestCombine:
             [np.full(4, 1.0), np.full(4, 3.0)], [0, 1]
         )
         np.testing.assert_allclose(outcome.vector, np.full(4, 2.0))
-        assert not outcome.used_fallback
 
     def test_trimmed_mean_bounds_byzantine_children(self):
         # The tolerance claim at tier granularity: with q = 2B+1 = 5 and
@@ -85,47 +86,52 @@ class TestCombine:
         second = aggregator.combine(
             [np.full(4, 100.0)] * 4, [0, 1, 2, 3]
         )
-        assert second.used_fallback
-        assert second.degraded
-        np.testing.assert_array_equal(second.vector, first.vector)
+        assert second.vector is None
+        np.testing.assert_array_equal(aggregator.current_output, first.vector)
         assert aggregator.rounds_without_quorum == 1
 
     def test_empty_round_keeps_initial_model(self):
         aggregator = make_aggregator()
         outcome = aggregator.combine([], [])
-        assert outcome.used_fallback
-        np.testing.assert_array_equal(outcome.vector, np.zeros(4))
+        assert outcome.vector is None
+        np.testing.assert_array_equal(aggregator.current_output, np.zeros(4))
 
     def test_degraded_flag_without_fallback(self):
         aggregator = make_aggregator(trim_budget=1, expected=5)
         outcome = aggregator.combine(
             [np.full(4, float(i)) for i in range(4)], [0, 1, 2, 3]
         )
-        assert outcome.degraded and not outcome.used_fallback
+        assert outcome.degraded and outcome.vector is not None
 
     def test_info_fn_maps_rejections_to_child_ids(self):
-        def fake_info(stack):
-            return FilterOutcome(stack.mean(axis=0), 1, (2,))
+        def fake_info(rows):
+            return np.mean(rows, axis=0), 1, (2,)
 
         aggregator = make_aggregator(trim_budget=1)
         outcome = aggregator.combine(
-            [np.zeros(4)] * 3, [4, 7, 9], info_fn=fake_info
+            [np.zeros(4)] * 3, [4, 7, 9],
+            filter=ResolvedFilter(None, info_fn=fake_info),
         )
         assert outcome.estimated_byzantine == 1
-        assert outcome.rejected_children == (9,)
+        assert outcome.rejected == (9,)
 
     def test_tier0_never_applies_info_fn(self):
+        """The edge tier averages trusted clients: the trainer hands its
+        estimating rule to the tiers above only."""
+        trainer = make_trainer(
+            make_config(filter_rule_name="adaptive_trimmed_mean"))
         called = []
+        info_fn = trainer._filter.info_fn
 
-        def fake_info(stack):
-            called.append(True)
-            return FilterOutcome(stack.mean(axis=0), 0, ())
+        def recording(rows):
+            called.append(len(rows))
+            return info_fn(rows)
 
-        edge = TierAggregator(0, 0, global_index=0, trim_budget=0,
-                              expected_children=None,
-                              initial_model=np.zeros(4))
-        edge.combine([np.ones(4)], [0], info_fn=fake_info)
-        assert not called
+        trainer._filter.info_fn = recording
+        record = trainer.run_round(evaluate=False)
+        # (6, 2, 1): two tier-1 parents of three edges, one top of two.
+        assert called == [3, 3, 2]
+        assert set(record.tier_estimated_byzantine) == {1, 2}
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ProtocolError):
