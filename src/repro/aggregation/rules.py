@@ -86,13 +86,17 @@ def trim_count(num_models: int, trim_ratio: float) -> int:
     """Number of entries removed from *each* tail by ``trimmed_mean``.
 
     ``floor(trim_ratio * num_models)``, validated so at least one entry
-    survives: ``2 * trim_count < num_models``.
+    survives: ``2 * trim_count < num_models``. A ratio that is the float
+    of ``B / num_models`` gives ``B``, although the product can round to
+    just below it (``1 / 49 * 49 < 1``).
     """
     if not 0.0 <= trim_ratio < 0.5:
         raise ConfigurationError(
             f"trim_ratio must be in [0, 0.5), got {trim_ratio}"
         )
     count = int(np.floor(trim_ratio * num_models))
+    if (count + 1) / num_models <= trim_ratio:
+        count += 1
     if 2 * count >= num_models:
         raise ConfigurationError(
             f"trimming {count} from each tail of {num_models} models leaves nothing"

@@ -12,8 +12,7 @@ wires, so it reaches every rank of its column (callers that need
 ranks, which no sum of them shows unless every kept value is a zero.
 
 The inputs are only read (received vectors are read-only and shared
-between clients) and the scratch is allocated per call (filter jobs run
-concurrently on the thread backend).
+between clients) and the scratch is allocated per call.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-__all__ = ["AttackContext", "Attack", "ServerAggregates"]
+__all__ = ["AttackContext", "Attack", "ServerAggregates", "trim_history"]
 
 #: The adversary's ``(P, dim)`` view of a round: the array, a zero-argument
 #: callable that builds it when first read, or ``None``.
@@ -42,7 +42,8 @@ class AttackContext:
         the aggregation step, so it knows the true value).
     previous_aggregates:
         This PS's honest aggregates from earlier rounds, oldest first
-        (the state a Backward/Safeguard attack needs).
+        (the state a Backward/Safeguard attack needs): the newest
+        :attr:`Attack.history` of them, fewer in the first rounds.
     all_server_aggregates:
         Adaptive knowledge: the honest aggregates of *all* PSs this round,
         shape ``(P, dim)``, or ``None`` when unavailable. The constructor
@@ -89,6 +90,12 @@ class Attack:
     #: Registry name; subclasses override.
     name: str = "identity"
 
+    #: How many earlier aggregates :meth:`tamper` reads from
+    #: ``context.previous_aggregates`` (counted back from the newest), so a
+    #: Byzantine node keeps only those (:func:`trim_history`). ``None`` is
+    #: undeclared: the node keeps everything its ``max_history`` allows.
+    history: Optional[int] = None
+
     def tamper(self, context: AttackContext) -> np.ndarray:
         """Return the tampered dissemination vector."""
         raise NotImplementedError
@@ -104,3 +111,22 @@ class Attack:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+def trim_history(history: List[np.ndarray], attack: Optional[Attack],
+                 max_history: int) -> None:
+    """Drop, in place, the aggregates no reader of ``history`` will need.
+
+    A node reads its own history only at ``[-1]`` (its current aggregate,
+    the empty-round fallback); the rest exists for its attack. So an honest
+    node (``attack is None``) keeps 1, a Byzantine one the current plus the
+    ``attack.history`` before it, and an undeclared attack everything up
+    to ``max_history``.
+    """
+    if attack is None:
+        keep = 1
+    elif attack.history is None:
+        keep = max_history
+    else:
+        keep = min(max_history, 1 + attack.history)
+    del history[:-max(keep, 1)]

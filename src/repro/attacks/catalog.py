@@ -56,6 +56,7 @@ class IdentityAttack(Attack):
     """
 
     name = "identity"
+    history = 0
 
     def tamper(self, context: AttackContext) -> np.ndarray:
         return context.true_aggregate.copy()
@@ -65,6 +66,7 @@ class NoiseAttack(Attack):
     """Additive Gaussian noise: ``a + N(0, scale^2 I)``."""
 
     name = "noise"
+    history = 0
 
     def __init__(self, scale: float = 1.0) -> None:
         if scale <= 0:
@@ -88,6 +90,7 @@ class RandomAttack(Attack):
     """
 
     name = "random"
+    history = 0
 
     def __init__(self, low: float = -10.0, high: float = 10.0) -> None:
         if low >= high:
@@ -113,6 +116,7 @@ class SafeguardAttack(Attack):
     """
 
     name = "safeguard"
+    history = 1
 
     def __init__(self, gamma: float = 0.6) -> None:
         if gamma <= 0:
@@ -144,6 +148,10 @@ class BackwardAttack(Attack):
             raise ConfigurationError(f"delay must be positive, got {delay}")
         self.delay = int(delay)
 
+    @property
+    def history(self) -> int:
+        return self.delay
+
     def tamper(self, context: AttackContext) -> np.ndarray:
         history = context.previous_aggregates
         if not history:
@@ -160,6 +168,7 @@ class SignFlipAttack(Attack):
     """Disseminate ``-scale * a`` — inverts the training signal."""
 
     name = "sign_flip"
+    history = 0
 
     def __init__(self, scale: float = 1.0) -> None:
         if scale <= 0:
@@ -177,6 +186,7 @@ class ZeroAttack(Attack):
     """Disseminate the all-zeros model."""
 
     name = "zero"
+    history = 0
 
     def tamper(self, context: AttackContext) -> np.ndarray:
         return np.zeros_like(context.true_aggregate)
@@ -193,6 +203,7 @@ class InconsistentAttack(Attack):
     """
 
     name = "inconsistent"
+    history = 0
 
     def __init__(self, scale: float = 5.0) -> None:
         if scale <= 0:
@@ -232,6 +243,7 @@ class AdaptiveTrimmedMeanAttack(Attack):
     """
 
     name = "adaptive_trimmed_mean"
+    history = 0
 
     def __init__(self, z_max: float = 1.0) -> None:
         if z_max <= 0:
@@ -262,6 +274,7 @@ class InnerProductManipulationAttack(Attack):
     """
 
     name = "inner_product"
+    history = 0
 
     def __init__(self, epsilon: float = 0.5) -> None:
         if epsilon <= 0:
@@ -295,6 +308,7 @@ class ColludingAttack(Attack):
     """
 
     name = "colluding"
+    history = 0
 
     def __init__(self, scale: float = 1.0, seed: int = 0) -> None:
         if scale <= 0:
@@ -347,6 +361,7 @@ class DispersionMimicryAttack(Attack):
     """
 
     name = "dispersion_mimicry"
+    history = 0
 
     def __init__(self, envelope: float = 2.0, seed: int = 0) -> None:
         if envelope <= 0:

@@ -16,7 +16,12 @@ from typing import AbstractSet, Callable, List, Optional, Sequence
 import numpy as np
 
 from ..aggregation import AggregationRule, apply_rule
-from ..attacks.base import Attack, AttackContext, ServerAggregates
+from ..attacks.base import (
+    Attack,
+    AttackContext,
+    ServerAggregates,
+    trim_history,
+)
 from ..common.errors import ProtocolError
 from ..common.rng import RngFactory
 
@@ -27,10 +32,15 @@ __all__ = ["ParameterServer", "ByzantineParameterServer", "make_servers",
 class ParameterServer:
     """A benign edge parameter server.
 
-    Keeps the history of its own aggregates — needed both for the
-    empty-upload fallback (a PS that received nothing this round re-sends
-    its previous model) and as the state Byzantine subclasses attack.
+    Keeps its own aggregates in ``aggregate_history``, as many as their
+    readers need (:func:`~repro.attacks.base.trim_history`): a benign PS
+    reads only the newest (the empty-upload fallback re-sends it), so it
+    keeps 1; a Byzantine subclass keeps what its attack declares, never
+    more than ``max_history``.
     """
+
+    #: The attack run on dissemination; a benign PS runs none.
+    attack: Optional[Attack] = None
 
     def __init__(self, server_id: int, *, max_history: int = 64,
                  initial_model: Optional[np.ndarray] = None,
@@ -101,8 +111,7 @@ class ParameterServer:
                     f"round and has no initial model to fall back to"
                 )
         self.aggregate_history.append(aggregate)
-        if len(self.aggregate_history) > self.max_history:
-            self.aggregate_history.pop(0)
+        trim_history(self.aggregate_history, self.attack, self.max_history)
         return aggregate
 
     def disseminate(self, *, round_index: int, client_id: Optional[int] = None,

@@ -27,7 +27,12 @@ from typing import AbstractSet, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..attacks.base import Attack, AttackContext, ServerAggregates
+from ..attacks.base import (
+    Attack,
+    AttackContext,
+    ServerAggregates,
+    trim_history,
+)
 from ..common.errors import ConfigurationError, ProtocolError
 from ..core.engine import LateBuffer
 from ..core.filtering import (
@@ -148,6 +153,9 @@ class TierAggregator:
     degraded-quorum semantics described in the module docstring;
     :meth:`outgoing` is what the node forwards to its parent — the truth
     for an honest node, the attack's output for a Byzantine one.
+    ``output_history`` holds the current output plus, on a Byzantine
+    node, the earlier ones its attack declares it reads
+    (:func:`~repro.attacks.base.trim_history`, at most ``max_history``).
     """
 
     def __init__(self, tier: int, index: int, *, global_index: int,
@@ -188,8 +196,7 @@ class TierAggregator:
 
     def _push(self, vector: np.ndarray) -> None:
         self.output_history.append(vector)
-        if len(self.output_history) > self.max_history:
-            self.output_history.pop(0)
+        trim_history(self.output_history, self.attack, self.max_history)
 
     def combine(self, child_vectors: Sequence[np.ndarray],
                 child_ids: Sequence[int], *,

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.attacks import NoiseAttack, RandomAttack, SignFlipAttack
+from repro.attacks import (
+    BackwardAttack,
+    NoiseAttack,
+    RandomAttack,
+    SafeguardAttack,
+    SignFlipAttack,
+)
 from repro.common import ProtocolError, RngFactory
 from repro.core import ByzantineParameterServer, Client, ParameterServer
 from repro.data import ArrayDataset
@@ -90,7 +96,9 @@ class TestParameterServer:
         np.testing.assert_array_equal(result, [2.0, 3.0])
 
     def test_history_accumulates(self):
-        server = ParameterServer(0)
+        # Safeguard reads one earlier aggregate, so its PS keeps two.
+        server = ByzantineParameterServer(0, SafeguardAttack(),
+                                          rng=np.random.default_rng(0))
         server.aggregate([np.array([1.0])])
         server.aggregate([np.array([2.0])])
         assert len(server.aggregate_history) == 2
@@ -112,7 +120,10 @@ class TestParameterServer:
             ParameterServer(0).current_aggregate
 
     def test_history_bounded(self):
-        server = ParameterServer(0, max_history=3)
+        # Backward(delay=5) declares six, max_history caps it at three.
+        server = ByzantineParameterServer(0, BackwardAttack(delay=5),
+                                          rng=np.random.default_rng(0),
+                                          max_history=3)
         for i in range(10):
             server.aggregate([np.array([float(i)])])
         assert len(server.aggregate_history) == 3

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregation import make_rule
+from repro.aggregation import make_rule, trim_count
 from repro.common import RngFactory
 from repro.core import (
     FedMSConfig,
@@ -34,6 +34,23 @@ def static_filter_for(P, B):
                                           num_byzantine=B))
     assert resolved.budget == B
     return resolved
+
+
+class TestBudgetIsB:
+    """The default ``beta = B / P`` trims exactly ``B``, well past the
+    topologies above: ``B / P * P`` rounds to just below ``B`` for some
+    ``P >= 44`` (``(49, 1)``, ``(47, 3)``), and a floor of that trimmed one
+    too few."""
+
+    PAIRS = [(P, B) for P in range(1, 201) for B in range((P + 1) // 2)]
+
+    def test_trim_count_of_the_ratio_is_B(self):
+        assert [(P, B) for P, B in self.PAIRS
+                if trim_count(P, B / P) != B] == []
+
+    def test_resolve_filter_reports_budget_B(self):
+        for P, B in self.PAIRS:
+            static_filter_for(P, B)
 
 
 def reference(rows, B):

@@ -295,7 +295,10 @@ class TestServerCrash:
             m.sender.role == "server" and m.sender.index == 1
             and m.tag == "dissemination"
         ))
-        trainer = make_trainer(num_byzantine=0, network=network, seed=7)
+        # Backward(delay=2) keeps three aggregates: one per round here.
+        trainer = make_trainer(num_byzantine=1, byzantine_ids=[1],
+                               attack=make_attack("backward"),
+                               network=network, seed=7)
         trainer.run(3)
         assert len(trainer.servers[1].aggregate_history) == 3
 
