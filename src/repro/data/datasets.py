@@ -56,17 +56,59 @@ class ArrayDataset:
         return np.bincount(self.labels, minlength=classes)
 
 
+def _row_indices(indices: Sequence[int], size: int) -> np.ndarray:
+    """``indices`` as a 1-D ``int64`` array of rows of a ``size``-row dataset.
+
+    A boolean mask or a float array would otherwise be cast to integers
+    (``[True, False]`` to rows ``[1, 0]``, ``1.9`` to row 1), so any
+    non-integer dtype is refused; an empty sequence is the empty subset.
+    """
+    indices = np.asarray(indices)
+    if indices.size == 0:
+        indices = indices.astype(np.int64)
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ConfigurationError(
+            f"subset indices must be integers, got dtype {indices.dtype}"
+        )
+    if indices.ndim != 1:
+        raise ShapeError(f"subset indices must be 1-D, got shape {indices.shape}")
+    if indices.size and (indices.min() < 0 or indices.max() >= size):
+        raise ConfigurationError(
+            f"subset indices out of range for dataset of size {size}"
+        )
+    # A copy: the subset reads its rows through these indices, so a caller
+    # reusing its array must not be able to move them.
+    return indices.astype(np.int64)
+
+
 class Subset(ArrayDataset):
-    """A dataset view over a subset of a parent dataset's rows."""
+    """A view of some of a parent dataset's rows.
+
+    Holds the parent (keeping it alive) and the row ``indices`` into it;
+    only the labels are copied. Rows are gathered when indexed, so a
+    partition of a dataset costs its index and label arrays, not a second
+    copy of the features. :attr:`features` returns a gathered copy. A
+    subset of a subset indexes the root dataset directly.
+    """
 
     def __init__(self, parent: ArrayDataset, indices: Sequence[int]) -> None:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= len(parent)):
-            raise ConfigurationError(
-                f"subset indices out of range for dataset of size {len(parent)}"
-            )
-        super().__init__(parent.features[indices], parent.labels[indices])
+        indices = _row_indices(indices, len(parent))
+        if isinstance(parent, Subset):
+            indices, parent = parent.indices[indices], parent.parent
+        self.parent = parent
         self.indices = indices
+        self.labels = parent.labels[indices]
+
+    @property
+    def features(self) -> np.ndarray:
+        """The subset's rows, gathered into a new array."""
+        return self.parent.features[self.indices]
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, index) -> Tuple[np.ndarray, np.ndarray]:
+        return self.parent.features[self.indices[index]], self.labels[index]
 
 
 class DataLoader:

@@ -32,6 +32,8 @@ __all__ = ["SyntheticCifar10Config", "class_prototypes", "make_synthetic_cifar10
 
 NUM_CLASSES = 10
 IMAGE_SHAPE = (3, 32, 32)
+#: Images generated per block (3 MiB of float64 at 3x32x32).
+GENERATION_BLOCK = 128
 
 
 class SyntheticCifar10Config:
@@ -102,14 +104,6 @@ def class_prototypes() -> np.ndarray:
     return prototypes
 
 
-def _random_roll(images: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Circularly translate each image by its own (dy, dx)."""
-    rolled = np.empty_like(images)
-    for index, (dy, dx) in enumerate(shifts):
-        rolled[index] = np.roll(images[index], (int(dy), int(dx)), axis=(1, 2))
-    return rolled
-
-
 def make_synthetic_cifar10(
     num_train: int = 5000,
     num_test: int = 1000,
@@ -122,25 +116,52 @@ def make_synthetic_cifar10(
     Labels are balanced (each class receives ``n // 10`` samples, remainders
     spread over the lowest labels). The same generator state never produces
     overlapping train/test samples because all draws are sequential.
+
+    Each split is written once, into one array, ``GENERATION_BLOCK`` rows at
+    a time: the build's transient memory is a few blocks, not a second
+    copy of the split.
     """
     if num_train <= 0 or num_test <= 0:
         raise ConfigurationError("num_train and num_test must be positive")
-    prototypes = class_prototypes()
+    prototypes = class_prototypes().ravel()
+    channels, height, width = IMAGE_SHAPE
+    channel_offsets = np.arange(channels)[:, None, None] * (height * width)
 
     def generate(count: int) -> ArrayDataset:
         labels = np.arange(count) % NUM_CLASSES
         rng.shuffle(labels)
-        images = prototypes[labels].copy()
         contrast = rng.uniform(*config.contrast_range, size=(count, 1, 1, 1))
-        images *= contrast
         if config.max_shift > 0:
             shifts = rng.integers(
                 -config.max_shift, config.max_shift + 1, size=(count, 2)
             )
-            images = _random_roll(images, shifts)
+        else:
+            shifts = np.zeros((count, 2), dtype=np.int64)
         flips = rng.random(count) < config.flip_probability
-        images[flips] = images[flips, :, :, ::-1]
-        images += rng.normal(scale=config.noise_scale, size=images.shape)
+        # Image i is its prototype circularly shifted by shifts[i] and then,
+        # if flipped, mirrored: pixel (y, x) reads prototype pixel
+        # ((y - dy) % H, (x' - dx) % W) with x' = W - 1 - x when flipped.
+        rows = (np.arange(height) - shifts[:, :1]) % height
+        columns = np.where(flips[:, None], np.arange(width)[::-1],
+                           np.arange(width))
+        columns = (columns - shifts[:, 1:]) % width
+        images = np.empty((count,) + IMAGE_SHAPE)
+        for start in range(0, count, GENERATION_BLOCK):
+            stop = start + GENERATION_BLOCK  # slices stop at ``count``
+            block = images[start:stop]
+            source = (labels[start:stop, None, None, None]
+                      * (channels * height * width)
+                      + channel_offsets
+                      + (rows[start:stop, :, None] * width
+                         + columns[start:stop, None, :])[:, None])
+            # Indices are in range by construction; mode="clip" writes
+            # straight into ``block`` where "raise" would buffer a copy.
+            np.take(prototypes, source, out=block, mode="clip")
+            del source  # not alive beside the noise block
+            block *= contrast[start:stop]
+            # One normal draw per pixel in row order: consecutive blocks
+            # consume the stream exactly as one call over the split would.
+            block += rng.normal(scale=config.noise_scale, size=block.shape)
         return ArrayDataset(images, labels)
 
     return generate(num_train), generate(num_test)

@@ -94,10 +94,15 @@ class BlobShardSpec:
         if self.primary_class is not None:
             skewed = int(self.num_samples * self.primary_fraction)
             labels[:skewed] = self.primary_class
-        features = centers[labels] + rng.normal(
-            scale=self.noise_scale,
-            size=(self.num_samples, self.feature_dim),
-        )
+        # Bit-equal to ``centers[labels] + rng.normal(scale=s, size=...)``,
+        # which draws the same z and computes ``c + (0.0 + s * z)``: the two
+        # differ only for ``c == -0.0``, and centres from ``0.0 + s * z``
+        # are never -0.0.
+        features = np.empty((self.num_samples, self.feature_dim))
+        rng.standard_normal(out=features)
+        if self.noise_scale != 1.0:
+            features *= self.noise_scale
+        features += centers[labels]
         return ArrayDataset(features, labels)
 
 
