@@ -208,7 +208,9 @@ class Client:
             self.model.backward(grad)
             self.optimizer.step()
             losses.append(loss)
-        self.last_train_loss = float(np.mean(losses))
+        # ``np.mean``'s own ufunc call, without its wrapper.
+        self.last_train_loss = float(np.add.reduce(np.array(losses))
+                                     / len(losses))
         self._adopt(frozen(to_vector(self.model)))
         self._replica.holds = self.state
         return self._wire

@@ -29,9 +29,14 @@ class ArrayDataset:
             )
         if labels.ndim != 1:
             raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
-        self.features = features
         # copy=False keeps shared-memory-backed label arrays zero-copy.
-        self.labels = labels.astype(np.int64, copy=False)
+        labels = labels.astype(np.int64, copy=False)
+        # Indexing would wrap a negative label onto the last classes.
+        if labels.size and labels.min() < 0:
+            raise ConfigurationError(
+                f"labels must be class indices >= 0, got {labels.min()}")
+        self.features = features
+        self.labels = labels
 
     def __len__(self) -> int:
         return int(self.features.shape[0])

@@ -77,7 +77,7 @@ class Linear(Module):
         self._cache = x
         out = x @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         return out
 
     def input_layer(self) -> Module:
@@ -93,7 +93,13 @@ class Linear(Module):
         else:
             self.weight.grad += x.T @ grad_output
         if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
+            total = grad_output.sum(axis=0)
+            grad_bias = self.bias.claim_grad()
+            if grad_bias is not None:
+                # 0.0 + total, as the add to zeros was: -0.0 comes out +0.0.
+                np.add(0.0, total, out=grad_bias)
+            else:
+                self.bias.grad += total
         if not self.needs_input_grad:
             return None
         return grad_output @ self.weight.data.T

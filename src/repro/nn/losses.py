@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..common.errors import ShapeError
+from ..common.errors import ConfigurationError, ShapeError
 
 __all__ = ["cross_entropy", "mse_loss", "l2_penalty", "accuracy"]
 
@@ -24,7 +24,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.nda
     logits:
         ``(N, C)`` unnormalized class scores.
     labels:
-        ``(N,)`` integer class indices in ``[0, C)``.
+        ``(N,)`` integer class indices in ``[0, C)``; any other label raises
+        :class:`ConfigurationError` (numpy would wrap a negative one).
 
     Returns
     -------
@@ -38,17 +39,31 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.nda
         raise ShapeError(
             f"labels must be ({logits.shape[0]},), got {labels.shape}"
         )
+    n, classes = logits.shape
+    if n and labels.min() < 0:
+        raise _label_error(classes)
     # ``log_softmax`` and ``softmax`` (repro.nn.functional) off one shift,
-    # one exp and one row sum; bit-equal to calling both.
-    n = logits.shape[0]
+    # one exp and one row sum; bit-equal to calling both. The reductions
+    # are the ufunc calls ``np.max``, ``np.sum`` and ``.mean()`` make,
+    # without their Python wrappers.
     picked = (np.arange(n), labels)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     grad = np.exp(shifted)
-    sums = np.sum(grad, axis=1, keepdims=True)
-    loss = -float((shifted[picked] - np.log(sums)[:, 0]).mean())
+    sums = grad.sum(axis=1, keepdims=True)
+    try:
+        log_likelihood = shifted[picked]
+    except IndexError:
+        raise _label_error(classes) from None
+    loss = -float(np.add.reduce(log_likelihood - np.log(sums)[:, 0]) / n)
     grad /= sums
     grad[picked] -= 1.0
-    return loss, grad / n
+    grad /= n
+    return loss, grad
+
+
+def _label_error(classes: int) -> ConfigurationError:
+    return ConfigurationError(
+        f"labels must be integer class indices in [0, {classes})")
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:

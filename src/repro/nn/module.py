@@ -16,6 +16,7 @@ a single vector for upload/aggregation (:mod:`repro.nn.serialization`).
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -141,7 +142,8 @@ class Module:
     rowwise = False
 
     #: The one slot ``forward`` leaves for ``backward``; ``None`` before a
-    #: forward and after a forward under :func:`inference`.
+    #: forward and after a forward under :func:`inference`. It never holds a
+    #: :class:`Parameter` or :class:`Module`, so writing it skips registration.
     _cache = None
 
     def __init__(self) -> None:
@@ -153,7 +155,9 @@ class Module:
     # -- registration ------------------------------------------------------
 
     def __setattr__(self, name: str, value) -> None:
-        if isinstance(value, Parameter):
+        if name == "_cache":
+            pass  # written on every forward; see the class attribute
+        elif isinstance(value, Parameter):
             self._parameters[name] = value
         elif isinstance(value, Module):
             self._modules[name] = value
@@ -310,6 +314,9 @@ class Module:
         return f"{type(self).__name__}({child_names})"
 
 
+_LAYER_NAME = re.compile(r"layer(0|[1-9][0-9]*)")
+
+
 def _run(layers: List[Module], x: np.ndarray) -> np.ndarray:
     for layer in layers:
         x = layer(x)
@@ -330,40 +337,45 @@ class Sequential(Module):
 
     def __init__(self, *layers: Module) -> None:
         super().__init__()
-        self._layer_order: List[str] = []
-        for index, layer in enumerate(layers):
-            name = f"layer{index}"
-            setattr(self, name, layer)
-            self._layer_order.append(name)
+        # ``layer{i}`` is ``_layers[i]``; ``__setattr__`` keeps the two equal,
+        # so forward and backward walk the list instead of looking names up.
+        self._layers: List[Module] = []
+        for layer in layers:
+            self.append(layer)
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        match = _LAYER_NAME.fullmatch(name)
+        if match and int(match[1]) < len(self._layers):
+            self._layers[int(match[1])] = value
 
     @property
     def layers(self) -> List[Module]:
-        return [getattr(self, name) for name in self._layer_order]
+        return list(self._layers)
 
     def append(self, layer: Module) -> "Sequential":
         """Add ``layer`` to the end of the pipeline."""
-        name = f"layer{len(self._layer_order)}"
-        setattr(self, name, layer)
-        self._layer_order.append(name)
+        setattr(self, f"layer{len(self._layers)}", layer)
+        self._layers.append(layer)
         return self
 
     def __len__(self) -> int:
-        return len(self._layer_order)
+        return len(self._layers)
 
     def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
+        return self._layers[index]
 
     def input_layer(self) -> Optional[Module]:
-        if not self._layer_order:
+        if not self._layers:
             return None
-        return getattr(self, self._layer_order[0]).input_layer()
+        return self._layers[0].input_layer()
 
     @property
     def rowwise(self) -> bool:
-        return all(layer.rowwise for layer in self.layers)
+        return all(layer.rowwise for layer in self._layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        layers = self.layers
+        layers = self._layers
         if _mode.inference and len(x) > _BLOCK_ROWS:
             # The leading row-wise run goes block by block, so one block's
             # activations are alive at a time; the rest sees all rows.
@@ -377,6 +389,6 @@ class Sequential(Module):
         return _run(layers, x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+        for layer in reversed(self._layers):
             grad_output = layer.backward(grad_output)
         return grad_output

@@ -105,7 +105,8 @@ class SGD(Optimizer):
         temporary) block by block over the one buffer the parameters tile."""
         if self._blocks:
             for param in self.params:
-                param.grad  # writes the zeros a lazily reset gradient owes
+                if param._grad_stale:
+                    param.grad  # writes the zeros a lazily reset gradient owes
         for block in self._blocks or self._parameter_blocks():
             self._update(*block)
 

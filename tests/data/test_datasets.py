@@ -51,6 +51,11 @@ class TestArrayDataset:
         with pytest.raises(ShapeError):
             ArrayDataset(np.zeros((3, 2)), np.zeros((3, 1)))
 
+    def test_rejects_negative_labels(self):
+        # Accepted, -1 undercounted num_classes and broke label_histogram.
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            ArrayDataset(np.zeros((3, 2)), np.array([0, -1, 2]))
+
 
 class TestSubset:
     def test_subset_selects_rows(self):

@@ -64,6 +64,12 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError):
             cross_entropy(np.zeros(3), np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize("labels", [[-1, 0], [0, -3], [0, 3], [5, 1]])
+    def test_rejects_labels_outside_the_classes(self, labels):
+        # -1 used to be read as class C - 1, and C raised a bare IndexError.
+        with pytest.raises(ConfigurationError, match=r"\[0, 3\)"):
+            cross_entropy(np.zeros((2, 3)), np.array(labels))
+
 
 class TestMseLoss:
     def test_zero_at_target(self):
