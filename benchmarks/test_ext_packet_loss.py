@@ -10,9 +10,10 @@ The runs go through the graceful-degradation stack in
 
 * a lost upload is retried with backoff (first to the same PS, then to a
   freshly sampled alive one) under the ``FaultConfig`` retry budget;
-* a client that still receives fewer than P global models recomputes the
-  trim count against the reduced quorum (``degraded_trim_count``) and
-  falls back to its previous feasible model only when ``q <= 2B``.
+* a client that still receives fewer than P global models filters the
+  reduced quorum with the absolute trim count ``B`` (``Def()``,
+  :class:`~repro.core.filtering.ResolvedFilter`) and falls back to its
+  previous feasible model only when ``q <= 2B``.
 
 Shape asserted: moderate loss (<= 20%) costs only a modest accuracy drop,
 training never collapses to the random-guess floor, and the fault-layer

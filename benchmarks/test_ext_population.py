@@ -133,7 +133,7 @@ def test_attacked_tiers_match_flat_full_participation(benchmark):
         with trainer:
             tiered = trainer.run(rounds, eval_every=rounds)
             peak = tiered.peak_materialized_clients
-            aggregators = trainer.topology.total_aggregators
+            aggregators = trainer.tier_topology.total_aggregators
         flat = run_flat_baseline(population, shape, num_rounds=rounds)
         return tiered, flat, peak, aggregators
 

@@ -29,7 +29,6 @@ __all__ = [
     "trimmed_mean",
     "trimmed_mean_by_count",
     "trim_count",
-    "degraded_trim_count",
     "coordinate_median",
     "geometric_median",
     "krum",
@@ -104,41 +103,6 @@ def trim_count(num_models: int, trim_ratio: float) -> int:
     return count
 
 
-def degraded_trim_count(num_received: int, expected_models: int,
-                        trim_ratio: float) -> Optional[int]:
-    """Per-tail trim count for a degraded quorum of ``q <= P`` models.
-
-    Under faults a client can receive only ``q < P`` global models, yet up
-    to ``B = floor(trim_ratio * P)`` of them may still be Byzantine — the
-    adversary does not crash with the benign PSs. The sound filter
-    therefore keeps the *absolute* tolerance of the full quorum: trim
-    ``B`` per tail whenever that leaves a benign majority (``2B < q``),
-    and report infeasibility (``None``) when ``q <= 2B`` — the caller then
-    falls back to its previous feasible model rather than aggregate a
-    stack the adversary could control.
-
-    >>> degraded_trim_count(10, 10, 0.2)  # full quorum: the usual B = 2
-    2
-    >>> degraded_trim_count(5, 10, 0.2)   # q = 2B + 1: still feasible
-    2
-    >>> degraded_trim_count(4, 10, 0.2) is None  # q = 2B: infeasible
-    True
-    """
-    if num_received <= 0:
-        raise ConfigurationError(
-            f"num_received must be positive, got {num_received}"
-        )
-    if num_received > expected_models:
-        raise ConfigurationError(
-            f"received {num_received} models but only {expected_models} "
-            f"were expected"
-        )
-    full = trim_count(expected_models, trim_ratio)
-    if 2 * full >= num_received:
-        return None
-    return full
-
-
 def _trimmed_rows_mean(rows: Sequence[np.ndarray], count: int) -> np.ndarray:
     """Mean of what is left after ``count`` entries leave each tail.
 
@@ -174,8 +138,8 @@ def _sort_and_reduce(stack: np.ndarray, count: int) -> np.ndarray:
 def trimmed_mean_by_count(stack: np.ndarray, count: int) -> np.ndarray:
     """Trimmed mean with an explicit per-tail count instead of a ratio.
 
-    The degraded-quorum filter path trims ``floor(beta * P)`` entries from
-    a stack of only ``q < P`` rows (see :func:`degraded_trim_count`), a
+    The degraded-quorum filter path trims ``B`` entries from a stack of
+    only ``q < P`` rows (:class:`~repro.core.filtering.ResolvedFilter`), a
     combination no ratio expresses exactly.
     """
     rows = _check_rows(stack)

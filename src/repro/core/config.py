@@ -122,7 +122,8 @@ class FedMSConfig:
     upload_strategy:
         ``"sparse"`` (paper default — one uniformly random PS per client),
         ``"full"`` (every PS), or ``"multi"`` (a fixed number of PSs, see
-        ``uploads_per_client``).
+        ``uploads_per_client``). The grouped and tiered trainers raise on
+        any but ``"sparse"``.
     uploads_per_client:
         Only for ``upload_strategy="multi"``: how many distinct PSs each
         client uploads to.
@@ -143,18 +144,18 @@ class FedMSConfig:
         round (FedAvg-style partial device participation, per Li et al.
         2019). Non-participants stay synchronized by filtering the
         disseminated global models like everyone else. 1.0 = the paper's
-        full participation.
+        full participation. The population trainer raises on it.
     eval_clients:
-        How many client models are evaluated (and averaged) when measuring
-        test accuracy. After the filter step all clients hold nearly
-        identical models, so a small sample is an accurate estimate.
+        How many client models the flat trainer evaluates (and averages)
+        when measuring test accuracy; after the filter all clients hold
+        nearly identical models.
     population_size:
         Total number of clients a population-scale run knows about (the
         :class:`~repro.population.ClientPopulation`'s ``K``). Only the
         clients sampled each round materialize datasets and models; the
-        rest stay lightweight descriptors. ``None`` (default) means the
-        run is a flat, full-materialization simulation and the
-        population-scale fields below are unused.
+        rest stay lightweight descriptors. The flat and grouped trainers
+        raise on it and on ``tier_spec``, ``tier_byzantine`` and the churn
+        rates below.
     sample_fraction:
         Fraction of the *active* population sampled (uniformly, without
         replacement, from a ``(seed, round)``-derived stream) to train
@@ -183,12 +184,10 @@ class FedMSConfig:
         themselves live in a
         :class:`~repro.simulation.faults.FaultPlan` passed to the trainer.
     retry_policy:
-        The :class:`~repro.core.upload.RetryPolicy` both
-        :class:`~repro.core.trainer.FedMSTrainer` and
-        :class:`~repro.population.PopulationTrainer` consume for failed
-        sends. ``None`` (default) derives one from ``faults``; supplying
-        retry knobs through ``faults`` *and* a divergent ``retry_policy``
-        is a ``ConfigurationError``.
+        The :class:`~repro.core.upload.RetryPolicy` every trainer consumes
+        for failed sends. ``None`` (default) derives one from ``faults``;
+        supplying retry knobs through ``faults`` *and* a divergent
+        ``retry_policy`` is a ``ConfigurationError``.
     aggregation_mode:
         ``"barrier"`` (paper default — every round waits for all alive
         PSs) or ``"deadline"`` — aggregate whatever arrived when the
@@ -212,10 +211,11 @@ class FedMSConfig:
     straggler_factor:
         Latency multiplier for straggling transfers.
     health_scoring:
-        Enables the per-PS health ledger and circuit breaker
-        (``core/health.py``): crash/straggle/filter evidence decays into
-        a reputation score; persistently-bad PSs are excluded from upload
-        sampling and quorum counting until they pass probation.
+        Enables the per-node health ledger and circuit breaker
+        (``core/health.py``) on every topology: crash/straggle/filter
+        evidence decays into a reputation score; persistently-bad nodes
+        are excluded from quorum counting (and, on the flat topology,
+        upload sampling) until they pass probation.
     health_decay / health_open_threshold / health_probation_rounds:
         :class:`~repro.core.health.HealthPolicy` knobs — score decay per
         round, the score below which the breaker opens, and how many

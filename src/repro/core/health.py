@@ -69,7 +69,8 @@ class HealthPolicy:
 
 
 class HealthLedger:
-    """Tracks one reputation score and breaker state per parameter server.
+    """Tracks one reputation score and breaker state per node: a parameter
+    server, or a tier aggregator by global index.
 
     Evidence is structured (sets of server ids), never parsed from event
     strings: the trainer passes the injector's crash set, this round's

@@ -11,7 +11,7 @@ aggregate history — then tampers the outgoing model through an
 from __future__ import annotations
 
 import functools
-from typing import AbstractSet, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,10 +23,8 @@ from ..attacks.base import (
     trim_history,
 )
 from ..common.errors import ProtocolError
-from ..common.rng import RngFactory
 
-__all__ = ["ParameterServer", "ByzantineParameterServer", "make_servers",
-           "adversary_view"]
+__all__ = ["ParameterServer", "ByzantineParameterServer", "adversary_view"]
 
 
 class ParameterServer:
@@ -57,10 +55,6 @@ class ParameterServer:
         )
         self.aggregate_history: List[np.ndarray] = []
         self.rounds_without_uploads = 0
-        # Round of the most recent dissemination this PS produced; lets
-        # deadline-mode consumers measure how stale a buffered or
-        # readmitted broadcast is without re-deriving it from traces.
-        self.last_disseminated_round: Optional[int] = None
 
     @property
     def is_byzantine(self) -> bool:
@@ -73,6 +67,12 @@ class ParameterServer:
                 f"PS {self.server_id} has not aggregated anything yet"
             )
         return self.aggregate_history[-1]
+
+    @property
+    def current_output(self) -> Optional[np.ndarray]:
+        """The newest aggregate, or the initial model before the first."""
+        return (self.aggregate_history[-1] if self.aggregate_history
+                else self.initial_model)
 
     def aggregate(self, uploads: Sequence[np.ndarray]) -> np.ndarray:
         """Average the received local models (Algorithm 1, line 4).
@@ -123,7 +123,6 @@ class ParameterServer:
         it, and one that tried to write would raise instead of changing
         this PS's history.
         """
-        self.last_disseminated_round = round_index
         model = self.current_aggregate.view()
         model.flags.writeable = False
         return model
@@ -156,7 +155,6 @@ class ByzantineParameterServer(ParameterServer):
     def disseminate(self, *, round_index: int, client_id: Optional[int] = None,
                     all_server_aggregates: ServerAggregates = None
                     ) -> np.ndarray:
-        self.last_disseminated_round = round_index
         context = AttackContext(
             round_index=round_index,
             server_id=self.server_id,
@@ -171,23 +169,6 @@ class ByzantineParameterServer(ParameterServer):
     def __repr__(self) -> str:
         return (f"ByzantineParameterServer(id={self.server_id}, "
                 f"attack={self.attack!r})")
-
-
-def make_servers(count: int, byzantine_ids: AbstractSet[int],
-                 attack: Optional[Attack], rngs: RngFactory, *,
-                 initial_model: np.ndarray,
-                 aggregation_rule: Optional[AggregationRule] = None
-                 ) -> List[ParameterServer]:
-    """``count`` PSs; the ones in ``byzantine_ids`` run ``attack``, each on
-    its own ``attack/server/<id>`` stream."""
-    common = dict(initial_model=initial_model,
-                  aggregation_rule=aggregation_rule)
-    return [
-        ByzantineParameterServer(
-            i, attack, rng=rngs.make(f"attack/server/{i}"), **common)
-        if i in byzantine_ids else ParameterServer(i, **common)
-        for i in range(count)
-    ]
 
 
 def adversary_view(vectors: Sequence[np.ndarray]

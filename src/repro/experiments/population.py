@@ -212,8 +212,8 @@ def run_population_scale(*, attack_name: str = "sign_flip",
                     "population": population,
                     "variant": label_suffix,
                     "attack": attack_name if attacked else None,
-                    "tier_spec": list(trainer.topology.counts),
-                    "tier_byzantine": list(trainer.topology.byzantine),
+                    "tier_spec": list(trainer.tier_topology.counts),
+                    "tier_byzantine": list(trainer.tier_topology.byzantine),
                     "final_accuracy": history.final_accuracy,
                     "sampled_per_round": [r.num_sampled_clients
                                           for r in history.records],

@@ -13,17 +13,14 @@ filter an unwinnable stack, and the event is traced per tier in
 :class:`~repro.core.history.TrainingHistory`.
 
 Tier 0 (the edge aggregators) plays the paper's PS role: it averages the
-client uploads of its shard (trim budget 0 — clients are trusted in this
-threat model) and a Byzantine edge tampers what it *forwards upward*, via
-the same :class:`~repro.attacks.base.Attack` catalog the flat trainer
-uses. Tiers above apply the configured filter rule — the static per-tier
-trimmed mean, or an estimating rule (adaptive-beta, loss-based) whose
-``B-hat``/rejection evidence is recorded per tier.
+client uploads of its shard (clients are trusted in this threat model),
+and a Byzantine edge tampers what it *forwards upward*. Tiers above run
+the configured ``Def()`` held to the tier's budget.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +31,7 @@ from ..attacks.base import (
     trim_history,
 )
 from ..common.errors import ConfigurationError, ProtocolError
-from ..core.engine import LateBuffer
+from ..core.client import frozen
 from ..core.filtering import (
     ResolvedFilter,
     Verdict,
@@ -156,6 +153,8 @@ class TierAggregator:
     ``output_history`` holds the current output plus, on a Byzantine
     node, the earlier ones its attack declares it reads
     (:func:`~repro.attacks.base.trim_history`, at most ``max_history``).
+    Outputs are read-only: the top's is the global model every sampled
+    client starts from, shared by reference.
     """
 
     def __init__(self, tier: int, index: int, *, global_index: int,
@@ -179,12 +178,9 @@ class TierAggregator:
         self._attack_rng = attack_rng
         self.max_history = max_history
         self.output_history: List[np.ndarray] = [
-            np.asarray(initial_model, dtype=np.float64).copy()
+            frozen(np.array(initial_model, dtype=np.float64))
         ]
         self.rounds_without_quorum = 0
-        # Child forwards that missed a deadline, buffered for
-        # bounded-staleness admission.
-        self._late_children = LateBuffer()
 
     @property
     def is_byzantine(self) -> bool:
@@ -195,21 +191,17 @@ class TierAggregator:
         return self.output_history[-1]
 
     def _push(self, vector: np.ndarray) -> None:
-        self.output_history.append(vector)
+        self.output_history.append(frozen(vector))
         trim_history(self.output_history, self.attack, self.max_history)
 
     def combine(self, child_vectors: Sequence[np.ndarray],
                 child_ids: Sequence[int], *,
                 filter: ResolvedFilter = static_filter) -> Verdict:
-        """Fold the delivered children into this node's next output.
-
-        ``child_ids`` name the senders, in the order of ``child_vectors``,
-        however the caller addresses them; the verdict's ``rejected`` are
-        among them. ``filter`` is held to this node's trim budget and
-        expected child count (:class:`~repro.core.filtering
-        .ResolvedFilter`: the static trimmed mean by that budget unless an
-        estimating rule is passed); on a verdict to fall back the node
-        keeps its previous output.
+        """Fold the delivered children into this node's next output:
+        ``filter`` (by default the static trimmed mean) held to this node's
+        trim budget and expected child count, then :meth:`absorb`.
+        ``child_ids`` name the senders of ``child_vectors``, however the
+        caller addresses them; the verdict's ``rejected`` are among them.
         """
         if len(child_vectors) != len(child_ids):
             raise ProtocolError(
@@ -219,28 +211,17 @@ class TierAggregator:
         verdict = filter(child_vectors, child_ids,
                          expected=self.expected_children,
                          budget=self.trim_budget)
-        if verdict.vector is None:
-            self.rounds_without_quorum += 1
-            self._push(self.current_output.copy())
-        else:
-            self._push(verdict.vector)
+        self.absorb(verdict)
         return verdict
 
-    def buffer_late(self, child_index: int, round_index: int,
-                    vector: np.ndarray) -> None:
-        """Buffer a child's deadline-missing forward for stale admission."""
-        self._late_children.hold(child_index, round_index, vector)
-
-    def take_admissible(self, round_index: int, max_staleness: int, *,
-                        late_children: AbstractSet[int],
-                        absent_children: AbstractSet[int] = frozenset(),
-                        ) -> Dict[int, np.ndarray]:
-        """Pop the buffered forwards admissible in ``round_index`` (the
-        rule is :meth:`repro.core.engine.LateBuffer.take_admissible`)."""
-        return self._late_children.take_admissible(
-            round_index, max_staleness,
-            late=late_children, absent=absent_children,
-        )
+    def absorb(self, verdict: Verdict) -> None:
+        """``verdict``'s vector is the next output; without one the
+        previous output stays."""
+        if verdict.vector is None:
+            self.rounds_without_quorum += 1
+            self._push(self.current_output)
+        else:
+            self._push(verdict.vector)
 
     def outgoing(self, round_index: int, *,
                  peer_outputs: ServerAggregates = None) -> np.ndarray:

@@ -37,7 +37,6 @@ class RoundScheduler:
         self._round_hooks: List[PhaseFn] = []
         self._round_index = 0
         self.phase_seconds: Dict[str, float] = {}
-        self.simulated_seconds: Dict[str, float] = {}
 
     @property
     def round_index(self) -> int:
@@ -63,20 +62,6 @@ class RoundScheduler:
         ``begin_round`` activating this round's crashes and partitions.
         """
         self._round_hooks.append(fn)
-
-    def record_simulated(self, name: str, seconds: float) -> None:
-        """Accumulate *virtual-clock* time against a named stage.
-
-        ``phase_seconds`` measures host wall-clock; this tracks the
-        simulated duration a :class:`~repro.simulation.clock.VirtualClock`
-        assigned to a stage (barrier max or deadline cap), so barrier and
-        deadline runs can be compared in simulated time units.
-        """
-        if seconds < 0:
-            raise ConfigurationError(
-                f"simulated seconds must be >= 0, got {seconds}")
-        self.simulated_seconds[name] = \
-            self.simulated_seconds.get(name, 0.0) + float(seconds)
 
     def set_round_index(self, round_index: int) -> None:
         """Reposition the scheduler, e.g. after restoring a checkpoint."""

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from repro.common import ConfigurationError, ShapeError
 from repro.aggregation import (
     coordinate_median,
-    degraded_trim_count,
     geometric_median,
     krum,
     krum_index,
@@ -54,34 +53,6 @@ class TestTrimCount:
         # but 3 models at 0.4 -> count 1, 2*1 < 3 fine. Construct a failure:
         with pytest.raises(ConfigurationError):
             trim_count(2, 0.5)
-
-
-class TestDegradedTrimCount:
-    # The acceptance setting: P = 10, beta = 0.2 -> B = 2, so the filter
-    # stays feasible down to q = 2B + 1 = 5 and falls back below that.
-
-    @pytest.mark.parametrize("quorum", list(range(10, 4, -1)))
-    def test_feasible_quorums_keep_absolute_tolerance(self, quorum):
-        assert degraded_trim_count(quorum, 10, 0.2) == 2
-
-    def test_boundary_quorum_is_infeasible(self):
-        # q = 2B: trimming B per tail leaves no benign majority.
-        assert degraded_trim_count(4, 10, 0.2) is None
-
-    def test_below_boundary_is_infeasible(self):
-        assert degraded_trim_count(3, 10, 0.2) is None
-        assert degraded_trim_count(1, 10, 0.2) is None
-
-    def test_zero_trim_is_always_feasible(self):
-        assert degraded_trim_count(1, 10, 0.0) == 0
-
-    def test_rejects_nonpositive_quorum(self):
-        with pytest.raises(ConfigurationError):
-            degraded_trim_count(0, 10, 0.2)
-
-    def test_rejects_quorum_above_expected(self):
-        with pytest.raises(ConfigurationError):
-            degraded_trim_count(11, 10, 0.2)
 
 
 class TestTrimmedMeanByCount:

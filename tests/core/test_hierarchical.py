@@ -160,7 +160,8 @@ class TestByzantineVulnerability:
 
 
 class TestIgnoredConfigWarning:
-    """upload_strategy is the one knob grouping makes meaningless."""
+    """No setting is dropped with a warning any more: the grouped trainer
+    honours a setting or raises (the matrix in test_round_engine.py)."""
 
     def _construct(self, **config_overrides):
         data = make_blobs()
@@ -175,10 +176,6 @@ class TestIgnoredConfigWarning:
             client_datasets=parts,
             test_dataset=test,
         )
-
-    def test_warns_on_non_default_upload_strategy(self):
-        with pytest.warns(RuntimeWarning, match="upload_strategy='full'"):
-            self._construct(upload_strategy="full")
 
     def test_upload_codecs_supported_without_warning(self):
         import warnings as warnings_module
@@ -231,3 +228,29 @@ class TestDeadlineMode:
         history = make_trainer(seed=1, aggregation_mode="deadline",
                                straggler_rate=0.2).run(12, eval_every=12)
         assert history.final_accuracy > 0.8
+
+
+class TestBackendParity:
+    """Pools train the group clients: every backend equals serial, bit for
+    bit, with a Byzantine PS, deadline rounds and the health ledger on."""
+
+    @pytest.mark.parametrize("codecs", [None, ["topk(0.2)", "int8"]],
+                             ids=["identity", "topk+int8"])
+    def test_every_backend_equals_serial(self, codecs):
+        runs = {}
+        for backend in ("serial", "thread", "process"):
+            with make_trainer(num_byzantine=1, attack=RandomAttack(),
+                              upload_codecs=codecs, health_scoring=True,
+                              aggregation_mode="deadline", straggler_rate=0.3,
+                              execution_backend=backend,
+                              num_workers=2) as trainer:
+                history = trainer.run(4)
+                assert not trainer.execution.degraded, backend
+                runs[backend] = (
+                    [(r.train_loss, r.test_loss, r.test_accuracy,
+                      r.upload_bytes, r.deadline_missed, r.excluded_servers)
+                     for r in history.records],
+                    [c.model_vector().tobytes() for c in trainer.clients],
+                )
+        assert runs["thread"] == runs["serial"]
+        assert runs["process"] == runs["serial"]

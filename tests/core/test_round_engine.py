@@ -15,20 +15,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregation import coordinate_median
 from repro.attacks import make_attack
 from repro.common import ConfigurationError, RngFactory
 from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
-from repro.core.engine import LateBuffer, RoundEngine
+from repro.core.engine import LateBuffer, RoundEngine, place_byzantine
+from repro.core.filtering import quorum_floor
+from repro.core.health import BreakerState
 from repro.core.server import adversary_view
 from repro.core.upload import RetryPolicy
 from repro.data import ArrayDataset, iid_partition
+from repro.execution import ThreadBackend
 from repro.models import SoftmaxRegression
 from repro.population import (
+    ChurnPlan,
     PopulationTrainer,
     make_blob_population,
     make_blob_test_dataset,
 )
-from repro.simulation import Network
+from repro.simulation import FaultPlan, Network, ServerCrash
 
 TRAINERS = ("flat", "hierarchical", "population")
 CODECS = ["topk(0.2)", "int8"]
@@ -65,10 +70,13 @@ def model_factory(rng):
     return SoftmaxRegression(FEATURES, CLASSES, rng=rng)
 
 
-def build(kind, *, network=None, attack=None, **config_kwargs):
+def build(kind, *, network=None, attack=None, options=None,
+          **config_kwargs):
     """One small trainer of each topology: honest nodes only, or with
-    ``attack`` on one PS (one edge aggregator)."""
+    ``attack`` on one PS (one edge aggregator). ``options`` go to the
+    trainer's constructor."""
     attack = make_attack(attack) if attack else None
+    options = dict(options or {}, network=network, attack=attack)
     if kind == "population":
         kwargs = dict(num_clients=40, num_servers=7, num_byzantine=0,
                       population_size=40, sample_fraction=0.25,
@@ -77,15 +85,19 @@ def build(kind, *, network=None, attack=None, **config_kwargs):
         if attack:
             kwargs.update(tier_spec=(6, 2, 1), tier_byzantine=(1, 0, 0))
         kwargs.update(config_kwargs)
+        config = FedMSConfig(**kwargs)
+        if config.has_churn:
+            options["churn_plan"] = ChurnPlan.from_config(
+                config, num_rounds=3, rng=np.random.default_rng(0))
         return PopulationTrainer(
-            FedMSConfig(**kwargs), model_factory=model_factory,
+            config, model_factory=model_factory,
             shard_specs=make_blob_population(
                 40, samples_per_client=16, feature_dim=FEATURES,
                 num_classes=CLASSES, seed=0),
             test_dataset=make_blob_test_dataset(
                 num_samples=60, feature_dim=FEATURES, num_classes=CLASSES,
                 seed=0),
-            network=network, attack=attack,
+            **options,
         )
     kwargs = dict(num_clients=6, num_servers=3,
                   num_byzantine=1 if attack else 0,
@@ -96,8 +108,7 @@ def build(kind, *, network=None, attack=None, **config_kwargs):
         FedMSConfig(**kwargs), model_factory=model_factory,
         client_datasets=iid_partition(make_blobs(), 6,
                                       rng=RngFactory(0).make("p")),
-        test_dataset=make_blobs(n=60, seed=1), network=network,
-        attack=attack,
+        test_dataset=make_blobs(n=60, seed=1), **options,
     )
 
 
@@ -329,16 +340,13 @@ class TestAdversaryView:
     ``(n, d)`` stack of the nodes' honest vectors exists only if read."""
 
     def views(self, kind, monkeypatch):
-        module = {"flat": "repro.core.trainer",
-                  "hierarchical": "repro.core.hierarchical",
-                  "population": "repro.population.trainer"}[kind]
         made = []
 
         def recording(vectors):
             made.append(adversary_view(vectors))
             return made[-1]
 
-        monkeypatch.setattr(f"{module}.adversary_view", recording)
+        monkeypatch.setattr("repro.core.engine.adversary_view", recording)
         return made
 
     def test_never_built_under_an_attack_that_does_not_look(
@@ -358,8 +366,7 @@ class TestAdversaryView:
         # One view per round is read (the population's second tier is
         # honest), and it is one stack.
         assert len(built) == 2 and all(i.misses == 1 for i in built)
-        monkeypatch.setattr(
-            f"{type(trainer).__module__}.adversary_view", np.stack)
+        monkeypatch.setattr("repro.core.engine.adversary_view", np.stack)
         with build(kind, attack="inner_product") as trainer:
             trainer.run(2)
             for ours, theirs in zip(final_vectors(trainer), lazy):
@@ -389,30 +396,37 @@ class TestHierarchicalSharesTheChecks:
                 attack=make_attack("noise"), byzantine_ids=[99],
             )
 
-    def test_health_scoring_warns_like_upload_strategy(self):
-        """Satellite (d): it was ignored silently."""
-        with pytest.warns(RuntimeWarning, match="health_scoring=True"):
-            build("hierarchical", health_scoring=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            build("hierarchical")
+    @pytest.mark.parametrize("ids", [[0.5, 1.7], [True, False], ["0", "1"]],
+                             ids=["floats", "bools", "strings"])
+    def test_node_ids_must_be_integers(self, ids):
+        """Rejected, not truncated: ``int()`` would turn ``[0.5, 1.7]`` into
+        PSs {0, 1} and ``[True, False]`` into {1, 0}."""
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            place_byzantine(ids, count=2, total=5,
+                            rng=np.random.default_rng(0), what="ids")
 
-    @pytest.mark.parametrize("kind, field, value", [
-        ("population", "upload_strategy", "full"),
-        ("population", "health_scoring", True),
-        ("population", "participation_fraction", 0.5),
-        ("hierarchical", "execution_backend", "thread"),
-        ("hierarchical", "filter_rule_name", "median"),
-        ("hierarchical", "participation_fraction", 0.5),
-    ])
-    def test_each_trainer_names_the_fields_it_does_not_read(
-            self, kind, field, value):
-        """The population said nothing; the grouped trainer said nothing
-        about a pool it never builds. One loop, in the engine."""
-        with pytest.warns(RuntimeWarning,
-                          match=f"Trainer ignores {field}={value!r}") as seen:
-            build(kind, **{field: value}).close()
-        assert len(seen) == 1
+    def test_numpy_integers_are_node_ids(self):
+        rng = np.random.default_rng(0)
+        assert place_byzantine(np.array([3, 1]), count=2, total=5, rng=rng,
+                               what="ids") == {1, 3}
+        assert place_byzantine([np.int64(4), 2], count=2, total=5, rng=rng,
+                               what="ids") == {2, 4}
+
+    def test_group_ids_must_be_integers(self):
+        """At construction, not as a ``TypeError`` in round 1."""
+        config = FedMSConfig(num_clients=4, num_servers=2, num_byzantine=0,
+                             eval_clients=2, seed=0)
+        common = dict(model_factory=model_factory,
+                      client_datasets=iid_partition(
+                          make_blobs(), 4, rng=RngFactory(0).make("p")),
+                      test_dataset=make_blobs(n=60, seed=1))
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            HierarchicalTrainer(config, group_of_client=[0.0, 1.0, 0.5, 1.0],
+                                **common)
+        trainer = HierarchicalTrainer(
+            config, group_of_client=np.array([1, 0, 1, 0]), **common)
+        assert trainer.group_of_client == [1, 0, 1, 0]
+        assert all(type(g) is int for g in trainer.group_of_client)
 
     @pytest.mark.parametrize("kind", TRAINERS)
     def test_environment_backend_is_not_an_explicit_choice(
@@ -426,15 +440,203 @@ class TestHierarchicalSharesTheChecks:
     def test_exchange_combines_only_what_was_delivered(self):
         """A contribution the network lost is not in the combine: with the
         whole exchange dropped every PS keeps its own group aggregate."""
-        network = Network(drop_rule=lambda m: m.tag == "inter_server")
-        captured = {}
-        trainer = build("hierarchical", network=network)
-        rule = trainer.inter_server_rule
+        shapes = []
 
         def recording_rule(stack):
-            captured.setdefault("shapes", []).append(stack.shape[0])
-            return rule(stack)
+            shapes.append(stack.shape[0])
+            return stack.mean(axis=0)
 
-        trainer.inter_server_rule = recording_rule
+        trainer = build(
+            "hierarchical", options=dict(inter_server_rule=recording_rule),
+            network=Network(drop_rule=lambda m: m.tag == "inter_server"))
         trainer.run_round(evaluate=False)
-        assert captured["shapes"] == [1, 1, 1]
+        assert shapes == [1, 1, 1]
+
+
+RAISES = "raises"
+
+
+def scored(trainer, record):
+    nodes = range(len(trainer.topology.nodes))
+    return set(record.breaker_states) == set(nodes)
+
+
+def threaded(trainer, record):
+    return isinstance(trainer.execution, ThreadBackend)
+
+
+def half_the_clients(trainer, record):
+    return record.upload_messages == 3
+
+
+def the_median(trainer, record):
+    return trainer.filter_rule.rule is coordinate_median
+
+
+def to_every_server(trainer, record):
+    return record.upload_messages == 6 * 3
+
+
+#: A setting only some topologies read, the config that sets it, and what
+#: each trainer does with it: raise at construction, or honour it as the
+#: predicate on the trainer and its first round's record shows.
+MATRIX = [
+    ("health_scoring", dict(health_scoring=True),
+     dict(flat=scored, hierarchical=scored, population=scored)),
+    ("execution_backend", dict(execution_backend="thread", num_workers=2),
+     dict(flat=threaded, hierarchical=threaded, population=threaded)),
+    ("participation_fraction", dict(participation_fraction=0.5),
+     dict(flat=half_the_clients, hierarchical=half_the_clients,
+          population=RAISES)),
+    ("filter_rule_name", dict(filter_rule_name="median"),
+     dict(flat=the_median, hierarchical=the_median, population=the_median)),
+    ("upload_strategy", dict(upload_strategy="full"),
+     dict(flat=to_every_server, hierarchical=RAISES, population=RAISES)),
+    ("population_size", dict(population_size=40),
+     dict(flat=RAISES, hierarchical=RAISES,
+          population=lambda t, r: r.num_sampled_clients == 10)),
+    ("tier_spec", dict(tier_spec=(4, 2, 1)),
+     dict(flat=RAISES, hierarchical=RAISES,
+          population=lambda t, r: t.tier_topology.counts == (4, 2, 1))),
+    ("tier_byzantine", dict(attack="noise", tier_spec=(6, 2, 1),
+                            tier_byzantine=(1, 0, 0)),
+     dict(flat=RAISES, hierarchical=RAISES,
+          population=lambda t, r: len(t.byzantine_tier_ids[0]) == 1)),
+    ("churn_rates", dict(churn_join_rate=0.2, churn_leave_rate=0.3),
+     dict(flat=RAISES, hierarchical=RAISES,
+          population=lambda t, r: not t.churn_plan.is_empty)),
+]
+
+
+class TestHonouredOrRaises:
+    @pytest.mark.parametrize("kind", TRAINERS)
+    @pytest.mark.parametrize("setting, kwargs, outcomes", MATRIX,
+                             ids=[row[0] for row in MATRIX])
+    def test_matrix(self, setting, kwargs, outcomes, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if outcomes[kind] == RAISES:
+                with pytest.raises(ConfigurationError,
+                                   match="cannot honour"):
+                    build(kind, **kwargs)
+                return
+            with build(kind, **kwargs) as trainer:
+                record = trainer.run_round(evaluate=False)
+                assert outcomes[kind](trainer, record)
+
+    def test_flat_no_longer_drops_the_population(self):
+        config = FedMSConfig(num_clients=4, num_servers=3, num_byzantine=0,
+                             population_size=4, tier_spec=(2, 1),
+                             churn_leave_rate=0.3)
+        with pytest.raises(ConfigurationError, match="population_size=4"):
+            FedMSTrainer(config, model_factory=model_factory,
+                         client_datasets=[make_blobs(n=20)] * 4,
+                         test_dataset=make_blobs(n=20))
+
+
+def straggle(trainer, node, rounds, leg):
+    """Make ``node``'s transfers on ``leg`` arrive long after any deadline
+    in ``rounds``."""
+    arrivals = trainer.clock.arrivals
+
+    def late(round_index, on_leg, senders, **kwargs):
+        times = arrivals(round_index, on_leg, senders, **kwargs)
+        if on_leg == leg and round_index in rounds and node in times:
+            times[node] = 1e6
+        return times
+
+    trainer.clock.arrivals = late
+
+
+def assert_every_quorum_keeps_its_floor(trainer, record):
+    """No quorum of the topology counts fewer than ``2B+1`` of the nodes up
+    (or all of them, when fewer are up)."""
+    injector = trainer.fault_injector
+    nodes = range(len(trainer.topology.nodes))
+    up = set(nodes if injector is None else injector.alive_servers(len(nodes)))
+    for members, budget in trainer.topology.quorums:
+        alive = [n for n in members if n in up]
+        counted = [n for n in alive if n not in record.excluded_servers]
+        assert len(counted) >= min(quorum_floor(budget), len(alive))
+
+
+class TestCircuitBreakerOnEveryTopology:
+    """What ``test_deadline_mode.py::TestCircuitBreaker`` pins on the flat
+    topology, on the grouped and the tiered ones: a node with bad rounds
+    opens its breaker, is excluded from the quorums it counts in, and is
+    readmitted after probation."""
+
+    def run(self, trainer, rounds=12):
+        sent = Counter()
+        send = trainer.network.send
+
+        def counting(message):
+            sent[(message.round_index, message.tag,
+                  message.sender.index)] += 1
+            return send(message)
+
+        trainer.network.send = counting
+        with trainer:
+            records = []
+            for _ in range(rounds):
+                records.append(trainer.run_round(evaluate=False))
+                assert_every_quorum_keeps_its_floor(trainer, records[-1])
+        return records, sent
+
+    def assert_open_exclude_readmit(self, records, node):
+        states = [r.breaker_states[node] for r in records]
+        excluded = [r.round_index for r in records
+                    if node in r.excluded_servers]
+        # Decay 0.7 from 1.0 crosses 0.4 after 3 bad rounds.
+        assert BreakerState.OPEN in states[:4]
+        assert excluded
+        closed = [i for i, state in enumerate(states)
+                  if state == BreakerState.CLOSED
+                  and BreakerState.OPEN in states[:i]]
+        assert closed and node not in records[closed[-1]].excluded_servers
+        return excluded
+
+    def test_grouped_straggler_is_excluded_from_the_exchange(self):
+        # A deadline nothing else misses: PS 4 straggles in rounds 1-6.
+        trainer = build("hierarchical", num_servers=5, health_scoring=True,
+                        aggregation_mode="deadline", deadline_s=5.0)
+        straggle(trainer, 4, range(1, 7), "inter_server")
+        records, sent = self.run(trainer)
+        excluded = self.assert_open_exclude_readmit(records, 4)
+        for t in excluded:
+            # It sends its peers nothing, and still serves its group.
+            assert sent[(t, "inter_server", 4)] == 0
+            assert sent[(t, "dissemination", 4)] > 0
+        assert sum(r.deadline_missed for r in records) == 6 - len(
+            [t for t in excluded if t < 7])
+
+    def test_grouped_exclusion_stops_at_the_floor(self):
+        # B = 1 of P = 5: four stragglers, but the quorum keeps 3.
+        trainer = build("hierarchical", attack="noise", num_servers=5,
+                        health_scoring=True, aggregation_mode="deadline",
+                        deadline_s=5.0)
+        for node in range(1, 5):
+            straggle(trainer, node, range(12), "inter_server")
+        records, _ = self.run(trainer)
+        assert max(len(r.excluded_servers) for r in records) == 2
+
+    def test_tiered_crashed_edge_is_excluded_from_its_parent(self):
+        # Edge 0 is down for rounds 1-6; its parent's budget is 0.
+        trainer = build("population", health_scoring=True, options=dict(
+            fault_plan=FaultPlan(crashes=(ServerCrash(0, 1, 7),))))
+        records, sent = self.run(trainer)
+        # Crashed, it is no candidate; up again, it is left out until
+        # probation ends, and forwards nothing.
+        assert self.assert_open_exclude_readmit(records, 0) == [7, 8]
+        assert sent[(7, "tier1_exchange", 0)] == 0
+        assert sent[(8, "tier1_exchange", 0)] == 0
+        assert sent[(9, "tier1_exchange", 0)] == 1
+
+    def test_tiered_exclusion_stops_at_the_floor(self):
+        # (6, 2, 1) with B_0 = 1: a parent of 3 children can exclude none.
+        trainer = build("population", attack="noise", health_scoring=True,
+                        options=dict(fault_plan=FaultPlan(
+                            crashes=(ServerCrash(0, 1, 5),))))
+        records, _ = self.run(trainer, rounds=8)
+        assert BreakerState.OPEN in [r.breaker_states[0] for r in records]
+        assert not any(r.excluded_servers for r in records)

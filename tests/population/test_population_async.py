@@ -11,13 +11,13 @@ import numpy as np
 
 from repro.attacks import make_attack
 from repro.core.config import FedMSConfig
+from repro.core.engine import LateBuffer
 from repro.models import SoftmaxRegression
 from repro.population import (
     PopulationTrainer,
     make_blob_population,
     make_blob_test_dataset,
 )
-from repro.population.tiers import TierAggregator
 from repro.population.trainer import UPLOAD_TAG, exchange_tag
 from repro.simulation.faults import FaultPlan, ServerCrash
 
@@ -178,45 +178,36 @@ class TestTierDeadlines:
 
 
 class TestTierAggregatorBuffer:
-    def make_aggregator(self):
-        return TierAggregator(1, 0, global_index=6, trim_budget=0,
-                              expected_children=3,
-                              initial_model=np.zeros(4))
+    """A parent's late children wait on its tier leg's buffer (one
+    :class:`~repro.core.engine.LateBuffer` per leg: a child has one
+    parent), keyed by the child's index in its tier."""
 
     def test_no_double_vote(self):
-        agg = self.make_aggregator()
-        agg.buffer_late(0, 0, np.ones(4))
+        buffer = LateBuffer()
+        buffer.hold(0, 0, np.ones(4))
         # Child 0 made the deadline in round 1: the stale buffer is
         # superseded and discarded, not admitted.
-        admitted = agg.take_admissible(1, 1, late_children=frozenset())
-        assert admitted == {}
-        assert agg.take_admissible(1, 5,
-                                   late_children=frozenset({0})) == {}
+        assert buffer.take_admissible(1, 1, late=frozenset()) == {}
+        assert buffer.take_admissible(1, 5, late=frozenset({0})) == {}
 
     def test_admitted_when_late_again(self):
-        agg = self.make_aggregator()
-        agg.buffer_late(0, 0, np.ones(4))
-        admitted = agg.take_admissible(1, 1,
-                                       late_children=frozenset({0}))
+        buffer = LateBuffer()
+        buffer.hold(0, 0, np.ones(4))
+        admitted = buffer.take_admissible(1, 1, late=frozenset({0}))
         assert set(admitted) == {0}
         np.testing.assert_array_equal(admitted[0], np.ones(4))
 
     def test_staleness_expiry(self):
-        agg = self.make_aggregator()
-        agg.buffer_late(0, 0, np.ones(4))
-        admitted = agg.take_admissible(3, 1,
-                                       late_children=frozenset({0}))
-        assert admitted == {}
+        buffer = LateBuffer()
+        buffer.hold(0, 0, np.ones(4))
+        assert buffer.take_admissible(3, 1, late=frozenset({0})) == {}
 
     def test_absent_child_keeps_buffer(self):
-        agg = self.make_aggregator()
-        agg.buffer_late(0, 1, np.ones(4))
-        admitted = agg.take_admissible(
-            2, 5, late_children=frozenset({0}),
-            absent_children=frozenset({0}),
-        )
+        buffer = LateBuffer()
+        buffer.hold(0, 1, np.ones(4))
+        admitted = buffer.take_admissible(2, 5, late=frozenset({0}),
+                                          absent=frozenset({0}))
         assert admitted == {}
         # Next round the child is back and late: the buffer delivers.
-        admitted = agg.take_admissible(3, 5,
-                                       late_children=frozenset({0}))
+        admitted = buffer.take_admissible(3, 5, late=frozenset({0}))
         assert set(admitted) == {0}

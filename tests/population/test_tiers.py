@@ -121,13 +121,13 @@ class TestCombine:
         trainer = make_trainer(
             make_config(filter_rule_name="adaptive_trimmed_mean"))
         called = []
-        info_fn = trainer._filter.info_fn
+        info_fn = trainer.filter_rule.info_fn
 
         def recording(rows):
             called.append(len(rows))
             return info_fn(rows)
 
-        trainer._filter.info_fn = recording
+        trainer.filter_rule.info_fn = recording
         record = trainer.run_round(evaluate=False)
         # (6, 2, 1): two tier-1 parents of three edges, one top of two.
         assert called == [3, 3, 2]
