@@ -151,9 +151,9 @@ class FedMSConfig:
         nearly identical models.
     population_size:
         Total number of clients a population-scale run knows about (the
-        :class:`~repro.population.ClientPopulation`'s ``K``). Only the
-        clients sampled each round materialize datasets and models; the
-        rest stay lightweight descriptors. The flat and grouped trainers
+        :class:`~repro.population.ClientPopulation`'s ``K``). Every client
+        is a shard spec; a sampled client's dataset is built only while it
+        trains, on one shared model replica. The flat and grouped trainers
         raise on it and on ``tier_spec``, ``tier_byzantine`` and the churn
         rates below.
     sample_fraction:

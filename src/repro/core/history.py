@@ -33,8 +33,10 @@ class RoundRecord:
 
     The population fields are filled by
     :class:`~repro.population.PopulationTrainer` runs and stay at their
-    defaults for flat runs: ``num_active_clients``/``num_sampled_clients``/
-    ``materialized_clients`` trace the per-round sampling funnel,
+    defaults for flat runs: ``num_active_clients``/``num_sampled_clients``
+    trace the per-round sampling funnel, ``materialized_clients`` is the
+    most client shards the trainer's process held at once (1 on the serial
+    path, 0 when a pool trains),
     ``churn_events`` lists this round's join/leave/rejoin transitions, and
     the ``tier_*`` dicts (keyed by tier index, 1 = first filtering tier)
     record what each tier's filter concluded: the maximum Byzantine-count
@@ -201,7 +203,7 @@ class TrainingHistory:
 
     @property
     def peak_materialized_clients(self) -> int:
-        """High-water mark of simultaneously materialized clients."""
+        """Most client shards the trainer's process held at once."""
         return max((r.materialized_clients for r in self.records
                     if r.materialized_clients is not None), default=0)
 

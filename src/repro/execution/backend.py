@@ -24,6 +24,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from .context import train_step
 from .spec import WorkerSpec
 
 __all__ = [
@@ -79,6 +80,8 @@ class SerialBackend(ExecutionBackend):
     not adopted again, and the trained state returned is the client's own
     read-only snapshot) — the reference implementation the parallel
     backends must match bit for bit, and their fallback when a worker dies.
+    No reference to a client outlives its step, so a client built on
+    demand is dropped, dataset and all, before the next is built.
     """
 
     name = "serial"
@@ -91,11 +94,9 @@ class SerialBackend(ExecutionBackend):
                       ) -> Dict[int, Tuple[np.ndarray, float]]:
         results: Dict[int, Tuple[np.ndarray, float]] = {}
         for client_id, start_vector in jobs:
-            client = self._client_of(client_id, round_index)
-            client.set_model_vector(start_vector)
-            client.optimizer.reset_state()
-            client.local_train(round_index, self._spec.local_steps)
-            results[client_id] = (client.state, float(client.last_train_loss))
+            results[client_id] = train_step(
+                self._client_of(client_id, round_index), round_index,
+                self._spec.local_steps, start_vector)
         return results
 
 

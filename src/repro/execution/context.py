@@ -18,7 +18,17 @@ import numpy as np
 from ..common.rng import stream_seed
 from .spec import WorkerSpec
 
-__all__ = ["WorkerRuntime"]
+__all__ = ["WorkerRuntime", "train_step"]
+
+
+def train_step(client, round_index: int, local_steps: int,
+               start_vector: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``client``'s local training from the state ``start_vector``, with
+    fresh optimizer state. Returns ``(trained_state, mean_train_loss)``."""
+    client.set_model_vector(start_vector)
+    client.optimizer.reset_state()
+    client.local_train(round_index, local_steps)
+    return client.state, float(client.last_train_loss)
 
 
 class WorkerRuntime:
@@ -47,13 +57,8 @@ class WorkerRuntime:
 
     def train(self, client_id: int, round_index: int,
               start_vector: np.ndarray) -> Tuple[np.ndarray, float]:
-        """One client's local training from the state ``start_vector``.
-
-        Returns ``(trained_state, mean_train_loss)``.
-        """
-        client = self._make_client(client_id, self._model,
-                                   self.spec.datasets[client_id])
-        client.set_model_vector(start_vector)
-        client.optimizer.reset_state()
-        client.local_train(round_index, self.spec.local_steps)
-        return client.state, float(client.last_train_loss)
+        """One client's :func:`train_step` on a client built for the job."""
+        return train_step(
+            self._make_client(client_id, self._model,
+                              self.spec.datasets[client_id]),
+            round_index, self.spec.local_steps, start_vector)

@@ -183,8 +183,8 @@ def run_population_scale(*, attack_name: str = "sign_flip",
     For each population size (default: the scale's preset size), runs the
     sharded topology once with Byzantine edge aggregators running
     ``attack_name`` and once benign, recording both accuracy curves plus a
-    stats row per run (peak materialized clients, slots, churn volume,
-    per-tier fallbacks).
+    stats row per run (peak materialized clients, churn volume, per-tier
+    fallbacks).
     """
     scale = scale or current_scale()
     preset = POPULATION_PRESETS[scale.name]
@@ -219,7 +219,6 @@ def run_population_scale(*, attack_name: str = "sign_flip",
                                           for r in history.records],
                     "peak_materialized_clients":
                         history.peak_materialized_clients,
-                    "client_slots": trainer.population.num_slots,
                     "total_churn_events": history.total_churn_events,
                     "tier_fallback_rounds": history.tier_fallback_rounds,
                     "upload_bytes_per_round":
@@ -239,8 +238,8 @@ def run_population_scale(*, attack_name: str = "sign_flip",
             "filter": filter_rule_name or "per-tier trimmed mean",
         },
         curves=curves,
-        notes="per-round sampling with lazy materialization; peak "
-              "materialized clients stays O(sampled + tiers), not O(K)",
+        notes="per-round sampling; a client's shard is built only while "
+              "it trains, so peak materialized clients is 1, not O(K)",
         rows=rows,
     )
 

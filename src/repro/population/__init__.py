@@ -4,9 +4,9 @@ This package scales the repo's flat Fed-MS loop (tens of clients, every
 client trains every round, one tier of PSs) to populations of 500-5000
 clients:
 
-* :mod:`~repro.population.clients` — ``K`` lightweight descriptors with
-  lazy materialization; only sampled clients hold datasets and model
-  replicas, so live state is ``O(sampled)``, not ``O(K)``.
+* :mod:`~repro.population.clients` — ``K`` shard specs and one model
+  replica; a client's dataset is built only while it trains, so live
+  state is one shard per execution context, not ``O(K)``.
 * :mod:`~repro.population.sampling` — per-round client sampling from a
   ``(seed, round)``-derived stream, bit-identical across execution
   backends.
@@ -27,7 +27,7 @@ See ``docs/population.md`` for the topology and tolerance math.
 """
 
 from .churn import ChurnPlan, ChurnScheduler, MembershipWindow
-from .clients import ClientDescriptor, ClientPopulation
+from .clients import ClientPopulation
 from .sampling import sample_clients, sample_size
 from .shards import (
     ArrayShardSpec,
@@ -43,7 +43,6 @@ __all__ = [
     "BlobShardSpec",
     "ChurnPlan",
     "ChurnScheduler",
-    "ClientDescriptor",
     "ClientPopulation",
     "MembershipWindow",
     "PopulationTrainer",

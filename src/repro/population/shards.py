@@ -111,7 +111,7 @@ class ArrayShardSpec:
     """A shard wrapping in-memory arrays (already materialized).
 
     Escape hatch for real datasets: laziness is lost (the arrays live in
-    the descriptor), but the sampling/churn/tier machinery works
+    the spec), but the sampling/churn/tier machinery works
     unchanged.
     """
 

@@ -6,10 +6,12 @@ docs/population.md). Round hooks advance churn and faults (a
 ``ServerCrash`` addresses an aggregator's global index). Then the phases:
 
 1. **sample** — a ``(seed, round)``-derived draw from the active clients;
-   only those materialize, and each checks in by fetching the global model
-   (``model_fetch``, the reliable control plane);
+   each checks in by fetching the global model (``model_fetch``, the
+   reliable control plane);
 2. **train** — local SGD on the execution backend, then an upload to the
-   client's static edge aggregator (``tier0_upload``);
+   client's static edge aggregator (``tier0_upload``). A client's shard is
+   built where it trains and dropped after its steps, so the trainer's
+   process holds at most one (none when a pool trains);
 3. **edge aggregate** — each edge averages its shard's uploads (previous
    output when it received none);
 4. **tier filter** — one fan-in leg per higher tier (``tier<t>_exchange``):
@@ -17,8 +19,8 @@ docs/population.md). Round hooks advance churn and faults (a
    ``q_t >= 2*B_{t-1}+1``, on what its children forwarded (a Byzantine
    child tampers what it forwards, not what it computed). The top's output
    is the next global model;
-5. **finalize** — the sampled clients are released, so peak materialized
-   state stays ``O(sampled + tiers)``.
+5. **finalize** — nothing is left to release; the phase keeps its name
+   for the timings that read it.
 
 Codecs, retries, deadline admission and health exclusion are the engine's,
 as on every topology.
@@ -179,12 +181,18 @@ class PopulationTrainer(RoundEngine):
             include_buffers=config.include_buffers,
             flatten_inputs=flatten_inputs)
 
-        # The serial path trains the clients the population materialises
+        # The serial path builds each client as it trains it
         # (``materialize`` looked up per call: tracers rebind it on the
-        # instance); pool workers index the lazy dataset view.
+        # instance) and holds one at a time; pool workers index the lazy
+        # dataset view.
         population = self.population
+
+        def client_of(client_id: int, t: int) -> Client:
+            self._round.materialized = 1
+            return population.materialize(client_id)
+
         self._make_execution(
-            lambda client_id, t: population.materialize(client_id, t),
+            client_of,
             # The most clients one round can sample.
             cohort=sample_size(config.population_size,
                                config.sample_fraction),
@@ -206,7 +214,7 @@ class PopulationTrainer(RoundEngine):
                     ("tier_filter",
                      tuple(partial(self._exchange, leg) for leg in legs)
                      + (self._advance,)),
-                    ("finalize", (lambda t: population.release_all(),))),
+                    ("finalize", ())),
             nodes=[node for row in self.tiers for node in row],
             edges=topology.counts[0],
             quorums=[
@@ -272,24 +280,25 @@ class PopulationTrainer(RoundEngine):
         return self.tiers[-1][0].current_output.copy()
 
     def _sample(self, t: int) -> List[int]:
-        """The cohort: a sample of the active clients, materialised and
-        checked in (the model fetch is the reliable control plane)."""
+        """The cohort: a sample of the active clients, each checked in (the
+        model fetch is the reliable control plane). Nothing is built here:
+        a client's shard exists only while it trains."""
         state = self._round
-        active = [client_id for client_id in self.churn.active_ids()
-                  if self._up(NodeId.client(client_id))]
+        active = self.churn.active_ids()
+        if self.fault_injector is not None:
+            active = [client_id for client_id in active
+                      if self._up(NodeId.client(client_id))]
         sampled = sample_clients(active, self.config.sample_fraction,
                                  seed=self.config.seed, round_index=t)
         top = self.tiers[-1][0]
         for client_id in sampled:
-            self.population.materialize(client_id, t)
             self.network.send(Message(
                 NodeId.server(top.global_index), NodeId.client(client_id),
                 top.current_output, tag=FETCH_TAG, round_index=t,
             ))
             self.network.receive(NodeId.client(client_id))
         state.active_clients = len(active)
-        state.materialized = self.population.materialized_count
-        self.network.stats.record_materialized(state.materialized)
+        state.materialized = 0  # the serial path's client_of sets 1
         return sampled
 
     def _record_tiers(self, record: RoundRecord, state: RoundState) -> None:
@@ -315,6 +324,7 @@ class PopulationTrainer(RoundEngine):
         record.num_active_clients = state.active_clients
         record.num_sampled_clients = len(state.cohort)
         record.materialized_clients = state.materialized
+        self.network.stats.record_materialized(state.materialized)
 
     def _evaluate_global(self) -> "tuple[float, float]":
         self._eval_client.set_model_vector(self.tiers[-1][0].current_output)

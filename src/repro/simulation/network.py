@@ -149,12 +149,12 @@ class TrafficStats:
         self.retries_by_tag[tag] += 1
 
     def record_materialized(self, count: int) -> None:
-        """Track the high-water mark of simultaneously materialized clients.
+        """Track the most client shards held at once in the trainer's process.
 
         A population-scale run (see :mod:`repro.population`) holds ``K``
-        lightweight descriptors but only materializes the sampled clients'
-        datasets and model replicas each round; this gauge is the evidence
-        that memory stays ``O(sampled)``, not ``O(K)``.
+        shard specs and builds a sampled client's dataset only while it
+        trains: this gauge reads 1 on the serial path and 0 when a pool
+        trains, the evidence that data memory is not ``O(K)``.
         """
         self.peak_materialized_clients = max(
             self.peak_materialized_clients, int(count)

@@ -373,6 +373,8 @@ class TestOneReplicaPerExecutionContext:
                 num_samples=30, feature_dim=6, num_classes=3, seed=0),
         ) as trainer:
             trainer.run(3)
-            assert trainer.population.num_slots == 1
-            assert trainer.population.peak_materialized == 8
+            # Eight clients built a round, one at a time, on one replica.
+            assert [r.num_sampled_clients
+                    for r in trainer.history.records] == [8, 8, 8]
+            assert trainer.history.peak_materialized_clients == 1
         assert len(calls) == 2  # w_0's model and the one replica

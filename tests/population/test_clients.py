@@ -1,4 +1,6 @@
-"""Lazy materialization: descriptors, the one replica, shard specs."""
+"""Lazy materialization: shard specs, the one replica, the builder."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -64,54 +66,33 @@ class TestShardSpecs:
 class TestLazyMaterialization:
     def test_only_materialized_clients_hold_state(self):
         population = make_population(20)
-        for cid in (1, 5, 9):
-            population.materialize(cid, round_index=0)
-        assert population.materialized_count == 3
-        assert population.materialized_ids == [1, 5, 9]
-        assert population.holds_model(5)
-        assert not population.holds_model(2)
+        held = {cid: population.materialize(cid) for cid in (1, 5, 9)}
+        shards = {cid: weakref.ref(client.dataset)
+                  for cid, client in held.items()}
+        del held[1], held[9]
+        # The population keeps nothing: only the client still held keeps
+        # its shard alive.
+        assert [cid for cid, ref in shards.items() if ref() is not None] \
+            == [5]
 
-    def test_release_returns_slots_to_pool(self):
+    def test_every_client_is_built_on_the_one_replica(self):
         population = make_population(20)
-        client = population.materialize(3, round_index=0)
-        client.last_train_loss = 0.5
-        population.release_all()
-        assert population.materialized_count == 0
-        assert not population.holds_model(3)
-        assert client.dataset is None
-        assert population.descriptors[3].last_train_loss == 0.5
-
-    def test_slots_are_reused_across_rounds(self):
-        population = make_population(20)
-        for round_index in range(4):
-            for cid in range(round_index * 5, round_index * 5 + 5):
-                population.materialize(cid, round_index)
-            population.release_all()
-        # 20 distinct clients materialized, five at a time, on one replica.
-        assert population.num_slots == 1
-        assert population.peak_materialized == 5
-        assert {id(population.materialize(cid, 4).model)
+        assert {id(population.materialize(cid).model)
                 for cid in range(20)} == {id(population.model)}
 
-    def test_materialize_is_idempotent_within_round(self):
+    def test_every_call_builds_a_new_client(self):
         population = make_population(10)
-        one = population.materialize(2, round_index=0)
-        two = population.materialize(2, round_index=0)
-        assert one is two
-        assert population.descriptors[2].rounds_participated == 1
-
-    def test_descriptor_statistics(self):
-        population = make_population(10)
-        population.materialize(4, round_index=0)
-        population.release_all()
-        population.materialize(4, round_index=3)
-        descriptor = population.descriptors[4]
-        assert descriptor.rounds_participated == 2
-        assert descriptor.last_round == 3
+        one, two = population.materialize(2), population.materialize(2)
+        assert one is not two and one.dataset is not two.dataset
+        # The same client all the same: the shard is a function of its spec.
+        assert one.client_id == two.client_id == 2
+        np.testing.assert_array_equal(one.dataset.features,
+                                      two.dataset.features)
+        np.testing.assert_array_equal(one.dataset.labels, two.dataset.labels)
 
     def test_rejects_out_of_range_id(self):
         with pytest.raises(ProtocolError):
-            make_population(5).materialize(5, round_index=0)
+            make_population(5).materialize(5)
 
     def test_rejects_specs_without_materialize(self):
         with pytest.raises(ConfigurationError):
