@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError, ConvergenceError, ShapeError
-from .sortnet import rank_mean, sort_rows
+from .sortnet import rank_mean
 
 __all__ = [
     "mean",
@@ -328,26 +328,6 @@ def bulyan(stack: np.ndarray, num_byzantine: int) -> np.ndarray:
 # -- adaptive Byzantine-count estimation -------------------------------------
 
 
-def _mad_scores(rows: Sequence[np.ndarray], center: np.ndarray) -> np.ndarray:
-    """Modified z-scores of the rows' distances to ``center``."""
-    # One row at a time: a (P, d) difference would be a second full-size
-    # temporary next to the caller's sorted copy.
-    distances = np.empty(len(rows))
-    diff = np.empty(center.shape[0])
-    for i, row in enumerate(rows):
-        np.subtract(row, center, out=diff)
-        distances[i] = np.einsum("j,j->", diff, diff)
-    np.sqrt(distances, out=distances)
-    median_distance = float(np.median(distances))
-    deviations = np.abs(distances - median_distance)
-    mad = float(np.median(deviations))
-    if mad <= 0.0:
-        if float(deviations.max()) <= 0.0:
-            return np.zeros(len(rows))
-        mad = 1e-12 * max(float(distances.max()), 1.0)
-    return 0.6745 * (distances - median_distance) / mad
-
-
 def _flag_outliers(scores: np.ndarray, threshold: float) -> np.ndarray:
     """Rows scoring above ``threshold``, at most ``(n - 1) // 2`` of them.
 
@@ -384,7 +364,22 @@ def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
     all rows score 0.
     """
     rows = _check_rows(stack)
-    return _mad_scores(rows, coordinate_median(rows))
+    center = coordinate_median(rows)
+    # One row at a time: no (P, d) difference.
+    distances = np.empty(len(rows))
+    diff = np.empty(center.shape[0])
+    for i, row in enumerate(rows):
+        np.subtract(row, center, out=diff)
+        distances[i] = np.einsum("j,j->", diff, diff)
+    np.sqrt(distances, out=distances)
+    median_distance = float(np.median(distances))
+    deviations = np.abs(distances - median_distance)
+    mad = float(np.median(deviations))
+    if mad <= 0.0:
+        if float(deviations.max()) <= 0.0:
+            return np.zeros(len(rows))
+        mad = 1e-12 * max(float(distances.max()), 1.0)
+    return 0.6745 * (distances - median_distance) / mad
 
 
 def estimate_byzantine_count(stack: np.ndarray, *,
@@ -413,25 +408,20 @@ def adaptive_trimmed_mean_info(
     outliers (sorted). When more than ``floor((n-1)/2)`` rows are flagged
     only the worst-scoring ones are kept so the trim remains well-defined.
 
-    The rows are sorted once, block-wise into the one ``(n, d)`` buffer
-    this rule needs; the median the scores are measured from and the
-    trimmed mean are both read off it. A NaN anywhere makes every score
-    NaN, so nothing is flagged and the plain mean (NaN there) comes back.
+    Two network passes over the rows where they lie and no ``(n, d)``
+    buffer: the median the scores are measured from, then the trimmed
+    mean. A NaN anywhere makes every score NaN, so nothing is flagged and
+    the plain mean (NaN there) comes back.
 
     A deterministic pure function of the stack: no randomness, stable
     tie-breaking — the property the execution backends' bit-identity
     contract requires.
     """
     rows = _check_rows(stack)
-    n = len(rows)
-    ordered = sort_rows(rows)
-    center = ordered[n // 2] if n % 2 \
-        else 0.5 * (ordered[n // 2 - 1] + ordered[n // 2])
-    flagged = _flag_outliers(_mad_scores(rows, center), threshold)
+    flagged = _flag_outliers(mad_outlier_scores(rows), threshold)
     b_hat = int(flagged.size)
-    vector = ordered[b_hat:n - b_hat].mean(axis=0) if b_hat \
-        else _trimmed_rows_mean(rows, 0)
-    return vector, b_hat, tuple(sorted(int(i) for i in flagged))
+    return (_trimmed_rows_mean(rows, b_hat), b_hat,
+            tuple(sorted(int(i) for i in flagged)))
 
 
 def adaptive_trimmed_mean(stack: np.ndarray, *,
@@ -471,17 +461,17 @@ def loss_based_selection_info(
     and are never reached by the greedy scan. Ties are broken by row index
     (stable sort), keeping the selection deterministic.
     """
-    stack = _check_stack(stack)
-    losses = np.array([float(loss_fn(row)) for row in stack])
+    rows = _check_rows(stack)
+    losses = np.array([float(loss_fn(row)) for row in rows])
     order = np.argsort(losses, kind="stable")
     best = int(order[0])
     selected: List[int] = [best]
-    current = stack[best].astype(np.float64, copy=True)
+    current = rows[best].astype(np.float64, copy=True)
     current_loss = losses[best]
     for index in order[1:]:
         if not np.isfinite(losses[index]):
             break
-        candidate = (current * len(selected) + stack[index]) \
+        candidate = (current * len(selected) + rows[index]) \
             / (len(selected) + 1)
         candidate_loss = float(loss_fn(candidate))
         if np.isfinite(candidate_loss) and candidate_loss <= current_loss:

@@ -22,7 +22,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["network", "rank_mean", "sort_rows"]
+__all__ = ["network", "rank_mean"]
 
 #: Columns sorted at a time: ``q + 1`` rows of this many float64 stay in L2.
 #: Measured at q = 10, d = 98 666 in docs/aggregation.md; not configurable.
@@ -110,13 +110,3 @@ def rank_mean(rows: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
             total += wire
     out /= hi - lo
     return out
-
-
-def sort_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """``np.sort(stack, axis=0)`` as a fresh ``(q, d)`` array (NaN apart)."""
-    q = len(rows)
-    ordered = np.empty((q, rows[0].shape[0]))
-    for columns, wires in _sorted_blocks(rows, network(q, 0, q)):
-        for k, wire in enumerate(wires):
-            ordered[k, columns] = wire
-    return ordered

@@ -102,13 +102,14 @@ class EncodedUpdate:
     """A model vector after one pass through a codec pipeline.
 
     Self-describing: :meth:`decode` needs no pipeline object, only this
-    update, so receivers (parameter servers, execution-backend workers)
-    can decode without sharing state with the encoder. ``encoded_nbytes``
-    is the byte cost a real transport would pay — the payload arrays only,
-    which is what :class:`~repro.simulation.network.Message` charges.
+    update. ``encoded_nbytes`` is the byte cost a real transport would pay
+    — the payload arrays only, which is what
+    :class:`~repro.simulation.network.Message` charges. ``reconstruction``
+    is the sender's read-only dense decode, off the wire: never pickled.
     """
 
-    __slots__ = ("dim", "dtype", "codecs", "stages", "carrier")
+    __slots__ = ("dim", "dtype", "codecs", "stages", "carrier",
+                 "reconstruction")
 
     def __init__(self, dim: int, dtype: str, codecs: Tuple[str, ...],
                  stages: Tuple[StageEncoding, ...],
@@ -118,6 +119,7 @@ class EncodedUpdate:
         self.codecs = codecs
         self.stages = stages
         self.carrier = carrier
+        self.reconstruction: Optional[np.ndarray] = None
 
     @property
     def encoded_nbytes(self) -> int:
@@ -143,13 +145,25 @@ class EncodedUpdate:
         assert carrier is not None
         return np.asarray(carrier, dtype=self.dtype)
 
-    # Pickled through executor queues by the process backend; slots-only
-    # classes need explicit state methods.
+    def sparse_decode(self) -> Optional[Tuple[object, np.ndarray]]:
+        """``(support, values)`` if the first stage is a sparsifier, else
+        ``None``. Only the later stages are reversed: ``decode()`` is
+        ``values`` at ``support`` and zero elsewhere."""
+        support = _SUPPORTS.get(self.stages[0].codec) if self.stages else None
+        if support is None:
+            return None
+        later = EncodedUpdate(self.dim, self.dtype, self.codecs[1:],
+                              self.stages[1:], self.carrier)
+        return support(self.stages[0]), later.decode()
+
+    # A payload is plain data (``pickle``, ``copy``); slots-only classes need
+    # explicit state methods. The reconstruction belongs to the sender.
     def __getstate__(self):
         return (self.dim, self.dtype, self.codecs, self.stages, self.carrier)
 
     def __setstate__(self, state) -> None:
         self.dim, self.dtype, self.codecs, self.stages, self.carrier = state
+        self.reconstruction = None
 
     def __repr__(self) -> str:
         return (f"EncodedUpdate(dim={self.dim}, codecs={self.codecs}, "
@@ -409,14 +423,21 @@ class Int8Quantizer(Codec):
 
 
 #: Decoder registry: codec name -> ``decode_stage``. Keeping decoders as
-#: pure static functions is what lets an ``EncodedUpdate`` decode itself in
-#: an execution-backend worker without re-building the encoder pipeline.
+#: pure static functions is what lets an ``EncodedUpdate`` decode itself
+#: wherever it is received, without re-building the encoder pipeline.
 _DECODERS: Dict[str, Callable] = {
     IdentityCodec.name: IdentityCodec.decode_stage,
     TopKSparsifier.name: TopKSparsifier.decode_stage,
     CyclicSparsifier.name: CyclicSparsifier.decode_stage,
     SignQuantizer.name: SignQuantizer.decode_stage,
     Int8Quantizer.name: Int8Quantizer.decode_stage,
+}
+
+#: Sparsifier name -> its stage's support, the coordinates it kept.
+_SUPPORTS: Dict[str, Callable[[StageEncoding], object]] = {
+    TopKSparsifier.name: lambda stage: stage.sides["indices"],
+    CyclicSparsifier.name: lambda stage: slice(
+        stage.meta["offset"], None, stage.meta["step"]),
 }
 
 _CODEC_CLASSES = {
@@ -528,10 +549,6 @@ class CodecPipeline:
             codecs=tuple(codec.name for codec in self.codecs),
             stages=tuple(stages), carrier=carrier,
         )
-
-    def decode(self, encoded: EncodedUpdate) -> np.ndarray:
-        """Inverse of :meth:`encode` (updates are self-describing)."""
-        return encoded.decode()
 
     def __repr__(self) -> str:
         return f"CodecPipeline({' + '.join(self.specs) or 'identity'})"

@@ -500,7 +500,7 @@ class RoundEngine:
         ``expected`` defaults to ``config.num_servers``, ``budget`` to the
         rule's own. An inbox is who sent what, by the memory it occupies: a
         PS that does not lie per receiver sends one array (or one payload,
-        which the wire's memo decodes to one array) to everyone, so equal
+        which carries one reconstruction) to everyone, so equal
         keys are the same rows; equal values at different addresses are
         never merged. A lossless round is one inbox; only a receiver behind
         a lossy link has one of its own. Each row's address is read once

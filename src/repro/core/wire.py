@@ -5,15 +5,15 @@ uploads, PS broadcasts, inter-server and tier exchanges) carries the
 *delta* against one shared reference that every honest party knows, and
 each sender folds what its last delivered transfer truncated into its
 next one. :class:`DeltaWire` is the one place that keeps the codec
-pipelines, the reference, the residual tables and the per-round decode
-memo; the trainers only say what to send, under which error-feedback
-entry, and what the next reference is. See docs/upload.md.
+pipelines, the reference and the residual tables; the trainers only say
+what to send, under which error-feedback entry, and what the next
+reference is. See docs/upload.md.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -71,11 +71,6 @@ class DeltaWire:
             np.array(initial_vector) if self.active else None
         )
         self.residuals: Dict[str, Dict[int, np.ndarray]] = defaultdict(dict)
-        # id(payload) -> (payload, dense vector) for the payloads of the
-        # current reference. Encode and decode are deterministic, so the
-        # receiver's reconstruction is computed where the sender's
-        # residual needs it and every in-process receiver reuses it.
-        self._decoded: Dict[int, Tuple[EncodedUpdate, np.ndarray]] = {}
 
     def encode_upload(self, vector: np.ndarray, sender: int
                       ) -> "tuple[object, Optional[np.ndarray]]":
@@ -107,17 +102,29 @@ class DeltaWire:
                 ) -> "tuple[object, Optional[np.ndarray]]":
         if not self.active:
             return vector, None
-        delta = vector - self.reference
+        reference = self.reference
+        delta = np.subtract(vector, reference)  # becomes the new residual
         feedback = leg is not None
         if feedback:
             residual = self.residuals[leg].get(sender)
             if residual is not None:
-                delta = delta + residual
+                delta += residual
         encoded = pipeline.encode(delta, salt=salt)
-        decoded_delta = encoded.decode()
-        self._decoded[id(encoded)] = (encoded,
-                                      self.reference + decoded_delta)
-        return encoded, (delta - decoded_delta if feedback else None)
+        sparse = encoded.sparse_decode()
+        if sparse is None:
+            support, values = slice(None), encoded.decode()
+            reconstruction = reference + values
+        else:
+            # Off the support the dense decode is 0.0, and x + 0.0 / x - 0.0
+            # are what adding / subtracting it gave (-0.0 + 0.0 = +0.0 too).
+            support, values = sparse
+            reconstruction = np.add(reference, 0.0)
+            reconstruction[support] = reference[support] + values
+        reconstruction.flags.writeable = False
+        encoded.reconstruction = reconstruction  # what every receiver reads
+        if feedback:
+            delta[support] -= values
+        return encoded, (delta if feedback else None)
 
     def adopt(self, leg: str, sender: int,
               residual: Optional[np.ndarray]) -> None:
@@ -132,19 +139,15 @@ class DeltaWire:
         """Dense vector a receiver obtains from a wire payload."""
         if not isinstance(payload, EncodedUpdate):
             return payload  # type: ignore[return-value]
-        entry = self._decoded.get(id(payload))
-        if entry is None or entry[0] is not payload:
-            entry = self._decoded[id(payload)] = (
-                payload, self.reference + payload.decode()
-            )
-        return entry[1]
+        if payload.reconstruction is not None:
+            return payload.reconstruction
+        return self.reference + payload.decode()
 
     def advance(self, reference: np.ndarray) -> None:
-        """Move the shared reference; the old reference's decodes expire.
+        """Move the shared reference.
 
         Any single choice of reference works on a degraded round: the next
         deltas carry each party's offset from it, so nothing is lost, only
         re-sent.
         """
         self.reference = reference
-        self._decoded.clear()

@@ -1,13 +1,16 @@
-"""The one-sort adaptive trimmed mean against the two-pass form it replaced.
+"""The adaptive trimmed mean against the stacked form it replaced.
 
-``adaptive_trimmed_mean_info`` sorts the stack once and reads both the
-coordinate median and the B-hat-trimmed mean off that copy. The reference
-here is the earlier formulation, spelled out with ``np.median`` and a
-separate ``np.sort``: the filtered vector, B-hat and the flagged rows must
-be *equal*, not close. Distances are summed one row at a time, so the
-scores themselves may differ from the reference's ``(P, d)`` einsum in the
-last bits once ``d`` exceeds einsum's buffer; they are compared at 1e-9.
+``adaptive_trimmed_mean_info`` makes two comparator-network passes over
+the rows where they lie, the median network for the centre and the
+B-hat-trimmed mean, and builds no ``(P, d)`` copy. The reference here is
+the earlier formulation, spelled out with ``np.median`` and ``np.sort`` on
+the stack: the filtered vector, B-hat and the flagged rows must be
+*equal*, not close. Distances are summed one row at a time, so the scores
+themselves may differ from the reference's ``(P, d)`` einsum in the last
+bits once ``d`` exceeds einsum's buffer; they are compared at 1e-9.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,3 +154,20 @@ class TestAgainstTwoPassReference:
         ref_vector, ref_b_hat, ref_flagged = reference_info(stack)
         np.testing.assert_array_equal(vector, ref_vector)
         assert (b_hat, flagged) == (ref_b_hat, ref_flagged)
+
+
+def test_traced_peak_is_a_few_rows_not_a_stack():
+    # Output, one network scratch of (P + 1) x 8192 and the centre or the
+    # distance buffer: under three rows. A sorted (P, d) copy is ten.
+    rows = list(outlier_stack(10, 1, 50_000, seed=3))
+    adaptive_trimmed_mean_info(rows)  # warm the cached networks
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        vector, b_hat, _ = adaptive_trimmed_mean_info(rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert b_hat == 1
+    assert peak <= 3 * vector.nbytes, peak / vector.nbytes

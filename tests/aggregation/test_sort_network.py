@@ -60,8 +60,7 @@ class TestZeroOnePrinciple:
     @pytest.mark.parametrize("q", range(1, 17))
     def test_full_network_sorts_every_zero_one_input(self, q):
         rows = zero_one_inputs(q)
-        ordered = sortnet.sort_rows(rows)
-        np.testing.assert_array_equal(ordered,
+        np.testing.assert_array_equal(run_network(rows, 0, q),
                                       np.sort(np.stack(rows), axis=0))
 
     @pytest.mark.parametrize("q", range(1, 17))
@@ -140,11 +139,6 @@ class TestBitEqualToTheSort:
         np.testing.assert_array_equal(mean(rows), stack.mean(axis=0))
         np.testing.assert_array_equal(trimmed_mean(rows, 0.2),
                                       reference(stack, int(0.2 * q)))
-
-    def test_sorted_buffer_equals_np_sort(self):
-        rows, stack = make_rows(7, BLOCK + 3, 5, "ties", "strided")
-        np.testing.assert_array_equal(sortnet.sort_rows(rows),
-                                      np.sort(stack, axis=0))
 
     @pytest.mark.parametrize("q,count", [(8, 0), (10, 1), (12, 2), (7, 1)])
     def test_one_column_takes_numpys_own_reduce(self, q, count):

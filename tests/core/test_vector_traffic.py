@@ -7,8 +7,7 @@ into the replica) and one ``to_vector`` (the trained snapshot) per round.
 The same arrays are frozen, so a write to a shared one raises instead of
 changing somebody else's model; ``Client.model_vector()`` stays the
 copying read. The adversary's ``(P, d)`` view is stacked only when an
-attack reads it, and the filter builds no ``(P, d)`` array at all (the
-adaptive rule one: the sorted buffer it reads twice).
+attack reads it, and no filter rule builds a ``(P, d)`` array at all.
 """
 
 import numpy as np
@@ -145,23 +144,29 @@ class TestAdversaryView:
             monkeypatch.setattr(np, name, counting(getattr(np, name)))
         return made
 
-    def test_static_filter_round_builds_no_p_by_d_array(self, monkeypatch):
-        # The noise attack never reads the adversary's view and the trimmed
-        # mean reads the P received vectors where they lie.
-        trainer = make_trainer(attack="noise")
+    def rounds_build_no_p_by_d_array(self, monkeypatch, **kwargs):
+        trainer = make_trainer(attack="noise", **kwargs)
         made = self.count_arrays(monkeypatch, (P, DIM))
         for _ in range(3):
             trainer.run_round(evaluate=False)
             assert made == []
 
-    def test_adaptive_filter_round_builds_only_its_sorted_buffer(
+    def test_static_filter_round_builds_no_p_by_d_array(self, monkeypatch):
+        # The noise attack never reads the adversary's view and the trimmed
+        # mean reads the P received vectors where they lie.
+        self.rounds_build_no_p_by_d_array(monkeypatch)
+
+    def test_adaptive_filter_round_builds_no_p_by_d_array(self, monkeypatch):
+        # The median and the B-hat-trimmed mean are two network passes
+        # over the rows where they lie.
+        self.rounds_build_no_p_by_d_array(
+            monkeypatch, filter_rule_name="adaptive_trimmed_mean")
+
+    def test_loss_based_filter_round_builds_no_p_by_d_array(
             self, monkeypatch):
-        trainer = make_trainer(attack="noise",
-                               filter_rule_name="adaptive_trimmed_mean")
-        made = self.count_arrays(monkeypatch, (P, DIM))
-        for done in range(1, 4):
-            trainer.run_round(evaluate=False)
-            assert len(made) == done  # one group, one ordered (P, d) buffer
+        # Candidates are scored and averaged one row at a time.
+        self.rounds_build_no_p_by_d_array(monkeypatch,
+                                          filter_rule_name="loss_based")
 
     @pytest.mark.parametrize(
         "attack", ["inner_product", "colluding", "dispersion_mimicry"])
