@@ -34,7 +34,7 @@ from . import (
 )
 from .aggregation import make_rule, trimmed_mean
 from .attacks import make_attack
-from .core import FedMSConfig, FedMSTrainer, TrainingHistory, make_fedavg_trainer
+from .core import FedMSConfig, FedMSTrainer, TrainingHistory
 from .data import dirichlet_partition, make_synthetic_cifar10
 
 __version__ = "1.0.0"
@@ -52,7 +52,6 @@ __all__ = [
     "FedMSConfig",
     "FedMSTrainer",
     "TrainingHistory",
-    "make_fedavg_trainer",
     "make_attack",
     "make_rule",
     "trimmed_mean",

@@ -36,7 +36,6 @@ __all__ = [
     "krum_index",
     "bulyan",
     "mad_outlier_scores",
-    "estimate_byzantine_count",
     "adaptive_trimmed_mean",
     "adaptive_trimmed_mean_info",
     "loss_based_selection",
@@ -382,20 +381,6 @@ def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
     return 0.6745 * (distances - median_distance) / mad
 
 
-def estimate_byzantine_count(stack: np.ndarray, *,
-                             threshold: float = DEFAULT_MAD_THRESHOLD) -> int:
-    """Estimate ``B-hat``, the number of Byzantine rows, from dispersion.
-
-    Counts the rows whose :func:`mad_outlier_scores` exceeds ``threshold``,
-    clamped so the subsequent trim stays feasible (``2 * B-hat < n``). Chen
-    et al. (arXiv:2510.04432) show the over/under-estimation trade-off is
-    first-order for convergence: over-estimating discards honest signal,
-    under-estimating admits tampered models — the per-round estimate tracks
-    a time-varying true ``B`` instead of trusting a static config value.
-    """
-    return int(_flag_outliers(mad_outlier_scores(stack), threshold).size)
-
-
 def adaptive_trimmed_mean_info(
         stack: np.ndarray, *, threshold: float = DEFAULT_MAD_THRESHOLD
 ) -> Tuple[np.ndarray, int, Tuple[int, ...]]:
@@ -431,7 +416,7 @@ def adaptive_trimmed_mean(stack: np.ndarray, *,
 
     The static filter trusts ``beta = B / P`` from config; this variant
     estimates ``B-hat`` per invocation from inter-model dispersion
-    (:func:`estimate_byzantine_count`) and trims that many entries from
+    (:func:`adaptive_trimmed_mean_info`) and trims that many entries from
     each tail. It needs no knowledge of the expected stack size, so it
     degrades naturally under faults: a reduced quorum is re-estimated on
     its own terms rather than falling back to a precomputed trim count.

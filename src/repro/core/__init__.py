@@ -26,7 +26,7 @@ from .health import BreakerState, HealthLedger, HealthPolicy
 from .hierarchical import HierarchicalTrainer
 from .history import RoundRecord, TrainingHistory
 from .server import ByzantineParameterServer, ParameterServer
-from .trainer import FedMSTrainer, make_fedavg_trainer
+from .trainer import FedMSTrainer
 from .upload import (
     FullUpload,
     MultiUpload,
@@ -56,7 +56,6 @@ __all__ = [
     "ByzantineParameterServer",
     "FedMSTrainer",
     "HierarchicalTrainer",
-    "make_fedavg_trainer",
     "ResolvedFilter",
     "RootLossEvaluator",
     "Verdict",

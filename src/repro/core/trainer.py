@@ -1,4 +1,4 @@
-"""The Fed-MS training loop (Algorithm 1) and the vanilla FedAvg baseline.
+"""The Fed-MS training loop (Algorithm 1).
 
 :class:`FedMSTrainer` wires together every substrate in the library: clients
 (:mod:`repro.core.client`) train locally and upload through the simulated
@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import AggregationRule, make_rule
+from ..aggregation import AggregationRule
 from ..attacks.base import Attack
 from ..attacks.client_attacks import ClientAttack, ClientAttackContext
 from ..common.errors import ConfigurationError
@@ -52,7 +52,7 @@ from .filtering import ResolvedFilter, Verdict, resolve_filter
 from .history import RoundRecord
 from .upload import UploadStrategy, make_upload_strategy
 
-__all__ = ["FedMSTrainer", "make_fedavg_trainer"]
+__all__ = ["FedMSTrainer"]
 
 ModelFactory = Callable[[np.random.Generator], Module]
 
@@ -325,37 +325,3 @@ def _record_clients(record: RoundRecord, state: RoundState) -> None:
     record.models_received = {k: q for k, (q, _) in outcomes.items()}
     (record.estimated_byzantine, record.filtered_model_ids,
      record.degraded_clients, record.fallback_clients) = tally(outcomes)
-
-
-def make_fedavg_trainer(*, model_factory: ModelFactory,
-                        client_datasets: Sequence[ArrayDataset],
-                        test_dataset: ArrayDataset,
-                        local_steps: int = 3, batch_size: int = 32,
-                        learning_rate: float = 0.05, seed: int = 0,
-                        lr_schedule: Optional[LRSchedule] = None,
-                        flatten_inputs: bool = False) -> FedMSTrainer:
-    """Classical single-PS FedAvg as a special case of the Fed-MS machinery.
-
-    One benign server, no trimming: every client uploads to the unique PS
-    and adopts its average directly — McMahan et al. (2017). Used as the
-    non-Byzantine reference in convergence experiments.
-    """
-    config = FedMSConfig(
-        num_clients=len(client_datasets),
-        num_servers=1,
-        num_byzantine=0,
-        local_steps=local_steps,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        trim_ratio=0.0,
-        seed=seed,
-    )
-    return FedMSTrainer(
-        config,
-        model_factory=model_factory,
-        client_datasets=client_datasets,
-        test_dataset=test_dataset,
-        filter_rule=make_rule("mean"),
-        lr_schedule=lr_schedule,
-        flatten_inputs=flatten_inputs,
-    )

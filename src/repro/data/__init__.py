@@ -2,20 +2,12 @@
 
 from .cifar10 import CIFAR10_DIR_ENV, cifar10_available, load_cifar10
 from .datasets import ArrayDataset, DataLoader, Subset
-from .partition import dirichlet_partition, iid_partition, shard_partition
+from .partition import dirichlet_partition, iid_partition
 from .stats import (
     effective_classes_per_client,
     label_distribution_matrix,
     mean_client_entropy,
     mean_total_variation_distance,
-)
-from .transforms import (
-    Compose,
-    Flatten,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-    fit_normalizer,
 )
 from .synthetic import (
     SyntheticCifar10Config,
@@ -35,15 +27,8 @@ __all__ = [
     "CIFAR10_DIR_ENV",
     "dirichlet_partition",
     "iid_partition",
-    "shard_partition",
     "label_distribution_matrix",
     "mean_total_variation_distance",
     "mean_client_entropy",
     "effective_classes_per_client",
-    "Compose",
-    "Normalize",
-    "RandomHorizontalFlip",
-    "RandomCrop",
-    "Flatten",
-    "fit_normalizer",
 ]

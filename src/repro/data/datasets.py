@@ -29,6 +29,12 @@ class ArrayDataset:
             )
         if labels.ndim != 1:
             raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
+        if labels.size == 0:
+            labels = labels.astype(np.int64)
+        # A float or boolean label would otherwise be truncated to a class.
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ConfigurationError(
+                f"labels must be integers, got dtype {labels.dtype}")
         # copy=False keeps shared-memory-backed label arrays zero-copy.
         labels = labels.astype(np.int64, copy=False)
         # Indexing would wrap a negative label onto the last classes.

@@ -17,7 +17,7 @@ import numpy as np
 from ..common.errors import ConfigurationError
 from .datasets import ArrayDataset, Subset
 
-__all__ = ["dirichlet_partition", "iid_partition", "shard_partition"]
+__all__ = ["dirichlet_partition", "iid_partition"]
 
 
 def _validate(dataset: ArrayDataset, num_clients: int) -> None:
@@ -86,34 +86,3 @@ def dirichlet_partition(dataset: ArrayDataset, num_clients: int, *,
         f"failed to draw a Dirichlet(alpha={alpha}) partition giving every "
         f"client >= {min_samples_per_client} samples in {max_retries} tries"
     )
-
-
-def shard_partition(dataset: ArrayDataset, num_clients: int, *,
-                    shards_per_client: int,
-                    rng: np.random.Generator) -> List[Subset]:
-    """McMahan et al. (2017) pathological shard partition.
-
-    Sort by label, slice into ``num_clients * shards_per_client`` shards and
-    deal ``shards_per_client`` shards to each client. With
-    ``shards_per_client=2`` most clients see only two classes — an extreme
-    non-IID baseline complementary to the Dirichlet scheme.
-    """
-    _validate(dataset, num_clients)
-    if shards_per_client <= 0:
-        raise ConfigurationError(
-            f"shards_per_client must be positive, got {shards_per_client}"
-        )
-    num_shards = num_clients * shards_per_client
-    if num_shards > len(dataset):
-        raise ConfigurationError(
-            f"{num_shards} shards requested but dataset has {len(dataset)} samples"
-        )
-    by_label = np.argsort(dataset.labels, kind="stable")
-    shards = np.array_split(by_label, num_shards)
-    order = rng.permutation(num_shards)
-    partitions = []
-    for client in range(num_clients):
-        picked = order[client * shards_per_client:(client + 1) * shards_per_client]
-        indices = np.concatenate([shards[s] for s in picked])
-        partitions.append(Subset(dataset, np.sort(indices)))
-    return partitions

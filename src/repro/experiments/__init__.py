@@ -1,6 +1,6 @@
 """Runnable reproductions of the paper's figures and claims."""
 
-from .ascii_plot import ascii_curve, ascii_curves
+from .ascii_plot import ascii_curves
 from .async_deadline import run_async_deadline
 from .comm import CODEC_SWEEP_CONFIGS, COMM_SWEEP_ATTACKS, run_comm_codecs
 from .paper import (
@@ -16,7 +16,6 @@ from .population import (
     run_population_comm,
     run_population_scale,
 )
-from .replication import ReplicatedCurve, ReplicationSummary, replicate
 from .results import Curve, FigureResult
 from .specs import (
     ADAPTIVE_CROSSOVER_VARIANTS,
@@ -40,9 +39,6 @@ __all__ = [
     "FigureWorkload",
     "Curve",
     "FigureResult",
-    "ReplicatedCurve",
-    "ReplicationSummary",
-    "replicate",
     "run_fig2_attack_panel",
     "run_fig3_epsilon_panel",
     "run_fig4_heterogeneity",
@@ -62,7 +58,6 @@ __all__ = [
     "build_population_trainer",
     "run_population_comm",
     "run_population_scale",
-    "ascii_curve",
     "ascii_curves",
     "format_curves",
     "format_rows",

@@ -6,11 +6,11 @@ examples can show training dynamics directly in a terminal or log file.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..common.errors import ConfigurationError
 
-__all__ = ["ascii_curve", "ascii_curves"]
+__all__ = ["ascii_curves"]
 
 _MARKERS = "ox+*#@%&"
 
@@ -20,15 +20,6 @@ def _scale(value: float, low: float, high: float, size: int) -> int:
         return 0
     position = (value - low) / (high - low)
     return min(int(position * (size - 1) + 0.5), size - 1)
-
-
-def ascii_curve(xs: Sequence[float], ys: Sequence[float], *,
-                width: int = 60, height: int = 12,
-                y_min: float = None, y_max: float = None,
-                label: str = "") -> str:
-    """Render one series; convenience wrapper over :func:`ascii_curves`."""
-    return ascii_curves({label or "series": (list(xs), list(ys))},
-                        width=width, height=height, y_min=y_min, y_max=y_max)
 
 
 def ascii_curves(series: Dict[str, "tuple[List[float], List[float]]"], *,

@@ -363,6 +363,8 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
         local_steps=local_steps,
         initial_gap_sq=initial_gap_sq,
     )
+    # Theorem 1's step size eta_t = 2 / (mu (gamma + t)); the library's one
+    # definition of it.
     gamma = theorem1_gamma(constants)
     schedule = InverseTimeDecay(phi=2.0 / mu, gamma=gamma)
 

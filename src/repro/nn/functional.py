@@ -1,10 +1,10 @@
-"""Low-level array routines shared by the convolution and pooling layers.
+"""Low-level array routines shared by the convolution and max-pool layers.
 
 The central pair is :func:`im2col_windows` / :func:`col2im_windows`, which
 convert between an image batch ``(N, C, H, W)`` and its sliding-window copy
 ``(N, C, KH, KW, OH, OW)``; reshaped to ``(N, C*KH*KW, OH*OW)`` (a free view)
 that copy is the right-hand side of the convolution GEMM. The depthwise
-convolution and the poolings never build windows: they walk the ``KH*KW``
+convolution and max pooling never build windows: they walk the ``KH*KW``
 strided slices of the padded input that :func:`window_slices` yields. Both
 forms share :func:`pad_spatial` and :func:`conv_output_size`, so the (easy to
 get wrong) stride/padding arithmetic lives in exactly one place.

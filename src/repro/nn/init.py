@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["he_normal", "he_uniform", "xavier_uniform", "zeros", "ones"]
+__all__ = ["he_normal", "zeros", "ones"]
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -34,20 +34,6 @@ def he_normal(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
     fan_in, _ = _fan_in_out(shape)
     std = math.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def he_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Kaiming-uniform initialization."""
-    fan_in, _ = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Glorot-uniform initialization, suited to linear/tanh layers."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:

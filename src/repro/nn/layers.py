@@ -31,14 +31,9 @@ __all__ = [
     "DepthwiseConv2d",
     "BatchNorm1d",
     "BatchNorm2d",
-    "GroupNorm",
     "ReLU",
     "ReLU6",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "Dropout",
@@ -380,73 +375,6 @@ class BatchNorm2d(_BatchNorm):
             )
 
 
-class GroupNorm(Module):
-    """Group normalization (Wu & He, 2018) over ``(N, C, H, W)`` inputs.
-
-    Normalizes each sample's channels within ``num_groups`` groups, with no
-    batch statistics — which makes it the preferred normalization for
-    federated learning on non-IID data, where per-client batch statistics
-    diverge and averaging BatchNorm buffers degrades the global model.
-    """
-
-    rowwise = True
-
-    def __init__(self, num_groups: int, num_channels: int, *,
-                 eps: float = 1e-5) -> None:
-        super().__init__()
-        if num_groups <= 0 or num_channels <= 0:
-            raise ConfigurationError(
-                f"groups/channels must be positive, got "
-                f"({num_groups}, {num_channels})"
-            )
-        if num_channels % num_groups != 0:
-            raise ConfigurationError(
-                f"num_channels={num_channels} not divisible by "
-                f"num_groups={num_groups}"
-            )
-        self.num_groups = num_groups
-        self.num_channels = num_channels
-        self.eps = float(eps)
-        self.weight = Parameter(init.ones((num_channels,)))
-        self.bias = Parameter(init.zeros((num_channels,)))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.num_channels:
-            raise ShapeError(
-                f"GroupNorm expected (N, {self.num_channels}, H, W), "
-                f"got {x.shape}"
-            )
-        n, c, h, w = x.shape
-        grouped = x.reshape(n, self.num_groups, -1)
-        mean = grouped.mean(axis=2, keepdims=True)
-        var = grouped.var(axis=2, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = ((grouped - mean) * inv_std).reshape(n, c, h, w)
-        out = x_hat * self.weight.data[None, :, None, None] \
-            + self.bias.data[None, :, None, None]
-        self._cache = (x_hat, inv_std, x.shape)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x_hat, inv_std, shape = _require_cache(self._cache, self)
-        n, c, h, w = shape
-        self.weight.grad += (grad_output * x_hat).sum(axis=(0, 2, 3))
-        self.bias.grad += grad_output.sum(axis=(0, 2, 3))
-        grad_xhat = grad_output * self.weight.data[None, :, None, None]
-        grouped_grad = grad_xhat.reshape(n, self.num_groups, -1)
-        grouped_xhat = x_hat.reshape(n, self.num_groups, -1)
-        count = grouped_grad.shape[2]
-        sum_g = grouped_grad.sum(axis=2, keepdims=True)
-        sum_gx = (grouped_grad * grouped_xhat).sum(axis=2, keepdims=True)
-        grad_grouped = (
-            grouped_grad - sum_g / count - grouped_xhat * sum_gx / count
-        ) * inv_std
-        return grad_grouped.reshape(shape)
-
-    def __repr__(self) -> str:
-        return f"GroupNorm({self.num_groups}, {self.num_channels})"
-
-
 class ReLU(Module):
     """Rectified linear unit."""
 
@@ -476,57 +404,15 @@ class ReLU6(Module):
         return grad_output * mask
 
 
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
+class MaxPool2d(Module):
+    """Max pooling with square kernel, stride and padding.
 
-    rowwise = True
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = float(negative_slope)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = mask = x > 0
-        return np.where(mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask = _require_cache(self._cache, self)
-        return np.where(mask, grad_output, self.negative_slope * grad_output)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    rowwise = True
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = out = np.tanh(x)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        out = _require_cache(self._cache, self)
-        return grad_output * (1.0 - out * out)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    rowwise = True
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = out = 1.0 / (1.0 + np.exp(-x))
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        out = _require_cache(self._cache, self)
-        return grad_output * out * (1.0 - out)
-
-
-class _Pool2d(Module):
-    """Shared geometry of the poolings: square kernel, stride and padding.
-
-    Neither pooling builds windows; both reduce over the ``k*k`` strided
-    slices of the padded input.
+    Builds no windows: forward and backward reduce over the ``k*k`` strided
+    slices of the padded input. Padding is ``-inf``, so a padded cell never
+    wins. Among equal maxima the first cell in row-major window order wins
+    and receives the whole gradient. The forward is a running maximum only;
+    which cell won is worked out in ``backward``, so evaluation never pays
+    for it.
     """
 
     rowwise = True
@@ -541,6 +427,12 @@ class _Pool2d(Module):
             raise ConfigurationError(f"stride must be positive, got {stride}")
         if padding < 0:
             raise ConfigurationError(f"padding must be >= 0, got {padding}")
+        if padding >= kernel_size:
+            # A border window would hold padding only and have no maximum.
+            raise ConfigurationError(
+                f"MaxPool2d padding must be < kernel_size, got "
+                f"padding={padding}, kernel_size={kernel_size}"
+            )
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
@@ -556,29 +448,6 @@ class _Pool2d(Module):
         out_w = conv_output_size(x_shape[3], k, self.stride, self.padding)
         return [index for _, _, index
                 in window_slices((k, k), self.stride, out_h, out_w)]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(k={self.kernel_size}, s={self.stride})"
-
-
-class MaxPool2d(_Pool2d):
-    """Max pooling with square kernel and stride.
-
-    Padding is ``-inf``, so a padded cell never wins. Among equal maxima the
-    first cell in row-major window order wins and receives the whole
-    gradient. The forward is a running maximum only; which cell won is
-    worked out in ``backward``, so evaluation never pays for it.
-    """
-
-    def __init__(self, kernel_size: int, *, stride: Optional[int] = None,
-                 padding: int = 0) -> None:
-        super().__init__(kernel_size, stride=stride, padding=padding)
-        if padding >= kernel_size:
-            # A border window would hold padding only and have no maximum.
-            raise ConfigurationError(
-                f"MaxPool2d padding must be < kernel_size, got "
-                f"padding={padding}, kernel_size={kernel_size}"
-            )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         slices = self._slices(x.shape)
@@ -603,26 +472,8 @@ class MaxPool2d(_Pool2d):
             grad_padded[index] += term
         return unpad_spatial(grad_padded, self.padding)
 
-
-class AvgPool2d(_Pool2d):
-    """Average pooling with square kernel and stride (zero padding counts)."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        slices = self._slices(x.shape)
-        padded = pad_spatial(x, self.padding)
-        out = padded[slices[0]].copy()
-        for index in slices[1:]:
-            out += padded[index]
-        self._cache = (padded.shape, slices)
-        return out / self.kernel_size ** 2
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        padded_shape, slices = _require_cache(self._cache, self)
-        per_cell = grad_output / self.kernel_size ** 2
-        grad_padded = np.zeros(padded_shape, dtype=grad_output.dtype)
-        for index in slices:
-            grad_padded[index] += per_cell
-        return unpad_spatial(grad_padded, self.padding)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(k={self.kernel_size}, s={self.stride})"
 
 
 class GlobalAvgPool2d(Module):

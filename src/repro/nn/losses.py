@@ -13,7 +13,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError, ShapeError
 
-__all__ = ["cross_entropy", "mse_loss", "l2_penalty", "accuracy"]
+__all__ = ["cross_entropy", "accuracy"]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -64,27 +64,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.nda
 def _label_error(classes: int) -> ConfigurationError:
     return ConfigurationError(
         f"labels must be integer class indices in [0, {classes})")
-
-
-def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean squared error ``mean((pred - target)^2)`` and its gradient."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape:
-        raise ShapeError(
-            f"prediction shape {predictions.shape} != target shape {targets.shape}"
-        )
-    diff = predictions - targets
-    loss = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
-
-
-def l2_penalty(vector: np.ndarray, coefficient: float) -> Tuple[float, np.ndarray]:
-    """Ridge penalty ``(coefficient / 2) * ||vector||^2`` and its gradient."""
-    vector = np.asarray(vector, dtype=np.float64)
-    loss = 0.5 * coefficient * float(np.dot(vector.ravel(), vector.ravel()))
-    return loss, coefficient * vector
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

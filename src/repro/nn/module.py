@@ -6,7 +6,7 @@ The substrate is deliberately layer-based rather than tape-based: every
 respect to the module output and returns the gradient with respect to the
 module input, accumulating parameter gradients along the way. This keeps the
 computation deterministic and easy to verify with numerical gradient checks
-(see :mod:`repro.nn.gradcheck`).
+(see ``tests/gradcheck.py``).
 
 Modules register their parameters, buffers and submodules in insertion order,
 which gives every model a stable, documented parameter ordering -- the

@@ -1,8 +1,8 @@
-"""Optimizers.
+"""The optimizer.
 
 The federated clients in :mod:`repro.core` run plain mini-batch SGD (the
-algorithm the paper analyzes); momentum, Nesterov and weight decay are
-provided for the standalone/centralized training paths and ablations.
+algorithm the paper analyzes). Weight decay carries the convex
+experiment's ridge term; momentum and Nesterov are optional extras.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from ..common.errors import ConfigurationError
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["SGD"]
 
 
 #: Elements per block of the fused step: its three or four ``float64``
@@ -34,32 +34,7 @@ def _tiled(arrays: List[np.ndarray]) -> Optional[np.ndarray]:
     return base[starts[0]:stops[-1]] if starts[1:] == stops[:-1] else None
 
 
-class Optimizer:
-    """Base optimizer over a list of :class:`Parameter`."""
-
-    def __init__(self, params: List[Parameter], lr: float) -> None:
-        if not params:
-            raise ConfigurationError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
-        self.params = list(params)
-        self.lr = float(lr)
-
-    def set_lr(self, lr: float) -> None:
-        """Update the learning rate (used by schedules between steps)."""
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
+class SGD:
     """Stochastic gradient descent with optional momentum and weight decay.
 
     With default arguments this is exactly the update the paper's clients
@@ -69,13 +44,18 @@ class SGD(Optimizer):
     def __init__(self, params: List[Parameter], lr: float, *,
                  momentum: float = 0.0, weight_decay: float = 0.0,
                  nesterov: bool = False) -> None:
-        super().__init__(params, lr)
+        if not params:
+            raise ConfigurationError("optimizer received an empty parameter list")
+        if lr <= 0:
+            raise ConfigurationError(f"learning rate must be positive, got {lr}")
         if momentum < 0:
             raise ConfigurationError(f"momentum must be >= 0, got {momentum}")
         if weight_decay < 0:
             raise ConfigurationError(f"weight_decay must be >= 0, got {weight_decay}")
         if nesterov and momentum == 0:
             raise ConfigurationError("nesterov requires momentum > 0")
+        self.params = list(params)
+        self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.nesterov = nesterov
@@ -98,6 +78,16 @@ class SGD(Optimizer):
                     data[span], grads[span],
                     None if self._velocity is None else self._velocity[span],
                     *scratch[:, :data[span].size]))
+
+    def set_lr(self, lr: float) -> None:
+        """Update the learning rate (used by schedules between steps)."""
+        if lr <= 0:
+            raise ConfigurationError(f"learning rate must be positive, got {lr}")
+        self.lr = float(lr)
+
+    def zero_grad(self) -> None:
+        for param in self.params:
+            param.zero_grad()
 
     def step(self) -> None:
         """Apply one update using the gradients currently stored on params:
@@ -141,77 +131,3 @@ class SGD(Optimizer):
         """Clear momentum buffers (used when a client adopts a new global model)."""
         if self._velocity is not None:
             self._velocity.fill(0.0)
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with optional decoupled weight decay.
-
-    Not used by the paper's clients (their analysis is plain SGD) but
-    provided for centralized reference training and optimizer ablations.
-    """
-
-    def __init__(self, params: List[Parameter], lr: float, *,
-                 betas: "tuple[float, float]" = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr)
-        beta1, beta2 = betas
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigurationError(f"betas must be in [0, 1), got {betas}")
-        if eps <= 0:
-            raise ConfigurationError(f"eps must be positive, got {eps}")
-        if weight_decay < 0:
-            raise ConfigurationError(
-                f"weight_decay must be >= 0, got {weight_decay}"
-            )
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self._step_count = 0
-        self._first_moment = [np.zeros_like(p.data) for p in self.params]
-        self._second_moment = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1 ** self._step_count
-        bias2 = 1.0 - self.beta2 ** self._step_count
-        for index, param in enumerate(self.params):
-            grad = param.grad
-            if self.weight_decay > 0:
-                # Decoupled (AdamW-style) decay.
-                param.data -= self.lr * self.weight_decay * param.data
-            m = self._first_moment[index]
-            v = self._second_moment[index]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def reset_state(self) -> None:
-        """Clear moment estimates and the step counter."""
-        self._step_count = 0
-        for m, v in zip(self._first_moment, self._second_moment):
-            m.fill(0.0)
-            v.fill(0.0)
-
-
-def clip_grad_norm(params: List[Parameter], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is <= ``max_norm``.
-
-    Returns the pre-clipping norm. A defensive tool for attack experiments
-    where tampered global models produce exploding local gradients.
-    """
-    if max_norm <= 0:
-        raise ConfigurationError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
-    for param in params:
-        total += float(np.sum(param.grad * param.grad))
-    norm = float(np.sqrt(total))
-    if norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for param in params:
-            param.grad *= scale
-    return norm

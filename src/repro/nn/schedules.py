@@ -1,27 +1,19 @@
 """Learning-rate schedules.
 
-:class:`InverseTimeDecay` implements the schedule required by the paper's
-Theorem 1: ``eta_t = phi / (gamma + t)`` with ``phi = 2 / mu`` and
-``gamma = max(8 L / mu, E)``. It satisfies the two side conditions the
-analysis needs — ``eta_t`` non-increasing and ``eta_t <= 2 * eta_{t+E}``
-(checked by property tests).
+:class:`InverseTimeDecay` is the form of the paper's Theorem 1 step size,
+``eta_t = phi / (gamma + t)``. The convergence experiment
+(:func:`repro.experiments.specs.run_convergence_rate`) is the one place that
+instantiates it with Theorem 1's constants, ``phi = 2 / mu`` and
+``gamma = theorem1_gamma(...) = max(8 L / mu, E)``. With those it satisfies
+the two side conditions the analysis needs — ``eta_t`` non-increasing and
+``eta_t <= 2 * eta_{t+E}`` (checked by property tests).
 """
 
 from __future__ import annotations
 
-import math
-
 from ..common.errors import ConfigurationError
 
-__all__ = [
-    "LRSchedule",
-    "ConstantLR",
-    "StepDecay",
-    "InverseTimeDecay",
-    "CosineAnnealing",
-    "LinearWarmup",
-    "theorem1_schedule",
-]
+__all__ = ["LRSchedule", "ConstantLR", "InverseTimeDecay"]
 
 
 class LRSchedule:
@@ -51,27 +43,6 @@ class ConstantLR(LRSchedule):
         return f"ConstantLR({self.lr})"
 
 
-class StepDecay(LRSchedule):
-    """Multiply the rate by ``factor`` every ``step_size`` steps."""
-
-    def __init__(self, lr: float, *, step_size: int, factor: float = 0.1) -> None:
-        if lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {lr}")
-        if step_size <= 0:
-            raise ConfigurationError(f"step_size must be positive, got {step_size}")
-        if not 0 < factor <= 1:
-            raise ConfigurationError(f"factor must be in (0, 1], got {factor}")
-        self.lr = float(lr)
-        self.step_size = int(step_size)
-        self.factor = float(factor)
-
-    def lr_at(self, step: int) -> float:
-        return self.lr * self.factor ** (step // self.step_size)
-
-    def __repr__(self) -> str:
-        return f"StepDecay({self.lr}, step_size={self.step_size}, factor={self.factor})"
-
-
 class InverseTimeDecay(LRSchedule):
     """``eta_t = phi / (gamma + t)`` — the Theorem 1 learning-rate policy."""
 
@@ -88,76 +59,3 @@ class InverseTimeDecay(LRSchedule):
 
     def __repr__(self) -> str:
         return f"InverseTimeDecay(phi={self.phi}, gamma={self.gamma})"
-
-
-class CosineAnnealing(LRSchedule):
-    """Cosine decay from ``lr`` to ``min_lr`` over ``total_steps`` steps."""
-
-    def __init__(self, lr: float, *, total_steps: int,
-                 min_lr: float = 0.0) -> None:
-        if lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {lr}")
-        if total_steps <= 0:
-            raise ConfigurationError(
-                f"total_steps must be positive, got {total_steps}"
-            )
-        if not 0.0 <= min_lr <= lr:
-            raise ConfigurationError(
-                f"min_lr must be in [0, lr], got {min_lr}"
-            )
-        self.lr = float(lr)
-        self.total_steps = int(total_steps)
-        self.min_lr = float(min_lr)
-
-    def lr_at(self, step: int) -> float:
-        progress = min(step / self.total_steps, 1.0)
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.lr - self.min_lr) * cosine
-
-    def __repr__(self) -> str:
-        return (f"CosineAnnealing({self.lr}, total_steps={self.total_steps}, "
-                f"min_lr={self.min_lr})")
-
-
-class LinearWarmup(LRSchedule):
-    """Linear ramp over ``warmup_steps``, then defer to ``base`` schedule."""
-
-    def __init__(self, base: LRSchedule, *, warmup_steps: int) -> None:
-        if warmup_steps <= 0:
-            raise ConfigurationError(
-                f"warmup_steps must be positive, got {warmup_steps}"
-            )
-        self.base = base
-        self.warmup_steps = int(warmup_steps)
-
-    def lr_at(self, step: int) -> float:
-        if step < self.warmup_steps:
-            return self.base(self.warmup_steps) * (step + 1) / self.warmup_steps
-        return self.base(step)
-
-    def __repr__(self) -> str:
-        return f"LinearWarmup({self.base!r}, warmup_steps={self.warmup_steps})"
-
-
-def theorem1_schedule(mu: float, smoothness: float, local_steps: int) -> InverseTimeDecay:
-    """Build the exact schedule of Theorem 1.
-
-    Parameters
-    ----------
-    mu:
-        Strong-convexity constant of the local objectives.
-    smoothness:
-        Smoothness constant ``L``.
-    local_steps:
-        Number of local iterations ``E`` per round.
-
-    Returns
-    -------
-    ``InverseTimeDecay(phi=2/mu, gamma=max(8L/mu, E))``.
-    """
-    if mu <= 0 or smoothness <= 0:
-        raise ConfigurationError("mu and smoothness must be positive")
-    if local_steps <= 0:
-        raise ConfigurationError(f"local_steps must be positive, got {local_steps}")
-    gamma = max(8.0 * smoothness / mu, float(local_steps))
-    return InverseTimeDecay(phi=2.0 / mu, gamma=gamma)

@@ -26,8 +26,6 @@ __all__ = [
     "flatten_state",
     "to_vector",
     "from_vector",
-    "gradient_vector",
-    "clone_module_state",
 ]
 
 
@@ -140,24 +138,3 @@ def from_vector(module: Module, vector: np.ndarray, *,
     for array in arrays:
         array[...] = vector[offset:offset + array.size].reshape(array.shape)
         offset += array.size
-
-
-def gradient_vector(module: Module) -> np.ndarray:
-    """Concatenate all parameter gradients into one flat vector.
-
-    Buffers have no gradients, so this vector has length
-    ``vector_size(module, include_buffers=False)``.
-    """
-    grads = [param.grad.ravel() for param in module.parameters()]
-    if not grads:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate(grads).astype(np.float64, copy=False)
-
-
-def clone_module_state(source: Module, target: Module) -> None:
-    """Copy all parameters and buffers from ``source`` into ``target``.
-
-    The two modules must have identical architectures (same state-dict keys
-    and shapes).
-    """
-    target.load_state_dict(source.state_dict())

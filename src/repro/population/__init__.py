@@ -30,7 +30,6 @@ from .churn import ChurnPlan, ChurnScheduler, MembershipWindow
 from .clients import ClientPopulation
 from .sampling import sample_clients, sample_size
 from .shards import (
-    ArrayShardSpec,
     BlobShardSpec,
     make_blob_population,
     make_blob_test_dataset,
@@ -39,7 +38,6 @@ from .tiers import TierAggregator, TierTopology
 from .trainer import PopulationTrainer
 
 __all__ = [
-    "ArrayShardSpec",
     "BlobShardSpec",
     "ChurnPlan",
     "ChurnScheduler",

@@ -23,7 +23,7 @@ from ..common.errors import ConfigurationError
 from ..common.rng import stream_seed
 from ..data.datasets import ArrayDataset
 
-__all__ = ["BlobShardSpec", "ArrayShardSpec", "make_blob_population",
+__all__ = ["BlobShardSpec", "make_blob_population",
            "make_blob_test_dataset"]
 
 
@@ -104,33 +104,6 @@ class BlobShardSpec:
             features *= self.noise_scale
         features += centers[labels]
         return ArrayDataset(features, labels)
-
-
-@dataclass(frozen=True)
-class ArrayShardSpec:
-    """A shard wrapping in-memory arrays (already materialized).
-
-    Escape hatch for real datasets: laziness is lost (the arrays live in
-    the spec), but the sampling/churn/tier machinery works
-    unchanged.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.features) != len(self.labels) or len(self.features) == 0:
-            raise ConfigurationError(
-                f"features/labels length mismatch or empty: "
-                f"{len(self.features)} vs {len(self.labels)}"
-            )
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.labels)
-
-    def materialize(self) -> ArrayDataset:
-        return ArrayDataset(self.features, self.labels)
 
 
 def make_blob_population(population_size: int, *, samples_per_client: int,

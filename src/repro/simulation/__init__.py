@@ -9,13 +9,7 @@ from .faults import (
     ServerCrash,
     ServerStraggler,
 )
-from .latency import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    UniformLatency,
-    round_time,
-)
+from .latency import LogNormalLatency, round_time
 from .network import Message, Network, NodeId, TrafficStats
 from .scheduler import RoundScheduler
 
@@ -31,9 +25,6 @@ __all__ = [
     "LinkPartition",
     "FaultPlan",
     "FaultInjector",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
     "LogNormalLatency",
     "round_time",
     "VirtualClock",

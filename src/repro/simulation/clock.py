@@ -23,7 +23,7 @@ import numpy as np
 
 from ..common.errors import ConfigurationError
 from ..common.rng import stream_seed
-from .latency import LatencyModel, LogNormalLatency
+from .latency import LogNormalLatency
 
 __all__ = ["VirtualClock", "split_by_deadline"]
 
@@ -47,18 +47,15 @@ class VirtualClock:
     ----------
     seed:
         Experiment root seed; combined with ``(round, leg, key)`` per draw.
-    latency:
-        The :class:`~repro.simulation.latency.LatencyModel` supplying base
-        transfer times. Defaults to the heavy-tailed
-        :class:`~repro.simulation.latency.LogNormalLatency`.
+        Base transfer times come from the heavy-tailed
+        :class:`~repro.simulation.latency.LogNormalLatency` at its defaults.
     straggler_rate:
         Probability that any single message is a straggler.
     straggler_factor:
         Multiplier applied to a straggling message's transfer time.
     """
 
-    def __init__(self, seed: int, *, latency: Optional[LatencyModel] = None,
-                 straggler_rate: float = 0.0,
+    def __init__(self, seed: int, *, straggler_rate: float = 0.0,
                  straggler_factor: float = 10.0) -> None:
         if not 0.0 <= straggler_rate < 1.0:
             raise ConfigurationError(
@@ -67,7 +64,7 @@ class VirtualClock:
             raise ConfigurationError(
                 f"straggler_factor must be >= 1, got {straggler_factor}")
         self.seed = int(seed)
-        self.latency = latency if latency is not None else LogNormalLatency()
+        self.latency = LogNormalLatency()
         self.straggler_rate = float(straggler_rate)
         self.straggler_factor = float(straggler_factor)
 
@@ -134,6 +131,5 @@ class VirtualClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"VirtualClock(seed={self.seed}, "
-                f"latency={type(self.latency).__name__}, "
                 f"straggler_rate={self.straggler_rate}, "
                 f"straggler_factor={self.straggler_factor})")

@@ -1,74 +1,26 @@
-"""Link-latency models and round-time accounting.
+"""Link latency and round-time accounting.
 
 The paper's synchronous rounds hide a real cost: every stage waits for its
-slowest participant. These models assign per-message transfer times so the
-simulation can report *simulated wall-clock* per round for each upload
+slowest participant. :class:`LogNormalLatency` assigns each message a
+heavy-tailed transfer time; :class:`~repro.simulation.clock.VirtualClock`
+turns those draws into per-message arrival times, and :func:`round_time`
+into the simulated wall-clock of one synchronous round for an upload
 strategy — e.g. full upload not only sends P times the bytes but also
 suffers the max over P times as many link draws.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
 
-__all__ = [
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "LogNormalLatency",
-    "round_time",
-]
+__all__ = ["LogNormalLatency", "round_time"]
 
 
-class LatencyModel:
-    """Assigns a transfer time (seconds) to one message on one link."""
-
-    def sample(self, *, size_bytes: int, rng: np.random.Generator) -> float:
-        raise NotImplementedError
-
-
-class ConstantLatency(LatencyModel):
-    """Fixed per-message latency plus deterministic bandwidth cost.
-
-    ``time = base + size_bytes / bandwidth``.
-    """
-
-    def __init__(self, base: float = 0.01, *,
-                 bandwidth_bytes_per_s: float = 1e7) -> None:
-        if base < 0:
-            raise ConfigurationError(f"base must be >= 0, got {base}")
-        if bandwidth_bytes_per_s <= 0:
-            raise ConfigurationError("bandwidth must be positive")
-        self.base = float(base)
-        self.bandwidth = float(bandwidth_bytes_per_s)
-
-    def sample(self, *, size_bytes: int, rng: np.random.Generator) -> float:
-        return self.base + size_bytes / self.bandwidth
-
-
-class UniformLatency(LatencyModel):
-    """Latency uniform on ``[low, high]`` plus bandwidth cost."""
-
-    def __init__(self, low: float, high: float, *,
-                 bandwidth_bytes_per_s: float = 1e7) -> None:
-        if not 0 <= low < high:
-            raise ConfigurationError(f"need 0 <= low < high, got [{low}, {high}]")
-        if bandwidth_bytes_per_s <= 0:
-            raise ConfigurationError("bandwidth must be positive")
-        self.low = float(low)
-        self.high = float(high)
-        self.bandwidth = float(bandwidth_bytes_per_s)
-
-    def sample(self, *, size_bytes: int, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high)) \
-            + size_bytes / self.bandwidth
-
-
-class LogNormalLatency(LatencyModel):
+class LogNormalLatency:
     """Heavy-tailed latency — the straggler-realistic model.
 
     ``time = exp(N(mu, sigma^2)) + size_bytes / bandwidth``; the lognormal
@@ -94,7 +46,7 @@ class LogNormalLatency(LatencyModel):
 
 
 def round_time(upload_assignment: Sequence[Sequence[int]], *,
-               model_bytes: int, latency: LatencyModel,
+               model_bytes: int, latency: LogNormalLatency,
                num_servers: int, rng: np.random.Generator,
                compute_seconds: float = 0.0
                ) -> Tuple[float, Dict[str, float]]:

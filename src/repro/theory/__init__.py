@@ -9,7 +9,6 @@ from .bounds import (
     lemma3_bound,
     theorem1_bound,
     theorem1_gamma,
-    theorem1_learning_rate,
 )
 from .constants import (
     empirical_gradient_stats,
@@ -33,7 +32,6 @@ __all__ = [
     "delta",
     "delta_decomposition",
     "theorem1_gamma",
-    "theorem1_learning_rate",
     "theorem1_bound",
     "softmax_loss_and_grad",
     "softmax_smoothness",

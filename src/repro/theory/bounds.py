@@ -7,7 +7,13 @@ Implements, as pure functions of the problem constants:
   ``E ||e_bar - a_bar||^2 <= 4P / (P - 2B)^2 * eta^2 E^2 G^2``;
 * Lemma 3 — sparse-upload sampling variance
   ``E ||a_bar - v_bar||^2 <= (K-P)/(K-1) * 4/P * eta^2 E^2 G^2``;
-* Theorem 1 — the O(1/T) suboptimality bound with its five-term Delta.
+* Theorem 1 — the O(1/T) suboptimality bound with its five-term Delta,
+  built from the three lemmas.
+
+Theorem 1's step size ``eta_t = 2 / (mu (gamma + t))`` is instantiated once,
+in the convergence experiment
+(:func:`repro.experiments.specs.run_convergence_rate`), as
+``InverseTimeDecay(phi=2 / mu, gamma=theorem1_gamma(constants))``.
 
 Everything is written against :class:`ProblemConstants`, which mirrors the
 assumptions (L-smoothness, mu-strong convexity, bounded gradient variance
@@ -29,7 +35,6 @@ __all__ = [
     "delta_decomposition",
     "delta",
     "theorem1_gamma",
-    "theorem1_learning_rate",
     "theorem1_bound",
 ]
 
@@ -145,21 +150,17 @@ def delta_decomposition(constants: ProblemConstants) -> Dict[str, float]:
     """The five terms of Theorem 1's Delta, by name.
 
     ``heterogeneity`` + ``drift`` + ``sgd_variance`` + ``byzantine`` +
-    ``partial_participation`` — the last two are Lemma 2/3's bounds with the
-    ``eta^2`` factor removed (Theorem 1 folds eta into the recursion).
+    ``partial_participation``. ``drift`` is twice Lemma 1's bound, and the
+    last two are Lemma 2/3's bounds, each with the ``eta^2`` factor removed
+    (Theorem 1 folds eta into the recursion).
     """
-    eg_sq = _eg_sq(constants)
-    p, b = constants.num_servers, constants.num_byzantine
-    k = constants.num_clients
     return {
         "heterogeneity": 6.0 * constants.smoothness
         * constants.gamma_heterogeneity,
-        "drift": 8.0 * eg_sq,
+        "drift": 2.0 * lemma1_bound(constants, 1.0),
         "sgd_variance": constants.mean_sigma_sq,
-        "byzantine": 4.0 * p / (p - 2 * b) ** 2 * eg_sq,
-        "partial_participation": (
-            0.0 if k == 1 else ((k - p) / (k - 1)) * (4.0 / p) * eg_sq
-        ),
+        "byzantine": lemma2_bound(constants, 1.0),
+        "partial_participation": lemma3_bound(constants, 1.0),
     }
 
 
@@ -172,13 +173,6 @@ def theorem1_gamma(constants: ProblemConstants) -> float:
     """``gamma = max(8 L / mu, E)`` from Theorem 1."""
     return max(8.0 * constants.smoothness / constants.mu,
                float(constants.local_steps))
-
-
-def theorem1_learning_rate(constants: ProblemConstants, step: int) -> float:
-    """``eta_t = 2 / (mu (gamma + t))`` — the prescribed schedule."""
-    if step < 0:
-        raise ConfigurationError(f"step must be >= 0, got {step}")
-    return 2.0 / (constants.mu * (theorem1_gamma(constants) + step))
 
 
 def theorem1_bound(constants: ProblemConstants, step: int) -> float:

@@ -368,20 +368,20 @@ class TestMadOutlierScores:
 
 class TestAdaptiveTrimmedMean:
     def test_estimates_planted_count(self):
-        from repro.aggregation import estimate_byzantine_count
+        from repro.aggregation import adaptive_trimmed_mean_info
 
         rng = np.random.default_rng(2)
         stack = rng.normal(size=(10, 30))
         stack[1] += 40.0
         stack[7] -= 40.0
-        assert estimate_byzantine_count(stack) == 2
+        assert adaptive_trimmed_mean_info(stack)[1] == 2
 
     def test_zero_estimate_on_clean_stack(self):
         from repro.aggregation import (adaptive_trimmed_mean,
-                                       estimate_byzantine_count, mean)
+                                       adaptive_trimmed_mean_info, mean)
 
         stack = np.random.default_rng(3).normal(size=(9, 12))
-        assert estimate_byzantine_count(stack) == 0
+        assert adaptive_trimmed_mean_info(stack)[1] == 0
         np.testing.assert_allclose(adaptive_trimmed_mean(stack),
                                    mean(stack))
 

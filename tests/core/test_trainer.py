@@ -10,7 +10,7 @@ import pytest
 from repro.aggregation import make_rule
 from repro.attacks import InconsistentAttack, RandomAttack, make_attack
 from repro.common import ConfigurationError, RngFactory
-from repro.core import FedMSConfig, FedMSTrainer, make_fedavg_trainer
+from repro.core import FedMSConfig, FedMSTrainer
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
 from repro.simulation import Network
@@ -305,13 +305,17 @@ class TestServerCrash:
 
 class TestFedAvgBaseline:
     def test_single_server_topology(self):
+        # Classical FedAvg: one benign PS, every client adopts its average.
         data = make_blobs()
         parts = iid_partition(data, 6, rng=RngFactory(0).make("p"))
-        trainer = make_fedavg_trainer(
+        config = FedMSConfig(num_clients=6, num_servers=1, num_byzantine=0,
+                             learning_rate=0.2, trim_ratio=0.0)
+        trainer = FedMSTrainer(
+            config,
             model_factory=lambda rng: SoftmaxRegression(6, 3, rng=rng),
             client_datasets=parts,
             test_dataset=make_blobs(n=90, seed=9),
-            learning_rate=0.2,
+            filter_rule=make_rule("mean"),
         )
         assert len(trainer.servers) == 1
         history = trainer.run(10, eval_every=10)

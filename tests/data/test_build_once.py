@@ -24,7 +24,6 @@ from repro.data import (
     dirichlet_partition,
     iid_partition,
     make_synthetic_cifar10,
-    shard_partition,
 )
 from repro.data.synthetic import GENERATION_BLOCK, NUM_CLASSES
 from repro.population import BlobShardSpec
@@ -286,9 +285,7 @@ class TestBuildMemory:
     @pytest.mark.parametrize("partition", [
         lambda data, rng: dirichlet_partition(data, 20, alpha=10.0, rng=rng),
         lambda data, rng: iid_partition(data, 20, rng=rng),
-        lambda data, rng: shard_partition(data, 20, shards_per_client=2,
-                                          rng=rng),
-    ], ids=["dirichlet", "iid", "shard"])
+    ], ids=["dirichlet", "iid"])
     def test_partitions_retain_almost_nothing(self, partition):
         rng = np.random.default_rng(0)
         data = ArrayDataset(rng.normal(size=(2000, 3, 8, 8)),

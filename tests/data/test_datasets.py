@@ -27,8 +27,18 @@ class TestArrayDataset:
         np.testing.assert_array_equal(y, [0, 2, 0])
 
     def test_labels_cast_to_int64(self):
-        data = ArrayDataset(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]))
+        data = ArrayDataset(np.zeros((3, 2)), np.array([0, 1, 2], dtype=np.int32))
         assert data.labels.dtype == np.int64
+        empty = ArrayDataset(np.zeros((0, 2)), np.array([]))
+        assert empty.labels.dtype == np.int64 and len(empty) == 0
+
+    @pytest.mark.parametrize("labels", [np.array([0.5, 1.7, 2.2]),
+                                        np.array([0.0, 1.0, 2.0]),
+                                        np.array([True, False, True])])
+    def test_rejects_non_integer_labels(self, labels):
+        # Accepted, 1.7 was truncated to class 1 and True became class 1.
+        with pytest.raises(ConfigurationError, match="integers"):
+            ArrayDataset(np.zeros((3, 2)), labels)
 
     def test_num_classes(self):
         assert make_dataset(num_classes=4).num_classes == 4

@@ -1,4 +1,4 @@
-"""Tests for IID / Dirichlet / shard partitioning and heterogeneity stats."""
+"""Tests for IID / Dirichlet partitioning and heterogeneity stats."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from repro.common import ConfigurationError, RngFactory
 from repro.data import (
     ArrayDataset,
     dirichlet_partition,
-    effective_classes_per_client,
     iid_partition,
     label_distribution_matrix,
     mean_client_entropy,
     mean_total_variation_distance,
-    shard_partition,
 )
 
 
@@ -103,26 +101,6 @@ class TestDirichletPartition:
             rng=RngFactory(0).make(f"p/{alpha}/{num_clients}"),
         )
         assert covers_exactly(parts, data)
-
-
-class TestShardPartition:
-    def test_covers_dataset(self):
-        data = make_dataset()
-        parts = shard_partition(data, 10, shards_per_client=2,
-                                rng=RngFactory(0).make("p"))
-        assert covers_exactly(parts, data)
-
-    def test_pathological_few_classes_per_client(self):
-        data = make_dataset(1000)
-        parts = shard_partition(data, 10, shards_per_client=2,
-                                rng=RngFactory(0).make("p"))
-        effective = effective_classes_per_client(parts, 10)
-        assert np.mean(effective) <= 3.5  # far below the 10 of an IID split
-
-    def test_rejects_too_many_shards(self):
-        with pytest.raises(ConfigurationError):
-            shard_partition(make_dataset(10), 10, shards_per_client=5,
-                            rng=RngFactory(0).make("p"))
 
 
 class TestStats:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common import ConfigurationError
-from repro.experiments import ascii_curve, ascii_curves
+from repro.experiments import ascii_curves
 
 
 class TestAsciiCurves:
@@ -64,12 +64,3 @@ class TestAsciiCurves:
         series = {f"s{i}": ([0], [0.1]) for i in range(9)}
         with pytest.raises(ConfigurationError):
             ascii_curves(series)
-
-
-class TestAsciiCurve:
-    def test_wrapper(self):
-        chart = ascii_curve([0, 1, 2], [0.1, 0.2, 0.3], label="acc")
-        assert "o=acc" in chart
-
-    def test_default_label(self):
-        assert "o=series" in ascii_curve([0, 1], [0.1, 0.2])

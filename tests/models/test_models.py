@@ -76,7 +76,7 @@ class TestInvertedResidual:
         assert any(np.any(p.grad != 0) for p in block.parameters())
 
     def test_gradient_matches_numerical(self, rng):
-        from repro.nn import check_layer_gradients
+        from ..gradcheck import check_layer_gradients
 
         block = InvertedResidual(2, 2, stride=1, expand_ratio=2, rng=rng)
         block.eval()  # freeze batch-norm stats for a deterministic function

@@ -9,14 +9,10 @@ import numpy as np
 import pytest
 
 from repro.common import ConfigurationError, ProtocolError, ShapeError
-from repro.nn import (
-    AvgPool2d,
-    Conv2d,
-    DepthwiseConv2d,
-    MaxPool2d,
-    check_layer_gradients,
-)
+from repro.nn import Conv2d, DepthwiseConv2d, MaxPool2d
 from repro.nn.functional import conv_output_size
+
+from ..gradcheck import check_layer_gradients
 
 HEIGHT, WIDTH = 5, 7
 GEOMETRIES = [(k, s, p) for k in (1, 2, 3) for s in (1, 2) for p in (0, 1)]
@@ -107,23 +103,6 @@ def maxpool_reference(x, kernel, stride, padding, grad_out):
     return out, _unpadded(grad_padded, padding)
 
 
-def avgpool_reference(x, kernel, stride, padding, grad_out):
-    padded = _padded(x, padding)
-    (out_h, out_w), cells = _cells(x.shape, kernel, stride, padding)
-    out = np.zeros(x.shape[:2] + (out_h, out_w))
-    grad_padded = np.zeros_like(padded)
-    for b, oh, ow, top, left in cells:
-        for c in range(x.shape[1]):
-            total = 0.0
-            for i in range(kernel):
-                for j in range(kernel):
-                    total += padded[b, c, top + i, left + j]
-                    grad_padded[b, c, top + i, left + j] += \
-                        grad_out[b, c, oh, ow] / kernel ** 2
-            out[b, c, oh, ow] = total / kernel ** 2
-    return out, _unpadded(grad_padded, padding)
-
-
 def _run(layer, x, rng):
     """Forward, a random upstream gradient, backward."""
     layer.zero_grad()
@@ -174,14 +153,6 @@ class TestAgainstNaiveReference:
         x = rng.normal(size=(batch, 2, HEIGHT, WIDTH))
         out, grad_out, grad_x = _run(layer, x, rng)
         ref_out, ref_x = maxpool_reference(x, kernel, stride, padding, grad_out)
-        np.testing.assert_allclose(out, ref_out, **TOLERANCE)
-        np.testing.assert_allclose(grad_x, ref_x, **TOLERANCE)
-
-    def test_avgpool2d(self, rng, kernel, stride, padding, batch):
-        layer = AvgPool2d(kernel, stride=stride, padding=padding)
-        x = rng.normal(size=(batch, 2, HEIGHT, WIDTH))
-        out, grad_out, grad_x = _run(layer, x, rng)
-        ref_out, ref_x = avgpool_reference(x, kernel, stride, padding, grad_out)
         np.testing.assert_allclose(out, ref_out, **TOLERANCE)
         np.testing.assert_allclose(grad_x, ref_x, **TOLERANCE)
 
@@ -281,7 +252,7 @@ class TestMaxPoolPadding:
             MaxPool2d(2, padding=2)
 
 
-@pytest.mark.parametrize("pool", [MaxPool2d, AvgPool2d])
+@pytest.mark.parametrize("pool", [MaxPool2d])
 class TestPoolValidation:
     def test_rejects_non_positive_kernel(self, pool):
         with pytest.raises(ConfigurationError):

@@ -14,12 +14,22 @@ import pytest
 from repro.core import Client
 from repro.data import ArrayDataset
 from repro.models import MLP, SmallCNN
-from repro.nn import Linear, ReLU, Sigmoid, Tanh, inference
-from repro.nn.module import Sequential
+from repro.nn import Linear, ReLU, ReLU6, inference
+from repro.nn.module import Module, Sequential
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+class Double(Module):
+    """A layer defined outside the library: ``y = 2 x``."""
+
+    def forward(self, x):
+        return 2.0 * x
+
+    def backward(self, grad_output):
+        return 2.0 * grad_output
 
 
 class TestInstanceOverrides:
@@ -46,28 +56,26 @@ class TestSequentialLayers:
     def test_append_runs_the_new_layer(self):
         linear = Linear(4, 3, rng=rng())
         seq = Sequential(linear, ReLU())
-        seq.append(Tanh())
+        seq.append(Double())
         x = rng(1).normal(size=(5, 4))
         np.testing.assert_array_equal(
-            seq(x), np.tanh(np.fmax(x @ linear.weight.data
-                                    + linear.bias.data, 0.0)))
-        assert len(seq) == 3 and isinstance(seq[2], Tanh)
+            seq(x), 2.0 * np.fmax(x @ linear.weight.data
+                                  + linear.bias.data, 0.0))
+        assert len(seq) == 3 and isinstance(seq[2], Double)
         assert seq.layer2 is seq[2]
 
     def test_reassigning_a_layer_runs_it_both_ways(self):
         linear = Linear(4, 3, rng=rng())
-        seq = Sequential(linear, ReLU(), Tanh())
-        sigmoid = Sigmoid()
-        seq.layer1 = sigmoid
-        assert seq[1] is sigmoid and seq.layers[1] is sigmoid
-        x = rng(1).normal(size=(5, 4))
-        hidden = 1.0 / (1.0 + np.exp(-(x @ linear.weight.data
-                                       + linear.bias.data)))
-        np.testing.assert_array_equal(seq(x), np.tanh(hidden))
+        seq = Sequential(linear, ReLU(), ReLU6())
+        double = Double()
+        seq.layer1 = double
+        assert seq[1] is double and seq.layers[1] is double
+        x = 4.0 * rng(1).normal(size=(5, 4))
+        hidden = 2.0 * (x @ linear.weight.data + linear.bias.data)
+        np.testing.assert_array_equal(seq(x), np.clip(hidden, 0.0, 6.0))
         grad_in = seq.backward(np.ones((5, 3)))
-        tanh = np.tanh(hidden)
-        expected = ((1.0 - tanh * tanh) * hidden * (1.0 - hidden)) \
-            @ linear.weight.data.T
+        mask = (hidden > 0) & (hidden < 6.0)
+        expected = (2.0 * (np.ones((5, 3)) * mask)) @ linear.weight.data.T
         np.testing.assert_array_equal(grad_in, expected)
 
     def test_a_reassigned_layer_brings_its_parameters(self):
@@ -80,8 +88,8 @@ class TestSequentialLayers:
     def test_other_names_leave_the_layers_alone(self):
         seq = Sequential(Linear(4, 3, rng=rng()), ReLU())
         before = seq.layers
-        seq.layer5 = Tanh()  # not a position of the pipeline
-        seq.layer01 = Tanh()
+        seq.layer5 = ReLU6()  # not a position of the pipeline
+        seq.layer01 = ReLU6()
         assert seq.layers == before
 
     def test_layers_is_a_copy(self):

@@ -5,23 +5,20 @@ import pytest
 
 from repro.common import RngFactory
 from repro.nn import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     DepthwiseConv2d,
     Flatten,
     GlobalAvgPool2d,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
     ReLU6,
     Sequential,
-    Sigmoid,
-    Tanh,
-    check_layer_gradients,
 )
+
+from ..gradcheck import check_layer_gradients
 
 TOLERANCE = 1e-5
 
@@ -102,8 +99,8 @@ class TestNormLayers:
 class TestActivations:
     @pytest.mark.parametrize(
         "layer_factory",
-        [ReLU, ReLU6, lambda: LeakyReLU(0.1), Tanh, Sigmoid],
-        ids=["relu", "relu6", "leaky_relu", "tanh", "sigmoid"],
+        [ReLU, ReLU6],
+        ids=["relu", "relu6"],
     )
     def test_activation(self, rng, layer_factory):
         layer = layer_factory()
@@ -126,10 +123,6 @@ class TestPooling:
         layer = MaxPool2d(2, stride=1)
         x = rng.permutation(np.arange(1 * 2 * 4 * 4, dtype=float)).reshape(1, 2, 4, 4)
         assert_gradients_match(layer, x)
-
-    def test_avgpool(self, rng):
-        layer = AvgPool2d(2)
-        assert_gradients_match(layer, rng.normal(size=(2, 3, 4, 4)))
 
     def test_global_avgpool(self, rng):
         layer = GlobalAvgPool2d()

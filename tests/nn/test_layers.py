@@ -5,7 +5,6 @@ import pytest
 
 from repro.common import ConfigurationError, RngFactory, ShapeError
 from repro.nn import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
@@ -120,6 +119,14 @@ class TestBatchNorm:
         expected = (0.0 - x.mean(axis=0)) / np.sqrt(x.var(axis=0, ddof=1) + layer.eps)
         np.testing.assert_allclose(y, np.tile(expected, (4, 1)), rtol=1e-6)
 
+    def test_batchnorm_is_batch_coupled(self, rng):
+        """A sample's BatchNorm2d output depends on its batch-mates."""
+        layer = BatchNorm2d(3)
+        x = rng.normal(size=(4, 3, 5, 5))
+        full = layer(x)
+        alone = layer(x[:1])
+        assert not np.allclose(full[0], alone[0])
+
     def test_batchnorm2d_shape(self, rng):
         layer = BatchNorm2d(3)
         assert layer(rng.normal(size=(2, 3, 4, 4))).shape == (2, 3, 4, 4)
@@ -151,11 +158,6 @@ class TestPooling:
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
         out = MaxPool2d(2)(x)
         np.testing.assert_array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_avgpool_averages(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2)(x)
-        np.testing.assert_array_equal(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_global_avgpool(self):
         x = np.arange(8, dtype=float).reshape(1, 2, 2, 2)

@@ -6,19 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import ConfigurationError, RngFactory, ShapeError
-from repro.nn import (
-    SGD,
-    ConstantLR,
-    InverseTimeDecay,
-    Linear,
-    StepDecay,
-    accuracy,
-    cross_entropy,
-    l2_penalty,
-    mse_loss,
-    numerical_gradient,
-    theorem1_schedule,
-)
+from repro.nn import SGD, ConstantLR, InverseTimeDecay, Linear, accuracy, cross_entropy
+from repro.theory import ProblemConstants, theorem1_gamma
+
+from ..gradcheck import numerical_gradient
 
 
 class TestCrossEntropy:
@@ -69,38 +60,6 @@ class TestCrossEntropy:
         # -1 used to be read as class C - 1, and C raised a bare IndexError.
         with pytest.raises(ConfigurationError, match=r"\[0, 3\)"):
             cross_entropy(np.zeros((2, 3)), np.array(labels))
-
-
-class TestMseLoss:
-    def test_zero_at_target(self):
-        x = np.ones((2, 2))
-        loss, grad = mse_loss(x, x)
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros((2, 2)))
-
-    def test_known_value(self):
-        loss, _ = mse_loss(np.array([2.0, 0.0]), np.array([0.0, 0.0]))
-        assert loss == pytest.approx(2.0)
-
-    def test_gradient_matches_numerical(self):
-        rng = np.random.default_rng(2)
-        pred = rng.normal(size=(3, 2))
-        target = rng.normal(size=(3, 2))
-        _, grad = mse_loss(pred, target)
-        numeric = numerical_gradient(lambda p: mse_loss(p, target)[0], pred.copy())
-        np.testing.assert_allclose(grad, numeric, atol=1e-7)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mse_loss(np.zeros(2), np.zeros(3))
-
-
-class TestL2Penalty:
-    def test_value_and_gradient(self):
-        vec = np.array([3.0, 4.0])
-        loss, grad = l2_penalty(vec, 0.1)
-        assert loss == pytest.approx(0.5 * 0.1 * 25.0)
-        np.testing.assert_allclose(grad, 0.1 * vec)
 
 
 class TestAccuracy:
@@ -187,13 +146,6 @@ class TestSchedules:
         schedule = ConstantLR(0.05)
         assert schedule(0) == schedule(1000) == 0.05
 
-    def test_step_decay(self):
-        schedule = StepDecay(1.0, step_size=10, factor=0.5)
-        assert schedule(0) == 1.0
-        assert schedule(9) == 1.0
-        assert schedule(10) == 0.5
-        assert schedule(25) == 0.25
-
     def test_inverse_time_decay_formula(self):
         schedule = InverseTimeDecay(phi=2.0, gamma=8.0)
         assert schedule(0) == pytest.approx(0.25)
@@ -202,17 +154,6 @@ class TestSchedules:
     def test_negative_step_rejected(self):
         with pytest.raises(ConfigurationError):
             ConstantLR(0.1)(-1)
-
-    def test_theorem1_schedule_values(self):
-        schedule = theorem1_schedule(mu=1.0, smoothness=2.0, local_steps=3)
-        # gamma = max(8*2/1, 3) = 16, phi = 2
-        assert schedule.gamma == 16.0
-        assert schedule.phi == 2.0
-
-    def test_theorem1_gamma_uses_local_steps_when_larger(self):
-        schedule = theorem1_schedule(mu=8.0, smoothness=1.0, local_steps=5)
-        # 8L/mu = 1 < E = 5
-        assert schedule.gamma == 5.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -226,7 +167,12 @@ class TestSchedules:
         eta_t <= 2 * eta_{t+E}."""
         if smoothness < mu:  # L >= mu always holds for real objectives
             smoothness = mu
-        schedule = theorem1_schedule(mu, smoothness, local_steps)
+        constants = ProblemConstants(
+            mu=mu, smoothness=smoothness, gradient_bound=1.0, sigma_sq=[0.0],
+            gamma_heterogeneity=0.0, num_clients=1, num_servers=1,
+            num_byzantine=0, local_steps=local_steps)
+        # As the convergence experiment builds it.
+        schedule = InverseTimeDecay(phi=2.0 / mu, gamma=theorem1_gamma(constants))
         eta_t = schedule(step)
         assert schedule(step + 1) <= eta_t
         assert eta_t <= 2.0 * schedule(step + local_steps)

@@ -1,4 +1,4 @@
-"""Tests for classification metrics and model checkpointing."""
+"""Tests for model checkpointing."""
 
 import numpy as np
 import pytest
@@ -9,106 +9,10 @@ from repro.nn import (
     Linear,
     Sequential,
     checkpoint_metadata,
-    classification_report,
-    confusion_matrix,
     load_checkpoint,
-    macro_f1,
-    per_class_accuracy,
     save_checkpoint,
     to_vector,
-    top_k_accuracy,
 )
-
-
-def perfect_logits(labels, num_classes):
-    logits = np.full((len(labels), num_classes), -10.0)
-    logits[np.arange(len(labels)), labels] = 10.0
-    return logits
-
-
-class TestConfusionMatrix:
-    def test_perfect_prediction_is_diagonal(self):
-        labels = np.array([0, 1, 2, 1])
-        matrix = confusion_matrix(perfect_logits(labels, 3), labels, 3)
-        np.testing.assert_array_equal(matrix, np.diag([1, 2, 1]))
-
-    def test_misclassification_counted(self):
-        logits = np.array([[10.0, 0.0], [10.0, 0.0]])
-        labels = np.array([0, 1])
-        matrix = confusion_matrix(logits, labels, 2)
-        np.testing.assert_array_equal(matrix, [[1, 0], [1, 0]])
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ShapeError):
-            confusion_matrix(np.zeros(3), np.zeros(3, dtype=int), 2)
-
-
-class TestPerClassAccuracy:
-    def test_values(self):
-        logits = np.array([[10.0, 0], [10.0, 0], [0, 10.0], [10.0, 0]])
-        labels = np.array([0, 0, 1, 1])
-        recalls = per_class_accuracy(logits, labels, 2)
-        np.testing.assert_allclose(recalls, [1.0, 0.5])
-
-    def test_absent_class_is_nan(self):
-        labels = np.array([0, 0])
-        recalls = per_class_accuracy(perfect_logits(labels, 3), labels, 3)
-        assert np.isnan(recalls[1]) and np.isnan(recalls[2])
-
-
-class TestTopK:
-    def test_top1_equals_accuracy(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(50, 10))
-        labels = rng.integers(0, 10, size=50)
-        top1 = top_k_accuracy(logits, labels, 1)
-        assert top1 == pytest.approx(
-            float((logits.argmax(axis=1) == labels).mean())
-        )
-
-    def test_full_k_is_one(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(20, 5))
-        labels = rng.integers(0, 5, size=20)
-        assert top_k_accuracy(logits, labels, 5) == 1.0
-
-    def test_monotone_in_k(self):
-        rng = np.random.default_rng(1)
-        logits = rng.normal(size=(100, 10))
-        labels = rng.integers(0, 10, size=100)
-        values = [top_k_accuracy(logits, labels, k) for k in (1, 3, 5, 10)]
-        assert values == sorted(values)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ShapeError):
-            top_k_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), 4)
-
-
-class TestMacroF1:
-    def test_perfect_is_one(self):
-        labels = np.array([0, 1, 2])
-        assert macro_f1(perfect_logits(labels, 3), labels, 3) == 1.0
-
-    def test_all_wrong_is_zero(self):
-        logits = np.array([[0.0, 10.0], [0.0, 10.0]])
-        labels = np.array([0, 0])
-        assert macro_f1(logits, labels, 2) == 0.0
-
-
-class TestClassificationReport:
-    def test_keys_and_top5(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(40, 10))
-        labels = rng.integers(0, 10, size=40)
-        report = classification_report(logits, labels, 10)
-        assert set(report) == {"accuracy", "macro_f1",
-                               "per_class_accuracy", "top5_accuracy"}
-        assert len(report["per_class_accuracy"]) == 10
-
-    def test_no_top5_for_small_class_count(self):
-        logits = np.zeros((4, 3))
-        labels = np.zeros(4, dtype=int)
-        assert "top5_accuracy" not in classification_report(logits, labels, 3)
 
 
 def make_net(seed=0):

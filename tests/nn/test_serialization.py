@@ -11,9 +11,7 @@ from repro.nn import (
     Linear,
     ReLU,
     Sequential,
-    clone_module_state,
     from_vector,
-    gradient_vector,
     to_vector,
     vector_size,
 )
@@ -79,38 +77,17 @@ class TestVectorRoundtrip:
         np.testing.assert_array_equal(to_vector(net), vec)
 
 
-class TestGradientVector:
-    def test_length_excludes_buffers(self):
-        net = make_net()
-        assert gradient_vector(net).size == vector_size(net, include_buffers=False)
-
-    def test_collects_gradients(self):
-        net = make_net()
-        x = np.random.default_rng(0).normal(size=(4, 3))
-        out = net(x)
-        net.backward(np.ones_like(out))
-        grad = gradient_vector(net)
-        assert np.any(grad != 0.0)
-
-    def test_zero_after_zero_grad(self):
-        net = make_net()
-        out = net(np.random.default_rng(0).normal(size=(4, 3)))
-        net.backward(np.ones_like(out))
-        net.zero_grad()
-        np.testing.assert_array_equal(gradient_vector(net), 0.0)
-
-
 class TestCloneState:
     def test_clone_copies_everything(self):
         source = make_net(seed=5)
         source(np.random.default_rng(2).normal(size=(16, 3)))
         target = make_net(seed=6)
-        clone_module_state(source, target)
+        target.load_state_dict(source.state_dict())
         np.testing.assert_array_equal(to_vector(source), to_vector(target))
 
     def test_clone_then_diverge(self):
         source = make_net(seed=5)
         target = make_net(seed=6)
-        clone_module_state(source, target)
+        target.load_state_dict(source.state_dict())
         target.parameters()[0].data += 1.0
         assert not np.array_equal(to_vector(source), to_vector(target))

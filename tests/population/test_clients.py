@@ -9,7 +9,6 @@ from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.rng import RngFactory
 from repro.models import SoftmaxRegression
 from repro.population import (
-    ArrayShardSpec,
     BlobShardSpec,
     ClientPopulation,
     make_blob_population,
@@ -49,11 +48,6 @@ class TestShardSpecs:
                                      heterogeneity=0.5)
         skewed = [s for s in specs if s.primary_class is not None]
         assert len(skewed) == 5
-
-    def test_array_shard_spec_wraps_arrays(self):
-        spec = ArrayShardSpec(np.zeros((6, 4)), np.zeros(6, dtype=np.int64))
-        assert spec.num_samples == 6
-        assert len(spec.materialize()) == 6
 
     def test_test_dataset_is_deterministic(self):
         one = make_blob_test_dataset(num_samples=50, feature_dim=4,

@@ -5,41 +5,22 @@ import pytest
 
 from repro.common import ConfigurationError, RngFactory
 from repro.core import FullUpload, SparseUpload
-from repro.simulation import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    UniformLatency,
-    round_time,
-)
+from repro.simulation import LogNormalLatency, round_time
+
+
+class FixedLatency:
+    """A deterministic link: ``base`` seconds plus 10 MB/s of bandwidth."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def sample(self, *, size_bytes, rng):
+        return self.base + size_bytes / 1e7
 
 
 @pytest.fixture()
 def rng():
     return RngFactory(0).make("latency")
-
-
-class TestConstantLatency:
-    def test_base_plus_bandwidth(self, rng):
-        model = ConstantLatency(base=0.01, bandwidth_bytes_per_s=1000.0)
-        assert model.sample(size_bytes=500, rng=rng) == pytest.approx(0.51)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ConstantLatency(base=-1.0)
-        with pytest.raises(ConfigurationError):
-            ConstantLatency(bandwidth_bytes_per_s=0.0)
-
-
-class TestUniformLatency:
-    def test_in_range(self, rng):
-        model = UniformLatency(0.1, 0.2, bandwidth_bytes_per_s=1e12)
-        samples = [model.sample(size_bytes=8, rng=rng) for _ in range(200)]
-        assert all(0.1 <= s <= 0.2 + 1e-9 for s in samples)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            UniformLatency(0.2, 0.1)
 
 
 class TestLogNormalLatency:
@@ -70,7 +51,7 @@ class TestRoundTime:
     def test_breakdown_sums_to_total(self, rng):
         assignment = self._assignment(SparseUpload())
         total, breakdown = round_time(
-            assignment, model_bytes=1000, latency=ConstantLatency(),
+            assignment, model_bytes=1000, latency=FixedLatency(0.01),
             num_servers=5, rng=rng, compute_seconds=1.5,
         )
         assert total == pytest.approx(sum(breakdown.values()))
@@ -80,12 +61,12 @@ class TestRoundTime:
         """Per-client sequential uplink: P uploads take ~P times longer."""
         sparse_total, sparse_parts = round_time(
             self._assignment(SparseUpload()), model_bytes=1000,
-            latency=ConstantLatency(base=0.1), num_servers=5,
+            latency=FixedLatency(0.1), num_servers=5,
             rng=RngFactory(1).make("a"),
         )
         full_total, full_parts = round_time(
             self._assignment(FullUpload()), model_bytes=1000,
-            latency=ConstantLatency(base=0.1), num_servers=5,
+            latency=FixedLatency(0.1), num_servers=5,
             rng=RngFactory(1).make("b"),
         )
         assert full_parts["upload"] == pytest.approx(
@@ -107,15 +88,11 @@ class TestRoundTime:
 
     def test_validation(self, rng):
         with pytest.raises(ConfigurationError):
-            round_time([], model_bytes=8, latency=ConstantLatency(),
+            round_time([], model_bytes=8, latency=FixedLatency(0.01),
                        num_servers=1, rng=rng)
         with pytest.raises(ConfigurationError):
-            round_time([[0]], model_bytes=0, latency=ConstantLatency(),
+            round_time([[0]], model_bytes=0, latency=FixedLatency(0.01),
                        num_servers=1, rng=rng)
         with pytest.raises(ConfigurationError):
-            round_time([[0]], model_bytes=8, latency=ConstantLatency(),
+            round_time([[0]], model_bytes=8, latency=FixedLatency(0.01),
                        num_servers=1, rng=rng, compute_seconds=-1.0)
-
-    def test_base_model_abstract(self, rng):
-        with pytest.raises(NotImplementedError):
-            LatencyModel().sample(size_bytes=1, rng=rng)

@@ -15,7 +15,6 @@ from repro.theory import (
     lemma3_bound,
     theorem1_bound,
     theorem1_gamma,
-    theorem1_learning_rate,
 )
 
 
@@ -129,12 +128,6 @@ class TestTheorem1:
         constants = make_constants(mu=2.0, smoothness=2.0, local_steps=50)
         assert theorem1_gamma(constants) == pytest.approx(50.0)
 
-    def test_learning_rate_schedule(self):
-        constants = make_constants()
-        assert theorem1_learning_rate(constants, 0) == pytest.approx(
-            2.0 / (0.5 * 32.0)
-        )
-
     def test_bound_decays_like_one_over_t(self):
         constants = make_constants()
         early = theorem1_bound(constants, 10)
@@ -150,8 +143,6 @@ class TestTheorem1:
     def test_rejects_negative_step(self):
         with pytest.raises(ConfigurationError):
             theorem1_bound(make_constants(), -1)
-        with pytest.raises(ConfigurationError):
-            theorem1_learning_rate(make_constants(), -1)
 
     @settings(max_examples=50, deadline=None)
     @given(
