@@ -114,14 +114,17 @@ class Attack:
 
 
 def trim_history(history: List[np.ndarray], attack: Optional[Attack],
-                 max_history: int) -> None:
+                 max_history: int, *, pending: int = 0) -> None:
     """Drop, in place, the aggregates no reader of ``history`` will need.
 
     A node reads its own history only at ``[-1]`` (its current aggregate,
     the empty-round fallback); the rest exists for its attack. So an honest
     node (``attack is None``) keeps 1, a Byzantine one the current plus the
     ``attack.history`` before it, and an undeclared attack everything up
-    to ``max_history``.
+    to ``max_history``. ``pending`` aggregates already under way count
+    against that budget: a node that has taken in its round's first upload
+    no longer needs the fallback, only what its attack reads once the new
+    aggregate lands.
     """
     if attack is None:
         keep = 1
@@ -129,4 +132,4 @@ def trim_history(history: List[np.ndarray], attack: Optional[Attack],
         keep = max_history
     else:
         keep = min(max_history, 1 + attack.history)
-    del history[:-max(keep, 1)]
+    del history[:max(0, len(history) - (max(keep, 1) - pending))]

@@ -10,6 +10,7 @@ from .errors import (
 from .rng import RngFactory, stream_seed
 from .validation import (
     check_fraction,
+    check_int,
     check_nonnegative_int,
     check_positive_int,
     require,
@@ -24,6 +25,7 @@ __all__ = [
     "RngFactory",
     "stream_seed",
     "require",
+    "check_int",
     "check_positive_int",
     "check_nonnegative_int",
     "check_fraction",

@@ -17,6 +17,7 @@ from ..aggregation.registry import validate_rule_params
 from ..common.errors import ConfigurationError
 from ..common.validation import (
     check_fraction,
+    check_int,
     check_nonnegative_int,
     check_positive_int,
     require,
@@ -278,6 +279,9 @@ class FedMSConfig:
     resolved_trim_ratio: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # Negative seeds are hashed like any other; a bool or a float is
+        # no seed at all.
+        check_int(self.seed, "seed")
         check_positive_int(self.num_clients, "num_clients")
         check_positive_int(self.num_servers, "num_servers")
         check_nonnegative_int(self.num_byzantine, "num_byzantine")

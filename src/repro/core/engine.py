@@ -3,10 +3,11 @@
 Algorithm 1 is one round of three synchronised stages; the grouped
 baseline and the tiered population run the same stages over a different
 graph. :class:`RoundEngine` writes each stage once (the participant draw,
-local training on the execution backend, the upload, aggregation, the
-gated fan-in with its late buffer, ``Def()``, the health ledger, the
-record), and a :class:`Topology` value states what differs. A trainer
-only builds its nodes and its topology (docs/algorithm.md, "Topologies").
+local training on the execution backend streamed into the upload and the
+edges' running aggregates, the gated fan-in with its late buffer,
+``Def()``, the health ledger, the record), and a :class:`Topology` value
+states what differs. A trainer only builds its nodes and its topology
+(docs/algorithm.md, "Topologies").
 
 Five invariants live here and nowhere else: ``offered == delivered +
 dropped`` per tag (:meth:`RoundEngine.send_with_retry`); a residual moves
@@ -140,13 +141,14 @@ class RoundState:
     late_admitted: int = 0
     simulated_time_s: float = 0.0
     # Nodes up, excluded by the health ledger, late on a gated leg;
-    # clients that train, what each uploads, what each can fall back to.
+    # clients that train, what each can fall back to; edge -> uploads it
+    # received.
     alive: List[int] = field(default_factory=list)
     excluded: Set[int] = field(default_factory=set)
     late: Set[int] = field(default_factory=set)
     cohort: List[int] = field(default_factory=list)
-    vectors: Dict[int, np.ndarray] = field(default_factory=dict)
     start_vectors: Dict[int, np.ndarray] = field(default_factory=dict)
+    received: Dict[int, int] = field(default_factory=dict)
     # The adversary's view of each sender set; tag -> receiver ->
     # (models received, verdict).
     views: Dict[tuple, Callable[[], np.ndarray]] = field(default_factory=dict)
@@ -260,8 +262,11 @@ class Topology:
     trained: Callable[[int, np.ndarray, float], np.ndarray]
     #: Round state -> each cohort client's upload targets.
     targets: Callable[[RoundState], List[List[int]]]
-    #: ``(node, uploads, senders)`` -> the node's verdict, if it has one.
-    aggregate: Callable[[int, list, list], Optional[Verdict]]
+    #: ``(edge, upload, sender)``: an edge that is up takes in one upload
+    #: the moment it arrives (in cohort order, then target order); edge ->
+    #: its verdict on the round's uploads, if it has one.
+    fold: Callable[[int, np.ndarray, int], None]
+    close: Callable[[int], Optional[Verdict]]
     evaluate: Callable[[], Tuple[float, float]]
     #: The wire's next reference, read when a codec is active.
     reference: Callable[[], np.ndarray]
@@ -442,8 +447,10 @@ class RoundEngine:
     # -- the wire ------------------------------------------------------------
 
     def send_with_retry(self, message: Message, state: RoundState,
-                        next_target: Optional[NextTarget] = None) -> bool:
-        """Send ``message``, retrying per the policy; whether it delivered.
+                        next_target: Optional[NextTarget] = None
+                        ) -> Optional[NodeId]:
+        """Send ``message``, retrying per the policy; the node it reached,
+        ``None`` if none.
 
         A retry re-offers the message after backoff, to the server
         ``next_target`` names if given. Only the delivering attempt counts
@@ -453,7 +460,7 @@ class RoundEngine:
         counts one send failure.
         """
         if self.network.send(message):
-            return True
+            return message.recipient
         policy = self.retry_policy
         for attempt in range(1, policy.max_retries + 1):
             self.network.stats.record_retry(message.tag)
@@ -468,9 +475,9 @@ class RoundEngine:
                     tag=message.tag, round_index=message.round_index,
                 )
             if self.network.send(message):
-                return True
+                return message.recipient
         state.send_failures += 1
-        return False
+        return None
 
     def deadline_gate(self, leg: str, senders: Iterable[int],
                       state: RoundState) -> List[int]:
@@ -570,58 +577,75 @@ class RoundEngine:
         client.optimizer.reset_state()
 
     def _train(self, t: int) -> None:
-        """Local SGD on the cohort, on the execution backend."""
+        """Local SGD on the cohort, on the execution backend, streamed into
+        the upload: each client uploads the moment its result comes back
+        (:meth:`_upload_one`), so no trained model waits for the rest of
+        the cohort. A topology that re-routes retries the same node once,
+        then re-samples among the nodes up and admitted."""
         state = self._round
         topology = self.topology
-        results = self.execution.train_clients(
-            t, [(k, topology.start(k)) for k in state.cohort])
-        for k in state.cohort:
-            trained, loss = results[k]
-            state.vectors[k] = topology.trained(k, trained, loss)
-        if state.cohort:
-            state.train_loss = float(np.mean(
-                [results[k][1] for k in state.cohort]))
-
-    def _upload(self, t: int) -> None:
-        """Every cohort client uploads to its targets with bounded retry:
-        one encode, whose residual advances once and only on delivery. A
-        topology that re-routes retries the same node once, then
-        re-samples among the nodes up and admitted."""
-        state = self._round
         next_target: Optional[NextTarget] = None
-        if self.topology.reroute:
+        if topology.reroute:
             admitted = [n for n in state.alive if n not in state.excluded]
 
             def next_target(attempt: int, failed: int) -> Optional[int]:
                 return self.retry_policy.next_target(
                     attempt, failed, admitted, rng=self._retry_rng)
 
-        for k, targets in zip(state.cohort, self.topology.targets(state)):
-            payload, residual = self.wire.encode_upload(state.vectors[k], k)
-            delivered = False
-            for n in targets:
-                delivered |= self.send_with_retry(Message(
-                    NodeId.client(k), NodeId.server(n), payload,
-                    tag=self.topology.upload_tag, round_index=t,
-                ), state, next_target)
-            if delivered:
-                self.wire.adopt("upload", k, residual)
+        edges = {n for n in state.alive if n < topology.edges}
+        targets = iter(topology.targets(state))
+        losses = []
+        # A plain loop (a ``zip`` would keep the last result alive), and
+        # the result dropped before the next client trains.
+        for k, trained, loss in self.execution.train_clients(
+                t, [(k, topology.start(k)) for k in state.cohort]):
+            losses.append(loss)
+            self._upload_one(t, k, topology.trained(k, trained, loss),
+                             next(targets), next_target, edges)
+            del trained
+        if losses:
+            state.train_loss = float(np.mean(losses))
+
+    def _upload_one(self, t: int, k: int, vector: np.ndarray,
+                    targets: Sequence[int],
+                    next_target: Optional[NextTarget],
+                    edges: AbstractSet[int]) -> None:
+        """Client ``k`` uploads ``vector`` to its targets with bounded
+        retry: one encode, whose residual advances once and only on
+        delivery. Every edge in ``edges`` (up) that it reached decodes and
+        folds what it received at once; an edge that is down keeps its
+        messages queued until the round clears them."""
+        state = self._round
+        payload, residual = self.wire.encode_upload(vector, k)
+        reached: Set[int] = set()
+        for n in targets:
+            node = self.send_with_retry(Message(
+                NodeId.client(k), NodeId.server(n), payload,
+                tag=self.topology.upload_tag, round_index=t,
+            ), state, next_target)
+            if node is not None:
+                reached.add(node.index)
+        if reached:
+            self.wire.adopt("upload", k, residual)
+        for n in sorted(reached & edges):
+            messages = self.network.receive(NodeId.server(n))
+            state.received[n] = state.received.get(n, 0) + len(messages)
+            for message in messages:
+                self.topology.fold(n, self.wire.decode(message.payload),
+                                   message.sender.index)
 
     def _aggregate(self, t: int) -> None:
-        """Every edge node that is up folds the uploads it received,
-        decoded first (every rule sees dense updates). A crashed node
-        appends nothing and resumes like a rebooted cache."""
+        """Every edge node that is up closes what it folded during
+        ``train`` (with nothing folded, it keeps its previous aggregate). A
+        crashed node appends nothing and resumes like a rebooted cache."""
         state = self._round
         outcomes = state.outcomes.setdefault(self.topology.upload_tag, {})
         for n in state.alive:
             if n >= self.topology.edges:
                 break
-            messages = self.network.receive(NodeId.server(n))
-            verdict = self.topology.aggregate(
-                n, [self.wire.decode(m.payload) for m in messages],
-                [m.sender.index for m in messages])
+            verdict = self.topology.close(n)
             if verdict is not None:
-                outcomes[n] = (len(messages), verdict)
+                outcomes[n] = (state.received.get(n, 0), verdict)
 
     def _send(self, leg: Leg, t: int) -> None:
         """Steps 1-5 of a fan-in: gate, late buffer, encode, send, adopt.
@@ -676,8 +700,8 @@ class RoundEngine:
                     payload, residual = payloads[s]
                 message = Message(leg.senders[s], receiver, payload,
                                   tag=leg.tag, round_index=t)
-                if (self.send_with_retry(message, state) if leg.retried
-                        else self.network.send(message)):
+                if (self.send_with_retry(message, state) is not None
+                        if leg.retried else self.network.send(message)):
                     # One delivered copy is enough: a transfer no receiver
                     # got communicated nothing.
                     self.wire.adopt(leg.wire, leg.senders[s].index, residual)

@@ -10,11 +10,12 @@ controls its group regardless of any inter-server defense.
 
 The grouped topology of the :class:`~repro.core.engine.RoundEngine`
 (docs/algorithm.md, "Topologies"): clients train as in Fed-MS and upload
-to their *fixed* group PS (cost ``K``); each PS aggregates its group; in
-the inter-server exchange (phase ``tier_filter``, the gated leg) every PS
-sends its possibly tampered aggregate to its peers and runs ``Def()`` over
-what arrived plus its own aggregate; then each PS disseminates its
-combined model to its own group, a Byzantine one whatever it wants. A PS
+to their *fixed* group PS (cost ``K``), which folds each upload into its
+group's mean as it arrives; in the inter-server exchange (phase
+``tier_filter``, the gated leg) every PS sends its possibly tampered
+aggregate to its peers and runs ``Def()`` over what arrived plus its own
+aggregate; then each PS disseminates its combined model to its own group,
+a Byzantine one whatever it wants. A PS
 whose breaker is open sends nothing on the exchange, but still combines
 and serves its group.
 """
@@ -118,9 +119,11 @@ class HierarchicalTrainer(RoundEngine):
             return (vector if vector is not None
                     else servers[me].current_aggregate)
 
-        def aggregate(n: int, uploads: list, senders: list) -> None:
-            servers[n].aggregate(uploads)
+        def close(n: int) -> None:
+            servers[n].close()
 
+        # A client keeps its trained model: without a verdict it is what
+        # the client serves itself.
         def served(k: int, verdict: Verdict) -> None:
             if verdict.vector is not None:
                 self._adopt(k, verdict.vector)
@@ -153,7 +156,6 @@ class HierarchicalTrainer(RoundEngine):
         )
         self._install(Topology(
             phases=(("train", (self._open, self._train)),
-                    ("upload", (self._upload,)),
                     ("aggregate", (self._aggregate,)),
                     ("tier_filter", (partial(self._exchange, exchange),)),
                     ("disseminate", (partial(self._exchange, dissemination),
@@ -164,7 +166,8 @@ class HierarchicalTrainer(RoundEngine):
             start=lambda k: self.clients[k].state,
             trained=self._adopt_trained,
             targets=lambda state: [[groups[k]] for k in state.cohort],
-            aggregate=aggregate, evaluate=self._evaluate_groups,
+            fold=lambda n, upload, sender: servers[n].fold(upload),
+            close=close, evaluate=self._evaluate_groups,
             reference=lambda: mean([combined(s) for s in every_server]),
         ))
 

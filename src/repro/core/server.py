@@ -1,10 +1,11 @@
 """Edge-side parameter servers: benign and Byzantine.
 
 A benign PS (Algorithm 1, server side) averages the local models uploaded
-to it and broadcasts the result. A Byzantine PS performs the same honest
-aggregation internally — the adversary controls what it *disseminates*, and
-the strongest attacks (Safeguard, Backward) are defined in terms of the true
-aggregate history — then tampers the outgoing model through an
+to it, folding each in as it arrives, and broadcasts the result. A
+Byzantine PS performs the same honest aggregation internally — the
+adversary controls what it *disseminates*, and the strongest attacks
+(Safeguard, Backward) are defined in terms of the true aggregate history —
+then tampers the outgoing model through an
 :class:`~repro.attacks.base.Attack`.
 """
 
@@ -55,6 +56,11 @@ class ParameterServer:
         )
         self.aggregate_history: List[np.ndarray] = []
         self.rounds_without_uploads = 0
+        # This round's uploads so far: their count, and their running sum
+        # (the first alone until a second arrives) or, under a robust
+        # rule, every one of them.
+        self._folded = 0
+        self._rows: List[np.ndarray] = []
 
     @property
     def is_byzantine(self) -> bool:
@@ -74,8 +80,34 @@ class ParameterServer:
         return (self.aggregate_history[-1] if self.aggregate_history
                 else self.initial_model)
 
-    def aggregate(self, uploads: Sequence[np.ndarray]) -> np.ndarray:
-        """Average the received local models (Algorithm 1, line 4).
+    def fold(self, upload: np.ndarray) -> None:
+        """Take one received local model into this round's aggregate, the
+        moment it arrives; :meth:`close` finishes the round.
+
+        The plain mean is a running sum, without copying the uploads into
+        a stack first: the first upload is held by reference until a second
+        arrives. For d >= 2 this is the order ``np.stack(uploads).mean(
+        axis=0)`` reduces in (bit-equal); with d = 1 the reduced axis is
+        contiguous and numpy sums pairwise, so the two agree only to 1 ulp
+        once n >= 8. A robust rule needs every row, so it keeps them for
+        :meth:`close`. The round's first upload also releases the earlier
+        aggregates nobody will read: the newest is only the empty-round
+        fallback, and this round is not empty.
+        """
+        if not self._folded:
+            trim_history(self.aggregate_history, self.attack,
+                         self.max_history, pending=1)
+        self._folded += 1
+        if self.aggregation_rule is not None or self._folded == 1:
+            self._rows.append(upload)
+        elif self._folded == 2:
+            self._rows = [np.add(self._rows[0], upload, dtype=np.float64)]
+        else:
+            self._rows[0] += upload
+
+    def close(self) -> np.ndarray:
+        """This round's aggregate (Algorithm 1, line 4) of what :meth:`fold`
+        took in, appended to the history.
 
         With the sparse upload strategy a PS occasionally receives zero
         uploads (the multinomial allocation has positive probability of an
@@ -84,21 +116,15 @@ class ParameterServer:
         model ``w_0`` (which every PS distributed to the clients) when it
         happens in the very first round.
         """
-        if uploads and self.aggregation_rule is not None:
-            aggregate = apply_rule(self.aggregation_rule, uploads)
-        elif uploads:
-            # The plain mean as a running sum, without copying the uploads
-            # into a stack first. For d >= 2 this is the order
-            # ``np.stack(uploads).mean(axis=0)`` reduces in (bit-equal);
-            # with d = 1 the reduced axis is contiguous and numpy sums
-            # pairwise, so the two agree only to 1 ulp once n >= 8.
-            if len(uploads) == 1:
-                aggregate = np.array(uploads[0], dtype=np.float64)
-            else:
-                aggregate = np.add(uploads[0], uploads[1], dtype=np.float64)
-                for upload in uploads[2:]:
-                    aggregate += upload
-                aggregate /= len(uploads)
+        rows, folded = self._rows, self._folded
+        self._rows, self._folded = [], 0
+        if folded and self.aggregation_rule is not None:
+            aggregate = apply_rule(self.aggregation_rule, rows)
+        elif folded == 1:
+            aggregate = np.array(rows[0], dtype=np.float64)
+        elif folded:
+            aggregate = rows[0]
+            aggregate /= folded
         else:
             self.rounds_without_uploads += 1
             if self.aggregate_history:
@@ -113,6 +139,13 @@ class ParameterServer:
         self.aggregate_history.append(aggregate)
         trim_history(self.aggregate_history, self.attack, self.max_history)
         return aggregate
+
+    def aggregate(self, uploads: Sequence[np.ndarray]) -> np.ndarray:
+        """A whole round at once: :meth:`fold` every upload, then
+        :meth:`close`."""
+        for upload in uploads:
+            self.fold(upload)
+        return self.close()
 
     def disseminate(self, *, round_index: int, client_id: Optional[int] = None,
                     all_server_aggregates: ServerAggregates = None

@@ -188,12 +188,19 @@ class FedMSTrainer(RoundEngine):
 
         def trained(k: int, state: np.ndarray, loss: float) -> np.ndarray:
             vector = self._adopt_trained(k, state, loss)
-            if k not in self.byzantine_client_ids:
-                return vector
-            return client_attack.tamper(ClientAttackContext(
-                round_index=self._round.round_index, client_id=k,
-                honest_update=vector, rng=client_attack_rngs[k],
-                global_model=self._round.start_vectors[k]))
+            start = self._round.start_vectors[k]
+            if k in self.byzantine_client_ids:
+                vector = client_attack.tamper(ClientAttackContext(
+                    round_index=self._round.round_index, client_id=k,
+                    honest_update=vector, rng=client_attack_rngs[k],
+                    global_model=start))
+            # Nothing reads the trained model once it is uploaded: the
+            # client ends the round on the filter's verdict or, failing
+            # that, this start model. So the upload alone holds it; a
+            # client keeping its buffers off the wire keeps the trained
+            # ones, as the adoption would.
+            clients[k].set_model_vector(start)
+            return vector
 
         def targets(state: RoundState) -> List[List[int]]:
             # The strategy draws indices into the PSs not excluded: with
@@ -204,11 +211,12 @@ class FedMSTrainer(RoundEngine):
                         len(state.cohort), len(candidates),
                         rng=assignment_rng)]
 
-        def aggregate(n: int, uploads: list, senders: list) -> None:
-            # An excluded PS sits the round out like a crashed one: its
-            # history freezes until readmission.
+        # An excluded PS gets no uploads (``targets`` and re-routing skip
+        # it) and sits the round out like a crashed one: its history
+        # freezes until readmission.
+        def close(n: int) -> None:
             if n not in self._round.excluded:
-                servers[n].aggregate(uploads)
+                servers[n].close()
 
         def adopt(k: int, verdict: Verdict) -> None:
             # No quorum the filter could safely use: undo this round's
@@ -233,9 +241,9 @@ class FedMSTrainer(RoundEngine):
             filter=self.filter_rule,
         )
         self._install(Topology(
-            # Algorithm 1's three synchronised stages.
+            # Algorithm 1's three synchronised stages; every upload is
+            # folded into its PS's mean as it lands, during ``train``.
             phases=(("train", (self._open, self._train)),
-                    ("upload", (self._upload,)),
                     ("aggregate", (self._aggregate,)),
                     ("disseminate", (partial(self._send, broadcast),)),
                     ("filter", (partial(self._receive, broadcast),
@@ -243,7 +251,9 @@ class FedMSTrainer(RoundEngine):
             nodes=servers, edges=config.num_servers,
             quorums=[(every_server, config.num_byzantine)],
             cohort=self._participants, start=start,
-            trained=trained, targets=targets, aggregate=aggregate,
+            trained=trained, targets=targets,
+            fold=lambda n, upload, sender: servers[n].fold(upload),
+            close=close,
             evaluate=self._evaluate_clients,
             # The consensus the filter just produced: client 0's model (on
             # the healthy path all clients coincide).

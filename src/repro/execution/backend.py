@@ -2,7 +2,9 @@
 
 A backend executes the embarrassingly-parallel stage of a Fed-MS round on
 behalf of the trainer, :meth:`ExecutionBackend.train_clients`: each
-participating client's ``E`` local SGD steps from a given start vector.
+participating client's ``E`` local SGD steps from a given start vector,
+handed back one job at a time and in job order, so the trainer can upload
+and aggregate a client's model before the next one is read.
 The ``Def()`` filter is not one: it runs in the trainer, once per distinct
 inbox, because moving the vectors costs more than the rule (measured in
 docs/execution.md).
@@ -19,7 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import warnings
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .spec import WorkerSpec
 __all__ = [
     "EXECUTION_BACKENDS",
     "TrainJob",
+    "TrainResult",
     "ExecutionBackend",
     "SerialBackend",
     "make_backend",
@@ -41,8 +44,10 @@ EXECUTION_BACKENDS = ("serial", "thread", "process")
 
 #: ``(client_id, start_vector)`` — one client's local-training input: its
 #: whole state (``Client.state``) or a wire vector (the state's parameter
-#: prefix); ``train_clients`` always returns whole states.
+#: prefix); ``train_clients`` always hands back whole states.
 TrainJob = Tuple[int, np.ndarray]
+#: ``(client_id, trained_state, mean_train_loss)`` — one job's result.
+TrainResult = Tuple[int, np.ndarray, float]
 #: ``client_of(client_id, round_index)`` — the trainer's own client object
 #: for the serial path: a resident client, or one materialised on demand.
 ClientOf = Callable[[int, int], object]
@@ -57,8 +62,10 @@ class ExecutionBackend:
     degraded = False
 
     def train_clients(self, round_index: int, jobs: Sequence[TrainJob]
-                      ) -> Dict[int, Tuple[np.ndarray, float]]:
-        """Run local training for every job; returns ``{id: (state, loss)}``."""
+                      ) -> Iterator[TrainResult]:
+        """Run local training for every job, yielding each job's result in
+        job order. A pool that breaks part-way hands the jobs it has not
+        yet yielded, and only those, to the serial fallback."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -80,8 +87,10 @@ class SerialBackend(ExecutionBackend):
     not adopted again, and the trained state returned is the client's own
     read-only snapshot) — the reference implementation the parallel
     backends must match bit for bit, and their fallback when a worker dies.
-    No reference to a client outlives its step, so a client built on
-    demand is dropped, dataset and all, before the next is built.
+    It trains the next client only once the caller has consumed the
+    previous result, and no reference to a client outlives its step, so a
+    client built on demand is dropped, dataset and all, before the next is
+    built.
     """
 
     name = "serial"
@@ -91,13 +100,11 @@ class SerialBackend(ExecutionBackend):
         self._spec = spec
 
     def train_clients(self, round_index: int, jobs: Sequence[TrainJob]
-                      ) -> Dict[int, Tuple[np.ndarray, float]]:
-        results: Dict[int, Tuple[np.ndarray, float]] = {}
+                      ) -> Iterator[TrainResult]:
         for client_id, start_vector in jobs:
-            results[client_id] = train_step(
+            yield (client_id, *train_step(
                 self._client_of(client_id, round_index), round_index,
-                self._spec.local_steps, start_vector)
-        return results
+                self._spec.local_steps, start_vector))
 
 
 def resolve_num_workers(requested: int, *, max_useful: int) -> int:

@@ -12,9 +12,10 @@ client's data copy-on-write from the pages it was forked with.
 
 If a worker dies (OOM kill, segfault, ``os._exit``), the executor raises
 ``BrokenProcessPool`` instead of hanging; the backend then warns once and
-degrades to the serial fallback for the rest of the run. Because every
-backend computes bit-identical steps, degradation changes wall-clock only,
-never results.
+degrades to the serial fallback for the rest of the run, starting with the
+round's jobs it had not yet handed back (results come back chunk by chunk,
+in job order). Because every backend computes bit-identical steps,
+degradation changes wall-clock only, never results.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backend import ExecutionBackend, SerialBackend, TrainJob
+from .backend import ExecutionBackend, SerialBackend, TrainJob, TrainResult
 from .context import WorkerRuntime
 from .shared import SharedVectorBuffer
 from .spec import WorkerSpec
@@ -109,29 +110,32 @@ class ProcessPoolBackend(ExecutionBackend):
             self._executor = None
 
     def train_clients(self, round_index: int, jobs: Sequence[TrainJob]
-                      ) -> Dict[int, Tuple[np.ndarray, float]]:
-        if self.degraded or not jobs:
-            return self._fallback.train_clients(round_index, jobs)
-        starts = self._buffers.starts
-        tasks: List[_Task] = []
-        for row, (client_id, start_vector) in enumerate(jobs):
-            starts[row, :start_vector.size] = start_vector
-            tasks.append((row, client_id, start_vector.size))
-        try:
-            assert self._executor is not None
-            futures = [
-                self._executor.submit(_train_chunk, round_index, chunk)
-                for chunk in _chunked(tasks, self.num_workers)
-            ]
-            losses = [loss for future in futures for loss in future.result()]
-        except (BrokenProcessPool, OSError, RuntimeError) as error:
-            self._degrade(error)
-            return self._fallback.train_clients(round_index, jobs)
-        results = self._buffers.results
-        return {
-            client_id: (np.array(results[row]), loss)
-            for (row, client_id, _), loss in zip(tasks, losses)
-        }
+                      ) -> Iterator[TrainResult]:
+        yielded = 0
+        if not self.degraded and jobs:
+            starts = self._buffers.starts
+            tasks: List[_Task] = []
+            for row, (client_id, start_vector) in enumerate(jobs):
+                starts[row, :start_vector.size] = start_vector
+                tasks.append((row, client_id, start_vector.size))
+            try:
+                assert self._executor is not None
+                chunks = [
+                    (chunk, self._executor.submit(_train_chunk, round_index,
+                                                  chunk))
+                    for chunk in _chunked(tasks, self.num_workers)
+                ]
+                results = self._buffers.results
+                for chunk, future in chunks:
+                    for (row, client_id, _), loss in zip(chunk,
+                                                         future.result()):
+                        # Copied out of the shared row only when handed
+                        # over: the caller holds one trained state at a time.
+                        yield client_id, np.array(results[row]), loss
+                        yielded += 1
+            except (BrokenProcessPool, OSError, RuntimeError) as error:
+                self._degrade(error)
+        yield from self._fallback.train_clients(round_index, jobs[yielded:])
 
     def close(self) -> None:
         if self._executor is not None:

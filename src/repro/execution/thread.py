@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import queue
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Sequence, Tuple
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Deque, Iterator, Sequence
 
-import numpy as np
-
-from .backend import ExecutionBackend, SerialBackend, TrainJob
+from .backend import ExecutionBackend, SerialBackend, TrainJob, TrainResult
 from .context import WorkerRuntime
 from .spec import WorkerSpec
 
@@ -50,8 +49,7 @@ class ThreadBackend(ExecutionBackend):
             RuntimeWarning,
         )
 
-    def _train_one(self, round_index: int, job: TrainJob
-                   ) -> Tuple[int, np.ndarray, float]:
+    def _train_one(self, round_index: int, job: TrainJob) -> TrainResult:
         client_id, start_vector = job
         runtime = self._runtimes.get()
         try:
@@ -61,22 +59,23 @@ class ThreadBackend(ExecutionBackend):
         return client_id, vector, loss
 
     def train_clients(self, round_index: int, jobs: Sequence[TrainJob]
-                      ) -> Dict[int, Tuple[np.ndarray, float]]:
-        if self.degraded:
-            return self._fallback.train_clients(round_index, jobs)
-        try:
-            futures = [
-                self._executor.submit(self._train_one, round_index, job)
-                for job in jobs
-            ]
-            results = {}
-            for future in futures:
-                client_id, vector, loss = future.result()
-                results[client_id] = (vector, loss)
-            return results
-        except RuntimeError as error:  # e.g. pool shut down mid-run
-            self._degrade(error)
-            return self._fallback.train_clients(round_index, jobs)
+                      ) -> Iterator[TrainResult]:
+        yielded = 0
+        if not self.degraded:
+            futures: Deque[Future] = deque()
+            try:
+                futures.extend(
+                    self._executor.submit(self._train_one, round_index, job)
+                    for job in jobs)
+                while futures:
+                    # Popped first: a done future would keep its result.
+                    yield futures.popleft().result()
+                    yielded += 1
+            except RuntimeError as error:  # e.g. pool shut down mid-run
+                for future in futures:
+                    future.cancel()
+                self._degrade(error)
+        yield from self._fallback.train_clients(round_index, jobs[yielded:])
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)

@@ -20,7 +20,7 @@ the configured ``Def()`` held to the tier's budget.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,6 +181,8 @@ class TierAggregator:
             frozen(np.array(initial_model, dtype=np.float64))
         ]
         self.rounds_without_quorum = 0
+        # The children delivered this round, held for :meth:`close`.
+        self._inbox: List[Tuple[np.ndarray, int]] = []
 
     @property
     def is_byzantine(self) -> bool:
@@ -213,6 +215,17 @@ class TierAggregator:
                          budget=self.trim_budget)
         self.absorb(verdict)
         return verdict
+
+    def fold(self, child_vector: np.ndarray, child_id: int) -> None:
+        """Hold one delivered child until :meth:`close`: the filter needs
+        the whole inbox at once."""
+        self._inbox.append((child_vector, child_id))
+
+    def close(self) -> Verdict:
+        """:meth:`combine` what :meth:`fold` held this round."""
+        inbox, self._inbox = self._inbox, []
+        return self.combine([vector for vector, _ in inbox],
+                            [child for _, child in inbox])
 
     def absorb(self, verdict: Verdict) -> None:
         """``verdict``'s vector is the next output; without one the

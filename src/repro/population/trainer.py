@@ -8,12 +8,13 @@ docs/population.md). Round hooks advance churn and faults (a
 1. **sample** — a ``(seed, round)``-derived draw from the active clients;
    each checks in by fetching the global model (``model_fetch``, the
    reliable control plane);
-2. **train** — local SGD on the execution backend, then an upload to the
-   client's static edge aggregator (``tier0_upload``). A client's shard is
-   built where it trains and dropped after its steps, so the trainer's
-   process holds at most one (none when a pool trains);
-3. **edge aggregate** — each edge averages its shard's uploads (previous
-   output when it received none);
+2. **train** — local SGD on the execution backend, each client uploading
+   to its static edge aggregator (``tier0_upload``) the moment it
+   finishes. A client's shard is built where it trains and dropped after
+   its steps, so the trainer's process holds at most one (none when a
+   pool trains);
+3. **edge aggregate** — each edge averages the uploads it held for its
+   shard (previous output when it received none);
 4. **tier filter** — one fan-in leg per higher tier (``tier<t>_exchange``):
    each parent runs ``Def()``, held to its tier's budget
    ``q_t >= 2*B_{t-1}+1``, on what its children forwarded (a Byzantine
@@ -209,7 +210,7 @@ class PopulationTrainer(RoundEngine):
                 for tier in range(1, topology.num_tiers)]
         self._install(Topology(
             phases=(("sample", (self._open,)),
-                    ("train", (self._train, self._upload)),
+                    ("train", (self._train,)),
                     ("edge_aggregate", (self._aggregate,)),
                     ("tier_filter",
                      tuple(partial(self._exchange, leg) for leg in legs)
@@ -231,8 +232,9 @@ class PopulationTrainer(RoundEngine):
             trained=lambda client_id, state, loss: state[:wire_length],
             targets=lambda state: [[topology.edge_of_client(client_id)]
                                    for client_id in state.cohort],
-            aggregate=lambda n, uploads, senders: self.tiers[0][n].combine(
-                uploads, senders),
+            fold=lambda n, upload, sender: self.tiers[0][n].fold(upload,
+                                                                 sender),
+            close=lambda n: self.tiers[0][n].close(),
             evaluate=self._evaluate_global,
             # Clients fetch the global model at check-in and edges and
             # parents track it, so every leg's deltas stay decodable.

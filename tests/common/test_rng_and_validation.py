@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import FedMSConfig
+from repro.core.health import HealthPolicy
+
 from repro.common import (
     ConfigurationError,
     RngFactory,
     check_fraction,
+    check_int,
     check_nonnegative_int,
     check_positive_int,
     require,
@@ -107,3 +111,50 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             check_fraction(0.5, "f", upper=0.5, inclusive_upper=False)
         assert check_fraction(0.49, "f", upper=0.5, inclusive_upper=False) == 0.49
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_check_fraction_refuses_non_finite(self, value):
+        # Every comparison with NaN is false, so range checks alone pass it.
+        with pytest.raises(ConfigurationError, match="finite"):
+            check_fraction(value, "f")
+
+    def test_check_int(self):
+        assert check_int(-3, "n") == -3
+        assert check_int(np.int64(4), "n") == 4
+        for value in (True, 1.0, "3", None):
+            with pytest.raises(ConfigurationError, match="must be an int"):
+                check_int(value, "n")
+
+
+NAN = float("nan")
+
+
+class TestEveryFractionRefusesNaN:
+    """One case per caller of ``check_fraction``."""
+
+    @pytest.mark.parametrize("name", [
+        "deadline_quantile", "straggler_rate", "churn_join_rate",
+        "churn_leave_rate", "churn_rejoin_fraction", "trim_ratio",
+        "health_decay", "health_open_threshold",
+    ])
+    def test_config(self, name):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FedMSConfig(health_scoring=name.startswith("health_"),
+                        **{name: NAN})
+
+    @pytest.mark.parametrize("name", ["decay", "open_threshold"])
+    def test_health_policy(self, name):
+        with pytest.raises(ConfigurationError, match="finite"):
+            HealthPolicy(**{name: NAN})
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", ["3", 1.0, True, False, None])
+    def test_refuses_what_is_not_an_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an int"):
+            FedMSConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, -5, np.int64(3)])
+    def test_accepts_any_integer(self, seed):
+        assert FedMSConfig(seed=seed).seed == seed

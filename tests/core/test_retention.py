@@ -5,7 +5,8 @@ so it keeps one aggregate; a Byzantine node keeps the current one plus the
 ``Attack.history`` its attack declares (:func:`repro.attacks.base
 .trim_history`). The resident set is therefore flat in the round count at
 the default ``max_history``, and every output equals that of a run that
-keeps 64 aggregates on every node.
+keeps 64 aggregates on every node. A PS that has folded its round's first
+upload already holds only what its attack reads after the new aggregate.
 """
 
 import gc
@@ -17,6 +18,7 @@ import pytest
 from repro.attacks import make_attack
 from repro.common import RngFactory
 from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
+from repro.core.server import ParameterServer
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
 from repro.population import (
@@ -107,7 +109,7 @@ def test_traced_memory_is_flat_in_the_round_count(kind):
 ATTACKS = [("noise", 1), ("safeguard", 2), ("backward", 3)]
 
 
-def keep_64(history, attack, max_history):
+def keep_64(history, attack, max_history, *, pending=0):
     del history[:-64]
 
 
@@ -131,3 +133,33 @@ def test_each_role_keeps_what_is_read_and_outputs_do_not_move(
         assert all(len(h) >= 6 for _, h in nodes(trainer))
         for ours, theirs in zip(final_vectors(trainer), vectors):
             np.testing.assert_array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("kind", ("flat", "hierarchical"))
+@pytest.mark.parametrize("attack, kept", ATTACKS)
+@pytest.mark.parametrize("trim", (None, keep_64), ids=("declared", "keep_64"))
+def test_a_ps_that_folded_an_upload_holds_what_its_attack_reads(
+        kind, attack, kept, trim, monkeypatch):
+    """A PS's first upload of a round releases the aggregate only the
+    empty-round fallback reads, but keeps what its attack declares it reads
+    once the new aggregate lands: ``kept - 1`` earlier aggregates on the
+    Byzantine PS, none on an honest one; under ``keep_64`` none is
+    released. The release goes through ``trim_history``."""
+    if trim is not None:
+        monkeypatch.setattr("repro.core.server.trim_history", trim)
+    held = []
+    fold = ParameterServer.fold
+    with build(kind, attack) as trainer:
+        def probing_fold(server, upload):
+            fold(server, upload)
+            held.append((server.is_byzantine, trainer.scheduler.round_index,
+                         len(server.aggregate_history)))
+
+        monkeypatch.setattr(ParameterServer, "fold", probing_fold)
+        trainer.run(6, eval_every=3)
+    assert {byzantine for byzantine, _, _ in held} == {False, True}
+    for byzantine, t, length in held:
+        if trim is not None:
+            assert length == t
+        else:
+            assert length == (min(t, kept - 1) if byzantine else 0)

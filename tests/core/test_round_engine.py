@@ -48,9 +48,8 @@ LEGS = {
                    "forward": ("tier1_exchange", "tier2_exchange")},
 }
 PHASES = {
-    "flat": ["train", "upload", "aggregate", "disseminate", "filter"],
-    "hierarchical": ["train", "upload", "aggregate", "tier_filter",
-                     "disseminate"],
+    "flat": ["train", "aggregate", "disseminate", "filter"],
+    "hierarchical": ["train", "aggregate", "tier_filter", "disseminate"],
     "population": ["sample", "train", "edge_aggregate", "tier_filter",
                    "finalize"],
 }

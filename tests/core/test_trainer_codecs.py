@@ -142,9 +142,10 @@ class TestMultiUploadEncodesOnce:
             return encode(*args, **kwargs)
 
         def recording_train(round_index, jobs):
-            results = train(round_index, jobs)
-            trainer.trained = {k: v for k, (v, _) in results.items()}
-            return results
+            trainer.trained = {}
+            for k, vector, loss in train(round_index, jobs):
+                trainer.trained[k] = vector
+                yield k, vector, loss
 
         trainer.network.send = recording_send
         trainer.raw_encode, trainer.codec.encode = encode, counting_encode

@@ -4,7 +4,10 @@ A client is a read-only state vector and the trainer's clients share one
 model replica, so the trainer hands vectors around by reference: adopting
 one copies nothing, and a client costs one ``from_vector`` (its state loaded
 into the replica) and one ``to_vector`` (the trained snapshot) per round.
-The same arrays are frozen, so a write to a shared one raises instead of
+The snapshot lives only until it is uploaded and folded into its PSs'
+running sums: the backend hands it back as the client finishes, and a flat
+client goes back to its start model by reference, so dropping it copies
+nothing either. The same arrays are frozen, so a write to a shared one raises instead of
 changing somebody else's model; ``Client.model_vector()`` stays the
 copying read. The adversary's ``(P, d)`` view is stacked only when an
 attack reads it, and no filter rule builds a ``(P, d)`` array at all.
@@ -205,20 +208,25 @@ class TestAdversaryView:
 class TestSharedVectorsAreReadOnly:
     def test_vectors_of_a_round_refuse_in_place_writes(self):
         trainer = make_trainer(num_byzantine=0)
-        captured = {}
-        send = trainer.network.send
+        captured = {"trained": []}
+        send, train = trainer.network.send, trainer.execution.train_clients
 
         def capturing_send(message):
             captured.setdefault(message.tag, []).append(message.payload)
-            captured["vectors"] = trainer._round.vectors
             captured["start_vectors"] = trainer._round.start_vectors
             return send(message)
 
+        def capturing_train(round_index, jobs):
+            for k, vector, loss in train(round_index, jobs):
+                captured["trained"].append(vector)
+                yield k, vector, loss
+
         trainer.network.send = capturing_send
+        trainer.execution.train_clients = capturing_train
         trainer.run_round()
         history_view = trainer.servers[0].disseminate(round_index=0)
         targets = (
-            list(captured["vectors"].values())
+            captured["trained"]
             + list(captured["start_vectors"].values())
             + captured["upload"] + captured["dissemination"]
             + [history_view, trainer.clients[0].shared_model_vector()]

@@ -10,6 +10,7 @@ hang, and must not change results.
 
 import os
 import warnings
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.execution import (
     make_backend,
     resolve_num_workers,
 )
+from repro.execution import process_pool
 from repro.models import SmallCNN, SoftmaxRegression
 from repro.population import (
     PopulationTrainer,
@@ -307,6 +309,93 @@ class TestWorkerCrash:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 trainer.run_round(evaluate=False)
+
+
+def break_thread_pool_after_first_result(backend, monkeypatch):
+    """Every job but the round's first fails in the pool, as in a pool
+    that breaks once it has handed back one result."""
+    train_one = backend._train_one
+
+    def breaking(round_index, job):
+        if job[0] != 0:
+            raise RuntimeError("thread pool broke")
+        return train_one(round_index, job)
+
+    monkeypatch.setattr(backend, "_train_one", breaking)
+
+
+class _BreaksAfterFirstChunk:
+    """An executor whose first chunk trains in this process, through the
+    workers' own ``_train_chunk``, and whose later chunks fail as they do
+    when a worker has died."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        future = Future()
+        self.submitted += 1
+        if self.submitted == 1:
+            future.set_result(fn(*args))
+        else:
+            future.set_exception(BrokenProcessPool("a worker died"))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def break_process_pool_after_first_result(backend, monkeypatch):
+    backend._executor.shutdown(wait=True)
+    for name in ("_RUNTIME", "_STARTS", "_RESULTS"):
+        monkeypatch.setattr(process_pool, name, None)
+    process_pool._init_worker(backend.spec, backend._buffers.starts,
+                              backend._buffers.results)
+    monkeypatch.setattr(backend, "_executor", _BreaksAfterFirstChunk())
+
+
+class TestPoolBreaksMidRound:
+    """A pool that breaks after handing back its first result falls back
+    for the round's remaining jobs only: no job's result comes back twice
+    and none is missing, so the run equals the serial one."""
+
+    @pytest.mark.parametrize("backend, breaker, first_result", [
+        ("thread", break_thread_pool_after_first_result, 1),
+        # Six clients on two workers: the first chunk is three jobs.
+        ("process", break_process_pool_after_first_result, 3),
+    ], ids=("thread", "process"))
+    def test_run_equals_the_serial_run(self, backend, breaker, first_result,
+                                       monkeypatch):
+        reference, _ = run_history("serial")
+        with make_trainer(backend) as trainer:
+            execution = trainer.execution
+            breaker(execution, monkeypatch)
+            handed, by_fallback = [], []
+            fallback = execution._fallback.train_clients
+
+            def counted_fallback(round_index, jobs):
+                by_fallback.append([client_id for client_id, _ in jobs])
+                yield from fallback(round_index, jobs)
+
+            monkeypatch.setattr(execution._fallback, "train_clients",
+                                counted_fallback)
+            train = execution.train_clients
+
+            def counted(round_index, jobs):
+                for result in train(round_index, jobs):
+                    handed.append(result[0])
+                    yield result
+
+            monkeypatch.setattr(execution, "train_clients", counted)
+            with pytest.warns(RuntimeWarning, match="degrad"):
+                history = trainer.run(3)
+            assert execution.degraded
+        everyone = list(range(6))
+        assert by_fallback[0] == everyone[first_result:]
+        assert by_fallback[1:] == [everyone, everyone]
+        assert handed == everyone * 3
+        assert history_fingerprint(history) == \
+            history_fingerprint(reference)
 
 
 class TestFactory:
