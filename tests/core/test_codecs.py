@@ -1,5 +1,9 @@
 """Tests for the composable upload codec pipeline."""
 
+import math
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +24,12 @@ from repro.core.codecs import (
     MIN_BROADCAST_KEEP_RATIO,
     CyclicSparsifier,
     IdentityCodec,
+    _gap_code,
+    _gap_decode,
     broadcast_variant,
     parse_codec_spec,
 )
+from repro.core.wire import DeltaWire
 
 
 def _vector(dim=500, seed=0, scale=1.0):
@@ -181,8 +188,36 @@ class TestInt8:
         with pytest.raises(ConfigurationError):
             Int8Quantizer(0)
 
+    def test_non_integral_chunk_refused(self):
+        for spec in ("int8(1024.7)", "int8(0.5)"):
+            with pytest.raises(ConfigurationError, match=spec[5:-1]):
+                make_codec(spec)
+        assert make_codec("int8(1024.0)").spec == "int8"
+        assert make_codec("int8(512)").chunk == 512
+
+    def test_underflowing_span_decodes_to_low_without_warnings(self):
+        # span / 255 underflows float32 to 0: the chunk encodes like a
+        # constant one instead of dividing by zero.
+        vector = np.zeros(2048)
+        vector[1] = 1e-44
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            encoded = make_codec_pipeline(["int8"]).encode(vector)
+            decoded = encoded.decode()
+        sides = encoded.stages[0].sides
+        assert not sides["q"].any()
+        np.testing.assert_array_equal(sides["scale"], [1.0, 1.0])
+        np.testing.assert_array_equal(
+            decoded, np.repeat(sides["low"].astype(np.float64), 1024))
+
 
 class TestSign:
+    def test_non_integral_chunk_refused(self):
+        for spec in ("sign(2.9)", "sign(0.5)"):
+            with pytest.raises(ConfigurationError, match=spec[5:-1]):
+                make_codec(spec)
+        assert make_codec("sign(2.0)").spec == "sign(2)"
+
     def test_decodes_to_signed_chunk_magnitude(self):
         vector = np.array([1.0, -3.0, 2.0, -2.0])
         decoded = make_codec_pipeline(["sign(2)"]).encode(vector).decode()
@@ -196,6 +231,155 @@ class TestSign:
         ok = (np.sign(decoded[nonzero]) == np.sign(vector[nonzero])) \
             | (decoded[nonzero] == 0.0)
         assert np.all(ok)
+
+
+class Uint32TopK(TopKSparsifier):
+    """The top-k stage before positions were gap-coded, verbatim: absolute
+    ``uint32`` indices."""
+
+    def encode_stage(self, vector):
+        flat = np.asarray(vector, dtype=np.float64).ravel()
+        dim = flat.size
+        k = min(dim, max(1, int(math.ceil(self.ratio * dim))))
+        if k >= dim:
+            indices = np.arange(dim, dtype=np.uint32)
+        else:
+            picked = np.argpartition(np.abs(flat), dim - k)[dim - k:]
+            indices = np.sort(picked).astype(np.uint32)
+        carrier = flat[indices]
+        return carrier, {"indices": indices}, {"dim": dim}
+
+    @staticmethod
+    def decode_stage(carrier, sides, meta):
+        assert carrier is not None
+        dense = np.zeros(meta["dim"], dtype=np.float64)
+        dense[sides["indices"]] = carrier
+        return dense
+
+
+def bits(vector):
+    return np.ascontiguousarray(vector, dtype=np.float64).view(np.uint64)
+
+
+def uint32_encode(chain, vector):
+    """``(indices, values, carrier, later stages, decode)`` of ``chain``
+    with the ``uint32`` top-k stage in front."""
+    codecs = make_codec_pipeline(chain).codecs
+    first = Uint32TopK(codecs[0].ratio)
+    carrier, sides, meta = first.encode_stage(vector)
+    later = []
+    for codec in codecs[1:]:
+        carrier, later_sides, later_meta = codec.encode_stage(carrier)
+        later.append((codec, later_sides, later_meta))
+    values = carrier
+    for codec, later_sides, later_meta in reversed(later):
+        values = codec.decode_stage(values, later_sides, later_meta)
+    dense = first.decode_stage(values, sides, meta)
+    return sides["indices"], values, carrier, later, dense
+
+
+def gap_edge_supports():
+    """A support at 0, one that starts later, and gaps on either side of
+    every varint length up to beyond ``uint32``."""
+    yield np.array([0])
+    yield np.array([299])
+    for shift in (7, 14, 21, 28, 35):
+        for gap in (2 ** shift - 1, 2 ** shift, 2 ** shift + 1):
+            yield np.array([0, gap, 2 * gap, 2 * gap + 1])
+
+
+class TestSupportCoding:
+    """Top-k positions travel as LEB128 varints of their gaps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(positions=st.sets(st.integers(0, 2 ** 40), min_size=1,
+                             max_size=300))
+    def test_round_trip_property(self, positions):
+        positions = np.array(sorted(positions))
+        code = _gap_code(positions)
+        assert code.dtype == np.uint8
+        np.testing.assert_array_equal(_gap_decode(code), positions)
+
+    def test_round_trip_edge_cases(self):
+        for positions in gap_edge_supports():
+            gaps = np.diff(positions, prepend=0)
+            lengths = [max(1, math.ceil(int(gap).bit_length() / 7))
+                       for gap in gaps]
+            code = _gap_code(positions)
+            assert code.size == sum(lengths)
+            # Only each gap's last byte has the high bit clear.
+            np.testing.assert_array_equal(np.flatnonzero(code <= 0x7F),
+                                          np.cumsum(lengths) - 1)
+            np.testing.assert_array_equal(_gap_decode(code), positions)
+
+    @pytest.mark.parametrize("gap", [2 ** 7 - 1, 2 ** 7, 2 ** 14])
+    def test_pipeline_round_trip_across_a_varint_length(self, gap):
+        vector = np.zeros(2 * gap + 1)
+        vector[[0, gap, 2 * gap]] = [3.0, -2.0, 1.0]
+        encoded = make_codec_pipeline([f"topk({3 / vector.size})"]).encode(
+            vector)
+        support, values = encoded.sparse_decode()
+        np.testing.assert_array_equal(support, [0, gap, 2 * gap])
+        np.testing.assert_array_equal(values, [3.0, -2.0, 1.0])
+        np.testing.assert_array_equal(bits(encoded.decode()), bits(vector))
+
+    def test_full_ratio_codes_every_gap_in_one_byte(self):
+        encoded = make_codec_pipeline(["topk(1.0)"]).encode(_vector(300))
+        code = encoded.stages[0].sides["gaps"]
+        np.testing.assert_array_equal(code, np.r_[0, np.ones(299)])
+        np.testing.assert_array_equal(encoded.sparse_decode()[0],
+                                      np.arange(300))
+
+    @pytest.mark.parametrize("chain", [("topk(0.05)",), ("topk(0.3)",),
+                                       ("topk(1.0)",),
+                                       ("topk(0.05)", "int8"),
+                                       ("topk(0.3)", "sign")],
+                             ids="+".join)
+    @pytest.mark.parametrize("dim", [1, 2, 7, 5000, 98_666])
+    def test_equal_to_the_uint32_encode(self, chain, dim):
+        for seed in range(3):
+            vector = _vector(dim, seed=seed)
+            vector[np.random.default_rng(seed).random(dim) < 0.1] = -0.0
+            encoded = make_codec_pipeline(chain).encode(vector)
+            indices, values, carrier, later, dense = uint32_encode(
+                chain, vector)
+            support, sparse_values = encoded.sparse_decode()
+            np.testing.assert_array_equal(support.astype(np.uint64),
+                                          indices.astype(np.uint64))
+            np.testing.assert_array_equal(bits(sparse_values), bits(values))
+            np.testing.assert_array_equal(bits(encoded.decode()), bits(dense))
+            if carrier is None:
+                assert encoded.carrier is None
+            else:
+                np.testing.assert_array_equal(bits(encoded.carrier),
+                                              bits(carrier))
+            for stage, (codec, sides, meta) in zip(encoded.stages[1:], later):
+                assert (stage.codec, stage.meta) == (codec.name, meta)
+                assert {key: side.tobytes() for key, side in
+                        stage.sides.items()} == {
+                    key: side.tobytes() for key, side in sides.items()}
+
+    def test_sparse_upload_bytes(self):
+        # 4 934 positions at d = 98 666: 19 736 bytes as uint32, about one
+        # byte each as gaps; the int8 values and chunk scales add 4 974.
+        encoded = make_codec_pipeline(["topk(0.05)", "int8"]).encode(
+            _vector(98_666))
+        assert encoded.stages[0].sides["gaps"].nbytes < 5_000
+        assert encoded.encoded_nbytes <= 10_000
+
+    def test_pickled_payload_decodes_to_the_reconstruction(self):
+        rng = np.random.default_rng(4)
+        reference = rng.normal(size=5000)
+        wire = DeltaWire(["topk(0.05)", "int8"], reference)
+        payload, _ = wire.encode_upload(
+            reference + rng.normal(scale=0.1, size=5000), 0)
+        clone = pickle.loads(pickle.dumps(payload))
+        assert clone.reconstruction is None
+        assert clone.encoded_nbytes == payload.encoded_nbytes
+        np.testing.assert_array_equal(clone.sparse_decode()[0],
+                                      payload.sparse_decode()[0])
+        np.testing.assert_array_equal(bits(reference + clone.decode()),
+                                      bits(payload.reconstruction))
 
 
 class TestChaining:
@@ -258,8 +442,6 @@ class TestPipelineApi:
             make_codec_pipeline(["topk(0.5)"]).encode(np.array([]))
 
     def test_encoded_update_pickles(self):
-        import pickle
-
         encoded = make_codec_pipeline(["topk(0.1)", "int8"]).encode(
             _vector(500)
         )
