@@ -20,7 +20,7 @@ from repro.common import RngFactory
 from repro.core import HierarchicalTrainer, SparseUpload, FullUpload
 from repro.data import ArrayDataset, dirichlet_partition, make_synthetic_cifar10
 from repro.models import MLP
-from repro.nn import vector_size
+from repro.nn import DTYPE, vector_size
 from repro.simulation import LogNormalLatency, Network, round_time
 
 
@@ -67,7 +67,8 @@ def main() -> None:
 
     # --- 2. simulated round wall-clock under heavy-tailed links ------------
     print("\n=== simulated round time (lognormal latency, median 50 ms) ===")
-    model_bytes = vector_size(model_factory(np.random.default_rng(0))) * 8
+    model_bytes = vector_size(model_factory(np.random.default_rng(0))) \
+        * DTYPE().itemsize
     latency = LogNormalLatency(median=0.05, sigma=0.75)
     rng = RngFactory(args.seed).make("latency")
     for name, strategy in (("sparse", SparseUpload()), ("full", FullUpload())):

@@ -13,6 +13,12 @@ vectors, and return a single vector of shape ``(dim,)``. The coordinate-wise
 rules (mean, the trimmed family, median) read a sequence where its vectors
 lie, through :mod:`~repro.aggregation.sortnet`; the rules that need the
 matrix stack it themselves.
+
+A rule returns the dtype of its rows (integer rows count as
+:data:`~repro.nn.DTYPE`) and reduces in
+:data:`~repro.aggregation.sortnet.ACCUMULATOR`: sums, distances and
+Weiszfeld's iterate are float64, rounded once into the rows' dtype, so a
+mean of float32 rows stays inside their range.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError, ConvergenceError, ShapeError
-from .sortnet import rank_mean
+from ..nn.module import DTYPE
+from .sortnet import ACCUMULATOR, rank_mean, row_dtype
 
 __all__ = [
     "mean",
@@ -50,8 +57,14 @@ __all__ = [
 DEFAULT_MAD_THRESHOLD = 3.5
 
 
+def _floating(array) -> np.ndarray:
+    """``array`` as it is if it holds floats, else as :data:`DTYPE`."""
+    array = np.asarray(array)
+    return array if array.dtype.kind == "f" else array.astype(DTYPE)
+
+
 def _check_stack(stack: np.ndarray) -> np.ndarray:
-    stack = np.asarray(stack, dtype=np.float64)
+    stack = _floating(stack)
     if stack.ndim != 2:
         raise ShapeError(f"expected (num_models, dim) stack, got shape {stack.shape}")
     if stack.shape[0] == 0:
@@ -64,7 +77,7 @@ def _check_rows(stack) -> Sequence[np.ndarray]:
     of q equal-length vectors as a list (checked, never stacked)."""
     if isinstance(stack, np.ndarray):
         return _check_stack(stack)
-    rows = [np.asarray(row, dtype=np.float64) for row in stack]
+    rows = [_floating(row) for row in stack]
     if not rows:
         raise ShapeError("cannot aggregate an empty stack of models")
     if any(row.ndim != 1 or row.shape != rows[0].shape for row in rows):
@@ -129,9 +142,9 @@ def _trimmed_rows_mean(rows: Sequence[np.ndarray], count: int) -> np.ndarray:
 
 def _sort_and_reduce(stack: np.ndarray, count: int) -> np.ndarray:
     """The trimmed mean as numpy spells it: the kernel's reference."""
-    if count == 0:
-        return stack.mean(axis=0)
-    return np.sort(stack, axis=0)[count:len(stack) - count].mean(axis=0)
+    kept = np.sort(stack, axis=0)[count:len(stack) - count] if count \
+        else stack
+    return kept.mean(axis=0, dtype=ACCUMULATOR).astype(stack.dtype)
 
 
 def trimmed_mean_by_count(stack: np.ndarray, count: int) -> np.ndarray:
@@ -200,13 +213,14 @@ def geometric_median(stack: np.ndarray, *, tolerance: float = 1e-9,
     stack = _check_stack(stack)
     if stack.shape[0] == 1:
         return stack[0].copy()
+    dtype, stack = stack.dtype, stack.astype(ACCUMULATOR)
     current = stack.mean(axis=0)
     # All criteria are relative to the data scale, so convergence behaves
     # identically for weights of magnitude 1e-3 or 1e+6.
     scale = float(np.max(np.abs(stack))) or 1.0
     # Guard after squaring: (smoothing * scale)^2 itself can underflow
     # for subnormal-magnitude inputs.
-    eps_sq = max((smoothing * scale) ** 2, float(np.finfo(np.float64).tiny))
+    eps_sq = max((smoothing * scale) ** 2, float(np.finfo(ACCUMULATOR).tiny))
     previous_objective = float("inf")
     for _ in range(max_iterations):
         smoothed = np.sqrt(
@@ -214,7 +228,7 @@ def geometric_median(stack: np.ndarray, *, tolerance: float = 1e-9,
         )
         objective = float(smoothed.sum())
         if previous_objective - objective < tolerance * (objective + scale):
-            return current
+            return current.astype(dtype)
         previous_objective = objective
         weights = 1.0 / smoothed
         # Normalize by the max first: raw weights can be enormous and
@@ -225,13 +239,14 @@ def geometric_median(stack: np.ndarray, *, tolerance: float = 1e-9,
         step = float(np.linalg.norm(updated - current))
         current = updated
         if step < tolerance * scale:
-            return current
+            return current.astype(dtype)
     raise ConvergenceError(
         f"Weiszfeld iteration did not converge in {max_iterations} steps"
     )
 
 
 def _pairwise_squared_distances(stack: np.ndarray) -> np.ndarray:
+    stack = stack.astype(ACCUMULATOR, copy=False)
     norms = np.einsum("ij,ij->i", stack, stack)
     squared = norms[:, None] + norms[None, :] - 2.0 * stack @ stack.T
     return np.maximum(squared, 0.0)
@@ -289,7 +304,7 @@ def multi_krum(stack: np.ndarray, num_byzantine: int, *,
     sorted_rows = np.sort(squared, axis=1)
     scores = sorted_rows[:, :neighbours].sum(axis=1)
     chosen = np.argsort(scores)[:num_selected]
-    return stack[chosen].mean(axis=0)
+    return stack[chosen].mean(axis=0, dtype=ACCUMULATOR).astype(stack.dtype)
 
 
 def bulyan(stack: np.ndarray, num_byzantine: int) -> np.ndarray:
@@ -321,7 +336,7 @@ def bulyan(stack: np.ndarray, num_byzantine: int) -> np.ndarray:
     median = np.median(chosen, axis=0)
     distance_order = np.argsort(np.abs(chosen - median), axis=0)
     closest = np.take_along_axis(chosen, distance_order[:keep], axis=0)
-    return closest.mean(axis=0)
+    return closest.mean(axis=0, dtype=ACCUMULATOR).astype(stack.dtype)
 
 
 # -- adaptive Byzantine-count estimation -------------------------------------
@@ -364,11 +379,12 @@ def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
     """
     rows = _check_rows(stack)
     center = coordinate_median(rows)
-    # One row at a time: no (P, d) difference.
-    distances = np.empty(len(rows))
-    diff = np.empty(center.shape[0])
+    # One row at a time: no (P, d) difference. Widened first, so that no
+    # square overflows the rows' dtype.
+    distances = np.empty(len(rows), dtype=ACCUMULATOR)
+    diff = np.empty(center.shape[0], dtype=ACCUMULATOR)
     for i, row in enumerate(rows):
-        np.subtract(row, center, out=diff)
+        np.subtract(row, center, out=diff, dtype=ACCUMULATOR)
         distances[i] = np.einsum("j,j->", diff, diff)
     np.sqrt(distances, out=distances)
     median_distance = float(np.median(distances))
@@ -376,7 +392,7 @@ def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
     mad = float(np.median(deviations))
     if mad <= 0.0:
         if float(deviations.max()) <= 0.0:
-            return np.zeros(len(rows))
+            return np.zeros(len(rows), dtype=ACCUMULATOR)
         mad = 1e-12 * max(float(distances.max()), 1.0)
     return 0.6745 * (distances - median_distance) / mad
 
@@ -451,7 +467,7 @@ def loss_based_selection_info(
     order = np.argsort(losses, kind="stable")
     best = int(order[0])
     selected: List[int] = [best]
-    current = rows[best].astype(np.float64, copy=True)
+    current = rows[best].astype(ACCUMULATOR)
     current_loss = losses[best]
     for index in order[1:]:
         if not np.isfinite(losses[index]):
@@ -465,7 +481,7 @@ def loss_based_selection_info(
             current_loss = candidate_loss
         else:
             break
-    return current, tuple(sorted(selected))
+    return current.astype(row_dtype(rows)), tuple(sorted(selected))
 
 
 def loss_based_selection(stack: np.ndarray,

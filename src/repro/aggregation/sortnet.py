@@ -11,6 +11,11 @@ wires, so it reaches every rank of its column (callers that need
 ``docs/aggregation.md``). ``-0.0`` and ``+0.0`` compare equal and may swap
 ranks, which no sum of them shows unless every kept value is a zero.
 
+The network runs in the rows' own dtype. The kept ranks are added in
+:data:`ACCUMULATOR` (float64), divided there and rounded once into the
+rows' dtype: a float32 sum of float32 ranks can round past the largest of
+them, and the mean out of the honest range (docs/aggregation.md).
+
 The inputs are only read (received vectors are read-only and shared
 between clients) and the scratch is allocated per call.
 """
@@ -22,15 +27,31 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["network", "rank_mean"]
+__all__ = ["ACCUMULATOR", "network", "rank_mean", "row_dtype"]
 
-#: Columns sorted at a time: ``q + 1`` rows of this many float64 stay in L2.
-#: Measured at q = 10, d = 98 666 in docs/aggregation.md; not configurable.
+#: The dtype ``Def()`` adds in: a float64 running sum of float32 values,
+#: divided and rounded once, lies between the smallest and the largest.
+ACCUMULATOR = np.float64
+
+#: Columns of float64 rows sorted at a time: ``q + 1`` scratch rows of
+#: 64 KiB stay in L2. Rows of a narrower dtype take as many columns as
+#: fill the same bytes (float32: 16 384). Measured at q = 10, d = 98 666
+#: in docs/aggregation.md; not configurable.
 _BLOCK = 8192
 
 #: ``(i, j, low, high)``: wires ``i < j`` exchange so that ``i`` holds the
 #: smaller value; ``low`` / ``high`` say which of the two results is read.
 Comparator = Tuple[int, int, bool, bool]
+
+
+def row_dtype(rows: Sequence[np.ndarray]) -> np.dtype:
+    """The dtype every row casts to without loss: what a rule returns."""
+    return np.result_type(*{row.dtype for row in rows})
+
+
+def _columns(dtype: np.dtype) -> int:
+    """Columns per block for rows of ``dtype``: 64 KiB of them."""
+    return _BLOCK * 8 // dtype.itemsize
 
 
 def _merge_exchange(q: int) -> List[Tuple[int, int]]:
@@ -67,10 +88,11 @@ def _sorted_blocks(rows: Sequence[np.ndarray],
                    comparators: Tuple[Comparator, ...]
                    ) -> Iterator[Tuple[slice, List[np.ndarray]]]:
     """``(columns, wires)`` per block, ``comparators`` applied to the wires."""
-    q, dim = len(rows), rows[0].shape[0]
-    scratch = np.empty((q + 1, min(_BLOCK, dim)))
-    for start in range(0, dim, _BLOCK):
-        columns = slice(start, min(start + _BLOCK, dim))
+    q, dim, dtype = len(rows), rows[0].shape[0], row_dtype(rows)
+    block = _columns(dtype)
+    scratch = np.empty((q + 1, min(block, dim)), dtype=dtype)
+    for start in range(0, dim, block):
+        columns = slice(start, min(start + block, dim))
         if comparators:
             *wires, spare = scratch[:, :columns.stop - start]
             for wire, row in zip(wires, rows):
@@ -93,20 +115,24 @@ def _sorted_blocks(rows: Sequence[np.ndarray],
 def rank_mean(rows: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
     """Per coordinate, the mean of ranks ``lo .. hi-1`` of the ``q`` rows.
 
-    The kept rows are added in ascending rank order and divided once: the
-    order ``np.sort(stack, axis=0)[lo:hi].mean(axis=0)`` reduces in for
-    ``d >= 2``, so the two are bit-equal there. (With ``d = 1`` numpy sums
-    that contiguous axis pairwise once ``hi - lo >= 8``; the rules send a
-    lone column to the reduce itself.) With every rank kept nothing is
-    sorted: the plain mean, added in the order given.
+    The kept rows are added in ascending rank order in :data:`ACCUMULATOR`,
+    divided once there and rounded once into the rows' dtype: the order
+    ``np.sort(stack, axis=0)[lo:hi].mean(axis=0, dtype=ACCUMULATOR)``
+    reduces in for ``d >= 2``, so the two are bit-equal there once it is
+    rounded. (With ``d = 1`` numpy sums that contiguous axis pairwise once
+    ``hi - lo >= 8``; the rules send a lone column to the reduce itself.)
+    With every rank kept nothing is sorted: the plain mean, added in the
+    order given.
     """
-    q = len(rows)
-    out = np.empty(rows[0].shape[0])
+    q, dim, dtype = len(rows), rows[0].shape[0], row_dtype(rows)
+    out = np.empty(dim, dtype=dtype)
+    total = np.empty(min(_columns(dtype), dim), dtype=ACCUMULATOR)
     comparators = network(q, lo, hi) if hi - lo < q else ()
     for columns, wires in _sorted_blocks(rows, comparators):
-        total = out[columns]
-        np.copyto(total, wires[lo])
+        block = total[:columns.stop - columns.start]
+        np.copyto(block, wires[lo])
         for wire in wires[lo + 1:hi]:
-            total += wire
-    out /= hi - lo
+            block += wire
+        block /= hi - lo
+        out[columns] = block
     return out

@@ -63,7 +63,8 @@ class IdentityAttack(Attack):
 
 
 class NoiseAttack(Attack):
-    """Additive Gaussian noise: ``a + N(0, scale^2 I)``."""
+    """Additive Gaussian noise: ``a + N(0, scale^2 I)``, added to the draws
+    and rounded once into the aggregate's dtype."""
 
     name = "noise"
     history = 0
@@ -76,7 +77,8 @@ class NoiseAttack(Attack):
     def tamper(self, context: AttackContext) -> np.ndarray:
         noise = context.rng.normal(scale=self.scale,
                                    size=context.true_aggregate.shape)
-        return context.true_aggregate + noise
+        noise += context.true_aggregate
+        return noise.astype(context.true_aggregate.dtype)
 
     def __repr__(self) -> str:
         return f"NoiseAttack(scale={self.scale})"
@@ -99,8 +101,9 @@ class RandomAttack(Attack):
         self.high = float(high)
 
     def tamper(self, context: AttackContext) -> np.ndarray:
-        return context.rng.uniform(self.low, self.high,
-                                   size=context.true_aggregate.shape)
+        return context.rng.uniform(
+            self.low, self.high, size=context.true_aggregate.shape,
+        ).astype(context.true_aggregate.dtype)
 
     def __repr__(self) -> str:
         return f"RandomAttack(low={self.low}, high={self.high})"
@@ -222,7 +225,8 @@ class InconsistentAttack(Attack):
         )
         noise = per_client_rng.normal(scale=self.scale,
                                       size=context.true_aggregate.shape)
-        return context.true_aggregate + noise
+        noise += context.true_aggregate
+        return noise.astype(context.true_aggregate.dtype)
 
     def __repr__(self) -> str:
         return f"InconsistentAttack(scale={self.scale})"
@@ -327,7 +331,7 @@ class ColludingAttack(Attack):
         base = (stack.mean(axis=0) if stack is not None
                 and stack.shape[0] >= 1 else context.true_aggregate)
         direction = self._shared_direction(context.round_index, base.size)
-        return base + self.scale * direction
+        return (base + self.scale * direction).astype(base.dtype)
 
     def __repr__(self) -> str:
         return f"ColludingAttack(scale={self.scale}, seed={self.seed})"
@@ -395,7 +399,7 @@ class DispersionMimicryAttack(Attack):
             # so the optimal mimicry is a perfect copy.
             return center
         direction = self._sign_pattern(center.size) * spread / spread_norm
-        return center + target * direction
+        return (center + target * direction).astype(center.dtype)
 
     def __repr__(self) -> str:
         return (f"DispersionMimicryAttack(envelope={self.envelope}, "

@@ -103,7 +103,8 @@ class ClientNoiseAttack(ClientAttack):
     def tamper(self, context: ClientAttackContext) -> np.ndarray:
         noise = context.rng.normal(scale=self.scale,
                                    size=context.honest_update.shape)
-        return context.honest_update + noise
+        noise += context.honest_update
+        return noise.astype(context.honest_update.dtype)
 
 
 class ClientScalingAttack(ClientAttack):

@@ -19,7 +19,7 @@ from ..common.errors import ConfigurationError, ShapeError
 from ..common.rng import stream_seed
 from ..data.datasets import ArrayDataset, DataLoader
 from ..nn.losses import accuracy, cross_entropy
-from ..nn.module import Module, inference
+from ..nn.module import DTYPE, Module, inference
 from ..nn.optim import SGD
 from ..nn.schedules import ConstantLR, LRSchedule
 from ..nn.serialization import flatten_state, from_vector, to_vector
@@ -36,12 +36,13 @@ def frozen(vector: np.ndarray) -> np.ndarray:
 class Client:
     """A federated client: local data, a schedule and one state vector.
 
-    The client *is* its state: a read-only ``float64`` vector of every
-    parameter and buffer. The model it is given is only where that state is
-    trained and scored, and may be shared with other clients (never across
-    threads): ``client.model`` equals this client's ``state`` only inside
-    :meth:`local_train` and :meth:`evaluate`. ``state`` changes, to another
-    object, only in :meth:`set_model_vector` and :meth:`local_train`.
+    The client *is* its state: a read-only :data:`~repro.nn.DTYPE` vector
+    of every parameter and buffer. The model it is given is only where that
+    state is trained and scored, and may be shared with other clients
+    (never across threads): ``client.model`` equals this client's ``state``
+    only inside :meth:`local_train` and :meth:`evaluate`. ``state``
+    changes, to another object, only in :meth:`set_model_vector` and
+    :meth:`local_train`.
 
     Parameters
     ----------
@@ -152,15 +153,16 @@ class Client:
         """Adopt a (filtered) global model as the starting point.
 
         ``vector`` is a model vector or a full state. A read-only
-        ``float64`` state that owns its memory is adopted by reference;
-        anything else (writable, a view of somebody else's buffer, a
-        parameter prefix to join with this client's buffers) can change
-        later or is not a state, and is copied once. The replica is not
-        touched: it is loaded when the client next trains or evaluates.
+        :data:`~repro.nn.DTYPE` state that owns its memory is adopted by
+        reference; anything else (writable, a view of somebody else's
+        buffer, a parameter prefix to join with this client's buffers, a
+        vector of another dtype) can change later or is not a state, and is
+        copied once. The replica is not touched: it is loaded when the
+        client next trains or evaluates.
         """
         if vector is self._wire or vector is self.state:
             return
-        vector = np.asarray(vector, dtype=np.float64)
+        vector = np.asarray(vector, dtype=DTYPE)
         if vector.size not in (self._wire_size, self.state.size):
             raise ShapeError(
                 f"vector has {vector.size} entries, client {self.client_id} "

@@ -1,8 +1,9 @@
 """Composable upload codecs: top-k sparsification and quantization.
 
 Fed-MS's sparse uploading already cuts the aggregation phase to ``K`` model
-*transfers* per round, but each transfer is still a dense float64 vector —
-the dominant byte cost of a round and the serial hot path's dominant term.
+*transfers* per round, but each transfer is still a dense vector of four
+bytes a coordinate (:data:`~repro.nn.DTYPE`) — the dominant byte cost of a
+round and the serial hot path's dominant term.
 Tao et al. (arXiv:2303.10434) argue that Byzantine resilience and
 communication efficiency at the edge must be co-designed; this module
 provides the communication half as a composable pipeline the trainer runs
@@ -12,10 +13,11 @@ A :class:`Codec` transforms a dense vector into a cheaper representation
 stage by stage; a :class:`CodecPipeline` chains codecs (e.g. top-k
 sparsification followed by int8 quantization of the surviving values) and
 produces one :class:`EncodedUpdate` whose ``encoded_nbytes`` is what the
-simulated network charges for the message. Decoding reverses the stages
-and always yields a dense vector again, so every Byzantine filter
-(coordinate-wise trimmed mean, adaptive-beta, loss-based) operates on
-decompressed updates exactly as it would on raw ones.
+simulated network charges for the message. Every stage works in the dtype
+of the vector it is given. Decoding reverses the stages and always yields
+a dense vector of the encoded vector's dtype again, so every Byzantine
+filter (coordinate-wise trimmed mean, adaptive-beta, loss-based) operates
+on decompressed updates exactly as it would on raw ones.
 
 Codecs are *reference-agnostic*: they encode whatever vector they are
 given. The trainer feeds them deltas against one shared reference all
@@ -46,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..nn.module import DTYPE
 
 __all__ = [
     "Codec",
@@ -172,7 +175,10 @@ class EncodedUpdate:
 
 
 def _as_flat_float(vector: np.ndarray) -> np.ndarray:
-    flat = np.asarray(vector, dtype=np.float64).ravel()
+    """``vector`` as a 1-D float array: its own dtype, or :data:`DTYPE`."""
+    flat = np.asarray(vector).ravel()
+    if flat.dtype.kind != "f":
+        flat = flat.astype(DTYPE)
     if flat.size == 0:
         raise ConfigurationError("cannot encode an empty vector")
     return flat
@@ -184,7 +190,7 @@ def _chunk_edges(dim: int, chunk: int) -> np.ndarray:
 
 def _expand_chunks(per_chunk: np.ndarray, dim: int, chunk: int) -> np.ndarray:
     """Broadcast one value per chunk back to a length-``dim`` vector."""
-    return np.repeat(per_chunk.astype(np.float64), chunk)[:dim]
+    return np.repeat(per_chunk, chunk)[:dim]
 
 
 def _chunk_length(chunk: float) -> int:
@@ -275,7 +281,7 @@ class Codec:
 
 
 class IdentityCodec(Codec):
-    """Pass-through: dense float64 on the wire (the pre-codec default)."""
+    """Pass-through: the dense vector on the wire (the pre-codec default)."""
 
     name = "identity"
 
@@ -327,7 +333,7 @@ class TopKSparsifier(Codec):
     @staticmethod
     def decode_stage(carrier, sides, meta):
         assert carrier is not None
-        dense = np.zeros(meta["dim"], dtype=np.float64)
+        dense = np.zeros(meta["dim"], dtype=carrier.dtype)
         dense[_gap_decode(sides["gaps"])] = carrier
         return dense
 
@@ -380,7 +386,7 @@ class CyclicSparsifier(Codec):
     @staticmethod
     def decode_stage(carrier, sides, meta):
         assert carrier is not None
-        dense = np.zeros(meta["dim"], dtype=np.float64)
+        dense = np.zeros(meta["dim"], dtype=carrier.dtype)
         dense[meta["offset"]::meta["step"]] = carrier
         return dense
 
@@ -420,8 +426,8 @@ class SignQuantizer(Codec):
     def decode_stage(carrier, sides, meta):
         dim, chunk = meta["dim"], meta["chunk"]
         bits = np.unpackbits(sides["signs"])[:dim]
-        signs = np.where(bits > 0, 1.0, -1.0)
-        return signs * _expand_chunks(sides["scales"], dim, chunk)
+        scales = _expand_chunks(sides["scales"], dim, chunk)
+        return np.where(bits > 0, scales, -scales)
 
 
 class Int8Quantizer(Codec):
@@ -451,8 +457,7 @@ class Int8Quantizer(Codec):
         edges = _chunk_edges(dim, self.chunk)
         low = np.minimum.reduceat(flat, edges).astype(np.float32)
         high = np.maximum.reduceat(flat, edges).astype(np.float32)
-        span = (high - low).astype(np.float64)
-        scale = (span / self.LEVELS).astype(np.float32)
+        scale = (high - low) / self.LEVELS
         # A zero span, or one so small its level underflows float32, has
         # every coordinate at ``low``: any positive scale encodes it.
         scale[scale == 0.0] = 1.0
@@ -467,7 +472,7 @@ class Int8Quantizer(Codec):
         dim, chunk = meta["dim"], meta["chunk"]
         low = _expand_chunks(sides["low"], dim, chunk)
         scale = _expand_chunks(sides["scale"], dim, chunk)
-        return sides["q"].astype(np.float64) * scale + low
+        return sides["q"] * scale + low
 
 
 #: Decoder registry: codec name -> ``decode_stage``. Keeping decoders as

@@ -135,9 +135,9 @@ class FedMSConfig:
         update delta followed by int8 quantization of the surviving
         values. ``None`` (default) defers to the ``REPRO_UPLOAD_CODECS``
         environment variable (comma-separated), then to the identity
-        (dense float64) encoding. Parameter servers decode before the
-        ``Def()`` filter runs, so every filter rule operates on dense
-        updates — see ``docs/upload.md``.
+        (dense :data:`~repro.nn.DTYPE`, four bytes a coordinate) encoding.
+        Parameter servers decode before the ``Def()`` filter runs, so every
+        filter rule operates on dense updates — see ``docs/upload.md``.
     include_buffers:
         Whether batch-norm running statistics travel with the model vector.
     participation_fraction:

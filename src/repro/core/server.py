@@ -24,6 +24,7 @@ from ..attacks.base import (
     trim_history,
 )
 from ..common.errors import ProtocolError
+from ..nn.module import DTYPE
 
 __all__ = ["ParameterServer", "ByzantineParameterServer", "adversary_view"]
 
@@ -51,7 +52,7 @@ class ParameterServer:
         # defends against Byzantine *clients* — the future-work extension.
         self.aggregation_rule = aggregation_rule
         self.initial_model = (
-            np.asarray(initial_model, dtype=np.float64)
+            np.asarray(initial_model, dtype=DTYPE)
             if initial_model is not None else None
         )
         self.aggregate_history: List[np.ndarray] = []
@@ -89,10 +90,11 @@ class ParameterServer:
         arrives. For d >= 2 this is the order ``np.stack(uploads).mean(
         axis=0)`` reduces in (bit-equal); with d = 1 the reduced axis is
         contiguous and numpy sums pairwise, so the two agree only to 1 ulp
-        once n >= 8. A robust rule needs every row, so it keeps them for
-        :meth:`close`. The round's first upload also releases the earlier
-        aggregates nobody will read: the newest is only the empty-round
-        fallback, and this round is not empty.
+        once n >= 8. The sum is in the uploads' dtype (``DTYPE`` for the
+        library's vectors, never narrower). A robust rule needs every row,
+        so it keeps them for :meth:`close`. The round's first upload also
+        releases the earlier aggregates nobody will read: the newest is only
+        the empty-round fallback, and this round is not empty.
         """
         if not self._folded:
             trim_history(self.aggregate_history, self.attack,
@@ -101,7 +103,8 @@ class ParameterServer:
         if self.aggregation_rule is not None or self._folded == 1:
             self._rows.append(upload)
         elif self._folded == 2:
-            self._rows = [np.add(self._rows[0], upload, dtype=np.float64)]
+            self._rows = [np.add(self._rows[0], upload, dtype=np.result_type(
+                self._rows[0], upload, DTYPE))]
         else:
             self._rows[0] += upload
 
@@ -121,7 +124,8 @@ class ParameterServer:
         if folded and self.aggregation_rule is not None:
             aggregate = apply_rule(self.aggregation_rule, rows)
         elif folded == 1:
-            aggregate = np.array(rows[0], dtype=np.float64)
+            aggregate = np.array(rows[0],
+                                 dtype=np.result_type(rows[0], DTYPE))
         elif folded:
             aggregate = rows[0]
             aggregate /= folded

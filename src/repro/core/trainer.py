@@ -32,7 +32,7 @@ from ..attacks.base import Attack
 from ..attacks.client_attacks import ClientAttack, ClientAttackContext
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
-from ..nn.module import Module
+from ..nn.module import DTYPE, Module
 from ..nn.schedules import LRSchedule
 from ..simulation.faults import FaultInjector
 from ..simulation.network import Network, NodeId
@@ -312,11 +312,12 @@ class FedMSTrainer(RoundEngine):
             # An array of its own, not a view of the archive's bytes: only
             # an owner is shared by reference between the clients.
             global_model = frozen(np.array(archive["global_model"],
-                                            dtype=np.float64))
+                                            dtype=DTYPE))
             for server in self.servers:
                 key = f"server/{server.server_id}/aggregate"
                 if key in archive.files:
-                    server.aggregate_history = [archive[key]]
+                    server.aggregate_history = [
+                        np.asarray(archive[key], dtype=DTYPE)]
         for client in self.clients:
             client.set_model_vector(global_model)
             client.optimizer.reset_state()

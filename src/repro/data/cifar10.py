@@ -17,6 +17,7 @@ from numpy import concatenate, ndarray
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..nn.module import DTYPE
 from .datasets import ArrayDataset
 
 __all__ = ["cifar10_available", "load_cifar10", "CIFAR10_DIR_ENV"]
@@ -24,6 +25,8 @@ __all__ = ["cifar10_available", "load_cifar10", "CIFAR10_DIR_ENV"]
 CIFAR10_DIR_ENV = "REPRO_CIFAR10_DIR"
 _TRAIN_BATCHES = [f"data_batch_{i}" for i in range(1, 6)]
 _TEST_BATCH = "test_batch"
+#: Images normalized at a time, in float64, before they are rounded once.
+_BLOCK = 1024
 
 
 def _resolve_directory(directory: Optional[str]) -> Optional[str]:
@@ -47,7 +50,7 @@ def cifar10_available(directory: Optional[str] = None) -> bool:
 def _load_batch(path: str) -> Tuple[ndarray, ndarray]:
     with open(path, "rb") as handle:
         batch = pickle.load(handle, encoding="bytes")
-    raw = batch[b"data"].reshape(-1, 3, 32, 32).astype(np.float64)
+    raw = batch[b"data"].reshape(-1, 3, 32, 32)
     labels = np.asarray(batch[b"labels"], dtype=np.int64)
     return raw, labels
 
@@ -74,8 +77,19 @@ def load_cifar10(directory: Optional[str] = None, *,
     train_y = concatenate([part[1] for part in train_parts])
     test_x, test_y = _load_batch(os.path.join(directory, _TEST_BATCH))
     if normalize:
-        mean = train_x.mean(axis=(0, 2, 3), keepdims=True)
-        std = train_x.std(axis=(0, 2, 3), keepdims=True)
-        train_x = (train_x - mean) / std
-        test_x = (test_x - mean) / std
+        # Per-channel statistics of the raw bytes, in float64; each image
+        # is normalized in float64 and rounded once into ``DTYPE``.
+        mean = train_x.mean(axis=(0, 2, 3), keepdims=True, dtype=np.float64)
+        std = train_x.std(axis=(0, 2, 3), keepdims=True, dtype=np.float64)
+        train_x = _normalized(train_x, mean, std)
+        test_x = _normalized(test_x, mean, std)
     return ArrayDataset(train_x, train_y), ArrayDataset(test_x, test_y)
+
+
+def _normalized(raw: ndarray, mean: ndarray, std: ndarray) -> ndarray:
+    """``(raw - mean) / std`` as a ``DTYPE`` array, ``_BLOCK`` images at a
+    time."""
+    out = np.empty(raw.shape, dtype=DTYPE)
+    for start in range(0, len(raw), _BLOCK):
+        out[start:start + _BLOCK] = (raw[start:start + _BLOCK] - mean) / std
+    return out

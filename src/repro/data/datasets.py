@@ -13,15 +13,16 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError, ShapeError
+from ..nn.module import DTYPE
 
 __all__ = ["ArrayDataset", "DataLoader", "Subset"]
 
 
 class ArrayDataset:
-    """An in-memory dataset of features and integer labels."""
+    """An in-memory dataset of :data:`DTYPE` features and integer labels."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray) -> None:
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features, dtype=DTYPE)
         labels = np.asarray(labels)
         if features.shape[0] != labels.shape[0]:
             raise ShapeError(

@@ -21,19 +21,22 @@ If the real CIFAR-10 binary batches are available on disk, prefer
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Tuple
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..nn.module import DTYPE
 from .datasets import ArrayDataset
 
 __all__ = ["SyntheticCifar10Config", "class_prototypes", "make_synthetic_cifar10"]
 
 NUM_CLASSES = 10
 IMAGE_SHAPE = (3, 32, 32)
-#: Images generated per block (3 MiB of float64 at 3x32x32).
-GENERATION_BLOCK = 128
+#: Images generated per block. A block is computed in float64 (1.5 MiB
+#: at 3x32x32) and rounded once into the split's :data:`DTYPE` array.
+GENERATION_BLOCK = 64
 
 
 class SyntheticCifar10Config:
@@ -55,16 +58,19 @@ class SyntheticCifar10Config:
     def __init__(self, *, noise_scale: float = 1.5, max_shift: int = 3,
                  flip_probability: float = 0.5,
                  contrast_range: Tuple[float, float] = (0.8, 1.2)) -> None:
-        if noise_scale < 0:
-            raise ConfigurationError(f"noise_scale must be >= 0, got {noise_scale}")
-        if max_shift < 0:
-            raise ConfigurationError(f"max_shift must be >= 0, got {max_shift}")
+        if not (math.isfinite(noise_scale) and noise_scale >= 0):
+            raise ConfigurationError(
+                f"noise_scale must be finite and >= 0, got {noise_scale}")
+        if isinstance(max_shift, bool) \
+                or not isinstance(max_shift, numbers.Integral) or max_shift < 0:
+            raise ConfigurationError(
+                f"max_shift must be an integer >= 0, got {max_shift!r}")
         if not 0.0 <= flip_probability <= 1.0:
             raise ConfigurationError(
                 f"flip_probability must be in [0, 1], got {flip_probability}"
             )
         low, high = contrast_range
-        if not 0 < low <= high:
+        if not (0 < low <= high and math.isfinite(high)):
             raise ConfigurationError(f"invalid contrast_range {contrast_range}")
         self.noise_scale = float(noise_scale)
         self.max_shift = int(max_shift)
@@ -73,7 +79,8 @@ class SyntheticCifar10Config:
 
 
 def class_prototypes() -> np.ndarray:
-    """Deterministic class prototype images, shape ``(10, 3, 32, 32)``.
+    """Deterministic class prototype images, shape ``(10, 3, 32, 32)``, in
+    the float64 the generator computes in before it rounds.
 
     Class ``c`` combines a grating at orientation ``c * 18`` degrees with a
     frequency that alternates between classes, and a color cast rotating
@@ -83,7 +90,7 @@ def class_prototypes() -> np.ndarray:
     """
     height, width = IMAGE_SHAPE[1], IMAGE_SHAPE[2]
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    prototypes = np.zeros((NUM_CLASSES,) + IMAGE_SHAPE)
+    prototypes = np.zeros((NUM_CLASSES,) + IMAGE_SHAPE, dtype=np.float64)
     for label in range(NUM_CLASSES):
         angle = math.pi * label / NUM_CLASSES
         frequency = 2.0 * math.pi * (2 + label % 3) / width
@@ -117,9 +124,10 @@ def make_synthetic_cifar10(
     spread over the lowest labels). The same generator state never produces
     overlapping train/test samples because all draws are sequential.
 
-    Each split is written once, into one array, ``GENERATION_BLOCK`` rows at
-    a time: the build's transient memory is a few blocks, not a second
-    copy of the split.
+    Each split is written once, into one :data:`DTYPE` array,
+    ``GENERATION_BLOCK`` rows at a time: a block is built in float64 from
+    the float64 draws and rounded once, so the build's transient memory is
+    a few blocks, not a second copy of the split.
     """
     if num_train <= 0 or num_test <= 0:
         raise ConfigurationError("num_train and num_test must be positive")
@@ -145,10 +153,12 @@ def make_synthetic_cifar10(
         columns = np.where(flips[:, None], np.arange(width)[::-1],
                            np.arange(width))
         columns = (columns - shifts[:, 1:]) % width
-        images = np.empty((count,) + IMAGE_SHAPE)
+        images = np.empty((count,) + IMAGE_SHAPE, dtype=DTYPE)
+        scratch = np.empty((min(count, GENERATION_BLOCK),) + IMAGE_SHAPE,
+                           dtype=np.float64)
         for start in range(0, count, GENERATION_BLOCK):
-            stop = start + GENERATION_BLOCK  # slices stop at ``count``
-            block = images[start:stop]
+            stop = min(start + GENERATION_BLOCK, count)
+            block = scratch[:stop - start]
             source = (labels[start:stop, None, None, None]
                       * (channels * height * width)
                       + channel_offsets
@@ -162,6 +172,7 @@ def make_synthetic_cifar10(
             # One normal draw per pixel in row order: consecutive blocks
             # consume the stream exactly as one call over the split would.
             block += rng.normal(scale=config.noise_scale, size=block.shape)
+            images[start:stop] = block
         return ArrayDataset(images, labels)
 
     return generate(num_train), generate(num_test)

@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..nn.module import DTYPE
 
 __all__ = ["SharedNDArray", "SharedVectorBuffer"]
 
@@ -32,7 +33,7 @@ class SharedNDArray:
     creating process should call :meth:`close`, which unlinks the block.
     """
 
-    def __init__(self, shape: Tuple[int, ...], dtype=np.float64) -> None:
+    def __init__(self, shape: Tuple[int, ...], dtype=DTYPE) -> None:
         size = int(np.prod(shape)) * np.dtype(dtype).itemsize
         self._shm = shared_memory.SharedMemory(create=True, size=max(size, 1))
         self.array = np.ndarray(shape, dtype=dtype, buffer=self._shm.buf)

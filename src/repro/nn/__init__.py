@@ -24,12 +24,13 @@ from .layers import (
 )
 from .checkpoint import checkpoint_metadata, load_checkpoint, save_checkpoint
 from .losses import accuracy, cross_entropy
-from .module import Module, Parameter, Sequential, inference
+from .module import DTYPE, Module, Parameter, Sequential, inference
 from .optim import SGD
 from .schedules import ConstantLR, InverseTimeDecay, LRSchedule
 from .serialization import from_vector, to_vector, vector_size
 
 __all__ = [
+    "DTYPE",
     "functional",
     "init",
     "Module",

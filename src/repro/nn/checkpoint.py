@@ -1,7 +1,8 @@
 """Model checkpointing: save/load full module state as ``.npz`` archives.
 
-A checkpoint stores every parameter and buffer under its dotted name, so a
-model rebuilt from the same factory loads bit-identically — the mechanism
+A checkpoint stores every parameter and buffer under its dotted name, in
+:data:`~repro.nn.module.DTYPE`, so a model rebuilt from the same factory
+loads bit-identically — the mechanism
 long experiments use to resume and the examples use to hand models between
 scripts.
 """

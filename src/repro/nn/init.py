@@ -12,6 +12,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .module import DTYPE
+
 __all__ = ["he_normal", "zeros", "ones"]
 
 
@@ -33,14 +35,14 @@ def he_normal(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
     """Kaiming-normal initialization, suited to ReLU-family activations."""
     fan_in, _ = _fan_in_out(shape)
     std = math.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
+    return rng.normal(0.0, std, size=shape).astype(DTYPE)
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
     """All-zeros tensor (biases, batch-norm shift)."""
-    return np.zeros(shape, dtype=np.float64)
+    return np.zeros(shape, dtype=DTYPE)
 
 
 def ones(shape: Tuple[int, ...]) -> np.ndarray:
     """All-ones tensor (batch-norm scale)."""
-    return np.ones(shape, dtype=np.float64)
+    return np.ones(shape, dtype=DTYPE)

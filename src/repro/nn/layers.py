@@ -279,8 +279,8 @@ class _BatchNorm(Module):
         self.momentum = float(momentum)
         self.weight = Parameter(init.ones((num_features,)))
         self.bias = Parameter(init.zeros((num_features,)))
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
+        self.register_buffer("running_mean", init.zeros((num_features,)))
+        self.register_buffer("running_var", init.ones((num_features,)))
 
     @property
     def rowwise(self) -> bool:
@@ -529,7 +529,7 @@ class Dropout(Module):
             self._cache = (None,)
             return x
         keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep) / keep
+        mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
         self._cache = (mask,)
         return x * mask
 

@@ -26,11 +26,16 @@ import numpy as np
 
 from ..common.errors import ShapeError
 
-__all__ = ["Parameter", "Module", "Sequential", "inference"]
+__all__ = ["DTYPE", "Parameter", "Module", "Sequential", "inference"]
 
-# Rows per block of a streamed inference forward: 16 rows of 3x32x32 float64
-# are a 384 KiB input block, the measured optimum (8/16/32 rows: 18.0/17.6/
-# 18.2 ms and 45/47/52 MiB on SmallCNN(8) with 128 images).
+#: The one floating-point type of every array the library creates: weights,
+#: gradients, buffers, flat state vectors, data features and everything the
+#: federated layer sends, aggregates and filters. float32, as PyTorch trains.
+DTYPE = np.float32
+
+# Rows per block of a streamed inference forward: 16 rows of 3x32x32 are a
+# 192 KiB input block (8/16/32 rows measured 18.0/17.6/18.2 ms and 45/47/52
+# MiB on SmallCNN(8) with 128 images, when every array was twice as wide).
 _BLOCK_ROWS = 16
 
 
@@ -64,7 +69,7 @@ class Parameter:
     Attributes
     ----------
     data:
-        The parameter value, a ``float64`` ndarray.
+        The parameter value, a :data:`DTYPE` ndarray.
     grad:
         The accumulated gradient, same shape as ``data``. Reset with
         :meth:`zero_grad`, which only marks the buffer stale: the zeros are
@@ -75,7 +80,7 @@ class Parameter:
     __slots__ = ("data", "_grad", "_grad_stale")
 
     def __init__(self, data: np.ndarray) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=DTYPE)
         self._grad = np.zeros_like(self.data)
         self._grad_stale = False
 
@@ -175,7 +180,7 @@ class Module:
         the model and, by default, travel with the flattened parameter
         vector used for federated aggregation.
         """
-        array = np.array(value, dtype=np.float64)
+        array = np.array(value, dtype=DTYPE)
         self._buffers[name] = array
         object.__setattr__(self, name, array)
 
@@ -189,7 +194,7 @@ class Module:
         if name not in self._buffers:
             raise KeyError(f"no buffer named {name!r} on {type(self).__name__}")
         current = self._buffers[name]
-        array = np.asarray(value, dtype=np.float64)
+        array = np.asarray(value, dtype=DTYPE)
         if array.shape != current.shape:
             raise ShapeError(
                 f"buffer {name!r} has shape {current.shape}, got {array.shape}"
@@ -262,7 +267,7 @@ class Module:
         for key, target in targets.items():
             if key not in state:
                 raise KeyError(f"state dict missing {key!r}")
-            value = np.asarray(state[key], dtype=np.float64)
+            value = np.asarray(state[key], dtype=DTYPE)
             if value.shape != target.shape:
                 raise ShapeError(
                     f"{key!r} has shape {target.shape}, state has {value.shape}"

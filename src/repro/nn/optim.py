@@ -12,12 +12,12 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from ..common.errors import ConfigurationError
-from .module import Parameter
+from .module import DTYPE, Parameter
 
 __all__ = ["SGD"]
 
 
-#: Elements per block of the fused step: its three or four ``float64``
+#: Elements per block of the fused step: its three or four :data:`DTYPE`
 #: streams of this length stay in a 1 MiB L2 cache.
 _BLOCK = 16384
 
@@ -61,7 +61,7 @@ class SGD:
         self.nesterov = nesterov
         # One buffer over all parameters, in their order.
         self._velocity: Optional[np.ndarray] = (
-            np.zeros(sum(param.size for param in self.params))
+            np.zeros(sum(param.size for param in self.params), dtype=DTYPE)
             if momentum > 0 else None
         )
         # Parameters and gradients that each tile one buffer (a module after
@@ -71,7 +71,7 @@ class SGD:
         grads = _tiled([param._grad for param in self.params])
         self._blocks: List[tuple] = []
         if data is not None and grads is not None:
-            scratch = np.empty((2, min(_BLOCK, data.size)))
+            scratch = np.empty((2, min(_BLOCK, data.size)), dtype=DTYPE)
             for start in range(0, data.size, _BLOCK):
                 span = slice(start, start + _BLOCK)
                 self._blocks.append((

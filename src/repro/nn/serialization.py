@@ -2,9 +2,11 @@
 
 Everything the federated layer exchanges — client uploads, PS aggregates,
 Byzantine tampering, the trimmed-mean filter — operates on a single 1-D
-``float64`` vector per model. These helpers define that vector layout:
-all trainable parameters in registration order, optionally followed by all
-buffers (batch-norm running statistics) in registration order.
+vector per model, of the library's one dtype
+(:data:`~repro.nn.module.DTYPE`, float32). These helpers define that
+vector layout: all trainable parameters in registration order, optionally
+followed by all buffers (batch-norm running statistics) in registration
+order.
 
 Including the buffers matters for FedAvg-style training: if running
 statistics were not averaged along with the weights, every client would
@@ -19,7 +21,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..common.errors import ShapeError
-from .module import Module, Parameter
+from .module import DTYPE, Module, Parameter
 
 __all__ = [
     "vector_size",
@@ -77,8 +79,8 @@ def flatten_state(module: Module) -> SimpleNamespace:
             and all(o._buffers[n].base is flat.state for o, n in buffers):
         return flat
     flat = module._flat = SimpleNamespace(
-        state=np.empty(size),
-        grads=np.empty(sum(param.size for param in params)))
+        state=np.empty(size, dtype=DTYPE),
+        grads=np.empty(sum(param.size for param in params), dtype=DTYPE))
 
     def moved(array: np.ndarray, target: np.ndarray) -> np.ndarray:
         view = target[offset:offset + array.size].reshape(array.shape)
@@ -113,12 +115,12 @@ def _arrays(module: Module, include_buffers: bool
 
 
 def to_vector(module: Module, *, include_buffers: bool = True) -> np.ndarray:
-    """Copy the model state into a flat ``float64`` vector."""
+    """Copy the model state into a flat :data:`DTYPE` vector."""
     arrays, _ = _arrays(module, include_buffers)
     if not arrays:
-        return np.zeros(0, dtype=np.float64)
+        return np.zeros(0, dtype=DTYPE)
     return np.concatenate([array.ravel() for array in arrays]) \
-        .astype(np.float64, copy=False)
+        .astype(DTYPE, copy=False)
 
 
 def from_vector(module: Module, vector: np.ndarray, *,
@@ -128,7 +130,7 @@ def from_vector(module: Module, vector: np.ndarray, *,
     The model keeps no view of ``vector``: parameters and buffers are
     written in place.
     """
-    vector = np.asarray(vector, dtype=np.float64).ravel()
+    vector = np.asarray(vector, dtype=DTYPE).ravel()
     arrays, expected = _arrays(module, include_buffers)
     if vector.size != expected:
         raise ShapeError(

@@ -14,6 +14,7 @@ exactly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -22,9 +23,14 @@ import numpy as np
 from ..common.errors import ConfigurationError
 from ..common.rng import stream_seed
 from ..data.datasets import ArrayDataset
+from ..nn.module import DTYPE
 
 __all__ = ["BlobShardSpec", "make_blob_population",
            "make_blob_test_dataset"]
+
+#: Values a shard is built from at a time, in float64, before they are
+#: rounded once into its ``DTYPE`` features (32 KiB of scratch).
+_BLOCK = 4096
 
 
 @functools.lru_cache(maxsize=8)
@@ -84,6 +90,11 @@ class BlobShardSpec:
                 f"primary_fraction must be in [0, 1], got "
                 f"{self.primary_fraction}"
             )
+        for name in ("center_scale", "noise_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value}")
 
     def materialize(self) -> ArrayDataset:
         """Rebuild the shard's dataset; a pure function of the spec."""
@@ -97,12 +108,21 @@ class BlobShardSpec:
         # Bit-equal to ``centers[labels] + rng.normal(scale=s, size=...)``,
         # which draws the same z and computes ``c + (0.0 + s * z)``: the two
         # differ only for ``c == -0.0``, and centres from ``0.0 + s * z``
-        # are never -0.0.
-        features = np.empty((self.num_samples, self.feature_dim))
-        rng.standard_normal(out=features)
-        if self.noise_scale != 1.0:
-            features *= self.noise_scale
-        features += centers[labels]
+        # are never -0.0. Built in float64 a few rows at a time, each
+        # block rounded once; consecutive blocks draw the stream as one
+        # call over the whole shard would.
+        features = np.empty((self.num_samples, self.feature_dim), dtype=DTYPE)
+        rows = max(1, _BLOCK // self.feature_dim)
+        scratch = np.empty((min(rows, self.num_samples), self.feature_dim),
+                           dtype=np.float64)
+        for start in range(0, self.num_samples, rows):
+            stop = min(start + rows, self.num_samples)
+            block = scratch[:stop - start]
+            rng.standard_normal(out=block)
+            if self.noise_scale != 1.0:
+                block *= self.noise_scale
+            block += centers[labels[start:stop]]
+            features[start:stop] = block
         return ArrayDataset(features, labels)
 
 

@@ -38,6 +38,7 @@ from ..core.filtering import (
     quorum_floor,
     static_filter,
 )
+from ..nn.module import DTYPE
 
 __all__ = ["TierTopology", "TierAggregator"]
 
@@ -178,7 +179,7 @@ class TierAggregator:
         self._attack_rng = attack_rng
         self.max_history = max_history
         self.output_history: List[np.ndarray] = [
-            frozen(np.array(initial_model, dtype=np.float64))
+            frozen(np.array(initial_model, dtype=DTYPE))
         ]
         self.rounds_without_quorum = 0
         # The children delivered this round, held for :meth:`close`.

@@ -26,6 +26,7 @@ from repro.aggregation import (
     trimmed_mean_by_count,
 )
 from repro.common import ShapeError
+from repro.nn import DTYPE
 
 BLOCK = sortnet._BLOCK
 
@@ -90,6 +91,26 @@ class TestZeroOnePrinciple:
 
 
 DIMS = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+#: Columns per block of the library's rows: the same bytes as ``BLOCK``.
+COLUMNS = sortnet._columns(np.dtype(DTYPE))
+
+
+class TestDtypeRows:
+    """``DTYPE`` rows sort in blocks of their own width and are summed in
+    float64: bit-equal to the sort's kept ranks, averaged in float64 and
+    rounded once."""
+
+    @pytest.mark.parametrize("dim", [COLUMNS - 1, COLUMNS, COLUMNS + 1,
+                                     2 * COLUMNS + 5])
+    @pytest.mark.parametrize("q, count", [(10, 2), (7, 3), (5, 0)])
+    def test_bit_equal_to_the_sort_summed_in_float64(self, dim, q, count):
+        stack = np.random.default_rng(dim + q).normal(
+            size=(q, dim)).astype(DTYPE)
+        out = trimmed_mean_by_count(list(stack), count)
+        kept = np.sort(stack, axis=0)[count:q - count]
+        assert out.dtype == DTYPE and COLUMNS == 2 * BLOCK
+        np.testing.assert_array_equal(
+            out, kept.mean(axis=0, dtype=np.float64).astype(DTYPE))
 
 
 def make_rows(q, dim, seed, flavour, layout):

@@ -22,6 +22,7 @@ from repro.core.engine import RoundState
 from repro.core.filtering import quorum_floor
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
+from repro.nn import DTYPE
 from repro.nn.serialization import to_vector
 from repro.population import TierAggregator
 
@@ -54,11 +55,11 @@ class TestBudgetIsB:
 
 
 def reference(rows, B):
-    """The trimmed mean as numpy spells it (nothing to sort at ``B = 0``)."""
+    """The trimmed mean as numpy spells it (nothing to sort at ``B = 0``),
+    added in float64 and rounded once into the rows' dtype."""
     stack = np.stack(rows)
-    if B == 0:
-        return stack.mean(axis=0)
-    return np.sort(stack, axis=0)[B:len(rows) - B].mean(axis=0)
+    kept = np.sort(stack, axis=0)[B:len(rows) - B] if B else stack
+    return kept.mean(axis=0, dtype=np.float64).astype(stack.dtype)
 
 
 class TestStaticFilterAtEveryQuorum:
@@ -87,20 +88,21 @@ class TestStaticFilterAtEveryQuorum:
             self, data):
         """The paper's containment, at full and at every degraded quorum:
         up to B arbitrary finite rows among the q cannot move a coordinate
-        outside the honest rows' range (beyond the mean's own rounding)."""
+        of the ``DTYPE`` output outside the honest rows' range, not even by
+        the mean's rounding: it adds in float64 and rounds once."""
         P, B = data.draw(st.sampled_from(TOPOLOGIES))
         q = data.draw(st.integers(2 * B + 1, P))
         d = data.draw(st.sampled_from([1, 2, 5]))
         bad = data.draw(st.integers(0, B))
         honest_value = st.one_of(
             st.integers(-2, 2).map(float),
-            st.floats(-1e6, 1e6, allow_nan=False),
+            st.floats(-1e6, 1e6, allow_nan=False, width=32),
         )
-        finite = st.floats(allow_nan=False, allow_infinity=False)
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
         def rows_of(count, values):
             return [np.array(data.draw(st.lists(values, min_size=d,
-                                                max_size=d)))
+                                                max_size=d)), dtype=DTYPE)
                     for _ in range(count)]
 
         honest = rows_of(q - bad, honest_value)
@@ -110,10 +112,29 @@ class TestStaticFilterAtEveryQuorum:
         verdict = static_filter_for(P, B)(rows, list(range(q)), expected=P)
         low = np.min(honest, axis=0)
         high = np.max(honest, axis=0)
-        slack = q * np.finfo(np.float64).eps * np.maximum(abs(low), abs(high))
-        assert np.all(verdict.vector >= low - slack)
-        assert np.all(verdict.vector <= high + slack)
+        assert verdict.vector.dtype == DTYPE
+        assert np.all(verdict.vector >= low)
+        assert np.all(verdict.vector <= high)
         assert np.array_equal(verdict.vector, reference(rows, B))
+
+    @pytest.mark.parametrize("P, B", [(P, B) for P, B in TOPOLOGIES if P >= 3])
+    def test_equal_honest_rows_are_reproduced_exactly(self, P, B):
+        """Where the honest rows agree, the filter returns their value, bit
+        for bit, whatever up to B rows at +-1e30 say: a float32 sum of the
+        kept ranks would round past it in about one column in ten."""
+        rng = np.random.default_rng(P * 100 + B)
+        d = 4000
+        for q in range(2 * B + 1, P + 1):
+            bad = int(rng.integers(0, B + 1))
+            agreed = rng.normal(size=d).astype(DTYPE)
+            honest = [agreed] * (q - bad)
+            byzantine = [(rng.choice([-1.0, 1.0], size=d) * 1e30)
+                         .astype(DTYPE) for _ in range(bad)]
+            rows = honest + byzantine
+            verdict = static_filter_for(P, B)(
+                [rows[i] for i in rng.permutation(q)], list(range(q)),
+                expected=P)
+            assert np.array_equal(verdict.vector, agreed), (P, B, q, bad)
 
 
 def make_blobs(n=120, seed=0):

@@ -2,7 +2,8 @@
 
 Byte accounting must reflect encoded sizes on every leg, the broadcast
 pipeline must be the trim-compatible variant of the upload chain, and a
-lossless chain must reproduce the uncompressed trajectory exactly.
+lossless chain must reproduce the uncompressed trajectory exactly, up to
+the one rounding a delta wire cannot avoid.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core import FedMSConfig, FedMSTrainer
 from repro.core.upload import RetryPolicy
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
+from repro.nn import DTYPE
 from repro.simulation import Network
 
 DIM = 6 * 3 + 3  # SoftmaxRegression(6, 3): weights + bias
@@ -82,7 +84,8 @@ class TestByteAccounting:
     def test_identity_run_charges_dense_bytes(self):
         trainer = make_trainer([])
         record = trainer.run_round()
-        assert record.upload_bytes == trainer.config.num_clients * DIM * 8
+        assert record.upload_bytes == \
+            trainer.config.num_clients * DIM * DTYPE().itemsize
 
 
 class TestBroadcastPipeline:
@@ -96,15 +99,35 @@ class TestBroadcastPipeline:
         assert trainer.broadcast_codec.is_identity
 
 
+class _DeltaRoundTrip(Network):
+    """Delivers every payload ``v`` as ``ref + (v - ref)``: what a lossless
+    delta wire hands its receivers, with both roundings, against the
+    round's shared reference ``ref``."""
+
+    reference = None
+
+    def send(self, message):
+        message.payload = self.reference + (message.payload - self.reference)
+        return super().send(message)
+
+
 class TestTrajectory:
     def test_lossless_chain_is_bit_identical_to_uncompressed(self):
-        # topk(1.0) keeps every coordinate and round-trips float64 values
-        # exactly, so the shared-reference delta plumbing must reproduce
-        # the uncompressed run bit for bit — any divergence is a codec
+        # topk(1.0) keeps every coordinate and its stages round-trip each
+        # value exactly. A delta against the shared reference still rounds
+        # twice (``v - ref``, then ``ref + delta``), which the uncompressed
+        # run never does, so the oracle is the uncompressed run with that
+        # round trip applied to every transfer. Against it the delta
+        # plumbing must be bit-identical: any divergence is a codec
         # bookkeeping bug, not compression loss.
-        baseline = make_trainer([]).run(3)
+        network = _DeltaRoundTrip()
+        oracle = make_trainer([], network=network)
+        for _ in range(3):
+            # The consensus every party holds at the round's start.
+            network.reference = oracle.clients[0].shared_model_vector()
+            oracle.run_round()
         lossless = make_trainer(["topk(1.0)"]).run(3)
-        assert fingerprint(baseline) == fingerprint(lossless)
+        assert fingerprint(oracle.history) == fingerprint(lossless)
 
     def test_compressed_run_still_trains_under_attack(self):
         history = make_trainer(

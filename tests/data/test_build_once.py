@@ -2,7 +2,9 @@
 
 The oracles below are the previous generator and shard builder, kept
 verbatim: the in-place versions must match them bit for bit (compared as
-``uint64`` so that signed zeros and NaN payloads count). The memory tests
+unsigned integers of the features' width, so that signed zeros and NaN
+payloads count). Both round their float64 values once, into the
+``DTYPE`` features of the dataset they return. The memory tests
 use ``tracemalloc``, which sees numpy's allocations, so a traced peak is
 what the call itself allocated.
 """
@@ -80,8 +82,10 @@ def oracle_materialize(self) -> ArrayDataset:
 
 def assert_bits_equal(actual: ArrayDataset, expected: ArrayDataset):
     assert actual.features.shape == expected.features.shape
-    np.testing.assert_array_equal(actual.features.view(np.uint64),
-                                  expected.features.view(np.uint64))
+    assert actual.features.dtype == expected.features.dtype
+    bits = f"u{actual.features.itemsize}"
+    np.testing.assert_array_equal(actual.features.view(bits),
+                                  expected.features.view(bits))
     np.testing.assert_array_equal(actual.labels, expected.labels)
 
 

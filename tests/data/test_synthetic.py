@@ -15,6 +15,7 @@ from repro.data import (
     make_synthetic_cifar10,
 )
 from repro.data.synthetic import IMAGE_SHAPE, NUM_CLASSES
+from repro.nn import DTYPE
 
 
 class TestPrototypes:
@@ -83,6 +84,48 @@ class TestSyntheticCifar10:
         with pytest.raises(ConfigurationError):
             SyntheticCifar10Config(contrast_range=(0.0, 1.0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_refuses_a_non_finite_noise_scale(self, value):
+        with pytest.raises(ConfigurationError, match=f"noise_scale.*{value}"):
+            SyntheticCifar10Config(noise_scale=value)
+
+    @pytest.mark.parametrize("value", [2.7, True, 3.0])
+    def test_refuses_a_max_shift_that_is_not_an_integer(self, value):
+        """2.7 used to become 2 and True 1, silently."""
+        with pytest.raises(ConfigurationError,
+                           match=f"max_shift.*{value!r}"):
+            SyntheticCifar10Config(max_shift=value)
+
+    def test_accepts_a_numpy_integer_max_shift(self):
+        assert SyntheticCifar10Config(max_shift=np.int64(2)).max_shift == 2
+
+    @pytest.mark.parametrize("bounds", [(0.8, float("inf")),
+                                        (float("nan"), 1.0),
+                                        (0.8, float("nan"))])
+    def test_refuses_a_non_finite_contrast_range(self, bounds):
+        """(0.8, inf) used to reach numpy's uniform draw and overflow."""
+        with pytest.raises(ConfigurationError, match="contrast_range"):
+            SyntheticCifar10Config(contrast_range=bounds)
+
+    def test_features_are_the_float64_images_rounded_once(self):
+        built, _ = make_synthetic_cifar10(70, 10, rng=RngFactory(2).make("d"))
+        assert built.features.dtype == DTYPE
+        # Contrast 1 and no shift or flip: the noise alone is drawn, so
+        # the float64 image is the prototype plus that draw.
+        config = SyntheticCifar10Config(noise_scale=0.5, max_shift=0,
+                                        flip_probability=0.0,
+                                        contrast_range=(1.0, 1.0))
+        rng = RngFactory(2).make("d")
+        built, _ = make_synthetic_cifar10(70, 10, rng=rng, config=config)
+        rng = RngFactory(2).make("d")
+        labels = np.arange(70) % NUM_CLASSES
+        rng.shuffle(labels)
+        rng.uniform(1.0, 1.0, size=(70, 1, 1, 1))
+        rng.random(70)
+        wide = class_prototypes()[labels] + rng.normal(
+            scale=0.5, size=(70,) + IMAGE_SHAPE)
+        np.testing.assert_array_equal(built.features, wide.astype(DTYPE))
+
     def test_linear_model_cannot_solve_but_cnn_signal_exists(self):
         """The classes overlap in pixel space but are separable in principle:
         the class-conditional means match the prototypes."""
@@ -123,6 +166,17 @@ class TestRealCifar10Loader:
         assert test.features.shape == (20, 3, 32, 32)
         # Normalized: near-zero mean, near-unit std per channel.
         assert abs(train.features.mean()) < 0.1
+        # In float64 from the raw bytes, rounded once.
+        assert train.features.dtype == test.features.dtype == DTYPE
+        parts = []
+        for i in range(1, 6):
+            with open(os.path.join(tmp_path, f"data_batch_{i}"), "rb") as f:
+                parts.append(pickle.load(f, encoding="bytes")[b"data"])
+        raw = np.concatenate(parts).reshape(-1, 3, 32, 32).astype(np.float64)
+        mean = raw.mean(axis=(0, 2, 3), keepdims=True)
+        std = raw.std(axis=(0, 2, 3), keepdims=True)
+        np.testing.assert_array_equal(train.features,
+                                      ((raw - mean) / std).astype(DTYPE))
 
     def test_env_variable_resolution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CIFAR10_DIR", str(tmp_path))

@@ -12,6 +12,7 @@ from repro.execution import (
 )
 from repro.execution.context import WorkerRuntime
 from repro.models import SoftmaxRegression
+from repro.nn import DTYPE
 
 
 def make_dataset(n, dim=4, num_classes=3, seed=0):
@@ -45,7 +46,8 @@ class TestSharedVectorBuffer:
             assert buffers.starts.shape == (4, 6)
             assert np.all(buffers.starts == 1.0)
             assert np.all(buffers.results == 2.0)
-            assert buffers.nbytes == 2 * 4 * 6 * 8
+            assert buffers.starts.dtype == buffers.results.dtype == DTYPE
+            assert buffers.nbytes == 2 * 4 * 6 * DTYPE().itemsize
         finally:
             buffers.close()
 

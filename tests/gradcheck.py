@@ -1,7 +1,10 @@
 """Numerical gradient checking for layers and models.
 
 Used by the test suite to verify every analytic backward pass against a
-central finite-difference approximation.
+central finite-difference approximation. The library computes in
+``repro.nn.DTYPE`` (float32), whose resolution a finite difference cannot
+resolve; a probe runs the layer in float64 instead (:func:`in_float64`):
+every kernel follows the dtype of its inputs and parameters.
 """
 
 from __future__ import annotations
@@ -12,7 +15,22 @@ import numpy as np
 
 from repro.nn.module import Module
 
-__all__ = ["numerical_gradient", "check_layer_gradients", "max_relative_error"]
+__all__ = ["in_float64", "numerical_gradient", "check_layer_gradients",
+           "max_relative_error"]
+
+
+def in_float64(module: Module) -> Module:
+    """``module`` with every parameter, gradient and buffer made float64 in
+    place (same values); returns it. A probe only: nothing in the library
+    builds a float64 module."""
+    for owner in module.modules():
+        for param in owner._parameters.values():
+            param.data = param.data.astype(np.float64)
+            param._grad = np.zeros_like(param.data)
+        for name, buffer in owner._buffers.items():
+            wide = owner._buffers[name] = buffer.astype(np.float64)
+            object.__setattr__(owner, name, wide)
+    return module
 
 
 def numerical_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
@@ -58,6 +76,7 @@ def check_layer_gradients(layer: Module, x: np.ndarray, *,
     parameters).
     """
     x = np.asarray(x, dtype=np.float64)
+    in_float64(layer)
     probe_rng = np.random.default_rng(1234)
     out = layer(x)
     weights = (

@@ -12,7 +12,7 @@ from repro.common import ConfigurationError, ProtocolError, ShapeError
 from repro.nn import Conv2d, DepthwiseConv2d, MaxPool2d
 from repro.nn.functional import conv_output_size
 
-from ..gradcheck import check_layer_gradients
+from ..gradcheck import check_layer_gradients, in_float64
 
 HEIGHT, WIDTH = 5, 7
 GEOMETRIES = [(k, s, p) for k in (1, 2, 3) for s in (1, 2) for p in (0, 1)]
@@ -120,7 +120,8 @@ def rng():
 @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
 class TestAgainstNaiveReference:
     def test_conv2d(self, rng, kernel, stride, padding, batch):
-        layer = Conv2d(2, 3, kernel, stride=stride, padding=padding, rng=rng)
+        layer = in_float64(
+            Conv2d(2, 3, kernel, stride=stride, padding=padding, rng=rng))
         layer.bias.data[...] = rng.normal(size=3)
         x = rng.normal(size=(batch, 2, HEIGHT, WIDTH))
         out, grad_out, grad_x = _run(layer, x, rng)
@@ -132,8 +133,8 @@ class TestAgainstNaiveReference:
         np.testing.assert_allclose(layer.bias.grad, ref_b, **TOLERANCE)
 
     def test_depthwise_conv2d(self, rng, kernel, stride, padding, batch):
-        layer = DepthwiseConv2d(3, kernel, stride=stride, padding=padding,
-                                rng=rng)
+        layer = in_float64(DepthwiseConv2d(3, kernel, stride=stride,
+                                           padding=padding, rng=rng))
         layer.bias.data[...] = rng.normal(size=3)
         x = rng.normal(size=(batch, 3, HEIGHT, WIDTH))
         out, grad_out, grad_x = _run(layer, x, rng)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.common import RngFactory, ShapeError
 from repro.nn import (
+    DTYPE,
     BatchNorm1d,
     Linear,
     Module,
@@ -20,9 +21,9 @@ def rng():
 
 
 class TestParameter:
-    def test_data_is_float64(self):
+    def test_data_is_the_library_dtype(self):
         param = Parameter(np.array([1, 2, 3], dtype=np.int32))
-        assert param.data.dtype == np.float64
+        assert param.data.dtype == DTYPE
 
     def test_grad_starts_at_zero(self):
         param = Parameter(np.ones((2, 3)))

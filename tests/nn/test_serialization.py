@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.common import RngFactory, ShapeError
 from repro.nn import (
+    DTYPE,
     BatchNorm1d,
     Linear,
     ReLU,
@@ -72,7 +73,7 @@ class TestVectorRoundtrip:
     @given(scale=st.floats(-5.0, 5.0))
     def test_roundtrip_arbitrary_vectors(self, scale):
         net = make_net()
-        vec = np.full(vector_size(net), scale)
+        vec = np.full(vector_size(net), scale, dtype=DTYPE)
         from_vector(net, vec)
         np.testing.assert_array_equal(to_vector(net), vec)
 

@@ -21,7 +21,7 @@ from repro.execution import (
     ThreadBackend,
 )
 from repro.models import SoftmaxRegression
-from repro.nn import BatchNorm1d, Linear, ReLU, Sequential
+from repro.nn import DTYPE, BatchNorm1d, Linear, ReLU, Sequential
 from repro.population import (
     ChurnPlan,
     MembershipWindow,
@@ -160,7 +160,7 @@ class TestRowsArePositions:
             # the wire vector is shorter.
             assert spec.state_dim > trainer.global_model_vector.size
             assert trainer.execution.shared_nbytes == \
-                2 * spec.cohort * spec.state_dim * 8
+                2 * spec.cohort * spec.state_dim * DTYPE().itemsize
 
     def test_flat_trainer_shares_two_vector_buffers_and_nothing_else(self):
         rng = np.random.default_rng(0)
@@ -175,4 +175,5 @@ class TestRowsArePositions:
             client_datasets=parts, test_dataset=parts[0],
         ) as trainer:
             state_dim = trainer.clients[0].state.size
-            assert trainer.execution.shared_nbytes == 2 * 4 * state_dim * 8
+            assert trainer.execution.shared_nbytes == \
+                2 * 4 * state_dim * DTYPE().itemsize
