@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError, ConvergenceError, ShapeError
-from ..nn.module import DTYPE
+from ..nn.module import floating
 from .sortnet import ACCUMULATOR, rank_mean, row_dtype
 
 __all__ = [
@@ -57,14 +57,8 @@ __all__ = [
 DEFAULT_MAD_THRESHOLD = 3.5
 
 
-def _floating(array) -> np.ndarray:
-    """``array`` as it is if it holds floats, else as :data:`DTYPE`."""
-    array = np.asarray(array)
-    return array if array.dtype.kind == "f" else array.astype(DTYPE)
-
-
 def _check_stack(stack: np.ndarray) -> np.ndarray:
-    stack = _floating(stack)
+    stack = floating(stack)
     if stack.ndim != 2:
         raise ShapeError(f"expected (num_models, dim) stack, got shape {stack.shape}")
     if stack.shape[0] == 0:
@@ -77,7 +71,7 @@ def _check_rows(stack) -> Sequence[np.ndarray]:
     of q equal-length vectors as a list (checked, never stacked)."""
     if isinstance(stack, np.ndarray):
         return _check_stack(stack)
-    rows = [_floating(row) for row in stack]
+    rows = [floating(row) for row in stack]
     if not rows:
         raise ShapeError("cannot aggregate an empty stack of models")
     if any(row.ndim != 1 or row.shape != rows[0].shape for row in rows):

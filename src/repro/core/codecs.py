@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError
-from ..nn.module import DTYPE
+from ..nn.module import floating
 
 __all__ = [
     "Codec",
@@ -175,10 +175,8 @@ class EncodedUpdate:
 
 
 def _as_flat_float(vector: np.ndarray) -> np.ndarray:
-    """``vector`` as a 1-D float array: its own dtype, or :data:`DTYPE`."""
-    flat = np.asarray(vector).ravel()
-    if flat.dtype.kind != "f":
-        flat = flat.astype(DTYPE)
+    """``vector`` as a 1-D float array: its own dtype, or ``DTYPE``."""
+    flat = floating(vector).ravel()
     if flat.size == 0:
         raise ConfigurationError("cannot encode an empty vector")
     return flat

@@ -181,7 +181,8 @@ class HierarchicalTrainer(RoundEngine):
         for client, group in zip(self.clients, self.group_of_client):
             first.setdefault(group, client)
         losses, accuracies = zip(*self.score_clients(list(first.values())))
-        weights = np.array([group_sizes[g] for g in first])
-        weights = weights / weights.sum()
+        weights = np.asarray([group_sizes[g] for g in first],
+                             dtype=np.float64)
+        weights /= weights.sum()
         return (float(np.dot(losses, weights)),
                 float(np.dot(accuracies, weights)))

@@ -27,7 +27,7 @@ def label_distribution_matrix(partitions: Sequence[ArrayDataset],
     """Label counts per client: shape ``(num_clients, num_classes)``."""
     return np.stack(
         [part.label_histogram(num_classes) for part in partitions]
-    ).astype(float)
+    ).astype(np.float64)
 
 
 def _row_probabilities(matrix: np.ndarray) -> np.ndarray:

@@ -33,6 +33,12 @@ __all__ = ["DTYPE", "Parameter", "Module", "Sequential", "inference"]
 #: federated layer sends, aggregates and filters. float32, as PyTorch trains.
 DTYPE = np.float32
 
+
+def floating(array) -> np.ndarray:
+    """``array`` as it is if it holds floats, else as :data:`DTYPE`."""
+    array = np.asarray(array)
+    return array if array.dtype.kind == "f" else array.astype(DTYPE)
+
 # Rows per block of a streamed inference forward: 16 rows of 3x32x32 are a
 # 192 KiB input block (8/16/32 rows measured 18.0/17.6/18.2 ms and 45/47/52
 # MiB on SmallCNN(8) with 128 images, when every array was twice as wide).

@@ -21,6 +21,7 @@ from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
 from repro.core.server import ParameterServer
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
+from repro.nn import DTYPE
 from repro.population import (
     PopulationTrainer,
     make_blob_population,
@@ -28,9 +29,9 @@ from repro.population import (
 )
 
 TRAINERS = ("flat", "hierarchical", "population")
-#: Wide enough that one model vector (80 KB) dwarfs a round's records.
+#: Wide enough that one model vector (40 KB) dwarfs a round's records.
 FEATURES, CLASSES = 1000, 10
-VECTOR_BYTES = 8 * (FEATURES + 1) * CLASSES
+VECTOR_BYTES = DTYPE().itemsize * (FEATURES + 1) * CLASSES
 
 
 def model_factory(rng):

@@ -18,6 +18,7 @@ from repro.common import RngFactory
 from repro.core import FedMSConfig, FedMSTrainer
 from repro.data import ArrayDataset, iid_partition
 from repro.models import MLP
+from repro.nn import DTYPE
 from repro.nn.serialization import vector_size
 
 FEATURES, CLASSES, P, B = 64, 10, 10, 2
@@ -64,7 +65,7 @@ def round_peak_in_vectors(num_clients):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    return (peak - held) / (8 * DIM)
+    return (peak - held) / (DTYPE().itemsize * DIM)
 
 
 def test_traced_peak_does_not_grow_with_the_cohort():

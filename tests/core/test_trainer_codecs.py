@@ -69,7 +69,7 @@ class TestByteAccounting:
     def test_upload_bytes_charged_at_encoded_size(self):
         trainer = make_trainer(["topk(0.2)", "int8"])
         record = trainer.run_round()
-        dense_per_round = trainer.config.num_clients * DIM * 8
+        dense_per_round = trainer.config.num_clients * DIM * DTYPE().itemsize
         assert record.upload_messages == trainer.config.num_clients
         assert 0 < record.upload_bytes < dense_per_round / 2
 
@@ -78,7 +78,7 @@ class TestByteAccounting:
         trainer.run_round()
         stats = trainer.network.stats
         dense_per_round = (trainer.config.num_clients
-                           * trainer.config.num_servers * DIM * 8)
+                           * trainer.config.num_servers * DIM * DTYPE().itemsize)
         assert 0 < stats.bytes_by_tag["dissemination"] < dense_per_round / 2
 
     def test_identity_run_charges_dense_bytes(self):
