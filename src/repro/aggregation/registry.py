@@ -57,7 +57,6 @@ def available_rules() -> List[str]:
 
 def validate_rule_params(name: str, *, trim_ratio: float = 0.0,
                          num_byzantine: int = 0,
-                         mad_threshold: float = rules.DEFAULT_MAD_THRESHOLD,
                          loss_fn: Optional[Callable[[np.ndarray], float]]
                          = None,
                          num_models: Optional[int] = None) -> None:
@@ -82,10 +81,6 @@ def validate_rule_params(name: str, *, trim_ratio: float = 0.0,
     if num_byzantine < 0:
         raise ConfigurationError(
             f"num_byzantine must be >= 0, got {num_byzantine}"
-        )
-    if mad_threshold <= 0:
-        raise ConfigurationError(
-            f"mad_threshold must be positive, got {mad_threshold}"
         )
     if name == "loss_based" and loss_fn is None:
         raise ConfigurationError(
@@ -113,7 +108,6 @@ def validate_rule_params(name: str, *, trim_ratio: float = 0.0,
 
 def make_rule(name: str, *, trim_ratio: float = 0.0,
               num_byzantine: int = 0,
-              mad_threshold: float = rules.DEFAULT_MAD_THRESHOLD,
               loss_fn: Optional[Callable[[np.ndarray], float]] = None,
               num_models: Optional[int] = None) -> AggregationRule:
     """Build a ``stack -> vector`` aggregation closure.
@@ -126,9 +120,6 @@ def make_rule(name: str, *, trim_ratio: float = 0.0,
         Used by ``trimmed_mean`` (the paper's beta). Must be in [0, 0.5).
     num_byzantine:
         Used by ``krum`` / ``multi_krum`` / ``bulyan`` (their ``f``).
-    mad_threshold:
-        Used by ``adaptive_trimmed_mean``: the modified-z-score cutoff of
-        the per-round Byzantine-count estimator.
     loss_fn:
         Required by ``loss_based``: maps a candidate model vector to its
         loss on a small trusted root batch.
@@ -137,14 +128,12 @@ def make_rule(name: str, *, trim_ratio: float = 0.0,
         checks of :func:`validate_rule_params`.
     """
     validate_rule_params(name, trim_ratio=trim_ratio,
-                         num_byzantine=num_byzantine,
-                         mad_threshold=mad_threshold, loss_fn=loss_fn,
+                         num_byzantine=num_byzantine, loss_fn=loss_fn,
                          num_models=num_models)
     builders: Dict[str, AggregationRule] = {
         "mean": rules.mean,
         "trimmed_mean": lambda stack: rules.trimmed_mean(stack, trim_ratio),
-        "adaptive_trimmed_mean": lambda stack: rules.adaptive_trimmed_mean(
-            stack, threshold=mad_threshold),
+        "adaptive_trimmed_mean": rules.adaptive_trimmed_mean,
         "median": rules.coordinate_median,
         "geometric_median": rules.geometric_median,
         "krum": lambda stack: rules.krum(stack, num_byzantine),

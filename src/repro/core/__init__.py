@@ -30,7 +30,6 @@ from .trainer import FedMSTrainer
 from .upload import (
     FullUpload,
     MultiUpload,
-    RetryPolicy,
     SparseUpload,
     UploadStrategy,
     make_upload_strategy,
@@ -39,7 +38,6 @@ from .upload import (
 __all__ = [
     "FedMSConfig",
     "FaultConfig",
-    "RetryPolicy",
     "Codec",
     "CodecPipeline",
     "EncodedUpdate",

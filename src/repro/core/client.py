@@ -63,8 +63,6 @@ class Client:
     weight_decay:
         L2 coefficient applied by local SGD. The convergence experiments use
         it to make the local objectives ``weight_decay``-strongly convex.
-    include_buffers:
-        Whether model vectors include batch-norm running statistics.
     flatten_inputs:
         When true, image batches are reshaped to ``(N, -1)`` before the
         forward pass (for MLP/softmax models on image datasets).
@@ -83,7 +81,6 @@ class Client:
                  lr_schedule: Optional[LRSchedule] = None,
                  learning_rate: float = 0.05,
                  weight_decay: float = 0.0,
-                 include_buffers: bool = True,
                  flatten_inputs: bool = False,
                  batch_seed: Optional[int] = None) -> None:
         self.client_id = client_id
@@ -92,7 +89,6 @@ class Client:
         self.lr_schedule: LRSchedule = (
             lr_schedule if lr_schedule is not None else ConstantLR(learning_rate)
         )
-        self.include_buffers = include_buffers
         self.flatten_inputs = flatten_inputs
         self.batch_seed = batch_seed
         self.weight_decay = weight_decay
@@ -116,18 +112,9 @@ class Client:
         self.model = model
         self.optimizer: SGD = replica.optimizer
         self._replica = replica
-        # Length of the vectors exchanged: the whole state, or only its
-        # parameter prefix (this client's buffers then never leave it).
-        self._wire_size = (replica.state if include_buffers
-                           else replica.grads).size
-        self._adopt(replica.holds)
+        self.state = replica.holds
 
     # -- model state --------------------------------------------------------
-
-    def _adopt(self, state: np.ndarray) -> None:
-        self.state = state
-        self._wire = state if self._wire_size == state.size \
-            else state[:self._wire_size]
 
     def _load(self) -> None:
         """Make the replica equal this client's state, if it is not."""
@@ -137,44 +124,38 @@ class Client:
 
     def model_vector(self) -> np.ndarray:
         """The client's current local model as a private, writable vector."""
-        return self._wire.copy()
+        return self.state.copy()
 
     def shared_model_vector(self) -> np.ndarray:
         """The client's current local model as a read-only vector.
 
         Shared, not copied: the object the client last adopted or
-        snapshotted (``state``, or its parameter prefix without
-        ``include_buffers``), which other clients and the trainer may hold
-        too.
+        snapshotted (``state``), which other clients and the trainer may
+        hold too.
         """
-        return self._wire
+        return self.state
 
     def set_model_vector(self, vector: np.ndarray) -> None:
         """Adopt a (filtered) global model as the starting point.
 
-        ``vector`` is a model vector or a full state. A read-only
-        :data:`~repro.nn.DTYPE` state that owns its memory is adopted by
-        reference; anything else (writable, a view of somebody else's
-        buffer, a parameter prefix to join with this client's buffers, a
-        vector of another dtype) can change later or is not a state, and is
+        A read-only :data:`~repro.nn.DTYPE` vector that owns its memory is
+        adopted by reference; anything else (writable, a view of somebody
+        else's buffer, a vector of another dtype) can change later, and is
         copied once. The replica is not touched: it is loaded when the
         client next trains or evaluates.
         """
-        if vector is self._wire or vector is self.state:
+        if vector is self.state:
             return
         vector = np.asarray(vector, dtype=DTYPE)
-        if vector.size not in (self._wire_size, self.state.size):
+        if vector.size != self.state.size:
             raise ShapeError(
                 f"vector has {vector.size} entries, client {self.client_id} "
-                f"expects {self._wire_size}"
+                f"expects {self.state.size}"
             )
-        if vector.size < self.state.size:
-            vector = np.concatenate((vector.ravel(),
-                                     self.state[vector.size:]))
-        elif vector.ndim != 1 or vector.base is not None \
+        if vector.ndim != 1 or vector.base is not None \
                 or vector.flags.writeable:
             vector = vector.flatten()
-        self._adopt(frozen(vector))
+        self.state = frozen(vector)
 
     def _prepare(self, features: np.ndarray) -> np.ndarray:
         if self.flatten_inputs:
@@ -213,9 +194,9 @@ class Client:
         # ``np.mean``'s own ufunc call, without its wrapper.
         self.last_train_loss = float(np.add.reduce(np.array(losses))
                                      / len(losses))
-        self._adopt(frozen(to_vector(self.model)))
+        self.state = frozen(to_vector(self.model))
         self._replica.holds = self.state
-        return self._wire
+        return self.state
 
     # -- evaluation ----------------------------------------------------------
 

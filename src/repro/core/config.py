@@ -9,9 +9,12 @@ problem is unsolvable and the trimmed mean is undefined.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from ..aggregation.registry import validate_rule_params
 from ..common.errors import ConfigurationError
@@ -23,7 +26,7 @@ from ..common.validation import (
     require,
 )
 from .codecs import make_codec_pipeline
-from .upload import RetryPolicy, make_upload_strategy
+from .upload import make_upload_strategy
 
 __all__ = ["FaultConfig", "FedMSConfig", "EXECUTION_BACKEND_ENV",
            "NUM_WORKERS_ENV", "UPLOAD_CODECS_ENV"]
@@ -44,22 +47,20 @@ _EXECUTION_BACKENDS = ("serial", "thread", "process")
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Knobs for graceful degradation under faults.
+    """The retry policy for failed sends: every trainer consumes this one.
+
+    Attempt 0 is the original send. On failure, attempt 1 re-sends to the
+    *same* PS after ``retry_backoff_s`` (the loss may be a transient packet
+    drop); attempts 2..``max_upload_retries`` re-sample a uniformly random
+    alive PS — the failed PS is likely down, and uniform re-sampling
+    preserves the sparse strategy's uniform-choice property over the alive
+    set. Retries are counted in ``TrafficStats.retries_by_tag`` so the
+    ``O(K)`` accounting stays honest.
 
     Parameters
     ----------
-    round_deadline_s:
-        The synchronous round barrier, in simulated seconds. A straggling
-        PS whose extra delay exceeds this misses the round (its
-        disseminations are dropped as deadline misses), and any traffic
-        still queued when the round closes is expired and counted under
-        ``cleared_total``.
     max_upload_retries:
-        Retry budget per upload. The first retry re-sends to the same PS
-        (the loss may be transient); later retries re-sample a uniformly
-        random alive PS, preserving the sparse strategy's uniform-choice
-        property. Retries are counted in ``TrafficStats.retries_by_tag``
-        so the ``O(K)`` accounting stays honest.
+        Retry budget per send.
     retry_backoff_s:
         Simulated backoff before the first retry.
     backoff_factor:
@@ -67,20 +68,41 @@ class FaultConfig:
         (exponential backoff).
     """
 
-    round_deadline_s: float = 1.0
     max_upload_retries: int = 2
     retry_backoff_s: float = 0.05
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        require(self.round_deadline_s > 0,
-                f"round_deadline_s must be positive, got "
-                f"{self.round_deadline_s}")
         check_nonnegative_int(self.max_upload_retries, "max_upload_retries")
-        require(self.retry_backoff_s >= 0,
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}")
-        require(self.backoff_factor >= 1.0,
-                f"backoff_factor must be >= 1, got {self.backoff_factor}")
+        require(math.isfinite(self.retry_backoff_s)
+                and self.retry_backoff_s >= 0,
+                f"retry_backoff_s must be finite and >= 0, got "
+                f"{self.retry_backoff_s}")
+        require(math.isfinite(self.backoff_factor)
+                and self.backoff_factor >= 1.0,
+                f"backoff_factor must be finite and >= 1, got "
+                f"{self.backoff_factor}")
+
+    def backoff_s(self, attempt: int) -> float:
+        """Simulated wait before retry ``attempt`` (1-based)."""
+        require(attempt >= 1, f"attempt must be >= 1, got {attempt}")
+        return self.retry_backoff_s * self.backoff_factor ** (attempt - 1)
+
+    def next_target(self, attempt: int, failed_target: int,
+                    alive_servers: Sequence[int], *,
+                    rng: np.random.Generator) -> Optional[int]:
+        """PS to contact on retry ``attempt``; ``None`` when none is alive.
+
+        Prefers re-sampling among alive PSs other than the one that just
+        failed; falls back to the failed PS itself if it is the only one
+        alive (its failure may have been a transient link loss).
+        """
+        if attempt == 1:
+            return failed_target
+        candidates = [s for s in alive_servers if s != failed_target]
+        if not candidates:
+            return failed_target if failed_target in alive_servers else None
+        return int(candidates[rng.integers(0, len(candidates))])
 
 
 @dataclass
@@ -110,16 +132,13 @@ class FedMSConfig:
         :func:`repro.aggregation.available_rules`). ``None`` (default)
         keeps the paper's static beta-trimmed mean.
         ``"adaptive_trimmed_mean"`` estimates the Byzantine count per
-        round from inter-model dispersion; ``"loss_based"`` ranks the
-        received models by loss on a trusted root batch (FedGreed-style)
-        and greedily selects while the loss improves. An explicit
+        round from inter-model dispersion (modified z-scores above
+        :data:`~repro.aggregation.DEFAULT_MAD_THRESHOLD`);
+        ``"loss_based"`` ranks the received models by loss on a trusted
+        root batch (FedGreed-style,
+        :data:`~repro.core.filtering.ROOT_BATCH_SIZE` samples) and
+        greedily selects while the loss improves. An explicit
         ``filter_rule`` closure passed to the trainer overrides this.
-    mad_threshold:
-        Modified-z-score cutoff of the adaptive Byzantine-count estimator
-        (only used by ``filter_rule_name="adaptive_trimmed_mean"``).
-    root_batch_size:
-        Size of the trusted root batch the loss-based filter evaluates
-        candidates on (only used by ``filter_rule_name="loss_based"``).
     upload_strategy:
         ``"sparse"`` (paper default — one uniformly random PS per client),
         ``"full"`` (every PS), or ``"multi"`` (a fixed number of PSs, see
@@ -138,8 +157,8 @@ class FedMSConfig:
         (dense :data:`~repro.nn.DTYPE`, four bytes a coordinate) encoding.
         Parameter servers decode before the ``Def()`` filter runs, so every
         filter rule operates on dense updates — see ``docs/upload.md``.
-    include_buffers:
-        Whether batch-norm running statistics travel with the model vector.
+        The vector is the whole model state: batch-norm running
+        statistics travel with the weights.
     participation_fraction:
         Fraction of clients that perform local training and upload in each
         round (FedAvg-style partial device participation, per Li et al.
@@ -173,22 +192,17 @@ class FedMSConfig:
         feasibility requires every parent's child count to satisfy
         ``q >= 2B+1`` even under worst-case placement. ``None`` = all
         honest.
-    churn_join_rate / churn_leave_rate / churn_rejoin_fraction /
-    churn_dwell_rounds:
-        Knobs for sampling a :class:`~repro.population.ChurnPlan` (see
-        :meth:`ChurnPlan.from_config`): per-client probabilities of
-        joining late or leaving mid-run, the fraction of leavers that
-        rejoin, and how many rounds they stay away.
+    churn_join_rate / churn_leave_rate:
+        Per-client probabilities of joining late or leaving mid-run, for
+        sampling a :class:`~repro.population.ChurnPlan` (see
+        :meth:`ChurnPlan.from_config`; the fraction of leavers that rejoin
+        and how long they stay away are :meth:`ChurnPlan.sample`'s
+        defaults).
     faults:
-        Graceful-degradation knobs (round deadline, upload retry budget
-        and backoff); defaults are used when ``None``. The fault *events*
-        themselves live in a
-        :class:`~repro.simulation.faults.FaultPlan` passed to the trainer.
-    retry_policy:
-        The :class:`~repro.core.upload.RetryPolicy` every trainer consumes
-        for failed sends. ``None`` (default) derives one from ``faults``;
-        supplying retry knobs through ``faults`` *and* a divergent
-        ``retry_policy`` is a ``ConfigurationError``.
+        The :class:`FaultConfig` retry policy (budget and backoff) every
+        trainer consumes for failed sends. The fault *events* themselves
+        live in a :class:`~repro.simulation.faults.FaultPlan` passed to the
+        trainer.
     aggregation_mode:
         ``"barrier"`` (paper default — every round waits for all alive
         PSs) or ``"deadline"`` — aggregate whatever arrived when the
@@ -196,31 +210,23 @@ class FedMSConfig:
         next round. See ``docs/faults.md``.
     deadline_quantile:
         In deadline mode, the quantile of the straggler-free latency
-        distribution used to calibrate the deadline (ignored when
-        ``deadline_s`` is set).
-    deadline_s:
-        Explicit round deadline in simulated seconds; overrides
-        ``deadline_quantile``.
+        distribution used to calibrate the deadline.
     max_staleness:
         How many rounds a late arrival stays admissible: a model that
         missed round ``t``'s deadline may still be counted in rounds up
         to ``t + max_staleness``.
     straggler_rate:
         Probability that any single simulated transfer straggles (its
-        latency is inflated by ``straggler_factor``), drawn per message
-        from a ``(seed, round, leg, sender)`` stream.
-    straggler_factor:
-        Latency multiplier for straggling transfers.
+        latency is inflated by
+        :data:`~repro.simulation.clock.STRAGGLER_FACTOR`), drawn per
+        message from a ``(seed, round, leg, sender)`` stream.
     health_scoring:
         Enables the per-node health ledger and circuit breaker
         (``core/health.py``) on every topology: crash/straggle/filter
         evidence decays into a reputation score; persistently-bad nodes
         are excluded from quorum counting (and, on the flat topology,
-        upload sampling) until they pass probation.
-    health_decay / health_open_threshold / health_probation_rounds:
-        :class:`~repro.core.health.HealthPolicy` knobs — score decay per
-        round, the score below which the breaker opens, and how many
-        clean rounds an open PS needs before half-open readmission.
+        upload sampling) until they pass probation. The score and breaker
+        follow :class:`~repro.core.health.HealthPolicy`'s defaults.
     execution_backend:
         How the per-round client steps run: ``"serial"`` (one process, the
         default), ``"thread"`` (thread pool) or ``"process"`` (persistent
@@ -244,12 +250,9 @@ class FedMSConfig:
     learning_rate: float = 0.05
     trim_ratio: Optional[float] = None
     filter_rule_name: Optional[str] = None
-    mad_threshold: float = 3.5
-    root_batch_size: int = 64
     upload_strategy: str = "sparse"
     uploads_per_client: int = 1
     upload_codecs: Optional[Sequence[str]] = None
-    include_buffers: bool = True
     participation_fraction: float = 1.0
     eval_clients: int = 3
     population_size: Optional[int] = None
@@ -258,20 +261,12 @@ class FedMSConfig:
     tier_byzantine: Optional[Sequence[int]] = None
     churn_join_rate: float = 0.0
     churn_leave_rate: float = 0.0
-    churn_rejoin_fraction: float = 0.5
-    churn_dwell_rounds: int = 3
-    faults: Optional[FaultConfig] = None
-    retry_policy: Optional[RetryPolicy] = None
+    faults: FaultConfig = field(default_factory=FaultConfig)
     aggregation_mode: str = "barrier"
     deadline_quantile: float = 0.9
-    deadline_s: Optional[float] = None
     max_staleness: int = 1
     straggler_rate: float = 0.0
-    straggler_factor: float = 10.0
     health_scoring: bool = False
-    health_decay: float = 0.7
-    health_open_threshold: float = 0.4
-    health_probation_rounds: int = 2
     execution_backend: Optional[str] = None
     num_workers: Optional[int] = None
     seed: int = 0
@@ -289,8 +284,9 @@ class FedMSConfig:
         check_positive_int(self.batch_size, "batch_size")
         check_positive_int(self.uploads_per_client, "uploads_per_client")
         check_positive_int(self.eval_clients, "eval_clients")
-        require(self.learning_rate > 0,
-                f"learning_rate must be positive, got {self.learning_rate}")
+        require(math.isfinite(self.learning_rate) and self.learning_rate > 0,
+                f"learning_rate must be finite and positive, got "
+                f"{self.learning_rate}")
         require(2 * self.num_byzantine < self.num_servers,
                 f"Byzantine PSs must be a strict minority: "
                 f"2*{self.num_byzantine} >= {self.num_servers}")
@@ -315,16 +311,8 @@ class FedMSConfig:
         require(self.eval_clients <= self.num_clients,
                 f"eval_clients={self.eval_clients} exceeds "
                 f"num_clients={self.num_clients}")
-        require(self.faults is None or isinstance(self.faults, FaultConfig),
+        require(isinstance(self.faults, FaultConfig),
                 f"faults must be a FaultConfig, got {type(self.faults)}")
-        require(self.retry_policy is None
-                or isinstance(self.retry_policy, RetryPolicy),
-                f"retry_policy must be a RetryPolicy, got "
-                f"{type(self.retry_policy)}")
-        require(self.retry_policy is None or self.faults is None
-                or RetryPolicy.from_config(self.faults) == self.retry_policy,
-                "retry knobs passed through both FedMSConfig.retry_policy "
-                "and FaultConfig disagree; set them in one place")
         require(self.aggregation_mode in ("barrier", "deadline"),
                 f"aggregation_mode must be 'barrier' or 'deadline', got "
                 f"{self.aggregation_mode!r}")
@@ -332,19 +320,11 @@ class FedMSConfig:
         require(self.deadline_quantile > 0.0,
                 f"deadline_quantile must be > 0, got "
                 f"{self.deadline_quantile}")
-        require(self.deadline_s is None or self.deadline_s > 0,
-                f"deadline_s must be positive, got {self.deadline_s}")
         check_nonnegative_int(self.max_staleness, "max_staleness")
         check_fraction(self.straggler_rate, "straggler_rate",
                        upper=1.0, inclusive_upper=False)
-        require(self.straggler_factor >= 1.0,
-                f"straggler_factor must be >= 1, got "
-                f"{self.straggler_factor}")
-        # Eager, like FaultConfig: bad health knobs fail at config time.
-        if self.health_scoring:
-            from .health import HealthPolicy
-
-            HealthPolicy.from_config(self)
+        require(isinstance(self.health_scoring, bool),
+                f"health_scoring must be a bool, got {self.health_scoring!r}")
         if self.population_size is not None:
             check_positive_int(self.population_size, "population_size")
         require(0.0 < self.sample_fraction <= 1.0,
@@ -366,8 +346,6 @@ class FedMSConfig:
                        upper=1.0, inclusive_upper=False)
         check_fraction(self.churn_leave_rate, "churn_leave_rate",
                        upper=1.0, inclusive_upper=False)
-        check_fraction(self.churn_rejoin_fraction, "churn_rejoin_fraction")
-        check_positive_int(self.churn_dwell_rounds, "churn_dwell_rounds")
         require(self.execution_backend is None
                 or self.execution_backend in _EXECUTION_BACKENDS,
                 f"execution_backend must be one of {_EXECUTION_BACKENDS}, "
@@ -380,9 +358,6 @@ class FedMSConfig:
             self.resolved_trim_ratio = check_fraction(
                 self.trim_ratio, "trim_ratio", upper=0.5, inclusive_upper=False
             )
-        check_positive_int(self.root_batch_size, "root_batch_size")
-        require(self.mad_threshold > 0,
-                f"mad_threshold must be positive, got {self.mad_threshold}")
         if self.filter_rule_name is not None:
             # The loss-based rule's loss_fn is supplied by the trainer (it
             # needs the root dataset), so only the name-level parameters
@@ -392,25 +367,10 @@ class FedMSConfig:
                 self.filter_rule_name,
                 trim_ratio=self.resolved_trim_ratio,
                 num_byzantine=self.num_byzantine,
-                mad_threshold=self.mad_threshold,
                 loss_fn=(lambda _: 0.0) if self.filter_rule_name
                 == "loss_based" else None,
                 num_models=self.num_servers,
             )
-
-    @property
-    def resolved_faults(self) -> "FaultConfig":
-        """The fault knobs in effect (defaults when ``faults is None``)."""
-        return self.faults if self.faults is not None else FaultConfig()
-
-    @property
-    def resolved_retry_policy(self) -> "RetryPolicy":
-        """The retry policy every trainer consumes: the explicit
-        ``retry_policy``, otherwise the one the (possibly default)
-        ``faults`` knobs describe."""
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return RetryPolicy.from_config(self.resolved_faults)
 
     @property
     def deadline_mode(self) -> bool:

@@ -49,7 +49,7 @@ from ..simulation.scheduler import RoundScheduler
 from .client import Client, frozen
 from .config import FedMSConfig
 from .filtering import ResolvedFilter, Verdict, quorum_floor
-from .health import HealthLedger, HealthPolicy
+from .health import HealthLedger
 from .history import RoundRecord, TrainingHistory
 from .server import (
     ByzantineParameterServer,
@@ -292,7 +292,6 @@ class RoundEngine:
         self.test_dataset = test_dataset
         self.network = network if network is not None else Network()
         self.rngs = RngFactory(config.seed)
-        self.retry_policy = config.resolved_retry_policy
         self._participation_rng = self.rngs.make("participation")
         self._retry_rng = self.rngs.make("upload/retry")
 
@@ -301,23 +300,16 @@ class RoundEngine:
         # streams and stays bit-identical across execution backends. In
         # barrier mode the clock only *measures* (simulated round time); in
         # deadline mode it decides which transfers make the round.
-        self.clock = VirtualClock(
-            config.seed,
-            straggler_rate=config.straggler_rate,
-            straggler_factor=config.straggler_factor,
-        )
-        self.deadline_s: Optional[float] = None
-        if config.deadline_mode:
-            self.deadline_s = (
-                config.deadline_s if config.deadline_s is not None
-                else self.clock.deadline_for_quantile(config.deadline_quantile)
-            )
+        self.clock = VirtualClock(config.seed,
+                                  straggler_rate=config.straggler_rate)
+        self.deadline_s: Optional[float] = (
+            self.clock.deadline_for_quantile(config.deadline_quantile)
+            if config.deadline_mode else None)
 
         # Shared initial model w_0 (Algorithm 1, line 6), read-only like
         # every vector a round hands out.
         self.initial_vector = frozen(to_vector(
-            model_factory(self.rngs.make(init_stream)),
-            include_buffers=config.include_buffers))
+            model_factory(self.rngs.make(init_stream))))
         self.wire = DeltaWire(config.resolved_upload_codecs,
                               self.initial_vector)
         self.codec = self.wire.codec
@@ -347,7 +339,6 @@ class RoundEngine:
             Client(k, replica, dataset, batch_size=self.config.batch_size,
                    rng=self.rngs.make(f"batches/client/{k}"),
                    learning_rate=self.config.learning_rate,
-                   include_buffers=self.config.include_buffers,
                    batch_seed=self.config.seed, lr_schedule=lr_schedule,
                    weight_decay=weight_decay, flatten_inputs=flatten_inputs)
             for k, dataset in enumerate(datasets)
@@ -398,7 +389,6 @@ class RoundEngine:
                 seed=config.seed, local_steps=config.local_steps,
                 batch_size=config.batch_size,
                 learning_rate=config.learning_rate,
-                include_buffers=config.include_buffers,
                 weight_decay=weight_decay, lr_schedule=lr_schedule, **spec),
             num_workers=config.resolved_num_workers,
         )
@@ -410,9 +400,6 @@ class RoundEngine:
         a round hook that files its events in the round state."""
         injector.plan.validate_topology(num_clients=num_clients,
                                         num_servers=num_servers)
-        if injector.round_deadline_s is None:
-            injector.round_deadline_s = \
-                self.config.resolved_faults.round_deadline_s
         self.network.add_drop_rule(injector.should_drop)
         self.fault_injector = injector
 
@@ -427,8 +414,7 @@ class RoundEngine:
         structured evidence: it cannot break backend bit-identity)."""
         self.topology = topology
         if self.config.health_scoring:
-            self.health = HealthLedger(len(topology.nodes),
-                                       HealthPolicy.from_config(self.config))
+            self.health = HealthLedger(len(topology.nodes))
         for name, stages in topology.phases:
             def phase(t: int, stages=tuple(stages)) -> None:
                 for stage in stages:
@@ -449,23 +435,23 @@ class RoundEngine:
     def send_with_retry(self, message: Message, state: RoundState,
                         next_target: Optional[NextTarget] = None
                         ) -> Optional[NodeId]:
-        """Send ``message``, retrying per the policy; the node it reached,
-        ``None`` if none.
+        """Send ``message``, retrying per ``config.faults``; the node it
+        reached, ``None`` if none.
 
         A retry re-offers the message after backoff, to the server
         ``next_target`` names if given. Only the delivering attempt counts
         as a message of the tag; every failed one is a drop at the
         payload's wire size and every retry counts under ``retries_by_tag``
-        (the paper's ``O(K)`` upload accounting). Exhausting the policy
-        counts one send failure.
+        (the paper's ``O(K)`` upload accounting). Exhausting the retry
+        budget counts one send failure.
         """
         if self.network.send(message):
             return message.recipient
-        policy = self.retry_policy
-        for attempt in range(1, policy.max_retries + 1):
+        faults = self.config.faults
+        for attempt in range(1, faults.max_upload_retries + 1):
             self.network.stats.record_retry(message.tag)
             state.retries += 1
-            state.backoff_s += policy.backoff_s(attempt)
+            state.backoff_s += faults.backoff_s(attempt)
             if next_target is not None:
                 target = next_target(attempt, message.recipient.index)
                 if target is None:
@@ -589,7 +575,7 @@ class RoundEngine:
             admitted = [n for n in state.alive if n not in state.excluded]
 
             def next_target(attempt: int, failed: int) -> Optional[int]:
-                return self.retry_policy.next_target(
+                return self.config.faults.next_target(
                     attempt, failed, admitted, rng=self._retry_rng)
 
         edges = {n for n in state.alive if n < topology.edges}

@@ -47,6 +47,9 @@ __all__ = ["Verdict", "RootLossEvaluator", "ResolvedFilter", "quorum_floor",
 InfoFn = Callable[[Sequence[np.ndarray]],
                   Tuple[np.ndarray, int, Tuple[int, ...]]]
 
+#: Size of the trusted root batch the loss-based rule scores candidates on.
+ROOT_BATCH_SIZE = 64
+
 
 def quorum_floor(num_byzantine: int) -> int:
     """Minimum countable quorum that still tolerates ``num_byzantine`` PSs.
@@ -90,7 +93,7 @@ class RootLossEvaluator:
 
     def __init__(self, model_factory: Callable[[np.random.Generator], object],
                  dataset: ArrayDataset, batch_size: int, *,
-                 include_buffers: bool, flatten_inputs: bool,
+                 flatten_inputs: bool,
                  rng: np.random.Generator) -> None:
         if len(dataset) == 0:
             raise ConfigurationError(
@@ -99,14 +102,12 @@ class RootLossEvaluator:
         size = min(batch_size, len(dataset))
         indices = np.sort(rng.choice(len(dataset), size=size, replace=False))
         self.features, self.labels = dataset[indices]
-        self.include_buffers = include_buffers
         self.flatten_inputs = flatten_inputs
         self.model = model_factory(rng)
         self.model.eval()
 
     def __call__(self, vector: np.ndarray) -> float:
-        from_vector(self.model, vector,
-                    include_buffers=self.include_buffers)
+        from_vector(self.model, vector)
         features = self.features
         if self.flatten_inputs:
             features = features.reshape(features.shape[0], -1)
@@ -199,12 +200,8 @@ def resolve_filter(config: FedMSConfig, *,
         return ResolvedFilter(
             rule, budget=trim_count(config.num_servers, beta))
     if name == "adaptive_trimmed_mean":
-        threshold = config.mad_threshold
-        rule = make_rule("adaptive_trimmed_mean", mad_threshold=threshold)
-        return ResolvedFilter(
-            rule, info_fn=lambda rows: adaptive_trimmed_mean_info(
-                rows, threshold=threshold)
-        )
+        return ResolvedFilter(make_rule("adaptive_trimmed_mean"),
+                              info_fn=adaptive_trimmed_mean_info)
     if name == "loss_based":
         if model_factory is None or root_dataset is None:
             raise ConfigurationError(
@@ -212,8 +209,7 @@ def resolve_filter(config: FedMSConfig, *,
                 "dataset to evaluate candidate models on"
             )
         loss_fn = RootLossEvaluator(
-            model_factory, root_dataset, config.root_batch_size,
-            include_buffers=config.include_buffers,
+            model_factory, root_dataset, ROOT_BATCH_SIZE,
             flatten_inputs=flatten_inputs,
             rng=(root_rng if root_rng is not None
                  else np.random.default_rng(config.seed)),

@@ -56,17 +56,6 @@ class HealthPolicy:
                 f"decay must be < 1, got {self.decay}")
         check_positive_int(self.probation_rounds, "probation_rounds")
 
-    @classmethod
-    def from_config(cls, config) -> "HealthPolicy":
-        """Build from any object carrying the ``health_*`` knobs."""
-        return cls(
-            decay=getattr(config, "health_decay", cls.decay),
-            open_threshold=getattr(
-                config, "health_open_threshold", cls.open_threshold),
-            probation_rounds=getattr(
-                config, "health_probation_rounds", cls.probation_rounds),
-        )
-
 
 class HealthLedger:
     """Tracks one reputation score and breaker state per node: a parameter

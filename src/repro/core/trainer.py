@@ -102,10 +102,9 @@ class FedMSTrainer(RoundEngine):
         The simulated transport; a fresh loss-free :class:`Network` by
         default.
     fault_injector:
-        Optional deterministic fault schedule (PS crashes, stragglers,
-        client dropouts, link partitions), driven once per round; the
-        degradation knobs (deadline, retry budget) come from
-        ``config.faults``.
+        Optional deterministic fault schedule (PS crashes, client
+        dropouts, link partitions), driven once per round; the retry
+        budget and backoff come from ``config.faults``.
     client_attack / num_byzantine_clients / byzantine_client_ids:
         The future-work extension: Byzantine *clients* that tamper with the
         local model they upload. Placement defaults to a uniformly random

@@ -7,93 +7,23 @@ the trivial upload-to-all scheme. ``FullUpload`` and ``MultiUpload``
 implement the alternatives for the communication-cost benchmark.
 
 Under faults an upload can fail (the chosen PS crashed, the link
-partitioned, the packet was lost); :class:`RetryPolicy` bounds how a client
-responds — retry the same PS once, then re-sample an alive PS, with
-exponential backoff — so availability problems degrade throughput
-gracefully instead of silently shrinking every PS's aggregate.
+partitioned, the packet was lost);
+:class:`~repro.core.config.FaultConfig` bounds how a client responds —
+retry the same PS once, then re-sample an alive PS, with exponential
+backoff — so availability problems degrade throughput gracefully instead
+of silently shrinking every PS's aggregate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
 
 __all__ = ["UploadStrategy", "SparseUpload", "FullUpload", "MultiUpload",
-           "RetryPolicy", "make_upload_strategy"]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry-with-backoff for failed uploads.
-
-    Attempt 0 is the original send. On failure, attempt 1 re-sends to the
-    *same* PS after ``base_backoff_s`` (the loss may be a transient packet
-    drop); attempts 2..``max_retries`` re-sample a uniformly random alive
-    PS — the failed PS is likely down, and uniform re-sampling preserves
-    the sparse strategy's uniform-choice property over the alive set.
-    """
-
-    max_retries: int = 2
-    base_backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-
-    @classmethod
-    def from_config(cls, config) -> "RetryPolicy":
-        """The policy a :class:`~repro.core.config.FedMSConfig` prescribes.
-
-        Accepts either a ``FedMSConfig`` (reads ``resolved_faults``) or a
-        bare ``FaultConfig``; this is the one place the fault knobs are
-        translated into a retry policy, so call sites no longer rebuild it
-        from ad-hoc kwargs.
-        """
-        faults = getattr(config, "resolved_faults", config)
-        return cls(
-            max_retries=faults.max_upload_retries,
-            base_backoff_s=faults.retry_backoff_s,
-            backoff_factor=faults.backoff_factor,
-        )
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.base_backoff_s < 0:
-            raise ConfigurationError(
-                f"base_backoff_s must be >= 0, got {self.base_backoff_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-    def backoff_s(self, attempt: int) -> float:
-        """Simulated wait before retry ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ConfigurationError(
-                f"attempt must be >= 1, got {attempt}"
-            )
-        return self.base_backoff_s * self.backoff_factor ** (attempt - 1)
-
-    def next_target(self, attempt: int, failed_target: int,
-                    alive_servers: Sequence[int], *,
-                    rng: np.random.Generator) -> Optional[int]:
-        """PS to contact on retry ``attempt``; ``None`` when none is alive.
-
-        Prefers re-sampling among alive PSs other than the one that just
-        failed; falls back to the failed PS itself if it is the only one
-        alive (its failure may have been a transient link loss).
-        """
-        if attempt == 1:
-            return failed_target
-        candidates = [s for s in alive_servers if s != failed_target]
-        if not candidates:
-            return failed_target if failed_target in alive_servers else None
-        return int(candidates[rng.integers(0, len(candidates))])
+           "make_upload_strategy"]
 
 
 class UploadStrategy:

@@ -50,9 +50,8 @@ class WorkerRuntime:
         self._make_client = functools.partial(
             Client, batch_size=spec.batch_size, rng=np.random.default_rng(0),
             lr_schedule=spec.lr_schedule, learning_rate=spec.learning_rate,
-            weight_decay=spec.weight_decay,
-            include_buffers=spec.include_buffers,
-            flatten_inputs=spec.flatten_inputs, batch_seed=spec.seed,
+            weight_decay=spec.weight_decay, flatten_inputs=spec.flatten_inputs,
+            batch_seed=spec.seed,
         )
 
     def train(self, client_id: int, round_index: int,

@@ -5,8 +5,8 @@ trainer with an initializer that receives (by fork inheritance, never
 pickled) the :class:`~repro.execution.spec.WorkerSpec`, its datasets
 included, and the two ``(cohort, state_dim)`` shared-memory vector buffers.
 Each round the main process writes job ``i``'s start vector into row ``i``
-of the in-buffer, ships only ``(row, client id, start length)`` triples
-through the executor queue, and reads the trained states back out of the
+of the in-buffer, ships only ``(row, client id)`` pairs through the
+executor queue, and reads the trained states back out of the
 out-buffer — the float payloads never cross a pipe, and a worker reads a
 client's data copy-on-write from the pages it was forked with.
 
@@ -42,8 +42,8 @@ _RUNTIME: Optional[WorkerRuntime] = None
 _STARTS: Optional[np.ndarray] = None
 _RESULTS: Optional[np.ndarray] = None
 
-#: ``(row, client_id, start_length)`` — where a job's vectors live.
-_Task = Tuple[int, int, int]
+#: ``(row, client_id)`` — where a job's vectors live.
+_Task = Tuple[int, int]
 
 
 def _init_worker(spec: WorkerSpec, starts: np.ndarray,
@@ -60,10 +60,9 @@ def _train_chunk(round_index: int,
     assert _RUNTIME is not None and _STARTS is not None \
         and _RESULTS is not None
     losses: List[float] = []
-    for row, client_id, length in tasks:
+    for row, client_id in tasks:
         # Straight from the shared row: adopting it is the one copy.
-        state, loss = _RUNTIME.train(client_id, round_index,
-                                     _STARTS[row, :length])
+        state, loss = _RUNTIME.train(client_id, round_index, _STARTS[row])
         _RESULTS[row] = state
         losses.append(loss)
     return losses
@@ -116,8 +115,8 @@ class ProcessPoolBackend(ExecutionBackend):
             starts = self._buffers.starts
             tasks: List[_Task] = []
             for row, (client_id, start_vector) in enumerate(jobs):
-                starts[row, :start_vector.size] = start_vector
-                tasks.append((row, client_id, start_vector.size))
+                starts[row] = start_vector
+                tasks.append((row, client_id))
             try:
                 assert self._executor is not None
                 chunks = [
@@ -127,8 +126,8 @@ class ProcessPoolBackend(ExecutionBackend):
                 ]
                 results = self._buffers.results
                 for chunk, future in chunks:
-                    for (row, client_id, _), loss in zip(chunk,
-                                                         future.result()):
+                    for (row, client_id), loss in zip(chunk,
+                                                      future.result()):
                         # Copied out of the shared row only when handed
                         # over: the caller holds one trained state at a time.
                         yield client_id, np.array(results[row]), loss

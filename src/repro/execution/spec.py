@@ -38,7 +38,6 @@ class WorkerSpec:
     batch_size: int
     learning_rate: float
     weight_decay: float
-    include_buffers: bool
     flatten_inputs: bool
     cohort: int
     state_dim: int

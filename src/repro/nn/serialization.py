@@ -4,11 +4,10 @@ Everything the federated layer exchanges — client uploads, PS aggregates,
 Byzantine tampering, the trimmed-mean filter — operates on a single 1-D
 vector per model, of the library's one dtype
 (:data:`~repro.nn.module.DTYPE`, float32). These helpers define that
-vector layout: all trainable parameters in registration order, optionally
-followed by all buffers (batch-norm running statistics) in registration
-order.
+vector layout: all trainable parameters in registration order, followed
+by all buffers (batch-norm running statistics) in registration order.
 
-Including the buffers matters for FedAvg-style training: if running
+The buffers travel because FedAvg-style training needs them: if running
 statistics were not averaged along with the weights, every client would
 evaluate the shared weights under different normalization statistics.
 """
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 
-def _state(module: Module, include_buffers: bool
+def _state(module: Module
            ) -> Tuple[List[Parameter], List[Tuple[Module, str]], int]:
     """Parameters, ``(owner, local name)`` of buffers, and the vector length.
 
@@ -47,17 +46,16 @@ def _state(module: Module, include_buffers: bool
         for param in current._parameters.values():
             params.append(param)
             size += param.data.size
-        if include_buffers:
-            for name, buf in current._buffers.items():
-                buffers.append((current, name))
-                size += buf.size
+        for name, buf in current._buffers.items():
+            buffers.append((current, name))
+            size += buf.size
         pending.extend(reversed(current._modules.values()))
     return params, buffers, size
 
 
-def vector_size(module: Module, *, include_buffers: bool = True) -> int:
+def vector_size(module: Module) -> int:
     """Length of the flat vector for ``module``."""
-    return _state(module, include_buffers)[2]
+    return _state(module)[2]
 
 
 def flatten_state(module: Module) -> SimpleNamespace:
@@ -71,7 +69,7 @@ def flatten_state(module: Module) -> SimpleNamespace:
     module's owner may keep what depends on the buffers); call it again
     after adding a parameter or buffer.
     """
-    params, buffers, size = _state(module, True)
+    params, buffers, size = _state(module)
     flat = getattr(module, "_flat", None)
     if flat is not None and flat.state.size == size \
             and all(p.data.base is flat.state and p._grad.base is flat.grads
@@ -99,39 +97,35 @@ def flatten_state(module: Module) -> SimpleNamespace:
     return flat
 
 
-def _arrays(module: Module, include_buffers: bool
-            ) -> Tuple[List[np.ndarray], int]:
+def _arrays(module: Module) -> Tuple[List[np.ndarray], int]:
     """The live arrays whose concatenation is the vector, and its length:
     the one state buffer of a flattened module, else every parameter and
     buffer."""
     flat = getattr(module, "_flat", None)
     if flat is not None:
-        state = flat.state if include_buffers \
-            else flat.state[:flat.grads.size]
-        return [state], state.size
-    params, buffers, size = _state(module, include_buffers)
+        return [flat.state], flat.state.size
+    params, buffers, size = _state(module)
     return ([param.data for param in params]
             + [owner._buffers[name] for owner, name in buffers]), size
 
 
-def to_vector(module: Module, *, include_buffers: bool = True) -> np.ndarray:
+def to_vector(module: Module) -> np.ndarray:
     """Copy the model state into a flat :data:`DTYPE` vector."""
-    arrays, _ = _arrays(module, include_buffers)
+    arrays, _ = _arrays(module)
     if not arrays:
         return np.zeros(0, dtype=DTYPE)
     return np.concatenate([array.ravel() for array in arrays]) \
         .astype(DTYPE, copy=False)
 
 
-def from_vector(module: Module, vector: np.ndarray, *,
-                include_buffers: bool = True) -> None:
+def from_vector(module: Module, vector: np.ndarray) -> None:
     """Load a flat vector produced by :func:`to_vector` back into ``module``.
 
     The model keeps no view of ``vector``: parameters and buffers are
     written in place.
     """
     vector = np.asarray(vector, dtype=DTYPE).ravel()
-    arrays, expected = _arrays(module, include_buffers)
+    arrays, expected = _arrays(module)
     if vector.size != expected:
         raise ShapeError(
             f"vector has {vector.size} entries, model expects {expected}"

@@ -149,7 +149,8 @@ class ChurnPlan:
     @classmethod
     def from_config(cls, config, *, num_rounds: int,
                     rng: np.random.Generator) -> "ChurnPlan":
-        """A plan from ``FedMSConfig``'s ``churn_*`` knobs.
+        """A plan from ``FedMSConfig``'s churn rates, with :meth:`sample`'s
+        rejoin fraction and dwell time.
 
         Returns an empty plan (everyone always active) when the config
         asks for no churn, so callers can pass the result unconditionally.
@@ -166,8 +167,6 @@ class ChurnPlan:
             rng=rng,
             join_rate=config.churn_join_rate,
             leave_rate=config.churn_leave_rate,
-            rejoin_fraction=config.churn_rejoin_fraction,
-            dwell_rounds=config.churn_dwell_rounds,
         )
 
 

@@ -60,7 +60,6 @@ class ClientPopulation:
                  learning_rate: float = 0.05,
                  lr_schedule: Optional[LRSchedule] = None,
                  weight_decay: float = 0.0,
-                 include_buffers: bool = True,
                  flatten_inputs: bool = False) -> None:
         if not shard_specs:
             raise ConfigurationError("population needs at least one shard")
@@ -80,8 +79,8 @@ class ClientPopulation:
         self._make_client = functools.partial(
             Client, batch_size=batch_size, rng=np.random.default_rng(0),
             lr_schedule=lr_schedule, learning_rate=learning_rate,
-            weight_decay=weight_decay, include_buffers=include_buffers,
-            flatten_inputs=flatten_inputs, batch_seed=batch_seed,
+            weight_decay=weight_decay, flatten_inputs=flatten_inputs,
+            batch_seed=batch_seed,
         )
 
     def __len__(self) -> int:

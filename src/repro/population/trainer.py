@@ -125,8 +125,7 @@ class PopulationTrainer(RoundEngine):
             shard_specs, model_factory=model_factory,
             batch_size=config.batch_size, rngs=self.rngs,
             batch_seed=config.seed, learning_rate=config.learning_rate,
-            lr_schedule=lr_schedule, include_buffers=config.include_buffers,
-            flatten_inputs=flatten_inputs)
+            lr_schedule=lr_schedule, flatten_inputs=flatten_inputs)
 
         self.byzantine_tier_ids = self._place_byzantine(byzantine_tier_ids)
         self.tiers: List[List[TierAggregator]] = []
@@ -178,9 +177,7 @@ class PopulationTrainer(RoundEngine):
 
         self._eval_client = Client(
             0, self.population.model, test_dataset, batch_size=256,
-            rng=np.random.default_rng(0),
-            include_buffers=config.include_buffers,
-            flatten_inputs=flatten_inputs)
+            rng=np.random.default_rng(0), flatten_inputs=flatten_inputs)
 
         # The serial path builds each client as it trains it
         # (``materialize`` looked up per call: tracers rebind it on the
@@ -205,7 +202,6 @@ class PopulationTrainer(RoundEngine):
             self._round.churn_events = self.churn.begin_round(t)
 
         self.scheduler.add_round_hook(begin_round)
-        wire_length = self.initial_vector.size
         legs = [self._tier_leg(tier)
                 for tier in range(1, topology.num_tiers)]
         self._install(Topology(
@@ -227,9 +223,7 @@ class PopulationTrainer(RoundEngine):
             ],
             cohort=self._sample,
             start=lambda client_id: top.current_output,
-            # Backends return whole states; batch-norm statistics stay off
-            # the wire unless ``include_buffers`` put them in the model.
-            trained=lambda client_id, state, loss: state[:wire_length],
+            trained=lambda client_id, state, loss: state,
             targets=lambda state: [[topology.edge_of_client(client_id)]
                                    for client_id in state.cohort],
             fold=lambda n, upload, sender: self.tiers[0][n].fold(upload,

@@ -7,7 +7,6 @@ from .faults import (
     FaultPlan,
     LinkPartition,
     ServerCrash,
-    ServerStraggler,
 )
 from .latency import LogNormalLatency, round_time
 from .network import Message, Network, NodeId, TrafficStats
@@ -20,7 +19,6 @@ __all__ = [
     "Network",
     "RoundScheduler",
     "ServerCrash",
-    "ServerStraggler",
     "ClientDropout",
     "LinkPartition",
     "FaultPlan",

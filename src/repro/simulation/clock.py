@@ -9,10 +9,10 @@ every draw comes from its own generator seeded from
 on the order in which arrivals are sampled — which is what keeps the
 serial, thread and process execution backends bit-identical.
 
-Stragglers are modelled on top of the latency draw: with probability
-``straggler_rate`` (decided on the same per-message stream) the transfer
-time is inflated by ``straggler_factor``, pushing it past any deadline
-calibrated on the straggler-free distribution.
+Stragglers are modelled on top of the latency draw, and only here: with
+probability ``straggler_rate`` (decided on the same per-message stream)
+the transfer time is inflated by :data:`STRAGGLER_FACTOR`, pushing it past
+any deadline calibrated on the straggler-free distribution.
 """
 
 from __future__ import annotations
@@ -25,7 +25,10 @@ from ..common.errors import ConfigurationError
 from ..common.rng import stream_seed
 from .latency import LogNormalLatency
 
-__all__ = ["VirtualClock", "split_by_deadline"]
+__all__ = ["STRAGGLER_FACTOR", "VirtualClock", "split_by_deadline"]
+
+#: Multiplier applied to a straggling message's transfer time.
+STRAGGLER_FACTOR = 10.0
 
 
 def split_by_deadline(arrivals: Dict[int, float], deadline_s: float,
@@ -51,22 +54,15 @@ class VirtualClock:
         :class:`~repro.simulation.latency.LogNormalLatency` at its defaults.
     straggler_rate:
         Probability that any single message is a straggler.
-    straggler_factor:
-        Multiplier applied to a straggling message's transfer time.
     """
 
-    def __init__(self, seed: int, *, straggler_rate: float = 0.0,
-                 straggler_factor: float = 10.0) -> None:
+    def __init__(self, seed: int, *, straggler_rate: float = 0.0) -> None:
         if not 0.0 <= straggler_rate < 1.0:
             raise ConfigurationError(
                 f"straggler_rate must be in [0, 1), got {straggler_rate}")
-        if straggler_factor < 1.0:
-            raise ConfigurationError(
-                f"straggler_factor must be >= 1, got {straggler_factor}")
         self.seed = int(seed)
         self.latency = LogNormalLatency()
         self.straggler_rate = float(straggler_rate)
-        self.straggler_factor = float(straggler_factor)
 
     def _rng(self, name: str) -> np.random.Generator:
         return np.random.default_rng(stream_seed(self.seed, f"clock/{name}"))
@@ -82,7 +78,7 @@ class VirtualClock:
         rng = self._rng(f"{round_index}/{leg}/{key}")
         base = self.latency.sample(size_bytes=size_bytes, rng=rng)
         if self.straggler_rate > 0.0 and rng.random() < self.straggler_rate:
-            return base * self.straggler_factor
+            return base * STRAGGLER_FACTOR
         return base
 
     def arrivals(self, round_index: int, leg: str, keys: Iterable[int], *,
@@ -99,7 +95,7 @@ class VirtualClock:
 
         The calibration stream is independent of every arrival stream, and
         stragglers are excluded on purpose: a straggler inflated by
-        ``straggler_factor`` should miss a deadline chosen this way, which
+        :data:`STRAGGLER_FACTOR` should miss a deadline chosen this way, which
         is what gives deadline mode its speedup.
         """
         if not 0.0 < quantile <= 1.0:
@@ -131,5 +127,4 @@ class VirtualClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"VirtualClock(seed={self.seed}, "
-                f"straggler_rate={self.straggler_rate}, "
-                f"straggler_factor={self.straggler_factor})")
+                f"straggler_rate={self.straggler_rate})")

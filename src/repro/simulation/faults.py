@@ -4,8 +4,7 @@ The paper's threat model makes some PSs *malicious* but keeps every
 participant perfectly available: each PS answers every round and every
 client receives exactly ``P`` global models. Real edge deployments violate
 that constantly — servers crash and reboot, devices go offline, links
-partition, stragglers miss the synchronous round deadline. This module
-supplies the missing failure model as data: a :class:`FaultPlan` is a
+partition. This module supplies the missing failure model as data: a :class:`FaultPlan` is a
 declarative, fully deterministic schedule of fault events, and a
 :class:`FaultInjector` replays it round by round, exposing
 
@@ -20,21 +19,25 @@ Determinism is a design requirement: two runs with the same seed and the
 same plan must produce identical round-by-round delivery, drop and retry
 traces (asserted by ``tests/simulation/test_faults.py``), which is what
 makes fault experiments debuggable and comparable across defenses.
+
+Stragglers are not fault events: a slow transfer is a draw of
+:class:`~repro.simulation.clock.VirtualClock`, and the deadline gate
+decides whether it makes the round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..common.validation import check_nonnegative_int
 from .network import Message, NodeId
 
 __all__ = [
     "ServerCrash",
-    "ServerStraggler",
     "ClientDropout",
     "LinkPartition",
     "FaultPlan",
@@ -43,11 +46,11 @@ __all__ = [
 
 
 def _check_window(start_round: int, end_round: Optional[int], what: str) -> None:
-    if start_round < 0:
-        raise ConfigurationError(
-            f"{what}: start_round must be >= 0, got {start_round}"
-        )
-    if end_round is not None and end_round <= start_round:
+    check_nonnegative_int(start_round, f"{what}: start_round")
+    if end_round is None:
+        return
+    check_nonnegative_int(end_round, f"{what}: end_round")
+    if end_round <= start_round:
         raise ConfigurationError(
             f"{what}: end_round ({end_round}) must be > start_round "
             f"({start_round}); use end_round=None for a permanent fault"
@@ -69,44 +72,8 @@ class ServerCrash:
     end_round: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.server_id < 0:
-            raise ConfigurationError(
-                f"server_id must be >= 0, got {self.server_id}"
-            )
+        check_nonnegative_int(self.server_id, "ServerCrash: server_id")
         _check_window(self.start_round, self.end_round, "ServerCrash")
-
-    def active(self, round_index: int) -> bool:
-        return self.start_round <= round_index and (
-            self.end_round is None or round_index < self.end_round
-        )
-
-
-@dataclass(frozen=True)
-class ServerStraggler:
-    """PS ``server_id`` disseminates with ``delay_s`` extra latency.
-
-    A straggling PS is alive — it aggregates normally — but its outbound
-    models arrive ``delay_s`` simulated seconds late. Whether that matters
-    is decided by the round deadline: when ``delay_s`` exceeds the
-    injector's ``round_deadline_s`` the messages miss the synchronous
-    round barrier and are dropped (a deadline miss, not a transport loss).
-    """
-
-    server_id: int
-    start_round: int
-    end_round: Optional[int] = None
-    delay_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.server_id < 0:
-            raise ConfigurationError(
-                f"server_id must be >= 0, got {self.server_id}"
-            )
-        if self.delay_s <= 0:
-            raise ConfigurationError(
-                f"delay_s must be positive, got {self.delay_s}"
-            )
-        _check_window(self.start_round, self.end_round, "ServerStraggler")
 
     def active(self, round_index: int) -> bool:
         return self.start_round <= round_index and (
@@ -128,10 +95,7 @@ class ClientDropout:
     end_round: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.client_id < 0:
-            raise ConfigurationError(
-                f"client_id must be >= 0, got {self.client_id}"
-            )
+        check_nonnegative_int(self.client_id, "ClientDropout: client_id")
         _check_window(self.start_round, self.end_round, "ClientDropout")
 
     def active(self, round_index: int) -> bool:
@@ -150,11 +114,8 @@ class LinkPartition:
     end_round: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.client_id < 0 or self.server_id < 0:
-            raise ConfigurationError(
-                f"link endpoints must be >= 0, got "
-                f"({self.client_id}, {self.server_id})"
-            )
+        check_nonnegative_int(self.client_id, "LinkPartition: client_id")
+        check_nonnegative_int(self.server_id, "LinkPartition: server_id")
         _check_window(self.start_round, self.end_round, "LinkPartition")
 
     def active(self, round_index: int) -> bool:
@@ -174,34 +135,22 @@ class FaultPlan:
     """
 
     crashes: Tuple[ServerCrash, ...] = ()
-    stragglers: Tuple[ServerStraggler, ...] = ()
     dropouts: Tuple[ClientDropout, ...] = ()
     partitions: Tuple[LinkPartition, ...] = ()
 
     def __post_init__(self) -> None:
         # Accept any sequence; store tuples so plans are hashable/frozen.
         object.__setattr__(self, "crashes", tuple(self.crashes))
-        object.__setattr__(self, "stragglers", tuple(self.stragglers))
         object.__setattr__(self, "dropouts", tuple(self.dropouts))
         object.__setattr__(self, "partitions", tuple(self.partitions))
 
     @property
     def is_empty(self) -> bool:
-        return not (self.crashes or self.stragglers or self.dropouts
-                    or self.partitions)
+        return not (self.crashes or self.dropouts or self.partitions)
 
     def crashed_servers(self, round_index: int) -> FrozenSet[int]:
         return frozenset(c.server_id for c in self.crashes
                          if c.active(round_index))
-
-    def straggling_servers(self, round_index: int) -> Dict[int, float]:
-        """``server_id -> delay_s`` of stragglers active this round."""
-        delays: Dict[int, float] = {}
-        for s in self.stragglers:
-            if s.active(round_index):
-                delays[s.server_id] = max(delays.get(s.server_id, 0.0),
-                                          s.delay_s)
-        return delays
 
     def offline_clients(self, round_index: int) -> FrozenSet[int]:
         return frozenset(d.client_id for d in self.dropouts
@@ -213,7 +162,7 @@ class FaultPlan:
 
     def validate_topology(self, *, num_clients: int, num_servers: int) -> None:
         """Reject events referencing nodes outside the given topology."""
-        for c in self.crashes + self.stragglers:
+        for c in self.crashes:
             if c.server_id >= num_servers:
                 raise ConfigurationError(
                     f"fault plan references PS {c.server_id} but the "
@@ -241,10 +190,7 @@ class FaultPlan:
                client_dropout_rate: float = 0.1,
                dropout_rounds: int = 3,
                link_partition_rate: float = 0.0,
-               partition_rounds: int = 3,
-               server_straggler_rate: float = 0.0,
-               straggler_rounds: int = 3,
-               straggler_delay_s: float = 5.0) -> "FaultPlan":
+               partition_rounds: int = 3) -> "FaultPlan":
         """Draw a random plan from an explicit generator, once.
 
         Each PS crashes with probability ``server_crash_rate`` at a
@@ -252,16 +198,11 @@ class FaultPlan:
         uniform window. Each client drops out with probability
         ``client_dropout_rate`` for ``dropout_rounds`` rounds, and each
         ``(client, server)`` link partitions with probability
-        ``link_partition_rate`` for ``partition_rounds`` rounds. Each PS
-        independently straggles (delay ``straggler_delay_s`` for
-        ``straggler_rounds`` rounds) with probability
-        ``server_straggler_rate`` — the default of 0 consumes no draws,
-        so plans sampled before this knob existed replay bit-identically.
+        ``link_partition_rate`` for ``partition_rounds`` rounds.
         """
         for name, rate in (("server_crash_rate", server_crash_rate),
                            ("client_dropout_rate", client_dropout_rate),
                            ("link_partition_rate", link_partition_rate),
-                           ("server_straggler_rate", server_straggler_rate),
                            ("recover_fraction", recover_fraction)):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError(
@@ -298,18 +239,8 @@ class FaultPlan:
                     partitions.append(LinkPartition(
                         client_id, server_id, start, start + partition_rounds
                     ))
-        stragglers: List[ServerStraggler] = []
-        if server_straggler_rate > 0.0:
-            for server_id in range(num_servers):
-                if rng.random() >= server_straggler_rate:
-                    continue
-                start = int(rng.integers(1, num_rounds))
-                stragglers.append(ServerStraggler(
-                    server_id, start, start + straggler_rounds,
-                    delay_s=straggler_delay_s,
-                ))
-        return cls(crashes=tuple(crashes), stragglers=tuple(stragglers),
-                   dropouts=tuple(dropouts), partitions=tuple(partitions))
+        return cls(crashes=tuple(crashes), dropouts=tuple(dropouts),
+                   partitions=tuple(partitions))
 
 
 class FaultInjector:
@@ -323,19 +254,12 @@ class FaultInjector:
     run's fault trace can be asserted and diffed.
     """
 
-    def __init__(self, plan: FaultPlan, *,
-                 round_deadline_s: Optional[float] = None) -> None:
-        if round_deadline_s is not None and round_deadline_s <= 0:
-            raise ConfigurationError(
-                f"round_deadline_s must be positive, got {round_deadline_s}"
-            )
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.round_deadline_s = round_deadline_s
         self.round_index = -1
         self._crashed: FrozenSet[int] = frozenset()
         self._offline: FrozenSet[int] = frozenset()
         self._severed: FrozenSet[Tuple[int, int]] = frozenset()
-        self._straggler_delays: Dict[int, float] = {}
         self.event_log: List[Tuple[int, str]] = []
 
     # -- per-round driving ---------------------------------------------------
@@ -354,7 +278,6 @@ class FaultInjector:
         self._crashed = self.plan.crashed_servers(round_index)
         self._offline = self.plan.offline_clients(round_index)
         self._severed = self.plan.severed_links(round_index)
-        self._straggler_delays = self.plan.straggling_servers(round_index)
 
         events: List[str] = []
         for sid in sorted(self._crashed - previous_crashed):
@@ -369,11 +292,6 @@ class FaultInjector:
             events.append(f"link {link} partitioned")
         for link in sorted(previous_severed - self._severed):
             events.append(f"link {link} healed")
-        for sid, delay in sorted(self._straggler_delays.items()):
-            if self._misses_deadline(delay):
-                events.append(
-                    f"server {sid} straggling ({delay:g}s > deadline)"
-                )
         self.event_log.extend((round_index, e) for e in events)
         return events
 
@@ -394,18 +312,13 @@ class FaultInjector:
     def active_clients(self, num_clients: int) -> List[int]:
         return [i for i in range(num_clients) if self.client_active(i)]
 
-    def _misses_deadline(self, delay_s: float) -> bool:
-        return (self.round_deadline_s is not None
-                and delay_s > self.round_deadline_s)
-
     # -- Network integration -------------------------------------------------
 
     def should_drop(self, message: Message) -> bool:
         """Drop rule consulting the current round's fault state.
 
-        Lost: anything to or from a crashed PS, anything crossing a
-        severed ``(client, server)`` link, and disseminations from a
-        straggling PS whose delay exceeds the round deadline.
+        Lost: anything to or from a crashed PS and anything crossing a
+        severed ``(client, server)`` link.
         """
         endpoints = (message.sender, message.recipient)
         for node in endpoints:
@@ -418,12 +331,5 @@ class FaultInjector:
                 client_index = node.index
             else:
                 server_index = node.index
-        if (client_index is not None and server_index is not None
-                and (client_index, server_index) in self._severed):
-            return True
-        sender = message.sender
-        if sender.role == NodeId.SERVER_ROLE:
-            delay = self._straggler_delays.get(sender.index)
-            if delay is not None and self._misses_deadline(delay):
-                return True
-        return False
+        return (client_index is not None and server_index is not None
+                and (client_index, server_index) in self._severed)

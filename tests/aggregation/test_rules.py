@@ -536,10 +536,12 @@ class TestValidateRuleParams:
             make_rule("loss_based")
 
     def test_mad_threshold_must_be_positive(self):
-        from repro.aggregation import validate_rule_params
+        # The registry builds the adaptive rule at DEFAULT_MAD_THRESHOLD;
+        # the rule itself refuses a threshold that is not positive.
+        from repro.aggregation import adaptive_trimmed_mean
 
-        with pytest.raises(ConfigurationError, match="mad_threshold"):
-            validate_rule_params("adaptive_trimmed_mean", mad_threshold=-1.0)
+        with pytest.raises(ConfigurationError, match="threshold"):
+            adaptive_trimmed_mean(np.zeros((3, 2)), threshold=-1.0)
 
     def test_num_models_must_be_positive(self):
         from repro.aggregation import validate_rule_params

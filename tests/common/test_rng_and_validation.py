@@ -135,13 +135,11 @@ class TestEveryFractionRefusesNaN:
 
     @pytest.mark.parametrize("name", [
         "deadline_quantile", "straggler_rate", "churn_join_rate",
-        "churn_leave_rate", "churn_rejoin_fraction", "trim_ratio",
-        "health_decay", "health_open_threshold",
+        "churn_leave_rate", "trim_ratio", "learning_rate",
     ])
     def test_config(self, name):
         with pytest.raises(ConfigurationError, match="finite"):
-            FedMSConfig(health_scoring=name.startswith("health_"),
-                        **{name: NAN})
+            FedMSConfig(**{name: NAN})
 
     @pytest.mark.parametrize("name", ["decay", "open_threshold"])
     def test_health_policy(self, name):

@@ -69,6 +69,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             FedMSConfig(local_steps=0)
 
+    def test_rejects_infinite_lr(self):
+        with pytest.raises(ConfigurationError, match="learning_rate"):
+            FedMSConfig(learning_rate=float("inf"))
+
+    def test_rejects_a_health_scoring_that_is_not_a_bool(self):
+        # "no" is truthy: accepted, it would turn health scoring on.
+        with pytest.raises(ConfigurationError, match="health_scoring"):
+            FedMSConfig(health_scoring="no")
+
 
 class TestUploadCodecs:
     def test_default_is_identity(self, monkeypatch):

@@ -9,17 +9,15 @@ the staleness bound without double-voting, and all of it must stay
 bit-identical across the serial/thread/process execution backends.
 """
 
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.attacks import make_attack
-from repro.common import ConfigurationError, RngFactory
-from repro.core import FedMSConfig, FedMSTrainer
+from repro.common import RngFactory
+from repro.core import FaultConfig, FedMSConfig, FedMSTrainer
 from repro.core.filtering import quorum_floor
 from repro.core.health import BreakerState
-from repro.core.upload import RetryPolicy
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
 from repro.simulation import FaultInjector, FaultPlan, ServerCrash
@@ -186,24 +184,9 @@ class TestBackendBitIdentity:
 
 class TestRetryPolicyUnification:
     def test_config_resolves_single_policy(self):
-        policy = RetryPolicy(max_retries=4, base_backoff_s=0.1)
+        # FaultConfig is the one retry policy: nothing beside it.
+        policy = FaultConfig(max_upload_retries=4, retry_backoff_s=0.1)
         config = FedMSConfig(num_clients=4, num_servers=3,
-                             num_byzantine=0, retry_policy=policy)
-        assert config.resolved_retry_policy == policy
-
-    def test_divergent_legacy_kwargs_warn(self):
-        from repro.core import FaultConfig
-
-        # The deprecation ended: divergent knobs are now an error.
-        with pytest.raises(ConfigurationError):
-            FedMSConfig(
-                num_clients=4, num_servers=3, num_byzantine=0,
-                retry_policy=RetryPolicy(max_retries=5),
-                faults=FaultConfig(max_upload_retries=1),
-            )
-
-    def test_consistent_kwargs_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            FedMSConfig(num_clients=4, num_servers=3, num_byzantine=0,
-                        retry_policy=RetryPolicy(max_retries=2))
+                             num_byzantine=0, faults=policy)
+        assert config.faults is policy
+        assert not hasattr(config, "retry_policy")

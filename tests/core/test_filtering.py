@@ -129,7 +129,7 @@ class TestRootLossEvaluator:
     def make_evaluator(self, batch_size=32):
         return RootLossEvaluator(
             model_factory, make_blobs(n=100, seed=3), batch_size,
-            include_buffers=True, flatten_inputs=False,
+            flatten_inputs=False,
             rng=np.random.default_rng(0),
         )
 
@@ -159,7 +159,7 @@ class TestRootLossEvaluator:
             RootLossEvaluator(
                 model_factory, ArrayDataset(np.zeros((0, 6)),
                                             np.zeros(0, dtype=int)),
-                32, include_buffers=True, flatten_inputs=False,
+                32, flatten_inputs=False,
                 rng=np.random.default_rng(0),
             )
 
@@ -241,8 +241,7 @@ class TestLossBasedFilterInTrainer:
         parts = iid_partition(data, 6, rng=RngFactory(0).make("part"))
         config = FedMSConfig(num_clients=6, num_servers=5, num_byzantine=0,
                              local_steps=2, batch_size=8,
-                             filter_rule_name="loss_based",
-                             root_batch_size=32)
+                             filter_rule_name="loss_based")
         trainer = FedMSTrainer(
             config, model_factory=model_factory, client_datasets=parts,
             test_dataset=test, root_dataset=root,
@@ -267,11 +266,3 @@ class TestConfigFilterRuleName:
             config = FedMSConfig(num_clients=6, num_servers=5,
                                  num_byzantine=0, filter_rule_name=name)
             assert config.filter_rule_name == name
-
-    def test_mad_threshold_validated(self):
-        with pytest.raises(ConfigurationError, match="mad_threshold"):
-            FedMSConfig(mad_threshold=0.0)
-
-    def test_root_batch_size_validated(self):
-        with pytest.raises(ConfigurationError):
-            FedMSConfig(root_batch_size=0)

@@ -29,16 +29,6 @@ class TestPolicy:
         with pytest.raises(ConfigurationError):
             HealthPolicy(probation_rounds=0)
 
-    def test_from_config_duck_typed(self):
-        class Cfg:
-            health_decay = 0.5
-            health_open_threshold = 0.3
-            health_probation_rounds = 4
-
-        policy = HealthPolicy.from_config(Cfg())
-        assert (policy.decay, policy.open_threshold,
-                policy.probation_rounds) == (0.5, 0.3, 4)
-
 
 class TestScoring:
     def test_clean_rounds_keep_score_high(self):

@@ -44,8 +44,7 @@ def make_data(shape, n, seed):
     return ArrayDataset(rng.normal(size=(n,) + shape), np.arange(n) % 3)
 
 
-def make_clients(model_name, *, shared, include_buffers=True,
-                 weight_decay=0.0, momentum=0.0):
+def make_clients(model_name, *, shared, weight_decay=0.0, momentum=0.0):
     """K clients on one module (``shared``) or on K equal private ones."""
     factory, shape = MODELS[model_name]
     models = [factory(RngFactory(0).make("init")) for _ in range(K)]
@@ -53,8 +52,7 @@ def make_clients(model_name, *, shared, include_buffers=True,
         Client(k, models[0] if shared else models[k],
                make_data(shape, 16, seed=k), batch_size=4,
                rng=RngFactory(0).make(f"batches/{k}"), learning_rate=0.1,
-               weight_decay=weight_decay, include_buffers=include_buffers,
-               batch_seed=7)
+               weight_decay=weight_decay, batch_seed=7)
         for k in range(K)
     ]
     if momentum:
@@ -100,7 +98,6 @@ def apply(clients, operation, start, test, round_index):
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
-@pytest.mark.parametrize("include_buffers", [True, False])
 @pytest.mark.parametrize("weight_decay,momentum",
                          [(0.0, 0.0), (0.01, 0.0), (0.01, 0.9)])
 class TestSharedEqualsPrivate:
@@ -108,10 +105,8 @@ class TestSharedEqualsPrivate:
               suppress_health_check=[HealthCheck.too_slow])
     @given(operations=OPERATIONS)
     def test_any_interleaving_is_bit_identical(
-            self, model_name, include_buffers, weight_decay, momentum,
-            operations):
-        options = dict(include_buffers=include_buffers,
-                       weight_decay=weight_decay, momentum=momentum)
+            self, model_name, weight_decay, momentum, operations):
+        options = dict(weight_decay=weight_decay, momentum=momentum)
         private = make_clients(model_name, shared=False, **options)
         shared = make_clients(model_name, shared=True, **options)
         assert len({id(c.model) for c in shared}) == 1
@@ -163,27 +158,10 @@ class TestOwnership:
         writable[...] = 0.0
         np.testing.assert_array_equal(b.model_vector(), trained)
 
-    def test_private_buffers_stay_with_their_client(self):
-        a, b, _ = make_clients("batchnorm_cnn", shared=True,
-                               include_buffers=False)
-        a.local_train(0, 2)
-        wire = a.shared_model_vector()
-        assert wire.size < a.state.size and not wire.flags.writeable
-        buffers = b.state[wire.size:].copy()
-        b.set_model_vector(wire)
-        np.testing.assert_array_equal(b.shared_model_vector(), wire)
-        np.testing.assert_array_equal(b.state[wire.size:], buffers)
-        assert not np.array_equal(a.state[wire.size:], buffers)
-        b.set_model_vector(a.state)  # a whole state is adopted as it is
-        assert b.state is a.state
-
-    @pytest.mark.parametrize("include_buffers", [True, False])
-    def test_wrong_length_raises_and_leaves_the_state(self, include_buffers):
-        client = make_clients("batchnorm_cnn", shared=True,
-                              include_buffers=include_buffers)[0]
+    def test_wrong_length_raises_and_leaves_the_state(self):
+        client = make_clients("batchnorm_cnn", shared=True)[0]
         state = client.state
-        for size in (0, client.shared_model_vector().size - 1,
-                     state.size + 1):
+        for size in (0, state.size - 1, state.size + 1):
             with pytest.raises(ShapeError):
                 client.set_model_vector(np.zeros(size))
         assert client.state is state
@@ -216,10 +194,7 @@ class TestFlattenState:
         self.assert_flat(module, flat)
         assert flatten_state(module) is flat
         self.assert_flat(module, flat)
-        for include_buffers in (True, False):
-            np.testing.assert_array_equal(
-                to_vector(module, include_buffers=include_buffers),
-                to_vector(plain, include_buffers=include_buffers))
+        np.testing.assert_array_equal(to_vector(module), to_vector(plain))
         assert module.layer1.running_var.base is flat.state
 
     def test_in_place_writers_keep_the_views(self):
@@ -237,21 +212,19 @@ class TestFlattenState:
                                   2.0 * (np.arange(5.0) + 1.0))
 
     @pytest.mark.parametrize("flatten", [True, False])
-    @pytest.mark.parametrize("include_buffers", [True, False])
-    def test_vector_round_trip(self, flatten, include_buffers):
+    def test_vector_round_trip(self, flatten):
         module, other = make_batchnorm_net(0), make_batchnorm_net(1)
         if flatten:
             flatten_state(module)
-        vector = to_vector(other, include_buffers=include_buffers) + 0.5
-        from_vector(module, vector, include_buffers=include_buffers)
-        out = to_vector(module, include_buffers=include_buffers)
+        vector = to_vector(other) + 0.5
+        from_vector(module, vector)
+        out = to_vector(module)
         np.testing.assert_array_equal(out, vector)
         assert out.base is None and out.flags.writeable
         out[...] = 0.0  # a copy: the module keeps its values
-        np.testing.assert_array_equal(
-            to_vector(module, include_buffers=include_buffers), vector)
+        np.testing.assert_array_equal(to_vector(module), vector)
         with pytest.raises(ShapeError):
-            from_vector(module, vector[:-1], include_buffers=include_buffers)
+            from_vector(module, vector[:-1])
 
     def test_a_structural_change_is_picked_up_by_the_next_call(self):
         module = make_batchnorm_net()

@@ -18,12 +18,16 @@ from hypothesis import strategies as st
 from repro.aggregation import coordinate_median
 from repro.attacks import make_attack
 from repro.common import ConfigurationError, RngFactory
-from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
+from repro.core import (
+    FaultConfig,
+    FedMSConfig,
+    FedMSTrainer,
+    HierarchicalTrainer,
+)
 from repro.core.engine import LateBuffer, RoundEngine, place_byzantine
 from repro.core.filtering import quorum_floor
 from repro.core.health import BreakerState
 from repro.core.server import adversary_view
-from repro.core.upload import RetryPolicy
 from repro.data import ArrayDataset, iid_partition
 from repro.execution import ThreadBackend
 from repro.models import SoftmaxRegression
@@ -151,7 +155,7 @@ class TestSendWithRetry:
         lossy = Network(drop_rule=drop_first_attempt)
         with build(kind, network=lossy) as trainer:
             record = trainer.run_round(evaluate=False)
-            wait = trainer.retry_policy.backoff_s(1)
+            wait = trainer.config.faults.backoff_s(1)
         assert record.upload_retries == len(seen) > 0
         assert record.upload_failures == 0
         assert record.simulated_time_s == pytest.approx(
@@ -167,7 +171,7 @@ class TestResidualsMoveOnlyOnDelivery:
         network = Network(drop_rule=lambda m: (
             m.tag in tags and m.round_index == dropped_round))
         trainer = build(kind, network=network, upload_codecs=CODECS,
-                        retry_policy=RetryPolicy(max_retries=1))
+                        faults=FaultConfig(max_upload_retries=1))
         adopted = set()
         adopt = trainer.wire.adopt
 
@@ -598,7 +602,8 @@ class TestCircuitBreakerOnEveryTopology:
     def test_grouped_straggler_is_excluded_from_the_exchange(self):
         # A deadline nothing else misses: PS 4 straggles in rounds 1-6.
         trainer = build("hierarchical", num_servers=5, health_scoring=True,
-                        aggregation_mode="deadline", deadline_s=5.0)
+                        aggregation_mode="deadline")
+        trainer.deadline_s = 5.0
         straggle(trainer, 4, range(1, 7), "inter_server")
         records, sent = self.run(trainer)
         excluded = self.assert_open_exclude_readmit(records, 4)
@@ -612,8 +617,8 @@ class TestCircuitBreakerOnEveryTopology:
     def test_grouped_exclusion_stops_at_the_floor(self):
         # B = 1 of P = 5: four stragglers, but the quorum keeps 3.
         trainer = build("hierarchical", attack="noise", num_servers=5,
-                        health_scoring=True, aggregation_mode="deadline",
-                        deadline_s=5.0)
+                        health_scoring=True, aggregation_mode="deadline")
+        trainer.deadline_s = 5.0
         for node in range(1, 5):
             straggle(trainer, node, range(12), "inter_server")
         records, _ = self.run(trainer)

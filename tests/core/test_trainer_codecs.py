@@ -10,8 +10,7 @@ import numpy as np
 
 from repro.attacks import RandomAttack
 from repro.common import RngFactory
-from repro.core import FedMSConfig, FedMSTrainer
-from repro.core.upload import RetryPolicy
+from repro.core import FaultConfig, FedMSConfig, FedMSTrainer
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
 from repro.nn import DTYPE
@@ -240,7 +239,7 @@ class TestMultiUploadEncodesOnce:
     def test_partial_delivery_advances_the_residual_once(self):
         drop_rule, _ = self.drop_first_upload_of_client_0()
         trainer = self.make(drop_rule,
-                            retry_policy=RetryPolicy(max_retries=0))
+                            faults=FaultConfig(max_upload_retries=0))
         expected = self.expected_residuals(trainer)
         record = trainer.history.records[-1]
         assert record.upload_failures == 1

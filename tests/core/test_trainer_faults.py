@@ -22,7 +22,6 @@ from repro.simulation import (
     FaultPlan,
     Network,
     ServerCrash,
-    ServerStraggler,
 )
 
 
@@ -38,7 +37,7 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
 
 def make_trainer(num_clients=8, num_servers=10, num_byzantine=2,
                  attack=None, byzantine_ids=None, seed=0, network=None,
-                 fault_injector=None, faults=None, lr=0.2,
+                 fault_injector=None, faults=FaultConfig(), lr=0.2,
                  **config_kwargs):
     data = make_blobs(seed=seed)
     test = make_blobs(n=120, seed=seed + 1)
@@ -70,12 +69,11 @@ def make_trainer(num_clients=8, num_servers=10, num_byzantine=2,
 class TestFaultConfig:
     def test_defaults(self):
         faults = FaultConfig()
-        assert faults.round_deadline_s == 1.0
         assert faults.max_upload_retries == 2
+        assert faults.retry_backoff_s == 0.05
+        assert faults.backoff_factor == 2.0
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FaultConfig(round_deadline_s=0.0)
         with pytest.raises(ConfigurationError):
             FaultConfig(max_upload_retries=-1)
         with pytest.raises(ConfigurationError):
@@ -84,13 +82,29 @@ class TestFaultConfig:
             FaultConfig(backoff_factor=0.9)
 
     def test_resolved_faults_defaults_when_unset(self):
-        assert FedMSConfig().resolved_faults == FaultConfig()
+        assert FedMSConfig().faults == FaultConfig()
         custom = FaultConfig(max_upload_retries=5)
-        assert FedMSConfig(faults=custom).resolved_faults is custom
+        assert FedMSConfig(faults=custom).faults is custom
 
     def test_rejects_wrong_type(self):
         with pytest.raises(ConfigurationError):
             FedMSConfig(faults={"max_upload_retries": 5})
+        with pytest.raises(ConfigurationError):
+            FedMSConfig(faults=None)
+
+    # An infinite backoff or factor would make simulated_time_s infinite.
+    def test_rejects_infinite_backoff(self):
+        with pytest.raises(ConfigurationError, match="retry_backoff_s"):
+            FaultConfig(retry_backoff_s=float("inf"))
+
+    def test_rejects_infinite_backoff_factor(self):
+        with pytest.raises(ConfigurationError, match="backoff_factor"):
+            FaultConfig(backoff_factor=float("inf"))
+
+    @pytest.mark.parametrize("retries", [1.5, True])
+    def test_rejects_a_retry_budget_that_is_not_an_int(self, retries):
+        with pytest.raises(ConfigurationError, match="max_upload_retries"):
+            FaultConfig(max_upload_retries=retries)
 
 
 class TestInjectorWiring:
@@ -99,16 +113,25 @@ class TestInjectorWiring:
         with pytest.raises(ConfigurationError, match="PS 10"):
             make_trainer(num_byzantine=0, fault_injector=injector)
 
+    # An injector carries no deadline: the deadline gate's comes from the
+    # config's quantile, and a test pins it through trainer.deadline_s.
     def test_deadline_defaults_from_config(self):
-        injector = FaultInjector(FaultPlan())
-        make_trainer(num_byzantine=0, fault_injector=injector,
-                     faults=FaultConfig(round_deadline_s=7.0))
-        assert injector.round_deadline_s == 7.0
+        barrier = make_trainer(num_byzantine=0,
+                               fault_injector=FaultInjector(FaultPlan()))
+        assert barrier.deadline_s is None
+        trainer = make_trainer(num_byzantine=0, aggregation_mode="deadline",
+                               deadline_quantile=0.5,
+                               fault_injector=FaultInjector(FaultPlan()))
+        assert trainer.deadline_s == trainer.clock.deadline_for_quantile(0.5)
 
     def test_explicit_deadline_preserved(self):
-        injector = FaultInjector(FaultPlan(), round_deadline_s=3.0)
-        make_trainer(num_byzantine=0, fault_injector=injector)
-        assert injector.round_deadline_s == 3.0
+        trainer = make_trainer(num_byzantine=0, num_servers=5,
+                               aggregation_mode="deadline",
+                               fault_injector=FaultInjector(FaultPlan()))
+        trainer.deadline_s = 1e-9  # every broadcast misses it
+        trainer.run(2)
+        assert trainer.deadline_s == 1e-9
+        assert [r.deadline_missed for r in trainer.history.records] == [5, 5]
 
     def test_faultless_run_records_full_quorum(self):
         trainer = make_trainer(num_byzantine=0, num_servers=5,
@@ -204,27 +227,26 @@ class TestDropoutAndStragglers:
         assert trainer.network.stats.cleared_total == 5
         assert 3 in records[2].models_received
 
+    # Stragglers are VirtualClock draws; the deadline gate decides whether
+    # a slow transfer makes the round.
     def test_straggler_misses_deadline(self):
-        injector = FaultInjector(FaultPlan(
-            stragglers=(ServerStraggler(4, 1, 2, delay_s=9.0),)))
         trainer = make_trainer(num_byzantine=0, num_servers=5,
-                               fault_injector=injector,
-                               faults=FaultConfig(round_deadline_s=1.0))
+                               aggregation_mode="deadline",
+                               straggler_rate=0.4)
         trainer.run(3)
         records = trainer.history.records
-        assert records[0].min_models_received == 5
-        assert records[1].min_models_received == 4
-        assert records[2].min_models_received == 5
-        assert any("straggling" in e for e in records[1].fault_events)
+        assert any(r.deadline_missed > 0 for r in records)
+        assert min(r.min_models_received for r in records) < 5
 
     def test_slow_straggler_within_deadline_is_harmless(self):
-        injector = FaultInjector(FaultPlan(
-            stragglers=(ServerStraggler(4, 1, 2, delay_s=0.5),)))
         trainer = make_trainer(num_byzantine=0, num_servers=5,
-                               fault_injector=injector,
-                               faults=FaultConfig(round_deadline_s=1.0))
-        trainer.run(2)
-        assert trainer.history.records[1].min_models_received == 5
+                               aggregation_mode="deadline",
+                               straggler_rate=0.4)
+        trainer.deadline_s = 1e9
+        trainer.run(3)
+        records = trainer.history.records
+        assert all(r.deadline_missed == 0 for r in records)
+        assert all(r.min_models_received == 5 for r in records)
 
 
 class TestDeterminism:

@@ -10,7 +10,6 @@ from repro.core import (
     FedMSConfig,
     FullUpload,
     MultiUpload,
-    RetryPolicy,
     SparseUpload,
     make_upload_strategy,
 )
@@ -128,8 +127,10 @@ class TestCostContract:
 
 
 class TestRetryPolicy:
+    """``FaultConfig`` is the one retry policy every trainer consumes."""
+
     def test_backoff_grows_geometrically(self):
-        policy = RetryPolicy(max_retries=3, base_backoff_s=0.1,
+        policy = FaultConfig(max_upload_retries=3, retry_backoff_s=0.1,
                              backoff_factor=2.0)
         assert policy.backoff_s(1) == pytest.approx(0.1)
         assert policy.backoff_s(2) == pytest.approx(0.2)
@@ -137,47 +138,48 @@ class TestRetryPolicy:
 
     def test_backoff_rejects_attempt_zero(self):
         with pytest.raises(ConfigurationError):
-            RetryPolicy().backoff_s(0)
+            FaultConfig().backoff_s(0)
 
     def test_first_retry_hits_same_server(self):
-        policy = RetryPolicy()
+        policy = FaultConfig()
         rng = RngFactory(0).make("retry")
         assert policy.next_target(1, 3, [0, 1, 2, 3], rng=rng) == 3
 
     def test_later_retries_resample_alive_servers(self):
-        policy = RetryPolicy()
+        policy = FaultConfig()
         rng = RngFactory(0).make("retry")
         targets = {policy.next_target(2, 3, [0, 1, 2, 3], rng=rng)
                    for _ in range(50)}
         assert targets == {0, 1, 2}  # failed PS 3 is excluded
 
     def test_falls_back_to_failed_server_when_alone(self):
-        policy = RetryPolicy()
+        policy = FaultConfig()
         rng = RngFactory(0).make("retry")
         assert policy.next_target(2, 3, [3], rng=rng) == 3
 
     def test_no_alive_servers(self):
-        policy = RetryPolicy()
+        policy = FaultConfig()
         rng = RngFactory(0).make("retry")
         assert policy.next_target(2, 3, [], rng=rng) is None
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RetryPolicy(max_retries=-1)
+            FaultConfig(max_upload_retries=-1)
         with pytest.raises(ConfigurationError):
-            RetryPolicy(base_backoff_s=-0.1)
+            FaultConfig(retry_backoff_s=-0.1)
         with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_factor=0.5)
+            FaultConfig(backoff_factor=0.5)
 
     def test_from_fedms_config(self):
         config = _config(faults=FaultConfig(
             max_upload_retries=5, retry_backoff_s=0.25, backoff_factor=3.0,
         ))
-        policy = RetryPolicy.from_config(config)
-        assert policy.max_retries == 5
-        assert policy.base_backoff_s == pytest.approx(0.25)
-        assert policy.backoff_factor == pytest.approx(3.0)
+        policy = config.faults
+        assert policy.max_upload_retries == 5
+        assert policy.backoff_s(1) == pytest.approx(0.25)
+        assert policy.backoff_s(2) == pytest.approx(0.75)
 
     def test_from_bare_fault_config(self):
-        policy = RetryPolicy.from_config(FaultConfig(max_upload_retries=7))
-        assert policy.max_retries == 7
+        policy = FaultConfig(max_upload_retries=7)
+        assert policy.max_upload_retries == 7
+        assert policy.backoff_s(1) == pytest.approx(0.05)

@@ -213,18 +213,17 @@ class TestBitIdentity:
 
 
 class TestBatchNormStatistics:
-    """A batch-norm model's running statistics are client state: whoever
-    trains a client hands them back, so the main-process client that
-    evaluates has them on every backend, on the wire or not."""
+    """A batch-norm model's running statistics are client state and travel
+    on the wire: whoever trains a client hands them back, so the
+    main-process client that evaluates has them on every backend."""
 
-    @pytest.mark.parametrize("include_buffers", [False, True])
-    def test_backends_bit_identical(self, include_buffers):
+    def test_backends_bit_identical(self):
         train, test = make_synthetic_cifar10(
             160, 64, rng=RngFactory(0).make("data"))
         parts = iid_partition(train, 4, rng=RngFactory(0).make("part"))
         config = dict(num_clients=4, num_servers=4, num_byzantine=0,
                       local_steps=2, batch_size=8, learning_rate=0.1,
-                      include_buffers=include_buffers, num_workers=2, seed=0)
+                      num_workers=2, seed=0)
         fingerprints, vectors = {}, {}
         for backend in BACKENDS:
             with FedMSTrainer(

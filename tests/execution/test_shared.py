@@ -57,7 +57,7 @@ class TestWorkerSpec:
         datasets = [make_dataset(8), make_dataset(8, seed=1)]
         kwargs = dict(
             seed=0, local_steps=2, batch_size=4, learning_rate=0.1,
-            weight_decay=0.0, include_buffers=True, flatten_inputs=False,
+            weight_decay=0.0, flatten_inputs=False,
             cohort=2, state_dim=15,
             model_factory=lambda rng: SoftmaxRegression(4, 3, rng=rng),
             datasets=datasets, lr_schedule=None,

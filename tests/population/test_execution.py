@@ -4,7 +4,7 @@
 trainer's serial/thread/process family with a lazy dataset view and a
 ``materialize`` callback. These tests pin what that fold must keep — every
 backend equal to serial, bit for bit, with batch-norm statistics on the
-wire or off it and codecs on or off — and what it changed: shared rows are
+wire and codecs on or off — and what it changed: shared rows are
 addressed by a job's position in the round, and the only shared memory is
 the two ``(cohort, state_dim)`` vector buffers.
 """
@@ -83,15 +83,9 @@ def run_fingerprint(backend, **overrides):
 class TestParityMatrix:
     @pytest.mark.parametrize("codecs", [None, ["topk(0.2)", "int8"]],
                              ids=["identity", "topk+int8"])
-    @pytest.mark.parametrize("include_buffers", [True, False])
-    def test_every_backend_equals_serial(self, include_buffers, codecs):
-        # include_buffers=False on the process backend is the cell that
-        # breaks if a wire-length start is written into a state-length
-        # shared row without its length travelling with it.
+    def test_every_backend_equals_serial(self, codecs):
         cells = {
-            backend: run_fingerprint(
-                backend, include_buffers=include_buffers,
-                upload_codecs=codecs)
+            backend: run_fingerprint(backend, upload_codecs=codecs)
             for backend in BACKENDS
         }
         serial_rounds, serial_vector = cells["serial"]
@@ -154,11 +148,10 @@ class TestRowsArePositions:
                                           reference.global_model_vector)
 
     def test_population_shares_two_vector_buffers_and_nothing_else(self):
-        with make_trainer("process", include_buffers=False) as trainer:
+        with make_trainer("process") as trainer:
             spec = trainer.execution.spec
-            # Whole states travel back, so rows are state-length although
-            # the wire vector is shorter.
-            assert spec.state_dim > trainer.global_model_vector.size
+            # Whole states travel both ways, so rows are state-length.
+            assert spec.state_dim == trainer.global_model_vector.size
             assert trainer.execution.shared_nbytes == \
                 2 * spec.cohort * spec.state_dim * DTYPE().itemsize
 

@@ -1,8 +1,8 @@
 """Chaos fuzzing: randomized fault x churn schedules must never wedge.
 
 Each case draws a seeded random :class:`FaultPlan` (crashes, dropouts,
-partitions, server stragglers) and :class:`ChurnPlan` (joins, leaves,
-rejoins), layers them on a deadline-mode run, and asserts the structural
+partitions) and :class:`ChurnPlan` (joins, leaves, rejoins), layers them
+on a deadline-mode run with straggling transfers, and asserts the structural
 invariants that must hold under ANY schedule: the run completes, rounds
 progress monotonically, quorum degradation never exceeds what the alive
 set allows, byte accounting stays consistent, and the history serializes.
@@ -43,8 +43,6 @@ def fuzz_plans(seed, *, num_rounds, num_servers, population):
         server_crash_rate=0.3, recover_fraction=0.6,
         client_dropout_rate=0.15, dropout_rounds=2,
         link_partition_rate=0.02, partition_rounds=2,
-        server_straggler_rate=0.3, straggler_rounds=2,
-        straggler_delay_s=3.0,
     )
     churn = ChurnPlan.sample(
         population_size=population, num_rounds=num_rounds,

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.simulation.clock import VirtualClock, split_by_deadline
+from repro.simulation.clock import (
+    STRAGGLER_FACTOR,
+    VirtualClock,
+    split_by_deadline,
+)
 
 
 class TestArrivals:
@@ -36,19 +40,19 @@ class TestArrivals:
 class TestStragglers:
     def test_straggler_inflates_some_arrivals(self):
         plain = VirtualClock(7)
-        slow = VirtualClock(7, straggler_rate=0.5, straggler_factor=10.0)
+        slow = VirtualClock(7, straggler_rate=0.5)
         keys = list(range(64))
         base = plain.arrivals(0, "broadcast", keys)
         inflated = slow.arrivals(0, "broadcast", keys)
         ratios = [inflated[k] / base[k] for k in keys]
-        assert any(r == pytest.approx(10.0) for r in ratios)
+        assert any(r == pytest.approx(STRAGGLER_FACTOR) for r in ratios)
         assert any(r == pytest.approx(1.0) for r in ratios)
 
     def test_rate_validation(self):
         with pytest.raises(ConfigurationError):
             VirtualClock(0, straggler_rate=1.0)
         with pytest.raises(ConfigurationError):
-            VirtualClock(0, straggler_factor=0.5)
+            VirtualClock(0, straggler_rate=-0.1)
 
 
 class TestDeadline:
@@ -59,7 +63,7 @@ class TestDeadline:
 
     def test_calibration_excludes_stragglers(self):
         # Stragglers must overshoot a deadline calibrated straggler-free.
-        clock = VirtualClock(7, straggler_rate=0.3, straggler_factor=10.0)
+        clock = VirtualClock(7, straggler_rate=0.3)
         deadline = clock.deadline_for_quantile(0.95)
         arrivals = clock.arrivals(0, "broadcast", range(128))
         _, late = split_by_deadline(arrivals, deadline)

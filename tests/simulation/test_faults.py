@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common import ConfigurationError, RngFactory
+from repro.common import ConfigurationError
 from repro.simulation import (
     ClientDropout,
     FaultInjector,
@@ -13,7 +13,6 @@ from repro.simulation import (
     Network,
     NodeId,
     ServerCrash,
-    ServerStraggler,
 )
 
 
@@ -51,9 +50,35 @@ class TestFaultEvents:
         with pytest.raises(ConfigurationError):
             LinkPartition(-1, 0, start_round=0)
 
-    def test_straggler_rejects_nonpositive_delay(self):
-        with pytest.raises(ConfigurationError):
-            ServerStraggler(0, start_round=0, delay_s=0.0)
+    # A float id matches no node (ServerCrash(1.5, 0) would log a crash
+    # that never happens) and a float round starts late.
+    def test_rejects_a_fractional_server_id(self):
+        with pytest.raises(ConfigurationError, match="server_id"):
+            ServerCrash(1.5, 0)
+
+    def test_rejects_a_fractional_start_round(self):
+        with pytest.raises(ConfigurationError, match="start_round"):
+            ServerCrash(1, 0.5)
+
+    def test_rejects_a_bool_server_id(self):
+        with pytest.raises(ConfigurationError, match="server_id"):
+            ServerCrash(True, 0)
+
+    def test_rejects_a_fractional_end_round(self):
+        with pytest.raises(ConfigurationError, match="end_round"):
+            ClientDropout(0, 1, 2.5)
+
+    def test_rejects_a_fractional_client_id(self):
+        with pytest.raises(ConfigurationError, match="client_id"):
+            ClientDropout(0.5, 1)
+
+    def test_rejects_non_integer_link_endpoints(self):
+        with pytest.raises(ConfigurationError, match="client_id"):
+            LinkPartition(False, 0, 0)
+        with pytest.raises(ConfigurationError, match="server_id"):
+            LinkPartition(0, 2.0, 0)
+        with pytest.raises(ConfigurationError, match="start_round"):
+            LinkPartition(0, 0, None)
 
 
 class TestFaultPlan:
@@ -63,7 +88,6 @@ class TestFaultPlan:
         assert plan.crashed_servers(0) == frozenset()
         assert plan.offline_clients(0) == frozenset()
         assert plan.severed_links(0) == frozenset()
-        assert plan.straggling_servers(0) == {}
 
     def test_queries_respect_windows(self):
         plan = FaultPlan(
@@ -79,13 +103,6 @@ class TestFaultPlan:
         assert plan.offline_clients(2) == frozenset()
         assert plan.severed_links(2) == {(2, 1)}
         assert plan.severed_links(3) == frozenset()
-
-    def test_overlapping_straggler_delays_take_max(self):
-        plan = FaultPlan(stragglers=(
-            ServerStraggler(0, 0, delay_s=1.0),
-            ServerStraggler(0, 0, delay_s=3.0),
-        ))
-        assert plan.straggling_servers(0) == {0: 3.0}
 
     def test_accepts_lists_and_stores_tuples(self):
         plan = FaultPlan(crashes=[ServerCrash(0, 1)])
@@ -171,35 +188,6 @@ class TestFaultInjector:
             make_message(NodeId.server(2), NodeId.client(3)))
         assert not injector.should_drop(
             make_message(NodeId.client(3), NodeId.server(1)))
-
-    def test_straggler_drops_only_past_deadline(self):
-        plan = FaultPlan(stragglers=(ServerStraggler(0, 0, delay_s=2.0),))
-        meets = FaultInjector(plan, round_deadline_s=5.0)
-        meets.begin_round(0)
-        assert not meets.should_drop(
-            make_message(NodeId.server(0), NodeId.client(1),
-                         tag="dissemination"))
-        misses = FaultInjector(plan, round_deadline_s=1.0)
-        events = misses.begin_round(0)
-        assert any("straggling" in e for e in events)
-        assert misses.should_drop(
-            make_message(NodeId.server(0), NodeId.client(1),
-                         tag="dissemination"))
-        # Inbound traffic to a straggler is unaffected — it is alive.
-        assert not misses.should_drop(
-            make_message(NodeId.client(1), NodeId.server(0)))
-
-    def test_no_deadline_means_stragglers_always_deliver(self):
-        injector = FaultInjector(
-            FaultPlan(stragglers=(ServerStraggler(0, 0, delay_s=100.0),)))
-        injector.begin_round(0)
-        assert not injector.should_drop(
-            make_message(NodeId.server(0), NodeId.client(1),
-                         tag="dissemination"))
-
-    def test_rejects_nonpositive_deadline(self):
-        with pytest.raises(ConfigurationError):
-            FaultInjector(FaultPlan(), round_deadline_s=0.0)
 
     def test_composes_with_network_drop_accounting(self):
         injector = FaultInjector(FaultPlan(crashes=(ServerCrash(0, 0),)))
