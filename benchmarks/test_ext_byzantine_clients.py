@@ -89,7 +89,7 @@ def run_dual_adversary_study(seed=0):
             "byzantine_servers": num_byzantine_servers,
             "byzantine_clients": num_byzantine_clients,
             "server_attack": "noise",
-            "client_attack": "client_sign_flip(scale=3)",
+            "client_attack": "ClientSignFlipAttack(scale=3.0)",
             "scale": scale.name,
         },
         rows=rows,

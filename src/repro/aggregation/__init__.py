@@ -11,7 +11,6 @@ from .rules import (
     DEFAULT_MAD_THRESHOLD,
     adaptive_trimmed_mean,
     adaptive_trimmed_mean_info,
-    bulyan,
     coordinate_median,
     geometric_median,
     krum,
@@ -20,7 +19,6 @@ from .rules import (
     loss_based_selection_info,
     mad_outlier_scores,
     mean,
-    multi_krum,
     trim_count,
     trimmed_mean,
     trimmed_mean_by_count,
@@ -35,8 +33,6 @@ __all__ = [
     "geometric_median",
     "krum",
     "krum_index",
-    "multi_krum",
-    "bulyan",
     "mad_outlier_scores",
     "adaptive_trimmed_mean",
     "adaptive_trimmed_mean_info",

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..common.validation import check_nonnegative_int, check_positive_int
 from . import rules
 
 __all__ = ["AggregationRule", "apply_rule", "available_rules", "make_rule",
@@ -40,19 +41,11 @@ def apply_rule(rule: AggregationRule,
         return rule(rows)
     return rule(np.stack(rows))
 
-#: Rules parameterized by ``num_byzantine`` and their minimum stack size
-#: as a function of ``f`` (Blanchard et al. 2017; Guerraoui & Rouault 2018).
-_MIN_STACK = {
-    "krum": lambda f: 2 * f + 3,
-    "multi_krum": lambda f: 2 * f + 3,
-    "bulyan": lambda f: 4 * f + 3,
-}
-
 
 def available_rules() -> List[str]:
     """Names accepted by :func:`make_rule`."""
     return ["mean", "trimmed_mean", "adaptive_trimmed_mean", "median",
-            "geometric_median", "krum", "multi_krum", "bulyan", "loss_based"]
+            "geometric_median", "krum", "loss_based"]
 
 
 def validate_rule_params(name: str, *, trim_ratio: float = 0.0,
@@ -64,9 +57,8 @@ def validate_rule_params(name: str, *, trim_ratio: float = 0.0,
 
     ``num_models``, when given, is the stack size the rule will be applied
     to (``P`` in the trainer); it enables the compatibility checks that
-    depend on it — ``n >= 2f + 3`` for krum/multi-krum, ``n >= 4f + 3``
-    for bulyan, and a trim that leaves at least one survivor for the
-    trimmed mean.
+    depend on it — ``n >= 2f + 3`` for krum (Blanchard et al. 2017), and
+    a trim that leaves at least one survivor for the trimmed mean.
     """
     if name not in available_rules():
         raise ConfigurationError(
@@ -78,10 +70,7 @@ def validate_rule_params(name: str, *, trim_ratio: float = 0.0,
             f"trim_ratio must be in [0, 0.5), got {trim_ratio}: trimming "
             f"half or more from each tail leaves no models to average"
         )
-    if num_byzantine < 0:
-        raise ConfigurationError(
-            f"num_byzantine must be >= 0, got {num_byzantine}"
-        )
+    check_nonnegative_int(num_byzantine, "num_byzantine")
     if name == "loss_based" and loss_fn is None:
         raise ConfigurationError(
             "loss_based requires a loss_fn (model vector -> trusted-batch "
@@ -89,17 +78,13 @@ def validate_rule_params(name: str, *, trim_ratio: float = 0.0,
             "one from its root dataset via FedMSConfig.filter_rule_name"
         )
     if num_models is not None:
-        if num_models <= 0:
-            raise ConfigurationError(
-                f"num_models must be positive, got {num_models}"
-            )
+        check_positive_int(num_models, "num_models")
         if name == "trimmed_mean":
             # Raises with the exact infeasible count when nothing survives.
             rules.trim_count(num_models, trim_ratio)
-        minimum = _MIN_STACK.get(name)
-        if minimum is not None and num_models < minimum(num_byzantine):
+        if name == "krum" and num_models < 2 * num_byzantine + 3:
             raise ConfigurationError(
-                f"{name} needs n >= {minimum(num_byzantine)} models to "
+                f"krum needs n >= {2 * num_byzantine + 3} models to "
                 f"tolerate f = {num_byzantine} Byzantine ones, but only "
                 f"{num_models} will be aggregated; lower num_byzantine or "
                 f"add servers"
@@ -119,7 +104,7 @@ def make_rule(name: str, *, trim_ratio: float = 0.0,
     trim_ratio:
         Used by ``trimmed_mean`` (the paper's beta). Must be in [0, 0.5).
     num_byzantine:
-        Used by ``krum`` / ``multi_krum`` / ``bulyan`` (their ``f``).
+        Used by ``krum`` (its ``f``).
     loss_fn:
         Required by ``loss_based``: maps a candidate model vector to its
         loss on a small trusted root batch.
@@ -137,8 +122,6 @@ def make_rule(name: str, *, trim_ratio: float = 0.0,
         "median": rules.coordinate_median,
         "geometric_median": rules.geometric_median,
         "krum": lambda stack: rules.krum(stack, num_byzantine),
-        "multi_krum": lambda stack: rules.multi_krum(stack, num_byzantine),
-        "bulyan": lambda stack: rules.bulyan(stack, num_byzantine),
         "loss_based": lambda stack: rules.loss_based_selection(
             stack, loss_fn),
     }

@@ -23,7 +23,7 @@ mean of float32 rows stays inside their range.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,9 +39,7 @@ __all__ = [
     "coordinate_median",
     "geometric_median",
     "krum",
-    "multi_krum",
     "krum_index",
-    "bulyan",
     "mad_outlier_scores",
     "adaptive_trimmed_mean",
     "adaptive_trimmed_mean_info",
@@ -272,65 +270,6 @@ def krum_index(stack: np.ndarray, num_byzantine: int) -> int:
 def krum(stack: np.ndarray, num_byzantine: int) -> np.ndarray:
     """The single model vector selected by Krum."""
     return stack[krum_index(stack, num_byzantine)].copy()
-
-
-def multi_krum(stack: np.ndarray, num_byzantine: int, *,
-               num_selected: Optional[int] = None) -> np.ndarray:
-    """Multi-Krum: average the ``m`` best-scored candidates.
-
-    Defaults to ``m = n - f`` selections as in the original paper.
-    """
-    stack = _check_stack(stack)
-    n = stack.shape[0]
-    neighbours = n - num_byzantine - 2
-    if neighbours < 1:
-        raise ConfigurationError(
-            f"Multi-Krum needs n > f + 2 + 1 (got n={n}, f={num_byzantine})"
-        )
-    if num_selected is None:
-        num_selected = n - num_byzantine
-    if not 1 <= num_selected <= n:
-        raise ConfigurationError(
-            f"num_selected must be in [1, {n}], got {num_selected}"
-        )
-    squared = _pairwise_squared_distances(stack)
-    np.fill_diagonal(squared, np.inf)
-    sorted_rows = np.sort(squared, axis=1)
-    scores = sorted_rows[:, :neighbours].sum(axis=1)
-    chosen = np.argsort(scores)[:num_selected]
-    return stack[chosen].mean(axis=0, dtype=ACCUMULATOR).astype(stack.dtype)
-
-
-def bulyan(stack: np.ndarray, num_byzantine: int) -> np.ndarray:
-    """Bulyan (Guerraoui & Rouault, 2018): Krum selection + trimmed average.
-
-    Iteratively runs Krum to select ``theta = n - 2f`` candidates, then
-    aggregates them with a coordinate-wise trimmed average keeping the
-    ``theta - 2f`` values closest to the median. Requires ``n >= 4f + 3``.
-    """
-    stack = _check_stack(stack)
-    n = stack.shape[0]
-    if num_byzantine < 0:
-        raise ConfigurationError(f"num_byzantine must be >= 0, got {num_byzantine}")
-    if n < 4 * num_byzantine + 3:
-        raise ConfigurationError(
-            f"Bulyan needs n >= 4f + 3 (got n={n}, f={num_byzantine})"
-        )
-    theta = n - 2 * num_byzantine
-    remaining = list(range(n))
-    selected: list = []
-    while len(selected) < theta:
-        sub = stack[remaining]
-        winner_local = krum_index(sub, num_byzantine) if len(remaining) > \
-            num_byzantine + 2 else 0
-        winner = remaining.pop(winner_local)
-        selected.append(winner)
-    chosen = stack[selected]
-    keep = theta - 2 * num_byzantine
-    median = np.median(chosen, axis=0)
-    distance_order = np.argsort(np.abs(chosen - median), axis=0)
-    closest = np.take_along_axis(chosen, distance_order[:keep], axis=0)
-    return closest.mean(axis=0, dtype=ACCUMULATOR).astype(stack.dtype)
 
 
 # -- adaptive Byzantine-count estimation -------------------------------------

@@ -4,42 +4,31 @@ from .base import Attack, AttackContext
 from .client_attacks import (
     ClientAttack,
     ClientAttackContext,
-    ClientNoiseAttack,
-    ClientSameValueAttack,
-    ClientScalingAttack,
     ClientSignFlipAttack,
-    available_client_attacks,
-    make_client_attack,
 )
 from .catalog import (
     AdaptiveTrimmedMeanAttack,
     BackwardAttack,
     ColludingAttack,
     DispersionMimicryAttack,
-    IdentityAttack,
     InconsistentAttack,
-    InnerProductManipulationAttack,
     NoiseAttack,
     RandomAttack,
     SafeguardAttack,
     SignFlipAttack,
-    ZeroAttack,
 )
 from .registry import PAPER_ATTACKS, available_attacks, make_attack
 
 __all__ = [
     "Attack",
     "AttackContext",
-    "IdentityAttack",
     "NoiseAttack",
     "RandomAttack",
     "SafeguardAttack",
     "BackwardAttack",
     "SignFlipAttack",
-    "ZeroAttack",
     "InconsistentAttack",
     "AdaptiveTrimmedMeanAttack",
-    "InnerProductManipulationAttack",
     "ColludingAttack",
     "DispersionMimicryAttack",
     "available_attacks",
@@ -48,9 +37,4 @@ __all__ = [
     "ClientAttack",
     "ClientAttackContext",
     "ClientSignFlipAttack",
-    "ClientNoiseAttack",
-    "ClientScalingAttack",
-    "ClientSameValueAttack",
-    "available_client_attacks",
-    "make_client_attack",
 ]

@@ -88,7 +88,7 @@ class Attack:
     """
 
     #: Registry name; subclasses override.
-    name: str = "identity"
+    name: str = ""
 
     #: How many earlier aggregates :meth:`tamper` reads from
     #: ``context.previous_aggregates`` (counted back from the newest), so a

@@ -11,7 +11,7 @@ Paper attacks (Section VI-A, following the Blades benchmark suite):
 
 Extensions used by the ablation benchmarks:
 
-* :class:`SignFlipAttack`, :class:`ZeroAttack` — classic baselines;
+* :class:`SignFlipAttack` — the classic baseline;
 * :class:`InconsistentAttack` — sends a *different* tampered model to every
   client, the worst case the threat model explicitly allows;
 * :class:`AdaptiveTrimmedMeanAttack` — an adaptive adversary that knows the
@@ -25,41 +25,50 @@ Extensions used by the ablation benchmarks:
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from ..common.errors import ConfigurationError
 from ..common.rng import stream_seed
+from ..common.validation import require
 from .base import Attack, AttackContext
 
 __all__ = [
-    "IdentityAttack",
     "NoiseAttack",
     "RandomAttack",
     "SafeguardAttack",
     "BackwardAttack",
     "SignFlipAttack",
-    "ZeroAttack",
     "InconsistentAttack",
     "AdaptiveTrimmedMeanAttack",
-    "InnerProductManipulationAttack",
     "ColludingAttack",
     "DispersionMimicryAttack",
 ]
 
+#: The paper's Random attack samples from ``U[-10, 10]``.
+RANDOM_RANGE = (-10.0, 10.0)
+#: The paper's Safeguard attack reverses ``gamma = 0.6`` of the pseudo
+#: gradient.
+SAFEGUARD_GAMMA = 0.6
+#: The paper's Backward attack replays the aggregate from ``T = 2`` rounds
+#: ago.
+BACKWARD_DELAY = 2
+#: Standard deviation of the per-client noise of the inconsistent attack.
+INCONSISTENT_SCALE = 5.0
+#: How many times the largest honest deviation the mimicry lie sits from
+#: the median (see :class:`DispersionMimicryAttack`).
+MIMICRY_ENVELOPE = 2.0
+#: Seed of the colluders' shared randomness: every Byzantine PS derives the
+#: same lie from it without communicating.
+COLLUSION_SEED = 0
 
-class IdentityAttack(Attack):
-    """No tampering — turns a Byzantine PS into a benign one.
 
-    Useful as the ``epsilon = 0%`` control case in the Fig. 3 sweep.
-    """
-
-    name = "identity"
-    history = 0
-
-    def tamper(self, context: AttackContext) -> np.ndarray:
-        return context.true_aggregate.copy()
+def _check_scale(scale: float) -> float:
+    """A noise or lie scale: positive and finite (NaN is neither)."""
+    require(math.isfinite(scale) and scale > 0,
+            f"scale must be positive and finite, got {scale}")
+    return float(scale)
 
 
 class NoiseAttack(Attack):
@@ -70,9 +79,7 @@ class NoiseAttack(Attack):
     history = 0
 
     def __init__(self, scale: float = 1.0) -> None:
-        if scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {scale}")
-        self.scale = float(scale)
+        self.scale = _check_scale(scale)
 
     def tamper(self, context: AttackContext) -> np.ndarray:
         noise = context.rng.normal(scale=self.scale,
@@ -85,7 +92,7 @@ class NoiseAttack(Attack):
 
 
 class RandomAttack(Attack):
-    """Replace the aggregate with uniform noise on ``[low, high]``.
+    """Replace the aggregate with uniform noise on :data:`RANDOM_RANGE`.
 
     The paper samples from ``[-10, 10]`` — enormous relative to trained
     network weights, which is why this attack destroys undefended FL.
@@ -94,19 +101,10 @@ class RandomAttack(Attack):
     name = "random"
     history = 0
 
-    def __init__(self, low: float = -10.0, high: float = 10.0) -> None:
-        if low >= high:
-            raise ConfigurationError(f"need low < high, got [{low}, {high}]")
-        self.low = float(low)
-        self.high = float(high)
-
     def tamper(self, context: AttackContext) -> np.ndarray:
         return context.rng.uniform(
-            self.low, self.high, size=context.true_aggregate.shape,
+            *RANDOM_RANGE, size=context.true_aggregate.shape,
         ).astype(context.true_aggregate.dtype)
-
-    def __repr__(self) -> str:
-        return f"RandomAttack(low={self.low}, high={self.high})"
 
 
 class SafeguardAttack(Attack):
@@ -114,85 +112,48 @@ class SafeguardAttack(Attack):
 
     Following the paper: ``tilde(a)_{t+1} = a_{t+1} - gamma * g_{t+1}`` where
     ``g_{t+1} = a_{t+1} - a_t`` is the pseudo global gradient and
-    ``gamma = 0.6``. In the first round there is no previous aggregate, so the
-    attack degenerates to honesty.
+    ``gamma = 0.6`` (:data:`SAFEGUARD_GAMMA`). In the first round there is
+    no previous aggregate, so the attack degenerates to honesty.
     """
 
     name = "safeguard"
     history = 1
 
-    def __init__(self, gamma: float = 0.6) -> None:
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        self.gamma = float(gamma)
-
     def tamper(self, context: AttackContext) -> np.ndarray:
         if not context.previous_aggregates:
             return context.true_aggregate.copy()
         pseudo_gradient = context.true_aggregate - context.previous_aggregates[-1]
-        return context.true_aggregate - self.gamma * pseudo_gradient
-
-    def __repr__(self) -> str:
-        return f"SafeguardAttack(gamma={self.gamma})"
+        return context.true_aggregate - SAFEGUARD_GAMMA * pseudo_gradient
 
 
 class BackwardAttack(Attack):
-    """Staleness attack: disseminate the aggregate from ``delay`` rounds ago.
+    """Staleness attack: disseminate the aggregate from ``T`` rounds ago.
 
-    ``tilde(a)_{t+1} = a_{t+1-T}`` with ``T = 2`` in the paper. While fewer
-    than ``delay`` rounds have elapsed, the oldest available aggregate is
-    replayed.
+    ``tilde(a)_{t+1} = a_{t+1-T}`` with ``T = 2`` in the paper
+    (:data:`BACKWARD_DELAY`). While fewer than ``T`` rounds have elapsed,
+    the oldest available aggregate is replayed.
     """
 
     name = "backward"
-
-    def __init__(self, delay: int = 2) -> None:
-        if delay <= 0:
-            raise ConfigurationError(f"delay must be positive, got {delay}")
-        self.delay = int(delay)
-
-    @property
-    def history(self) -> int:
-        return self.delay
+    history = BACKWARD_DELAY
 
     def tamper(self, context: AttackContext) -> np.ndarray:
         history = context.previous_aggregates
         if not history:
             return context.true_aggregate.copy()
-        # history[-1] is a_t (delay 1); index -self.delay is a_{t+1-T}.
-        index = max(len(history) - self.delay, 0)
+        # history[-1] is a_t (delay 1); index -T is a_{t+1-T}.
+        index = max(len(history) - BACKWARD_DELAY, 0)
         return history[index].copy()
-
-    def __repr__(self) -> str:
-        return f"BackwardAttack(delay={self.delay})"
 
 
 class SignFlipAttack(Attack):
-    """Disseminate ``-scale * a`` — inverts the training signal."""
+    """Disseminate ``-a`` — inverts the training signal."""
 
     name = "sign_flip"
     history = 0
 
-    def __init__(self, scale: float = 1.0) -> None:
-        if scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {scale}")
-        self.scale = float(scale)
-
     def tamper(self, context: AttackContext) -> np.ndarray:
-        return -self.scale * context.true_aggregate
-
-    def __repr__(self) -> str:
-        return f"SignFlipAttack(scale={self.scale})"
-
-
-class ZeroAttack(Attack):
-    """Disseminate the all-zeros model."""
-
-    name = "zero"
-    history = 0
-
-    def tamper(self, context: AttackContext) -> np.ndarray:
-        return np.zeros_like(context.true_aggregate)
+        return -context.true_aggregate
 
 
 class InconsistentAttack(Attack):
@@ -208,11 +169,6 @@ class InconsistentAttack(Attack):
     name = "inconsistent"
     history = 0
 
-    def __init__(self, scale: float = 5.0) -> None:
-        if scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {scale}")
-        self.scale = float(scale)
-
     @property
     def is_client_dependent(self) -> bool:
         return True
@@ -223,13 +179,10 @@ class InconsistentAttack(Attack):
         per_client_rng = np.random.default_rng(
             abs(hash(seed_material)) % (2 ** 32)
         )
-        noise = per_client_rng.normal(scale=self.scale,
+        noise = per_client_rng.normal(scale=INCONSISTENT_SCALE,
                                       size=context.true_aggregate.shape)
         noise += context.true_aggregate
         return noise.astype(context.true_aggregate.dtype)
-
-    def __repr__(self) -> str:
-        return f"InconsistentAttack(scale={self.scale})"
 
 
 class AdaptiveTrimmedMeanAttack(Attack):
@@ -238,7 +191,7 @@ class AdaptiveTrimmedMeanAttack(Attack):
     Uses the adaptive adversary's full knowledge: it reads the honest
     aggregates of *all* PSs this round (``context.all_server_aggregates``),
     computes each coordinate's benign mean and standard deviation, and
-    disseminates ``mean - z_max * std``. For small ``z_max`` the lie hides
+    disseminates ``mean - std``. One standard deviation out, the lie hides
     inside the benign spread, survives trimming, and biases every coordinate
     of the filtered model in a consistent direction — the "a little is
     enough" strategy adapted to server-side attacks.
@@ -249,58 +202,21 @@ class AdaptiveTrimmedMeanAttack(Attack):
     name = "adaptive_trimmed_mean"
     history = 0
 
-    def __init__(self, z_max: float = 1.0) -> None:
-        if z_max <= 0:
-            raise ConfigurationError(f"z_max must be positive, got {z_max}")
-        self.z_max = float(z_max)
-
     def tamper(self, context: AttackContext) -> np.ndarray:
         stack = context.all_server_aggregates
         if stack is None or stack.shape[0] < 2:
             return -context.true_aggregate
         benign_mean = stack.mean(axis=0)
         benign_std = stack.std(axis=0)
-        return benign_mean - self.z_max * benign_std
-
-    def __repr__(self) -> str:
-        return f"AdaptiveTrimmedMeanAttack(z_max={self.z_max})"
-
-
-class InnerProductManipulationAttack(Attack):
-    """Inner-product manipulation (Xie et al., 2020), server-side variant.
-
-    Disseminates ``-epsilon`` times the mean of the *benign* aggregates, so
-    the tampered model's inner product with the true update direction is
-    negative while its magnitude stays comparable to benign models — a
-    subtler lie than sign-flipping the full aggregate. Uses the adaptive
-    adversary's knowledge of all PS aggregates; falls back to its own
-    aggregate when that knowledge is unavailable.
-    """
-
-    name = "inner_product"
-    history = 0
-
-    def __init__(self, epsilon: float = 0.5) -> None:
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        self.epsilon = float(epsilon)
-
-    def tamper(self, context: AttackContext) -> np.ndarray:
-        stack = context.all_server_aggregates
-        if stack is None or stack.shape[0] < 2:
-            return -self.epsilon * context.true_aggregate
-        return -self.epsilon * stack.mean(axis=0)
-
-    def __repr__(self) -> str:
-        return f"InnerProductManipulationAttack(epsilon={self.epsilon})"
+        return benign_mean - benign_std
 
 
 class ColludingAttack(Attack):
     """Coordinated lie: every Byzantine PS disseminates the same vector.
 
     The tampered model is the benign mean pushed along a shared poisoned
-    direction derived deterministically from ``(seed, round)`` — *not*
-    from the per-server attack stream — so all colluders produce a
+    direction derived deterministically from ``(COLLUSION_SEED, round)``
+    — *not* from the per-server attack stream — so all colluders produce a
     bit-identical lie without communicating. Against a trimmed mean whose
     ``beta`` under-estimates the true Byzantine count, ``B - t`` aligned
     copies survive trimming in every coordinate and bias the filtered
@@ -314,15 +230,12 @@ class ColludingAttack(Attack):
     name = "colluding"
     history = 0
 
-    def __init__(self, scale: float = 1.0, seed: int = 0) -> None:
-        if scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {scale}")
-        self.scale = float(scale)
-        self.seed = int(seed)
+    def __init__(self, scale: float = 1.0) -> None:
+        self.scale = _check_scale(scale)
 
     def _shared_direction(self, round_index: int, dim: int) -> np.ndarray:
         rng = np.random.default_rng(stream_seed(
-            self.seed, f"attack/colluding/round/{round_index}"
+            COLLUSION_SEED, f"attack/colluding/round/{round_index}"
         ))
         return rng.normal(size=dim)
 
@@ -334,7 +247,7 @@ class ColludingAttack(Attack):
         return (base + self.scale * direction).astype(base.dtype)
 
     def __repr__(self) -> str:
-        return f"ColludingAttack(scale={self.scale}, seed={self.seed})"
+        return f"ColludingAttack(scale={self.scale})"
 
 
 class DispersionMimicryAttack(Attack):
@@ -344,21 +257,21 @@ class DispersionMimicryAttack(Attack):
     aggregates, takes their coordinate-wise median ``m`` and standard
     deviation ``s``, and disseminates::
 
-        m + envelope * max_i ||a_i - m|| * unit(sign ⊙ s)
+        m + MIMICRY_ENVELOPE * max_i ||a_i - m|| * unit(sign ⊙ s)
 
     — a vector whose per-coordinate offset is proportional to the honest
     spread in that coordinate (so a static-beta trimmed mean sees it as
     one more plausibly-honest model and admits it when under-trimmed) and
-    whose distance from the median is ``envelope`` times the largest
-    *honest* deviation. The sign pattern is fixed per attack instance, so
-    the admitted bias compounds across rounds; like the colluding attack,
-    the lie is identical on every Byzantine PS.
+    whose distance from the median is :data:`MIMICRY_ENVELOPE` times the
+    largest *honest* deviation. The sign pattern is drawn once from
+    :data:`COLLUSION_SEED`, so the admitted bias compounds across rounds;
+    like the colluding attack, the lie is identical on every Byzantine PS.
 
-    With ``envelope <= 1`` the lie is indistinguishable from the outermost
-    honest model by dispersion alone; the default ``envelope = 2`` is the
-    attacker's sweet spot against a *static* under-trimmed filter — far
-    enough out to hurt, close enough in to survive trimming — while the
-    MAD-based adaptive estimator scores it as an outlier and trims it.
+    An envelope of 1 or less would be indistinguishable from the outermost
+    honest model by dispersion alone; an envelope of 2 is the attacker's
+    sweet spot against a *static* under-trimmed filter — far enough out to
+    hurt, close enough in to survive trimming — while the MAD-based
+    adaptive estimator scores it as an outlier and trims it.
 
     Falls back to honesty while fewer than three aggregates are visible
     (no spread to mimic).
@@ -367,19 +280,13 @@ class DispersionMimicryAttack(Attack):
     name = "dispersion_mimicry"
     history = 0
 
-    def __init__(self, envelope: float = 2.0, seed: int = 0) -> None:
-        if envelope <= 0:
-            raise ConfigurationError(
-                f"envelope must be positive, got {envelope}"
-            )
-        self.envelope = float(envelope)
-        self.seed = int(seed)
+    def __init__(self) -> None:
         self._signs: Optional[np.ndarray] = None
 
     def _sign_pattern(self, dim: int) -> np.ndarray:
         if self._signs is None or self._signs.size != dim:
             rng = np.random.default_rng(stream_seed(
-                self.seed, "attack/mimicry/signs"
+                COLLUSION_SEED, "attack/mimicry/signs"
             ))
             self._signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
         return self._signs
@@ -393,14 +300,10 @@ class DispersionMimicryAttack(Attack):
         spread_norm = float(np.linalg.norm(spread))
         deltas = stack - center
         distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-        target = self.envelope * float(distances.max())
+        target = MIMICRY_ENVELOPE * float(distances.max())
         if spread_norm <= 0.0 or target <= 0.0:
             # All honest models coincide: any deviation would stand out,
             # so the optimal mimicry is a perfect copy.
             return center
         direction = self._sign_pattern(center.size) * spread / spread_norm
         return (center + target * direction).astype(center.dtype)
-
-    def __repr__(self) -> str:
-        return (f"DispersionMimicryAttack(envelope={self.envelope}, "
-                f"seed={self.seed})")

@@ -11,14 +11,11 @@ from .catalog import (
     BackwardAttack,
     ColludingAttack,
     DispersionMimicryAttack,
-    IdentityAttack,
     InconsistentAttack,
-    InnerProductManipulationAttack,
     NoiseAttack,
     RandomAttack,
     SafeguardAttack,
     SignFlipAttack,
-    ZeroAttack,
 )
 
 __all__ = ["available_attacks", "make_attack", "PAPER_ATTACKS"]
@@ -27,16 +24,13 @@ __all__ = ["available_attacks", "make_attack", "PAPER_ATTACKS"]
 PAPER_ATTACKS = ("noise", "random", "safeguard", "backward")
 
 _BUILDERS: Dict[str, Callable[[], Attack]] = {
-    "identity": IdentityAttack,
     "noise": NoiseAttack,
     "random": RandomAttack,
     "safeguard": SafeguardAttack,
     "backward": BackwardAttack,
     "sign_flip": SignFlipAttack,
-    "zero": ZeroAttack,
     "inconsistent": InconsistentAttack,
     "adaptive_trimmed_mean": AdaptiveTrimmedMeanAttack,
-    "inner_product": InnerProductManipulationAttack,
     "colluding": ColludingAttack,
     "dispersion_mimicry": DispersionMimicryAttack,
 }
@@ -50,7 +44,8 @@ def available_attacks() -> List[str]:
 def make_attack(name: str, **kwargs) -> Attack:
     """Instantiate an attack by registry name.
 
-    Keyword arguments are forwarded to the attack constructor, e.g.
+    Keyword arguments are forwarded to the attack constructor; only
+    ``noise`` and ``colluding`` take one, ``scale``, e.g.
     ``make_attack("noise", scale=2.0)``.
     """
     try:

@@ -56,7 +56,6 @@ __all__ = [
     "CyclicSparsifier",
     "EncodedUpdate",
     "StageEncoding",
-    "IdentityCodec",
     "TopKSparsifier",
     "SignQuantizer",
     "Int8Quantizer",
@@ -271,25 +270,12 @@ class Codec:
 
     @property
     def spec(self) -> str:
-        """The spec string that reconstructs this codec via :func:`make_codec`."""
+        """The spec string naming this codec, e.g. ``"topk(0.05)"``;
+        :func:`make_codec` rebuilds every codec but the cyclic one from it."""
         return self.name
 
     def __repr__(self) -> str:
         return self.spec
-
-
-class IdentityCodec(Codec):
-    """Pass-through: the dense vector on the wire (the pre-codec default)."""
-
-    name = "identity"
-
-    def encode_stage(self, vector):
-        return _as_flat_float(vector), {}, {}
-
-    @staticmethod
-    def decode_stage(carrier, sides, meta):
-        assert carrier is not None
-        return carrier
 
 
 class TopKSparsifier(Codec):
@@ -477,7 +463,6 @@ class Int8Quantizer(Codec):
 #: pure static functions is what lets an ``EncodedUpdate`` decode itself
 #: wherever it is received, without re-building the encoder pipeline.
 _DECODERS: Dict[str, Callable] = {
-    IdentityCodec.name: IdentityCodec.decode_stage,
     TopKSparsifier.name: TopKSparsifier.decode_stage,
     CyclicSparsifier.name: CyclicSparsifier.decode_stage,
     SignQuantizer.name: SignQuantizer.decode_stage,
@@ -491,10 +476,10 @@ _SUPPORTS: Dict[str, Callable[[StageEncoding], object]] = {
         stage.meta["offset"], None, stage.meta["step"]),
 }
 
+#: Codec name -> class, for the codecs a spec may name. The cyclic stage
+#: is not one: only :func:`broadcast_variant` builds it.
 _CODEC_CLASSES = {
-    IdentityCodec.name: IdentityCodec,
     TopKSparsifier.name: TopKSparsifier,
-    CyclicSparsifier.name: CyclicSparsifier,
     SignQuantizer.name: SignQuantizer,
     Int8Quantizer.name: Int8Quantizer,
 }
@@ -575,7 +560,7 @@ class CodecPipeline:
     @property
     def is_identity(self) -> bool:
         """True when encoding would change neither values nor byte cost."""
-        return all(isinstance(codec, IdentityCodec) for codec in self.codecs)
+        return not self.codecs
 
     def encode(self, vector: np.ndarray, *, salt: int = 0) -> EncodedUpdate:
         """Run every stage over ``vector``; returns one encoded update.
@@ -620,7 +605,7 @@ def broadcast_variant(pipeline: CodecPipeline) -> CodecPipeline:
     honest PS broadcasts stay coordinate-aligned under ``Def()`` trimming;
     the keep-ratio is floored at :data:`MIN_BROADCAST_KEEP_RATIO` to bound
     how stale a coordinate the filter holds at the reference can get.
-    Quantizer and identity stages carry over unchanged.
+    Quantizer stages carry over unchanged.
     """
     return CodecPipeline([
         CyclicSparsifier(max(codec.ratio, MIN_BROADCAST_KEEP_RATIO))

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import make_rule
+from ..aggregation import make_rule, validate_rule_params
 from ..attacks import make_attack
 from ..common.errors import ConfigurationError
 from ..common.rng import RngFactory
@@ -97,10 +97,9 @@ def _run_one(workload: FigureWorkload, partitions, *, num_byzantine: int,
         eval_clients=2,
         seed=seed,
     )
-    rule = (make_rule("trimmed_mean", trim_ratio=trim_ratio)
-            if filter_name == "trimmed_mean"
-            else make_rule(filter_name, trim_ratio=trim_ratio,
-                           num_byzantine=num_byzantine))
+    rule = make_rule(filter_name, trim_ratio=trim_ratio,
+                     num_byzantine=num_byzantine,
+                     num_models=scale.num_servers)
     attack = None
     if num_byzantine > 0 and attack_name is not None:
         attack = make_attack(attack_name, **ATTACK_KWARGS.get(attack_name, {}))
@@ -424,7 +423,8 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
 
 
 def run_filter_ablation(attack_names: Sequence[str] = ("random",
-                                                       "adaptive_trimmed_mean"),
+                                                       "adaptive_trimmed_mean",
+                                                       "inconsistent"),
                         filter_names: Sequence[str] = ("trimmed_mean",
                                                        "median",
                                                        "geometric_median",
@@ -436,15 +436,27 @@ def run_filter_ablation(attack_names: Sequence[str] = ("random",
 
     Runs the Fig. 2 workload (``epsilon = 20%``) with each (attack, filter)
     pair and reports final accuracies. Not a paper figure — an extension
-    called out in DESIGN.md.
+    called out in DESIGN.md. A filter the scale's ``P`` cannot run (Krum
+    needs ``P >= 2f + 3``) is dropped before any training, and the notes
+    name it.
     """
     scale = scale or current_scale()
+    num_byzantine = round(DEFAULT_EPSILON * scale.num_servers)
+    usable, dropped = [], []
+    for filter_name in filter_names:
+        try:
+            validate_rule_params(filter_name, trim_ratio=DEFAULT_EPSILON,
+                                 num_byzantine=num_byzantine,
+                                 num_models=scale.num_servers)
+        except ConfigurationError as error:
+            dropped.append(f"{filter_name} ({error})")
+        else:
+            usable.append(filter_name)
     workload = FigureWorkload(scale, seed=seed)
     partitions = workload.partitions(DEFAULT_ALPHA, tag="ablation")
-    num_byzantine = round(DEFAULT_EPSILON * scale.num_servers)
     rows = []
     for attack_name in attack_names:
-        for filter_name in filter_names:
+        for filter_name in usable:
             curve = _run_one(
                 workload, partitions, num_byzantine=num_byzantine,
                 attack_name=attack_name, filter_name=filter_name,
@@ -461,6 +473,7 @@ def run_filter_ablation(attack_names: Sequence[str] = ("random",
         figure_id="filter_ablation",
         params={"epsilon": DEFAULT_EPSILON, "scale": scale.name},
         rows=rows,
+        notes=("dropped: " + "; ".join(dropped)) if dropped else None,
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation import make_rule
-from repro.attacks import ClientScalingAttack, RandomAttack, make_client_attack
+from repro.attacks import ClientSignFlipAttack, RandomAttack
 from repro.common import ConfigurationError, RngFactory
 from repro.core import FedMSConfig, FedMSTrainer
 from repro.data import ArrayDataset, iid_partition
@@ -54,29 +54,29 @@ class TestConstruction:
     def test_rejects_client_majority(self):
         with pytest.raises(ConfigurationError, match="minority"):
             make_trainer(num_byzantine_clients=5,
-                         client_attack=ClientScalingAttack())
+                         client_attack=ClientSignFlipAttack())
 
     def test_random_placement_by_default(self):
         trainer = make_trainer(num_byzantine_clients=3,
-                               client_attack=ClientScalingAttack())
+                               client_attack=ClientSignFlipAttack())
         assert len(trainer.byzantine_client_ids) == 3
 
     def test_explicit_placement(self):
         trainer = make_trainer(num_byzantine_clients=2,
-                               client_attack=ClientScalingAttack(),
+                               client_attack=ClientSignFlipAttack(),
                                byzantine_client_ids=[0, 9])
         assert trainer.byzantine_client_ids == frozenset({0, 9})
 
     def test_placement_count_mismatch(self):
         with pytest.raises(ConfigurationError):
             make_trainer(num_byzantine_clients=2,
-                         client_attack=ClientScalingAttack(),
+                         client_attack=ClientSignFlipAttack(),
                          byzantine_client_ids=[1])
 
     def test_placement_out_of_range(self):
         with pytest.raises(ConfigurationError):
             make_trainer(num_byzantine_clients=2,
-                         client_attack=ClientScalingAttack(),
+                         client_attack=ClientSignFlipAttack(),
                          byzantine_client_ids=[0, 99])
 
     def test_no_byzantine_clients_by_default(self):
@@ -96,8 +96,6 @@ class TestDualAdversaryTraining:
         robustness requires each PS to see enough uploads for a median to
         have a benign majority — under sparse upload a PS receives ~K/P
         uploads and a single Byzantine client can own a server."""
-        from repro.attacks import ClientSignFlipAttack
-
         undefended = make_trainer(
             num_byzantine_clients=3,
             client_attack=ClientSignFlipAttack(scale=5.0),
@@ -120,7 +118,7 @@ class TestDualAdversaryTraining:
             num_byzantine=1,
             attack=RandomAttack(),
             num_byzantine_clients=2,
-            client_attack=make_client_attack("client_sign_flip"),
+            client_attack=ClientSignFlipAttack(),
             server_rule=make_rule("median"),
             upload_strategy="full",
             seed=2,
@@ -133,7 +131,7 @@ class TestDualAdversaryTraining:
         vectors their local training produced."""
         trainer = make_trainer(
             num_byzantine_clients=2,
-            client_attack=ClientScalingAttack(factor=100.0),
+            client_attack=ClientSignFlipAttack(scale=100.0),
             byzantine_client_ids=[0, 1],
             seed=3,
         )
@@ -147,10 +145,10 @@ class TestDualAdversaryTraining:
 
     def test_deterministic(self):
         a = make_trainer(num_byzantine_clients=2,
-                         client_attack=make_client_attack("client_noise"),
+                         client_attack=ClientSignFlipAttack(scale=3.0),
                          seed=5).run(3)
         b = make_trainer(num_byzantine_clients=2,
-                         client_attack=make_client_attack("client_noise"),
+                         client_attack=ClientSignFlipAttack(scale=3.0),
                          seed=5).run(3)
         np.testing.assert_allclose(a.train_losses, b.train_losses)
 

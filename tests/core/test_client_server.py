@@ -120,13 +120,13 @@ class TestParameterServer:
             ParameterServer(0).current_aggregate
 
     def test_history_bounded(self):
-        # Backward(delay=5) declares six, max_history caps it at three.
-        server = ByzantineParameterServer(0, BackwardAttack(delay=5),
+        # Backward declares three, max_history caps it at two.
+        server = ByzantineParameterServer(0, BackwardAttack(),
                                           rng=np.random.default_rng(0),
-                                          max_history=3)
+                                          max_history=2)
         for i in range(10):
             server.aggregate([np.array([float(i)])])
-        assert len(server.aggregate_history) == 3
+        assert len(server.aggregate_history) == 2
         np.testing.assert_array_equal(server.current_aggregate, [9.0])
 
     def test_benign_dissemination_is_truth(self):
@@ -225,7 +225,7 @@ class TestByzantineParameterServer:
     def test_attack_sees_history(self):
         from repro.attacks import BackwardAttack
 
-        server = self.make_server(BackwardAttack(delay=2))
+        server = self.make_server(BackwardAttack())
         for i in range(5):
             server.aggregate([np.array([float(i)])])
         result = server.disseminate(round_index=4)

@@ -23,7 +23,6 @@ from repro.core import (
 from repro.core.codecs import (
     MIN_BROADCAST_KEEP_RATIO,
     CyclicSparsifier,
-    IdentityCodec,
     _gap_code,
     _gap_decode,
     broadcast_variant,
@@ -84,14 +83,14 @@ class TestCyclic:
         # The trim-compatibility property: two different vectors encoded
         # with the same salt decode to the same support, so coordinate-wise
         # filters compare fresh values with fresh values.
-        pipeline = make_codec_pipeline(["cyclic(0.25)"])
+        pipeline = CodecPipeline([CyclicSparsifier(0.25)])
         a = pipeline.encode(_vector(seed=1), salt=7).decode()
         b = pipeline.encode(_vector(seed=2), salt=7).decode()
         np.testing.assert_array_equal(a != 0.0, b != 0.0)
 
     def test_support_cycles_with_salt(self):
         vector = _vector(dim=8) + 10.0  # no accidental zeros
-        pipeline = make_codec_pipeline(["cyclic(0.25)"])
+        pipeline = CodecPipeline([CyclicSparsifier(0.25)])
         supports = [
             np.flatnonzero(pipeline.encode(vector, salt=t).decode())
             for t in range(4)
@@ -107,7 +106,7 @@ class TestCyclic:
 
     def test_values_on_support_round_trip_exactly(self):
         vector = _vector()
-        decoded = make_codec_pipeline(["cyclic(0.2)"]).encode(
+        decoded = CodecPipeline([CyclicSparsifier(0.2)]).encode(
             vector, salt=3).decode()
         support = decoded != 0.0
         np.testing.assert_array_equal(decoded[support], vector[support])
@@ -116,17 +115,17 @@ class TestCyclic:
         # The support is implicit in (salt, period): only the surviving
         # float values are charged, unlike top-k's explicit index array.
         vector = _vector(dim=1000)
-        cyclic = make_codec_pipeline(["cyclic(0.1)"]).encode(vector, salt=0)
+        cyclic = CodecPipeline([CyclicSparsifier(0.1)]).encode(vector, salt=0)
         assert cyclic.encoded_nbytes == 100 * 8
 
     def test_full_ratio_is_lossless(self):
         vector = _vector()
-        decoded = make_codec_pipeline(["cyclic(1.0)"]).encode(
+        decoded = CodecPipeline([CyclicSparsifier(1.0)]).encode(
             vector, salt=5).decode()
         np.testing.assert_array_equal(decoded, vector)
 
     def test_small_dim_keeps_at_least_one(self):
-        decoded = make_codec_pipeline(["cyclic(0.05)"]).encode(
+        decoded = CodecPipeline([CyclicSparsifier(0.05)]).encode(
             np.array([4.0, 2.0]), salt=6).decode()
         assert np.count_nonzero(decoded) >= 1
 
@@ -137,8 +136,8 @@ class TestCyclic:
 
     def test_chains_with_quantizer(self):
         vector = _vector(scale=0.1)
-        encoded = make_codec_pipeline(["cyclic(0.25)", "int8"]).encode(
-            vector, salt=2)
+        pipeline = CodecPipeline([CyclicSparsifier(0.25), Int8Quantizer()])
+        encoded = pipeline.encode(vector, salt=2)
         decoded = encoded.decode()
         support = np.zeros(vector.size, dtype=bool)
         support[2::4] = True
@@ -422,13 +421,6 @@ class TestPipelineApi:
         assert make_codec_pipeline([]).is_identity
         assert not make_codec_pipeline(["topk(0.5)"]).is_identity
 
-    def test_explicit_identity_codec(self):
-        pipeline = make_codec_pipeline(["identity"])
-        assert pipeline.is_identity
-        vector = _vector(50)
-        np.testing.assert_array_equal(pipeline.encode(vector).decode(),
-                                      vector)
-
     def test_specs_round_trip(self):
         pipeline = make_codec_pipeline(["topk(0.05)", "int8"])
         assert pipeline.specs == ("topk(0.05)", "int8")
@@ -472,7 +464,7 @@ class TestSpecParsing:
 
     def test_available_codecs(self):
         names = available_codecs()
-        assert {"identity", "topk", "sign", "int8"} <= set(names)
+        assert names == ["int8", "sign", "topk"]
 
 
 class TestDeterminism:

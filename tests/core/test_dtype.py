@@ -5,9 +5,9 @@ watched at the places a float64 would come back: client states, PS and
 tier aggregates and their histories, the rows ``Def()`` reads (decoded
 uploads and broadcast reconstructions), its output, the wire's reference
 and residuals, shared-memory rows and datasets' features. Every registered
-filter rule, PS attack and client attack returns ``DTYPE`` for ``DTYPE``
-input, both checkpoint formats restore ``DTYPE``, and an identity upload
-costs four bytes a coordinate.
+filter rule, PS attack and the client attack returns ``DTYPE`` for
+``DTYPE`` input, both checkpoint formats restore ``DTYPE``, and an identity
+upload costs four bytes a coordinate.
 """
 
 import numpy as np
@@ -18,9 +18,7 @@ from repro.attacks import available_attacks, make_attack
 from repro.attacks.base import AttackContext
 from repro.attacks.client_attacks import (
     ClientAttackContext,
-    ClientNoiseAttack,
-    available_client_attacks,
-    make_client_attack,
+    ClientSignFlipAttack,
 )
 from repro.common import RngFactory
 from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
@@ -81,7 +79,7 @@ def flat(backend, codecs, client_attack=False):
                                       rng=RngFactory(0).make("p")),
         test_dataset=blobs(60, 1),
         attack=None if client_attack else make_attack("noise"),
-        client_attack=ClientNoiseAttack() if client_attack else None,
+        client_attack=ClientSignFlipAttack() if client_attack else None,
         num_byzantine_clients=1 if client_attack else 0)
 
 
@@ -204,14 +202,15 @@ def test_every_attack_returns_dtype(name):
     assert_dtype([make_attack(name).tamper(context)], name)
 
 
-@pytest.mark.parametrize("name", available_client_attacks())
-def test_every_client_attack_returns_dtype(name):
+@pytest.mark.parametrize("attack", [ClientSignFlipAttack(scale=3.0)],
+                         ids=["client_sign_flip"])
+def test_every_client_attack_returns_dtype(attack):
     rng = np.random.default_rng(0)
     honest, start = rng.normal(size=(2, 40)).astype(DTYPE)
     context = ClientAttackContext(round_index=3, client_id=1,
                                   honest_update=honest, global_model=start,
                                   rng=rng)
-    assert_dtype([make_client_attack(name).tamper(context)], name)
+    assert_dtype([attack.tamper(context)], repr(attack))
 
 
 def test_identity_upload_is_charged_four_bytes_a_coordinate():

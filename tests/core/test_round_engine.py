@@ -362,7 +362,7 @@ class TestAdversaryView:
     def test_built_once_under_an_attack_that_reads_it(
             self, kind, monkeypatch):
         made = self.views(kind, monkeypatch)
-        with build(kind, attack="inner_product") as trainer:
+        with build(kind, attack="adaptive_trimmed_mean") as trainer:
             trainer.run(2)
             lazy = final_vectors(trainer)
         built = [v.cache_info() for v in made if v.cache_info().misses]
@@ -370,7 +370,7 @@ class TestAdversaryView:
         # honest), and it is one stack.
         assert len(built) == 2 and all(i.misses == 1 for i in built)
         monkeypatch.setattr("repro.core.engine.adversary_view", np.stack)
-        with build(kind, attack="inner_product") as trainer:
+        with build(kind, attack="adaptive_trimmed_mean") as trainer:
             trainer.run(2)
             for ours, theirs in zip(final_vectors(trainer), lazy):
                 np.testing.assert_array_equal(ours, theirs)

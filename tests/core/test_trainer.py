@@ -154,7 +154,7 @@ class TestRoundMechanics:
     def test_inconsistent_attack_desynchronizes_clients(self):
         """A client-dependent attack sends different lies to different
         clients, so filtered models may differ across clients."""
-        trainer = make_trainer(attack=InconsistentAttack(scale=50.0))
+        trainer = make_trainer(attack=InconsistentAttack())
         trainer.run_round()
         first = trainer.clients[0].model_vector()
         assert any(

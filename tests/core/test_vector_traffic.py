@@ -172,7 +172,7 @@ class TestAdversaryView:
                                           filter_rule_name="loss_based")
 
     @pytest.mark.parametrize(
-        "attack", ["inner_product", "colluding", "dispersion_mimicry"])
+        "attack", ["adaptive_trimmed_mean", "colluding", "dispersion_mimicry"])
     def test_adaptive_attacks_still_see_every_aggregate(self, attack):
         # PS 4 is down from the start: it never aggregates, so its row of
         # the adversary's view is w_0.

@@ -89,9 +89,9 @@ class TestParser:
 
 class TestCommands:
     def test_fig2_runs(self, capsys):
-        assert main(["fig2", "--attack", "zero"]) == 0
+        assert main(["fig2", "--attack", "sign_flip"]) == 0
         output = capsys.readouterr().out
-        assert "fig2/zero" in output
+        assert "fig2/sign_flip" in output
         assert "Fed-MS" in output
 
     def test_fig3_runs(self, capsys):

@@ -20,6 +20,7 @@ from repro.experiments import (
     run_fig3_epsilon_panel,
     run_fig4_heterogeneity,
     run_fig5_alpha_panel,
+    run_filter_ablation,
 )
 
 SMOKE = SCALES["smoke"]
@@ -153,6 +154,18 @@ class TestFig5:
         result = run_fig5_alpha_panel(10.0, scale=SMOKE)
         assert len(result.curves) == 1
         assert result.params["alpha"] == 10.0
+
+
+class TestFilterAblation:
+    def test_tiny_scale_drops_krum_before_training(self):
+        # P = 3 and f = 1: Krum needs 5 models. It used to be built
+        # unchecked and crash the first round.
+        result = run_filter_ablation(scale=SCALES["tiny"])
+        assert {row["filter"] for row in result.rows} == {
+            "trimmed_mean", "median", "geometric_median", "mean"}
+        assert {row["attack"] for row in result.rows} == {
+            "random", "adaptive_trimmed_mean", "inconsistent"}
+        assert "krum" in result.notes
 
 
 class TestCommCost:
