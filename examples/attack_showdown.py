@@ -81,7 +81,6 @@ def main() -> None:
                 test_dataset=test,
                 attack=make_attack(attack_name),
                 filter_rule=rule,
-                flatten_inputs=False,
             )
             history = trainer.run(args.rounds, eval_every=args.rounds)
             cells.append(f"{history.final_accuracy:>16.3f}")

@@ -69,7 +69,7 @@ def main() -> None:
     print("\n=== simulated round time (lognormal latency, median 50 ms) ===")
     model_bytes = vector_size(model_factory(np.random.default_rng(0))) \
         * DTYPE().itemsize
-    latency = LogNormalLatency(median=0.05, sigma=0.75)
+    latency = LogNormalLatency(sigma=0.75)
     rng = RngFactory(args.seed).make("latency")
     for name, strategy in (("sparse", SparseUpload()), ("full", FullUpload())):
         assignment = strategy.assign(20, 5, rng=rng)

@@ -8,7 +8,7 @@ from .registry import (
     validate_rule_params,
 )
 from .rules import (
-    DEFAULT_MAD_THRESHOLD,
+    MAD_THRESHOLD,
     adaptive_trimmed_mean,
     adaptive_trimmed_mean_info,
     coordinate_median,
@@ -38,7 +38,7 @@ __all__ = [
     "adaptive_trimmed_mean_info",
     "loss_based_selection",
     "loss_based_selection_info",
-    "DEFAULT_MAD_THRESHOLD",
+    "MAD_THRESHOLD",
     "AggregationRule",
     "apply_rule",
     "available_rules",

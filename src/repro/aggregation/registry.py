@@ -75,7 +75,7 @@ def validate_rule_params(name: str, *, trim_ratio: float = 0.0,
         raise ConfigurationError(
             "loss_based requires a loss_fn (model vector -> trusted-batch "
             "loss); pass loss_fn= to make_rule, or let the trainer build "
-            "one from its root dataset via FedMSConfig.filter_rule_name"
+            "one from its test set via FedMSConfig.filter_rule_name"
         )
     if num_models is not None:
         check_positive_int(num_models, "num_models")

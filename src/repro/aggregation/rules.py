@@ -45,14 +45,21 @@ __all__ = [
     "adaptive_trimmed_mean_info",
     "loss_based_selection",
     "loss_based_selection_info",
-    "DEFAULT_MAD_THRESHOLD",
+    "MAD_THRESHOLD",
 ]
 
-#: Default modified-z-score cutoff for the adaptive Byzantine-count
-#: estimator. 3.5 is the classic Iglewicz-Hoaglin recommendation: benign
+#: Modified-z-score cutoff of the adaptive Byzantine-count estimator.
+#: 3.5 is the classic Iglewicz-Hoaglin recommendation: benign
 #: models produced by honest local SGD essentially never score above it,
 #: while models perturbed beyond the honest inter-model spread do.
-DEFAULT_MAD_THRESHOLD = 3.5
+MAD_THRESHOLD = 3.5
+
+#: Weiszfeld's stopping rule for :func:`geometric_median`: the relative
+#: step or objective-stall tolerance, the iteration cap, and the
+#: smoothing ``eps`` relative to ``max|stack|``.
+_GM_TOLERANCE = 1e-9
+_GM_MAX_ITERATIONS = 20000
+_GM_SMOOTHING = 1e-6
 
 
 def _check_stack(stack: np.ndarray) -> np.ndarray:
@@ -182,13 +189,11 @@ def coordinate_median(stack: np.ndarray) -> np.ndarray:
     return rank_mean(rows, (len(rows) - 1) // 2, len(rows) // 2 + 1)
 
 
-def geometric_median(stack: np.ndarray, *, tolerance: float = 1e-9,
-                     max_iterations: int = 20000,
-                     smoothing: float = 1e-6) -> np.ndarray:
+def geometric_median(stack: np.ndarray) -> np.ndarray:
     """Smoothed geometric median via Weiszfeld iteration.
 
     Minimizes the smoothed objective ``sum_i sqrt(||x - row_i||^2 + eps^2)``
-    with ``eps = smoothing * max|stack|`` — the robust aggregation of
+    with ``eps = _GM_SMOOTHING * max|stack|`` — the robust aggregation of
     Pillutla et al. (2022) and the over-the-air scheme of Huang et al.
     (2021) cited by the paper. Smoothing makes the objective differentiable
     everywhere, which removes plain Weiszfeld's sublinear zigzag when the
@@ -196,8 +201,8 @@ def geometric_median(stack: np.ndarray, *, tolerance: float = 1e-9,
     within ``O(eps)`` of the exact geometric median.
 
     Raises :class:`ConvergenceError` if the iteration exceeds
-    ``max_iterations`` without meeting the (scale-relative) step or
-    objective-stall tolerance. The default cap leaves headroom for
+    ``_GM_MAX_ITERATIONS`` without meeting the (scale-relative) step or
+    objective-stall tolerance. The cap leaves headroom for
     Weiszfeld's sublinear crawl toward a *repeated* data point that is
     itself the optimum, which needs several thousand iterations to enter
     the smoothing neighbourhood.
@@ -212,14 +217,15 @@ def geometric_median(stack: np.ndarray, *, tolerance: float = 1e-9,
     scale = float(np.max(np.abs(stack))) or 1.0
     # Guard after squaring: (smoothing * scale)^2 itself can underflow
     # for subnormal-magnitude inputs.
-    eps_sq = max((smoothing * scale) ** 2, float(np.finfo(ACCUMULATOR).tiny))
+    eps_sq = max((_GM_SMOOTHING * scale) ** 2,
+                 float(np.finfo(ACCUMULATOR).tiny))
     previous_objective = float("inf")
-    for _ in range(max_iterations):
+    for _ in range(_GM_MAX_ITERATIONS):
         smoothed = np.sqrt(
             np.einsum("ij,ij->i", stack - current, stack - current) + eps_sq
         )
         objective = float(smoothed.sum())
-        if previous_objective - objective < tolerance * (objective + scale):
+        if previous_objective - objective < _GM_TOLERANCE * (objective + scale):
             return current.astype(dtype)
         previous_objective = objective
         weights = 1.0 / smoothed
@@ -230,10 +236,10 @@ def geometric_median(stack: np.ndarray, *, tolerance: float = 1e-9,
         updated = weights @ stack
         step = float(np.linalg.norm(updated - current))
         current = updated
-        if step < tolerance * scale:
+        if step < _GM_TOLERANCE * scale:
             return current.astype(dtype)
     raise ConvergenceError(
-        f"Weiszfeld iteration did not converge in {max_iterations} steps"
+        f"Weiszfeld iteration did not converge in {_GM_MAX_ITERATIONS} steps"
     )
 
 
@@ -275,17 +281,14 @@ def krum(stack: np.ndarray, num_byzantine: int) -> np.ndarray:
 # -- adaptive Byzantine-count estimation -------------------------------------
 
 
-def _flag_outliers(scores: np.ndarray, threshold: float) -> np.ndarray:
-    """Rows scoring above ``threshold``, at most ``(n - 1) // 2`` of them.
+def _flag_outliers(scores: np.ndarray) -> np.ndarray:
+    """Rows scoring above :data:`MAD_THRESHOLD`, at most ``(n - 1) // 2``
+    of them.
 
     When more are flagged only the worst-scoring ones are kept (stable
     order on ties), so trimming that many per tail stays well-defined.
     """
-    if threshold <= 0:
-        raise ConfigurationError(
-            f"threshold must be positive, got {threshold}"
-        )
-    flagged = np.flatnonzero(scores > threshold)
+    flagged = np.flatnonzero(scores > MAD_THRESHOLD)
     max_count = (scores.size - 1) // 2
     if flagged.size > max_count:
         worst_first = flagged[np.argsort(-scores[flagged], kind="stable")]
@@ -331,8 +334,7 @@ def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
 
 
 def adaptive_trimmed_mean_info(
-        stack: np.ndarray, *, threshold: float = DEFAULT_MAD_THRESHOLD
-) -> Tuple[np.ndarray, int, Tuple[int, ...]]:
+        stack: np.ndarray) -> Tuple[np.ndarray, int, Tuple[int, ...]]:
     """Adaptive-beta trimmed mean, with the evidence behind it.
 
     Returns ``(vector, b_hat, flagged_rows)`` where ``vector`` is the
@@ -352,15 +354,13 @@ def adaptive_trimmed_mean_info(
     contract requires.
     """
     rows = _check_rows(stack)
-    flagged = _flag_outliers(mad_outlier_scores(rows), threshold)
+    flagged = _flag_outliers(mad_outlier_scores(rows))
     b_hat = int(flagged.size)
     return (_trimmed_rows_mean(rows, b_hat), b_hat,
             tuple(sorted(int(i) for i in flagged)))
 
 
-def adaptive_trimmed_mean(stack: np.ndarray, *,
-                          threshold: float = DEFAULT_MAD_THRESHOLD
-                          ) -> np.ndarray:
+def adaptive_trimmed_mean(stack: np.ndarray) -> np.ndarray:
     """Trimmed mean whose per-tail count is estimated from the stack itself.
 
     The static filter trusts ``beta = B / P`` from config; this variant
@@ -370,7 +370,7 @@ def adaptive_trimmed_mean(stack: np.ndarray, *,
     degrades naturally under faults: a reduced quorum is re-estimated on
     its own terms rather than falling back to a precomputed trim count.
     """
-    vector, _, _ = adaptive_trimmed_mean_info(stack, threshold=threshold)
+    vector, _, _ = adaptive_trimmed_mean_info(stack)
     return vector
 
 

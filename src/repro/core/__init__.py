@@ -22,7 +22,7 @@ from .filtering import (
     quorum_floor,
     resolve_filter,
 )
-from .health import BreakerState, HealthLedger, HealthPolicy
+from .health import BreakerState, HealthLedger
 from .hierarchical import HierarchicalTrainer
 from .history import RoundRecord, TrainingHistory
 from .server import ByzantineParameterServer, ParameterServer
@@ -61,7 +61,6 @@ __all__ = [
     "resolve_filter",
     "BreakerState",
     "HealthLedger",
-    "HealthPolicy",
     "RoundRecord",
     "TrainingHistory",
     "UploadStrategy",

@@ -26,6 +26,9 @@ from ..nn.serialization import flatten_state, from_vector, to_vector
 
 __all__ = ["Client", "frozen"]
 
+#: Rows per forward pass of :meth:`Client.evaluate`.
+EVAL_BATCH_SIZE = 256
+
 
 def frozen(vector: np.ndarray) -> np.ndarray:
     """``vector``, marked read-only so it can be shared by reference."""
@@ -63,9 +66,6 @@ class Client:
     weight_decay:
         L2 coefficient applied by local SGD. The convergence experiments use
         it to make the local objectives ``weight_decay``-strongly convex.
-    flatten_inputs:
-        When true, image batches are reshaped to ``(N, -1)`` before the
-        forward pass (for MLP/softmax models on image datasets).
     batch_seed:
         When set, the mini-batch stream of round ``t`` is re-derived from
         ``(batch_seed, client_id, t)`` at the start of every
@@ -81,7 +81,6 @@ class Client:
                  lr_schedule: Optional[LRSchedule] = None,
                  learning_rate: float = 0.05,
                  weight_decay: float = 0.0,
-                 flatten_inputs: bool = False,
                  batch_seed: Optional[int] = None) -> None:
         self.client_id = client_id
         self.dataset = dataset
@@ -89,7 +88,6 @@ class Client:
         self.lr_schedule: LRSchedule = (
             lr_schedule if lr_schedule is not None else ConstantLR(learning_rate)
         )
-        self.flatten_inputs = flatten_inputs
         self.batch_seed = batch_seed
         self.weight_decay = weight_decay
         self.last_train_loss: Optional[float] = None
@@ -157,11 +155,6 @@ class Client:
             vector = vector.flatten()
         self.state = frozen(vector)
 
-    def _prepare(self, features: np.ndarray) -> np.ndarray:
-        if self.flatten_inputs:
-            return features.reshape(features.shape[0], -1)
-        return features
-
     # -- Algorithm 1, lines 8-10: local training ----------------------------
 
     def local_train(self, round_index: int, local_steps: int) -> np.ndarray:
@@ -186,7 +179,7 @@ class Client:
             features, labels = self.loader.sample_batch()
             self.optimizer.set_lr(self.lr_schedule(round_index * local_steps + i))
             self.optimizer.zero_grad()
-            logits = self.model(self._prepare(features))
+            logits = self.model(features)
             loss, grad = cross_entropy(logits, labels)
             self.model.backward(grad)
             self.optimizer.step()
@@ -200,10 +193,10 @@ class Client:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, dataset: ArrayDataset, *,
-                 batch_size: int = 256) -> "tuple[float, float]":
-        """``(test_loss, test_accuracy)`` of the current model on ``dataset``;
-        the model comes back in the mode it was found in, holding no caches."""
+    def evaluate(self, dataset: ArrayDataset) -> "tuple[float, float]":
+        """``(test_loss, test_accuracy)`` of the current model on ``dataset``,
+        in blocks of :data:`EVAL_BATCH_SIZE` rows; the model comes back in
+        the mode it was found in, holding no caches."""
         if len(dataset) == 0:
             raise ConfigurationError("cannot evaluate on an empty dataset")
         self._load()
@@ -213,10 +206,10 @@ class Client:
         total_correct = 0.0
         try:
             with inference():
-                for start in range(0, len(dataset), batch_size):
+                for start in range(0, len(dataset), EVAL_BATCH_SIZE):
                     # A slice, not an index array: a view, not a copy.
-                    features, labels = dataset[start:start + batch_size]
-                    logits = self.model(self._prepare(features))
+                    features, labels = dataset[start:start + EVAL_BATCH_SIZE]
+                    logits = self.model(features)
                     loss, _ = cross_entropy(logits, labels)
                     total_loss += loss * len(labels)
                     total_correct += accuracy(logits, labels) * len(labels)

@@ -66,8 +66,8 @@ __all__ = [
     "parse_codec_spec",
 ]
 
-#: Default chunk length for the per-chunk scales of the quantizers.
-DEFAULT_CHUNK = 1024
+#: Chunk length of the quantizers' per-chunk scales.
+CHUNK = 1024
 
 #: Keep-ratio floor for derived dissemination pipelines. A coordinate off
 #: the cyclic support decodes to the reference, so the filter output can
@@ -83,7 +83,7 @@ class StageEncoding:
 
     ``sides`` holds the stage's side arrays (gap-coded positions, packed
     signs, quantized bytes, per-chunk scales); ``meta`` holds the small
-    scalars decoding needs (original length, chunk size). Both are immutable
+    scalars decoding needs (original length, a cyclic stage's offset and step). Both are immutable
     by convention: an encoded update may be shared by many in-flight
     messages.
     """
@@ -181,22 +181,13 @@ def _as_flat_float(vector: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _chunk_edges(dim: int, chunk: int) -> np.ndarray:
-    return np.arange(0, dim, chunk)
+def _chunk_edges(dim: int) -> np.ndarray:
+    return np.arange(0, dim, CHUNK)
 
 
-def _expand_chunks(per_chunk: np.ndarray, dim: int, chunk: int) -> np.ndarray:
+def _expand_chunks(per_chunk: np.ndarray, dim: int) -> np.ndarray:
     """Broadcast one value per chunk back to a length-``dim`` vector."""
-    return np.repeat(per_chunk, chunk)[:dim]
-
-
-def _chunk_length(chunk: float) -> int:
-    """``chunk`` as an int; a non-integral or non-positive one is refused
-    (a spec's arguments arrive as floats, so ``1024.0`` is legal)."""
-    if not (float(chunk).is_integer() and chunk > 0):
-        raise ConfigurationError(
-            f"chunk must be a positive integer, got {chunk!r}")
-    return int(chunk)
+    return np.repeat(per_chunk, CHUNK)[:dim]
 
 
 def _gap_code(positions: np.ndarray) -> np.ndarray:
@@ -387,30 +378,22 @@ class SignQuantizer(Codec):
     name = "sign"
     terminal = True
 
-    def __init__(self, chunk: int = DEFAULT_CHUNK) -> None:
-        self.chunk = _chunk_length(chunk)
-
-    @property
-    def spec(self) -> str:
-        return (f"sign({self.chunk})" if self.chunk != DEFAULT_CHUNK
-                else "sign")
-
     def encode_stage(self, vector):
         flat = _as_flat_float(vector)
         dim = flat.size
-        edges = _chunk_edges(dim, self.chunk)
-        counts = np.minimum(edges + self.chunk, dim) - edges
+        edges = _chunk_edges(dim)
+        counts = np.minimum(edges + CHUNK, dim) - edges
         scales = (np.add.reduceat(np.abs(flat), edges) / counts
                   ).astype(np.float32)
         packed = np.packbits(flat >= 0.0)
         sides = {"signs": packed, "scales": scales}
-        return None, sides, {"dim": dim, "chunk": self.chunk}
+        return None, sides, {"dim": dim}
 
     @staticmethod
     def decode_stage(carrier, sides, meta):
-        dim, chunk = meta["dim"], meta["chunk"]
+        dim = meta["dim"]
         bits = np.unpackbits(sides["signs"])[:dim]
-        scales = _expand_chunks(sides["scales"], dim, chunk)
+        scales = _expand_chunks(sides["scales"], dim)
         return np.where(bits > 0, scales, -scales)
 
 
@@ -427,35 +410,27 @@ class Int8Quantizer(Codec):
 
     LEVELS = 255
 
-    def __init__(self, chunk: int = DEFAULT_CHUNK) -> None:
-        self.chunk = _chunk_length(chunk)
-
-    @property
-    def spec(self) -> str:
-        return (f"int8({self.chunk})" if self.chunk != DEFAULT_CHUNK
-                else "int8")
-
     def encode_stage(self, vector):
         flat = _as_flat_float(vector)
         dim = flat.size
-        edges = _chunk_edges(dim, self.chunk)
+        edges = _chunk_edges(dim)
         low = np.minimum.reduceat(flat, edges).astype(np.float32)
         high = np.maximum.reduceat(flat, edges).astype(np.float32)
         scale = (high - low) / self.LEVELS
         # A zero span, or one so small its level underflows float32, has
         # every coordinate at ``low``: any positive scale encodes it.
         scale[scale == 0.0] = 1.0
-        low_e = _expand_chunks(low, dim, self.chunk)
-        scale_e = _expand_chunks(scale, dim, self.chunk)
+        low_e = _expand_chunks(low, dim)
+        scale_e = _expand_chunks(scale, dim)
         levels = np.clip(np.rint((flat - low_e) / scale_e), 0, self.LEVELS)
         sides = {"q": levels.astype(np.uint8), "low": low, "scale": scale}
-        return None, sides, {"dim": dim, "chunk": self.chunk}
+        return None, sides, {"dim": dim}
 
     @staticmethod
     def decode_stage(carrier, sides, meta):
-        dim, chunk = meta["dim"], meta["chunk"]
-        low = _expand_chunks(sides["low"], dim, chunk)
-        scale = _expand_chunks(sides["scale"], dim, chunk)
+        dim = meta["dim"]
+        low = _expand_chunks(sides["low"], dim)
+        scale = _expand_chunks(sides["scale"], dim)
         return sides["q"] * scale + low
 
 

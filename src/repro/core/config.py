@@ -133,7 +133,7 @@ class FedMSConfig:
         keeps the paper's static beta-trimmed mean.
         ``"adaptive_trimmed_mean"`` estimates the Byzantine count per
         round from inter-model dispersion (modified z-scores above
-        :data:`~repro.aggregation.DEFAULT_MAD_THRESHOLD`);
+        :data:`~repro.aggregation.MAD_THRESHOLD`);
         ``"loss_based"`` ranks the received models by loss on a trusted
         root batch (FedGreed-style,
         :data:`~repro.core.filtering.ROOT_BATCH_SIZE` samples) and
@@ -226,7 +226,7 @@ class FedMSConfig:
         evidence decays into a reputation score; persistently-bad nodes
         are excluded from quorum counting (and, on the flat topology,
         upload sampling) until they pass probation. The score and breaker
-        follow :class:`~repro.core.health.HealthPolicy`'s defaults.
+        follow :mod:`repro.core.health`'s constants.
     execution_backend:
         How the per-round client steps run: ``"serial"`` (one process, the
         default), ``"thread"`` (thread pool) or ``"process"`` (persistent

@@ -59,22 +59,11 @@ from .server import (
 from .wire import DeltaWire
 
 __all__ = ["RoundEngine", "RoundState", "Topology", "Leg", "LateBuffer",
-           "place_byzantine", "node_ids", "refuse", "tally"]
+           "place_byzantine", "refuse", "tally"]
 
 ModelFactory = Callable[[np.random.Generator], Module]
 #: ``(attempt, failed_target) -> next target`` (``None``: nobody to try).
 NextTarget = Callable[[int, int], Optional[int]]
-
-
-def node_ids(ids: Iterable[object], what: str) -> List[int]:
-    """``ids`` as Python ints; anything but an integer (``bool`` included)
-    is a :class:`ConfigurationError`, not a later ``TypeError``."""
-    ids = list(ids)
-    for node in ids:
-        if isinstance(node, (bool, np.bool_)) \
-                or not isinstance(node, (int, np.integer)):
-            raise ConfigurationError(f"{what} must be integers, got {node!r}")
-    return [int(node) for node in ids]
 
 
 def refuse(config: FedMSConfig, owner: str, why: str, **defaults) -> None:
@@ -111,12 +100,19 @@ def place_byzantine(explicit: Optional[Iterable[int]], *, count: int,
 
     A uniformly random subset by default (their distribution is unknown to
     the honest parties, per the threat model); an explicit choice must name
-    exactly ``count`` distinct integer ids inside ``[0, total)``.
+    exactly ``count`` distinct integer ids inside ``[0, total)``, and
+    anything but an integer (``bool`` included) is a
+    :class:`ConfigurationError`, not a later ``TypeError``.
     """
     if explicit is None:
         chosen = rng.choice(total, size=count, replace=False)
         return frozenset(int(i) for i in chosen)
-    ids = frozenset(node_ids(explicit, what))
+    explicit = list(explicit)
+    for node in explicit:
+        if isinstance(node, (bool, np.bool_)) \
+                or not isinstance(node, (int, np.integer)):
+            raise ConfigurationError(f"{what} must be integers, got {node!r}")
+    ids = frozenset(int(node) for node in explicit)
     if len(ids) != count:
         raise ConfigurationError(
             f"{what} has {len(ids)} distinct ids, expected {count}"
@@ -325,8 +321,7 @@ class RoundEngine:
 
     def _resident_clients(self, model_factory: ModelFactory,
                           datasets: Sequence[ArrayDataset], *,
-                          lr_schedule=None, weight_decay: float = 0.0,
-                          flatten_inputs: bool = False) -> None:
+                          lr_schedule=None, weight_decay: float = 0.0) -> None:
         """``self.clients``, one per dataset on this process's one model
         replica (its own initial weights are never read: they start from
         ``w_0``), and the backend that trains them."""
@@ -340,7 +335,7 @@ class RoundEngine:
                    rng=self.rngs.make(f"batches/client/{k}"),
                    learning_rate=self.config.learning_rate,
                    batch_seed=self.config.seed, lr_schedule=lr_schedule,
-                   weight_decay=weight_decay, flatten_inputs=flatten_inputs)
+                   weight_decay=weight_decay)
             for k, dataset in enumerate(datasets)
         ]
         for client in self.clients:
@@ -350,7 +345,7 @@ class RoundEngine:
             lambda client_id, t: clients[client_id], cohort=len(clients),
             state_dim=int(clients[0].state.size), datasets=list(datasets),
             model_factory=model_factory, lr_schedule=lr_schedule,
-            weight_decay=weight_decay, flatten_inputs=flatten_inputs)
+            weight_decay=weight_decay)
 
     def _place_servers(self, attack: Optional[Attack],
                        byzantine_ids: Optional[Sequence[int]],
@@ -558,9 +553,7 @@ class RoundEngine:
 
     def _adopt(self, k: int, vector: np.ndarray) -> None:
         """Resident client ``k`` starts its next round from ``vector``."""
-        client = self.clients[k]
-        client.set_model_vector(vector)
-        client.optimizer.reset_state()
+        self.clients[k].set_model_vector(vector)
 
     def _train(self, t: int) -> None:
         """Local SGD on the cohort, on the execution backend, streamed into

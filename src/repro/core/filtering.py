@@ -85,7 +85,7 @@ class RootLossEvaluator:
 
     FedGreed assumes each client holds a small trusted dataset drawn from
     the true distribution; here the root batch is a deterministic sample
-    of the held-out set (or an explicitly supplied root dataset). One
+    of the held-out set. One
     scratch model replica is reused across evaluations — ``__call__`` is a
     pure function of the vector, so the evaluator is safe to share across
     clients and rounds.
@@ -93,7 +93,6 @@ class RootLossEvaluator:
 
     def __init__(self, model_factory: Callable[[np.random.Generator], object],
                  dataset: ArrayDataset, batch_size: int, *,
-                 flatten_inputs: bool,
                  rng: np.random.Generator) -> None:
         if len(dataset) == 0:
             raise ConfigurationError(
@@ -102,17 +101,13 @@ class RootLossEvaluator:
         size = min(batch_size, len(dataset))
         indices = np.sort(rng.choice(len(dataset), size=size, replace=False))
         self.features, self.labels = dataset[indices]
-        self.flatten_inputs = flatten_inputs
         self.model = model_factory(rng)
         self.model.eval()
 
     def __call__(self, vector: np.ndarray) -> float:
         from_vector(self.model, vector)
-        features = self.features
-        if self.flatten_inputs:
-            features = features.reshape(features.shape[0], -1)
         with inference():
-            logits = self.model(features)
+            logits = self.model(self.features)
         loss, _ = cross_entropy(logits, self.labels)
         return float(loss)
 
@@ -178,7 +173,6 @@ def resolve_filter(config: FedMSConfig, *,
                    model_factory: Optional[
                        Callable[[np.random.Generator], object]] = None,
                    root_dataset: Optional[ArrayDataset] = None,
-                   flatten_inputs: bool = False,
                    root_rng: Optional[np.random.Generator] = None
                    ) -> ResolvedFilter:
     """Build the ``Def()`` a trainer will call.
@@ -186,8 +180,8 @@ def resolve_filter(config: FedMSConfig, *,
     ``filter_rule`` (an explicit closure) wins over
     ``config.filter_rule_name``; with neither, the paper's static
     beta-trimmed mean at ``config.resolved_trim_ratio`` is used.
-    ``root_dataset`` feeds the loss-based rule's trusted batch (the
-    trainer passes its test set when no dedicated root set is supplied).
+    ``root_dataset`` feeds the loss-based rule's trusted batch (every
+    trainer passes its test set).
     """
     if filter_rule is not None:
         return ResolvedFilter(filter_rule)
@@ -210,7 +204,6 @@ def resolve_filter(config: FedMSConfig, *,
             )
         loss_fn = RootLossEvaluator(
             model_factory, root_dataset, ROOT_BATCH_SIZE,
-            flatten_inputs=flatten_inputs,
             rng=(root_rng if root_rng is not None
                  else np.random.default_rng(config.seed)),
         )

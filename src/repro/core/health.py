@@ -7,10 +7,10 @@ exponentially-decayed reputation score per parameter server, and a circuit
 breaker turns the score into an admission decision:
 
 * ``closed`` — healthy; the PS takes uploads and counts toward quorum.
-* ``open`` — the score fell below ``open_threshold``; the PS is excluded
+* ``open`` — the score fell below :data:`OPEN_THRESHOLD`; the PS is excluded
   from upload sampling and quorum counting. Every further bad round
   restarts probation.
-* ``half_open`` — the PS stayed clean for ``probation_rounds`` while open;
+* ``half_open`` — the PS stayed clean for :data:`PROBATION_ROUNDS` while open;
   it is readmitted on trial. One clean round closes the breaker (and
   floors the score at the threshold so one more clean round keeps it
   closed); one bad round reopens it.
@@ -23,13 +23,18 @@ readmitted for that round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence
 
-from ..common.errors import ConfigurationError
-from ..common.validation import check_fraction, check_positive_int
+from ..common.validation import check_positive_int
 
-__all__ = ["BreakerState", "HealthPolicy", "HealthLedger"]
+__all__ = ["BreakerState", "HealthLedger"]
+
+#: Weight of the old score when a round's evidence is folded in.
+DECAY = 0.7
+#: A closed breaker opens when the score falls below this.
+OPEN_THRESHOLD = 0.4
+#: Clean rounds an open breaker waits before its trial round.
+PROBATION_ROUNDS = 2
 
 
 class BreakerState:
@@ -38,23 +43,6 @@ class BreakerState:
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
-
-
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Knobs of the reputation score and breaker state machine."""
-
-    decay: float = 0.7
-    open_threshold: float = 0.4
-    probation_rounds: int = 2
-
-    def __post_init__(self) -> None:
-        check_fraction(self.decay, "decay")
-        check_fraction(self.open_threshold, "open_threshold")
-        if self.decay >= 1.0:
-            raise ConfigurationError(
-                f"decay must be < 1, got {self.decay}")
-        check_positive_int(self.probation_rounds, "probation_rounds")
 
 
 class HealthLedger:
@@ -66,10 +54,8 @@ class HealthLedger:
     deadline-missing stragglers, and the filter's rejected model ids.
     """
 
-    def __init__(self, num_servers: int,
-                 policy: HealthPolicy = HealthPolicy()) -> None:
+    def __init__(self, num_servers: int) -> None:
         check_positive_int(num_servers, "num_servers")
-        self.policy = policy
         self.num_servers = int(num_servers)
         self.scores: Dict[int, float] = {
             i: 1.0 for i in range(self.num_servers)}
@@ -89,27 +75,26 @@ class HealthLedger:
         ``fault_events`` idiom so they land in the same per-round trace.
         """
         bad = set(crashed) | set(straggling) | set(filtered)
-        policy = self.policy
         events: List[str] = []
         for sid in range(self.num_servers):
             is_bad = sid in bad
-            score = policy.decay * self.scores[sid] \
-                + (1.0 - policy.decay) * (0.0 if is_bad else 1.0)
+            score = DECAY * self.scores[sid] \
+                + (1.0 - DECAY) * (0.0 if is_bad else 1.0)
             self.scores[sid] = score
             state = self.states[sid]
             if state == BreakerState.CLOSED:
-                if score < policy.open_threshold:
+                if score < OPEN_THRESHOLD:
                     self.states[sid] = BreakerState.OPEN
                     self._clean_streak[sid] = 0
                     events.append(
                         f"server {sid} circuit opened "
-                        f"(score {score:.3f} < {policy.open_threshold:g})")
+                        f"(score {score:.3f} < {OPEN_THRESHOLD:g})")
             elif state == BreakerState.OPEN:
                 if is_bad:
                     self._clean_streak[sid] = 0
                 else:
                     self._clean_streak[sid] += 1
-                    if self._clean_streak[sid] >= policy.probation_rounds:
+                    if self._clean_streak[sid] >= PROBATION_ROUNDS:
                         self.states[sid] = BreakerState.HALF_OPEN
                         events.append(
                             f"server {sid} on probation "
@@ -123,7 +108,7 @@ class HealthLedger:
                     self.states[sid] = BreakerState.CLOSED
                     # Floor the score so the next round's decay cannot
                     # immediately re-open a breaker that just proved itself.
-                    self.scores[sid] = max(score, policy.open_threshold)
+                    self.scores[sid] = max(score, OPEN_THRESHOLD)
                     events.append(f"server {sid} circuit closed")
         return events
 

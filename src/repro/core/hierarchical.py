@@ -32,7 +32,6 @@ from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
 from ..nn.module import Module
-from ..nn.schedules import LRSchedule
 from ..simulation.network import Network, NodeId
 from .client import Client
 from .config import FedMSConfig
@@ -41,7 +40,6 @@ from .engine import (
     Leg,
     RoundEngine,
     Topology,
-    node_ids,
     refuse,
 )
 from .filtering import ResolvedFilter, Verdict, resolve_filter
@@ -56,19 +54,15 @@ class HierarchicalTrainer(RoundEngine):
 
     Reads the :class:`FedMSConfig` of :class:`FedMSTrainer` except
     ``eval_clients`` (one client per group is scored); ``upload_strategy``
-    other than ``"sparse"`` and the population settings raise. Group
-    membership defaults to ``client k -> PS (k mod P)``.
+    other than ``"sparse"`` and the population settings raise. Client
+    ``k`` belongs to the group of PS ``k mod P``.
     """
 
     def __init__(self, config: FedMSConfig, *, model_factory: ModelFactory,
                  client_datasets: Sequence[ArrayDataset],
                  test_dataset: ArrayDataset,
                  attack: Optional[Attack] = None,
-                 byzantine_ids: Optional[Sequence[int]] = None,
                  inter_server_rule: Optional[AggregationRule] = None,
-                 group_of_client: Optional[Sequence[int]] = None,
-                 lr_schedule: Optional[LRSchedule] = None,
-                 flatten_inputs: bool = False,
                  network: Optional[Network] = None) -> None:
         refuse(config, "HierarchicalTrainer", "a client's one upload target "
                "is its group PS, and there is no population or tier",
@@ -76,34 +70,21 @@ class HierarchicalTrainer(RoundEngine):
         super().__init__(config, model_factory=model_factory,
                          test_dataset=test_dataset, network=network)
         num_servers = config.num_servers
-        if group_of_client is None:
-            groups = [k % num_servers for k in range(config.num_clients)]
-        else:
-            groups = node_ids(group_of_client, "group ids")
-            if len(groups) != config.num_clients:
-                raise ConfigurationError(
-                    f"group_of_client has {len(groups)} entries for "
-                    f"{config.num_clients} clients")
-            if any(not 0 <= g < num_servers for g in groups):
-                raise ConfigurationError(
-                    f"group ids must be in [0, {num_servers})")
+        groups = [k % num_servers for k in range(config.num_clients)]
         empty = set(range(num_servers)) - set(groups)
         if empty:
             raise ConfigurationError(
                 "every PS needs at least one group member; groups "
                 f"{sorted(empty)} are empty")
-        self.group_of_client = groups
+        self.groups = groups
         # The exchange's Def(): an explicit rule wins over the config's.
         self.filter_rule: ResolvedFilter = resolve_filter(
             config, filter_rule=inter_server_rule,
             model_factory=model_factory, root_dataset=test_dataset,
-            flatten_inputs=flatten_inputs,
             root_rng=self.rngs.make("filter/root_batch"))
 
-        self._resident_clients(model_factory, client_datasets,
-                               lr_schedule=lr_schedule,
-                               flatten_inputs=flatten_inputs)
-        self._place_servers(attack, byzantine_ids)
+        self._resident_clients(model_factory, client_datasets)
+        self._place_servers(attack, None)
         servers = self.servers
         every_server = range(num_servers)
 
@@ -174,11 +155,11 @@ class HierarchicalTrainer(RoundEngine):
     def _evaluate_groups(self) -> "tuple[float, float]":
         """Mean (loss, accuracy) over one client per group, then averaged
         with group sizes as weights — the population-average accuracy."""
-        group_sizes = np.bincount(self.group_of_client,
+        group_sizes = np.bincount(self.groups,
                                   minlength=self.config.num_servers)
         # group -> its first client; groups in order of first appearance.
         first: Dict[int, Client] = {}
-        for client, group in zip(self.clients, self.group_of_client):
+        for client, group in zip(self.clients, self.groups):
             first.setdefault(group, client)
         losses, accuracies = zip(*self.score_clients(list(first.values())))
         weights = np.asarray([group_sizes[g] for g in first],

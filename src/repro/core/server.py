@@ -41,12 +41,13 @@ class ParameterServer:
 
     #: The attack run on dissemination; a benign PS runs none.
     attack: Optional[Attack] = None
+    #: The most aggregates any PS keeps.
+    max_history = 64
 
-    def __init__(self, server_id: int, *, max_history: int = 64,
+    def __init__(self, server_id: int, *,
                  initial_model: Optional[np.ndarray] = None,
                  aggregation_rule: Optional[AggregationRule] = None) -> None:
         self.server_id = server_id
-        self.max_history = max_history
         # How this PS combines the uploads it receives. The paper's PSs
         # average (Algorithm 1, line 4); a robust rule (e.g. trimmed mean)
         # defends against Byzantine *clients* — the future-work extension.
@@ -176,11 +177,10 @@ class ByzantineParameterServer(ParameterServer):
     """
 
     def __init__(self, server_id: int, attack: Attack, *,
-                 rng: np.random.Generator, max_history: int = 64,
+                 rng: np.random.Generator,
                  initial_model: Optional[np.ndarray] = None,
                  aggregation_rule: Optional[AggregationRule] = None) -> None:
-        super().__init__(server_id, max_history=max_history,
-                         initial_model=initial_model,
+        super().__init__(server_id, initial_model=initial_model,
                          aggregation_rule=aggregation_rule)
         self.attack = attack
         self._rng = rng

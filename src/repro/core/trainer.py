@@ -89,15 +89,9 @@ class FedMSTrainer(RoundEngine):
         ``beta = config.resolved_trim_ratio`` when unset). Pass
         ``make_rule("mean")`` for the paper's undefended "Vanilla FL"
         comparison; an explicit closure wins over the config name.
-    root_dataset:
-        Trusted data for the ``loss_based`` filter's root batch; defaults
-        to ``test_dataset``. Ignored by every other rule.
     lr_schedule:
         Optional global-step learning-rate schedule (e.g. the Theorem 1
         policy); defaults to a constant ``config.learning_rate``.
-    flatten_inputs:
-        Set when the model expects flat feature vectors but the datasets
-        hold images.
     network:
         The simulated transport; a fresh loss-free :class:`Network` by
         default.
@@ -105,10 +99,10 @@ class FedMSTrainer(RoundEngine):
         Optional deterministic fault schedule (PS crashes, client
         dropouts, link partitions), driven once per round; the retry
         budget and backoff come from ``config.faults``.
-    client_attack / num_byzantine_clients / byzantine_client_ids:
+    client_attack / num_byzantine_clients:
         The future-work extension: Byzantine *clients* that tamper with the
-        local model they upload. Placement defaults to a uniformly random
-        subset, like the Byzantine PSs.
+        local model they upload. They are a uniformly random subset, like
+        the Byzantine PSs by default.
     server_rule:
         How benign PSs combine the uploads they receive. Default: the
         paper's plain average; pass a robust rule (e.g.
@@ -122,15 +116,12 @@ class FedMSTrainer(RoundEngine):
                  attack: Optional[Attack] = None,
                  byzantine_ids: Optional[Sequence[int]] = None,
                  filter_rule: Optional[AggregationRule] = None,
-                 root_dataset: Optional[ArrayDataset] = None,
                  lr_schedule: Optional[LRSchedule] = None,
                  weight_decay: float = 0.0,
-                 flatten_inputs: bool = False,
                  network: Optional[Network] = None,
                  fault_injector: Optional[FaultInjector] = None,
                  client_attack: Optional[ClientAttack] = None,
                  num_byzantine_clients: int = 0,
-                 byzantine_client_ids: Optional[Sequence[int]] = None,
                  server_rule: Optional[AggregationRule] = None) -> None:
         if num_byzantine_clients > 0 and client_attack is None:
             raise ConfigurationError(
@@ -148,9 +139,7 @@ class FedMSTrainer(RoundEngine):
         # Def(), quorum-aware: what every client runs on its inbox.
         self.filter_rule: ResolvedFilter = resolve_filter(
             config, filter_rule=filter_rule, model_factory=model_factory,
-            root_dataset=(root_dataset if root_dataset is not None
-                          else test_dataset),
-            flatten_inputs=flatten_inputs,
+            root_dataset=test_dataset,
             root_rng=self.rngs.make("filter/root_batch"))
 
         if fault_injector is not None:
@@ -164,13 +153,12 @@ class FedMSTrainer(RoundEngine):
 
         self._resident_clients(model_factory, client_datasets,
                                lr_schedule=lr_schedule,
-                               weight_decay=weight_decay,
-                               flatten_inputs=flatten_inputs)
+                               weight_decay=weight_decay)
         self._place_servers(attack, byzantine_ids,
                             aggregation_rule=server_rule)
         self.client_attack = client_attack
         self.byzantine_client_ids = place_byzantine(
-            byzantine_client_ids, count=num_byzantine_clients,
+            None, count=num_byzantine_clients,
             total=config.num_clients, what="byzantine_client_ids",
             rng=self.rngs.make("byzantine/client_placement"))
         client_attack_rngs = {k: self.rngs.make(f"client_attack/{k}")
@@ -319,7 +307,6 @@ class FedMSTrainer(RoundEngine):
                         np.asarray(archive[key], dtype=DTYPE)]
         for client in self.clients:
             client.set_model_vector(global_model)
-            client.optimizer.reset_state()
         self.scheduler.set_round_index(round_index)
         return round_index
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from numpy import concatenate, ndarray
 import numpy as np
@@ -29,18 +29,10 @@ _TEST_BATCH = "test_batch"
 _BLOCK = 1024
 
 
-def _resolve_directory(directory: Optional[str]) -> Optional[str]:
-    if directory is not None:
-        return directory
-    return os.environ.get(CIFAR10_DIR_ENV)
-
-
-def cifar10_available(directory: Optional[str] = None) -> bool:
-    """True if all six CIFAR-10 batch files exist under ``directory``.
-
-    ``directory`` defaults to the ``REPRO_CIFAR10_DIR`` environment variable.
-    """
-    directory = _resolve_directory(directory)
+def cifar10_available() -> bool:
+    """True if all six CIFAR-10 batch files exist under the directory the
+    ``REPRO_CIFAR10_DIR`` environment variable names."""
+    directory = os.environ.get(CIFAR10_DIR_ENV)
     if not directory or not os.path.isdir(directory):
         return False
     names = _TRAIN_BATCHES + [_TEST_BATCH]
@@ -55,34 +47,32 @@ def _load_batch(path: str) -> Tuple[ndarray, ndarray]:
     return raw, labels
 
 
-def load_cifar10(directory: Optional[str] = None, *,
-                 normalize: bool = True) -> Tuple[ArrayDataset, ArrayDataset]:
-    """Load the real CIFAR-10 train and test splits.
+def load_cifar10() -> Tuple[ArrayDataset, ArrayDataset]:
+    """Load the real CIFAR-10 train and test splits from the directory
+    ``REPRO_CIFAR10_DIR`` names, normalized per channel.
 
     Raises :class:`ConfigurationError` if the batch files are missing — call
     :func:`cifar10_available` first, or fall back to
     :func:`repro.data.synthetic.make_synthetic_cifar10`.
     """
-    directory = _resolve_directory(directory)
-    if not cifar10_available(directory):
+    if not cifar10_available():
         raise ConfigurationError(
-            "CIFAR-10 batches not found; set REPRO_CIFAR10_DIR or pass "
-            "directory= pointing to cifar-10-batches-py"
+            "CIFAR-10 batches not found; set REPRO_CIFAR10_DIR to the "
+            "cifar-10-batches-py directory"
         )
-    assert directory is not None
+    directory = os.environ[CIFAR10_DIR_ENV]
     train_parts: List[Tuple[ndarray, ndarray]] = [
         _load_batch(os.path.join(directory, name)) for name in _TRAIN_BATCHES
     ]
     train_x = concatenate([part[0] for part in train_parts])
     train_y = concatenate([part[1] for part in train_parts])
     test_x, test_y = _load_batch(os.path.join(directory, _TEST_BATCH))
-    if normalize:
-        # Per-channel statistics of the raw bytes, in float64; each image
-        # is normalized in float64 and rounded once into ``DTYPE``.
-        mean = train_x.mean(axis=(0, 2, 3), keepdims=True, dtype=np.float64)
-        std = train_x.std(axis=(0, 2, 3), keepdims=True, dtype=np.float64)
-        train_x = _normalized(train_x, mean, std)
-        test_x = _normalized(test_x, mean, std)
+    # Per-channel statistics of the raw bytes, in float64; each image is
+    # normalized in float64 and rounded once into ``DTYPE``.
+    mean = train_x.mean(axis=(0, 2, 3), keepdims=True, dtype=np.float64)
+    std = train_x.std(axis=(0, 2, 3), keepdims=True, dtype=np.float64)
+    train_x = _normalized(train_x, mean, std)
+    test_x = _normalized(test_x, mean, std)
     return ArrayDataset(train_x, train_y), ArrayDataset(test_x, test_y)
 
 

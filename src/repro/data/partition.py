@@ -10,14 +10,20 @@ split. Figure 4 of the paper visualizes exactly these partitions.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..common.validation import require
 from .datasets import ArrayDataset, Subset
 
 __all__ = ["dirichlet_partition", "iid_partition"]
+
+#: Dirichlet allocations :func:`dirichlet_partition` draws before it gives
+#: up on the sample floor.
+MAX_REDRAWS = 100
 
 
 def _validate(dataset: ArrayDataset, num_clients: int) -> None:
@@ -39,8 +45,7 @@ def iid_partition(dataset: ArrayDataset, num_clients: int, *,
 
 def dirichlet_partition(dataset: ArrayDataset, num_clients: int, *,
                         alpha: float, rng: np.random.Generator,
-                        min_samples_per_client: int = 1,
-                        max_retries: int = 100) -> List[Subset]:
+                        min_samples_per_client: int = 1) -> List[Subset]:
     """Dirichlet non-IID partition (Hsu et al., 2019).
 
     Parameters
@@ -49,18 +54,17 @@ def dirichlet_partition(dataset: ArrayDataset, num_clients: int, *,
         Dirichlet concentration — the paper's ``D_alpha``. Values used in the
         evaluation: 1, 5, 10, 1000.
     min_samples_per_client:
-        Re-draw the allocation until every client holds at least this many
-        samples, so no client is left unable to form a mini-batch.
-    max_retries:
-        Upper bound on redraws before giving up.
+        Re-draw the allocation, at most :data:`MAX_REDRAWS` times, until
+        every client holds at least this many samples, so no client is left
+        unable to form a mini-batch.
 
     Returns
     -------
     A list of ``num_clients`` dataset views covering the dataset exactly.
     """
     _validate(dataset, num_clients)
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha}")
+    require(math.isfinite(alpha) and alpha > 0,
+            f"alpha must be finite and positive, got {alpha}")
     if min_samples_per_client * num_clients > len(dataset):
         raise ConfigurationError(
             f"cannot guarantee {min_samples_per_client} samples for each of "
@@ -69,7 +73,7 @@ def dirichlet_partition(dataset: ArrayDataset, num_clients: int, *,
 
     labels = dataset.labels
     classes = np.unique(labels)
-    for _ in range(max_retries):
+    for _ in range(MAX_REDRAWS):
         client_indices: List[List[int]] = [[] for _ in range(num_clients)]
         for cls in classes:
             cls_indices = np.flatnonzero(labels == cls)
@@ -84,5 +88,5 @@ def dirichlet_partition(dataset: ArrayDataset, num_clients: int, *,
             return [Subset(dataset, np.sort(part)) for part in client_indices]
     raise ConfigurationError(
         f"failed to draw a Dirichlet(alpha={alpha}) partition giving every "
-        f"client >= {min_samples_per_client} samples in {max_retries} tries"
+        f"client >= {min_samples_per_client} samples in {MAX_REDRAWS} tries"
     )

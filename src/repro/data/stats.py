@@ -21,6 +21,9 @@ __all__ = [
     "effective_classes_per_client",
 ]
 
+#: A class counts toward a client's effective classes above this share.
+CLASS_SHARE_FLOOR = 0.01
+
 
 def label_distribution_matrix(partitions: Sequence[ArrayDataset],
                               num_classes: int) -> np.ndarray:
@@ -66,8 +69,8 @@ def mean_client_entropy(partitions: Sequence[ArrayDataset],
 
 
 def effective_classes_per_client(partitions: Sequence[ArrayDataset],
-                                 num_classes: int,
-                                 *, threshold: float = 0.01) -> List[int]:
-    """Number of classes holding more than ``threshold`` of each client's data."""
+                                 num_classes: int) -> List[int]:
+    """Number of classes holding more than :data:`CLASS_SHARE_FLOOR` of each
+    client's data."""
     laws = _row_probabilities(label_distribution_matrix(partitions, num_classes))
-    return [int(np.sum(row > threshold)) for row in laws]
+    return [int(np.sum(row > CLASS_SHARE_FLOOR)) for row in laws]

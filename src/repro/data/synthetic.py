@@ -4,8 +4,10 @@ The real CIFAR-10 requires a download, which is unavailable offline, so this
 module generates a class-conditional image dataset with the same geometry
 (10 classes, 3x32x32, disjoint train/test splits). Each class is defined by a
 deterministic *prototype* combining oriented sinusoidal gratings with a
-class-specific color cast; samples are noisy, randomly shifted, optionally
-flipped draws around the prototype.
+class-specific color cast; samples are noisy, randomly shifted (by up to
+:data:`MAX_SHIFT` pixels), contrast-jittered (:data:`CONTRAST_RANGE`) and,
+with probability :data:`FLIP_PROBABILITY`, mirrored draws around the
+prototype.
 
 The task is calibrated so that the phenomena the paper's evaluation measures
 survive the substitution: with the default ``noise_scale=1.5`` a SmallCNN
@@ -21,7 +23,6 @@ If the real CIFAR-10 binary batches are available on disk, prefer
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Tuple
 
 import numpy as np
@@ -37,6 +38,12 @@ IMAGE_SHAPE = (3, 32, 32)
 #: Images generated per block. A block is computed in float64 (1.5 MiB
 #: at 3x32x32) and rounded once into the split's :data:`DTYPE` array.
 GENERATION_BLOCK = 64
+#: Largest circular translation (pixels) applied to a sample, per axis.
+MAX_SHIFT = 3
+#: Chance of mirroring a sample horizontally.
+FLIP_PROBABILITY = 0.5
+#: Per-sample multiplicative contrast jitter ``(low, high)``.
+CONTRAST_RANGE = (0.8, 1.2)
 
 
 class SyntheticCifar10Config:
@@ -47,35 +54,13 @@ class SyntheticCifar10Config:
     noise_scale:
         Standard deviation of the additive Gaussian pixel noise. Larger
         values make the task harder.
-    max_shift:
-        Maximum absolute circular translation (pixels) applied per sample.
-    flip_probability:
-        Chance of mirroring a sample horizontally.
-    contrast_range:
-        Per-sample multiplicative contrast jitter ``(low, high)``.
     """
 
-    def __init__(self, *, noise_scale: float = 1.5, max_shift: int = 3,
-                 flip_probability: float = 0.5,
-                 contrast_range: Tuple[float, float] = (0.8, 1.2)) -> None:
+    def __init__(self, *, noise_scale: float = 1.5) -> None:
         if not (math.isfinite(noise_scale) and noise_scale >= 0):
             raise ConfigurationError(
                 f"noise_scale must be finite and >= 0, got {noise_scale}")
-        if isinstance(max_shift, bool) \
-                or not isinstance(max_shift, numbers.Integral) or max_shift < 0:
-            raise ConfigurationError(
-                f"max_shift must be an integer >= 0, got {max_shift!r}")
-        if not 0.0 <= flip_probability <= 1.0:
-            raise ConfigurationError(
-                f"flip_probability must be in [0, 1], got {flip_probability}"
-            )
-        low, high = contrast_range
-        if not (0 < low <= high and math.isfinite(high)):
-            raise ConfigurationError(f"invalid contrast_range {contrast_range}")
         self.noise_scale = float(noise_scale)
-        self.max_shift = int(max_shift)
-        self.flip_probability = float(flip_probability)
-        self.contrast_range = (float(low), float(high))
 
 
 def class_prototypes() -> np.ndarray:
@@ -138,14 +123,9 @@ def make_synthetic_cifar10(
     def generate(count: int) -> ArrayDataset:
         labels = np.arange(count) % NUM_CLASSES
         rng.shuffle(labels)
-        contrast = rng.uniform(*config.contrast_range, size=(count, 1, 1, 1))
-        if config.max_shift > 0:
-            shifts = rng.integers(
-                -config.max_shift, config.max_shift + 1, size=(count, 2)
-            )
-        else:
-            shifts = np.zeros((count, 2), dtype=np.int64)
-        flips = rng.random(count) < config.flip_probability
+        contrast = rng.uniform(*CONTRAST_RANGE, size=(count, 1, 1, 1))
+        shifts = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=(count, 2))
+        flips = rng.random(count) < FLIP_PROBABILITY
         # Image i is its prototype circularly shifted by shifts[i] and then,
         # if flipped, mirrored: pixel (y, x) reads prototype pixel
         # ((y - dy) % H, (x' - dx) % W) with x' = W - 1 - x when flipped.

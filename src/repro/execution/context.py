@@ -23,10 +23,9 @@ __all__ = ["WorkerRuntime", "train_step"]
 
 def train_step(client, round_index: int, local_steps: int,
                start_vector: np.ndarray) -> Tuple[np.ndarray, float]:
-    """``client``'s local training from the state ``start_vector``, with
-    fresh optimizer state. Returns ``(trained_state, mean_train_loss)``."""
+    """``client``'s local training from the state ``start_vector``.
+    Returns ``(trained_state, mean_train_loss)``."""
     client.set_model_vector(start_vector)
-    client.optimizer.reset_state()
     client.local_train(round_index, local_steps)
     return client.state, float(client.last_train_loss)
 
@@ -50,8 +49,7 @@ class WorkerRuntime:
         self._make_client = functools.partial(
             Client, batch_size=spec.batch_size, rng=np.random.default_rng(0),
             lr_schedule=spec.lr_schedule, learning_rate=spec.learning_rate,
-            weight_decay=spec.weight_decay, flatten_inputs=spec.flatten_inputs,
-            batch_seed=spec.seed,
+            weight_decay=spec.weight_decay, batch_seed=spec.seed,
         )
 
     def train(self, client_id: int, round_index: int,

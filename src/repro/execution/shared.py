@@ -26,17 +26,18 @@ __all__ = ["SharedNDArray", "SharedVectorBuffer"]
 
 
 class SharedNDArray:
-    """A numpy array backed by a ``SharedMemory`` block owned by this object.
+    """A :data:`DTYPE` numpy array backed by a ``SharedMemory`` block owned
+    by this object.
 
     Created in the main process; forked workers inherit the mapping (and
     thus the live ``array`` view) without re-attaching by name. Only the
     creating process should call :meth:`close`, which unlinks the block.
     """
 
-    def __init__(self, shape: Tuple[int, ...], dtype=DTYPE) -> None:
-        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    def __init__(self, shape: Tuple[int, ...]) -> None:
+        size = int(np.prod(shape)) * np.dtype(DTYPE).itemsize
         self._shm = shared_memory.SharedMemory(create=True, size=max(size, 1))
-        self.array = np.ndarray(shape, dtype=dtype, buffer=self._shm.buf)
+        self.array = np.ndarray(shape, dtype=DTYPE, buffer=self._shm.buf)
         self.array.fill(0)
         self._closed = False
 

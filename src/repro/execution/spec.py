@@ -38,7 +38,6 @@ class WorkerSpec:
     batch_size: int
     learning_rate: float
     weight_decay: float
-    flatten_inputs: bool
     cohort: int
     state_dim: int
     model_factory: Callable[[np.random.Generator], object]

@@ -71,7 +71,6 @@ def run_async_deadline(*, attack_name: str = "noise",
             client_datasets=partitions,
             test_dataset=workload.test,
             attack=attack,
-            flatten_inputs=False,
         ) as trainer:
             history = trainer.run(rounds, eval_every=scale.eval_every)
         return {

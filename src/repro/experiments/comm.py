@@ -81,7 +81,6 @@ def run_comm_codecs(*, scale: Optional[BenchScale] = None,
                 client_datasets=partitions,
                 test_dataset=workload.test,
                 attack=attack,
-                flatten_inputs=False,
             ) as trainer:
                 history = trainer.run(rounds, eval_every=scale.eval_every)
                 stats = trainer.network.stats

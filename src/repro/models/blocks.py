@@ -18,16 +18,19 @@ from ..nn.module import Module, Sequential
 __all__ = ["ConvBNReLU", "InvertedResidual", "make_divisible"]
 
 
-def make_divisible(value: float, divisor: int = 8, min_value: Optional[int] = None) -> int:
-    """Round channel counts to multiples of ``divisor`` (MobileNet convention).
+#: MobileNet's channel counts are multiples of this, and at least this.
+_DIVISOR = 8
+
+
+def make_divisible(value: float) -> int:
+    """Round a channel count to a multiple of ``_DIVISOR`` (MobileNet
+    convention).
 
     Ensures the rounded value does not drop more than 10% below ``value``.
     """
-    if min_value is None:
-        min_value = divisor
-    rounded = max(min_value, int(value + divisor / 2) // divisor * divisor)
+    rounded = max(_DIVISOR, int(value + _DIVISOR / 2) // _DIVISOR * _DIVISOR)
     if rounded < 0.9 * value:
-        rounded += divisor
+        rounded += _DIVISOR
     return rounded
 
 

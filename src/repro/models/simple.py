@@ -87,14 +87,13 @@ class SmallCNN(Module):
     """
 
     def __init__(self, num_classes: int = 10, *, channels: int = 16,
-                 in_channels: int = 3,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         if channels <= 0:
             raise ConfigurationError(f"channels must be positive, got {channels}")
         self.num_classes = num_classes
         self.body = Sequential(
-            Conv2d(in_channels, channels, 3, padding=1, bias=False, rng=rng),
+            Conv2d(3, channels, 3, padding=1, bias=False, rng=rng),
             BatchNorm2d(channels),
             ReLU(),
             MaxPool2d(2),

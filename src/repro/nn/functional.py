@@ -5,9 +5,10 @@ convert between an image batch ``(N, C, H, W)`` and its sliding-window copy
 ``(N, C, KH, KW, OH, OW)``; reshaped to ``(N, C*KH*KW, OH*OW)`` (a free view)
 that copy is the right-hand side of the convolution GEMM. The depthwise
 convolution and max pooling never build windows: they walk the ``KH*KW``
-strided slices of the padded input that :func:`window_slices` yields. Both
-forms share :func:`pad_spatial` and :func:`conv_output_size`, so the (easy to
-get wrong) stride/padding arithmetic lives in exactly one place.
+strided slices of their input (padded, for the convolution) that
+:func:`window_slices` yields. All of them share :func:`conv_output_size`,
+and both convolutions :func:`pad_spatial`, so the (easy to get wrong)
+stride/padding arithmetic lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -42,16 +43,15 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def pad_spatial(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
-    """``x`` with ``padding`` cells of ``value`` around both spatial dims.
+def pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` with ``padding`` cells of zeros around both spatial dims.
 
     Returns ``x`` itself when ``padding`` is 0.
     """
     if padding == 0:
         return x
     n, c, h, w = x.shape
-    padded = np.full((n, c, h + 2 * padding, w + 2 * padding), value,
-                     dtype=x.dtype)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     padded[:, :, padding:padding + h, padding:padding + w] = x
     return padded
 

@@ -405,75 +405,59 @@ class ReLU6(Module):
 
 
 class MaxPool2d(Module):
-    """Max pooling with square kernel, stride and padding.
+    """Max pooling over non-overlapping ``k x k`` windows: the stride is the
+    kernel and there is no padding.
 
     Builds no windows: forward and backward reduce over the ``k*k`` strided
-    slices of the padded input. Padding is ``-inf``, so a padded cell never
-    wins. Among equal maxima the first cell in row-major window order wins
-    and receives the whole gradient. The forward is a running maximum only;
-    which cell won is worked out in ``backward``, so evaluation never pays
-    for it.
+    slices of the input. Among equal maxima the first cell in row-major
+    window order wins and receives the whole gradient. The forward is a
+    running maximum only; which cell won is worked out in ``backward``, so
+    evaluation never pays for it.
     """
 
     rowwise = True
 
-    def __init__(self, kernel_size: int, *, stride: Optional[int] = None,
-                 padding: int = 0) -> None:
+    def __init__(self, kernel_size: int) -> None:
         super().__init__()
         if kernel_size <= 0:
             raise ConfigurationError(f"kernel_size must be positive, got {kernel_size}")
-        stride = stride if stride is not None else kernel_size
-        if stride <= 0:
-            raise ConfigurationError(f"stride must be positive, got {stride}")
-        if padding < 0:
-            raise ConfigurationError(f"padding must be >= 0, got {padding}")
-        if padding >= kernel_size:
-            # A border window would hold padding only and have no maximum.
-            raise ConfigurationError(
-                f"MaxPool2d padding must be < kernel_size, got "
-                f"padding={padding}, kernel_size={kernel_size}"
-            )
         self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
 
     def _slices(self, x_shape: Tuple[int, ...]) -> list:
-        """One index per window cell, row-major, into the padded input."""
+        """One index per window cell, row-major, into the input."""
         if len(x_shape) != 4:
             raise ShapeError(
                 f"{type(self).__name__} expected (N, C, H, W), got {x_shape}"
             )
         k = self.kernel_size
-        out_h = conv_output_size(x_shape[2], k, self.stride, self.padding)
-        out_w = conv_output_size(x_shape[3], k, self.stride, self.padding)
-        return [index for _, _, index
-                in window_slices((k, k), self.stride, out_h, out_w)]
+        out_h = conv_output_size(x_shape[2], k, k, 0)
+        out_w = conv_output_size(x_shape[3], k, k, 0)
+        return [index for _, _, index in window_slices((k, k), k, out_h, out_w)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         slices = self._slices(x.shape)
-        padded = pad_spatial(x, self.padding, -np.inf)
-        out = padded[slices[0]].copy()
+        out = x[slices[0]].copy()
         for index in slices[1:]:
-            np.maximum(out, padded[index], out=out)
-        self._cache = (padded, out, slices)
+            np.maximum(out, x[index], out=out)
+        self._cache = (x, out, slices)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        padded, out, slices = _require_cache(self._cache, self)
-        grad_padded = np.zeros(padded.shape, dtype=grad_output.dtype)
+        x, out, slices = _require_cache(self._cache, self)
+        grad_input = np.zeros(x.shape, dtype=grad_output.dtype)
         claimed = np.zeros(out.shape, dtype=bool)
         term = np.empty_like(grad_output)
         for index in slices:
             # The first cell equal to the maximum takes the window.
-            wins = padded[index] == out
+            wins = x[index] == out
             np.greater(wins, claimed, out=wins)
             claimed |= wins
             np.multiply(grad_output, wins, out=term)
-            grad_padded[index] += term
-        return unpad_spatial(grad_padded, self.padding)
+            grad_input[index] += term
+        return grad_input
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(k={self.kernel_size}, s={self.stride})"
+        return f"{type(self).__name__}(k={self.kernel_size}, s={self.kernel_size})"
 
 
 class GlobalAvgPool2d(Module):

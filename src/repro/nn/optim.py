@@ -2,23 +2,25 @@
 
 The federated clients in :mod:`repro.core` run plain mini-batch SGD (the
 algorithm the paper analyzes). Weight decay carries the convex
-experiment's ridge term; momentum and Nesterov are optional extras.
+experiment's ridge term.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..common.validation import require
 from .module import DTYPE, Parameter
 
 __all__ = ["SGD"]
 
 
-#: Elements per block of the fused step: its three or four :data:`DTYPE`
-#: streams of this length stay in a 1 MiB L2 cache.
+#: Elements per block of the fused step: its three :data:`DTYPE` streams
+#: of this length stay in a 1 MiB L2 cache.
 _BLOCK = 16384
 
 
@@ -34,55 +36,43 @@ def _tiled(arrays: List[np.ndarray]) -> Optional[np.ndarray]:
     return base[starts[0]:stops[-1]] if starts[1:] == stops[:-1] else None
 
 
-class SGD:
-    """Stochastic gradient descent with optional momentum and weight decay.
+def _check_lr(lr: float) -> None:
+    require(math.isfinite(lr) and lr > 0,
+            f"learning rate must be finite and positive, got {lr}")
 
-    With default arguments this is exactly the update the paper's clients
-    perform: ``w <- w - eta * grad``.
+
+class SGD:
+    """Stochastic gradient descent with optional weight decay:
+    ``w <- w - eta * (grad + weight_decay * w)``, which with no weight decay
+    is exactly the update the paper's clients perform.
     """
 
     def __init__(self, params: List[Parameter], lr: float, *,
-                 momentum: float = 0.0, weight_decay: float = 0.0,
-                 nesterov: bool = False) -> None:
+                 weight_decay: float = 0.0) -> None:
         if not params:
             raise ConfigurationError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
-        if momentum < 0:
-            raise ConfigurationError(f"momentum must be >= 0, got {momentum}")
-        if weight_decay < 0:
-            raise ConfigurationError(f"weight_decay must be >= 0, got {weight_decay}")
-        if nesterov and momentum == 0:
-            raise ConfigurationError("nesterov requires momentum > 0")
+        _check_lr(lr)
+        require(math.isfinite(weight_decay) and weight_decay >= 0,
+                f"weight_decay must be finite and >= 0, got {weight_decay}")
         self.params = list(params)
         self.lr = float(lr)
-        self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.nesterov = nesterov
-        # One buffer over all parameters, in their order.
-        self._velocity: Optional[np.ndarray] = (
-            np.zeros(sum(param.size for param in self.params), dtype=DTYPE)
-            if momentum > 0 else None
-        )
         # Parameters and gradients that each tile one buffer (a module after
         # ``flatten_state``) step in one fused pass: the (weights, gradient,
-        # velocity, scratch, scratch) blocks of that buffer.
+        # scratch) blocks of that buffer.
         data = _tiled([param.data for param in self.params])
         grads = _tiled([param._grad for param in self.params])
         self._blocks: List[tuple] = []
         if data is not None and grads is not None:
-            scratch = np.empty((2, min(_BLOCK, data.size)), dtype=DTYPE)
+            scratch = np.empty(min(_BLOCK, data.size), dtype=DTYPE)
             for start in range(0, data.size, _BLOCK):
                 span = slice(start, start + _BLOCK)
-                self._blocks.append((
-                    data[span], grads[span],
-                    None if self._velocity is None else self._velocity[span],
-                    *scratch[:, :data[span].size]))
+                self._blocks.append((data[span], grads[span],
+                                     scratch[:data[span].size]))
 
     def set_lr(self, lr: float) -> None:
         """Update the learning rate (used by schedules between steps)."""
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
+        _check_lr(lr)
         self.lr = float(lr)
 
     def zero_grad(self) -> None:
@@ -101,33 +91,14 @@ class SGD:
             self._update(*block)
 
     def _parameter_blocks(self) -> Iterator[tuple]:
-        offset = 0
         for param in self.params:
-            span = slice(offset, offset + param.size)
-            yield (param.data, param.grad, None if self._velocity is None
-                   else self._velocity[span].reshape(param.shape))
-            offset += param.size
+            yield param.data, param.grad
 
     def _update(self, weights: np.ndarray, grad: np.ndarray,
-                velocity: Optional[np.ndarray],
-                update: Optional[np.ndarray] = None,
-                other: Optional[np.ndarray] = None) -> None:
-        """One SGD update of ``weights``, in place; ``update`` and ``other``
-        are scratch of its shape (allocated when not given)."""
+                update: Optional[np.ndarray] = None) -> None:
+        """One SGD update of ``weights``, in place; ``update`` is scratch of
+        its shape (allocated when not given)."""
         if self.weight_decay > 0:
             update = np.multiply(weights, self.weight_decay, out=update)
             grad = np.add(grad, update, out=update)
-        if velocity is not None:
-            velocity *= self.momentum
-            velocity += grad
-            if self.nesterov:
-                other = np.multiply(velocity, self.momentum, out=other)
-                grad = np.add(grad, other, out=update)
-            else:
-                grad = velocity
         weights -= np.multiply(grad, self.lr, out=update)
-
-    def reset_state(self) -> None:
-        """Clear momentum buffers (used when a client adopts a new global model)."""
-        if self._velocity is not None:
-            self._velocity.fill(0.0)

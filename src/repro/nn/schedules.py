@@ -11,7 +11,10 @@ the two side conditions the analysis needs — ``eta_t`` non-increasing and
 
 from __future__ import annotations
 
+import math
+
 from ..common.errors import ConfigurationError
+from ..common.validation import require
 
 __all__ = ["LRSchedule", "ConstantLR", "InverseTimeDecay"]
 
@@ -32,8 +35,8 @@ class ConstantLR(LRSchedule):
     """A fixed learning rate."""
 
     def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {lr}")
+        require(math.isfinite(lr) and lr > 0,
+                f"lr must be finite and positive, got {lr}")
         self.lr = float(lr)
 
     def lr_at(self, step: int) -> float:
@@ -47,10 +50,10 @@ class InverseTimeDecay(LRSchedule):
     """``eta_t = phi / (gamma + t)`` — the Theorem 1 learning-rate policy."""
 
     def __init__(self, phi: float, gamma: float) -> None:
-        if phi <= 0:
-            raise ConfigurationError(f"phi must be positive, got {phi}")
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {gamma}")
+        require(math.isfinite(phi) and phi > 0,
+                f"phi must be finite and positive, got {phi}")
+        require(math.isfinite(gamma) and gamma > 0,
+                f"gamma must be finite and positive, got {gamma}")
         self.phi = float(phi)
         self.gamma = float(gamma)
 

@@ -27,6 +27,11 @@ from ..common.errors import ConfigurationError
 
 __all__ = ["MembershipWindow", "ChurnPlan", "ChurnScheduler"]
 
+#: Share of the leavers :meth:`ChurnPlan.sample` draws that come back.
+REJOIN_FRACTION = 0.5
+#: Rounds a rejoining leaver stays away.
+DWELL_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class MembershipWindow:
@@ -108,27 +113,20 @@ class ChurnPlan:
     def sample(cls, *, population_size: int, num_rounds: int,
                rng: np.random.Generator,
                join_rate: float = 0.0,
-               leave_rate: float = 0.0,
-               rejoin_fraction: float = 0.5,
-               dwell_rounds: int = 3) -> "ChurnPlan":
+               leave_rate: float = 0.0) -> "ChurnPlan":
         """Draw a random plan from an explicit generator, once.
 
         Each client joins late with probability ``join_rate`` (active from
         a uniform round >= 1); otherwise it leaves with probability
-        ``leave_rate`` at a uniform round, and a ``rejoin_fraction`` of
-        leavers come back ``dwell_rounds`` rounds later.
+        ``leave_rate`` at a uniform round, and a :data:`REJOIN_FRACTION`
+        of leavers come back :data:`DWELL_ROUNDS` rounds later.
         """
         for name, rate in (("join_rate", join_rate),
-                           ("leave_rate", leave_rate),
-                           ("rejoin_fraction", rejoin_fraction)):
+                           ("leave_rate", leave_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {rate}"
                 )
-        if dwell_rounds < 1:
-            raise ConfigurationError(
-                f"dwell_rounds must be >= 1, got {dwell_rounds}"
-            )
         if num_rounds <= 1:
             raise ConfigurationError(
                 f"num_rounds must be > 1 to place churn, got {num_rounds}"
@@ -141,8 +139,8 @@ class ChurnPlan:
             elif rng.random() < leave_rate:
                 leave = int(rng.integers(1, num_rounds))
                 windows.append(MembershipWindow(cid, 0, leave))
-                rejoin = leave + dwell_rounds
-                if rng.random() < rejoin_fraction and rejoin < num_rounds:
+                rejoin = leave + DWELL_ROUNDS
+                if rng.random() < REJOIN_FRACTION and rejoin < num_rounds:
                     windows.append(MembershipWindow(cid, rejoin))
         return cls(population_size=population_size, windows=tuple(windows))
 

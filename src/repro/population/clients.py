@@ -21,7 +21,7 @@ that ran before it can leak into a round's result.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from ..common.errors import ConfigurationError, ProtocolError
 from ..common.rng import RngFactory
 from ..core.client import Client
 from ..nn.module import Module
-from ..nn.schedules import LRSchedule
 
 __all__ = ["ClientPopulation"]
 
@@ -57,10 +56,7 @@ class ClientPopulation:
     def __init__(self, shard_specs: Sequence[object], *,
                  model_factory: ModelFactory, batch_size: int,
                  rngs: RngFactory, batch_seed: int,
-                 learning_rate: float = 0.05,
-                 lr_schedule: Optional[LRSchedule] = None,
-                 weight_decay: float = 0.0,
-                 flatten_inputs: bool = False) -> None:
+                 learning_rate: float = 0.05) -> None:
         if not shard_specs:
             raise ConfigurationError("population needs at least one shard")
         for spec in shard_specs:
@@ -78,9 +74,7 @@ class ClientPopulation:
         # re-derives the stream per (client, round).
         self._make_client = functools.partial(
             Client, batch_size=batch_size, rng=np.random.default_rng(0),
-            lr_schedule=lr_schedule, learning_rate=learning_rate,
-            weight_decay=weight_decay, flatten_inputs=flatten_inputs,
-            batch_seed=batch_seed,
+            learning_rate=learning_rate, batch_seed=batch_seed,
         )
 
     def __len__(self) -> int:

@@ -129,8 +129,7 @@ class BlobShardSpec:
 def make_blob_population(population_size: int, *, samples_per_client: int,
                          feature_dim: int, num_classes: int, seed: int,
                          heterogeneity: float = 0.0,
-                         center_scale: float = 4.0,
-                         noise_scale: float = 1.0) -> List[BlobShardSpec]:
+                         center_scale: float = 4.0) -> List[BlobShardSpec]:
     """One :class:`BlobShardSpec` per client, sharing one set of centers.
 
     ``heterogeneity`` is the fraction of clients (the lowest-id ones, so
@@ -154,7 +153,6 @@ def make_blob_population(population_size: int, *, samples_per_client: int,
             centers_seed=centers_seed,
             shard_seed=stream_seed(seed, f"population/blobs/shard/{cid}"),
             center_scale=center_scale,
-            noise_scale=noise_scale,
             primary_class=(cid % num_classes if cid < skewed_clients
                            else None),
         )
@@ -164,8 +162,7 @@ def make_blob_population(population_size: int, *, samples_per_client: int,
 
 def make_blob_test_dataset(*, num_samples: int, feature_dim: int,
                            num_classes: int, seed: int,
-                           center_scale: float = 4.0,
-                           noise_scale: float = 1.0) -> ArrayDataset:
+                           center_scale: float = 4.0) -> ArrayDataset:
     """A held-out blob set from the same centers as the population."""
     return BlobShardSpec(
         num_samples=num_samples,
@@ -174,5 +171,4 @@ def make_blob_test_dataset(*, num_samples: int, feature_dim: int,
         centers_seed=stream_seed(seed, "population/blobs/centers"),
         shard_seed=stream_seed(seed, "population/blobs/test"),
         center_scale=center_scale,
-        noise_scale=noise_scale,
     ).materialize()

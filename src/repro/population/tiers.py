@@ -33,7 +33,6 @@ from ..attacks.base import (
 from ..common.errors import ConfigurationError, ProtocolError
 from ..core.client import frozen
 from ..core.filtering import (
-    ResolvedFilter,
     Verdict,
     quorum_floor,
     static_filter,
@@ -158,12 +157,14 @@ class TierAggregator:
     client starts from, shared by reference.
     """
 
+    #: The most outputs any aggregator keeps.
+    max_history = 32
+
     def __init__(self, tier: int, index: int, *, global_index: int,
                  trim_budget: int, expected_children: Optional[int],
                  initial_model: np.ndarray,
                  attack: Optional[Attack] = None,
-                 attack_rng: Optional[np.random.Generator] = None,
-                 max_history: int = 32) -> None:
+                 attack_rng: Optional[np.random.Generator] = None) -> None:
         if trim_budget < 0:
             raise ConfigurationError(
                 f"trim_budget must be >= 0, got {trim_budget}"
@@ -177,7 +178,6 @@ class TierAggregator:
         self.expected_children = expected_children
         self.attack = attack
         self._attack_rng = attack_rng
-        self.max_history = max_history
         self.output_history: List[np.ndarray] = [
             frozen(np.array(initial_model, dtype=DTYPE))
         ]
@@ -198,11 +198,10 @@ class TierAggregator:
         trim_history(self.output_history, self.attack, self.max_history)
 
     def combine(self, child_vectors: Sequence[np.ndarray],
-                child_ids: Sequence[int], *,
-                filter: ResolvedFilter = static_filter) -> Verdict:
-        """Fold the delivered children into this node's next output:
-        ``filter`` (by default the static trimmed mean) held to this node's
-        trim budget and expected child count, then :meth:`absorb`.
+                child_ids: Sequence[int]) -> Verdict:
+        """Fold the delivered children into this node's next output: the
+        static trimmed mean held to this node's trim budget and expected
+        child count, then :meth:`absorb`.
         ``child_ids`` name the senders of ``child_vectors``, however the
         caller addresses them; the verdict's ``rejected`` are among them.
         """
@@ -211,9 +210,9 @@ class TierAggregator:
                 f"{len(child_vectors)} vectors for "
                 f"{len(child_ids)} child ids"
             )
-        verdict = filter(child_vectors, child_ids,
-                         expected=self.expected_children,
-                         budget=self.trim_budget)
+        verdict = static_filter(child_vectors, child_ids,
+                                expected=self.expected_children,
+                                budget=self.trim_budget)
         self.absorb(verdict)
         return verdict
 

@@ -51,7 +51,6 @@ from ..core.filtering import ResolvedFilter, resolve_filter
 from ..core.history import RoundRecord
 from ..data.datasets import ArrayDataset
 from ..nn.module import Module
-from ..nn.schedules import LRSchedule
 from ..simulation.faults import FaultInjector, FaultPlan
 from ..simulation.network import Message, Network, NodeId
 from .churn import ChurnPlan, ChurnScheduler
@@ -78,9 +77,8 @@ class PopulationTrainer(RoundEngine):
 
     Requires ``config.population_size`` (matching ``len(shard_specs)``)
     and ``config.tier_spec``. ``config.tier_byzantine`` places Byzantine
-    aggregators per tier (an ``attack`` is then required); explicit
-    placement can be supplied via ``byzantine_tier_ids`` (tier -> tier-local
-    ids). ``churn_plan`` defaults to an empty plan — build one with
+    aggregators per tier, a uniformly random subset of each (an ``attack``
+    is then required). ``churn_plan`` defaults to an empty plan — build one with
     :meth:`ChurnPlan.from_config` or :meth:`ChurnPlan.sample` for a
     changing population. ``fault_plan`` crashes *aggregators* (by global
     index) and drops clients, composing with churn. The round's cohort is
@@ -94,12 +92,8 @@ class PopulationTrainer(RoundEngine):
                  shard_specs: Sequence[object],
                  test_dataset: ArrayDataset,
                  attack: Optional[Attack] = None,
-                 byzantine_tier_ids: Optional[Dict[int, Sequence[int]]] = None,
                  churn_plan: Optional[ChurnPlan] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 root_dataset: Optional[ArrayDataset] = None,
-                 lr_schedule: Optional[LRSchedule] = None,
-                 flatten_inputs: bool = False,
                  network: Optional[Network] = None) -> None:
         if config.population_size is None or config.tier_spec is None:
             raise ConfigurationError("PopulationTrainer needs "
@@ -124,10 +118,14 @@ class PopulationTrainer(RoundEngine):
         self.population = ClientPopulation(
             shard_specs, model_factory=model_factory,
             batch_size=config.batch_size, rngs=self.rngs,
-            batch_seed=config.seed, learning_rate=config.learning_rate,
-            lr_schedule=lr_schedule, flatten_inputs=flatten_inputs)
+            batch_seed=config.seed, learning_rate=config.learning_rate)
 
-        self.byzantine_tier_ids = self._place_byzantine(byzantine_tier_ids)
+        self.byzantine_tier_ids: Dict[int, frozenset] = {
+            tier: place_byzantine(
+                None, count=budget, total=topology.counts[tier],
+                what=f"byzantine_tier_ids[{tier}]",
+                rng=self.rngs.make(f"population/byzantine/tier/{tier}"))
+            for tier, budget in enumerate(topology.byzantine) if budget > 0}
         self.tiers: List[List[TierAggregator]] = []
         for tier, count in enumerate(topology.counts):
             row: List[TierAggregator] = []
@@ -152,9 +150,7 @@ class PopulationTrainer(RoundEngine):
         # tier's budget.
         self.filter_rule: ResolvedFilter = resolve_filter(
             config, model_factory=model_factory,
-            root_dataset=(root_dataset if root_dataset is not None
-                          else test_dataset),
-            flatten_inputs=flatten_inputs,
+            root_dataset=test_dataset,
             root_rng=self.rngs.make("population/root"))
 
         self.churn_plan = (churn_plan if churn_plan is not None else
@@ -177,7 +173,7 @@ class PopulationTrainer(RoundEngine):
 
         self._eval_client = Client(
             0, self.population.model, test_dataset, batch_size=256,
-            rng=np.random.default_rng(0), flatten_inputs=flatten_inputs)
+            rng=np.random.default_rng(0))
 
         # The serial path builds each client as it trains it
         # (``materialize`` looked up per call: tracers rebind it on the
@@ -195,8 +191,7 @@ class PopulationTrainer(RoundEngine):
             cohort=sample_size(config.population_size,
                                config.sample_fraction),
             state_dim=int(self._eval_client.state.size),
-            model_factory=model_factory, datasets=population.datasets,
-            lr_schedule=lr_schedule, flatten_inputs=flatten_inputs)
+            model_factory=model_factory, datasets=population.datasets)
 
         def begin_round(t: int) -> None:
             self._round.churn_events = self.churn.begin_round(t)
@@ -236,22 +231,6 @@ class PopulationTrainer(RoundEngine):
             record=self._record_tiers,
             upload_tag=UPLOAD_TAG, downlink_tag=FETCH_TAG,
         ))
-
-    def _place_byzantine(self, explicit) -> Dict[int, frozenset]:
-        explicit = explicit or {}
-        placed = {
-            tier: place_byzantine(
-                explicit.get(tier), count=budget,
-                total=self.tier_topology.counts[tier],
-                what=f"byzantine_tier_ids[{tier}]",
-                rng=self.rngs.make(f"population/byzantine/tier/{tier}"))
-            for tier, budget in enumerate(self.tier_topology.byzantine)
-            if budget > 0 or tier in explicit}
-        extra = set(explicit) - set(placed)
-        if extra:
-            raise ConfigurationError(f"byzantine_tier_ids names tiers "
-                                     f"{sorted(extra)} whose budget is 0")
-        return placed
 
     def _tier_leg(self, tier: int) -> Leg:
         """Children of ``tier - 1`` forward to their ``tier`` parent; a

@@ -29,6 +29,8 @@ __all__ = ["STRAGGLER_FACTOR", "VirtualClock", "split_by_deadline"]
 
 #: Multiplier applied to a straggling message's transfer time.
 STRAGGLER_FACTOR = 10.0
+#: Latency draws a deadline is calibrated on.
+CALIBRATION_DRAWS = 256
 
 
 def split_by_deadline(arrivals: Dict[int, float], deadline_s: float,
@@ -67,8 +69,7 @@ class VirtualClock:
     def _rng(self, name: str) -> np.random.Generator:
         return np.random.default_rng(stream_seed(self.seed, f"clock/{name}"))
 
-    def arrival_s(self, round_index: int, leg: str, key: int, *,
-                  size_bytes: int = 0) -> float:
+    def arrival_s(self, round_index: int, leg: str, key: int) -> float:
         """Arrival time (seconds after round start) of one message.
 
         ``leg`` names the wire leg ("broadcast", "exchange", ...) and
@@ -76,21 +77,17 @@ class VirtualClock:
         ``(seed, round_index, leg, key)`` — sampling order is irrelevant.
         """
         rng = self._rng(f"{round_index}/{leg}/{key}")
-        base = self.latency.sample(size_bytes=size_bytes, rng=rng)
+        base = self.latency.sample(size_bytes=0, rng=rng)
         if self.straggler_rate > 0.0 and rng.random() < self.straggler_rate:
             return base * STRAGGLER_FACTOR
         return base
 
-    def arrivals(self, round_index: int, leg: str, keys: Iterable[int], *,
-                 size_bytes: int = 0) -> Dict[int, float]:
+    def arrivals(self, round_index: int, leg: str,
+                 keys: Iterable[int]) -> Dict[int, float]:
         """Arrival times for every sender in ``keys`` on one leg."""
-        return {
-            key: self.arrival_s(round_index, leg, key, size_bytes=size_bytes)
-            for key in keys
-        }
+        return {key: self.arrival_s(round_index, leg, key) for key in keys}
 
-    def deadline_for_quantile(self, quantile: float, *,
-                              size_bytes: int = 0, draws: int = 256) -> float:
+    def deadline_for_quantile(self, quantile: float) -> float:
         """Calibrate a deadline as a quantile of the *straggler-free* latency.
 
         The calibration stream is independent of every arrival stream, and
@@ -101,12 +98,10 @@ class VirtualClock:
         if not 0.0 < quantile <= 1.0:
             raise ConfigurationError(
                 f"quantile must be in (0, 1], got {quantile}")
-        if draws < 2:
-            raise ConfigurationError(f"draws must be >= 2, got {draws}")
         rng = self._rng("calibration")
         samples = np.array([
-            self.latency.sample(size_bytes=size_bytes, rng=rng)
-            for _ in range(draws)
+            self.latency.sample(size_bytes=0, rng=rng)
+            for _ in range(CALIBRATION_DRAWS)
         ])
         return float(np.quantile(samples, quantile))
 

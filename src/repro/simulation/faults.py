@@ -44,6 +44,11 @@ __all__ = [
     "FaultInjector",
 ]
 
+#: Share of the crashes :meth:`FaultPlan.sample` draws that recover.
+RECOVER_FRACTION = 0.5
+#: Rounds a sampled client dropout or link partition lasts.
+OUTAGE_ROUNDS = 3
+
 
 def _check_window(start_round: int, end_round: Optional[int], what: str) -> None:
     check_nonnegative_int(start_round, f"{what}: start_round")
@@ -186,24 +191,20 @@ class FaultPlan:
     def sample(cls, *, num_clients: int, num_servers: int, num_rounds: int,
                rng: np.random.Generator,
                server_crash_rate: float = 0.1,
-               recover_fraction: float = 0.5,
                client_dropout_rate: float = 0.1,
-               dropout_rounds: int = 3,
-               link_partition_rate: float = 0.0,
-               partition_rounds: int = 3) -> "FaultPlan":
+               link_partition_rate: float = 0.0) -> "FaultPlan":
         """Draw a random plan from an explicit generator, once.
 
         Each PS crashes with probability ``server_crash_rate`` at a
-        uniform round; a ``recover_fraction`` of crashes recover after a
-        uniform window. Each client drops out with probability
-        ``client_dropout_rate`` for ``dropout_rounds`` rounds, and each
+        uniform round; a :data:`RECOVER_FRACTION` of crashes recover after
+        a uniform window. Each client drops out with probability
+        ``client_dropout_rate`` for :data:`OUTAGE_ROUNDS` rounds, and each
         ``(client, server)`` link partitions with probability
-        ``link_partition_rate`` for ``partition_rounds`` rounds.
+        ``link_partition_rate`` for as many.
         """
         for name, rate in (("server_crash_rate", server_crash_rate),
                            ("client_dropout_rate", client_dropout_rate),
-                           ("link_partition_rate", link_partition_rate),
-                           ("recover_fraction", recover_fraction)):
+                           ("link_partition_rate", link_partition_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {rate}"
@@ -217,7 +218,7 @@ class FaultPlan:
             if rng.random() >= server_crash_rate:
                 continue
             start = int(rng.integers(1, num_rounds))
-            if rng.random() < recover_fraction and start + 1 < num_rounds:
+            if rng.random() < RECOVER_FRACTION and start + 1 < num_rounds:
                 end = int(rng.integers(start + 1, num_rounds))
                 crashes.append(ServerCrash(server_id, start, end))
             else:
@@ -228,7 +229,7 @@ class FaultPlan:
                 continue
             start = int(rng.integers(1, num_rounds))
             dropouts.append(ClientDropout(client_id, start,
-                                          start + dropout_rounds))
+                                          start + OUTAGE_ROUNDS))
         partitions: List[LinkPartition] = []
         if link_partition_rate > 0.0:
             for client_id in range(num_clients):
@@ -237,7 +238,7 @@ class FaultPlan:
                         continue
                     start = int(rng.integers(1, num_rounds))
                     partitions.append(LinkPartition(
-                        client_id, server_id, start, start + partition_rounds
+                        client_id, server_id, start, start + OUTAGE_ROUNDS
                     ))
         return cls(crashes=tuple(crashes), dropouts=tuple(dropouts),
                    partitions=tuple(partitions))

@@ -11,38 +11,41 @@ suffers the max over P times as many link draws.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..common.validation import require
 
 __all__ = ["LogNormalLatency", "round_time"]
+
+#: Median transfer time of a message, in seconds.
+MEDIAN_S = 0.05
+#: Link throughput: a message of ``size_bytes`` takes
+#: ``size_bytes / BANDWIDTH_BYTES_PER_S`` seconds on top of its latency.
+BANDWIDTH_BYTES_PER_S = 1e7
 
 
 class LogNormalLatency:
     """Heavy-tailed latency — the straggler-realistic model.
 
-    ``time = exp(N(mu, sigma^2)) + size_bytes / bandwidth``; the lognormal
-    tail makes occasional messages much slower than the median, which is
-    what makes synchronous rounds expensive in practice.
+    ``time = exp(N(log(MEDIAN_S), sigma^2)) + size_bytes /
+    BANDWIDTH_BYTES_PER_S``; the lognormal tail makes occasional messages
+    much slower than the median, which is what makes synchronous rounds
+    expensive in practice.
     """
 
-    def __init__(self, median: float = 0.05, sigma: float = 0.5, *,
-                 bandwidth_bytes_per_s: float = 1e7) -> None:
-        if median <= 0:
-            raise ConfigurationError(f"median must be positive, got {median}")
-        if sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        if bandwidth_bytes_per_s <= 0:
-            raise ConfigurationError("bandwidth must be positive")
-        self.mu = float(np.log(median))
+    def __init__(self, *, sigma: float = 0.5) -> None:
+        require(math.isfinite(sigma) and sigma > 0,
+                f"sigma must be finite and positive, got {sigma}")
+        self.mu = float(np.log(MEDIAN_S))
         self.sigma = float(sigma)
-        self.bandwidth = float(bandwidth_bytes_per_s)
 
     def sample(self, *, size_bytes: int, rng: np.random.Generator) -> float:
         return float(np.exp(rng.normal(self.mu, self.sigma))) \
-            + size_bytes / self.bandwidth
+            + size_bytes / BANDWIDTH_BYTES_PER_S
 
 
 def round_time(upload_assignment: Sequence[Sequence[int]], *,

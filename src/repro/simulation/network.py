@@ -202,13 +202,12 @@ class Network:
 
     Messages sent with :meth:`send` are queued per recipient and retrieved
     with :meth:`receive`. All traffic is counted in :attr:`stats`. Failure
-    injection: a ``drop_probability`` applied i.i.d. per message, plus an
-    optional deterministic ``drop_rule`` for targeted experiments (e.g.
-    "drop every upload to PS 3 in round 7").
+    injection: a ``drop_probability`` applied i.i.d. per message, plus
+    deterministic rules installed with :meth:`add_drop_rule` for targeted
+    experiments (e.g. "drop every upload to PS 3 in round 7").
     """
 
     def __init__(self, *, drop_probability: float = 0.0,
-                 drop_rule: Optional[DropRule] = None,
                  rng: Optional[np.random.Generator] = None) -> None:
         if not 0.0 <= drop_probability < 1.0:
             raise ConfigurationError(
@@ -219,8 +218,7 @@ class Network:
                 "drop_probability > 0 requires an rng for reproducibility"
             )
         self.drop_probability = float(drop_probability)
-        self.drop_rule = drop_rule
-        self._extra_drop_rules: List[DropRule] = []
+        self._drop_rules: List[DropRule] = []
         self._rng = rng
         self._queues: Dict[NodeId, List[Message]] = defaultdict(list)
         self.stats = TrafficStats()
@@ -228,23 +226,20 @@ class Network:
     @property
     def is_lossless(self) -> bool:
         """True when no failure injection of any kind is configured."""
-        return (self.drop_probability == 0.0 and self.drop_rule is None
-                and not self._extra_drop_rules)
+        return self.drop_probability == 0.0 and not self._drop_rules
 
     def add_drop_rule(self, rule: DropRule) -> None:
-        """Install an additional drop rule alongside the constructor's.
+        """Install a drop rule alongside the ones already installed.
 
         Rules compose as a disjunction: a message is lost if *any* rule
         claims it. This is how a :class:`~repro.simulation.faults
         .FaultInjector` stacks on top of an experiment's own targeted
         drop rule.
         """
-        self._extra_drop_rules.append(rule)
+        self._drop_rules.append(rule)
 
     def _lost(self, message: Message) -> bool:
-        if self.drop_rule is not None and self.drop_rule(message):
-            return True
-        if any(rule(message) for rule in self._extra_drop_rules):
+        if any(rule(message) for rule in self._drop_rules):
             return True
         if self.drop_probability > 0.0:
             assert self._rng is not None

@@ -28,6 +28,11 @@ __all__ = [
     "empirical_gradient_stats",
 ]
 
+#: :func:`solve_softmax_optimum` stops once the gradient norm is below
+#: this, and gives up after :data:`GD_MAX_ITERATIONS` steps.
+GD_TOLERANCE = 1e-9
+GD_MAX_ITERATIONS = 20000
+
 
 def softmax_loss_and_grad(weights: np.ndarray, features: np.ndarray,
                           labels: np.ndarray, l2: float
@@ -60,13 +65,12 @@ def softmax_smoothness(features: np.ndarray, l2: float) -> float:
 
 
 def solve_softmax_optimum(dataset: ArrayDataset, num_classes: int, *,
-                          l2: float, tolerance: float = 1e-9,
-                          max_iterations: int = 20000
-                          ) -> Tuple[np.ndarray, float]:
+                          l2: float) -> Tuple[np.ndarray, float]:
     """``(w*, F*)`` of the regularized softmax problem, by full-batch GD.
 
     Deterministic (starts from zero); raises :class:`ConvergenceError` if
-    the gradient norm does not drop below ``tolerance`` within the budget.
+    the gradient norm does not drop below :data:`GD_TOLERANCE` within
+    :data:`GD_MAX_ITERATIONS` steps.
     """
     if l2 <= 0:
         raise ConfigurationError(
@@ -77,15 +81,15 @@ def solve_softmax_optimum(dataset: ArrayDataset, num_classes: int, *,
     weights = np.zeros((features.shape[1], num_classes))
     smoothness = softmax_smoothness(features, l2)
     step = 1.0 / smoothness
-    for _ in range(max_iterations):
+    for _ in range(GD_MAX_ITERATIONS):
         loss, grad = softmax_loss_and_grad(weights, features, labels, l2)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < tolerance:
+        if grad_norm < GD_TOLERANCE:
             return weights, loss
         weights = weights - step * grad
     raise ConvergenceError(
-        f"full-batch GD did not reach grad norm {tolerance} in "
-        f"{max_iterations} iterations (last {grad_norm:.3e})"
+        f"full-batch GD did not reach grad norm {GD_TOLERANCE} in "
+        f"{GD_MAX_ITERATIONS} iterations (last {grad_norm:.3e})"
     )
 
 

@@ -9,8 +9,6 @@ returns ``(measured, bound)``. The property tests assert
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from ..aggregation import trimmed_mean
@@ -48,25 +46,27 @@ class VerificationResult:
         return self.measured / self.bound if self.bound > 0 else float("inf")
 
 
-TamperFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+#: Lemma 3's client vectors: their dimension, and the drift bound ``D``
+#: (each lies on the sphere of radius ``2 D`` around their average).
+_DIM = 8
+_DEVIATION = 1.0
 
 
-def _default_tamper(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _tamper(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Adversarial tampering: push values far outside the benign range."""
     return rng.choice([-1.0, 1.0], size=values.shape) * 1e6
 
 
 def verify_lemma2_trimmed_mean(*, num_servers: int, num_byzantine: int,
                                sigma: float, trials: int = 2000,
-                               rng: np.random.Generator,
-                               tamper: Optional[TamperFn] = None
+                               rng: np.random.Generator
                                ) -> VerificationResult:
     """Check Lemma 2's scalar core: tampering ``B`` of ``P`` i.i.d. values
     with variance ``sigma^2`` leaves the beta-trimmed mean within
     ``P sigma^2 / (P - 2B)^2`` mean-squared error of the true mean.
 
     Each trial draws ``P`` values from ``N(mu, sigma^2)`` with a random
-    ``mu``, replaces ``B`` of them adversarially and measures
+    ``mu``, pushes ``B`` of them to ``±1e6`` and measures
     ``(trmean - mu)^2``.
     """
     if 2 * num_byzantine >= num_servers:
@@ -75,7 +75,6 @@ def verify_lemma2_trimmed_mean(*, num_servers: int, num_byzantine: int,
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive, got {trials}")
-    tamper = tamper if tamper is not None else _default_tamper
     beta = num_byzantine / num_servers
     squared_errors = np.empty(trials)
     for trial in range(trials):
@@ -83,7 +82,7 @@ def verify_lemma2_trimmed_mean(*, num_servers: int, num_byzantine: int,
         values = rng.normal(loc=true_mean, scale=sigma, size=num_servers)
         if num_byzantine > 0:
             victims = rng.choice(num_servers, size=num_byzantine, replace=False)
-            values[victims] = tamper(values[victims], rng)
+            values[victims] = _tamper(values[victims], rng)
         estimate = trimmed_mean(values.reshape(-1, 1), beta)[0]
         squared_errors[trial] = (estimate - true_mean) ** 2
     measured = float(squared_errors.mean())
@@ -94,7 +93,6 @@ def verify_lemma2_trimmed_mean(*, num_servers: int, num_byzantine: int,
 
 
 def verify_lemma3_sparse_upload(*, num_clients: int, num_servers: int,
-                                dim: int = 8, deviation: float = 1.0,
                                 trials: int = 2000,
                                 rng: np.random.Generator
                                 ) -> VerificationResult:
@@ -104,8 +102,8 @@ def verify_lemma3_sparse_upload(*, num_clients: int, num_servers: int,
     ``D = eta E G`` bounds each client's drift ``||v_k - v_bar|| <= 2 D``
     (Lemma 1's guarantee).
 
-    Client vectors are drawn on the drift sphere of radius ``2 * deviation``
-    (the worst case Lemma 1 allows with ``D = deviation``); servers with no
+    Client vectors of dimension 8 are drawn on the drift sphere of radius
+    ``2 D`` (the worst case Lemma 1 allows) with ``D = 1``; servers with no
     uploads fall back to ``v_bar`` (the previous-aggregate behavior
     linearized at the current round).
     """
@@ -114,18 +112,18 @@ def verify_lemma3_sparse_upload(*, num_clients: int, num_servers: int,
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive, got {trials}")
     # Fixed client vectors across trials: v_k = v_bar + r_k, ||r_k|| = 2D.
-    raw = rng.normal(size=(num_clients, dim))
+    raw = rng.normal(size=(num_clients, _DIM))
     raw -= raw.mean(axis=0)  # center so v_bar = 0
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    vectors = raw / norms * (2.0 * deviation)
+    vectors = raw / norms * (2.0 * _DEVIATION)
     vectors -= vectors.mean(axis=0)  # recenter after normalization
     v_bar = vectors.mean(axis=0)
 
     squared_errors = np.empty(trials)
-    sum_a_bar = np.zeros(dim)
+    sum_a_bar = np.zeros(_DIM)
     for trial in range(trials):
         picks = rng.integers(0, num_servers, size=num_clients)
-        aggregates = np.empty((num_servers, dim))
+        aggregates = np.empty((num_servers, _DIM))
         for server in range(num_servers):
             members = picks == server
             if members.any():
@@ -138,6 +136,6 @@ def verify_lemma3_sparse_upload(*, num_clients: int, num_servers: int,
     measured = float(squared_errors.mean())
     std_error = float(squared_errors.std(ddof=1) / np.sqrt(trials))
     k, p = num_clients, num_servers
-    bound = ((k - p) / (k - 1)) * (4.0 / p) * deviation ** 2 if k > 1 else 0.0
+    bound = ((k - p) / (k - 1)) * (4.0 / p) * _DEVIATION ** 2 if k > 1 else 0.0
     return VerificationResult(measured=measured, bound=bound, trials=trials,
                               std_error=std_error)

@@ -23,7 +23,7 @@ from repro.aggregation import (
     adaptive_trimmed_mean_info,
     mad_outlier_scores,
 )
-from repro.common import ConfigurationError
+from repro.aggregation import rules
 
 THRESHOLD = 3.5
 
@@ -58,14 +58,13 @@ def reference_info(stack, threshold=THRESHOLD):
     return vector, count, tuple(sorted(int(i) for i in flagged))
 
 
-def assert_matches_reference(stack, threshold=THRESHOLD):
-    vector, b_hat, flagged = adaptive_trimmed_mean_info(
-        stack, threshold=threshold)
-    ref_vector, ref_b_hat, ref_flagged = reference_info(stack, threshold)
+def assert_matches_reference(stack):
+    vector, b_hat, flagged = adaptive_trimmed_mean_info(stack)
+    ref_vector, ref_b_hat, ref_flagged = reference_info(
+        stack, rules.MAD_THRESHOLD)
     np.testing.assert_array_equal(vector, ref_vector)
     assert (b_hat, flagged) == (ref_b_hat, ref_flagged)
-    np.testing.assert_array_equal(
-        adaptive_trimmed_mean(stack, threshold=threshold), ref_vector)
+    np.testing.assert_array_equal(adaptive_trimmed_mean(stack), ref_vector)
     np.testing.assert_allclose(mad_outlier_scores(stack),
                                reference_scores(stack), rtol=1e-9, atol=0)
     return b_hat
@@ -115,13 +114,15 @@ class TestAgainstTwoPassReference:
         assert assert_matches_reference(stack) == 2
 
     @pytest.mark.parametrize("num_models", [4, 7, 10])
-    def test_clamp_keeps_the_worst_scoring_rows(self, num_models):
+    def test_clamp_keeps_the_worst_scoring_rows(self, num_models,
+                                                monkeypatch):
         # A tiny threshold flags more than (n-1)//2 rows; only the worst
         # survive the clamp, in stable order.
+        monkeypatch.setattr(rules, "MAD_THRESHOLD", 1e-6)
         rng = np.random.default_rng(num_models)
         stack = rng.normal(size=(num_models, 30))
         stack *= np.arange(1, num_models + 1)[:, None]
-        b_hat = assert_matches_reference(stack, threshold=1e-6)
+        b_hat = assert_matches_reference(stack)
         assert b_hat == (num_models - 1) // 2
 
     def test_nan_columns_propagate_like_np_median(self):
@@ -135,13 +136,6 @@ class TestAgainstTwoPassReference:
         # distance sums stop being bit-equal; the outputs still are.
         assert assert_matches_reference(
             outlier_stack(10, 2, 98_666, seed=7)) == 2
-
-    def test_threshold_validated_by_both_entry_points(self):
-        stack = np.zeros((3, 2))
-        with pytest.raises(ConfigurationError):
-            adaptive_trimmed_mean_info(stack, threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            adaptive_trimmed_mean(stack, threshold=-1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(st.integers(1, 11), st.integers(1, 6)).flatmap(

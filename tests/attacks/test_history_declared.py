@@ -106,8 +106,8 @@ class Undeclared(Attack):
 class TestUndeclaredKeepsMaxHistory:
     def test_parameter_server(self):
         server = ByzantineParameterServer(0, Undeclared(),
-                                          rng=np.random.default_rng(0),
-                                          max_history=5)
+                                          rng=np.random.default_rng(0))
+        server.max_history = 5
         for i in range(12):
             server.aggregate([np.full(DIM, float(i))])
         assert [a[0] for a in server.aggregate_history] == [7, 8, 9, 10, 11]
@@ -117,8 +117,8 @@ class TestUndeclaredKeepsMaxHistory:
                               expected_children=None,
                               initial_model=np.zeros(DIM),
                               attack=Undeclared(),
-                              attack_rng=np.random.default_rng(0),
-                              max_history=5)
+                              attack_rng=np.random.default_rng(0))
+        node.max_history = 5
         for i in range(12):
             node.combine([np.full(DIM, float(i))], [0])
         assert [a[0] for a in node.output_history] == [7, 8, 9, 10, 11]

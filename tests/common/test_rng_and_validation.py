@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import FedMSConfig
-from repro.core.health import HealthPolicy
 
 from repro.common import (
     ConfigurationError,
@@ -140,11 +139,6 @@ class TestEveryFractionRefusesNaN:
     def test_config(self, name):
         with pytest.raises(ConfigurationError, match="finite"):
             FedMSConfig(**{name: NAN})
-
-    @pytest.mark.parametrize("name", ["decay", "open_threshold"])
-    def test_health_policy(self, name):
-        with pytest.raises(ConfigurationError, match="finite"):
-            HealthPolicy(**{name: NAN})
 
 
 class TestSeed:

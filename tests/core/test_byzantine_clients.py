@@ -24,7 +24,7 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
 
 def make_trainer(num_byzantine_clients=0, client_attack=None,
                  server_rule=None, attack=None, num_byzantine=0,
-                 byzantine_client_ids=None, upload_strategy="sparse", seed=0):
+                 byzantine_ids=None, upload_strategy="sparse", seed=0):
     data = make_blobs(seed=seed)
     test = make_blobs(n=120, seed=seed + 1)
     parts = iid_partition(data, 10, rng=RngFactory(seed).make("part"))
@@ -39,9 +39,9 @@ def make_trainer(num_byzantine_clients=0, client_attack=None,
         client_datasets=parts,
         test_dataset=test,
         attack=attack,
+        byzantine_ids=byzantine_ids,
         client_attack=client_attack,
         num_byzantine_clients=num_byzantine_clients,
-        byzantine_client_ids=byzantine_client_ids,
         server_rule=server_rule,
     )
 
@@ -61,23 +61,25 @@ class TestConstruction:
                                client_attack=ClientSignFlipAttack())
         assert len(trainer.byzantine_client_ids) == 3
 
+    # Byzantine clients are always placed by the seed; the Byzantine PSs
+    # are the one explicit placement left, and they share its checks.
     def test_explicit_placement(self):
         trainer = make_trainer(num_byzantine_clients=2,
                                client_attack=ClientSignFlipAttack(),
-                               byzantine_client_ids=[0, 9])
-        assert trainer.byzantine_client_ids == frozenset({0, 9})
+                               num_byzantine=2, attack=RandomAttack(),
+                               byzantine_ids=[0, 4])
+        assert trainer.byzantine_ids == frozenset({0, 4})
+        assert len(trainer.byzantine_client_ids) == 2
 
     def test_placement_count_mismatch(self):
         with pytest.raises(ConfigurationError):
-            make_trainer(num_byzantine_clients=2,
-                         client_attack=ClientSignFlipAttack(),
-                         byzantine_client_ids=[1])
+            make_trainer(num_byzantine=2, attack=RandomAttack(),
+                         byzantine_ids=[1])
 
     def test_placement_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            make_trainer(num_byzantine_clients=2,
-                         client_attack=ClientSignFlipAttack(),
-                         byzantine_client_ids=[0, 99])
+            make_trainer(num_byzantine=2, attack=RandomAttack(),
+                         byzantine_ids=[0, 99])
 
     def test_no_byzantine_clients_by_default(self):
         trainer = make_trainer()
@@ -132,15 +134,15 @@ class TestDualAdversaryTraining:
         trainer = make_trainer(
             num_byzantine_clients=2,
             client_attack=ClientSignFlipAttack(scale=100.0),
-            byzantine_client_ids=[0, 1],
             seed=3,
         )
+        honest = min(set(range(10)) - trainer.byzantine_client_ids)
         trainer.run_round()
         # Byzantine uploads dominate a plain mean; check aggregates moved
         # far from honest ones, i.e. the tampering actually reached a PS.
         norms = [np.linalg.norm(server.current_aggregate)
                  for server in trainer.servers]
-        honest_norm = np.linalg.norm(trainer.clients[2].model_vector())
+        honest_norm = np.linalg.norm(trainer.clients[honest].model_vector())
         assert max(norms) > honest_norm  # at least one PS was poisoned
 
     def test_deterministic(self):

@@ -16,7 +16,7 @@ from repro.attacks import (
 from repro.common import ProtocolError, RngFactory
 from repro.core import ByzantineParameterServer, Client, ParameterServer
 from repro.data import ArrayDataset
-from repro.models import MLP, SoftmaxRegression
+from repro.models import MLP
 from repro.nn import InverseTimeDecay, to_vector
 
 
@@ -76,18 +76,6 @@ class TestClient:
         assert np.isfinite(loss)
         assert 0.0 <= acc <= 1.0
 
-    def test_flatten_inputs(self):
-        rngs = RngFactory(0)
-        rng = np.random.default_rng(0)
-        images = rng.normal(size=(20, 3, 4, 4))
-        data = ArrayDataset(images, rng.integers(0, 2, size=20))
-        model = SoftmaxRegression(48, 2, rng=rngs.make("init"))
-        client = Client(0, model, data, batch_size=5,
-                        rng=rngs.make("b"), flatten_inputs=True)
-        client.local_train(0, 2)  # would raise ShapeError without flattening
-        loss, acc = client.evaluate(data)
-        assert np.isfinite(loss)
-
 
 class TestParameterServer:
     def test_aggregate_is_mean(self):
@@ -122,8 +110,8 @@ class TestParameterServer:
     def test_history_bounded(self):
         # Backward declares three, max_history caps it at two.
         server = ByzantineParameterServer(0, BackwardAttack(),
-                                          rng=np.random.default_rng(0),
-                                          max_history=2)
+                                          rng=np.random.default_rng(0))
+        server.max_history = 2
         for i in range(10):
             server.aggregate([np.array([float(i)])])
         assert len(server.aggregate_history) == 2

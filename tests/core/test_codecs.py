@@ -21,6 +21,7 @@ from repro.core import (
     make_codec_pipeline,
 )
 from repro.core.codecs import (
+    CHUNK,
     MIN_BROADCAST_KEEP_RATIO,
     CyclicSparsifier,
     _gap_code,
@@ -184,15 +185,16 @@ class TestInt8:
         np.testing.assert_allclose(decoded, vector, atol=1e-6)
 
     def test_chunk_validation(self):
-        with pytest.raises(ConfigurationError):
-            Int8Quantizer(0)
+        # The chunk is the module's CHUNK: a spec cannot name another.
+        for spec in ("int8(512)", "int8(1024)"):
+            with pytest.raises(ConfigurationError, match="does not accept"):
+                make_codec(spec)
+        assert make_codec("int8").spec == "int8"
 
     def test_non_integral_chunk_refused(self):
         for spec in ("int8(1024.7)", "int8(0.5)"):
             with pytest.raises(ConfigurationError, match=spec[5:-1]):
                 make_codec(spec)
-        assert make_codec("int8(1024.0)").spec == "int8"
-        assert make_codec("int8(512)").chunk == 512
 
     def test_underflowing_span_decodes_to_low_without_warnings(self):
         # span / 255 underflows float32 to 0: the chunk encodes like a
@@ -212,15 +214,19 @@ class TestInt8:
 
 class TestSign:
     def test_non_integral_chunk_refused(self):
-        for spec in ("sign(2.9)", "sign(0.5)"):
+        for spec in ("sign(2.9)", "sign(0.5)", "sign(2.0)"):
             with pytest.raises(ConfigurationError, match=spec[5:-1]):
                 make_codec(spec)
-        assert make_codec("sign(2.0)").spec == "sign(2)"
+        assert make_codec("sign").spec == "sign"
 
     def test_decodes_to_signed_chunk_magnitude(self):
-        vector = np.array([1.0, -3.0, 2.0, -2.0])
-        decoded = make_codec_pipeline(["sign(2)"]).encode(vector).decode()
-        np.testing.assert_allclose(decoded, [2.0, -2.0, 2.0, -2.0])
+        half = CHUNK // 2
+        vector = np.concatenate([np.tile([1.0, -3.0], half),
+                                 np.tile([4.0, -2.0], half)])
+        decoded = make_codec_pipeline(["sign"]).encode(vector).decode()
+        np.testing.assert_allclose(
+            decoded, np.concatenate([np.tile([2.0, -2.0], half),
+                                     np.tile([3.0, -3.0], half)]))
 
     @settings(max_examples=30, deadline=None)
     @given(vector=finite_vectors)

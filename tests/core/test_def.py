@@ -24,7 +24,6 @@ from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
 from repro.nn import DTYPE
 from repro.nn.serialization import to_vector
-from repro.population import TierAggregator
 
 #: Every feasible topology up to P = 12: ``B < P/2``.
 TOPOLOGIES = [(P, B) for P in range(1, 13) for B in range((P + 1) // 2)]
@@ -193,16 +192,17 @@ def trainer_of(cls, **kwargs):
 
 class TestOneVerdictFromEveryCallSite:
     def verdicts(self, rule, rows, senders, budget):
-        """What the flat, grouped and tier call sites make of ``rows``."""
-        parent = TierAggregator(1, 0, global_index=9, trim_budget=budget,
-                                expected_children=5,
-                                initial_model=np.zeros(rows[0].size))
+        """What the flat, grouped and tier call sites make of ``rows``: a
+        tier parent's leg names its topology's expected children and
+        budget."""
         return [
             trainer_of(FedMSTrainer).filter_once(rule, rows, senders,
                                                  RoundState(0)),
             trainer_of(HierarchicalTrainer).filter_once(rule, rows, senders,
                                                         RoundState(0)),
-            parent.combine(rows, senders, filter=rule),
+            trainer_of(FedMSTrainer).filter_once(
+                rule, rows, senders, RoundState(0), expected=5,
+                budget=budget),
         ]
 
     @pytest.mark.parametrize("name", [None, "adaptive_trimmed_mean",

@@ -101,7 +101,7 @@ def test_root_loss_scorer_keeps_no_caches():
     rng = np.random.default_rng(0)
     data = ArrayDataset(rng.normal(size=(40, 6)), rng.integers(0, 3, size=40))
     factory = lambda r: MLP(6, (5,), 3, rng=r)  # noqa: E731
-    scorer = RootLossEvaluator(factory, data, 16, flatten_inputs=False,
+    scorer = RootLossEvaluator(factory, data, 16,
                                rng=np.random.default_rng(1))
     vector = to_vector(factory(np.random.default_rng(2)))
     first = scorer(vector)

@@ -50,6 +50,13 @@ PLAN = FaultPlan(
 )
 
 
+def dropping(rule):
+    """A loss-free network with ``rule`` installed."""
+    network = Network()
+    network.add_drop_rule(rule)
+    return network
+
+
 def make_blobs(n=300, num_classes=3, dim=6, seed=0):
     centers = np.random.default_rng(42).normal(scale=4.0,
                                                size=(num_classes, dim))
@@ -265,7 +272,7 @@ class TestEvaluationsPerRound:
 
 def cut_link(sender, recipient):
     """A network that never carries ``sender``'s exchange to ``recipient``."""
-    return Network(drop_rule=lambda m: (
+    return dropping(lambda m: (
         m.tag == "inter_server" and m.sender.index == sender
         and m.recipient.index == recipient))
 

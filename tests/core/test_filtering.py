@@ -129,7 +129,6 @@ class TestRootLossEvaluator:
     def make_evaluator(self, batch_size=32):
         return RootLossEvaluator(
             model_factory, make_blobs(n=100, seed=3), batch_size,
-            flatten_inputs=False,
             rng=np.random.default_rng(0),
         )
 
@@ -159,8 +158,7 @@ class TestRootLossEvaluator:
             RootLossEvaluator(
                 model_factory, ArrayDataset(np.zeros((0, 6)),
                                             np.zeros(0, dtype=int)),
-                32, flatten_inputs=False,
-                rng=np.random.default_rng(0),
+                32, rng=np.random.default_rng(0),
             )
 
 
@@ -234,20 +232,6 @@ class TestLossBasedFilterInTrainer:
         assert history.final_accuracy > 0.85
         assert {0, 1} <= set(history.filtered_model_id_counts)
 
-    def test_uses_explicit_root_dataset(self):
-        data = make_blobs(seed=0)
-        test = make_blobs(n=120, seed=1)
-        root = make_blobs(n=50, seed=7)
-        parts = iid_partition(data, 6, rng=RngFactory(0).make("part"))
-        config = FedMSConfig(num_clients=6, num_servers=5, num_byzantine=0,
-                             local_steps=2, batch_size=8,
-                             filter_rule_name="loss_based")
-        trainer = FedMSTrainer(
-            config, model_factory=model_factory, client_datasets=parts,
-            test_dataset=test, root_dataset=root,
-        )
-        record = trainer.run_round()
-        assert record.estimated_byzantine is not None
 
 
 class TestConfigFilterRuleName:

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError
-from repro.core.health import BreakerState, HealthLedger, HealthPolicy
+from repro.core.health import (
+    DECAY,
+    OPEN_THRESHOLD,
+    PROBATION_ROUNDS,
+    BreakerState,
+    HealthLedger,
+)
 
 
 def drive(ledger, rounds):
@@ -16,18 +21,9 @@ def drive(ledger, rounds):
 
 class TestPolicy:
     def test_defaults_valid(self):
-        policy = HealthPolicy()
-        assert policy.decay == 0.7
-        assert policy.open_threshold == 0.4
-        assert policy.probation_rounds == 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(decay=1.0)
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(open_threshold=1.5)
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(probation_rounds=0)
+        assert DECAY == 0.7
+        assert OPEN_THRESHOLD == 0.4
+        assert PROBATION_ROUNDS == 2
 
 
 class TestScoring:
@@ -61,7 +57,7 @@ class TestBreakerLifecycle:
         assert any("on probation" in e for e in events)
         assert any("circuit closed" in e for e in events)
         # The closing floor keeps the score at the threshold.
-        assert ledger.scores[0] >= ledger.policy.open_threshold
+        assert ledger.scores[0] >= OPEN_THRESHOLD
 
     def test_bad_round_during_probation_reopens(self):
         ledger = HealthLedger(2)

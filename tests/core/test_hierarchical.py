@@ -21,7 +21,7 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
     return ArrayDataset(features[order], labels[order])
 
 
-def make_trainer(num_byzantine=0, attack=None, seed=0, groups=None,
+def make_trainer(num_byzantine=0, attack=None, seed=0,
                  inter_server_rule=None, num_clients=10, num_servers=5,
                  **config_kwargs):
     data = make_blobs(seed=seed)
@@ -39,7 +39,6 @@ def make_trainer(num_byzantine=0, attack=None, seed=0, groups=None,
         client_datasets=parts,
         test_dataset=test,
         attack=attack,
-        group_of_client=groups,
         inter_server_rule=inter_server_rule,
     )
 
@@ -47,24 +46,13 @@ def make_trainer(num_byzantine=0, attack=None, seed=0, groups=None,
 class TestConstruction:
     def test_default_round_robin_grouping(self):
         trainer = make_trainer()
-        assert trainer.group_of_client == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
-
-    def test_explicit_grouping(self):
-        groups = [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
-        trainer = make_trainer(groups=groups)
-        assert trainer.group_of_client == groups
+        assert trainer.groups == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
 
     def test_rejects_empty_group(self):
-        with pytest.raises(ConfigurationError, match="empty"):
-            make_trainer(groups=[0] * 10)
-
-    def test_rejects_out_of_range_group(self):
-        with pytest.raises(ConfigurationError):
-            make_trainer(groups=[0, 1, 2, 3, 9] * 2)
-
-    def test_rejects_wrong_group_count(self):
-        with pytest.raises(ConfigurationError):
-            make_trainer(groups=[0, 1, 2])
+        # Fewer clients than PSs: client k joins PS k mod P, so PSs 3 and 4
+        # serve nobody.
+        with pytest.raises(ConfigurationError, match=r"\[3, 4\] are empty"):
+            make_trainer(num_clients=3)
 
     def test_requires_attack_for_byzantine(self):
         with pytest.raises(ConfigurationError):
@@ -91,7 +79,7 @@ class TestTraining:
     def test_clients_in_same_group_share_model(self):
         trainer = make_trainer()
         trainer.run_round()
-        group0 = [c for c, g in zip(trainer.clients, trainer.group_of_client)
+        group0 = [c for c, g in zip(trainer.clients, trainer.groups)
                   if g == 0]
         first = group0[0].model_vector()
         for client in group0[1:]:
@@ -105,10 +93,10 @@ class TestTraining:
         trainer.run_round()
         byzantine_group = next(iter(trainer.byzantine_ids))
         victim = next(c for c, g in
-                      zip(trainer.clients, trainer.group_of_client)
+                      zip(trainer.clients, trainer.groups)
                       if g == byzantine_group)
         benign = next(c for c, g in
-                      zip(trainer.clients, trainer.group_of_client)
+                      zip(trainer.clients, trainer.groups)
                       if g not in trainer.byzantine_ids)
         assert not np.allclose(victim.model_vector(), benign.model_vector())
 

@@ -1,16 +1,9 @@
 """Validation of the population / tier / churn config knobs."""
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.config import FedMSConfig
-from repro.population import ChurnPlan
-
-
-def sample_churn(**overrides):
-    return ChurnPlan.sample(population_size=10, num_rounds=5,
-                            rng=np.random.default_rng(0), **overrides)
 
 
 def make_config(**overrides):
@@ -88,13 +81,3 @@ class TestChurnKnobs:
             make_config(churn_join_rate=1.0)
         with pytest.raises(ConfigurationError):
             make_config(churn_leave_rate=-0.1)
-
-    # The rejoin fraction and dwell time are ChurnPlan.sample's to check.
-    def test_rejoin_fraction_bounds(self):
-        for bad in (1.5, -0.1, float("nan")):
-            with pytest.raises(ConfigurationError, match="rejoin_fraction"):
-                sample_churn(rejoin_fraction=bad)
-
-    def test_dwell_rounds_positive(self):
-        with pytest.raises(ConfigurationError, match="dwell_rounds"):
-            sample_churn(dwell_rounds=0)

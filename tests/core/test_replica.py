@@ -44,7 +44,7 @@ def make_data(shape, n, seed):
     return ArrayDataset(rng.normal(size=(n,) + shape), np.arange(n) % 3)
 
 
-def make_clients(model_name, *, shared, weight_decay=0.0, momentum=0.0):
+def make_clients(model_name, *, shared, weight_decay=0.0):
     """K clients on one module (``shared``) or on K equal private ones."""
     factory, shape = MODELS[model_name]
     models = [factory(RngFactory(0).make("init")) for _ in range(K)]
@@ -55,14 +55,6 @@ def make_clients(model_name, *, shared, weight_decay=0.0, momentum=0.0):
                weight_decay=weight_decay, batch_seed=7)
         for k in range(K)
     ]
-    if momentum:
-        # One optimizer per module, as the replica record keeps it.
-        optimizers = {}
-        for client in clients:
-            client.optimizer = optimizers.setdefault(
-                id(client.model),
-                SGD(client.model.parameters(), lr=0.1, momentum=momentum,
-                    weight_decay=weight_decay, nesterov=True))
     return clients
 
 
@@ -82,8 +74,6 @@ def apply(clients, operation, start, test, round_index):
     name, k, arg = operation
     client = clients[k]
     if name == "train":
-        # The contract of every backend: fresh optimizer state per job.
-        client.optimizer.reset_state()
         trained = client.local_train(round_index, arg + 1)
         return trained.copy(), client.last_train_loss
     if name == "evaluate":
@@ -98,17 +88,17 @@ def apply(clients, operation, start, test, round_index):
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
-@pytest.mark.parametrize("weight_decay,momentum",
-                         [(0.0, 0.0), (0.01, 0.0), (0.01, 0.9)])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 class TestSharedEqualsPrivate:
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(operations=OPERATIONS)
     def test_any_interleaving_is_bit_identical(
-            self, model_name, weight_decay, momentum, operations):
-        options = dict(weight_decay=weight_decay, momentum=momentum)
-        private = make_clients(model_name, shared=False, **options)
-        shared = make_clients(model_name, shared=True, **options)
+            self, model_name, weight_decay, operations):
+        private = make_clients(model_name, shared=False,
+                               weight_decay=weight_decay)
+        shared = make_clients(model_name, shared=True,
+                              weight_decay=weight_decay)
         assert len({id(c.model) for c in shared}) == 1
         assert len({id(c.model) for c in private}) == K
         test = make_data(MODELS[model_name][1], 12, seed=99)
@@ -244,38 +234,26 @@ class TestFlattenState:
         self.assert_flat(clone, flatten_state(clone))
 
 
-def reference_step(params, velocities, *, lr, weight_decay, momentum,
-                   nesterov):
+def reference_step(params, *, lr, weight_decay):
     """The per-parameter SGD update, spelled out on plain arrays."""
-    for param, velocity in zip(params, velocities):
+    for param in params:
         grad = param.grad
         if weight_decay > 0:
             grad = grad + weight_decay * param.data
-        if momentum > 0:
-            velocity *= momentum
-            velocity += grad
-            grad = grad + momentum * velocity if nesterov else velocity
         param.data -= lr * grad
 
 
-@pytest.mark.parametrize("weight_decay,momentum,nesterov", [
-    (0.0, 0.0, False), (0.01, 0.0, False), (0.0, 0.9, False),
-    (0.01, 0.9, False), (0.01, 0.9, True),
-])
-def test_fused_step_equals_the_per_parameter_loop(weight_decay, momentum,
-                                                  nesterov):
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_fused_step_equals_the_per_parameter_loop(weight_decay):
     # 200 * 100 weights: more than one block of the fused step.
     rngs = RngFactory(0)
     fused = Sequential(Linear(200, 100, rng=rngs.make("a")), ReLU(),
                        Linear(100, 3, rng=rngs.make("b")))
     looped, manual = copy.deepcopy(fused), copy.deepcopy(fused)
     flatten_state(fused)
-    options = dict(weight_decay=weight_decay, momentum=momentum,
-                   nesterov=nesterov)
-    optimizers = [SGD(net.parameters(), lr=0.1, **options)
+    optimizers = [SGD(net.parameters(), lr=0.1, weight_decay=weight_decay)
                   for net in (fused, looped)]
     assert optimizers[0]._blocks and not optimizers[1]._blocks
-    velocities = [np.zeros_like(p.data) for p in manual.parameters()]
     rng = np.random.default_rng(1)
     for step in range(4):
         x, y = rng.normal(size=(8, 200)), rng.integers(0, 3, size=8)
@@ -290,13 +268,10 @@ def test_fused_step_equals_the_per_parameter_loop(weight_decay, momentum,
         for optimizer in optimizers:
             optimizer.set_lr(0.1 / (step + 1))
             optimizer.step()
-        reference_step(manual.parameters(), velocities, lr=0.1 / (step + 1),
-                       **options)
+        reference_step(manual.parameters(), lr=0.1 / (step + 1),
+                       weight_decay=weight_decay)
         for net in (fused, looped):
             np.testing.assert_array_equal(to_vector(net), to_vector(manual))
-    if momentum:
-        optimizers[0].reset_state()
-        assert not optimizers[0]._velocity.any()
 
 
 def make_blobs(n, seed):

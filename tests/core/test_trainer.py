@@ -16,6 +16,13 @@ from repro.models import SoftmaxRegression
 from repro.simulation import Network
 
 
+def dropping(rule):
+    """A loss-free network with ``rule`` installed."""
+    network = Network()
+    network.add_drop_rule(rule)
+    return network
+
+
 def make_blobs(n=300, num_classes=3, dim=6, seed=0):
     """Linearly separable Gaussian blobs with *fixed* class centers, so
     datasets generated from different sample seeds share one distribution."""
@@ -280,7 +287,7 @@ class TestServerCrash:
                     and message.tag == "dissemination"
                     and message.round_index >= 3)
 
-        network = Network(drop_rule=dead_server_rule)
+        network = dropping(dead_server_rule)
         trainer = make_trainer(num_byzantine=0, network=network, seed=6)
         history = trainer.run(12, eval_every=12)
         assert history.final_accuracy > 0.85
@@ -291,7 +298,7 @@ class TestServerCrash:
         disseminations are suppressed), so aggregation still succeeds."""
         from repro.simulation import Message
 
-        network = Network(drop_rule=lambda m: (
+        network = dropping(lambda m: (
             m.sender.role == "server" and m.sender.index == 1
             and m.tag == "dissemination"
         ))

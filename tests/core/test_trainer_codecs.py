@@ -143,10 +143,13 @@ class TestMultiUploadEncodesOnce:
     CLIENTS = 4
 
     def make(self, drop_rule=None, **config_kwargs):
+        network = Network()
+        if drop_rule is not None:
+            network.add_drop_rule(drop_rule)
         trainer = make_trainer(
             ["topk(0.2)", "int8"], num_clients=self.CLIENTS,
             upload_strategy="multi", uploads_per_client=3,
-            network=Network(drop_rule=drop_rule), **config_kwargs,
+            network=network, **config_kwargs,
         )
         # Every upload offered to the wire (delivered or not), the number
         # of upload encodes, and the vectors the clients trained.

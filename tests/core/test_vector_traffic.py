@@ -352,7 +352,7 @@ class TestFallbackRound:
             with make_trainer(
                 plan=FALLBACK_PLAN, execution_backend=backend, num_workers=2,
                 client_attack=ClientSignFlipAttack(),
-                num_byzantine_clients=2, byzantine_client_ids=[1, 5],
+                num_byzantine_clients=2,
             ) as trainer:
                 history = trainer.run(4)
                 assert not getattr(trainer.execution, "degraded", False)

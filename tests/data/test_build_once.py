@@ -27,6 +27,7 @@ from repro.data import (
     iid_partition,
     make_synthetic_cifar10,
 )
+from repro.data import synthetic
 from repro.data.synthetic import GENERATION_BLOCK, NUM_CLASSES
 from repro.population import BlobShardSpec
 from repro.population.shards import _blob_centers
@@ -44,19 +45,22 @@ def _random_roll(images: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 def oracle_synthetic_cifar10(num_train, num_test, *, rng, config):
     prototypes = class_prototypes()
+    contrast_range = synthetic.CONTRAST_RANGE
+    max_shift = synthetic.MAX_SHIFT
+    flip_probability = synthetic.FLIP_PROBABILITY
 
     def generate(count: int) -> ArrayDataset:
         labels = np.arange(count) % NUM_CLASSES
         rng.shuffle(labels)
         images = prototypes[labels].copy()
-        contrast = rng.uniform(*config.contrast_range, size=(count, 1, 1, 1))
+        contrast = rng.uniform(*contrast_range, size=(count, 1, 1, 1))
         images *= contrast
-        if config.max_shift > 0:
+        if max_shift > 0:
             shifts = rng.integers(
-                -config.max_shift, config.max_shift + 1, size=(count, 2)
+                -max_shift, max_shift + 1, size=(count, 2)
             )
             images = _random_roll(images, shifts)
-        flips = rng.random(count) < config.flip_probability
+        flips = rng.random(count) < flip_probability
         images[flips] = images[flips, :, :, ::-1]
         images += rng.normal(scale=config.noise_scale, size=images.shape)
         return ArrayDataset(images, labels)
@@ -107,21 +111,25 @@ def _nbytes(*datasets):
 
 # -- bit identity ---------------------------------------------------------------
 
+# The generator's shift, flip and contrast are module constants; the
+# other cases set them the way the builder and the oracle both read them.
 SYNTHETIC_CASES = {
-    "default": SyntheticCifar10Config(),
-    "bench": SyntheticCifar10Config(noise_scale=0.15),
-    "no_shift": SyntheticCifar10Config(max_shift=0),
-    "never_flip": SyntheticCifar10Config(flip_probability=0.0),
-    "always_flip": SyntheticCifar10Config(flip_probability=1.0),
-    "wide_shift": SyntheticCifar10Config(max_shift=40, contrast_range=(0.5, 2.0)),
+    "default": (SyntheticCifar10Config(), {}),
+    "bench": (SyntheticCifar10Config(noise_scale=0.15), {}),
+    "never_flip": (SyntheticCifar10Config(), {"FLIP_PROBABILITY": 0.0}),
+    "always_flip": (SyntheticCifar10Config(), {"FLIP_PROBABILITY": 1.0}),
+    "wide_shift": (SyntheticCifar10Config(),
+                   {"MAX_SHIFT": 40, "CONTRAST_RANGE": (0.5, 2.0)}),
 }
 
 
 class TestSyntheticBitIdentity:
     @pytest.mark.parametrize("name", sorted(SYNTHETIC_CASES))
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_matches_the_oracle(self, name, seed):
-        config = SYNTHETIC_CASES[name]
+    def test_matches_the_oracle(self, name, seed, monkeypatch):
+        config, constants = SYNTHETIC_CASES[name]
+        for constant, value in constants.items():
+            monkeypatch.setattr(synthetic, constant, value)
         built = make_synthetic_cifar10(
             GENERATION_BLOCK + 3, 17, rng=RngFactory(seed).make("data"),
             config=config)

@@ -86,6 +86,17 @@ class TestDirichletPartition:
             dirichlet_partition(make_dataset(), 5, alpha=0.0,
                                 rng=RngFactory(0).make("p"))
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite_alpha_before_drawing(self, alpha):
+        # Both used to spend every redraw, warn about an invalid cast and
+        # then blame the sample floor.
+        rng = RngFactory(0).make("p")
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="alpha must be finite"):
+            dirichlet_partition(make_dataset(), 5, alpha=alpha, rng=rng)
+        assert rng.bit_generator.state == state
+
     def test_rejects_unsatisfiable_min_samples(self):
         with pytest.raises(ConfigurationError):
             dirichlet_partition(make_dataset(50), 10, alpha=1.0,

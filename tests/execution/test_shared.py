@@ -23,16 +23,16 @@ def make_dataset(n, dim=4, num_classes=3, seed=0):
 
 class TestSharedNDArray:
     def test_roundtrip(self):
-        shared = SharedNDArray((3, 4), np.float64)
+        shared = SharedNDArray((3, 4))
         try:
             shared.array[:] = np.arange(12.0).reshape(3, 4)
             assert shared.array[2, 3] == 11.0
-            assert shared.array.dtype == np.float64
+            assert shared.array.dtype == DTYPE
         finally:
             shared.close()
 
     def test_close_is_idempotent(self):
-        shared = SharedNDArray((2,), np.float64)
+        shared = SharedNDArray((2,))
         shared.close()
         shared.close()
 
@@ -57,7 +57,7 @@ class TestWorkerSpec:
         datasets = [make_dataset(8), make_dataset(8, seed=1)]
         kwargs = dict(
             seed=0, local_steps=2, batch_size=4, learning_rate=0.1,
-            weight_decay=0.0, flatten_inputs=False,
+            weight_decay=0.0,
             cohort=2, state_dim=15,
             model_factory=lambda rng: SoftmaxRegression(4, 3, rng=rng),
             datasets=datasets, lr_schedule=None,

@@ -183,7 +183,7 @@ class TestMLP:
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         x = np.tile(x, (25, 1))
         y = np.tile(np.array([0, 1, 1, 0]), 25)
-        opt = SGD(net.parameters(), lr=0.5, momentum=0.9)
+        opt = SGD(net.parameters(), lr=0.5)
         for _ in range(300):
             opt.zero_grad()
             loss, grad = cross_entropy(net(x), y)

@@ -91,27 +91,6 @@ class TestSGD:
         opt.step()  # grad is zero, only decay acts
         np.testing.assert_allclose(layer.weight.data, 1.0 - 0.1 * 0.5)
 
-    def test_momentum_accumulates(self):
-        layer = self._make_layer()
-        layer.weight.data[...] = 0.0
-        opt = SGD(layer.parameters(), lr=1.0, momentum=0.9)
-        layer.weight.grad[...] = 1.0
-        opt.step()  # velocity = 1, w = -1
-        layer.weight.grad[...] = 1.0
-        opt.step()  # velocity = 1.9, w = -2.9
-        np.testing.assert_allclose(layer.weight.data, -2.9)
-
-    def test_reset_state_clears_momentum(self):
-        layer = self._make_layer()
-        opt = SGD(layer.parameters(), lr=1.0, momentum=0.9)
-        layer.weight.grad[...] = 1.0
-        opt.step()
-        opt.reset_state()
-        layer.weight.data[...] = 0.0
-        layer.weight.grad[...] = 1.0
-        opt.step()
-        np.testing.assert_allclose(layer.weight.data, -1.0)
-
     def test_minimizes_quadratic(self):
         """SGD on f(w) = ||w - target||^2 converges to the target."""
         layer = self._make_layer()
@@ -135,10 +114,33 @@ class TestSGD:
         with pytest.raises(ConfigurationError):
             SGD([], lr=0.1)
 
-    def test_rejects_nesterov_without_momentum(self):
-        layer = self._make_layer()
-        with pytest.raises(ConfigurationError):
-            SGD(layer.parameters(), lr=0.1, nesterov=True)
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _params():
+    return Linear(2, 2, rng=RngFactory(0).make("sgd")).parameters()
+
+
+class TestNonFiniteRefused:
+    """A NaN passes every ``<= 0`` check; each constructor and setter of a
+    step size or a decay refuses it, and infinity, by name."""
+
+    @pytest.mark.parametrize("build,name", [
+        (lambda: SGD(_params(), lr=NAN), "learning rate"),
+        (lambda: SGD(_params(), lr=INF), "learning rate"),
+        (lambda: SGD(_params(), lr=0.1, weight_decay=NAN), "weight_decay"),
+        (lambda: SGD(_params(), lr=0.1, weight_decay=INF), "weight_decay"),
+        (lambda: SGD(_params(), lr=0.1).set_lr(NAN), "learning rate"),
+        (lambda: ConstantLR(NAN), "lr"),
+        (lambda: InverseTimeDecay(phi=NAN, gamma=8.0), "phi"),
+        (lambda: InverseTimeDecay(phi=2.0, gamma=NAN), "gamma"),
+    ], ids=["sgd_lr_nan", "sgd_lr_inf", "sgd_weight_decay_nan",
+            "sgd_weight_decay_inf", "set_lr_nan", "constant_lr_nan",
+            "inverse_time_phi_nan", "inverse_time_gamma_nan"])
+    def test_refused(self, build, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            build()
 
 
 class TestSchedules:

@@ -221,10 +221,9 @@ def test_a_negative_zero_bias_gradient_is_claimed_as_positive_zero(forced):
 
 OPTIMIZERS = {
     "plain": {},
-    "momentum": {"momentum": 0.9},
-    "nesterov": {"momentum": 0.9, "nesterov": True},
     "weight_decay": {"weight_decay": 0.01},
-    "all": {"momentum": 0.5, "nesterov": True, "weight_decay": 0.1},
+    # Every option SGD has, at once: weight decay is the only one.
+    "all": {"weight_decay": 0.1},
 }
 
 

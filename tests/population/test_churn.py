@@ -54,7 +54,7 @@ class TestChurnPlan:
 
     def test_sample_is_deterministic(self):
         kwargs = dict(population_size=50, num_rounds=8, join_rate=0.3,
-                      leave_rate=0.2, rejoin_fraction=0.5, dwell_rounds=2)
+                      leave_rate=0.2)
         one = ChurnPlan.sample(rng=np.random.default_rng(7), **kwargs)
         two = ChurnPlan.sample(rng=np.random.default_rng(7), **kwargs)
         assert one.windows == two.windows

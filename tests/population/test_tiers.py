@@ -107,13 +107,17 @@ class TestCombine:
         def fake_info(rows):
             return np.mean(rows, axis=0), 1, (2,)
 
+        # A tier parent's leg filters its inbox, then the parent absorbs
+        # the verdict.
         aggregator = make_aggregator(trim_budget=1)
-        outcome = aggregator.combine(
+        outcome = ResolvedFilter(None, info_fn=fake_info)(
             [np.zeros(4)] * 3, [4, 7, 9],
-            filter=ResolvedFilter(None, info_fn=fake_info),
-        )
+            expected=aggregator.expected_children,
+            budget=aggregator.trim_budget)
+        aggregator.absorb(outcome)
         assert outcome.estimated_byzantine == 1
         assert outcome.rejected == (9,)
+        np.testing.assert_array_equal(aggregator.current_output, np.zeros(4))
 
     def test_tier0_never_applies_info_fn(self):
         """The edge tier averages trusted clients: the trainer hands its

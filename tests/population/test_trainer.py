@@ -188,19 +188,3 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_trainer(attack=None)
 
-    def test_explicit_byzantine_placement_validated(self):
-        config = make_config()
-        specs = make_blob_population(POPULATION, samples_per_client=8,
-                                     feature_dim=FEATURES,
-                                     num_classes=CLASSES, seed=0)
-        test = make_blob_test_dataset(num_samples=30, feature_dim=FEATURES,
-                                      num_classes=CLASSES, seed=0)
-        with pytest.raises(ConfigurationError):
-            PopulationTrainer(
-                config,
-                model_factory=lambda rng: SoftmaxRegression(
-                    FEATURES, CLASSES, rng=rng),
-                shard_specs=specs, test_dataset=test,
-                attack=make_attack("sign_flip"),
-                byzantine_tier_ids={0: (0, 1)},  # budget is 1, not 2
-            )

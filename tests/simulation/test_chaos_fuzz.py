@@ -40,14 +40,12 @@ def fuzz_plans(seed, *, num_rounds, num_servers, population):
     faults = FaultPlan.sample(
         num_clients=population, num_servers=num_servers,
         num_rounds=num_rounds, rng=fault_rng,
-        server_crash_rate=0.3, recover_fraction=0.6,
-        client_dropout_rate=0.15, dropout_rounds=2,
-        link_partition_rate=0.02, partition_rounds=2,
+        server_crash_rate=0.3, client_dropout_rate=0.15,
+        link_partition_rate=0.02,
     )
     churn = ChurnPlan.sample(
         population_size=population, num_rounds=num_rounds,
         rng=churn_rng, join_rate=0.2, leave_rate=0.2,
-        rejoin_fraction=0.5, dwell_rounds=2,
     )
     return faults, churn
 

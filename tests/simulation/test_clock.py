@@ -73,7 +73,7 @@ class TestDeadline:
         with pytest.raises(ConfigurationError):
             VirtualClock(0).deadline_for_quantile(0.0)
         with pytest.raises(ConfigurationError):
-            VirtualClock(0).deadline_for_quantile(0.5, draws=1)
+            VirtualClock(0).deadline_for_quantile(1.5)
 
 
 class TestStageSeconds:

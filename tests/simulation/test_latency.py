@@ -6,6 +6,7 @@ import pytest
 from repro.common import ConfigurationError, RngFactory
 from repro.core import FullUpload, SparseUpload
 from repro.simulation import LogNormalLatency, round_time
+from repro.simulation.latency import BANDWIDTH_BYTES_PER_S, MEDIAN_S
 
 
 class FixedLatency:
@@ -25,22 +26,30 @@ def rng():
 
 class TestLogNormalLatency:
     def test_median_roughly_matches(self, rng):
-        model = LogNormalLatency(median=0.05, sigma=0.5,
-                                 bandwidth_bytes_per_s=1e12)
-        samples = [model.sample(size_bytes=8, rng=rng) for _ in range(3000)]
-        assert np.median(samples) == pytest.approx(0.05, rel=0.1)
+        model = LogNormalLatency(sigma=0.5)
+        samples = [model.sample(size_bytes=0, rng=rng) for _ in range(3000)]
+        assert np.median(samples) == pytest.approx(MEDIAN_S, rel=0.1)
 
     def test_heavy_tail(self, rng):
-        model = LogNormalLatency(median=0.05, sigma=1.0,
-                                 bandwidth_bytes_per_s=1e12)
-        samples = [model.sample(size_bytes=8, rng=rng) for _ in range(3000)]
+        model = LogNormalLatency(sigma=1.0)
+        samples = [model.sample(size_bytes=0, rng=rng) for _ in range(3000)]
         assert max(samples) > 10 * np.median(samples)
+
+    def test_size_adds_its_transfer_time(self):
+        model = LogNormalLatency()
+        with_size, without = (
+            model.sample(size_bytes=size, rng=RngFactory(0).make("size"))
+            for size in (10_000, 0))
+        assert with_size - without == pytest.approx(
+            10_000 / BANDWIDTH_BYTES_PER_S)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            LogNormalLatency(median=0.0)
-        with pytest.raises(ConfigurationError):
             LogNormalLatency(sigma=0.0)
+
+    def test_rejects_non_finite_sigma(self):
+        with pytest.raises(ConfigurationError, match="sigma must be finite"):
+            LogNormalLatency(sigma=float("nan"))
 
 
 class TestRoundTime:
@@ -77,8 +86,7 @@ class TestRoundTime:
     def test_stragglers_dominate_with_heavy_tail(self):
         """The synchronous barrier waits for the slowest draw, so the round
         time under a heavy-tailed model exceeds the median link by a lot."""
-        model = LogNormalLatency(median=0.05, sigma=1.0,
-                                 bandwidth_bytes_per_s=1e12)
+        model = LogNormalLatency(sigma=1.0)
         total, parts = round_time(
             self._assignment(SparseUpload(), num_clients=50),
             model_bytes=8, latency=model, num_servers=10,

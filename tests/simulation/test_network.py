@@ -7,6 +7,13 @@ from repro.common import ConfigurationError, RngFactory
 from repro.simulation import Message, Network, NodeId, RoundScheduler
 
 
+def dropping(rule):
+    """A loss-free network with ``rule`` installed."""
+    network = Network()
+    network.add_drop_rule(rule)
+    return network
+
+
 def make_message(sender=None, recipient=None, size=4, tag="upload", round_index=0):
     return Message(
         sender or NodeId.client(0),
@@ -139,18 +146,18 @@ class TestNetwork:
         assert network.stats.dropped_total == 200 - delivered
 
     def test_drop_rule_targets_messages(self):
-        network = Network(drop_rule=lambda m: m.tag == "upload")
+        network = dropping(lambda m: m.tag == "upload")
         assert not network.send(make_message(tag="upload"))
         assert network.send(make_message(tag="dissemination"))
         assert network.stats.dropped_total == 1
 
     def test_dropped_messages_not_counted_in_traffic(self):
-        network = Network(drop_rule=lambda m: True)
+        network = dropping(lambda m: True)
         network.send(make_message())
         assert network.stats.messages_total == 0
 
     def test_drops_attributed_per_tag(self):
-        network = Network(drop_rule=lambda m: m.tag == "upload")
+        network = dropping(lambda m: m.tag == "upload")
         network.send(make_message(tag="upload"))
         network.send(make_message(tag="upload"))
         network.send(make_message(tag="dissemination"))
@@ -159,7 +166,7 @@ class TestNetwork:
         assert stats["dropped_by_tag"] == {"upload": 2}
 
     def test_dropped_bytes_attributed_per_tag(self):
-        network = Network(drop_rule=lambda m: m.tag == "upload")
+        network = dropping(lambda m: m.tag == "upload")
         network.send(make_message(tag="upload", size=10))      # 80 bytes lost
         network.send(make_message(tag="upload", size=5))       # 40 bytes lost
         network.send(make_message(tag="dissemination", size=4))
@@ -179,7 +186,7 @@ class TestNetwork:
         assert snapshot["retries_by_tag"] == {"upload": 2}
 
     def test_reset_clears_failure_counters(self):
-        network = Network(drop_rule=lambda m: True)
+        network = dropping(lambda m: True)
         network.send(make_message())
         network.stats.record_retry("upload")
         network.stats.record_cleared(3)
@@ -195,15 +202,12 @@ class TestNetwork:
 
     def test_is_lossless(self):
         assert Network().is_lossless
-        assert not Network(drop_rule=lambda m: False).is_lossless
+        assert not dropping(lambda m: False).is_lossless
         assert not Network(drop_probability=0.1,
                            rng=RngFactory(0).make("net")).is_lossless
-        network = Network()
-        network.add_drop_rule(lambda m: False)
-        assert not network.is_lossless
 
     def test_extra_drop_rules_compose_as_disjunction(self):
-        network = Network(drop_rule=lambda m: m.tag == "upload")
+        network = dropping(lambda m: m.tag == "upload")
         network.add_drop_rule(lambda m: m.recipient == NodeId.server(1))
         assert not network.send(make_message(tag="upload"))
         assert not network.send(

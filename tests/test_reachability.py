@@ -11,12 +11,23 @@ and every entry on ``ALLOWED`` must still be flagged, so the list cannot go
 stale. A reason starts with one of ``REASONS``; "used inside its module" is
 checked against the module itself.
 
-A second scan does the same for settings: every init field of
-``FedMSConfig`` and ``FaultConfig`` must be set by a program file
-(``src/repro`` apart from ``config.py``, and the reader directories), as a
-keyword of a ``FedMSConfig(...)`` / ``FaultConfig(...)`` call or as a key
-of a dict splatted into one. A field only tests set is on ``UNSET_FIELDS``
-with its reason, under the same two rules.
+A second scan does the same for keywords: every defaulted keyword of a
+public function, public method or public constructor in ``src/repro``
+(bar the experiment drivers, the CLI and the package root, and the
+definitions ``ALLOWED`` keeps for a ROADMAP item), and every init field of
+``FedMSConfig`` and ``FaultConfig``, must be set by a program file to
+something other than its default. A call sets a keyword when its callee
+is the definition's name (a class name for a constructor, the base class
+for ``super().__init__``) and it passes the keyword by name or position,
+or as a key of a dict splatted into the call: a literal or ``dict(...)``,
+a local dict, a ``**kwargs`` the caller's own callers fill, or an inner
+dict of a module-level table splatted into ``make_attack``, which reaches
+the registered attack class, as ``make_attack("key", ...)`` does. A codec
+spec with arguments, ``"topk(0.05)"``, sets its class's positional
+parameters. A literal equal to the default sets nothing, and neither does
+the caller's own parameter while that one is unset, so the scan runs to a
+fixpoint. A keyword only tests set is on ``UNSET_KEYWORDS`` with its
+reason, under the same two rules.
 
 A third scan does it for registry keys, and has no allow-list: every key
 of ``available_rules()``, ``available_attacks()`` and the codec by-name
@@ -69,7 +80,6 @@ ALLOWED: Dict[str, str] = {
     "repro.core.engine.LateBuffer": "used inside its module",
     "repro.core.filtering.RootLossEvaluator": "used inside its module",
     "repro.core.health.BreakerState": "used inside its module",
-    "repro.core.health.HealthPolicy": "used inside its module",
     "repro.core.upload.MultiUpload": "used inside its module",
     "repro.data.synthetic.class_prototypes": "used inside its module",
     "repro.execution.backend.resolve_num_workers": "used inside its module",
@@ -107,22 +117,25 @@ ALLOWED: Dict[str, str] = {
 
 CONFIG_CLASSES = (FedMSConfig, FaultConfig)
 
-UNSET_FIELDS: Dict[str, str] = {
-    "FedMSConfig.participation_fraction":
+_ITEM_4_CHAOS = ("kept for ROADMAP item 4: the chaos fuzzer is to draw the "
+                 "retry policy")
+_ITEM_4_NETWORK = ("kept for ROADMAP item 4: the round-engine invariants run "
+                   "every topology over a lossy network, and the chaos "
+                   "fuzzer passes the fault plan")
+
+UNSET_KEYWORDS: Dict[str, str] = {
+    "repro.core.config.FedMSConfig.participation_fraction":
         "kept for ROADMAP item 3: its resume sweep and item 6 vary Theorem "
         "1's partial-participation term",
-    "FedMSConfig.max_staleness":
+    "repro.core.config.FedMSConfig.max_staleness":
         "kept for ROADMAP item 6: option (iii) admits an idle PS's aggregate "
         "through the max_staleness rule",
-    "FaultConfig.max_upload_retries":
-        "kept for ROADMAP item 4: the chaos fuzzer is to draw the retry "
-        "policy",
-    "FaultConfig.retry_backoff_s":
-        "kept for ROADMAP item 4: the chaos fuzzer is to draw the retry "
-        "policy",
-    "FaultConfig.backoff_factor":
-        "kept for ROADMAP item 4: the chaos fuzzer is to draw the retry "
-        "policy",
+    "repro.core.config.FaultConfig.max_upload_retries": _ITEM_4_CHAOS,
+    "repro.core.config.FaultConfig.retry_backoff_s": _ITEM_4_CHAOS,
+    "repro.core.config.FaultConfig.backoff_factor": _ITEM_4_CHAOS,
+    "repro.core.hierarchical.HierarchicalTrainer.network": _ITEM_4_NETWORK,
+    "repro.population.trainer.PopulationTrainer.network": _ITEM_4_NETWORK,
+    "repro.population.trainer.PopulationTrainer.fault_plan": _ITEM_4_NETWORK,
 }
 
 
@@ -210,8 +223,7 @@ def scan() -> List[str]:
 
 
 def _program_files() -> List[Path]:
-    files = [path for path in sorted(PACKAGE.rglob("*.py"))
-             if path.name != "config.py"]
+    files = sorted(PACKAGE.rglob("*.py"))
     for directory in READER_DIRS:
         files += sorted((ROOT / directory).rglob("*.py"))
     return files
@@ -247,23 +259,345 @@ def _dict_keys(tree: ast.AST, name: str) -> Iterable[str]:
             yield from (kw.arg for kw in node.keywords if kw.arg)
 
 
-def unset_fields() -> List[str]:
-    """``Class.field`` of every config init field no program file sets."""
-    names = {cls.__name__ for cls in CONFIG_CLASSES}
-    set_by: Dict[str, Set[str]] = {name: set() for name in names}
-    for path in _program_files():
+def _keywords_scanned(module: str) -> bool:
+    """False for the modules whose keywords the keyword scan does not read:
+    the experiment drivers and the CLI, whose keywords tests use to shorten
+    a figure run, and the package root, whose keywords are the README
+    quickstart's."""
+    return not (module in ("repro.__init__", "repro.cli")
+                or module.startswith("repro.experiments."))
+
+
+@dataclasses.dataclass(frozen=True)
+class Signature:
+    """A definition the keyword scan reads: the names a call reaches it
+    by, its positional parameters after ``self``, and the default of each
+    defaulted one (as :func:`_value` reads it)."""
+
+    qualified: str
+    callees: Tuple[str, ...]
+    positional: Tuple[str, ...]
+    defaults: Dict[str, object]
+
+
+@dataclasses.dataclass(frozen=True)
+class Site:
+    """One call: what it passes by position and by keyword (``None`` for
+    a key whose value is not in sight), and the function it sits in."""
+
+    positional: Tuple[Optional[ast.AST], ...]
+    keywords: Dict[str, Optional[ast.AST]]
+    scope: Optional[ast.AST]
+
+
+_MISSING = object()
+
+
+def _value(node: ast.AST) -> object:
+    """What a default or an argument reads as: its literal value if it
+    has one, its expression otherwise."""
+    try:
+        return ("value", ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return ("expression", ast.dump(node))
+
+
+def _equal(a: object, b: object) -> bool:
+    return (a == b and isinstance(a[1], bool) == isinstance(b[1], bool))
+
+
+def _roadmap_exempt() -> Set[str]:
+    return {name for name, reason in ALLOWED.items()
+            if reason.startswith(REASONS[-1])}
+
+
+def _own_init(node: ast.ClassDef) -> bool:
+    return any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+               for item in node.body)
+
+
+def _base_name(node: ast.ClassDef) -> Optional[str]:
+    if not node.bases:
+        return None
+    base = node.bases[0]
+    return getattr(base, "id", getattr(base, "attr", None))
+
+
+def _init_callees() -> Dict[str, Tuple[str, ...]]:
+    """Class name -> the class names whose call runs its ``__init__``:
+    itself and every subclass that defines none of its own."""
+    classes = {node.name: node for path in sorted(PACKAGE.rglob("*.py"))
+               for node in _tree(path).body if isinstance(node, ast.ClassDef)}
+    callees = {name: [name] for name in classes}
+    for name, node in classes.items():
+        parent = node
+        while not _own_init(parent):
+            base = _base_name(parent)
+            if base not in classes:
+                break
+            parent = classes[base]
+            if _own_init(parent):
+                callees[parent.name].append(name)
+    return {name: tuple(names) for name, names in callees.items()}
+
+
+def _signature(qualified: str, callees: Tuple[str, ...],
+               node: ast.FunctionDef, bound: bool) -> Signature:
+    arguments = node.args
+    positional = [arg.arg for arg in arguments.posonlyargs + arguments.args]
+    if bound:
+        positional = positional[1:]
+    defaults = {arg.arg: _value(default) for arg, default in zip(
+        (arguments.posonlyargs + arguments.args)[-len(arguments.defaults):]
+        if arguments.defaults else [], arguments.defaults)}
+    defaults.update({arg.arg: _value(default) for arg, default
+                     in zip(arguments.kwonlyargs, arguments.kw_defaults)
+                     if default is not None})
+    return Signature(qualified, callees, tuple(positional), defaults)
+
+
+def _config_signature(cls: type) -> Signature:
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    return Signature(
+        f"{cls.__module__}.{cls.__name__}", (cls.__name__,),
+        tuple(f.name for f in fields),
+        {f.name: ("value", f.default)
+         if f.default is not dataclasses.MISSING else ("field", f.name)
+         for f in fields})
+
+
+@functools.lru_cache(maxsize=None)
+def signatures() -> Tuple[Tuple[Signature, Optional[ast.AST]], ...]:
+    """Every definition the keyword scan reads, with its ``def`` node:
+    the public functions, public methods and public constructors of
+    ``src/repro`` (bar :func:`_keywords_scanned`'s modules and the
+    definitions ``ALLOWED`` keeps for a ROADMAP item), and the two
+    configs' init fields."""
+    exempt = _roadmap_exempt()
+    config_names = {cls.__name__ for cls in CONFIG_CLASSES}
+    inits = _init_callees()
+    found = [(_config_signature(cls), None) for cls in CONFIG_CLASSES]
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = _module_name(path)
+        if not _keywords_scanned(module):
+            continue
+        for node in _tree(path).body:
+            qualified = f"{module}.{getattr(node, 'name', '')}"
+            if (getattr(node, "name", "_").startswith("_")
+                    or qualified in exempt or node.name in config_names):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                found.append((_signature(qualified, (node.name,), node,
+                                         False), node))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    if item.name == "__init__":
+                        found.append((_signature(
+                            qualified, inits[node.name], item, True), item))
+                    elif not item.name.startswith("_"):
+                        found.append((_signature(
+                            f"{qualified}.{item.name}", (item.name,), item,
+                            not static), item))
+    return tuple(found)
+
+
+def _scoped_calls(node: ast.AST, cls: Optional[ast.ClassDef] = None,
+                  scope: Optional[ast.AST] = None
+                  ) -> Iterable[Tuple[ast.Call, Optional[ast.ClassDef],
+                                      Optional[ast.AST]]]:
+    """Every call under ``node`` with its enclosing class and function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _scoped_calls(child, child, scope)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scoped_calls(child, cls, child)
+        else:
+            if isinstance(child, ast.Call):
+                yield child, cls, scope
+            yield from _scoped_calls(child, cls, scope)
+
+
+def _dicts_of_dicts(tree: ast.Module) -> Dict[str, Dict[str, ast.Dict]]:
+    """Module-level ``NAME = {"key": {...}, ...}`` tables."""
+    tables = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and node.value.values
+                and all(isinstance(v, ast.Dict) for v in node.value.values)):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    tables[target.id] = {
+                        key.value: value for key, value
+                        in zip(node.value.keys, node.value.values)
+                        if isinstance(key, ast.Constant)}
+    return tables
+
+
+def _attack_class(key: str) -> str:
+    return type(make_attack(key)).__name__
+
+
+def _site_scope_name(scope: ast.AST, cls: Optional[ast.ClassDef]) -> str:
+    return cls.name if scope.name == "__init__" and cls else scope.name
+
+
+@functools.lru_cache(maxsize=None)
+def call_sites() -> Dict[str, Tuple[Site, ...]]:
+    """Callee name -> every call a program file makes to it. A
+    ``super().__init__`` call is a call to the base class; a
+    ``make_attack("key", ...)`` call is also a call to the class
+    registered under ``key``; a codec spec literal with arguments, e.g.
+    ``"topk(0.05)"``, is a call to its codec class with those arguments."""
+    files = _program_files()
+    tables: Dict[str, Dict[str, ast.Dict]] = {}
+    for path in files:
+        tables.update(_dicts_of_dicts(_tree(path)))
+    raw: List[Tuple[str, ast.Call, int, Optional[ast.ClassDef],
+                    Optional[ast.AST], ast.AST]] = []
+    for path in files:
         tree = _tree(path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _callee(node) in names:
-                given = set_by[_callee(node)]
-                for keyword in node.keywords:
-                    if keyword.arg is not None:
-                        given.add(keyword.arg)
-                    elif isinstance(keyword.value, ast.Name):
-                        given.update(_dict_keys(tree, keyword.value.id))
-    return [f"{cls.__name__}.{f.name}" for cls in CONFIG_CLASSES
-            for f in dataclasses.fields(cls)
-            if f.init and f.name not in set_by[cls.__name__]]
+        for call, cls, scope in _scoped_calls(tree):
+            func = call.func
+            if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                    and isinstance(func.value, ast.Call)
+                    and _callee(func.value) == "super" and cls is not None):
+                raw.append((_base_name(cls) or "", call, 0, cls, scope, tree))
+                continue
+            raw.append((_callee(call), call, 0, cls, scope, tree))
+            if _callee(call) == "make_attack" and call.args:
+                key = call.args[0]
+                if isinstance(key, ast.Constant):
+                    raw.append((_attack_class(key.value), call, 1, cls,
+                                scope, tree))
+    def kwargs_keys(scope, cls, seen) -> Set[str]:
+        """Keys the callers of ``scope`` pass into its ``**`` parameter."""
+        name = _site_scope_name(scope, cls)
+        if name in seen:
+            return set()
+        named = {arg.arg for arg in scope.args.posonlyargs + scope.args.args
+                 + scope.args.kwonlyargs}
+        keys = set()
+        for callee, call, skip, c, s, tree in raw:
+            if callee == name:
+                keys.update(key for key in explicit(call, c, s, tree,
+                                                    seen | {name})
+                            if key not in named)
+        return keys
+
+    def explicit(call, cls, scope, tree, seen) -> Dict[str, Optional[ast.AST]]:
+        given: Dict[str, Optional[ast.AST]] = {}
+        for keyword in call.keywords:
+            if keyword.arg is not None:
+                given[keyword.arg] = keyword.value
+                continue
+            value = keyword.value
+            if isinstance(value, ast.Dict):
+                given.update((key.value, item) for key, item
+                             in zip(value.keys, value.values)
+                             if isinstance(key, ast.Constant))
+            elif isinstance(value, ast.Call) and _callee(value) == "dict":
+                given.update((kw.arg, kw.value) for kw in value.keywords
+                             if kw.arg)
+            elif isinstance(value, ast.Name):
+                if (scope is not None and scope.args.kwarg is not None
+                        and scope.args.kwarg.arg == value.id):
+                    given.update(dict.fromkeys(
+                        kwargs_keys(scope, cls, seen)))
+                given.update(dict.fromkeys(
+                    _dict_keys(scope or tree, value.id)))
+        return given
+
+    sites: Dict[str, List[Site]] = {}
+    for callee, call, skip, cls, scope, tree in raw:
+        positional = []
+        for argument in call.args[skip:]:
+            if isinstance(argument, ast.Starred):
+                break
+            positional.append(argument)
+        sites.setdefault(callee, []).append(Site(
+            tuple(positional), explicit(call, cls, scope, tree, frozenset()),
+            scope))
+        if _callee(call) == "make_attack":
+            for keyword in call.keywords:
+                value = keyword.value
+                if keyword.arg is None and isinstance(
+                        value, (ast.Call, ast.Subscript)):
+                    # ``**TABLE.get(name, {})`` or ``**TABLE[name]``.
+                    table = getattr(getattr(value, "func", value), "value",
+                                    None)
+                    for key, inner in tables.get(
+                            getattr(table, "id", None), {}).items():
+                        sites.setdefault(_attack_class(key), []).append(Site(
+                            (), {k.value: v for k, v in zip(
+                                inner.keys, inner.values)}, scope))
+    codecs = REGISTRIES["codecs"]
+    for path in files:
+        for name, value in _bindings(_tree(path)):
+            if "codec" in name.lower() or name.startswith(codecs.builder):
+                for spec in _literals(value):
+                    try:
+                        arguments = parse_codec_spec(spec)[1]
+                        cls_name = type(make_codec(spec)).__name__
+                    except ConfigurationError:
+                        continue
+                    sites.setdefault(cls_name, []).append(Site(
+                        (None,) * len(arguments), {}, None))
+    return {callee: tuple(found) for callee, found in sites.items()}
+
+
+def _passes(site: Site, signature: Signature, name: str) -> object:
+    """What ``site`` passes for ``name``: a node, ``None`` for a key
+    whose value is not in sight, ``_MISSING`` for nothing."""
+    if name in site.keywords:
+        return site.keywords[name]
+    if name in signature.positional:
+        index = signature.positional.index(name)
+        if index < len(site.positional):
+            return site.positional[index]
+    return _MISSING
+
+
+@functools.lru_cache(maxsize=None)
+def unset_keywords() -> Tuple[str, ...]:
+    """``definition.keyword`` of every defaulted keyword in scope that no
+    program file sets to anything but its default. A value forwarded from
+    the calling function's own parameter counts only while that parameter
+    is set in turn, so the scan runs to a fixpoint."""
+    found = signatures()
+    owner = {id(node): signature.qualified
+             for signature, node in found if node is not None}
+    sites = call_sites()
+    flagged: Set[str] = set()
+    while True:
+        unset = set(flagged)
+        for signature, _ in found:
+            for name, default in signature.defaults.items():
+                key = f"{signature.qualified}.{name}"
+                if not any(_sets(_passes(site, signature, name), default,
+                                 site, owner, flagged)
+                           for callee in signature.callees
+                           for site in sites.get(callee, ())):
+                    unset.add(key)
+        if unset == flagged:
+            return tuple(sorted(flagged))
+        flagged = unset
+
+
+def _sets(value: object, default: object, site: Site,
+          owner: Dict[int, str], flagged: Set[str]) -> bool:
+    if value is _MISSING:
+        return False
+    if value is None:
+        return True
+    if _equal(_value(value), default):
+        return False
+    scope = owner.get(id(site.scope))
+    return not (isinstance(value, ast.Name) and scope is not None
+                and f"{scope}.{value.id}" in flagged)
 
 
 def _literals(value: ast.AST) -> Iterable[str]:
@@ -372,21 +706,21 @@ def test_every_reason_is_one_of_the_three():
     assert not odd, odd
 
 
-def test_every_unset_field_is_allowed():
-    unexplained = sorted(set(unset_fields()) - set(UNSET_FIELDS))
+def test_every_unset_keyword_is_allowed():
+    unexplained = sorted(set(unset_keywords()) - set(UNSET_KEYWORDS))
     assert not unexplained, (
-        "settings only tests set: make each a constant, or add it to "
-        f"UNSET_FIELDS with its reason: {unexplained}")
+        "keywords only tests set: make each a constant, or add it to "
+        f"UNSET_KEYWORDS with its reason: {unexplained}")
 
 
-def test_every_allowed_field_is_still_unset():
-    stale = sorted(set(UNSET_FIELDS) - set(unset_fields()))
+def test_every_allowed_keyword_is_still_unset():
+    stale = sorted(set(UNSET_KEYWORDS) - set(unset_keywords()))
     assert not stale, f"set by a program or gone, remove from " \
-        f"UNSET_FIELDS: {stale}"
+        f"UNSET_KEYWORDS: {stale}"
 
 
-def test_every_field_reason_keeps_a_roadmap_item():
-    odd = {name: reason for name, reason in UNSET_FIELDS.items()
+def test_every_keyword_reason_keeps_a_roadmap_item():
+    odd = {name: reason for name, reason in UNSET_KEYWORDS.items()
            if not reason.startswith(REASONS[-1])}
     assert not odd, odd
 
@@ -411,7 +745,10 @@ def test_used_inside_its_module_holds():
 if __name__ == "__main__":
     for qualified in scan():
         print(qualified, "-", ALLOWED.get(qualified, "NOT ALLOWED"))
-    for qualified in unset_fields():
-        print(qualified, "-", UNSET_FIELDS.get(qualified, "NOT ALLOWED"))
+    for keyword in unset_keywords():
+        print(keyword, "-", UNSET_KEYWORDS.get(keyword, "NOT ALLOWED"))
+    print(f"{len(unset_keywords())} of "
+          f"{sum(len(s.defaults) for s, _ in signatures())} defaulted "
+          "keywords unset")
     for key in unnamed_keys():
         print(key, "- NAMED BY NO PROGRAM")
