@@ -15,23 +15,20 @@ trade-off between the two threat models is therefore real, not an
 implementation detail.
 """
 
-import numpy as np
-import pytest
-
 from _harness import record_result, thresholds
 from repro.aggregation import make_rule
-from repro.attacks import ClientSignFlipAttack, make_attack
-from repro.common import RngFactory
-from repro.core import FedMSConfig, FedMSTrainer
+from repro.attacks import ClientSignFlipAttack
 from repro.experiments import FigureResult, current_scale, FigureWorkload
 
 
 def run_dual_adversary_study(seed=0):
     scale = current_scale()
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(10.0, tag="ext_byz_clients")
     num_byzantine_servers = max(round(0.2 * scale.num_servers), 1)
     num_byzantine_clients = max(round(0.2 * scale.num_clients), 1)
+    # The dual adversary slows convergence; give even the smoke scale
+    # enough rounds for the defended run to separate from the floor.
+    num_rounds = max(scale.num_rounds, 40)
 
     configurations = [
         # (label, upload, server_rule, client filter beta)
@@ -42,37 +39,16 @@ def run_dual_adversary_study(seed=0):
     ]
     rows = []
     for label, upload, server_rule_name, beta in configurations:
-        config = FedMSConfig(
-            num_clients=scale.num_clients,
-            num_servers=scale.num_servers,
-            num_byzantine=num_byzantine_servers,
-            local_steps=3,
-            batch_size=scale.batch_size,
-            learning_rate=0.05,
-            trim_ratio=beta,
+        history, _ = workload.run(
+            "ext_byz_clients", attack="noise", rounds=num_rounds,
+            num_byzantine=num_byzantine_servers, trim_ratio=beta,
+            filter_rule_name="trimmed_mean" if beta > 0 else "mean",
             upload_strategy=upload,
-            eval_clients=2,
-            seed=seed,
-        )
-        filter_rule = (make_rule("trimmed_mean", trim_ratio=beta)
-                       if beta > 0 else make_rule("mean"))
-        server_rule = (make_rule(server_rule_name)
-                       if server_rule_name else None)
-        trainer = FedMSTrainer(
-            config,
-            model_factory=workload.model_factory(),
-            client_datasets=partitions,
-            test_dataset=workload.test,
-            attack=make_attack("noise", scale=0.05),
-            client_attack=ClientSignFlipAttack(scale=3.0),
-            num_byzantine_clients=num_byzantine_clients,
-            filter_rule=filter_rule,
-            server_rule=server_rule,
-        )
-        # The dual adversary slows convergence; give even the smoke scale
-        # enough rounds for the defended run to separate from the floor.
-        num_rounds = max(scale.num_rounds, 40)
-        history = trainer.run(num_rounds, eval_every=scale.eval_every)
+            inputs=dict(
+                client_attack=ClientSignFlipAttack(scale=3.0),
+                num_byzantine_clients=num_byzantine_clients,
+                server_rule=(make_rule(server_rule_name)
+                             if server_rule_name else None)))
         rows.append({
             "configuration": label,
             "upload": upload,

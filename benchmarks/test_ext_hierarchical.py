@@ -10,66 +10,30 @@ client-side trimmed mean over all P PSs protects everyone.
 """
 
 from _harness import record_result, thresholds
-from repro.aggregation import make_rule
-from repro.attacks import make_attack
-from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
+from repro.core import FedMSTrainer, HierarchicalTrainer
 from repro.experiments import FigureResult, FigureWorkload, current_scale
 
 
 def run_architecture_comparison(seed=0):
     scale = current_scale()
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(10.0, tag="ext_hierarchical")
-    num_byzantine = max(round(0.2 * scale.num_servers), 1)
     attack_name = "random"
-
-    def config(trim):
-        return FedMSConfig(
-            num_clients=scale.num_clients,
-            num_servers=scale.num_servers,
-            num_byzantine=num_byzantine,
-            local_steps=3,
-            batch_size=scale.batch_size,
-            learning_rate=0.05,
-            trim_ratio=trim,
-            eval_clients=2,
-            seed=seed,
-        )
-
+    # (architecture, the grouped exchange's Def(), trainer class)
+    runs = [
+        ("fed_ms", "-", FedMSTrainer),
+        ("hierarchical", "mean", HierarchicalTrainer),
+        ("hierarchical", "trimmed_mean", HierarchicalTrainer),
+    ]
     rows = []
-
-    fed_ms = FedMSTrainer(
-        config(0.2),
-        model_factory=workload.model_factory(),
-        client_datasets=partitions,
-        test_dataset=workload.test,
-        attack=make_attack(attack_name),
-    )
-    history = fed_ms.run(scale.num_rounds, eval_every=scale.eval_every)
-    rows.append({
-        "architecture": "fed_ms",
-        "inter_server_rule": "-",
-        "final_accuracy": history.final_accuracy,
-        "upload_messages_per_round": (
-            history.total_upload_messages / scale.num_rounds
-        ),
-    })
-
-    for rule_name in ("mean", "trimmed_mean"):
-        rule = make_rule(rule_name, trim_ratio=0.2)
-        hierarchical = HierarchicalTrainer(
-            config(0.2),
-            model_factory=workload.model_factory(),
-            client_datasets=partitions,
-            test_dataset=workload.test,
-            attack=make_attack(attack_name),
-            inter_server_rule=rule,
-        )
-        history = hierarchical.run(scale.num_rounds,
-                                   eval_every=scale.eval_every)
+    for architecture, rule_name, topology in runs:
+        history, _ = workload.run(
+            "ext_hierarchical", attack=attack_name, topology=topology,
+            num_byzantine=max(round(0.2 * scale.num_servers), 1),
+            trim_ratio=0.2,
+            filter_rule_name=None if rule_name == "-" else rule_name)
         rows.append({
-            "architecture": "hierarchical",
-            "inter_server_rule": rule_name,
+            "architecture": architecture,
+            "exchange_rule": rule_name,
             "final_accuracy": history.final_accuracy,
             "upload_messages_per_round": (
                 history.total_upload_messages / scale.num_rounds
@@ -90,7 +54,7 @@ def test_fed_ms_beats_hierarchical_under_attack(benchmark):
     record_result(result)
 
     accuracy = {
-        (row["architecture"], row["inter_server_rule"]): row["final_accuracy"]
+        (row["architecture"], row["exchange_rule"]): row["final_accuracy"]
         for row in result.rows
     }
     limits = thresholds()

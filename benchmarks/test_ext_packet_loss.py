@@ -21,9 +21,7 @@ telemetry (per-tag drops, retries, degraded rounds) actually fired.
 """
 
 from _harness import record_result, thresholds
-from repro.attacks import make_attack
 from repro.common import RngFactory
-from repro.core import FedMSConfig, FedMSTrainer
 from repro.experiments import FigureResult, FigureWorkload, current_scale
 from repro.simulation import Network
 
@@ -33,40 +31,22 @@ LOSS_RATES = (0.0, 0.1, 0.2, 0.4)
 def run_packet_loss_study(seed=0):
     scale = current_scale()
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(10.0, tag="packet_loss")
     num_byzantine = max(round(0.2 * scale.num_servers), 1)
     rows = []
     for loss_rate in LOSS_RATES:
-        config = FedMSConfig(
-            num_clients=scale.num_clients,
-            num_servers=scale.num_servers,
-            num_byzantine=num_byzantine,
-            local_steps=3,
-            batch_size=scale.batch_size,
-            learning_rate=0.05,
-            trim_ratio=0.2,
-            eval_clients=2,
-            seed=seed,
-        )
         network = (
             Network(drop_probability=loss_rate,
                     rng=RngFactory(seed).make(f"loss/{loss_rate}"))
             if loss_rate > 0 else Network()
         )
-        trainer = FedMSTrainer(
-            config,
-            model_factory=workload.model_factory(),
-            client_datasets=partitions,
-            test_dataset=workload.test,
-            attack=make_attack("noise", scale=0.05),
-            network=network,
-        )
-        history = trainer.run(scale.num_rounds, eval_every=scale.eval_every)
+        history, stats = workload.run(
+            "packet_loss", attack="noise", num_byzantine=num_byzantine,
+            trim_ratio=0.2, inputs=dict(network=network))
         rows.append({
             "loss_rate": loss_rate,
             "final_accuracy": history.final_accuracy,
-            "dropped_messages": network.stats.dropped_total,
-            "dropped_by_tag": dict(network.stats.dropped_by_tag),
+            "dropped_messages": stats.dropped_total,
+            "dropped_by_tag": dict(stats.dropped_by_tag),
             "upload_retries": history.total_upload_retries,
             "upload_failures": history.total_upload_failures,
             "degraded_rounds": len(history.degraded_rounds),

@@ -12,15 +12,14 @@ trainer holds one client's shard at a time, never O(K).
 """
 
 from _harness import record_result, thresholds
-from repro.core import FedMSConfig, FedMSTrainer
+from repro.core import FedMSTrainer
 from repro.experiments import (
     POPULATION_PRESETS,
     build_population_trainer,
     current_scale,
+    preset_workload,
     run_population_scale,
 )
-from repro.models import SoftmaxRegression
-from repro.population import make_blob_population, make_blob_test_dataset
 
 SEED = 0
 ATTACK = "sign_flip"
@@ -44,35 +43,12 @@ def run_flat_baseline(population, preset, *, num_rounds, seed=SEED):
     Every client trains every round and there is a single aggregation
     tier — the architecture the population subsystem is measured against.
     """
-    config = FedMSConfig(
-        num_clients=population,
-        num_servers=3,
-        num_byzantine=0,
-        local_steps=preset.local_steps,
-        batch_size=preset.batch_size,
-        learning_rate=preset.learning_rate,
-        eval_clients=2,
-        seed=seed,
-    )
-    datasets = [spec.materialize() for spec in make_blob_population(
-        population,
-        samples_per_client=preset.samples_per_client,
-        feature_dim=preset.feature_dim,
-        num_classes=preset.num_classes,
-        seed=seed,
-        heterogeneity=preset.heterogeneity,
-    )]
-    test = make_blob_test_dataset(
-        num_samples=max(200, 4 * preset.samples_per_client),
-        feature_dim=preset.feature_dim,
-        num_classes=preset.num_classes,
-        seed=seed,
-    )
-    dim, classes = preset.feature_dim, preset.num_classes
+    config, model_factory, shard_specs, test = preset_workload(
+        preset, population, seed=seed, num_servers=3, eval_clients=2)
     trainer = FedMSTrainer(
         config,
-        model_factory=lambda rng: SoftmaxRegression(dim, classes, rng=rng),
-        client_datasets=datasets,
+        model_factory=model_factory,
+        client_datasets=[spec.materialize() for spec in shard_specs],
         test_dataset=test,
     )
     return trainer.run(num_rounds, eval_every=num_rounds)

@@ -16,8 +16,9 @@ Usage::
 """
 
 import argparse
+import dataclasses
 
-from repro import FedMSConfig, FedMSTrainer, make_attack, make_rule
+from repro import FedMSConfig, FedMSTrainer, make_attack
 from repro.attacks import available_attacks
 from repro.aggregation import available_rules
 from repro.common import RngFactory
@@ -71,16 +72,12 @@ def main() -> None:
     for attack_name in args.attacks:
         cells = []
         for filter_name in args.filters:
-            rule = make_rule(filter_name,
-                             trim_ratio=config.resolved_trim_ratio,
-                             num_byzantine=config.num_byzantine)
             trainer = FedMSTrainer(
-                config,
+                dataclasses.replace(config, filter_rule_name=filter_name),
                 model_factory=model_factory,
                 client_datasets=partitions,
                 test_dataset=test,
                 attack=make_attack(attack_name),
-                filter_rule=rule,
             )
             history = trainer.run(args.rounds, eval_every=args.rounds)
             cells.append(f"{history.final_accuracy:>16.3f}")

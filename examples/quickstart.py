@@ -12,8 +12,9 @@ Usage::
 """
 
 import argparse
+import dataclasses
 
-from repro import FedMSConfig, FedMSTrainer, make_attack, make_rule
+from repro import FedMSConfig, FedMSTrainer, make_attack
 from repro.attacks import available_attacks
 from repro.common import RngFactory
 from repro.data import ArrayDataset, dirichlet_partition, make_synthetic_cifar10
@@ -47,14 +48,13 @@ def main() -> None:
           f"B={config.num_byzantine} Byzantine ({args.attack} attack), "
           f"beta={config.resolved_trim_ratio:.2f}")
 
-    def run(label, filter_rule):
+    def run(label, filter_rule_name):
         trainer = FedMSTrainer(
-            config,
+            dataclasses.replace(config, filter_rule_name=filter_rule_name),
             model_factory=lambda rng: MLP(3072, (64,), 10, rng=rng),
             client_datasets=partitions,
             test_dataset=flat_test,
             attack=make_attack(args.attack),
-            filter_rule=filter_rule,
         )
         print(f"\n--- {label} ---")
         history = trainer.run(
@@ -68,8 +68,9 @@ def main() -> None:
         )
         return history
 
-    defended = run("Fed-MS (trimmed-mean filter)", filter_rule=None)
-    undefended = run("Vanilla FL (no defense)", make_rule("mean"))
+    defended = run("Fed-MS (trimmed-mean filter)",
+                   filter_rule_name="trimmed_mean")
+    undefended = run("Vanilla FL (no defense)", filter_rule_name="mean")
 
     print("\n=== result ===")
     print(f"Fed-MS final accuracy:     {defended.final_accuracy:.3f}")

@@ -28,6 +28,7 @@ import sys
 from typing import List, Optional
 
 from .attacks import PAPER_ATTACKS, available_attacks
+from .common.errors import ConfigurationError
 from .core.config import (
     EXECUTION_BACKEND_ENV,
     NUM_WORKERS_ENV,
@@ -211,7 +212,19 @@ def _emit(result) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. A setting the library refuses
+    (:class:`~repro.common.errors.ConfigurationError`) is reported like a
+    bad flag: the usage line, ``repro: error: ...``, exit status 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _run(args)
+    except ConfigurationError as error:
+        parser.error(str(error))
+    return 0
+
+
+def _run(args: argparse.Namespace) -> None:
     scale = _resolve_scale(args)
     seed = args.seed
     # Backend selection rides the environment so every trainer any
@@ -284,7 +297,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit(run_fig5_alpha_panel(alpha, scale=scale, seed=seed))
         _emit(run_comm_cost(scale=scale, seed=seed))
         _emit(run_convergence_rate(seed=seed))
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

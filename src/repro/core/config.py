@@ -128,17 +128,21 @@ class FedMSConfig:
         ``beta`` — the model filter's trimmed rate. Defaults to ``B / P``
         (the value the theory prescribes) when left ``None``.
     filter_rule_name:
-        Which registry rule the clients' ``Def()`` filter uses (see
-        :func:`repro.aggregation.available_rules`). ``None`` (default)
-        keeps the paper's static beta-trimmed mean.
+        Which registry rule ``Def()`` uses (see
+        :func:`repro.aggregation.available_rules`): the clients' filter on
+        the flat topology, the inter-server exchange on the grouped one,
+        each tier parent's on the population one. It is the one way to
+        choose ``Def()``; no trainer takes a rule object. ``None``
+        (default) keeps the paper's static beta-trimmed mean, which trims
+        the absolute ``B = trim_count(P, beta)`` per tail at every quorum.
+        ``"mean"`` is the undefended "Vanilla FL" baseline.
         ``"adaptive_trimmed_mean"`` estimates the Byzantine count per
         round from inter-model dispersion (modified z-scores above
         :data:`~repro.aggregation.MAD_THRESHOLD`);
         ``"loss_based"`` ranks the received models by loss on a trusted
         root batch (FedGreed-style,
         :data:`~repro.core.filtering.ROOT_BATCH_SIZE` samples) and
-        greedily selects while the loss improves. An explicit
-        ``filter_rule`` closure passed to the trainer overrides this.
+        greedily selects while the loss improves.
     upload_strategy:
         ``"sparse"`` (paper default — one uniformly random PS per client),
         ``"full"`` (every PS), or ``"multi"`` (a fixed number of PSs, see

@@ -1,8 +1,8 @@
 """``Def()``, Algorithm 1 line 13: the one quorum-aware filter decision.
 
-:func:`resolve_filter` turns the configuration (an explicit closure, a
-registry name in :attr:`FedMSConfig.filter_rule_name`, or the default
-static beta-trimmed mean) into one callable,
+:func:`resolve_filter` turns the configuration (a registry name in
+:attr:`FedMSConfig.filter_rule_name`, or the default static beta-trimmed
+mean) into one callable,
 ``filter(rows, senders, *, expected, budget=None) -> Verdict``, and every
 topology calls it: the flat trainer once per distinct client inbox, the
 grouped trainer once per distinct PS inbox, a tier parent once per round.
@@ -145,9 +145,10 @@ class ResolvedFilter:
         ``quorum_floor(budget)`` rows the verdict is to fall back. The
         static trimmed mean trims that absolute count at every ``q``, not
         ``floor(beta * q)``: the adversary does not crash with the benign
-        senders. An estimating rule or an opaque closure called without a
-        budget has none to hold the quorum to: its floor is one row and
-        it runs on whatever arrived.
+        senders. Any other rule called without a budget, an estimating one
+        or a named rule such as ``mean`` or ``median``, has none to hold
+        the quorum to: its floor is one row and it runs on whatever
+        arrived.
         """
         q = len(rows)
         if budget is None:
@@ -169,7 +170,6 @@ static_filter = ResolvedFilter(mean, budget=0)
 
 
 def resolve_filter(config: FedMSConfig, *,
-                   filter_rule: Optional[AggregationRule] = None,
                    model_factory: Optional[
                        Callable[[np.random.Generator], object]] = None,
                    root_dataset: Optional[ArrayDataset] = None,
@@ -177,15 +177,11 @@ def resolve_filter(config: FedMSConfig, *,
                    ) -> ResolvedFilter:
     """Build the ``Def()`` a trainer will call.
 
-    ``filter_rule`` (an explicit closure) wins over
-    ``config.filter_rule_name``; with neither, the paper's static
-    beta-trimmed mean at ``config.resolved_trim_ratio`` is used.
+    The rule is the one ``config.filter_rule_name`` names; unset, it is
+    the paper's static beta-trimmed mean at ``config.resolved_trim_ratio``.
     ``root_dataset`` feeds the loss-based rule's trusted batch (every
     trainer passes its test set).
     """
-    if filter_rule is not None:
-        return ResolvedFilter(filter_rule)
-
     name = config.filter_rule_name
     if name is None or name == "trimmed_mean":
         beta = config.resolved_trim_ratio

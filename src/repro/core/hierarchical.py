@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import AggregationRule, mean
+from ..aggregation import mean
 from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
@@ -55,14 +55,15 @@ class HierarchicalTrainer(RoundEngine):
     Reads the :class:`FedMSConfig` of :class:`FedMSTrainer` except
     ``eval_clients`` (one client per group is scored); ``upload_strategy``
     other than ``"sparse"`` and the population settings raise. Client
-    ``k`` belongs to the group of PS ``k mod P``.
+    ``k`` belongs to the group of PS ``k mod P``. The inter-server
+    exchange runs the ``Def()`` that ``config.filter_rule_name`` names,
+    as the flat trainer's clients do.
     """
 
     def __init__(self, config: FedMSConfig, *, model_factory: ModelFactory,
                  client_datasets: Sequence[ArrayDataset],
                  test_dataset: ArrayDataset,
                  attack: Optional[Attack] = None,
-                 inter_server_rule: Optional[AggregationRule] = None,
                  network: Optional[Network] = None) -> None:
         refuse(config, "HierarchicalTrainer", "a client's one upload target "
                "is its group PS, and there is no population or tier",
@@ -77,10 +78,9 @@ class HierarchicalTrainer(RoundEngine):
                 "every PS needs at least one group member; groups "
                 f"{sorted(empty)} are empty")
         self.groups = groups
-        # The exchange's Def(): an explicit rule wins over the config's.
+        # The exchange's Def().
         self.filter_rule: ResolvedFilter = resolve_filter(
-            config, filter_rule=inter_server_rule,
-            model_factory=model_factory, root_dataset=test_dataset,
+            config, model_factory=model_factory, root_dataset=test_dataset,
             root_rng=self.rngs.make("filter/root_batch"))
 
         self._resident_clients(model_factory, client_datasets)

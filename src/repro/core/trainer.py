@@ -64,6 +64,9 @@ class FedMSTrainer(RoundEngine):
     ----------
     config:
         Topology and hyper-parameters (``K``, ``P``, ``B``, ``E``, beta, ...).
+        ``config.filter_rule_name`` names the clients' ``Def()``: unset, the
+        beta-trimmed mean with ``beta = config.resolved_trim_ratio``;
+        ``"mean"`` is the paper's undefended "Vanilla FL" comparison.
         The population settings (``population_size``, ``tier_spec``, churn
         rates) belong to :class:`~repro.population.PopulationTrainer` and
         raise here.
@@ -83,12 +86,6 @@ class FedMSTrainer(RoundEngine):
         Which PSs are Byzantine. Default: a uniformly random subset of size
         ``B`` (their distribution is unknown to the clients, per the threat
         model).
-    filter_rule:
-        The client-side ``Def()``. Default: the rule named by
-        ``config.filter_rule_name`` (the beta-trimmed mean with
-        ``beta = config.resolved_trim_ratio`` when unset). Pass
-        ``make_rule("mean")`` for the paper's undefended "Vanilla FL"
-        comparison; an explicit closure wins over the config name.
     lr_schedule:
         Optional global-step learning-rate schedule (e.g. the Theorem 1
         policy); defaults to a constant ``config.learning_rate``.
@@ -115,7 +112,6 @@ class FedMSTrainer(RoundEngine):
                  test_dataset: ArrayDataset,
                  attack: Optional[Attack] = None,
                  byzantine_ids: Optional[Sequence[int]] = None,
-                 filter_rule: Optional[AggregationRule] = None,
                  lr_schedule: Optional[LRSchedule] = None,
                  weight_decay: float = 0.0,
                  network: Optional[Network] = None,
@@ -138,8 +134,7 @@ class FedMSTrainer(RoundEngine):
         self.upload_strategy: UploadStrategy = make_upload_strategy(config)
         # Def(), quorum-aware: what every client runs on its inbox.
         self.filter_rule: ResolvedFilter = resolve_filter(
-            config, filter_rule=filter_rule, model_factory=model_factory,
-            root_dataset=test_dataset,
+            config, model_factory=model_factory, root_dataset=test_dataset,
             root_rng=self.rngs.make("filter/root_batch"))
 
         if fault_injector is not None:

@@ -13,6 +13,7 @@ from .population import (
     POPULATION_PRESETS,
     PopulationPreset,
     build_population_trainer,
+    preset_workload,
     run_population_comm,
     run_population_scale,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "POPULATION_PRESETS",
     "PopulationPreset",
     "build_population_trainer",
+    "preset_workload",
     "run_population_comm",
     "run_population_scale",
     "ascii_curves",

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..attacks import make_attack
-from ..core import FedMSConfig, FedMSTrainer
 from .results import FigureResult
-from .specs import ATTACK_KWARGS, DEFAULT_ALPHA, DEFAULT_EPSILON
-from .workload import BenchScale, FigureWorkload, current_scale
+from .workload import (
+    DEFAULT_ALPHA,
+    DEFAULT_EPSILON,
+    BenchScale,
+    FigureWorkload,
+    current_scale,
+)
 
 __all__ = ["run_async_deadline"]
 
@@ -43,36 +46,17 @@ def run_async_deadline(*, attack_name: str = "noise",
     """
     scale = scale or current_scale()
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(DEFAULT_ALPHA, tag="async_deadline")
     num_byzantine = max(1, round(DEFAULT_EPSILON * scale.num_servers))
     rounds = num_rounds if num_rounds is not None else scale.num_rounds
 
     def run_one(*, rate: float, mode: str,
                 quantile: Optional[float]) -> Dict[str, object]:
-        config = FedMSConfig(
-            num_clients=scale.num_clients,
-            num_servers=scale.num_servers,
-            num_byzantine=num_byzantine,
-            local_steps=3,
-            batch_size=scale.batch_size,
-            trim_ratio=DEFAULT_EPSILON,
-            eval_clients=2,
-            seed=seed,
-            straggler_rate=rate,
-            aggregation_mode=mode,
+        history, _ = workload.run(
+            "async_deadline", attack=attack_name, rounds=rounds,
+            num_byzantine=num_byzantine, trim_ratio=DEFAULT_EPSILON,
+            straggler_rate=rate, aggregation_mode=mode,
             deadline_quantile=quantile if quantile is not None else 0.9,
-            health_scoring=mode == "deadline",
-        )
-        attack = make_attack(attack_name,
-                             **ATTACK_KWARGS.get(attack_name, {}))
-        with FedMSTrainer(
-            config,
-            model_factory=workload.model_factory(),
-            client_datasets=partitions,
-            test_dataset=workload.test,
-            attack=attack,
-        ) as trainer:
-            history = trainer.run(rounds, eval_every=scale.eval_every)
+            health_scoring=mode == "deadline")
         return {
             "attack": attack_name,
             "mode": mode,

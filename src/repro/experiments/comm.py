@@ -18,16 +18,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..attacks import make_attack
-from ..core import FedMSConfig, FedMSTrainer
+from ..common.errors import ConfigurationError
 from .results import FigureResult
-from .specs import ATTACK_KWARGS, DEFAULT_ALPHA, DEFAULT_EPSILON
-from .workload import BenchScale, FigureWorkload, current_scale
+from .workload import (
+    DEFAULT_ALPHA,
+    DEFAULT_EPSILON,
+    BenchScale,
+    FigureWorkload,
+    current_scale,
+)
 
 __all__ = ["CODEC_SWEEP_CONFIGS", "COMM_SWEEP_ATTACKS", "run_comm_codecs"]
 
-#: ``(label, codec chain)`` pairs the sweep compares. The identity row is
-#: the uncompressed baseline the ratios and accuracy deltas refer to.
+#: ``(label, codec chain)`` pairs the sweep compares. The row with the
+#: empty chain is the uncompressed baseline the ratios and accuracy deltas
+#: refer to, wherever it sits in the list.
 CODEC_SWEEP_CONFIGS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("identity", ()),
     ("topk+int8", ("topk(0.05)", "int8")),
@@ -50,41 +55,27 @@ def run_comm_codecs(*, scale: Optional[BenchScale] = None,
 
     All runs of one attack share the seed, partitions and Byzantine
     placement, so the only difference between a codec row and its identity
-    baseline is the codec itself.
+    baseline, the run whose chain is empty, is the codec itself.
+    ``codec_configs`` without an empty chain raises
+    :class:`~repro.common.errors.ConfigurationError` before any training.
     """
+    if all(codecs for _, codecs in codec_configs):
+        raise ConfigurationError(
+            "codec_configs needs an identity row (an empty codec chain) "
+            "to measure the others against")
     scale = scale or current_scale()
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(DEFAULT_ALPHA, tag="comm_codecs")
     num_byzantine = max(1, round(DEFAULT_EPSILON * scale.num_servers))
     rounds = num_rounds if num_rounds is not None else scale.num_rounds
     rows: List[Dict[str, object]] = []
     for attack_name in attacks:
-        identity_row: Optional[Dict[str, object]] = None
+        runs: List[Dict[str, object]] = []
         for label, codecs in codec_configs:
-            config = FedMSConfig(
-                num_clients=scale.num_clients,
-                num_servers=scale.num_servers,
-                num_byzantine=num_byzantine,
-                local_steps=3,
-                batch_size=scale.batch_size,
-                upload_codecs=list(codecs),
-                filter_rule_name=filter_rule_name,
-                eval_clients=2,
-                seed=seed,
-            )
-            attack = make_attack(
-                attack_name, **ATTACK_KWARGS.get(attack_name, {})
-            )
-            with FedMSTrainer(
-                config,
-                model_factory=workload.model_factory(),
-                client_datasets=partitions,
-                test_dataset=workload.test,
-                attack=attack,
-            ) as trainer:
-                history = trainer.run(rounds, eval_every=scale.eval_every)
-                stats = trainer.network.stats
-            row: Dict[str, object] = {
+            history, stats = workload.run(
+                "comm_codecs", attack=attack_name, rounds=rounds,
+                num_byzantine=num_byzantine, upload_codecs=list(codecs),
+                filter_rule_name=filter_rule_name)
+            runs.append({
                 "attack": attack_name,
                 "codec": label,
                 "codecs": list(codecs),
@@ -97,21 +88,15 @@ def run_comm_codecs(*, scale: Optional[BenchScale] = None,
                     stats.bytes_by_tag.get("dissemination", 0) / rounds
                 ),
                 "final_accuracy": history.final_accuracy,
-            }
-            if identity_row is None:
-                identity_row = row
-                row["compression_ratio"] = 1.0
-                row["accuracy_delta"] = 0.0
-            else:
-                baseline = float(identity_row["offered_bytes_per_round"])
-                row["compression_ratio"] = (
-                    baseline / float(row["offered_bytes_per_round"])
-                )
-                row["accuracy_delta"] = (
-                    float(row["final_accuracy"])
-                    - float(identity_row["final_accuracy"])
-                )
-            rows.append(row)
+            })
+        identity = next(row for row in runs if not row["codecs"])
+        for row in runs:
+            row["compression_ratio"] = (
+                float(identity["offered_bytes_per_round"])
+                / float(row["offered_bytes_per_round"]))
+            row["accuracy_delta"] = (float(row["final_accuracy"])
+                                     - float(identity["final_accuracy"]))
+        rows.extend(runs)
     return FigureResult(
         figure_id="comm_codecs",
         params={

@@ -14,7 +14,9 @@ Two entry points:
 
 Both build on :func:`build_population_trainer`, which maps a
 :class:`~repro.experiments.workload.BenchScale` name to a population
-preset (size, tier shape, Byzantine budgets).
+preset (size, tier shape, Byzantine budgets). It and the flat
+full-participation baseline take their config, data and model from
+:func:`preset_workload`.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..attacks import make_attack
 from ..common.rng import stream_seed
 from ..core.config import FedMSConfig
+from ..core.trainer import ModelFactory
+from ..data import ArrayDataset
 from ..models import SoftmaxRegression
 from ..population import (
     ChurnPlan,
@@ -35,10 +38,9 @@ from ..population import (
     make_blob_test_dataset,
 )
 from .results import Curve, FigureResult
-from .specs import ATTACK_KWARGS
-from .workload import BenchScale, current_scale
+from .workload import BenchScale, build_attack, current_scale
 
-__all__ = ["PopulationPreset", "POPULATION_PRESETS",
+__all__ = ["PopulationPreset", "POPULATION_PRESETS", "preset_workload",
            "build_population_trainer", "run_population_scale",
            "run_population_comm"]
 
@@ -86,6 +88,38 @@ POPULATION_PRESETS: Dict[str, PopulationPreset] = {
 }
 
 
+def preset_workload(preset: PopulationPreset, population: int, *,
+                    seed: int, **settings
+                    ) -> Tuple[FedMSConfig, ModelFactory, list, ArrayDataset]:
+    """What a run on ``preset``'s blob population of ``population``
+    clients needs: the config (``K = population``, no Byzantine PS, the
+    preset's local steps, batch size and learning rate, this seed;
+    ``settings`` set the rest), the model factory, the clients' shard
+    specs and the held-out test set."""
+    config = FedMSConfig(num_clients=population, num_byzantine=0,
+                         local_steps=preset.local_steps,
+                         batch_size=preset.batch_size,
+                         learning_rate=preset.learning_rate, seed=seed,
+                         **settings)
+    dim, classes = preset.feature_dim, preset.num_classes
+    shard_specs = make_blob_population(
+        population,
+        samples_per_client=preset.samples_per_client,
+        feature_dim=dim,
+        num_classes=classes,
+        seed=seed,
+        heterogeneity=preset.heterogeneity,
+    )
+    test = make_blob_test_dataset(
+        num_samples=max(200, 4 * preset.samples_per_client),
+        feature_dim=dim,
+        num_classes=classes,
+        seed=seed,
+    )
+    return (config, lambda rng: SoftmaxRegression(dim, classes, rng=rng),
+            shard_specs, test)
+
+
 def build_population_trainer(preset: PopulationPreset, *, seed: int,
                              attack_name: Optional[str] = None,
                              with_churn: bool = True,
@@ -106,14 +140,9 @@ def build_population_trainer(preset: PopulationPreset, *, seed: int,
     fraction = (sample_fraction if sample_fraction is not None
                 else preset.sample_fraction)
     attacked = attack_name is not None
-    config = FedMSConfig(
-        num_clients=population,
+    config, model_factory, shard_specs, test = preset_workload(
+        preset, population, seed=seed,
         num_servers=sum(preset.tier_spec),
-        num_byzantine=0,
-        local_steps=preset.local_steps,
-        batch_size=preset.batch_size,
-        learning_rate=preset.learning_rate,
-        seed=seed,
         filter_rule_name=filter_rule_name,
         population_size=population,
         sample_fraction=fraction,
@@ -121,20 +150,6 @@ def build_population_trainer(preset: PopulationPreset, *, seed: int,
         tier_byzantine=preset.tier_byzantine if attacked else None,
         churn_join_rate=0.15 if with_churn else 0.0,
         churn_leave_rate=0.1 if with_churn else 0.0,
-    )
-    shard_specs = make_blob_population(
-        population,
-        samples_per_client=preset.samples_per_client,
-        feature_dim=preset.feature_dim,
-        num_classes=preset.num_classes,
-        seed=seed,
-        heterogeneity=preset.heterogeneity,
-    )
-    test = make_blob_test_dataset(
-        num_samples=max(200, 4 * preset.samples_per_client),
-        feature_dim=preset.feature_dim,
-        num_classes=preset.num_classes,
-        seed=seed,
     )
     churn_plan = None
     if config.has_churn and rounds > 1:
@@ -146,17 +161,12 @@ def build_population_trainer(preset: PopulationPreset, *, seed: int,
                 stream_seed(seed, "population/churn/plan")
             ),
         )
-    attack = None
-    if attacked:
-        attack = make_attack(attack_name,
-                             **ATTACK_KWARGS.get(attack_name, {}))
-    dim, classes = preset.feature_dim, preset.num_classes
     trainer = PopulationTrainer(
         config,
-        model_factory=lambda rng: SoftmaxRegression(dim, classes, rng=rng),
+        model_factory=model_factory,
         shard_specs=shard_specs,
         test_dataset=test,
-        attack=attack,
+        attack=build_attack(attack_name) if attacked else None,
         churn_plan=churn_plan,
     )
     return trainer, rounds

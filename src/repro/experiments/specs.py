@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..aggregation import make_rule, validate_rule_params
+from ..aggregation import validate_rule_params
 from ..attacks import make_attack
 from ..common.errors import ConfigurationError
 from ..common.rng import RngFactory
@@ -41,7 +41,13 @@ from ..theory import (
     theorem1_gamma,
 )
 from .results import Curve, FigureResult
-from .workload import BenchScale, FigureWorkload, current_scale
+from .workload import (
+    DEFAULT_ALPHA,
+    DEFAULT_EPSILON,
+    BenchScale,
+    FigureWorkload,
+    current_scale,
+)
 
 __all__ = [
     "run_fig2_attack_panel",
@@ -56,64 +62,9 @@ __all__ = [
     "ADAPTIVE_CROSSOVER_VARIANTS",
 ]
 
-#: Dirichlet parameter used by Fig. 2 / Fig. 3 (Section VI-B/C).
-DEFAULT_ALPHA = 10.0
-#: Byzantine fraction used by Fig. 2 / Fig. 5.
-DEFAULT_EPSILON = 0.2
-#: Noise-attack standard deviation, calibrated so undefended FL degrades
-#: gracefully with the Byzantine fraction (the paper's Fig. 3 shape: ~48%
-#: at epsilon=10% sliding to ~25% at 30%) rather than collapsing outright.
-#: The paper's absolute sigma is tied to MobileNet's weight scale; this
-#: value plays the same role for our substrate's weight scale.
-NOISE_ATTACK_SCALE = 0.05
-
-#: Per-attack constructor arguments used by every experiment that builds an
-#: attack by name. The colluding lie is scaled well past the honest spread so
-#: a single surviving colluder visibly drags an under-trimmed mean.
-ATTACK_KWARGS = {
-    "noise": {"scale": NOISE_ATTACK_SCALE},
-    "colluding": {"scale": 3.0},
-}
-
-
 def _curve_from_history(label: str, history: TrainingHistory) -> Curve:
     return Curve(label=label, rounds=history.evaluated_rounds,
                  accuracies=history.accuracies)
-
-
-def _run_one(workload: FigureWorkload, partitions, *, num_byzantine: int,
-             attack_name: Optional[str], filter_name: str,
-             trim_ratio: float, seed: int, label: str,
-             num_rounds: Optional[int] = None) -> Curve:
-    scale = workload.scale
-    config = FedMSConfig(
-        num_clients=scale.num_clients,
-        num_servers=scale.num_servers,
-        num_byzantine=num_byzantine,
-        local_steps=3,
-        batch_size=scale.batch_size,
-        learning_rate=0.05,
-        trim_ratio=trim_ratio,
-        eval_clients=2,
-        seed=seed,
-    )
-    rule = make_rule(filter_name, trim_ratio=trim_ratio,
-                     num_byzantine=num_byzantine,
-                     num_models=scale.num_servers)
-    attack = None
-    if num_byzantine > 0 and attack_name is not None:
-        attack = make_attack(attack_name, **ATTACK_KWARGS.get(attack_name, {}))
-    with FedMSTrainer(
-        config,
-        model_factory=workload.model_factory(),
-        client_datasets=partitions,
-        test_dataset=workload.test,
-        attack=attack,
-        filter_rule=rule,
-    ) as trainer:
-        history = trainer.run(num_rounds or scale.num_rounds,
-                              eval_every=scale.eval_every)
-    return _curve_from_history(label, history)
 
 
 def run_fig2_attack_panel(attack_name: str, *,
@@ -129,7 +80,6 @@ def run_fig2_attack_panel(attack_name: str, *,
     """
     scale = scale or current_scale()
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(DEFAULT_ALPHA, tag=f"fig2/{attack_name}")
     num_byzantine = round(DEFAULT_EPSILON * scale.num_servers)
     runs = [
         ("Fed-MS", "trimmed_mean", 0.2),
@@ -137,9 +87,10 @@ def run_fig2_attack_panel(attack_name: str, *,
         ("Vanilla FL", "mean", 0.0),
     ]
     curves = [
-        _run_one(workload, partitions, num_byzantine=num_byzantine,
-                 attack_name=attack_name, filter_name=filter_name,
-                 trim_ratio=trim, seed=seed, label=label)
+        _curve_from_history(label, workload.run(
+            f"fig2/{attack_name}", attack=attack_name,
+            num_byzantine=num_byzantine, filter_rule_name=filter_name,
+            trim_ratio=trim)[0])
         for label, filter_name, trim in runs
     ]
     return FigureResult(
@@ -165,20 +116,19 @@ def run_fig3_epsilon_panel(epsilon: float, *,
     if not 0.0 <= epsilon < 0.5:
         raise ConfigurationError(f"epsilon must be in [0, 0.5), got {epsilon}")
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(DEFAULT_ALPHA, tag=f"fig3/{epsilon}")
     num_byzantine = round(epsilon * scale.num_servers)
-    # Fed-MS trims at the true Byzantine fraction; with epsilon = 0 the
-    # filter must still trim a sliver below 0.5 to stay well-defined, so
-    # beta defaults to B/P = 0.
+    # Fed-MS trims at the true Byzantine fraction B/P; at epsilon = 0 that
+    # is 0, and the filter trims 0.2, the Fig. 2 setting, instead.
     beta = num_byzantine / scale.num_servers
+    runs = [
+        ("Fed-MS", "trimmed_mean", beta if beta > 0 else 0.2),
+        ("Vanilla FL", "mean", 0.0),
+    ]
     curves = [
-        _run_one(workload, partitions, num_byzantine=num_byzantine,
-                 attack_name="noise", filter_name="trimmed_mean",
-                 trim_ratio=beta if beta > 0 else 0.2, seed=seed,
-                 label="Fed-MS"),
-        _run_one(workload, partitions, num_byzantine=num_byzantine,
-                 attack_name="noise", filter_name="mean", trim_ratio=0.0,
-                 seed=seed, label="Vanilla FL"),
+        _curve_from_history(label, workload.run(
+            f"fig3/{epsilon}", attack="noise", num_byzantine=num_byzantine,
+            filter_rule_name=filter_name, trim_ratio=trim)[0])
+        for label, filter_name, trim in runs
     ]
     return FigureResult(
         figure_id=f"fig3/epsilon={epsilon:.0%}",
@@ -236,13 +186,11 @@ def run_fig5_alpha_panel(alpha: float, *, scale: Optional[BenchScale] = None,
     with the Noise attack at ``epsilon = 20%``."""
     scale = scale or current_scale()
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(alpha, tag="fig5")
-    num_byzantine = round(DEFAULT_EPSILON * scale.num_servers)
-    curve = _run_one(
-        workload, partitions, num_byzantine=num_byzantine,
-        attack_name="noise", filter_name="trimmed_mean", trim_ratio=0.2,
-        seed=seed, label=f"Fed-MS (alpha={alpha:g})",
-    )
+    history, _ = workload.run(
+        "fig5", alpha=alpha, attack="noise",
+        num_byzantine=round(DEFAULT_EPSILON * scale.num_servers),
+        filter_rule_name="trimmed_mean", trim_ratio=0.2)
+    curve = _curve_from_history(f"Fed-MS (alpha={alpha:g})", history)
     return FigureResult(
         figure_id=f"fig5/alpha={alpha:g}",
         params={"alpha": alpha, "epsilon": DEFAULT_EPSILON,
@@ -261,28 +209,12 @@ def run_comm_cost(*, scale: Optional[BenchScale] = None,
     """
     scale = scale or current_scale()
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(DEFAULT_ALPHA, tag="comm")
     rows = []
     for strategy in ("sparse", "full"):
-        config = FedMSConfig(
-            num_clients=scale.num_clients,
-            num_servers=scale.num_servers,
-            num_byzantine=0,
-            local_steps=3,
-            batch_size=scale.batch_size,
-            upload_strategy=strategy,
-            eval_clients=1,
-            seed=seed,
-        )
-        with FedMSTrainer(
-            config,
-            model_factory=workload.model_factory(),
-            client_datasets=partitions,
-            test_dataset=workload.test,
-        ) as trainer:
-            history = trainer.run(num_rounds, eval_every=num_rounds)
+        history, stats = workload.run(
+            "comm", rounds=num_rounds, num_byzantine=0,
+            upload_strategy=strategy, eval_clients=1)
         per_round = history.total_upload_messages / num_rounds
-        stats = trainer.network.stats
         rows.append({
             "strategy": strategy,
             "upload_messages_per_round": per_round,
@@ -453,16 +385,14 @@ def run_filter_ablation(attack_names: Sequence[str] = ("random",
         else:
             usable.append(filter_name)
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(DEFAULT_ALPHA, tag="ablation")
     rows = []
     for attack_name in attack_names:
         for filter_name in usable:
-            curve = _run_one(
-                workload, partitions, num_byzantine=num_byzantine,
-                attack_name=attack_name, filter_name=filter_name,
-                trim_ratio=DEFAULT_EPSILON, seed=seed,
-                label=f"{filter_name} vs {attack_name}",
-            )
+            history, _ = workload.run(
+                "ablation", attack=attack_name, num_byzantine=num_byzantine,
+                filter_rule_name=filter_name, trim_ratio=DEFAULT_EPSILON)
+            curve = _curve_from_history(f"{filter_name} vs {attack_name}",
+                                        history)
             rows.append({
                 "attack": attack_name,
                 "filter": filter_name,
@@ -497,8 +427,9 @@ def run_fault_tolerance(*, loss_rate: float = 0.1, num_crashes: int = 2,
         raise ConfigurationError(
             f"num_crashes must be >= 0, got {num_crashes}"
         )
-    workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(DEFAULT_ALPHA, tag="faults")
+    # Built first: a loss rate Network refuses fails before any training.
+    lossy = Network(drop_probability=loss_rate,
+                    rng=RngFactory(seed).make(f"faults/loss/{loss_rate}"))
     num_byzantine = max(round(DEFAULT_EPSILON * scale.num_servers), 1)
     if num_byzantine + num_crashes > scale.num_servers:
         raise ConfigurationError(
@@ -520,57 +451,32 @@ def run_fault_tolerance(*, loss_rate: float = 0.1, num_crashes: int = 2,
             recover = min(rounds, start + max(2, rounds // 4))
             crashes.append(ServerCrash(server_id, start, recover))
     plan = FaultPlan(crashes=tuple(crashes))
-
-    def run(label: str, faulty: bool) -> TrainingHistory:
-        config = FedMSConfig(
-            num_clients=scale.num_clients,
-            num_servers=scale.num_servers,
-            num_byzantine=num_byzantine,
-            local_steps=3,
-            batch_size=scale.batch_size,
-            learning_rate=0.05,
-            trim_ratio=DEFAULT_EPSILON,
-            eval_clients=2,
-            seed=seed,
-        )
-        network = Network()
-        if faulty and loss_rate > 0:
-            network = Network(
-                drop_probability=loss_rate,
-                rng=RngFactory(seed).make(f"faults/loss/{loss_rate}"),
-            )
-        with FedMSTrainer(
-            config,
-            model_factory=workload.model_factory(),
-            client_datasets=partitions,
-            test_dataset=workload.test,
-            attack=make_attack(attack_name,
-                               **ATTACK_KWARGS.get(attack_name, {})),
-            byzantine_ids=byzantine_ids,
-            network=network,
-            fault_injector=FaultInjector(plan) if faulty else None,
-        ) as trainer:
-            history = trainer.run(rounds, eval_every=scale.eval_every)
+    workload = FigureWorkload(scale, seed=seed)
+    rows: List[Dict[str, object]] = []
+    curves: List[Curve] = []
+    for label, faulty in (
+            ("fault-free", False),
+            (f"{num_crashes} crashes + {loss_rate:.0%} loss", True)):
+        history, stats = workload.run(
+            "faults", attack=attack_name, rounds=rounds,
+            num_byzantine=num_byzantine, trim_ratio=DEFAULT_EPSILON,
+            inputs=dict(byzantine_ids=byzantine_ids,
+                        network=lossy if faulty else None,
+                        fault_injector=FaultInjector(plan) if faulty
+                        else None))
         rows.append({
             "run": label,
             "final_accuracy": history.final_accuracy,
             "degraded_rounds": len(history.degraded_rounds),
             "upload_retries": history.total_upload_retries,
             "upload_failures": history.total_upload_failures,
-            "dropped_by_tag":
-                dict(trainer.network.stats.dropped_by_tag),
-            "cleared_total": trainer.network.stats.cleared_total,
+            "dropped_by_tag": dict(stats.dropped_by_tag),
+            "cleared_total": stats.cleared_total,
             "min_models_received":
                 [q for q in history.min_models_received_per_round
                  if q is not None],
         })
         curves.append(_curve_from_history(label, history))
-        return history
-
-    rows: List[Dict[str, object]] = []
-    curves: List[Curve] = []
-    run("fault-free", faulty=False)
-    run(f"{num_crashes} crashes + {loss_rate:.0%} loss", faulty=True)
     return FigureResult(
         figure_id="ext_fault_tolerance",
         params={
@@ -630,29 +536,18 @@ def run_adaptive_crossover(*, attack_name: str = "dispersion_mimicry",
                 f"(need 0 <= B <= {feasible_max})"
             )
     workload = FigureWorkload(scale, seed=seed)
-    partitions = workload.partitions(DEFAULT_ALPHA, tag="adaptive")
     rounds = num_rounds or scale.num_rounds
     crash_round = min(max(1, rounds // 3), rounds - 1)
 
     def run(num_byzantine: int, variant: str, faulty: bool):
-        config_kwargs = dict(
-            num_clients=scale.num_clients,
-            num_servers=P,
-            num_byzantine=num_byzantine,
-            local_steps=3,
-            batch_size=scale.batch_size,
-            learning_rate=0.05,
-            eval_clients=2,
-            seed=seed,
-        )
         if variant == "static-oracle":
-            config_kwargs["trim_ratio"] = num_byzantine / P
+            rule = dict(trim_ratio=num_byzantine / P)
         elif variant == "static-under":
-            config_kwargs["trim_ratio"] = (num_byzantine // 2) / P
+            rule = dict(trim_ratio=(num_byzantine // 2) / P)
         elif variant == "adaptive":
-            config_kwargs["filter_rule_name"] = "adaptive_trimmed_mean"
+            rule = dict(filter_rule_name="adaptive_trimmed_mean")
         elif variant == "loss_based":
-            config_kwargs["filter_rule_name"] = "loss_based"
+            rule = dict(filter_rule_name="loss_based")
         else:
             raise ConfigurationError(f"unknown variant {variant!r}")
         # Byzantine placement and the crash are disjoint: the adversary
@@ -662,20 +557,12 @@ def run_adaptive_crossover(*, attack_name: str = "dispersion_mimicry",
             injector = FaultInjector(FaultPlan(crashes=(
                 ServerCrash(P - 1, crash_round),
             )))
-        attack = None
-        if num_byzantine > 0:
-            attack = make_attack(attack_name,
-                                 **ATTACK_KWARGS.get(attack_name, {}))
-        with FedMSTrainer(
-            FedMSConfig(**config_kwargs),
-            model_factory=workload.model_factory(),
-            client_datasets=partitions,
-            test_dataset=workload.test,
-            attack=attack,
-            byzantine_ids=list(range(num_byzantine)) or None,
-            fault_injector=injector,
-        ) as trainer:
-            history = trainer.run(rounds, eval_every=scale.eval_every)
+        history, _ = workload.run(
+            "adaptive", attack=attack_name, rounds=rounds,
+            num_byzantine=num_byzantine,
+            inputs=dict(byzantine_ids=list(range(num_byzantine)) or None,
+                        fault_injector=injector),
+            **rule)
         return history
 
     rows: List[Dict[str, object]] = []

@@ -12,18 +12,26 @@ of three scales:
 * ``paper`` — the full Table II configuration (60 rounds).
 
 Select the scale with the ``REPRO_BENCH_SCALE`` environment variable.
+
+:meth:`FigureWorkload.run` is the one recipe every figure runner and
+extension benchmark trains through: a partition tag, an attack name and
+:class:`~repro.core.FedMSConfig` settings in, a finished run out.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..attacks import make_attack
+from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
 from ..common.rng import RngFactory
+from ..core import FedMSConfig, FedMSTrainer, TrainingHistory
+from ..core.engine import RoundEngine
 from ..data import (
     ArrayDataset,
     Subset,
@@ -34,10 +42,37 @@ from ..data import (
 )
 from ..models import MLP
 from ..nn.module import Module
+from ..simulation.network import TrafficStats
 
-__all__ = ["BenchScale", "SCALES", "current_scale", "FigureWorkload"]
+__all__ = ["BenchScale", "SCALES", "current_scale", "FigureWorkload",
+           "build_attack", "ATTACK_KWARGS", "DEFAULT_ALPHA",
+           "DEFAULT_EPSILON", "NOISE_ATTACK_SCALE"]
 
 SCALE_ENV = "REPRO_BENCH_SCALE"
+
+#: Dirichlet parameter used by Fig. 2 / Fig. 3 (Section VI-B/C).
+DEFAULT_ALPHA = 10.0
+#: Byzantine fraction used by Fig. 2 / Fig. 5.
+DEFAULT_EPSILON = 0.2
+#: Noise-attack standard deviation, calibrated so undefended FL degrades
+#: gracefully with the Byzantine fraction (the paper's Fig. 3 shape: ~48%
+#: at epsilon=10% sliding to ~25% at 30%) rather than collapsing outright.
+#: The paper's absolute sigma is tied to MobileNet's weight scale; this
+#: value plays the same role for our substrate's weight scale.
+NOISE_ATTACK_SCALE = 0.05
+
+#: Per-attack constructor arguments used by every experiment that builds an
+#: attack by name. The colluding lie is scaled well past the honest spread so
+#: a single surviving colluder visibly drags an under-trimmed mean.
+ATTACK_KWARGS = {
+    "noise": {"scale": NOISE_ATTACK_SCALE},
+    "colluding": {"scale": 3.0},
+}
+
+
+def build_attack(name: str) -> Attack:
+    """The attack registered as ``name``, with its :data:`ATTACK_KWARGS`."""
+    return make_attack(name, **ATTACK_KWARGS.get(name, {}))
 
 
 @dataclass(frozen=True)
@@ -100,7 +135,8 @@ class FigureWorkload:
 
     Builds flattened train/test datasets once; per-experiment Dirichlet
     partitions are derived with independent named streams so that two
-    experiments at different ``alpha`` do not share randomness.
+    experiments at different ``alpha`` do not share randomness, and each
+    is drawn once per workload. :meth:`run` trains on them.
     """
 
     NUM_CLASSES = 10
@@ -127,14 +163,57 @@ class FigureWorkload:
         self.test = ArrayDataset(
             test.features.reshape(len(test), -1), test.labels
         )
+        self._partitions: Dict[Tuple[float, str], List[ArrayDataset]] = {}
 
     def partitions(self, alpha: float, *, tag: str = "") -> List[ArrayDataset]:
-        """A Dirichlet(``alpha``) partition across ``K`` clients."""
-        return dirichlet_partition(
-            self.train, self.scale.num_clients, alpha=alpha,
-            rng=self.rngs.make(f"partition/{alpha}/{tag}"),
-            min_samples_per_client=2,
-        )
+        """A Dirichlet(``alpha``) partition across ``K`` clients, drawn
+        from the stream ``partition/{alpha}/{tag}`` on first use."""
+        key = (alpha, tag)
+        if key not in self._partitions:
+            self._partitions[key] = dirichlet_partition(
+                self.train, self.scale.num_clients, alpha=alpha,
+                rng=self.rngs.make(f"partition/{alpha}/{tag}"),
+                min_samples_per_client=2,
+            )
+        return self._partitions[key]
+
+    def run(self, tag: str, *, alpha: float = DEFAULT_ALPHA,
+            attack: Optional[str] = None, rounds: Optional[int] = None,
+            topology: Callable[..., RoundEngine] = FedMSTrainer,
+            inputs: Optional[Mapping[str, object]] = None,
+            **settings) -> Tuple[TrainingHistory, TrafficStats]:
+        """Train one run and close it; returns ``(history, network stats)``.
+
+        The clients hold :meth:`partitions` ``(alpha, tag)``. The config
+        has the scale's ``K``, ``P`` and batch size, this workload's seed
+        and ``eval_clients=2`` unless ``settings`` names it; ``settings``
+        set every other field. The attack registered as ``attack`` (with
+        its :data:`ATTACK_KWARGS`) runs on the config's ``B`` Byzantine
+        PSs; with ``B = 0`` there is none. ``topology`` is the trainer
+        class, and ``inputs`` go to its constructor unchanged. The run
+        lasts ``rounds`` (default the scale's) and is evaluated every
+        ``scale.eval_every`` rounds and at the last.
+        """
+        settings.setdefault("eval_clients", 2)
+        scale = self.scale
+        config = FedMSConfig(num_clients=scale.num_clients,
+                             num_servers=scale.num_servers,
+                             batch_size=scale.batch_size, seed=self.seed,
+                             **settings)
+        with topology(
+            config,
+            model_factory=self.model_factory(),
+            client_datasets=self.partitions(alpha, tag=tag),
+            test_dataset=self.test,
+            attack=(build_attack(attack)
+                    if attack is not None and config.num_byzantine > 0
+                    else None),
+            **(inputs or {}),
+        ) as trainer:
+            history = trainer.run(
+                rounds if rounds is not None else scale.num_rounds,
+                eval_every=scale.eval_every)
+        return history, trainer.network.stats
 
     def model_factory(self) -> Callable[[np.random.Generator], Module]:
         """Factory building the (scaled) training model.

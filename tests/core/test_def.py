@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregation import make_rule, trim_count
+from repro.aggregation import trim_count
 from repro.common import RngFactory
 from repro.core import (
     FedMSConfig,
@@ -217,15 +217,6 @@ class TestOneVerdictFromEveryCallSite:
             assert np.array_equal(other.vector, flat.vector)
             assert other[1:] == flat[1:]
         assert (flat.rejected == ()) if name is None else 4 in flat.rejected
-
-    def test_the_exchange_closure_is_the_static_filter_at_full_quorum(self):
-        rows, senders = rows_with_one_outlier(2), list(range(5))
-        static = static_filter_for(5, 1)
-        closure = resolve_filter(config(), filter_rule=make_rule(
-            "trimmed_mean", trim_ratio=0.2))
-        assert np.array_equal(
-            closure(rows, senders, expected=5).vector,
-            static(rows, senders, expected=5).vector)
 
     def test_an_estimating_rule_has_no_budget_a_tier_parent_does(self):
         """The one asymmetry kept on purpose (ROADMAP, invariants item (4):

@@ -17,7 +17,6 @@ import copy
 import numpy as np
 import pytest
 
-from repro.aggregation import trimmed_mean
 from repro.attacks import make_attack
 from repro.common import RngFactory
 from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
@@ -68,7 +67,7 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
 
 
 def make_trainer(*, num_clients=6, num_servers=10, num_byzantine=2,
-                 attack="noise", plan=None, filter_rule=None, seed=0,
+                 attack="noise", plan=None, seed=0,
                  grouped=False, network=None, **config_kwargs):
     data = make_blobs(seed=seed)
     test = make_blobs(n=120, seed=seed + 1)
@@ -93,10 +92,9 @@ def make_trainer(*, num_clients=6, num_servers=10, num_byzantine=2,
         network=network,
     )
     if grouped:
-        return HierarchicalTrainer(config, inter_server_rule=filter_rule,
-                                   **common)
+        return HierarchicalTrainer(config, **common)
     return FedMSTrainer(
-        config, filter_rule=filter_rule,
+        config,
         fault_injector=FaultInjector(plan) if plan is not None else None,
         **common,
     )
@@ -181,9 +179,8 @@ SCENARIOS = {
     # Static rule, P=5 B=2: one crash leaves q <= 4 = 2B, so every client
     # falls back to its own previous model from round 1 on.
     "static_fallback": dict(num_servers=5, plan=PLAN),
-    # An opaque closure: no budget, so no floor and no degraded flag.
-    "custom_closure": dict(
-        filter_rule=lambda stack: trimmed_mean(stack, 0.25), plan=PLAN),
+    # A named rule without a budget: no floor and no degraded flag.
+    "budget_free": dict(filter_rule_name="median", plan=PLAN),
     # One payload object per receiver: nothing is ever shared.
     "inconsistent": dict(attack="inconsistent"),
 }
@@ -224,8 +221,8 @@ class TestEvaluationsPerRound:
     @pytest.mark.parametrize("kwargs", [
         dict(filter_rule_name="adaptive_trimmed_mean"),
         dict(),
-        dict(filter_rule=lambda stack: trimmed_mean(stack, 0.2)),
-    ], ids=["adaptive", "static", "closure"])
+        dict(filter_rule_name="median"),
+    ], ids=["adaptive", "static", "budget_free"])
     def test_lossless_round_is_one_evaluation(self, kwargs,
                                               count_evaluations):
         trainer = make_trainer(num_clients=20, **kwargs)
@@ -289,8 +286,7 @@ GROUPED_SCENARIOS = {
     "codec_cut_link": dict(upload_codecs=["topk(0.2)", "int8"],
                            network=lambda: cut_link(1, 3)),
     # A Byzantine PS sends one array and keeps another.
-    "byzantine": dict(num_byzantine=1,
-                      filter_rule=lambda stack: trimmed_mean(stack, 0.2)),
+    "byzantine": dict(num_byzantine=1, filter_rule_name="median"),
 }
 
 

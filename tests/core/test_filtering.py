@@ -5,7 +5,7 @@ the B-hat / rejected-model recording they feed into TrainingHistory."""
 import numpy as np
 import pytest
 
-from repro.aggregation import make_rule, mean
+from repro.aggregation import mean
 from repro.attacks import make_attack
 from repro.common import ConfigurationError, RngFactory
 from repro.core import (
@@ -78,19 +78,10 @@ class TestResolveFilter:
         np.testing.assert_array_equal(verdict.vector, resolved.rule(stack))
         assert verdict[1:] == (False, None, ())
 
-    def test_explicit_closure_wins_over_name(self):
-        config = self.base_config(filter_rule_name="adaptive_trimmed_mean")
-        custom = make_rule("median")
-        resolved = resolve_filter(config, filter_rule=custom)
-        assert resolved.rule is custom
-        assert resolved.budget is None
-        assert resolved.info_fn is None
-
     def test_mean_closure_gets_spec(self):
-        """The mean closure is the named mean: a plain rule, no tolerance,
-        so a reduced quorum is neither degraded nor refused."""
-        resolved = resolve_filter(self.base_config(),
-                                  filter_rule=make_rule("mean"))
+        """The named mean resolves to the mean closure: a plain rule, no
+        tolerance, so a reduced quorum is neither degraded nor refused."""
+        resolved = resolve_filter(self.base_config(filter_rule_name="mean"))
         assert resolved.rule is mean
         assert resolved.budget is None and resolved.info_fn is None
         stack = np.random.default_rng(0).normal(size=(2, 8))

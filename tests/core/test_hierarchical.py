@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.aggregation import make_rule
 from repro.attacks import RandomAttack
 from repro.common import ConfigurationError, RngFactory
 from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
@@ -21,9 +20,8 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
     return ArrayDataset(features[order], labels[order])
 
 
-def make_trainer(num_byzantine=0, attack=None, seed=0,
-                 inter_server_rule=None, num_clients=10, num_servers=5,
-                 **config_kwargs):
+def make_trainer(num_byzantine=0, attack=None, seed=0, num_clients=10,
+                 num_servers=5, **config_kwargs):
     data = make_blobs(seed=seed)
     test = make_blobs(n=120, seed=seed + 1)
     parts = iid_partition(data, num_clients, rng=RngFactory(seed).make("p"))
@@ -39,7 +37,6 @@ def make_trainer(num_byzantine=0, attack=None, seed=0,
         client_datasets=parts,
         test_dataset=test,
         attack=attack,
-        inter_server_rule=inter_server_rule,
     )
 
 
@@ -140,7 +137,7 @@ class TestByzantineVulnerability:
         Byzantine PS simply lies to its own clients directly."""
         robust = make_trainer(
             num_byzantine=1, attack=RandomAttack(), seed=8,
-            inter_server_rule=make_rule("trimmed_mean", trim_ratio=0.2),
+            filter_rule_name="trimmed_mean", trim_ratio=0.2,
         )
         history = robust.run(12, eval_every=12)
         clean = make_trainer(seed=8).run(12, eval_every=12)

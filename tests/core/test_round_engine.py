@@ -443,8 +443,9 @@ class TestHierarchicalSharesTheChecks:
             return stack.mean(axis=0)
 
         trainer = build(
-            "hierarchical", options=dict(inter_server_rule=recording_rule),
+            "hierarchical", filter_rule_name="mean",
             network=dropping(lambda m: m.tag == "inter_server"))
+        trainer.filter_rule.rule = recording_rule
         trainer.run_round(evaluate=False)
         assert shapes == [1, 1, 1]
 

@@ -7,7 +7,6 @@ well under a second each.
 import numpy as np
 import pytest
 
-from repro.aggregation import make_rule
 from repro.attacks import InconsistentAttack, RandomAttack, make_attack
 from repro.common import ConfigurationError, RngFactory
 from repro.core import FedMSConfig, FedMSTrainer
@@ -36,7 +35,7 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
 
 
 def make_trainer(num_clients=8, num_servers=5, num_byzantine=2, attack=None,
-                 filter_rule=None, seed=0, trim_ratio=None, network=None,
+                 filter_rule_name=None, seed=0, trim_ratio=None, network=None,
                  byzantine_ids=None, upload_strategy="sparse", lr=0.2):
     data = make_blobs(seed=seed)
     test = make_blobs(n=120, seed=seed + 1)
@@ -49,6 +48,7 @@ def make_trainer(num_clients=8, num_servers=5, num_byzantine=2, attack=None,
         batch_size=8,
         learning_rate=lr,
         trim_ratio=trim_ratio,
+        filter_rule_name=filter_rule_name,
         upload_strategy=upload_strategy,
         eval_clients=2,
         seed=seed,
@@ -59,7 +59,6 @@ def make_trainer(num_clients=8, num_servers=5, num_byzantine=2, attack=None,
         client_datasets=parts,
         test_dataset=test,
         attack=attack,
-        filter_rule=filter_rule,
         byzantine_ids=byzantine_ids,
         network=network,
     )
@@ -230,7 +229,7 @@ class TestByzantineResilience:
         defended = make_trainer(attack=RandomAttack(), seed=1).run(15,
                                                                    eval_every=15)
         undefended = make_trainer(attack=RandomAttack(), seed=1,
-                                  filter_rule=make_rule("mean")).run(
+                                  filter_rule_name="mean").run(
                                       15, eval_every=15)
         assert defended.final_accuracy > 0.85
         assert defended.final_accuracy > undefended.final_accuracy + 0.15
@@ -245,7 +244,7 @@ class TestByzantineResilience:
         final quality."""
         fed_ms = make_trainer(num_byzantine=0, seed=2).run(10, eval_every=10)
         vanilla = make_trainer(num_byzantine=0, seed=2,
-                               filter_rule=make_rule("mean")).run(
+                               filter_rule_name="mean").run(
                                    10, eval_every=10)
         assert abs(fed_ms.final_accuracy - vanilla.final_accuracy) < 0.1
 
@@ -316,13 +315,13 @@ class TestFedAvgBaseline:
         data = make_blobs()
         parts = iid_partition(data, 6, rng=RngFactory(0).make("p"))
         config = FedMSConfig(num_clients=6, num_servers=1, num_byzantine=0,
-                             learning_rate=0.2, trim_ratio=0.0)
+                             learning_rate=0.2, trim_ratio=0.0,
+                             filter_rule_name="mean")
         trainer = FedMSTrainer(
             config,
             model_factory=lambda rng: SoftmaxRegression(6, 3, rng=rng),
             client_datasets=parts,
             test_dataset=make_blobs(n=90, seed=9),
-            filter_rule=make_rule("mean"),
         )
         assert len(trainer.servers) == 1
         history = trainer.run(10, eval_every=10)

@@ -124,6 +124,20 @@ class TestSyntheticCifar10:
             assert error < 0.25
 
 
+def write_fake_cifar10(directory, per_batch, *, seed=0):
+    """Six miniature batches of ``per_batch`` images each, in the real
+    CIFAR-10 pickle format, under ``directory``."""
+    rng = np.random.default_rng(seed)
+    for name in [f"data_batch_{i}" for i in range(1, 6)] + ["test_batch"]:
+        batch = {
+            b"data": rng.integers(0, 256, size=(per_batch, 3072),
+                                  dtype=np.uint8),
+            b"labels": rng.integers(0, 10, size=per_batch).tolist(),
+        }
+        with open(os.path.join(directory, name), "wb") as handle:
+            pickle.dump(batch, handle)
+
+
 class TestRealCifar10Loader:
     def test_unavailable_without_files(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CIFAR10_DIR", str(tmp_path))
@@ -136,14 +150,7 @@ class TestRealCifar10Loader:
 
     def test_loads_fake_batches(self, tmp_path, monkeypatch):
         """Write miniature batches in the real CIFAR-10 pickle format."""
-        rng = np.random.default_rng(0)
-        for name in [f"data_batch_{i}" for i in range(1, 6)] + ["test_batch"]:
-            batch = {
-                b"data": rng.integers(0, 256, size=(20, 3072), dtype=np.uint8),
-                b"labels": rng.integers(0, 10, size=20).tolist(),
-            }
-            with open(os.path.join(tmp_path, name), "wb") as handle:
-                pickle.dump(batch, handle)
+        write_fake_cifar10(tmp_path, 20)
         monkeypatch.setenv("REPRO_CIFAR10_DIR", str(tmp_path))
         assert cifar10_available()
         train, test = load_cifar10()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import FedMSTrainer
 
 
 @pytest.fixture(autouse=True)
@@ -173,3 +174,36 @@ class TestCommands:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "paper")
         assert main(["--scale", "smoke", "fig4"]) == 0
         assert "'scale': 'smoke'" in capsys.readouterr().out
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("a refused value must fail before any training")
+
+
+class TestRefusedValues:
+    """A value the library refuses ends like a bad flag: the usage line,
+    ``repro: error: ...`` and exit status 2, not a traceback, and before
+    any round is trained."""
+
+    @pytest.fixture(autouse=True)
+    def untrained(self, monkeypatch):
+        monkeypatch.setattr(FedMSTrainer, "run", no_training)
+
+    def refused(self, argv, capsys, reason):
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "repro: error: " in err and reason in err
+
+    def test_more_crashes_than_servers(self, capsys):
+        self.refused(["--scale", "tiny", "faults", "--crashes", "3"],
+                     capsys, "crashes")
+
+    def test_epsilon_of_one_half(self, capsys):
+        self.refused(["fig3", "--epsilon", "0.5"], capsys, "epsilon")
+
+    def test_a_loss_rate_of_one(self, capsys):
+        self.refused(["--scale", "tiny", "faults", "--loss-rate", "1.0"],
+                     capsys, "drop_probability")

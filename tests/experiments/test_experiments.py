@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.common import ConfigurationError
+from repro.core import FedMSTrainer
 from repro.experiments import (
     SCALES,
     Curve,
@@ -14,6 +15,7 @@ from repro.experiments import (
     format_curves,
     format_figure,
     format_rows,
+    run_comm_codecs,
     run_comm_cost,
     run_convergence_rate,
     run_fig2_attack_panel,
@@ -23,7 +25,10 @@ from repro.experiments import (
     run_filter_ablation,
 )
 
+from ..data.test_synthetic import write_fake_cifar10
+
 SMOKE = SCALES["smoke"]
+TINY = SCALES["tiny"]
 
 
 class TestScales:
@@ -77,6 +82,38 @@ class TestWorkload:
 
     def test_synthetic_source_reported(self):
         assert FigureWorkload(SMOKE, seed=0).source == "synthetic"
+
+    def test_partitions_are_drawn_once(self):
+        workload = FigureWorkload(SMOKE, seed=0)
+        assert workload.partitions(5.0, tag="x") is \
+            workload.partitions(5.0, tag="x")
+        fresh = FigureWorkload(SMOKE, seed=0).partitions(5.0, tag="x")
+        assert all(np.array_equal(a.indices, b.indices) for a, b in
+                   zip(workload.partitions(5.0, tag="x"), fresh))
+
+
+class TestRealCifar10Workload:
+    """The workload on CIFAR-10 batch files, as a run with the real data
+    on disk would build it."""
+
+    @pytest.fixture
+    def batches(self, tmp_path, monkeypatch):
+        write_fake_cifar10(tmp_path, 40)
+        monkeypatch.setenv("REPRO_CIFAR10_DIR", str(tmp_path))
+
+    def test_source_is_cifar10(self, batches):
+        assert FigureWorkload(TINY, seed=0).source == "cifar10"
+
+    def test_scale_is_trimmed_to_the_images_available(self, batches):
+        workload = FigureWorkload(TINY, seed=0)
+        assert (TINY.num_train, TINY.num_test) == (300, 100)
+        assert workload.train.features.shape == (200, 3072)
+        assert workload.test.features.shape == (40, 3072)
+
+    def test_fig2_panel_runs_on_it(self, batches):
+        result = run_fig2_attack_panel("noise", scale=TINY)
+        assert result.params["data_source"] == "cifar10"
+        assert len(result.curves) == 3
 
 
 class TestCurveAndResult:
@@ -166,6 +203,38 @@ class TestFilterAblation:
         assert {row["attack"] for row in result.rows} == {
             "random", "adaptive_trimmed_mean", "inconsistent"}
         assert "krum" in result.notes
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("a refused setting must fail before any training")
+
+
+class TestCommCodecs:
+    TOPK = ("topk+int8", ("topk(0.05)", "int8"))
+    IDENTITY = ("identity", ())
+
+    def sweep(self, codec_configs):
+        return run_comm_codecs(scale=TINY, attacks=("noise",), num_rounds=2,
+                               codec_configs=codec_configs).rows
+
+    def test_the_empty_chain_is_the_baseline_wherever_it_sits(self):
+        first = {row["codec"]: row
+                 for row in self.sweep([self.IDENTITY, self.TOPK])}
+        last = {row["codec"]: row
+                for row in self.sweep([self.TOPK, self.IDENTITY])}
+        assert first == last
+        identity, topk = last["identity"], last["topk+int8"]
+        assert identity["compression_ratio"] == 1.0
+        assert identity["accuracy_delta"] == 0.0
+        assert topk["compression_ratio"] == (
+            identity["offered_bytes_per_round"]
+            / topk["offered_bytes_per_round"])
+        assert topk["compression_ratio"] > 10
+
+    def test_a_sweep_without_the_empty_chain_is_refused(self, monkeypatch):
+        monkeypatch.setattr(FedMSTrainer, "run", no_training)
+        with pytest.raises(ConfigurationError, match="identity"):
+            self.sweep([self.TOPK])
 
 
 class TestCommCost:

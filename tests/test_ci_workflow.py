@@ -7,7 +7,8 @@ reports that as a usage error in the one job that runs it, or not at all.
 This test reads the workflow as text (no YAML parser) and checks, for every
 line that runs pytest, that each ``tests/``, ``benchmarks/`` or ``bench/``
 path exists and that each ``::Name`` after a file is a class or function
-defined there (``Class::test`` inside that class), by AST.
+defined there (``Class::test`` inside that class), by AST. Every
+``examples/*.py`` script a line names must exist too.
 """
 
 import ast
@@ -30,6 +31,17 @@ def pytest_targets() -> List[Tuple[int, str]]:
         if "pytest" in line and not line.lstrip().startswith("#"):
             found += [(number, target) for target in _TARGET.findall(line)]
     return found
+
+
+_EXAMPLE = re.compile(r"(?<![\w/])(examples/[\w./-]+\.py)")
+
+
+def example_scripts() -> List[Tuple[int, str]]:
+    """``(line number, path)`` for every example script a line names."""
+    return [(number, path) for number, line in enumerate(
+                WORKFLOW.read_text(encoding="utf-8").splitlines(), start=1)
+            if not line.lstrip().startswith("#")
+            for path in _EXAMPLE.findall(line)]
 
 
 def _defines(body: List[ast.stmt], name: str):
@@ -74,8 +86,18 @@ def test_every_pytest_target_in_the_workflow_exists():
     assert not problems, problems
 
 
+def test_every_example_script_in_the_workflow_exists():
+    scripts = example_scripts()
+    assert scripts, "the workflow runs no example"
+    missing = [f"line {number}: {path}" for number, path in scripts
+               if not (ROOT / path).is_file()]
+    assert not missing, missing
+
+
 if __name__ == "__main__":
     for number, target in pytest_targets():
         print(number, target)
     for problem in unresolved():
         print("UNRESOLVED", problem)
+    for number, path in example_scripts():
+        print(number, path)

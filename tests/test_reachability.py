@@ -20,9 +20,12 @@ something other than its default. A call sets a keyword when its callee
 is the definition's name (a class name for a constructor, the base class
 for ``super().__init__``) and it passes the keyword by name or position,
 or as a key of a dict splatted into the call: a literal or ``dict(...)``,
-a local dict, a ``**kwargs`` the caller's own callers fill, or an inner
+a local dict, a ``**kwargs`` the caller's own callers fill, a parameter
+the caller's own callers pass a dict, or an inner
 dict of a module-level table splatted into ``make_attack``, which reaches
-the registered attack class, as ``make_attack("key", ...)`` does. A codec
+the registered attack class, as ``make_attack("key", ...)`` does. A call
+through a parameter, ``topology(...)``, calls what the parameter names:
+its default and the names the caller's own callers pass for it. A codec
 spec with arguments, ``"topk(0.05)"``, sets its class's positional
 parameters. A literal equal to the default sets nothing, and neither does
 the caller's own parameter while that one is unset, so the scan runs to a
@@ -102,7 +105,6 @@ ALLOWED: Dict[str, str] = {
     "repro.population.shards.BlobShardSpec": "used inside its module",
     "repro.population.trainer.exchange_tag": "used inside its module",
     "repro.simulation.faults.LinkPartition": "used inside its module",
-    "repro.simulation.network.TrafficStats": "used inside its module",
     "repro.theory.bounds.lemma1_bound": "used inside its module",
     "repro.theory.bounds.lemma2_bound": "used inside its module",
     "repro.theory.bounds.lemma3_bound": "used inside its module",
@@ -441,6 +443,20 @@ def _attack_class(key: str) -> str:
     return type(make_attack(key)).__name__
 
 
+def _parameters(scope: ast.AST) -> Dict[str, Optional[ast.AST]]:
+    """A function's named parameters, each with its default node."""
+    arguments = scope.args
+    positional = arguments.posonlyargs + arguments.args
+    found: Dict[str, Optional[ast.AST]] = dict.fromkeys(
+        arg.arg for arg in positional + arguments.kwonlyargs)
+    found.update((arg.arg, default) for arg, default in zip(
+        positional[len(positional) - len(arguments.defaults):],
+        arguments.defaults))
+    found.update((arg.arg, default) for arg, default
+                 in zip(arguments.kwonlyargs, arguments.kw_defaults))
+    return found
+
+
 def _site_scope_name(scope: ast.AST, cls: Optional[ast.ClassDef]) -> str:
     return cls.name if scope.name == "__init__" and cls else scope.name
 
@@ -450,7 +466,9 @@ def call_sites() -> Dict[str, Tuple[Site, ...]]:
     """Callee name -> every call a program file makes to it. A
     ``super().__init__`` call is a call to the base class; a
     ``make_attack("key", ...)`` call is also a call to the class
-    registered under ``key``; a codec spec literal with arguments, e.g.
+    registered under ``key``; a call through a parameter is also a call
+    to its default and to each name callers pass for it; a codec spec
+    literal with arguments, e.g.
     ``"topk(0.05)"``, is a call to its codec class with those arguments."""
     files = _program_files()
     tables: Dict[str, Dict[str, ast.Dict]] = {}
@@ -473,6 +491,21 @@ def call_sites() -> Dict[str, Tuple[Site, ...]]:
                 if isinstance(key, ast.Constant):
                     raw.append((_attack_class(key.value), call, 1, cls,
                                 scope, tree))
+    for callee, call, skip, cls, scope, tree in list(raw):
+        if (skip or scope is None or not isinstance(call.func, ast.Name)
+                or callee not in _parameters(scope)):
+            continue
+        default = _parameters(scope)[callee]
+        names = {default.id} if isinstance(default, ast.Name) else set()
+        name = _site_scope_name(scope, cls)
+        for other, site, _, _, _, _ in raw:
+            if other == name:
+                names.update(keyword.value.id for keyword in site.keywords
+                             if keyword.arg == callee
+                             and isinstance(keyword.value, ast.Name))
+        raw.extend((found, call, 0, cls, scope, tree)
+                   for found in sorted(names))
+
     def kwargs_keys(scope, cls, seen) -> Set[str]:
         """Keys the callers of ``scope`` pass into its ``**`` parameter."""
         name = _site_scope_name(scope, cls)
@@ -488,6 +521,24 @@ def call_sites() -> Dict[str, Tuple[Site, ...]]:
                             if key not in named)
         return keys
 
+    def parameter_keys(scope, cls, parameter,
+                       seen) -> Dict[str, Optional[ast.AST]]:
+        """What the callers of ``scope`` put in the dicts they pass as its
+        ``parameter``."""
+        name = _site_scope_name(scope, cls)
+        if name in seen:
+            return {}
+        given: Dict[str, Optional[ast.AST]] = {}
+        for callee, call, skip, c, s, tree in raw:
+            if callee == name:
+                for keyword in call.keywords:
+                    if keyword.arg == parameter:
+                        given.update(explicit(
+                            ast.Call(ast.Name("dict"), [],
+                                     [ast.keyword(None, keyword.value)]),
+                            c, s, tree, seen | {name}))
+        return given
+
     def explicit(call, cls, scope, tree, seen) -> Dict[str, Optional[ast.AST]]:
         given: Dict[str, Optional[ast.AST]] = {}
         for keyword in call.keywords:
@@ -495,6 +546,9 @@ def call_sites() -> Dict[str, Tuple[Site, ...]]:
                 given[keyword.arg] = keyword.value
                 continue
             value = keyword.value
+            if isinstance(value, ast.BoolOp):
+                # ``**(inputs or {})``: what ``inputs`` holds.
+                value = value.values[0]
             if isinstance(value, ast.Dict):
                 given.update((key.value, item) for key, item
                              in zip(value.keys, value.values)
@@ -507,6 +561,8 @@ def call_sites() -> Dict[str, Tuple[Site, ...]]:
                         and scope.args.kwarg.arg == value.id):
                     given.update(dict.fromkeys(
                         kwargs_keys(scope, cls, seen)))
+                elif scope is not None and value.id in _parameters(scope):
+                    given.update(parameter_keys(scope, cls, value.id, seen))
                 given.update(dict.fromkeys(
                     _dict_keys(scope or tree, value.id)))
         return given
