@@ -13,8 +13,6 @@ root seed through named streams, so that
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
-
 import numpy as np
 
 __all__ = ["RngFactory", "stream_seed"]
@@ -58,11 +56,6 @@ class RngFactory:
             raise TypeError(f"root_seed must be an int, got {type(root_seed).__name__}")
         self._root_seed = int(root_seed)
 
-    @property
-    def root_seed(self) -> int:
-        """The experiment-level seed this factory derives all streams from."""
-        return self._root_seed
-
     def make(self, name: str) -> np.random.Generator:
         """Create a fresh generator for the stream called ``name``.
 
@@ -71,19 +64,6 @@ class RngFactory:
         keep it.
         """
         return np.random.default_rng(stream_seed(self._root_seed, name))
-
-    def spawn(self, name: str) -> "RngFactory":
-        """Create a child factory whose streams are namespaced under ``name``.
-
-        Useful for handing a component (e.g. a client) its own factory
-        without it being able to collide with sibling components.
-        """
-        return RngFactory(stream_seed(self._root_seed, f"spawn/{name}"))
-
-    def make_many(self, prefix: str, count: int) -> Iterator[np.random.Generator]:
-        """Yield ``count`` independent generators named ``prefix/0..count-1``."""
-        for index in range(count):
-            yield self.make(f"{prefix}/{index}")
 
     def __repr__(self) -> str:
         return f"RngFactory(root_seed={self._root_seed})"

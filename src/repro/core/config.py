@@ -446,8 +446,3 @@ class FedMSConfig:
     def participants_per_round(self) -> int:
         """Number of clients training each round (at least 1)."""
         return max(1, round(self.participation_fraction * self.num_clients))
-
-    @property
-    def byzantine_fraction(self) -> float:
-        """The paper's ``epsilon = B / P``."""
-        return self.num_byzantine / self.num_servers

@@ -129,7 +129,6 @@ class RoundState:
 
     round_index: int
     train_loss: float = float("nan")
-    fault_events: List[str] = field(default_factory=list)
     retries: int = 0
     send_failures: int = 0
     backoff_s: float = 0.0
@@ -154,7 +153,6 @@ class RoundState:
     verdicts: Dict[tuple, Verdict] = field(default_factory=dict)
     addresses: Dict[int, tuple] = field(default_factory=dict)
     # The sampling funnel of a population round.
-    active_clients: Optional[int] = None
     materialized: Optional[int] = None
     churn_events: List[str] = field(default_factory=list)
 
@@ -271,7 +269,6 @@ class Topology:
     #: Whether a failed upload may retry on another node.
     reroute: bool = False
     upload_tag: str = "upload"
-    downlink_tag: str = "dissemination"
 
 
 class RoundEngine:
@@ -392,16 +389,12 @@ class RoundEngine:
                          num_servers: int) -> None:
         """Drive ``injector`` from this engine: validated against the
         topology, consulted by the network on every send, and advanced by
-        a round hook that files its events in the round state."""
+        a round hook."""
         injector.plan.validate_topology(num_clients=num_clients,
                                         num_servers=num_servers)
         self.network.add_drop_rule(injector.should_drop)
         self.fault_injector = injector
-
-        def begin_round(t: int) -> None:
-            self._round.fault_events = injector.begin_round(t)
-
-        self.scheduler.add_round_hook(begin_round)
+        self.scheduler.add_round_hook(injector.begin_round)
 
     def _install(self, topology: Topology) -> None:
         """Run rounds over ``topology``, with a health ledger over its
@@ -727,30 +720,27 @@ class RoundEngine:
         """Run the phases of one global round; returns its record."""
         stats, topology = self.network.stats, self.topology
 
-        def counters() -> Tuple[int, int, int]:
+        def counters() -> Tuple[int, int]:
             return (stats.messages_by_tag.get(topology.upload_tag, 0),
-                    stats.bytes_by_tag.get(topology.upload_tag, 0),
-                    stats.messages_by_tag.get(topology.downlink_tag, 0))
+                    stats.bytes_by_tag.get(topology.upload_tag, 0))
 
         before = counters()
         state = self._round = RoundState(self.scheduler.round_index)
         self.scheduler.run_round()
-        uploads, upload_bytes, downlink = (
+        uploads, upload_bytes = (
             after - first for after, first in zip(counters(), before))
+        # Round deadline: whatever is still queued (e.g. models addressed
+        # to offline clients) expires here.
+        self.network.clear()
         record = RoundRecord(
             round_index=state.round_index,
             train_loss=state.train_loss,
             upload_messages=uploads, upload_bytes=upload_bytes,
-            dissemination_messages=downlink,
             upload_retries=state.retries,
             upload_failures=state.send_failures,
-            fault_events=state.fault_events,
             simulated_time_s=state.simulated_time_s + state.backoff_s,
             deadline_missed=state.deadline_missed,
             late_admitted=state.late_admitted,
-            # Round deadline: whatever is still queued (e.g. models
-            # addressed to offline clients) expires here.
-            cleared_messages=self.network.clear(),
             excluded_servers=sorted(state.excluded),
             churn_events=state.churn_events,
         )
@@ -759,14 +749,11 @@ class RoundEngine:
             rejected = {sender for outcomes in state.outcomes.values()
                         for _, verdict in outcomes.values()
                         for sender in verdict.rejected}
-            state.fault_events.extend(self.health.observe_round(
+            self.health.observe_round(
                 state.round_index,
                 crashed=set(range(len(topology.nodes))) - set(state.alive),
                 straggling=state.late, filtered=rejected,
-            ))
-            snapshot = self.health.snapshot()
-            record.health_scores = snapshot["scores"]
-            record.breaker_states = snapshot["states"]
+            )
         topology.record(record, state)
         if evaluate:
             record.test_loss, record.test_accuracy = topology.evaluate()

@@ -71,8 +71,8 @@ class HealthLedger:
         """Fold one round of evidence; returns breaker-transition events.
 
         ``crashed``/``straggling``/``filtered`` are server-id sets; a server
-        in any of them had a bad round. Returned event strings follow the
-        ``fault_events`` idiom so they land in the same per-round trace.
+        in any of them had a bad round. Returned event strings read like
+        the fault injector's (``"server 4 circuit opened ..."``).
         """
         bad = set(crashed) | set(straggling) | set(filtered)
         events: List[str] = []
@@ -139,10 +139,3 @@ class HealthLedger:
         # first, break score ties by id.
         ranked = sorted(open_ids, key=lambda sid: (self.scores[sid], -sid))
         return frozenset(ranked[:max_excludable])
-
-    def snapshot(self) -> Dict[str, Dict[int, float]]:
-        """Copies of the per-PS scores and states for history recording."""
-        return {
-            "scores": dict(self.scores),
-            "states": dict(self.states),
-        }

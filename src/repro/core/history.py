@@ -25,34 +25,31 @@ class RoundRecord:
 
     The robustness fields record what an *estimating* filter concluded:
     ``estimated_byzantine`` is the round's Byzantine-count estimate
-    ``B-hat`` (the maximum across clients when they disagree under
-    faults; ``None`` for rules that do not estimate), and
+    ``B-hat`` (the maximum across clients, or across tiers, when they
+    disagree; ``None`` for rules that do not estimate), and
     ``filtered_model_ids`` lists the PSs whose disseminated model at
     least one client's filter rejected outright — the adaptive rule's
     flagged outliers, or the candidates loss-based selection declined.
 
     The population fields are filled by
     :class:`~repro.population.PopulationTrainer` runs and stay at their
-    defaults for flat runs: ``num_active_clients``/``num_sampled_clients``
-    trace the per-round sampling funnel, ``materialized_clients`` is the
-    most client shards the trainer's process held at once (1 on the serial
-    path, 0 when a pool trains),
+    defaults for flat runs: ``num_sampled_clients`` is the round's cohort,
+    ``materialized_clients`` is the most client shards the trainer's
+    process held at once (1 on the serial path, 0 when a pool trains),
     ``churn_events`` lists this round's join/leave/rejoin transitions, and
-    the ``tier_*`` dicts (keyed by tier index, 1 = first filtering tier)
-    record what each tier's filter concluded: the maximum Byzantine-count
-    estimate across that tier's aggregators, the *global aggregator
-    indices* whose forwarded model some parent rejected, and the
-    aggregators that degraded (reduced quorum) or fell back to their
+    the ``tier_*`` dicts (keyed by tier index) record the *global
+    aggregator indices* whose forwarded model some parent rejected, and
+    the aggregators that degraded (reduced quorum) or fell back to their
     previous output (quorum at or below ``2B_t``).
 
     The timing/health fields record the deadline engine and the PS health
     ledger: ``simulated_time_s`` is the round's virtual-clock duration,
     ``deadline_missed``/``late_admitted`` count messages that missed the
     round deadline and stale messages admitted within the staleness bound,
-    ``health_scores``/``breaker_states`` snapshot the per-PS reputation
-    ledger after the round, and ``excluded_servers`` lists the PSs whose
-    open circuit breaker excluded them from upload sampling and quorum
-    counting this round.
+    and ``excluded_servers`` lists the PSs whose open circuit breaker
+    excluded them from upload sampling and quorum counting this round.
+    The ledger's own scores and breaker states, and the fault injector's
+    event log, stay on those objects.
     """
 
     round_index: int
@@ -60,23 +57,17 @@ class RoundRecord:
     test_accuracy: Optional[float] = None
     test_loss: Optional[float] = None
     upload_messages: int = 0
-    dissemination_messages: int = 0
     upload_bytes: int = 0
     upload_retries: int = 0
     upload_failures: int = 0
-    cleared_messages: int = 0
-    alive_servers: Optional[int] = None
     models_received: Dict[int, int] = field(default_factory=dict)
     degraded_clients: List[int] = field(default_factory=list)
     fallback_clients: List[int] = field(default_factory=list)
-    fault_events: List[str] = field(default_factory=list)
     estimated_byzantine: Optional[int] = None
     filtered_model_ids: List[int] = field(default_factory=list)
-    num_active_clients: Optional[int] = None
     num_sampled_clients: Optional[int] = None
     materialized_clients: Optional[int] = None
     churn_events: List[str] = field(default_factory=list)
-    tier_estimated_byzantine: Dict[int, int] = field(default_factory=dict)
     tier_filtered_model_ids: Dict[int, List[int]] = field(default_factory=dict)
     tier_degraded_aggregators: Dict[int, List[int]] = field(
         default_factory=dict)
@@ -85,8 +76,6 @@ class RoundRecord:
     simulated_time_s: Optional[float] = None
     deadline_missed: int = 0
     late_admitted: int = 0
-    health_scores: Dict[int, float] = field(default_factory=dict)
-    breaker_states: Dict[int, str] = field(default_factory=dict)
     excluded_servers: List[int] = field(default_factory=list)
 
     @property
@@ -100,12 +89,6 @@ class RoundRecord:
     def degraded(self) -> bool:
         """True when any client filtered a reduced quorum or fell back."""
         return bool(self.degraded_clients or self.fallback_clients)
-
-    @property
-    def tier_degraded(self) -> bool:
-        """True when any aggregation tier degraded or fell back."""
-        return bool(self.tier_degraded_aggregators
-                    or self.tier_fallback_aggregators)
 
 
 @dataclass
@@ -123,10 +106,6 @@ class TrainingHistory:
     @property
     def rounds(self) -> List[int]:
         return [r.round_index for r in self.records]
-
-    @property
-    def train_losses(self) -> List[float]:
-        return [r.train_loss for r in self.records]
 
     @property
     def accuracies(self) -> List[float]:
@@ -193,11 +172,6 @@ class TrainingHistory:
         return sum(estimates) / len(estimates)
 
     @property
-    def churn_event_trace(self) -> List[List[str]]:
-        """Per-round join/leave/rejoin transitions, in round order."""
-        return [list(r.churn_events) for r in self.records]
-
-    @property
     def total_churn_events(self) -> int:
         return sum(len(r.churn_events) for r in self.records)
 
@@ -212,17 +186,6 @@ class TrainingHistory:
         """Rounds where some aggregation tier fell back below quorum."""
         return [r.round_index for r in self.records
                 if r.tier_fallback_aggregators]
-
-    @property
-    def tier_degraded_rounds(self) -> List[int]:
-        """Rounds where some tier degraded (reduced quorum) or fell back."""
-        return [r.round_index for r in self.records if r.tier_degraded]
-
-    def tier_estimated_byzantine_trace(self, tier: int
-                                       ) -> List[Optional[int]]:
-        """Per-round maximum ``B-hat`` of one tier's estimating filters
-        (``None`` where the tier produced no estimate), in round order."""
-        return [r.tier_estimated_byzantine.get(tier) for r in self.records]
 
     @property
     def total_simulated_time_s(self) -> Optional[float]:
@@ -243,20 +206,6 @@ class TrainingHistory:
         """Late arrivals admitted within the staleness bound, run-wide."""
         return sum(r.late_admitted for r in self.records)
 
-    def health_score_trace(self, server_id: int) -> List[Optional[float]]:
-        """Per-round reputation score of one PS (``None`` where the health
-        ledger was off), in round order."""
-        return [r.health_scores.get(server_id) for r in self.records]
-
-    def breaker_state_trace(self, server_id: int) -> List[Optional[str]]:
-        """Per-round circuit-breaker state of one PS, in round order."""
-        return [r.breaker_states.get(server_id) for r in self.records]
-
-    @property
-    def excluded_server_trace(self) -> List[List[int]]:
-        """Per-round health-excluded PS ids, in round order."""
-        return [list(r.excluded_servers) for r in self.records]
-
     @property
     def filtered_model_id_counts(self) -> Dict[int, int]:
         """How many rounds each PS's model was rejected by some client."""
@@ -266,32 +215,3 @@ class TrainingHistory:
                 counts[server_id] = counts.get(server_id, 0) + 1
         return counts
 
-    def to_dict(self) -> Dict[str, object]:
-        """A json-ready summary of the run."""
-        return {
-            "num_rounds": len(self.records),
-            "final_accuracy": self.final_accuracy,
-            "best_accuracy": self.best_accuracy,
-            "rounds": self.rounds,
-            "train_losses": self.train_losses,
-            "evaluated_rounds": self.evaluated_rounds,
-            "accuracies": self.accuracies,
-            "total_upload_messages": self.total_upload_messages,
-            "total_upload_bytes": self.total_upload_bytes,
-            "total_upload_retries": self.total_upload_retries,
-            "total_upload_failures": self.total_upload_failures,
-            "degraded_rounds": self.degraded_rounds,
-            "min_models_received_per_round":
-                self.min_models_received_per_round,
-            "estimated_byzantine_trace": self.estimated_byzantine_trace,
-            "mean_estimated_byzantine": self.mean_estimated_byzantine,
-            "filtered_model_id_counts": self.filtered_model_id_counts,
-            "total_churn_events": self.total_churn_events,
-            "peak_materialized_clients": self.peak_materialized_clients,
-            "tier_fallback_rounds": self.tier_fallback_rounds,
-            "tier_degraded_rounds": self.tier_degraded_rounds,
-            "total_simulated_time_s": self.total_simulated_time_s,
-            "total_deadline_missed": self.total_deadline_missed,
-            "total_late_admitted": self.total_late_admitted,
-            "excluded_server_trace": self.excluded_server_trace,
-        }

@@ -119,6 +119,10 @@ class FedMSTrainer(RoundEngine):
                  client_attack: Optional[ClientAttack] = None,
                  num_byzantine_clients: int = 0,
                  server_rule: Optional[AggregationRule] = None) -> None:
+        if num_byzantine_clients < 0:
+            raise ConfigurationError(
+                f"num_byzantine_clients must be >= 0, got "
+                f"{num_byzantine_clients}")
         if num_byzantine_clients > 0 and client_attack is None:
             raise ConfigurationError(
                 "num_byzantine_clients > 0 requires a client_attack")
@@ -313,7 +317,6 @@ def _record_clients(record: RoundRecord, state: RoundState) -> None:
     rejected; max and union are idempotent, so clients sharing a verdict
     count once."""
     outcomes = state.outcomes["dissemination"]
-    record.alive_servers = len(state.alive)
     record.models_received = {k: q for k, (q, _) in outcomes.items()}
     (record.estimated_byzantine, record.filtered_model_ids,
      record.degraded_clients, record.fallback_clients) = tally(outcomes)

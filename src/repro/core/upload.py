@@ -37,10 +37,6 @@ class UploadStrategy:
         """Server indices per client: ``result[k]`` lists client ``k``'s PSs."""
         raise NotImplementedError
 
-    def uploads_per_round(self, num_clients: int, num_servers: int) -> int:
-        """Total number of model transfers in one aggregation phase."""
-        raise NotImplementedError
-
 
 class SparseUpload(UploadStrategy):
     """The paper's strategy: one uniformly random PS per client.
@@ -54,9 +50,6 @@ class SparseUpload(UploadStrategy):
                rng: np.random.Generator) -> List[List[int]]:
         picks = rng.integers(0, num_servers, size=num_clients)
         return [[int(pick)] for pick in picks]
-
-    def uploads_per_round(self, num_clients: int, num_servers: int) -> int:
-        return num_clients
 
 
 class FullUpload(UploadStrategy):
@@ -72,9 +65,6 @@ class FullUpload(UploadStrategy):
                rng: np.random.Generator) -> List[List[int]]:
         everyone = list(range(num_servers))
         return [list(everyone) for _ in range(num_clients)]
-
-    def uploads_per_round(self, num_clients: int, num_servers: int) -> int:
-        return num_clients * num_servers
 
 
 class MultiUpload(UploadStrategy):
@@ -102,9 +92,6 @@ class MultiUpload(UploadStrategy):
                    rng.choice(num_servers, size=self.count, replace=False))
             for _ in range(num_clients)
         ]
-
-    def uploads_per_round(self, num_clients: int, num_servers: int) -> int:
-        return num_clients * self.count
 
 
 def make_upload_strategy(config: "object") -> UploadStrategy:

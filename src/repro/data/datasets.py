@@ -8,7 +8,7 @@ local dataset ``D_k``.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class ArrayDataset:
         if len(self) == 0:
             return 0
         return int(self.labels.max()) + 1
-
-    def subset(self, indices: Sequence[int]) -> "Subset":
-        """A view of this dataset restricted to ``indices``."""
-        return Subset(self, indices)
 
     def label_histogram(self, num_classes: Optional[int] = None) -> np.ndarray:
         """Count of samples per class."""
@@ -128,8 +124,7 @@ class DataLoader:
 
     Each call to :meth:`sample_batch` draws a batch with replacement across
     calls (fresh uniform subset each time), matching the i.i.d. mini-batch
-    assumption (Assumption 3) of the paper's analysis. :meth:`epoch` provides
-    conventional shuffled full-epoch iteration for centralized training.
+    assumption (Assumption 3) of the paper's analysis.
     """
 
     def __init__(self, dataset: ArrayDataset, batch_size: int, *,
@@ -156,10 +151,3 @@ class DataLoader:
         indices = self._rng.choice(len(self.dataset), size=self.batch_size,
                                    replace=False)
         return self.dataset[indices]
-
-    def epoch(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Iterate the dataset once in a fresh shuffled order."""
-        order = self._rng.permutation(len(self.dataset))
-        for start in range(0, len(order), self.batch_size):
-            batch = order[start:start + self.batch_size]
-            yield self.dataset[batch]

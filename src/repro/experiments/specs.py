@@ -251,6 +251,9 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
     attack, and reports the measured suboptimality ``F(w_t) - F*`` next to
     the closed-form bound at every evaluation round.
     """
+    if num_rounds <= 0:
+        raise ConfigurationError(
+            f"num_rounds must be positive, got {num_rounds}")
     rngs = RngFactory(seed)
     data_rng = rngs.make("convex/data")
     centers = data_rng.normal(scale=2.0, size=(num_classes, dim))

@@ -247,10 +247,6 @@ class Module:
         """
         return None
 
-    def num_parameters(self) -> int:
-        """Total number of scalar trainable parameters."""
-        return sum(param.size for param in self.parameters())
-
     # -- state dict --------------------------------------------------------
 
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -207,6 +207,3 @@ class ChurnScheduler:
     def active_ids(self) -> List[int]:
         """Sorted ids active in the current round."""
         return sorted(self._active)
-
-    def is_active(self, client_id: int) -> bool:
-        return client_id in self._active

@@ -114,10 +114,6 @@ class TierTopology:
             )
         return self._offsets[tier] + index
 
-    def parent_of(self, tier: int, index: int) -> int:
-        """Tier-local index of the tier-``(tier+1)`` parent."""
-        return index % self.counts[tier + 1]
-
     def children_of(self, tier: int, index: int) -> List[int]:
         """Tier-local indices of the tier-``(tier-1)`` children."""
         if tier < 1:

@@ -229,7 +229,7 @@ class PopulationTrainer(RoundEngine):
             # parents track it, so every leg's deltas stay decodable.
             reference=lambda: top.current_output,
             record=self._record_tiers,
-            upload_tag=UPLOAD_TAG, downlink_tag=FETCH_TAG,
+            upload_tag=UPLOAD_TAG,
         ))
 
     def _tier_leg(self, tier: int) -> Leg:
@@ -249,11 +249,6 @@ class PopulationTrainer(RoundEngine):
             gate=exchange_tag(tier), filter=self.filter_rule,
         )
 
-    @property
-    def global_model_vector(self) -> np.ndarray:
-        """The current global model (the top aggregator's output)."""
-        return self.tiers[-1][0].current_output.copy()
-
     def _sample(self, t: int) -> List[int]:
         """The cohort: a sample of the active clients, each checked in (the
         model fetch is the reliable control plane). Nothing is built here:
@@ -272,7 +267,6 @@ class PopulationTrainer(RoundEngine):
                 top.current_output, tag=FETCH_TAG, round_index=t,
             ))
             self.network.receive(NodeId.client(client_id))
-        state.active_clients = len(active)
         state.materialized = 0  # the serial path's client_of sets 1
         return sampled
 
@@ -290,13 +284,9 @@ class PopulationTrainer(RoundEngine):
             for table, value in zip(tables, [estimate] + lists):
                 if value not in (None, []):
                     table[tier] = value
-        if self.fault_injector is not None:
-            record.alive_servers = len(state.alive)
         record.estimated_byzantine = max(tables[0].values(), default=None)
-        (record.tier_estimated_byzantine, record.tier_filtered_model_ids,
-         record.tier_degraded_aggregators,
-         record.tier_fallback_aggregators) = tables
-        record.num_active_clients = state.active_clients
+        (record.tier_filtered_model_ids, record.tier_degraded_aggregators,
+         record.tier_fallback_aggregators) = tables[1:]
         record.num_sampled_clients = len(state.cohort)
         record.materialized_clients = state.materialized
         self.network.stats.record_materialized(state.materialized)

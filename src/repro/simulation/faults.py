@@ -8,7 +8,7 @@ partition. This module supplies the missing failure model as data: a :class:`Fau
 declarative, fully deterministic schedule of fault events, and a
 :class:`FaultInjector` replays it round by round, exposing
 
-* liveness queries (``server_alive`` / ``client_active`` / ``link_up``)
+* liveness queries (``server_alive`` / ``client_active``)
   the trainer consults when routing uploads and disseminations, and
 * a drop rule (:meth:`FaultInjector.should_drop`) that composes with the
   existing :class:`~repro.simulation.network.Network` drop machinery, so
@@ -303,15 +303,6 @@ class FaultInjector:
 
     def client_active(self, client_id: int) -> bool:
         return client_id not in self._offline
-
-    def link_up(self, client_id: int, server_id: int) -> bool:
-        return (client_id, server_id) not in self._severed
-
-    def alive_servers(self, num_servers: int) -> List[int]:
-        return [i for i in range(num_servers) if self.server_alive(i)]
-
-    def active_clients(self, num_clients: int) -> List[int]:
-        return [i for i in range(num_clients) if self.client_active(i)]
 
     # -- Network integration -------------------------------------------------
 

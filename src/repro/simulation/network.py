@@ -12,7 +12,7 @@ and can inject failures (drops) for robustness experiments.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -178,20 +178,6 @@ class TrafficStats:
             "peak_materialized_clients": self.peak_materialized_clients,
         }
 
-    def reset(self) -> None:
-        self.messages_total = 0
-        self.bytes_total = 0
-        self.messages_by_tag.clear()
-        self.bytes_by_tag.clear()
-        self.dropped_total = 0
-        self.dropped_by_tag.clear()
-        self.dropped_bytes_total = 0
-        self.dropped_bytes_by_tag.clear()
-        self.cleared_total = 0
-        self.retries_total = 0
-        self.retries_by_tag.clear()
-        self.peak_materialized_clients = 0
-
 
 #: Decides whether a message is lost: ``(message) -> True`` means drop.
 DropRule = Callable[[Message], bool]
@@ -222,11 +208,6 @@ class Network:
         self._rng = rng
         self._queues: Dict[NodeId, List[Message]] = defaultdict(list)
         self.stats = TrafficStats()
-
-    @property
-    def is_lossless(self) -> bool:
-        """True when no failure injection of any kind is configured."""
-        return self.drop_probability == 0.0 and not self._drop_rules
 
     def add_drop_rule(self, rule: DropRule) -> None:
         """Install a drop rule alongside the ones already installed.
@@ -265,10 +246,6 @@ class Network:
         """Drain and return all messages queued for ``recipient``."""
         messages = self._queues.pop(recipient, [])
         return messages
-
-    def pending_count(self, recipient: NodeId) -> int:
-        """Number of queued messages for ``recipient`` without draining."""
-        return len(self._queues.get(recipient, []))
 
     def clear(self) -> int:
         """Expire all queued messages, e.g. at a round deadline.

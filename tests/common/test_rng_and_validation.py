@@ -52,18 +52,9 @@ class TestRngFactory:
         b = RngFactory(7).make("x").random(5)
         np.testing.assert_array_equal(a, b)
 
-    def test_spawn_namespacing(self):
-        factory = RngFactory(7)
-        child_a = factory.spawn("client/0")
-        child_b = factory.spawn("client/1")
-        assert child_a.root_seed != child_b.root_seed
-        a = child_a.make("batches").random(3)
-        b = child_b.make("batches").random(3)
-        assert not np.array_equal(a, b)
-
     def test_make_many_count_and_independence(self):
         factory = RngFactory(7)
-        gens = list(factory.make_many("client", 5))
+        gens = [factory.make(f"client/{index}") for index in range(5)]
         assert len(gens) == 5
         draws = [g.random() for g in gens]
         assert len(set(draws)) == 5

@@ -56,6 +56,11 @@ class TestConstruction:
             make_trainer(num_byzantine_clients=5,
                          client_attack=ClientSignFlipAttack())
 
+    def test_rejects_a_negative_count(self):
+        with pytest.raises(ConfigurationError,
+                           match="num_byzantine_clients must be >= 0"):
+            make_trainer(num_byzantine_clients=-1)
+
     def test_random_placement_by_default(self):
         trainer = make_trainer(num_byzantine_clients=3,
                                client_attack=ClientSignFlipAttack())
@@ -152,7 +157,8 @@ class TestDualAdversaryTraining:
         b = make_trainer(num_byzantine_clients=2,
                          client_attack=ClientSignFlipAttack(scale=3.0),
                          seed=5).run(3)
-        np.testing.assert_allclose(a.train_losses, b.train_losses)
+        np.testing.assert_allclose([r.train_loss for r in a.records],
+                                   [r.train_loss for r in b.records])
 
 
 class TestServerRule:

@@ -23,10 +23,6 @@ class TestDefaults:
         config = FedMSConfig(num_byzantine=2, trim_ratio=0.1)
         assert config.resolved_trim_ratio == pytest.approx(0.1)
 
-    def test_byzantine_fraction(self):
-        assert FedMSConfig(num_servers=10, num_byzantine=3).byzantine_fraction \
-            == pytest.approx(0.3)
-
 
 class TestValidation:
     def test_rejects_byzantine_majority(self):

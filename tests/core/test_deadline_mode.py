@@ -110,22 +110,29 @@ class TestCircuitBreaker:
         injector = FaultInjector(plan)
         trainer = make_trainer(num_byzantine=0, health_scoring=True,
                                fault_injector=injector, **kwargs)
+        ledger = []  # PS 4's (score, breaker state) after each round
+
+        def observe(record):
+            ledger.append((trainer.health.scores[4],
+                           trainer.health.states[4]))
+
         with trainer:
-            history = trainer.run(num_rounds, eval_every=num_rounds)
-        return history
+            history = trainer.run(num_rounds, eval_every=num_rounds,
+                                  progress=observe)
+        return history, ledger
 
     def test_crash_loop_opens_breaker_within_bounded_rounds(self):
-        history = self.run_with_crash_loop()
-        states = history.breaker_state_trace(4)
+        _, ledger = self.run_with_crash_loop()
+        states = [state for _, state in ledger]
         # Decay 0.7 from 1.0 crosses 0.4 after 3 bad rounds: opened by
         # round 3 (crash window starts at round 1).
         assert BreakerState.OPEN in states[:4]
 
     def test_breaker_excludes_then_readmits_after_probation(self):
-        history = self.run_with_crash_loop()
-        excluded = history.excluded_server_trace
+        history, ledger = self.run_with_crash_loop()
+        excluded = [r.excluded_servers for r in history.records]
         assert any(4 in row for row in excluded)
-        states = history.breaker_state_trace(4)
+        states = [state for _, state in ledger]
         closed_again = [i for i, s in enumerate(states)
                         if s == BreakerState.CLOSED
                         and BreakerState.OPEN in states[:i]]
@@ -134,10 +141,10 @@ class TestCircuitBreaker:
         assert 4 not in excluded[closed_again[-1]]
 
     def test_health_scores_recorded_per_round(self):
-        history = self.run_with_crash_loop(num_rounds=4)
-        scores = history.health_score_trace(4)
-        assert all(s is not None for s in scores)
-        assert min(s for s in scores if s is not None) < 1.0
+        _, ledger = self.run_with_crash_loop(num_rounds=4)
+        scores = [score for score, _ in ledger]
+        assert len(scores) == 4
+        assert min(scores) < 1.0
 
 
 class TestQuorumFloorInvariant:
@@ -148,15 +155,17 @@ class TestQuorumFloorInvariant:
                                   ServerCrash(1, 2, 9)))
         injector = FaultInjector(plan)
         num_byzantine = 1
+        alive_per_round = []
         with make_trainer(num_servers=5, num_byzantine=num_byzantine,
                           attack="noise", health_scoring=True,
                           aggregation_mode="deadline", straggler_rate=0.3,
                           fault_injector=injector) as trainer:
-            history = trainer.run(10, eval_every=10)
+            history = trainer.run(10, eval_every=10, progress=lambda _: (
+                alive_per_round.append(sum(
+                    injector.server_alive(s) for s in range(5)))))
         floor = quorum_floor(num_byzantine)
-        for record in history.records:
-            alive = record.alive_servers
-            assert alive is not None
+        assert len(alive_per_round) == len(history.records)
+        for record, alive in zip(history.records, alive_per_round):
             counted = alive - len(record.excluded_servers)
             assert counted >= min(floor, alive)
 

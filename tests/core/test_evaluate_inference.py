@@ -15,7 +15,7 @@ import pytest
 from repro.common import ConfigurationError, RngFactory
 from repro.core import Client
 from repro.core.filtering import RootLossEvaluator
-from repro.data import ArrayDataset
+from repro.data import ArrayDataset, Subset
 from repro.models import MLP, MobileNetV2, SmallCNN
 from repro.nn import to_vector
 
@@ -94,7 +94,7 @@ def test_evaluate_rejects_an_empty_dataset():
     client = _client(SmallCNN(10, channels=4, rng=RngFactory(1).make("init")),
                      data)
     with pytest.raises(ConfigurationError, match="empty"):
-        client.evaluate(data.subset(np.arange(0)))
+        client.evaluate(Subset(data, np.arange(0)))
 
 
 def test_root_loss_scorer_keeps_no_caches():

@@ -148,10 +148,13 @@ def distinct_received_sets(trainer):
     """How many different sender sets the active clients see this round,
     read off the injector (valid until the next round begins)."""
     injector = trainer.fault_injector
-    servers = injector.alive_servers(trainer.config.num_servers)
+    servers = [s for s in range(trainer.config.num_servers)
+               if injector.server_alive(s)]
+    severed = injector.plan.severed_links(injector.round_index)
     return len({
-        frozenset(s for s in servers if injector.link_up(k, s))
-        for k in injector.active_clients(trainer.config.num_clients)
+        frozenset(s for s in servers if (k, s) not in severed)
+        for k in range(trainer.config.num_clients)
+        if injector.client_active(k)
     })
 
 

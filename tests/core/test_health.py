@@ -117,12 +117,3 @@ class TestExclusionFloor:
         ledger = self.make_open(5, {0, 4})
         excluded = ledger.excluded_servers([1, 2, 3, 4], quorum_floor=2)
         assert excluded == frozenset({4})
-
-
-class TestSnapshot:
-    def test_snapshot_is_a_copy(self):
-        ledger = HealthLedger(2)
-        snap = ledger.snapshot()
-        snap["scores"][0] = -1.0
-        assert ledger.scores[0] == 1.0
-        assert set(snap) == {"scores", "states"}

@@ -100,7 +100,8 @@ class TestTraining:
     def test_deterministic(self):
         a = make_trainer(num_byzantine=1, attack=RandomAttack(), seed=3).run(3)
         b = make_trainer(num_byzantine=1, attack=RandomAttack(), seed=3).run(3)
-        np.testing.assert_allclose(a.train_losses, b.train_losses)
+        np.testing.assert_allclose([r.train_loss for r in a.records],
+                                   [r.train_loss for r in b.records])
 
 
 class TestByzantineVulnerability:

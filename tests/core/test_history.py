@@ -1,11 +1,20 @@
 """Tests for TrainingHistory/RoundRecord."""
 
+import dataclasses
+import json
+
 from repro.core import RoundRecord, TrainingHistory
 
 
 def record(i, acc=None, loss=1.0, uploads=5, upload_bytes=40):
     return RoundRecord(round_index=i, train_loss=loss, test_accuracy=acc,
                        upload_messages=uploads, upload_bytes=upload_bytes)
+
+
+def json_rows(history):
+    """The records as they come back from JSON."""
+    return json.loads(json.dumps(
+        [dataclasses.asdict(r) for r in history.records]))
 
 
 class TestTrainingHistory:
@@ -48,17 +57,16 @@ class TestTrainingHistory:
     def test_to_dict_roundtrip_keys(self):
         history = TrainingHistory()
         history.append(record(0, acc=0.3))
-        summary = history.to_dict()
-        assert summary["num_rounds"] == 1
-        assert summary["final_accuracy"] == 0.3
-        assert summary["accuracies"] == [0.3]
-        assert summary["total_upload_messages"] == 5
+        rows = json_rows(history)
+        assert rows == [dataclasses.asdict(history.records[0])]
+        assert rows[0]["test_accuracy"] == 0.3
+        assert rows[0]["upload_messages"] == 5
 
     def test_train_losses(self):
         history = TrainingHistory()
         history.append(record(0, loss=2.0))
         history.append(record(1, loss=1.0))
-        assert history.train_losses == [2.0, 1.0]
+        assert [r.train_loss for r in history.records] == [2.0, 1.0]
 
 
 class TestEstimatingFilterFields:
@@ -93,7 +101,6 @@ class TestEstimatingFilterFields:
         assert self.make_history().filtered_model_id_counts == {0: 1, 3: 2}
 
     def test_to_dict_includes_robustness_fields(self):
-        summary = self.make_history().to_dict()
-        assert summary["estimated_byzantine_trace"] == [2, 1, None]
-        assert summary["mean_estimated_byzantine"] == 1.5
-        assert summary["filtered_model_id_counts"] == {0: 1, 3: 2}
+        rows = json_rows(self.make_history())
+        assert [row["estimated_byzantine"] for row in rows] == [2, 1, None]
+        assert [row["filtered_model_ids"] for row in rows] == [[0, 3], [3], []]

@@ -85,7 +85,7 @@ def nodes(trainer):
 
 def final_vectors(trainer):
     if isinstance(trainer, PopulationTrainer):
-        return [trainer.global_model_vector]
+        return [trainer.tiers[-1][0].current_output.copy()]
     return [client.model_vector() for client in trainer.clients]
 
 

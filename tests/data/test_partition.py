@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.common import ConfigurationError, RngFactory
 from repro.data import (
     ArrayDataset,
+    Subset,
     dirichlet_partition,
     iid_partition,
     label_distribution_matrix,
@@ -125,12 +126,12 @@ class TestStats:
     def test_tv_distance_zero_for_identical_laws(self):
         data = make_dataset(100, num_classes=2)
         # Every client gets one sample of each class.
-        parts = [data.subset([i, i + 50]) for i in range(50)]
+        parts = [Subset(data, [i, i + 50]) for i in range(50)]
         # indices i in [0,50) have labels alternating; construct directly:
         labels = data.labels
         class0 = np.flatnonzero(labels == 0)
         class1 = np.flatnonzero(labels == 1)
-        parts = [data.subset([class0[i], class1[i]]) for i in range(10)]
+        parts = [Subset(data, [class0[i], class1[i]]) for i in range(10)]
         assert mean_total_variation_distance(parts, 2) == pytest.approx(0.0)
 
     def test_entropy_bounds(self):
@@ -143,11 +144,11 @@ class TestStats:
     def test_single_class_client_entropy_zero(self):
         data = make_dataset(100, num_classes=2)
         class0 = np.flatnonzero(data.labels == 0)
-        parts = [data.subset(class0)]
+        parts = [Subset(data, class0)]
         assert mean_client_entropy(parts, 2) == pytest.approx(0.0)
 
     def test_empty_client_handled(self):
         data = make_dataset(100)
-        parts = [data.subset([]), data.subset(np.arange(100))]
+        parts = [Subset(data, []), Subset(data, np.arange(100))]
         value = mean_total_variation_distance(parts, 10)
         assert np.isfinite(value)

@@ -285,7 +285,7 @@ class TestWorkerCrash:
         # (through ``population.materialize``), same results.
         with make_population_trainer("serial") as trainer:
             reference = trainer.run(3)
-            reference_vector = trainer.global_model_vector
+            reference_vector = trainer.tiers[-1][0].current_output.copy()
         with make_population_trainer("process") as trainer:
             trainer.run_round()
             kill_a_worker(trainer.execution)
@@ -294,8 +294,8 @@ class TestWorkerCrash:
             assert trainer.execution.degraded
             assert history_fingerprint(history) == \
                 history_fingerprint(reference)
-            np.testing.assert_array_equal(trainer.global_model_vector,
-                                          reference_vector)
+            np.testing.assert_array_equal(
+                trainer.tiers[-1][0].current_output, reference_vector)
 
     def test_degraded_pool_stays_serial(self):
         with make_trainer("process") as trainer:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import FedMSTrainer
+from repro.experiments import specs
 
 
 @pytest.fixture(autouse=True)
@@ -207,3 +208,10 @@ class TestRefusedValues:
     def test_a_loss_rate_of_one(self, capsys):
         self.refused(["--scale", "tiny", "faults", "--loss-rate", "1.0"],
                      capsys, "drop_probability")
+
+    @pytest.mark.parametrize("rounds", ["0", "-5"])
+    def test_convergence_without_rounds(self, capsys, monkeypatch, rounds):
+        # Refused before any problem constant is measured.
+        monkeypatch.setattr(specs, "softmax_smoothness", no_training)
+        self.refused(["convergence", "--rounds", rounds], capsys,
+                     "num_rounds")

@@ -110,8 +110,8 @@ class TestChurnScheduler:
     def test_is_active_tracks_current_round(self):
         scheduler = ChurnScheduler(self.plan())
         scheduler.begin_round(2)
-        assert not scheduler.is_active(0)
-        assert scheduler.is_active(1)
+        assert 0 not in scheduler.active_ids()
+        assert 1 in scheduler.active_ids()
 
     def test_same_plan_replays_identically(self):
         plan = ChurnPlan.sample(population_size=30, num_rounds=6,

@@ -71,7 +71,7 @@ def run_fingerprint(backend, **overrides):
     with make_trainer(backend, **overrides) as trainer:
         history = trainer.run(ROUNDS)
         assert not trainer.execution.degraded, f"{backend} degraded"
-        vector = trainer.global_model_vector
+        vector = trainer.tiers[-1][0].current_output.copy()
     rounds = [
         (r.train_loss, r.test_loss, r.test_accuracy, r.upload_bytes,
          r.num_sampled_clients)
@@ -144,14 +144,15 @@ class TestRowsArePositions:
                 assert record.num_sampled_clients > 0
                 assert record.train_loss == expected.train_loss
             assert not trainer.execution.degraded
-            np.testing.assert_array_equal(trainer.global_model_vector,
-                                          reference.global_model_vector)
+            np.testing.assert_array_equal(
+                trainer.tiers[-1][0].current_output,
+                reference.tiers[-1][0].current_output)
 
     def test_population_shares_two_vector_buffers_and_nothing_else(self):
         with make_trainer("process") as trainer:
             spec = trainer.execution.spec
             # Whole states travel both ways, so rows are state-length.
-            assert spec.state_dim == trainer.global_model_vector.size
+            assert spec.state_dim == trainer.tiers[-1][0].current_output.size
             assert trainer.execution.shared_nbytes == \
                 2 * spec.cohort * spec.state_dim * DTYPE().itemsize
 

@@ -166,7 +166,7 @@ class TestTierDeadlines:
             )
             with make_trainer(config) as trainer:
                 history = trainer.run(4)
-                return trainer.global_model_vector, [
+                return trainer.tiers[-1][0].current_output.copy(), [
                     (r.train_loss, r.simulated_time_s, r.deadline_missed,
                      r.late_admitted) for r in history.records
                 ]

@@ -162,10 +162,8 @@ class TestFaultInjector:
         assert not injector.server_alive(1)
         assert injector.server_alive(0)
         assert not injector.client_active(2)
-        assert not injector.link_up(0, 0)
-        assert injector.link_up(0, 2)
-        assert injector.alive_servers(3) == [0, 2]
-        assert injector.active_clients(4) == [0, 1, 3]
+        assert [s for s in range(3) if injector.server_alive(s)] == [0, 2]
+        assert [k for k in range(4) if injector.client_active(k)] == [0, 1, 3]
 
     def test_drops_traffic_to_and_from_crashed_server(self):
         injector = FaultInjector(FaultPlan(crashes=(ServerCrash(1, 0),)))

@@ -48,6 +48,25 @@ keys count. ``choices=available_attacks()`` names no literal, so offering
 a key on the command line never reaches it. A class registered under a
 reached key counts as reached by the first scan.
 
+A fourth scan does it for members: every public method, property and
+annotated (dataclass or named-tuple) field of a public class in the
+modules the keyword scan reads must be read by a program file other than
+its own module. A file reads a member when it loads the member's name as
+an attribute, ``record.train_loss``, or names it in a string literal,
+``getattr(trainer, "population")``; an ``__all__`` list names no member,
+and an assignment or a constructor keyword is a write. A read inside the
+body of a member no program reads does not count, so the scan runs to a
+fixpoint; a member held for a ROADMAP item counts as read. The scan goes
+by name alone, so a member whose name another class's member shares is
+out of its sight. Each member it flags that stays is on
+``ALLOWED_MEMBERS`` with a reason from ``REASONS``, under the same two
+rules as ``ALLOWED``; a class ``ALLOWED`` holds is scanned too, so each
+of its unread members carries its own reason.
+
+Every "kept for ROADMAP item" reason, on any of the three allow-lists,
+ends with ``DEADLINE``: ROADMAP item 14 names the re-anchor by which the
+item must run the entry from a program, or the entry goes.
+
 Print what the scans flag with ``python tests/test_reachability.py``.
 """
 
@@ -55,7 +74,8 @@ import ast
 import dataclasses
 import functools
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Set, Tuple)
 
 from repro.aggregation import available_rules
 from repro.attacks import available_attacks, make_attack
@@ -68,6 +88,16 @@ PACKAGE = ROOT / "src" / "repro"
 READER_DIRS = ("benchmarks", "examples", "bench")
 
 REASONS = ("used inside its module", "kept for ROADMAP item ")
+DEADLINE = "until ROADMAP item 14's deadline"
+
+
+def _held(item: str, why: str) -> str:
+    return f"{REASONS[-1]}{item}: {why}, {DEADLINE}"
+
+
+_ITEM_3_FORMAT = _held("3", "exact resume decides the checkpoint format")
+_ITEM_4_FIT = _held("4", "ties the O(1/T) shape to measured runs")
+_ITEM_7_MODEL = _held("7", "the paper's model, trained by items 7(b) and 8")
 
 ALLOWED: Dict[str, str] = {
     "repro.aggregation.rules.krum_index": "used inside its module",
@@ -90,17 +120,13 @@ ALLOWED: Dict[str, str] = {
     "repro.experiments.population.PopulationPreset": "used inside its module",
     "repro.experiments.tables.format_curves": "used inside its module",
     "repro.experiments.tables.format_rows": "used inside its module",
-    "repro.models.mobilenet_v2.MobileNetV2":
-        "kept for ROADMAP item 7: the paper's model, trained by items 7(b) and 8",
-    "repro.nn.checkpoint.checkpoint_metadata":
-        "kept for ROADMAP item 3: exact resume decides the checkpoint format",
-    "repro.nn.checkpoint.load_checkpoint":
-        "kept for ROADMAP item 3: exact resume decides the checkpoint format",
-    "repro.nn.checkpoint.save_checkpoint":
-        "kept for ROADMAP item 3: exact resume decides the checkpoint format",
-    "repro.nn.layers.BatchNorm1d":
-        "kept for ROADMAP item 4: the batch-norm MLP that the backend-parity "
-        "and replica tests train",
+    "repro.models.mobilenet_v2.MobileNetV2": _ITEM_7_MODEL,
+    "repro.nn.checkpoint.checkpoint_metadata": _ITEM_3_FORMAT,
+    "repro.nn.checkpoint.load_checkpoint": _ITEM_3_FORMAT,
+    "repro.nn.checkpoint.save_checkpoint": _ITEM_3_FORMAT,
+    "repro.nn.layers.BatchNorm1d": _held(
+        "4", "the batch-norm MLP that the backend-parity and replica tests "
+        "train"),
     "repro.population.churn.MembershipWindow": "used inside its module",
     "repro.population.shards.BlobShardSpec": "used inside its module",
     "repro.population.trainer.exchange_tag": "used inside its module",
@@ -108,36 +134,93 @@ ALLOWED: Dict[str, str] = {
     "repro.theory.bounds.lemma1_bound": "used inside its module",
     "repro.theory.bounds.lemma2_bound": "used inside its module",
     "repro.theory.bounds.lemma3_bound": "used inside its module",
-    "repro.theory.rates.PowerLawFit":
-        "kept for ROADMAP item 4: ties the O(1/T) shape to measured runs",
-    "repro.theory.rates.fit_power_law":
-        "kept for ROADMAP item 4: ties the O(1/T) shape to measured runs",
-    "repro.theory.rates.halving_steps":
-        "kept for ROADMAP item 4: ties the O(1/T) shape to measured runs",
+    "repro.theory.rates.PowerLawFit": _ITEM_4_FIT,
+    "repro.theory.rates.fit_power_law": _ITEM_4_FIT,
+    "repro.theory.rates.halving_steps": _ITEM_4_FIT,
     "repro.theory.verify.VerificationResult": "used inside its module",
 }
 
 CONFIG_CLASSES = (FedMSConfig, FaultConfig)
 
-_ITEM_4_CHAOS = ("kept for ROADMAP item 4: the chaos fuzzer is to draw the "
-                 "retry policy")
-_ITEM_4_NETWORK = ("kept for ROADMAP item 4: the round-engine invariants run "
-                   "every topology over a lossy network, and the chaos "
-                   "fuzzer passes the fault plan")
+_ITEM_4_CHAOS = _held("4", "the chaos fuzzer is to draw the retry policy")
+_ITEM_4_NETWORK = _held("4", "the round-engine invariants run every topology "
+                        "over a lossy network, and the chaos fuzzer passes "
+                        "the fault plan")
 
 UNSET_KEYWORDS: Dict[str, str] = {
-    "repro.core.config.FedMSConfig.participation_fraction":
-        "kept for ROADMAP item 3: its resume sweep and item 6 vary Theorem "
-        "1's partial-participation term",
-    "repro.core.config.FedMSConfig.max_staleness":
-        "kept for ROADMAP item 6: option (iii) admits an idle PS's aggregate "
-        "through the max_staleness rule",
+    "repro.core.config.FedMSConfig.participation_fraction": _held(
+        "3", "its resume sweep and item 6 vary Theorem 1's "
+        "partial-participation term"),
+    "repro.core.config.FedMSConfig.max_staleness": _held(
+        "6", "option (iii) admits an idle PS's aggregate through the "
+        "max_staleness rule"),
     "repro.core.config.FaultConfig.max_upload_retries": _ITEM_4_CHAOS,
     "repro.core.config.FaultConfig.retry_backoff_s": _ITEM_4_CHAOS,
     "repro.core.config.FaultConfig.backoff_factor": _ITEM_4_CHAOS,
     "repro.core.hierarchical.HierarchicalTrainer.network": _ITEM_4_NETWORK,
     "repro.population.trainer.PopulationTrainer.network": _ITEM_4_NETWORK,
     "repro.population.trainer.PopulationTrainer.fault_plan": _ITEM_4_NETWORK,
+}
+
+
+_INSIDE = REASONS[0]
+
+
+def _inside(owner: str, *names: str) -> Dict[str, str]:
+    return {f"{owner}.{name}": _INSIDE for name in names}
+
+
+ALLOWED_MEMBERS: Dict[str, str] = {
+    **_inside("repro.core.codecs.Codec", "decode_stage", "encode_stage",
+              "terminal", "uses_salt"),
+    **_inside("repro.core.codecs.CodecPipeline", "specs"),
+    **{f"repro.core.codecs.{codec}.{stage}": _INSIDE
+       for codec in ("CyclicSparsifier", "Int8Quantizer", "SignQuantizer",
+                     "TopKSparsifier")
+       for stage in ("decode_stage", "encode_stage")},
+    **_inside("repro.core.config.FaultConfig", "backoff_factor",
+              "retry_backoff_s"),
+    **_inside("repro.core.config.FedMSConfig", "aggregation_mode",
+              "execution_backend", "trim_ratio", "upload_codecs"),
+    **_inside("repro.core.engine.LateBuffer", "hold", "take_admissible"),
+    **_inside("repro.core.engine.Leg", "adopt", "feeds", "gate", "late", "own",
+              "per_receiver", "quorum", "receivers", "retried", "senders"),
+    **_inside("repro.core.engine.RoundEngine", "deadline_gate", "filter_once",
+              "send_with_retry"),
+    **_inside("repro.core.engine.RoundState", "addresses", "backoff_s",
+              "late", "received", "retries", "send_failures", "verdicts",
+              "views"),
+    **_inside("repro.core.engine.Topology", "edges", "nodes", "phases",
+              "quorums", "reroute", "targets", "trained", "upload_tag"),
+    **_inside("repro.core.health.HealthLedger", "open_servers"),
+    **_inside("repro.core.history.RoundRecord", "materialized_clients",
+              "models_received", "upload_bytes"),
+    **_inside("repro.nn.module.Module", "modules", "named_buffers",
+              "named_parameters"),
+    **{f"repro.nn.schedules.{schedule}.lr_at": _INSIDE
+       for schedule in ("ConstantLR", "InverseTimeDecay", "LRSchedule")},
+    **_inside("repro.population.churn.ChurnPlan", "active_clients",
+              "windows"),
+    **_inside("repro.population.shards.BlobShardSpec", "center_scale",
+              "centers_seed", "num_samples", "primary_class",
+              "primary_fraction", "shard_seed"),
+    **_inside("repro.population.tiers.TierTopology", "min_children"),
+    **_inside("repro.simulation.clock.VirtualClock", "arrival_s"),
+    **_inside("repro.simulation.faults.FaultPlan", "crashed_servers",
+              "dropouts", "offline_clients", "severed_links"),
+    **_inside("repro.simulation.network.Message", "size_bytes"),
+    **_inside("repro.simulation.network.TrafficStats", "record_cleared",
+              "record_drop"),
+    **_inside("repro.simulation.scheduler.RoundScheduler", "phase_names"),
+    **_inside("repro.theory.bounds.ProblemConstants", "initial_gap_sq",
+              "mean_sigma_sq", "sigma_sq"),
+    **_inside("repro.theory.rates.PowerLawFit", "coefficient", "exponent"),
+    **_inside("repro.theory.verify.VerificationResult", "std_error"),
+    "repro.core.trainer.FedMSTrainer.load_checkpoint": _ITEM_3_FORMAT,
+    "repro.core.trainer.FedMSTrainer.save_checkpoint": _ITEM_3_FORMAT,
+    "repro.models.mobilenet_v2.MobileNetV2.cifar": _ITEM_7_MODEL,
+    "repro.theory.rates.PowerLawFit.predict": _ITEM_4_FIT,
+    "repro.theory.rates.PowerLawFit.r_squared": _ITEM_4_FIT,
 }
 
 
@@ -739,6 +822,94 @@ def unnamed_keys() -> Tuple[str, ...]:
                  for key in registry.keys if key not in named[label])
 
 
+def _member_names(node: ast.ClassDef) -> Iterable[str]:
+    """The public methods, properties and annotated fields of a class."""
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = item.name
+        elif (isinstance(item, ast.AnnAssign)
+              and isinstance(item.target, ast.Name)):
+            name = item.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name
+
+
+@functools.lru_cache(maxsize=None)
+def members() -> Dict[str, Tuple[str, str]]:
+    """``module.Class.member`` -> ``(module, member)`` for every public
+    member of a public class in the modules the keyword scan reads."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = _module_name(path)
+        if not _keywords_scanned(module):
+            continue
+        for node in _tree(path).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith(
+                    "_"):
+                for name in _member_names(node):
+                    found[f"{module}.{node.name}.{name}"] = (module, name)
+    return found
+
+
+def _member_loads(tree: ast.Module, module: str
+                  ) -> Iterable[Tuple[str, Optional[str]]]:
+    """``(name, enclosing member)`` for every attribute load and string
+    literal in ``tree``; the member is ``None`` outside a class's method."""
+    def walk(node: ast.AST, enclosing: Optional[str]):
+        for child in ast.iter_child_nodes(node):
+            inner = enclosing
+            if (enclosing is None and isinstance(node, ast.ClassDef)
+                    and isinstance(child, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))):
+                inner = f"{module}.{node.name}.{child.name}"
+            if isinstance(child, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__"
+                    for target in child.targets):
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx,
+                                                               ast.Load):
+                yield child.attr, inner
+            elif (isinstance(child, ast.Constant)
+                  and isinstance(child.value, str)):
+                yield child.value, inner
+            yield from walk(child, inner)
+
+    yield from walk(tree, None)
+
+
+@functools.lru_cache(maxsize=None)
+def unread_members() -> Tuple[Tuple[str, ...], FrozenSet[str]]:
+    """The members no other file reads, and the members no file reads at
+    all. A read inside a member no file reads does not count, and a member
+    held for a ROADMAP item counts as read, so the scan runs to a
+    fixpoint."""
+    found = members()
+    held = {name for name, reason in ALLOWED_MEMBERS.items()
+            if reason.startswith(REASONS[-1])}
+    reads: Dict[str, List[Tuple[str, Optional[str]]]] = {}
+    for path in _program_files():
+        module = (_module_name(path) if PACKAGE in path.parents
+                  else path.relative_to(ROOT).as_posix())
+        for name, enclosing in _member_loads(_tree(path), module):
+            reads.setdefault(name, []).append((module, enclosing))
+    dead: Set[str] = set()
+    while True:
+        unread = {qualified for qualified, (_, name) in found.items()
+                  if qualified not in held and all(
+                      enclosing in dead
+                      for _, enclosing in reads.get(name, ()))}
+        if unread == dead:
+            break
+        dead = unread
+    flagged = tuple(sorted(
+        qualified for qualified, (module, name) in found.items()
+        if all(reader == module or enclosing in dead
+               for reader, enclosing in reads.get(name, ()))))
+    return flagged, frozenset(dead)
+
+
 def _split(qualified: str) -> Tuple[Path, str]:
     module, name = qualified.rsplit(".", 1)
     return PACKAGE.parent.joinpath(*module.split(".")).with_suffix(".py"), name
@@ -757,7 +928,8 @@ def test_every_allowed_definition_is_still_unreached():
 
 
 def test_every_reason_is_one_of_the_three():
-    odd = {name: reason for name, reason in ALLOWED.items()
+    odd = {name: reason for table in (ALLOWED, ALLOWED_MEMBERS)
+           for name, reason in table.items()
            if not reason.startswith(REASONS)}
     assert not odd, odd
 
@@ -798,6 +970,34 @@ def test_used_inside_its_module_holds():
         assert uses, f"{qualified} is not used inside its module"
 
 
+def test_every_unread_member_is_allowed():
+    unexplained = sorted(set(unread_members()[0]) - set(ALLOWED_MEMBERS))
+    assert not unexplained, (
+        "methods, properties and fields no program reads: delete them, or "
+        f"add each to ALLOWED_MEMBERS with its reason: {unexplained}")
+
+
+def test_every_allowed_member_is_still_unread():
+    stale = sorted(set(ALLOWED_MEMBERS) - set(unread_members()[0]))
+    assert not stale, f"read or gone, remove from ALLOWED_MEMBERS: {stale}"
+
+
+def test_member_used_inside_its_module_holds():
+    dead = unread_members()[1]
+    unused = sorted(name for name, reason in ALLOWED_MEMBERS.items()
+                    if reason == _INSIDE and name in dead)
+    assert not unused, f"not used inside their module either: {unused}"
+
+
+def test_every_held_entry_has_a_deadline():
+    late = {name: reason
+            for table in (ALLOWED, UNSET_KEYWORDS, ALLOWED_MEMBERS)
+            for name, reason in table.items()
+            if reason.startswith(REASONS[-1])
+            and not reason.endswith(DEADLINE)}
+    assert not late, late
+
+
 if __name__ == "__main__":
     for qualified in scan():
         print(qualified, "-", ALLOWED.get(qualified, "NOT ALLOWED"))
@@ -808,3 +1008,7 @@ if __name__ == "__main__":
           "keywords unset")
     for key in unnamed_keys():
         print(key, "- NAMED BY NO PROGRAM")
+    for member in unread_members()[0]:
+        print(member, "-", ALLOWED_MEMBERS.get(member, "NOT ALLOWED"))
+    print(f"{len(unread_members()[0])} of {len(members())} members unread "
+          "by another file")
