@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import FedMSConfig, FedMSTrainer, make_attack
 from repro.common import RngFactory
-from repro.core import HierarchicalTrainer, SparseUpload, FullUpload
+from repro.core import HierarchicalTrainer, assign_uploads
 from repro.data import ArrayDataset, dirichlet_partition, make_synthetic_cifar10
 from repro.models import MLP
 from repro.nn import DTYPE, vector_size
@@ -71,8 +71,8 @@ def main() -> None:
         * DTYPE().itemsize
     latency = LogNormalLatency(sigma=0.75)
     rng = RngFactory(args.seed).make("latency")
-    for name, strategy in (("sparse", SparseUpload()), ("full", FullUpload())):
-        assignment = strategy.assign(20, 5, rng=rng)
+    for name in ("sparse", "full"):
+        assignment = assign_uploads(name, 1, 20, 5, rng=rng)
         total, parts = round_time(
             assignment, model_bytes=model_bytes, latency=latency,
             num_servers=5, rng=rng, compute_seconds=0.5,

@@ -1,11 +1,7 @@
 """Byzantine parameter-server attacks: the paper's four plus extensions."""
 
 from .base import Attack, AttackContext
-from .client_attacks import (
-    ClientAttack,
-    ClientAttackContext,
-    ClientSignFlipAttack,
-)
+from .client_attacks import ClientSignFlipAttack
 from .catalog import (
     AdaptiveTrimmedMeanAttack,
     BackwardAttack,
@@ -34,7 +30,5 @@ __all__ = [
     "available_attacks",
     "make_attack",
     "PAPER_ATTACKS",
-    "ClientAttack",
-    "ClientAttackContext",
     "ClientSignFlipAttack",
 ]

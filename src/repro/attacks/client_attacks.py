@@ -17,57 +17,13 @@ import numpy as np
 
 from ..common.validation import require
 
-__all__ = [
-    "ClientAttackContext",
-    "ClientAttack",
-    "ClientSignFlipAttack",
-]
+__all__ = ["ClientSignFlipAttack"]
 
 
-class ClientAttackContext:
-    """What a Byzantine client knows when it tampers with its upload.
-
-    Attributes
-    ----------
-    round_index:
-        Current global round ``t``.
-    client_id:
-        The attacking client.
-    honest_update:
-        The local model vector an honest execution of local training
-        produced (Byzantine clients still *can* train; the strongest
-        attacks are functions of the true update).
-    global_model:
-        The feasible global model the client started the round from.
-    rng:
-        Dedicated random stream for this client's attack.
-    """
-
-    def __init__(self, *, round_index: int, client_id: int,
-                 honest_update: np.ndarray, global_model: np.ndarray,
-                 rng: np.random.Generator) -> None:
-        self.round_index = round_index
-        self.client_id = client_id
-        self.honest_update = honest_update
-        self.global_model = global_model
-        self.rng = rng
-
-
-class ClientAttack:
-    """Base class for Byzantine client behaviors."""
-
-    def tamper(self, context: ClientAttackContext) -> np.ndarray:
-        """The vector the Byzantine client actually uploads."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class ClientSignFlipAttack(ClientAttack):
+class ClientSignFlipAttack:
     """Upload the *negated* local update direction.
 
-    Uploads ``global - scale * (honest - global)``: the honest progress,
+    Uploads ``start - scale * (honest - start)``: the honest progress,
     reversed — steering the aggregate backwards.
     """
 
@@ -76,6 +32,11 @@ class ClientSignFlipAttack(ClientAttack):
                 f"scale must be positive and finite, got {scale}")
         self.scale = float(scale)
 
-    def tamper(self, context: ClientAttackContext) -> np.ndarray:
-        progress = context.honest_update - context.global_model
-        return context.global_model - self.scale * progress
+    def tamper(self, honest: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """The vector the Byzantine client uploads, given the local model
+        an honest execution of local training produced (``honest``) and
+        the feasible global model the client started the round from."""
+        return start - self.scale * (honest - start)
+
+    def __repr__(self) -> str:
+        return f"ClientSignFlipAttack(scale={self.scale})"

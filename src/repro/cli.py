@@ -217,6 +217,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     bad flag: the usage line, ``repro: error: ...``, exit status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Checked here, not after ``_run`` copies it into REPRO_NUM_WORKERS: a
+    # refusal names the flag the user gave.
+    if args.workers is not None and args.workers < 0:
+        parser.error(f"--workers must be >= 0, got {args.workers}")
     try:
         _run(args)
     except ConfigurationError as error:

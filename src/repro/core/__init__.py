@@ -27,13 +27,7 @@ from .hierarchical import HierarchicalTrainer
 from .history import RoundRecord, TrainingHistory
 from .server import ByzantineParameterServer, ParameterServer
 from .trainer import FedMSTrainer
-from .upload import (
-    FullUpload,
-    MultiUpload,
-    SparseUpload,
-    UploadStrategy,
-    make_upload_strategy,
-)
+from .upload import assign_uploads
 
 __all__ = [
     "FedMSConfig",
@@ -63,9 +57,5 @@ __all__ = [
     "HealthLedger",
     "RoundRecord",
     "TrainingHistory",
-    "UploadStrategy",
-    "SparseUpload",
-    "FullUpload",
-    "MultiUpload",
-    "make_upload_strategy",
+    "assign_uploads",
 ]

@@ -11,7 +11,7 @@ Each round a client (Algorithm 1, client side):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from ..data.datasets import ArrayDataset, DataLoader
 from ..nn.losses import accuracy, cross_entropy
 from ..nn.module import DTYPE, Module, inference
 from ..nn.optim import SGD
-from ..nn.schedules import ConstantLR, LRSchedule
 from ..nn.serialization import flatten_state, from_vector, to_vector
 
 __all__ = ["Client", "frozen"]
@@ -61,8 +60,9 @@ class Client:
     rng:
         Random stream for mini-batch sampling.
     lr_schedule:
-        Maps the global step index ``t * E + i`` to a learning rate;
-        defaults to a constant.
+        Maps the global step index ``t * E + i`` to a learning rate (e.g.
+        :class:`~repro.nn.InverseTimeDecay`); without one every step uses
+        ``learning_rate``.
     weight_decay:
         L2 coefficient applied by local SGD. The convergence experiments use
         it to make the local objectives ``weight_decay``-strongly convex.
@@ -78,16 +78,15 @@ class Client:
 
     def __init__(self, client_id: int, model: Module, dataset: ArrayDataset, *,
                  batch_size: int, rng: np.random.Generator,
-                 lr_schedule: Optional[LRSchedule] = None,
+                 lr_schedule: Optional[Callable[[int], float]] = None,
                  learning_rate: float = 0.05,
                  weight_decay: float = 0.0,
                  batch_seed: Optional[int] = None) -> None:
         self.client_id = client_id
         self.dataset = dataset
         self.loader = DataLoader(dataset, batch_size, rng=rng)
-        self.lr_schedule: LRSchedule = (
-            lr_schedule if lr_schedule is not None else ConstantLR(learning_rate)
-        )
+        self.lr_schedule = lr_schedule
+        self.learning_rate = float(learning_rate)
         self.batch_seed = batch_seed
         self.weight_decay = weight_decay
         self.last_train_loss: Optional[float] = None
@@ -102,7 +101,7 @@ class Client:
             input_layer = model.input_layer()
             if input_layer is not None:
                 input_layer.needs_input_grad = False
-            replica.optimizer = SGD(model.parameters(), lr=self.lr_schedule(0),
+            replica.optimizer = SGD(model.parameters(), lr=self._lr_at(0),
                                     weight_decay=weight_decay)
             replica.holds = None
         if replica.holds is None:
@@ -111,6 +110,11 @@ class Client:
         self.optimizer: SGD = replica.optimizer
         self._replica = replica
         self.state = replica.holds
+
+    def _lr_at(self, step: int) -> float:
+        if self.lr_schedule is None:
+            return self.learning_rate
+        return self.lr_schedule(step)
 
     # -- model state --------------------------------------------------------
 
@@ -163,7 +167,7 @@ class Client:
 
         The learning rate of local iteration ``i`` in round ``t`` is
         ``lr_schedule(t * E + i)`` — the global-step indexing the paper's
-        analysis uses.
+        analysis uses — or ``learning_rate`` without a schedule.
         """
         if self.batch_seed is not None:
             self.loader.reseed(np.random.default_rng(stream_seed(
@@ -177,7 +181,7 @@ class Client:
         losses = []
         for i in range(local_steps):
             features, labels = self.loader.sample_batch()
-            self.optimizer.set_lr(self.lr_schedule(round_index * local_steps + i))
+            self.optimizer.set_lr(self._lr_at(round_index * local_steps + i))
             self.optimizer.zero_grad()
             logits = self.model(features)
             loss, grad = cross_entropy(logits, labels)

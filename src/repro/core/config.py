@@ -26,7 +26,6 @@ from ..common.validation import (
     require,
 )
 from .codecs import make_codec_pipeline
-from .upload import make_upload_strategy
 
 __all__ = ["FaultConfig", "FedMSConfig", "EXECUTION_BACKEND_ENV",
            "NUM_WORKERS_ENV", "UPLOAD_CODECS_ENV"]
@@ -150,7 +149,8 @@ class FedMSConfig:
         any but ``"sparse"``.
     uploads_per_client:
         Only for ``upload_strategy="multi"``: how many distinct PSs each
-        client uploads to.
+        client uploads to (all the candidates, when the health ledger
+        leaves fewer).
     upload_codecs:
         Codec chain applied to every model transfer (upload, retry and
         dissemination legs), as spec strings — e.g.
@@ -299,10 +299,6 @@ class FedMSConfig:
         require(self.uploads_per_client <= self.num_servers,
                 f"uploads_per_client={self.uploads_per_client} exceeds "
                 f"num_servers={self.num_servers}")
-        # Eager: constructing the strategy here surfaces any remaining
-        # strategy-level error at config time (the trainer builds its own
-        # instance from this config later).
-        make_upload_strategy(self)
         if self.upload_codecs is not None:
             self.upload_codecs = tuple(self.upload_codecs)
             # Eager, like filter_rule_name: a bad chain (unknown codec,

@@ -750,7 +750,6 @@ class RoundEngine:
                         for _, verdict in outcomes.values()
                         for sender in verdict.rejected}
             self.health.observe_round(
-                state.round_index,
                 crashed=set(range(len(topology.nodes))) - set(state.alive),
                 straggling=state.late, filtered=rejected,
             )

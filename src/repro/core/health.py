@@ -23,7 +23,7 @@ readmitted for that round.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence
+from typing import Dict, FrozenSet, Iterable, Sequence
 
 from ..common.validation import check_positive_int
 
@@ -64,18 +64,15 @@ class HealthLedger:
         self._clean_streak: Dict[int, int] = {
             i: 0 for i in range(self.num_servers)}
 
-    def observe_round(self, round_index: int, *,
-                      crashed: Iterable[int] = (),
+    def observe_round(self, *, crashed: Iterable[int] = (),
                       straggling: Iterable[int] = (),
-                      filtered: Iterable[int] = ()) -> List[str]:
-        """Fold one round of evidence; returns breaker-transition events.
+                      filtered: Iterable[int] = ()) -> None:
+        """Fold one round of evidence into ``scores`` and ``states``.
 
         ``crashed``/``straggling``/``filtered`` are server-id sets; a server
-        in any of them had a bad round. Returned event strings read like
-        the fault injector's (``"server 4 circuit opened ..."``).
+        in any of them had a bad round.
         """
         bad = set(crashed) | set(straggling) | set(filtered)
-        events: List[str] = []
         for sid in range(self.num_servers):
             is_bad = sid in bad
             score = DECAY * self.scores[sid] \
@@ -86,9 +83,6 @@ class HealthLedger:
                 if score < OPEN_THRESHOLD:
                     self.states[sid] = BreakerState.OPEN
                     self._clean_streak[sid] = 0
-                    events.append(
-                        f"server {sid} circuit opened "
-                        f"(score {score:.3f} < {OPEN_THRESHOLD:g})")
             elif state == BreakerState.OPEN:
                 if is_bad:
                     self._clean_streak[sid] = 0
@@ -96,21 +90,15 @@ class HealthLedger:
                     self._clean_streak[sid] += 1
                     if self._clean_streak[sid] >= PROBATION_ROUNDS:
                         self.states[sid] = BreakerState.HALF_OPEN
-                        events.append(
-                            f"server {sid} on probation "
-                            f"(clean for {self._clean_streak[sid]} rounds)")
             else:  # HALF_OPEN: one trial round decides.
                 if is_bad:
                     self.states[sid] = BreakerState.OPEN
                     self._clean_streak[sid] = 0
-                    events.append(f"server {sid} circuit re-opened")
                 else:
                     self.states[sid] = BreakerState.CLOSED
                     # Floor the score so the next round's decay cannot
                     # immediately re-open a breaker that just proved itself.
                     self.scores[sid] = max(score, OPEN_THRESHOLD)
-                    events.append(f"server {sid} circuit closed")
-        return events
 
     def open_servers(self) -> FrozenSet[int]:
         """Ids whose breaker is currently open (excluded from admission)."""

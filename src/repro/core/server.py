@@ -145,13 +145,6 @@ class ParameterServer:
         trim_history(self.aggregate_history, self.attack, self.max_history)
         return aggregate
 
-    def aggregate(self, uploads: Sequence[np.ndarray]) -> np.ndarray:
-        """A whole round at once: :meth:`fold` every upload, then
-        :meth:`close`."""
-        for upload in uploads:
-            self.fold(upload)
-        return self.close()
-
     def disseminate(self, *, round_index: int, client_id: Optional[int] = None,
                     all_server_aggregates: ServerAggregates = None
                     ) -> np.ndarray:

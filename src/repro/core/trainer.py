@@ -8,15 +8,15 @@ filters the received global models with the beta-trimmed mean
 (:mod:`repro.aggregation`) to obtain its next feasible global model.
 
 It is the flat topology of the :class:`~repro.core.engine.RoundEngine`
-(docs/algorithm.md, "Topologies"): each client uploads to the PSs its
-``UploadStrategy`` draws, and the one fan-in leg, gated as ``broadcast``,
-carries every PS's model to every client, where ``Def()`` runs. Under
-faults (docs/faults.md) failed uploads retry and re-sample an alive PS,
-crashed PSs miss rounds, a client that receives ``q < P`` models trims
-the absolute ``B`` and falls back to its previous feasible model when
-``q <= 2B``; deadline rounds buffer late broadcasts, and the health ledger
-circuit-breaks a persistently bad PS out of upload sampling and quorum
-counting, never below the ``2B+1`` floor.
+(docs/algorithm.md, "Topologies"): each client uploads to the PSs
+:func:`~repro.core.upload.assign_uploads` draws, and the one fan-in leg,
+gated as ``broadcast``, carries every PS's model to every client, where
+``Def()`` runs. Under faults (docs/faults.md) failed uploads retry and
+re-sample an alive PS, crashed PSs miss rounds, a client that receives
+``q < P`` models trims the absolute ``B`` and falls back to its previous
+feasible model when ``q <= 2B``; deadline rounds buffer late broadcasts,
+and the health ledger circuit-breaks a persistently bad PS out of upload
+sampling and quorum counting, never below the ``2B+1`` floor.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ import numpy as np
 
 from ..aggregation import AggregationRule
 from ..attacks.base import Attack
-from ..attacks.client_attacks import ClientAttack, ClientAttackContext
+from ..attacks.client_attacks import ClientSignFlipAttack
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
 from ..nn.module import DTYPE, Module
-from ..nn.schedules import LRSchedule
 from ..simulation.faults import FaultInjector
 from ..simulation.network import Network, NodeId
 from .client import frozen
@@ -50,7 +49,7 @@ from .engine import (
 )
 from .filtering import ResolvedFilter, Verdict, resolve_filter
 from .history import RoundRecord
-from .upload import UploadStrategy, make_upload_strategy
+from .upload import assign_uploads
 
 __all__ = ["FedMSTrainer"]
 
@@ -99,7 +98,10 @@ class FedMSTrainer(RoundEngine):
     client_attack / num_byzantine_clients:
         The future-work extension: Byzantine *clients* that tamper with the
         local model they upload. They are a uniformly random subset, like
-        the Byzantine PSs by default.
+        the Byzantine PSs by default. ``client_attack`` is any object with
+        a ``tamper(honest, start)`` method returning the vector to upload
+        in place of the honestly trained ``honest``, given the round's
+        ``start`` model (:class:`~repro.attacks.ClientSignFlipAttack`).
     server_rule:
         How benign PSs combine the uploads they receive. Default: the
         paper's plain average; pass a robust rule (e.g.
@@ -112,11 +114,11 @@ class FedMSTrainer(RoundEngine):
                  test_dataset: ArrayDataset,
                  attack: Optional[Attack] = None,
                  byzantine_ids: Optional[Sequence[int]] = None,
-                 lr_schedule: Optional[LRSchedule] = None,
+                 lr_schedule: Optional[Callable[[int], float]] = None,
                  weight_decay: float = 0.0,
                  network: Optional[Network] = None,
                  fault_injector: Optional[FaultInjector] = None,
-                 client_attack: Optional[ClientAttack] = None,
+                 client_attack: Optional[ClientSignFlipAttack] = None,
                  num_byzantine_clients: int = 0,
                  server_rule: Optional[AggregationRule] = None) -> None:
         if num_byzantine_clients < 0:
@@ -135,7 +137,6 @@ class FedMSTrainer(RoundEngine):
                "population and no aggregation tiers", **POPULATION_SETTINGS)
         super().__init__(config, model_factory=model_factory,
                          test_dataset=test_dataset, network=network)
-        self.upload_strategy: UploadStrategy = make_upload_strategy(config)
         # Def(), quorum-aware: what every client runs on its inbox.
         self.filter_rule: ResolvedFilter = resolve_filter(
             config, model_factory=model_factory, root_dataset=test_dataset,
@@ -155,13 +156,10 @@ class FedMSTrainer(RoundEngine):
                                weight_decay=weight_decay)
         self._place_servers(attack, byzantine_ids,
                             aggregation_rule=server_rule)
-        self.client_attack = client_attack
         self.byzantine_client_ids = place_byzantine(
             None, count=num_byzantine_clients,
             total=config.num_clients, what="byzantine_client_ids",
             rng=self.rngs.make("byzantine/client_placement"))
-        client_attack_rngs = {k: self.rngs.make(f"client_attack/{k}")
-                              for k in self.byzantine_client_ids}
         clients, servers = self.clients, self.servers
         every_server = range(config.num_servers)
         assignment_rng = self.rngs.make("upload/assignment")
@@ -176,10 +174,7 @@ class FedMSTrainer(RoundEngine):
             vector = self._adopt_trained(k, state, loss)
             start = self._round.start_vectors[k]
             if k in self.byzantine_client_ids:
-                vector = client_attack.tamper(ClientAttackContext(
-                    round_index=self._round.round_index, client_id=k,
-                    honest_update=vector, rng=client_attack_rngs[k],
-                    global_model=start))
+                vector = client_attack.tamper(vector, start)
             # Nothing reads the trained model once it is uploaded: the
             # client ends the round on the filter's verdict or, failing
             # that, this start model. So the upload alone holds it; a
@@ -193,7 +188,8 @@ class FedMSTrainer(RoundEngine):
             # none excluded, exactly the unpooled assignment.
             candidates = [s for s in every_server if s not in state.excluded]
             return [[candidates[i] for i in picks]
-                    for picks in self.upload_strategy.assign(
+                    for picks in assign_uploads(
+                        config.upload_strategy, config.uploads_per_client,
                         len(state.cohort), len(candidates),
                         rng=assignment_rng)]
 

@@ -26,7 +26,7 @@ from .checkpoint import checkpoint_metadata, load_checkpoint, save_checkpoint
 from .losses import accuracy, cross_entropy
 from .module import DTYPE, Module, Parameter, Sequential, inference
 from .optim import SGD
-from .schedules import ConstantLR, InverseTimeDecay, LRSchedule
+from .schedules import InverseTimeDecay
 from .serialization import from_vector, to_vector, vector_size
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "cross_entropy",
     "accuracy",
     "SGD",
-    "LRSchedule",
-    "ConstantLR",
     "InverseTimeDecay",
     "save_checkpoint",
     "load_checkpoint",

@@ -1,4 +1,4 @@
-"""Learning-rate schedules.
+"""The learning-rate schedule of the convergence analysis.
 
 :class:`InverseTimeDecay` is the form of the paper's Theorem 1 step size,
 ``eta_t = phi / (gamma + t)``. The convergence experiment
@@ -16,38 +16,15 @@ import math
 from ..common.errors import ConfigurationError
 from ..common.validation import require
 
-__all__ = ["LRSchedule", "ConstantLR", "InverseTimeDecay"]
+__all__ = ["InverseTimeDecay"]
 
 
-class LRSchedule:
-    """Maps a global step index ``t`` to a learning rate."""
+class InverseTimeDecay:
+    """``eta_t = phi / (gamma + t)`` — the Theorem 1 learning-rate policy.
 
-    def lr_at(self, step: int) -> float:
-        raise NotImplementedError
-
-    def __call__(self, step: int) -> float:
-        if step < 0:
-            raise ConfigurationError(f"step must be >= 0, got {step}")
-        return self.lr_at(step)
-
-
-class ConstantLR(LRSchedule):
-    """A fixed learning rate."""
-
-    def __init__(self, lr: float) -> None:
-        require(math.isfinite(lr) and lr > 0,
-                f"lr must be finite and positive, got {lr}")
-        self.lr = float(lr)
-
-    def lr_at(self, step: int) -> float:
-        return self.lr
-
-    def __repr__(self) -> str:
-        return f"ConstantLR({self.lr})"
-
-
-class InverseTimeDecay(LRSchedule):
-    """``eta_t = phi / (gamma + t)`` — the Theorem 1 learning-rate policy."""
+    Maps a global step index ``t`` to a learning rate. A client given no
+    schedule steps at its constant ``learning_rate``.
+    """
 
     def __init__(self, phi: float, gamma: float) -> None:
         require(math.isfinite(phi) and phi > 0,
@@ -57,7 +34,9 @@ class InverseTimeDecay(LRSchedule):
         self.phi = float(phi)
         self.gamma = float(gamma)
 
-    def lr_at(self, step: int) -> float:
+    def __call__(self, step: int) -> float:
+        if step < 0:
+            raise ConfigurationError(f"step must be >= 0, got {step}")
         return self.phi / (self.gamma + step)
 
     def __repr__(self) -> str:

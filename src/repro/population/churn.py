@@ -24,6 +24,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from ..common.errors import ConfigurationError
+from ..simulation.faults import RoundWindow
 
 __all__ = ["MembershipWindow", "ChurnPlan", "ChurnScheduler"]
 
@@ -34,38 +35,18 @@ DWELL_ROUNDS = 3
 
 
 @dataclass(frozen=True)
-class MembershipWindow:
+class MembershipWindow(RoundWindow):
     """Client ``client_id`` is active for rounds ``[start_round, end_round)``.
 
     ``end_round=None`` means the client stays until the run ends. A client
     with several windows leaves and rejoins; a client with *no* windows in
     the plan is active for the whole run (the common case, so a plan stays
-    small).
+    small). Validated like a fault window (:class:`RoundWindow`).
     """
 
     client_id: int
     start_round: int
     end_round: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.client_id < 0:
-            raise ConfigurationError(
-                f"client_id must be >= 0, got {self.client_id}"
-            )
-        if self.start_round < 0:
-            raise ConfigurationError(
-                f"start_round must be >= 0, got {self.start_round}"
-            )
-        if self.end_round is not None and self.end_round <= self.start_round:
-            raise ConfigurationError(
-                f"end_round ({self.end_round}) must be > start_round "
-                f"({self.start_round}); use end_round=None for 'until done'"
-            )
-
-    def active(self, round_index: int) -> bool:
-        return self.start_round <= round_index and (
-            self.end_round is None or round_index < self.end_round
-        )
 
 
 @dataclass(frozen=True)
@@ -173,19 +154,17 @@ class ChurnScheduler:
 
     Register :meth:`begin_round` as a round hook; it updates the active
     set and reports membership *transitions* (a join, a leave, a rejoin)
-    as event strings, appended to :attr:`event_log` as
-    ``(round_index, event)`` pairs. The first round establishes the
+    as event strings, which the trainer keeps in its round record
+    (``RoundRecord.churn_events``). The first round establishes the
     baseline membership silently — a 5000-client population does not emit
     5000 "joined" events at round 0.
     """
 
     def __init__(self, plan: ChurnPlan) -> None:
         self.plan = plan
-        self.round_index = -1
         self._active: FrozenSet[int] = frozenset()
         self._ever_active: set = set()
         self._baselined = False
-        self.event_log: List[Tuple[int, str]] = []
 
     def begin_round(self, round_index: int) -> List[str]:
         """Activate membership for ``round_index``; returns new events."""
@@ -200,8 +179,6 @@ class ChurnScheduler:
         self._baselined = True
         self._active = active
         self._ever_active.update(active)
-        self.round_index = round_index
-        self.event_log.extend((round_index, e) for e in events)
         return events
 
     def active_ids(self) -> List[int]:

@@ -4,8 +4,10 @@ The paper's threat model makes some PSs *malicious* but keeps every
 participant perfectly available: each PS answers every round and every
 client receives exactly ``P`` global models. Real edge deployments violate
 that constantly — servers crash and reboot, devices go offline, links
-partition. This module supplies the missing failure model as data: a :class:`FaultPlan` is a
-declarative, fully deterministic schedule of fault events, and a
+partition. This module supplies the missing failure model as data: a
+:class:`FaultPlan` is a declarative, fully deterministic schedule of fault
+events, each a :class:`RoundWindow` (node ids and a half-open round
+range, shared with churn's membership windows), and a
 :class:`FaultInjector` replays it round by round, exposing
 
 * liveness queries (``server_alive`` / ``client_active``)
@@ -27,7 +29,7 @@ decides whether it makes the round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +39,7 @@ from ..common.validation import check_nonnegative_int
 from .network import Message, NodeId
 
 __all__ = [
+    "RoundWindow",
     "ServerCrash",
     "ClientDropout",
     "LinkPartition",
@@ -50,20 +53,36 @@ RECOVER_FRACTION = 0.5
 OUTAGE_ROUNDS = 3
 
 
-def _check_window(start_round: int, end_round: Optional[int], what: str) -> None:
-    check_nonnegative_int(start_round, f"{what}: start_round")
-    if end_round is None:
-        return
-    check_nonnegative_int(end_round, f"{what}: end_round")
-    if end_round <= start_round:
-        raise ConfigurationError(
-            f"{what}: end_round ({end_round}) must be > start_round "
-            f"({start_round}); use end_round=None for a permanent fault"
+class RoundWindow:
+    """Rounds ``[start_round, end_round)`` of one event; ``end_round=None``
+    never ends.
+
+    The base of the frozen dataclasses whose fields are node ids followed
+    by ``start_round`` and ``end_round``: every field is a non-negative
+    ``int`` (a ``bool`` or a float id matches no node, a float round starts
+    late), and a finite ``end_round`` comes after ``start_round``.
+    """
+
+    def __post_init__(self) -> None:
+        what = type(self).__name__
+        for item in fields(self):  # type: ignore[arg-type]
+            value = getattr(self, item.name)
+            if item.name != "end_round" or value is not None:
+                check_nonnegative_int(value, f"{what}: {item.name}")
+        if self.end_round is not None and self.end_round <= self.start_round:
+            raise ConfigurationError(
+                f"{what}: end_round ({self.end_round}) must be > start_round "
+                f"({self.start_round}); use end_round=None for no end"
+            )
+
+    def active(self, round_index: int) -> bool:
+        return self.start_round <= round_index and (
+            self.end_round is None or round_index < self.end_round
         )
 
 
 @dataclass(frozen=True)
-class ServerCrash:
+class ServerCrash(RoundWindow):
     """PS ``server_id`` is down for rounds ``[start_round, end_round)``.
 
     ``end_round=None`` models a permanent crash; a finite window is a
@@ -76,18 +95,9 @@ class ServerCrash:
     start_round: int
     end_round: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        check_nonnegative_int(self.server_id, "ServerCrash: server_id")
-        _check_window(self.start_round, self.end_round, "ServerCrash")
-
-    def active(self, round_index: int) -> bool:
-        return self.start_round <= round_index and (
-            self.end_round is None or round_index < self.end_round
-        )
-
 
 @dataclass(frozen=True)
-class ClientDropout:
+class ClientDropout(RoundWindow):
     """Client ``client_id`` is offline for rounds ``[start_round, end_round)``.
 
     An offline client neither trains, uploads, nor drains its mailbox;
@@ -99,34 +109,15 @@ class ClientDropout:
     start_round: int
     end_round: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        check_nonnegative_int(self.client_id, "ClientDropout: client_id")
-        _check_window(self.start_round, self.end_round, "ClientDropout")
-
-    def active(self, round_index: int) -> bool:
-        return self.start_round <= round_index and (
-            self.end_round is None or round_index < self.end_round
-        )
-
 
 @dataclass(frozen=True)
-class LinkPartition:
+class LinkPartition(RoundWindow):
     """The ``(client_id, server_id)`` link is severed in both directions."""
 
     client_id: int
     server_id: int
     start_round: int
     end_round: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        check_nonnegative_int(self.client_id, "LinkPartition: client_id")
-        check_nonnegative_int(self.server_id, "LinkPartition: server_id")
-        _check_window(self.start_round, self.end_round, "LinkPartition")
-
-    def active(self, round_index: int) -> bool:
-        return self.start_round <= round_index and (
-            self.end_round is None or round_index < self.end_round
-        )
 
 
 @dataclass(frozen=True)

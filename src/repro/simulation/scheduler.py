@@ -84,10 +84,3 @@ class RoundScheduler:
             self.phase_seconds[name] += time.perf_counter() - started
         self._round_index += 1
         return index
-
-    def run(self, num_rounds: int) -> None:
-        """Execute ``num_rounds`` consecutive rounds."""
-        if num_rounds <= 0:
-            raise ConfigurationError(f"num_rounds must be positive, got {num_rounds}")
-        for _ in range(num_rounds):
-            self.run_round()

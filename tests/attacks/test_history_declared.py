@@ -109,7 +109,8 @@ class TestUndeclaredKeepsMaxHistory:
                                           rng=np.random.default_rng(0))
         server.max_history = 5
         for i in range(12):
-            server.aggregate([np.full(DIM, float(i))])
+            server.fold(np.full(DIM, float(i)))
+            server.close()
         assert [a[0] for a in server.aggregate_history] == [7, 8, 9, 10, 11]
 
     def test_tier_aggregator(self):

@@ -29,6 +29,13 @@ def make_client(client_id=0, n=40, seed=0, **kwargs):
                   rng=rngs.make("batches"), **kwargs)
 
 
+def aggregate(server, uploads):
+    """A whole round at once: fold every upload, then close."""
+    for upload in uploads:
+        server.fold(upload)
+    return server.close()
+
+
 class TestClient:
     def test_model_vector_roundtrip(self):
         client = make_client()
@@ -70,6 +77,12 @@ class TestClient:
         late_move = np.linalg.norm(b.model_vector() - start)
         assert late_move < early_move
 
+    def test_constant_rate_without_schedule(self):
+        client = make_client(learning_rate=0.07)
+        for round_index in (0, 1000):
+            client.local_train(round_index=round_index, local_steps=2)
+            assert client.optimizer.lr == 0.07
+
     def test_evaluate_returns_loss_and_accuracy(self):
         client = make_client()
         loss, acc = client.evaluate(client.dataset)
@@ -80,28 +93,29 @@ class TestClient:
 class TestParameterServer:
     def test_aggregate_is_mean(self):
         server = ParameterServer(0)
-        result = server.aggregate([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
+        result = aggregate(server, [np.array([1.0, 2.0]),
+                                    np.array([3.0, 4.0])])
         np.testing.assert_array_equal(result, [2.0, 3.0])
 
     def test_history_accumulates(self):
         # Safeguard reads one earlier aggregate, so its PS keeps two.
         server = ByzantineParameterServer(0, SafeguardAttack(),
                                           rng=np.random.default_rng(0))
-        server.aggregate([np.array([1.0])])
-        server.aggregate([np.array([2.0])])
+        aggregate(server, [np.array([1.0])])
+        aggregate(server, [np.array([2.0])])
         assert len(server.aggregate_history) == 2
         np.testing.assert_array_equal(server.current_aggregate, [2.0])
 
     def test_empty_uploads_reuse_previous(self):
         server = ParameterServer(0)
-        server.aggregate([np.array([5.0])])
-        result = server.aggregate([])
+        aggregate(server, [np.array([5.0])])
+        result = aggregate(server, [])
         np.testing.assert_array_equal(result, [5.0])
         assert server.rounds_without_uploads == 1
 
     def test_empty_uploads_first_round_raise(self):
         with pytest.raises(ProtocolError):
-            ParameterServer(0).aggregate([])
+            aggregate(ParameterServer(0), [])
 
     def test_current_aggregate_before_any_round_raises(self):
         with pytest.raises(ProtocolError):
@@ -113,13 +127,13 @@ class TestParameterServer:
                                           rng=np.random.default_rng(0))
         server.max_history = 2
         for i in range(10):
-            server.aggregate([np.array([float(i)])])
+            aggregate(server, [np.array([float(i)])])
         assert len(server.aggregate_history) == 2
         np.testing.assert_array_equal(server.current_aggregate, [9.0])
 
     def test_benign_dissemination_is_truth(self):
         server = ParameterServer(0)
-        server.aggregate([np.array([1.0, 2.0])])
+        aggregate(server, [np.array([1.0, 2.0])])
         result = server.disseminate(round_index=0)
         np.testing.assert_array_equal(result, [1.0, 2.0])
         assert not server.is_byzantine
@@ -134,7 +148,7 @@ class TestRunningSumMean:
         rng = np.random.default_rng(count)
         uploads = [rng.normal(scale=10.0 ** rng.integers(-3, 4), size=257)
                    for _ in range(count)]
-        result = ParameterServer(0).aggregate(uploads)
+        result = aggregate(ParameterServer(0), uploads)
         np.testing.assert_array_equal(result,
                                       np.stack(uploads).mean(axis=0))
 
@@ -143,7 +157,7 @@ class TestRunningSumMean:
                                             st.integers(2, 9)),
                       elements=st.floats(-1e6, 1e6)))
     def test_bit_equal_on_arbitrary_stacks(self, stack):
-        result = ParameterServer(0).aggregate(list(stack))
+        result = aggregate(ParameterServer(0), list(stack))
         np.testing.assert_array_equal(result, stack.mean(axis=0))
 
     @pytest.mark.parametrize("count", (7, 8, 9, 16))
@@ -154,7 +168,7 @@ class TestRunningSumMean:
         0.39999999999999997 against 0.4). No model has d = 1, so the
         guarantee is narrowed instead of adding a d = 1 code path."""
         stack = np.full((count, 1), 0.4)
-        result = ParameterServer(0).aggregate(list(stack))
+        result = aggregate(ParameterServer(0), list(stack))
         expected = stack.mean(axis=0)
         assert abs(result[0] - expected[0]) <= np.spacing(expected[0])
 
@@ -163,7 +177,7 @@ class TestRunningSumMean:
             uploads = [np.full(4, float(i + 1)) for i in range(count)]
             for upload in uploads:
                 upload.flags.writeable = False
-            result = ParameterServer(0).aggregate(uploads)
+            result = aggregate(ParameterServer(0), uploads)
             assert all(not np.shares_memory(result, u) for u in uploads)
             for i, upload in enumerate(uploads):
                 np.testing.assert_array_equal(upload, float(i + 1))
@@ -178,14 +192,14 @@ class TestRunningSumMean:
         server = ParameterServer(0, aggregation_rule=rule)
         uploads = [np.array([1.0, 5.0]), np.array([2.0, 6.0]),
                    np.array([9.0, 7.0])]
-        result = server.aggregate(uploads)
+        result = aggregate(server, uploads)
         assert len(seen) == 1 and seen[0].shape == (3, 2)
         np.testing.assert_array_equal(seen[0], np.stack(uploads))
         np.testing.assert_array_equal(result, [2.0, 6.0])
 
     def test_dissemination_is_a_read_only_view(self):
         server = ParameterServer(0)
-        server.aggregate([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
+        aggregate(server, [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
         sent = server.disseminate(round_index=0)
         assert np.shares_memory(sent, server.current_aggregate)
         with pytest.raises(ValueError):
@@ -200,12 +214,12 @@ class TestByzantineParameterServer:
 
     def test_aggregation_stays_honest(self):
         server = self.make_server(RandomAttack())
-        result = server.aggregate([np.array([2.0]), np.array([4.0])])
+        result = aggregate(server, [np.array([2.0]), np.array([4.0])])
         np.testing.assert_array_equal(result, [3.0])
 
     def test_dissemination_is_tampered(self):
         server = self.make_server(SignFlipAttack())
-        server.aggregate([np.array([1.0, -2.0])])
+        aggregate(server, [np.array([1.0, -2.0])])
         result = server.disseminate(round_index=0)
         np.testing.assert_array_equal(result, [-1.0, 2.0])
         assert server.is_byzantine
@@ -215,13 +229,13 @@ class TestByzantineParameterServer:
 
         server = self.make_server(BackwardAttack())
         for i in range(5):
-            server.aggregate([np.array([float(i)])])
+            aggregate(server, [np.array([float(i)])])
         result = server.disseminate(round_index=4)
         np.testing.assert_array_equal(result, [2.0])
 
     def test_noise_attack_uses_server_rng(self):
         server = self.make_server(NoiseAttack(scale=1.0))
-        server.aggregate([np.zeros(100)])
+        aggregate(server, [np.zeros(100)])
         a = server.disseminate(round_index=0)
         b = server.disseminate(round_index=0)
         # Consecutive draws differ (stream advances).

@@ -16,10 +16,7 @@ import pytest
 from repro.aggregation import available_rules, make_rule
 from repro.attacks import available_attacks, make_attack
 from repro.attacks.base import AttackContext
-from repro.attacks.client_attacks import (
-    ClientAttackContext,
-    ClientSignFlipAttack,
-)
+from repro.attacks.client_attacks import ClientSignFlipAttack
 from repro.common import RngFactory
 from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
 from repro.core.filtering import ResolvedFilter
@@ -207,10 +204,7 @@ def test_every_attack_returns_dtype(name):
 def test_every_client_attack_returns_dtype(attack):
     rng = np.random.default_rng(0)
     honest, start = rng.normal(size=(2, 40)).astype(DTYPE)
-    context = ClientAttackContext(round_index=3, client_id=1,
-                                  honest_update=honest, global_model=start,
-                                  rng=rng)
-    assert_dtype([attack.tamper(context)], repr(attack))
+    assert_dtype([attack.tamper(honest, start)], repr(attack))
 
 
 def test_identity_upload_is_charged_four_bytes_a_coordinate():

@@ -12,11 +12,22 @@ from repro.core.health import (
 
 
 def drive(ledger, rounds):
-    """Feed a list of per-round crashed-sets; return all events."""
-    events = []
-    for t, crashed in enumerate(rounds):
-        events.extend(ledger.observe_round(t, crashed=crashed))
-    return events
+    """Feed a list of per-round crashed-sets; return the breaker states
+    after each round."""
+    trace = []
+    for crashed in rounds:
+        ledger.observe_round(crashed=crashed)
+        trace.append(dict(ledger.states))
+    return trace
+
+
+def transitions(trace, sid, start=BreakerState.CLOSED):
+    """The states ``sid`` passed through, one entry per change."""
+    states = [start]
+    for states_after in trace:
+        if states_after[sid] != states[-1]:
+            states.append(states_after[sid])
+    return states
 
 
 class TestPolicy:
@@ -36,9 +47,10 @@ class TestScoring:
 
     def test_sustained_crashes_open_breaker(self):
         ledger = HealthLedger(3)
-        events = drive(ledger, [{1}] * 3)
+        trace = drive(ledger, [{1}] * 3)
         assert ledger.states[1] == BreakerState.OPEN
-        assert any("circuit opened" in e for e in events)
+        assert transitions(trace, 1) == [BreakerState.CLOSED,
+                                         BreakerState.OPEN]
         assert ledger.states[0] == BreakerState.CLOSED
 
     def test_single_bad_round_does_not_open(self):
@@ -52,10 +64,11 @@ class TestBreakerLifecycle:
         ledger = HealthLedger(2)
         # 3 bad rounds open; probation_rounds clean rounds reach
         # half-open; one more clean round closes.
-        events = drive(ledger, [{0}] * 3 + [set()] * 3)
+        trace = drive(ledger, [{0}] * 3 + [set()] * 3)
         assert ledger.states[0] == BreakerState.CLOSED
-        assert any("on probation" in e for e in events)
-        assert any("circuit closed" in e for e in events)
+        assert transitions(trace, 0) == [
+            BreakerState.CLOSED, BreakerState.OPEN, BreakerState.HALF_OPEN,
+            BreakerState.CLOSED]
         # The closing floor keeps the score at the threshold.
         assert ledger.scores[0] >= OPEN_THRESHOLD
 
@@ -63,22 +76,23 @@ class TestBreakerLifecycle:
         ledger = HealthLedger(2)
         drive(ledger, [{0}] * 3 + [set()] * 2)  # now half-open
         assert ledger.states[0] == BreakerState.HALF_OPEN
-        events = ledger.observe_round(5, crashed={0})
+        trace = drive(ledger, [{0}])
         assert ledger.states[0] == BreakerState.OPEN
-        assert any("re-opened" in e for e in events)
+        assert transitions(trace, 0, start=BreakerState.HALF_OPEN) == [
+            BreakerState.HALF_OPEN, BreakerState.OPEN]
 
     def test_bad_round_while_open_restarts_streak(self):
         ledger = HealthLedger(2)
         drive(ledger, [{0}] * 3 + [set()] + [{0}])  # streak broken
         assert ledger.states[0] == BreakerState.OPEN
-        ledger.observe_round(5)
+        ledger.observe_round()
         assert ledger.states[0] == BreakerState.OPEN  # streak only 1
 
 
 class TestEvidenceKinds:
     def test_straggling_and_filtered_count_as_bad(self):
         ledger = HealthLedger(3)
-        ledger.observe_round(0, straggling={0}, filtered={1})
+        ledger.observe_round(straggling={0}, filtered={1})
         assert ledger.scores[0] < 1.0
         assert ledger.scores[1] < 1.0
         assert ledger.scores[2] == pytest.approx(1.0)
@@ -101,7 +115,7 @@ class TestExclusionFloor:
         ledger = self.make_open(5, {0, 1, 2, 3})
         # Give server 3 a better score via one clean observation round
         # for everyone except 0-2.
-        ledger.observe_round(10, crashed={0, 1, 2})
+        ledger.observe_round(crashed={0, 1, 2})
         excluded = ledger.excluded_servers(range(5), quorum_floor=3)
         # Only 2 may be excluded; the worst-scored (0,1,2 tie broken by
         # id, descending) go first and 3 is readmitted.

@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import FedMSTrainer
+from repro.core.config import NUM_WORKERS_ENV
 from repro.experiments import specs
 
 
@@ -208,6 +211,12 @@ class TestRefusedValues:
     def test_a_loss_rate_of_one(self, capsys):
         self.refused(["--scale", "tiny", "faults", "--loss-rate", "1.0"],
                      capsys, "drop_probability")
+
+    def test_negative_workers(self, capsys, monkeypatch):
+        # Named by its flag, before it is copied into the environment.
+        monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
+        self.refused(["--workers", "-1", "quickstart"], capsys, "--workers")
+        assert NUM_WORKERS_ENV not in os.environ
 
     @pytest.mark.parametrize("rounds", ["0", "-5"])
     def test_convergence_without_rounds(self, capsys, monkeypatch, rounds):

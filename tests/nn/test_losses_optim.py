@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import ConfigurationError, RngFactory, ShapeError
-from repro.nn import SGD, ConstantLR, InverseTimeDecay, Linear, accuracy, cross_entropy
+from repro.nn import SGD, InverseTimeDecay, Linear, accuracy, cross_entropy
 from repro.theory import ProblemConstants, theorem1_gamma
 
 from ..gradcheck import numerical_gradient
@@ -132,22 +132,17 @@ class TestNonFiniteRefused:
         (lambda: SGD(_params(), lr=0.1, weight_decay=NAN), "weight_decay"),
         (lambda: SGD(_params(), lr=0.1, weight_decay=INF), "weight_decay"),
         (lambda: SGD(_params(), lr=0.1).set_lr(NAN), "learning rate"),
-        (lambda: ConstantLR(NAN), "lr"),
         (lambda: InverseTimeDecay(phi=NAN, gamma=8.0), "phi"),
         (lambda: InverseTimeDecay(phi=2.0, gamma=NAN), "gamma"),
     ], ids=["sgd_lr_nan", "sgd_lr_inf", "sgd_weight_decay_nan",
-            "sgd_weight_decay_inf", "set_lr_nan", "constant_lr_nan",
-            "inverse_time_phi_nan", "inverse_time_gamma_nan"])
+            "sgd_weight_decay_inf", "set_lr_nan", "inverse_time_phi_nan",
+            "inverse_time_gamma_nan"])
     def test_refused(self, build, name):
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
             build()
 
 
 class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantLR(0.05)
-        assert schedule(0) == schedule(1000) == 0.05
-
     def test_inverse_time_decay_formula(self):
         schedule = InverseTimeDecay(phi=2.0, gamma=8.0)
         assert schedule(0) == pytest.approx(0.25)
@@ -155,7 +150,7 @@ class TestSchedules:
 
     def test_negative_step_rejected(self):
         with pytest.raises(ConfigurationError):
-            ConstantLR(0.1)(-1)
+            InverseTimeDecay(phi=2.0, gamma=8.0)(-1)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common import ConfigurationError, RngFactory
-from repro.core import FullUpload, SparseUpload
+from repro.core import assign_uploads
 from repro.simulation import LogNormalLatency, round_time
 from repro.simulation.latency import BANDWIDTH_BYTES_PER_S, MEDIAN_S
 
@@ -54,11 +54,11 @@ class TestLogNormalLatency:
 
 class TestRoundTime:
     def _assignment(self, strategy, num_clients=10, num_servers=5, seed=0):
-        return strategy.assign(num_clients, num_servers,
-                               rng=RngFactory(seed).make("assign"))
+        return assign_uploads(strategy, 1, num_clients, num_servers,
+                              rng=RngFactory(seed).make("assign"))
 
     def test_breakdown_sums_to_total(self, rng):
-        assignment = self._assignment(SparseUpload())
+        assignment = self._assignment("sparse")
         total, breakdown = round_time(
             assignment, model_bytes=1000, latency=FixedLatency(0.01),
             num_servers=5, rng=rng, compute_seconds=1.5,
@@ -69,12 +69,12 @@ class TestRoundTime:
     def test_full_upload_slower_than_sparse(self, rng):
         """Per-client sequential uplink: P uploads take ~P times longer."""
         sparse_total, sparse_parts = round_time(
-            self._assignment(SparseUpload()), model_bytes=1000,
+            self._assignment("sparse"), model_bytes=1000,
             latency=FixedLatency(0.1), num_servers=5,
             rng=RngFactory(1).make("a"),
         )
         full_total, full_parts = round_time(
-            self._assignment(FullUpload()), model_bytes=1000,
+            self._assignment("full"), model_bytes=1000,
             latency=FixedLatency(0.1), num_servers=5,
             rng=RngFactory(1).make("b"),
         )
@@ -88,7 +88,7 @@ class TestRoundTime:
         time under a heavy-tailed model exceeds the median link by a lot."""
         model = LogNormalLatency(sigma=1.0)
         total, parts = round_time(
-            self._assignment(SparseUpload(), num_clients=50),
+            self._assignment("sparse", num_clients=50),
             model_bytes=8, latency=model, num_servers=10,
             rng=RngFactory(2).make("c"),
         )

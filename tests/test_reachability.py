@@ -113,7 +113,6 @@ ALLOWED: Dict[str, str] = {
     "repro.core.engine.LateBuffer": "used inside its module",
     "repro.core.filtering.RootLossEvaluator": "used inside its module",
     "repro.core.health.BreakerState": "used inside its module",
-    "repro.core.upload.MultiUpload": "used inside its module",
     "repro.data.synthetic.class_prototypes": "used inside its module",
     "repro.execution.backend.resolve_num_workers": "used inside its module",
     "repro.execution.shared.SharedNDArray": "used inside its module",
@@ -197,8 +196,6 @@ ALLOWED_MEMBERS: Dict[str, str] = {
               "models_received", "upload_bytes"),
     **_inside("repro.nn.module.Module", "modules", "named_buffers",
               "named_parameters"),
-    **{f"repro.nn.schedules.{schedule}.lr_at": _INSIDE
-       for schedule in ("ConstantLR", "InverseTimeDecay", "LRSchedule")},
     **_inside("repro.population.churn.ChurnPlan", "active_clients",
               "windows"),
     **_inside("repro.population.shards.BlobShardSpec", "center_scale",
@@ -208,6 +205,9 @@ ALLOWED_MEMBERS: Dict[str, str] = {
     **_inside("repro.simulation.clock.VirtualClock", "arrival_s"),
     **_inside("repro.simulation.faults.FaultPlan", "crashed_servers",
               "dropouts", "offline_clients", "severed_links"),
+    **{f"repro.simulation.faults.{event}.{bound}": _INSIDE
+       for event in ("ClientDropout", "LinkPartition", "ServerCrash")
+       for bound in ("end_round", "start_round")},
     **_inside("repro.simulation.network.Message", "size_bytes"),
     **_inside("repro.simulation.network.TrafficStats", "record_cleared",
               "record_drop"),
