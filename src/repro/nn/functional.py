@@ -4,11 +4,10 @@ The central pair is :func:`im2col_windows` / :func:`col2im_windows`, which
 convert between an image batch ``(N, C, H, W)`` and its sliding-window copy
 ``(N, C, KH, KW, OH, OW)``; reshaped to ``(N, C*KH*KW, OH*OW)`` (a free view)
 that copy is the right-hand side of the convolution GEMM. The depthwise
-convolution and max pooling never build windows: they walk the ``KH*KW``
-strided slices of their input (padded, for the convolution) that
-:func:`window_slices` yields. All of them share :func:`conv_output_size`,
-and both convolutions :func:`pad_spatial`, so the (easy to get wrong)
-stride/padding arithmetic lives in exactly one place.
+convolution never builds windows: it walks the ``KH*KW`` strided slices of
+its padded input that :func:`window_slices` yields. All of them share
+:func:`conv_output_size`, and both convolutions :func:`pad_spatial`, so the
+(easy to get wrong) stride/padding arithmetic lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -123,15 +122,39 @@ def col2im_windows(grad_windows: np.ndarray, input_shape: Tuple[int, ...],
 
     ``grad_windows`` has shape ``(N, C, KH, KW, OH, OW)``; the result has
     ``input_shape`` = ``(N, C, H, W)``. Overlapping windows accumulate.
+
+    Each window cell is one strided add over every image at once. The cell
+    planes are first copied into rows as wide as the padded image
+    (``P = W + 2*padding``, zeros past ``OW``), so output ``(oh, ow)`` sits
+    at ``oh*P + ow`` and lands at ``start + stride*(oh*P + ow)`` of the
+    padded buffer, ``start = i*P + j``. Each input cell still receives its
+    contributions in the row-major cell order of the window walk, and the
+    zeros a row adds past ``OW`` change nothing: the buffer starts at +0.0,
+    so no cell of it is ever -0.0.
     """
     kh, kw = kernel
     n, c, h, w = input_shape
     _, _, gkh, gkw, out_h, out_w = grad_windows.shape
     if (gkh, gkw) != (kh, kw):
         raise ShapeError(f"kernel mismatch: windows have {(gkh, gkw)}, expected {(kh, kw)}")
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad_windows.dtype)
-    for i, j, index in window_slices(kernel, stride, out_h, out_w):
-        padded[index] += grad_windows[:, :, i, j]
+    pitch = w + 2 * padding
+    height = h + 2 * padding
+    # Elements per image plane in ``rows``; ``stride`` times that in the
+    # buffer, which is the padded image's own plane when the stride is 1.
+    plane = max(out_h * pitch, -(-height * pitch // stride))
+    rows = np.zeros((kh, kw, n, c, plane), dtype=grad_windows.dtype)
+    np.copyto(rows[..., :out_h * pitch].reshape(kh, kw, n, c, out_h, pitch)[..., :out_w],
+              grad_windows.transpose(2, 3, 0, 1, 4, 5))
+    rows = rows.reshape(kh * kw, -1)
+    padded = np.zeros((n, c, stride * plane), dtype=grad_windows.dtype)
+    flat = padded.reshape(-1)
+    # Up to the last real output of the last plane: nothing lands past it.
+    span = (n * c - 1) * plane + (out_h - 1) * pitch + out_w
+    for cell in range(kh * kw):
+        i, j = divmod(cell, kw)
+        start = i * pitch + j
+        flat[start:start + stride * (span - 1) + 1:stride] += rows[cell, :span]
+    padded = padded[:, :, :height * pitch].reshape(n, c, height, pitch)
     return unpad_spatial(padded, padding)
 
 

@@ -9,6 +9,7 @@ gradient-checked in ``tests/nn/test_gradcheck.py``.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -23,7 +24,7 @@ from .functional import (
     unpad_spatial,
     window_slices,
 )
-from .module import Module, Parameter
+from .module import Module, Parameter, _mode
 
 __all__ = [
     "Linear",
@@ -287,14 +288,8 @@ class _BatchNorm(Module):
         # Training normalizes by the statistics of the whole batch.
         return not self.training
 
-    # Subclasses define which axes are reduced and how per-channel vectors
-    # broadcast against the input.
+    # Subclasses define which axes are reduced.
     _reduce_axes: Tuple[int, ...] = ()
-
-    def _expand(self, vec: np.ndarray, ndim: int) -> np.ndarray:
-        shape = [1] * ndim
-        shape[1] = self.num_features
-        return vec.reshape(shape)
 
     def _check_input(self, x: np.ndarray) -> None:
         raise NotImplementedError
@@ -303,12 +298,19 @@ class _BatchNorm(Module):
         self._check_input(x)
         axes = self._reduce_axes
         count = x.size // self.num_features
+        # Every per-channel vector is applied as one row of ``C * H * W``
+        # values over the ``(N, C * H * W)`` view: one long inner loop per
+        # sample instead of one per channel plane. The reductions still run
+        # over the ``(N, C, H, W)`` layout.
+        width = math.prod(x.shape[2:])
+        flat = x.reshape(x.shape[0], self.num_features * width)
         if self.training:
             mean = x.mean(axis=axes)
             # ``x.var`` spelled out, so its ``x - mean`` pass is kept as the
             # start of ``x_hat`` instead of being computed twice.
-            x_hat = x - self._expand(mean, x.ndim)
-            var = np.multiply(x_hat, x_hat).sum(axis=axes) / count
+            x_hat = np.subtract(flat, np.repeat(mean, width))
+            out = np.multiply(x_hat, x_hat)
+            var = out.reshape(x.shape).sum(axis=axes) / count
             # Track statistics with an exponential moving average, using the
             # unbiased variance for the running estimate (matching the
             # convention of mainstream frameworks).
@@ -321,31 +323,39 @@ class _BatchNorm(Module):
             self.set_buffer("running_var", new_var)
         else:
             var = self._buffers["running_var"]
-            x_hat = x - self._expand(self._buffers["running_mean"], x.ndim)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat *= self._expand(inv_std, x.ndim)
-        out = x_hat * self._expand(self.weight.data, x.ndim)
-        out += self._expand(self.bias.data, x.ndim)
-        self._cache = (x_hat, inv_std, x.ndim, count, self.training)
-        return out
+            x_hat = np.subtract(flat, np.repeat(self._buffers["running_mean"], width))
+            out = np.empty_like(x_hat)
+        inv_std = np.repeat(1.0 / np.sqrt(var + self.eps), width)
+        x_hat *= inv_std
+        np.multiply(x_hat, np.repeat(self.weight.data, width), out=out)
+        out += np.repeat(self.bias.data, width)
+        self._cache = (x_hat, inv_std, x.shape, count, self.training)
+        return out.reshape(x.shape)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x_hat, inv_std, ndim, count, was_training = _require_cache(self._cache, self)
+        x_hat, inv_std, shape, count, was_training = _require_cache(self._cache, self)
         axes = self._reduce_axes
-        self.weight.grad += (grad_output * x_hat).sum(axis=axes)
+        width = inv_std.size // self.num_features
+        grad = grad_output.reshape(x_hat.shape)
+        product = np.multiply(grad, x_hat)
+        self.weight.grad += product.reshape(shape).sum(axis=axes)
         self.bias.grad += grad_output.sum(axis=axes)
-        gamma = self._expand(self.weight.data, ndim)
-        grad_xhat = grad_output * gamma
+        grad_xhat = np.multiply(grad, np.repeat(self.weight.data, width))
         if not was_training:
             # In eval mode the normalization statistics are constants.
-            return grad_xhat * self._expand(inv_std, ndim)
-        sum_g = grad_xhat.sum(axis=axes)
-        sum_gx = (grad_xhat * x_hat).sum(axis=axes)
-        return (
-            grad_xhat
-            - self._expand(sum_g, ndim) / count
-            - x_hat * self._expand(sum_gx, ndim) / count
-        ) * self._expand(inv_std, ndim)
+            grad_xhat *= inv_std
+            return grad_xhat.reshape(shape)
+        sum_g = grad_xhat.reshape(shape).sum(axis=axes)
+        np.multiply(grad_xhat, x_hat, out=product)
+        sum_gx = product.reshape(shape).sum(axis=axes)
+        # (g - sum_g / count - x_hat * sum_gx / count) * inv_std, term by
+        # term in that order.
+        grad_xhat -= np.repeat(sum_g / count, width)
+        np.multiply(x_hat, np.repeat(sum_gx, width), out=product)
+        product /= count
+        grad_xhat -= product
+        grad_xhat *= inv_std
+        return grad_xhat.reshape(shape)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.num_features})"
@@ -408,11 +418,13 @@ class MaxPool2d(Module):
     """Max pooling over non-overlapping ``k x k`` windows: the stride is the
     kernel and there is no padding.
 
-    Builds no windows: forward and backward reduce over the ``k*k`` strided
-    slices of the input. Among equal maxima the first cell in row-major
-    window order wins and receives the whole gradient. The forward is a
-    running maximum only; which cell won is worked out in ``backward``, so
-    evaluation never pays for it.
+    The forward copies the pooled part of the input once into cell-major
+    order, ``(k*k, N, C, OH, OW)``, so the running maximum and everything
+    after it are passes over contiguous blocks. Among equal maxima the first
+    cell in row-major window order wins and receives the whole gradient; a
+    window whose maximum is NaN has no winner. A forward outside
+    :func:`~repro.nn.module.inference` records the winners as one boolean
+    mask per cell, and ``backward`` writes every input cell once from them.
     """
 
     rowwise = True
@@ -423,37 +435,55 @@ class MaxPool2d(Module):
             raise ConfigurationError(f"kernel_size must be positive, got {kernel_size}")
         self.kernel_size = kernel_size
 
-    def _slices(self, x_shape: Tuple[int, ...]) -> list:
-        """One index per window cell, row-major, into the input."""
-        if len(x_shape) != 4:
+    def _cells(self, x: np.ndarray) -> np.ndarray:
+        """``(k*k, N, C, OH, OW)``: cell ``i*k + j`` of every window, as a copy."""
+        if x.ndim != 4:
             raise ShapeError(
-                f"{type(self).__name__} expected (N, C, H, W), got {x_shape}"
+                f"{type(self).__name__} expected (N, C, H, W), got {x.shape}"
             )
         k = self.kernel_size
-        out_h = conv_output_size(x_shape[2], k, k, 0)
-        out_w = conv_output_size(x_shape[3], k, k, 0)
-        return [index for _, _, index in window_slices((k, k), k, out_h, out_w)]
+        n, c, h, w = x.shape
+        out_h = conv_output_size(h, k, k, 0)
+        out_w = conv_output_size(w, k, k, 0)
+        windows = x[:, :, :out_h * k, :out_w * k].reshape(n, c, out_h, k, out_w, k)
+        return np.ascontiguousarray(windows.transpose(3, 5, 0, 1, 2, 4)).reshape(
+            k * k, n, c, out_h, out_w)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        slices = self._slices(x.shape)
-        out = x[slices[0]].copy()
-        for index in slices[1:]:
-            np.maximum(out, x[index], out=out)
-        self._cache = (x, out, slices)
+        cells = self._cells(x)
+        # A running maximum in row-major cell order: on equal values
+        # np.maximum returns its second operand, so the order decides the
+        # sign of a zero maximum.
+        out = np.maximum.reduce(cells)
+        if _mode.inference:
+            self._cache = None
+            return out
+        # The first cell equal to the maximum takes the window.
+        wins = cells == out
+        claimed = wins[0].copy()
+        for win in wins[1:]:
+            np.greater(win, claimed, out=win)
+            claimed |= win
+        self._cache = (wins, x.shape)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x, out, slices = _require_cache(self._cache, self)
-        grad_input = np.zeros(x.shape, dtype=grad_output.dtype)
-        claimed = np.zeros(out.shape, dtype=bool)
-        term = np.empty_like(grad_output)
-        for index in slices:
-            # The first cell equal to the maximum takes the window.
-            wins = x[index] == out
-            np.greater(wins, claimed, out=wins)
-            claimed |= wins
-            np.multiply(grad_output, wins, out=term)
-            grad_input[index] += term
+        wins, shape = _require_cache(self._cache, self)
+        k = self.kernel_size
+        n, c = shape[:2]
+        out_h, out_w = wins.shape[3:]
+        # 0.0 + g * win, what adding into zeros gives: a -0.0 gradient comes
+        # out +0.0, and an infinite one leaves NaN in the cells that lost.
+        cells = np.multiply(grad_output, wins)
+        cells += 0.0
+        grad_input = np.empty(shape, dtype=cells.dtype)
+        windows = grad_input[:, :, :out_h * k, :out_w * k].reshape(
+            n, c, out_h, k, out_w, k)
+        for cell, values in enumerate(cells):
+            windows[:, :, :, cell // k, :, cell % k] = values
+        # The rows and columns that floor pooling leaves out of every window.
+        grad_input[:, :, out_h * k:] = 0.0
+        grad_input[:, :, :out_h * k, out_w * k:] = 0.0
         return grad_input
 
     def __repr__(self) -> str:
