@@ -44,48 +44,34 @@ UPLOAD_CODECS_ENV = "REPRO_UPLOAD_CODECS"
 _EXECUTION_BACKENDS = ("serial", "thread", "process")
 
 
+#: Retry budget per failed send.
+MAX_UPLOAD_RETRIES = 2
+#: Simulated backoff before the first retry.
+RETRY_BACKOFF_S = 0.05
+#: Multiplier applied to the backoff on each successive retry (exponential
+#: backoff).
+BACKOFF_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """The retry policy for failed sends: every trainer consumes this one.
 
     Attempt 0 is the original send. On failure, attempt 1 re-sends to the
-    *same* PS after ``retry_backoff_s`` (the loss may be a transient packet
-    drop); attempts 2..``max_upload_retries`` re-sample a uniformly random
-    alive PS — the failed PS is likely down, and uniform re-sampling
-    preserves the sparse strategy's uniform-choice property over the alive
-    set. Retries are counted in ``TrafficStats.retries_by_tag`` so the
-    ``O(K)`` accounting stays honest.
-
-    Parameters
-    ----------
-    max_upload_retries:
-        Retry budget per send.
-    retry_backoff_s:
-        Simulated backoff before the first retry.
-    backoff_factor:
-        Multiplier applied to the backoff on each successive retry
-        (exponential backoff).
+    *same* PS after :data:`RETRY_BACKOFF_S` (the loss may be a transient
+    packet drop); attempts 2..:data:`MAX_UPLOAD_RETRIES` re-sample a
+    uniformly random alive PS — the failed PS is likely down, and uniform
+    re-sampling preserves the sparse strategy's uniform-choice property
+    over the alive set. Each retry waits :data:`BACKOFF_FACTOR` times
+    longer than the one before. Retries are counted in
+    ``TrafficStats.retries_by_tag`` so the ``O(K)`` accounting stays
+    honest.
     """
-
-    max_upload_retries: int = 2
-    retry_backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        check_nonnegative_int(self.max_upload_retries, "max_upload_retries")
-        require(math.isfinite(self.retry_backoff_s)
-                and self.retry_backoff_s >= 0,
-                f"retry_backoff_s must be finite and >= 0, got "
-                f"{self.retry_backoff_s}")
-        require(math.isfinite(self.backoff_factor)
-                and self.backoff_factor >= 1.0,
-                f"backoff_factor must be finite and >= 1, got "
-                f"{self.backoff_factor}")
 
     def backoff_s(self, attempt: int) -> float:
         """Simulated wait before retry ``attempt`` (1-based)."""
         require(attempt >= 1, f"attempt must be >= 1, got {attempt}")
-        return self.retry_backoff_s * self.backoff_factor ** (attempt - 1)
+        return RETRY_BACKOFF_S * BACKOFF_FACTOR ** (attempt - 1)
 
     def next_target(self, attempt: int, failed_target: int,
                     alive_servers: Sequence[int], *,
@@ -163,12 +149,6 @@ class FedMSConfig:
         filter rule operates on dense updates — see ``docs/upload.md``.
         The vector is the whole model state: batch-norm running
         statistics travel with the weights.
-    participation_fraction:
-        Fraction of clients that perform local training and upload in each
-        round (FedAvg-style partial device participation, per Li et al.
-        2019). Non-participants stay synchronized by filtering the
-        disseminated global models like everyone else. 1.0 = the paper's
-        full participation. The population trainer raises on it.
     eval_clients:
         How many client models the flat trainer evaluates (and averages)
         when measuring test accuracy; after the filter all clients hold
@@ -203,22 +183,19 @@ class FedMSConfig:
         and how long they stay away are :meth:`ChurnPlan.sample`'s
         defaults).
     faults:
-        The :class:`FaultConfig` retry policy (budget and backoff) every
-        trainer consumes for failed sends. The fault *events* themselves
+        The :class:`FaultConfig` retry policy every trainer consumes for
+        failed sends. The fault *events* themselves
         live in a :class:`~repro.simulation.faults.FaultPlan` passed to the
         trainer.
     aggregation_mode:
         ``"barrier"`` (paper default — every round waits for all alive
         PSs) or ``"deadline"`` — aggregate whatever arrived when the
         round deadline fires, admitting bounded-staleness late arrivals
-        next round. See ``docs/faults.md``.
+        next round (a late arrival of round ``t`` counts in round
+        ``t + 1`` at the latest). See ``docs/faults.md``.
     deadline_quantile:
         In deadline mode, the quantile of the straggler-free latency
         distribution used to calibrate the deadline.
-    max_staleness:
-        How many rounds a late arrival stays admissible: a model that
-        missed round ``t``'s deadline may still be counted in rounds up
-        to ``t + max_staleness``.
     straggler_rate:
         Probability that any single simulated transfer straggles (its
         latency is inflated by
@@ -257,7 +234,6 @@ class FedMSConfig:
     upload_strategy: str = "sparse"
     uploads_per_client: int = 1
     upload_codecs: Optional[Sequence[str]] = None
-    participation_fraction: float = 1.0
     eval_clients: int = 3
     population_size: Optional[int] = None
     sample_fraction: float = 0.1
@@ -268,7 +244,6 @@ class FedMSConfig:
     faults: FaultConfig = field(default_factory=FaultConfig)
     aggregation_mode: str = "barrier"
     deadline_quantile: float = 0.9
-    max_staleness: int = 1
     straggler_rate: float = 0.0
     health_scoring: bool = False
     execution_backend: Optional[str] = None
@@ -305,9 +280,6 @@ class FedMSConfig:
             # terminal codec mid-chain, out-of-range ratio) fails here,
             # not rounds into a run.
             make_codec_pipeline(self.upload_codecs)
-        require(0.0 < self.participation_fraction <= 1.0,
-                f"participation_fraction must be in (0, 1], got "
-                f"{self.participation_fraction}")
         require(self.eval_clients <= self.num_clients,
                 f"eval_clients={self.eval_clients} exceeds "
                 f"num_clients={self.num_clients}")
@@ -320,7 +292,6 @@ class FedMSConfig:
         require(self.deadline_quantile > 0.0,
                 f"deadline_quantile must be > 0, got "
                 f"{self.deadline_quantile}")
-        check_nonnegative_int(self.max_staleness, "max_staleness")
         check_fraction(self.straggler_rate, "straggler_rate",
                        upper=1.0, inclusive_upper=False)
         require(isinstance(self.health_scoring, bool),
@@ -437,8 +408,3 @@ class FedMSConfig:
     def has_churn(self) -> bool:
         """True when the config asks for a sampled churn plan."""
         return self.churn_join_rate > 0.0 or self.churn_leave_rate > 0.0
-
-    @property
-    def participants_per_round(self) -> int:
-        """Number of clients training each round (at least 1)."""
-        return max(1, round(self.participation_fraction * self.num_clients))

@@ -13,8 +13,8 @@ Five invariants live here and nowhere else: ``offered == delivered +
 dropped`` per tag (:meth:`RoundEngine.send_with_retry`); a residual moves
 only on delivery (:meth:`repro.core.wire.DeltaWire.adopt`); simulated time
 is the gated stages plus backoff (:meth:`RoundEngine.deadline_gate`); no
-sender votes twice and nothing staler than ``max_staleness`` is admitted
-(:meth:`LateBuffer.take_admissible`); one ``Def()`` evaluation per
+sender votes twice and nothing staler than :data:`MAX_STALENESS` is
+admitted (:meth:`LateBuffer.take_admissible`); one ``Def()`` evaluation per
 distinct inbox (:meth:`RoundEngine.filter_once`).
 """
 
@@ -47,7 +47,7 @@ from ..simulation.faults import FaultInjector
 from ..simulation.network import Message, Network, NodeId
 from ..simulation.scheduler import RoundScheduler
 from .client import Client, frozen
-from .config import FedMSConfig
+from .config import MAX_UPLOAD_RETRIES, FedMSConfig
 from .filtering import ResolvedFilter, Verdict, quorum_floor
 from .health import HealthLedger
 from .history import RoundRecord, TrainingHistory
@@ -64,6 +64,11 @@ __all__ = ["RoundEngine", "RoundState", "Topology", "Leg", "LateBuffer",
 ModelFactory = Callable[[np.random.Generator], Module]
 #: ``(attempt, failed_target) -> next target`` (``None``: nobody to try).
 NextTarget = Callable[[int, int], Optional[int]]
+
+#: How many rounds a late arrival stays admissible: a model that missed
+#: round ``t``'s deadline may still be counted in rounds up to
+#: ``t + MAX_STALENESS``.
+MAX_STALENESS = 1
 
 
 def refuse(config: FedMSConfig, owner: str, why: str, **defaults) -> None:
@@ -169,14 +174,14 @@ class LateBuffer:
         it just arrived after the deadline."""
         self._held[sender] = (round_index, vector)
 
-    def take_admissible(self, round_index: int, max_staleness: int, *,
+    def take_admissible(self, round_index: int, *,
                         late: AbstractSet[int],
                         absent: AbstractSet[int] = frozenset(),
                         ) -> Dict[int, np.ndarray]:
         """Pop the buffered transfers admissible in ``round_index``.
 
         A transfer from round ``t0`` expires once
-        ``round_index - t0 > max_staleness``. A sender in ``absent``
+        ``round_index - t0 > MAX_STALENESS``. A sender in ``absent``
         (crashed, excluded, produced nothing this round) keeps its buffer
         until it expires. A sender whose fresh transfer made this round's
         deadline supersedes its stale one, which is discarded; only a
@@ -188,7 +193,7 @@ class LateBuffer:
         admitted: Dict[int, np.ndarray] = {}
         for sender in sorted(self._held):
             origin, vector = self._held[sender]
-            if round_index - origin <= max_staleness:
+            if round_index - origin <= MAX_STALENESS:
                 if sender in absent:
                     continue
                 if sender in late:
@@ -279,13 +284,13 @@ class RoundEngine:
     :class:`Topology` to :meth:`_install`."""
 
     def __init__(self, config: FedMSConfig, *, model_factory: ModelFactory,
-                 test_dataset: ArrayDataset, network: Optional[Network],
+                 test_dataset: ArrayDataset,
+                 network: Optional[Network] = None,
                  init_stream: str = "init/global") -> None:
         self.config = config
         self.test_dataset = test_dataset
         self.network = network if network is not None else Network()
         self.rngs = RngFactory(config.seed)
-        self._participation_rng = self.rngs.make("participation")
         self._retry_rng = self.rngs.make("upload/retry")
 
         # Virtual message timing. Every arrival draw is a pure function of
@@ -385,17 +390,6 @@ class RoundEngine:
             num_workers=config.resolved_num_workers,
         )
 
-    def _attach_injector(self, injector: FaultInjector, *, num_clients: int,
-                         num_servers: int) -> None:
-        """Drive ``injector`` from this engine: validated against the
-        topology, consulted by the network on every send, and advanced by
-        a round hook."""
-        injector.plan.validate_topology(num_clients=num_clients,
-                                        num_servers=num_servers)
-        self.network.add_drop_rule(injector.should_drop)
-        self.fault_injector = injector
-        self.scheduler.add_round_hook(injector.begin_round)
-
     def _install(self, topology: Topology) -> None:
         """Run rounds over ``topology``, with a health ledger over its
         nodes when ``config.health_scoring`` asks (in this process, on
@@ -423,7 +417,8 @@ class RoundEngine:
     def send_with_retry(self, message: Message, state: RoundState,
                         next_target: Optional[NextTarget] = None
                         ) -> Optional[NodeId]:
-        """Send ``message``, retrying per ``config.faults``; the node it
+        """Send ``message``, retrying per ``config.faults``
+        (:data:`~repro.core.config.MAX_UPLOAD_RETRIES` times); the node it
         reached, ``None`` if none.
 
         A retry re-offers the message after backoff, to the server
@@ -436,7 +431,7 @@ class RoundEngine:
         if self.network.send(message):
             return message.recipient
         faults = self.config.faults
-        for attempt in range(1, faults.max_upload_retries + 1):
+        for attempt in range(1, MAX_UPLOAD_RETRIES + 1):
             self.network.stats.record_retry(message.tag)
             state.retries += 1
             state.backoff_s += faults.backoff_s(attempt)
@@ -523,17 +518,10 @@ class RoundEngine:
         state.cohort = topology.cohort(t)
 
     def _participants(self, t: int) -> List[int]:
-        """The resident clients that train: every client, or a
-        ``participation_fraction`` draw; dropped-out clients sit it out."""
-        config = self.config
-        if config.participation_fraction < 1.0:
-            participants = [int(k) for k in np.sort(
-                self._participation_rng.choice(
-                    config.num_clients, size=config.participants_per_round,
-                    replace=False))]
-        else:
-            participants = list(range(config.num_clients))
-        return [k for k in participants if self._up(NodeId.client(k))]
+        """The resident clients that train: every client but the
+        dropped-out ones."""
+        return [k for k in range(self.config.num_clients)
+                if self._up(NodeId.client(k))]
 
     def _adopt_trained(self, k: int, trained: np.ndarray,
                        loss: float) -> np.ndarray:
@@ -637,8 +625,7 @@ class RoundEngine:
         late = set(self.deadline_gate(leg.gate, present, state)
                    if leg.gate is not None else ())
         stale = leg.late.take_admissible(
-            t, self.config.max_staleness, late=late,
-            absent=set(range(len(leg.senders))) - set(present))
+            t, late=late, absent=set(range(len(leg.senders))) - set(present))
         state.late_admitted += len(stale)
         state.late.update(leg.senders[s].index for s in late)
         view = state.views.get(leg.senders)

@@ -32,7 +32,7 @@ from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
 from ..nn.module import Module
-from ..simulation.network import Network, NodeId
+from ..simulation.network import NodeId
 from .client import Client
 from .config import FedMSConfig
 from .engine import (
@@ -63,13 +63,12 @@ class HierarchicalTrainer(RoundEngine):
     def __init__(self, config: FedMSConfig, *, model_factory: ModelFactory,
                  client_datasets: Sequence[ArrayDataset],
                  test_dataset: ArrayDataset,
-                 attack: Optional[Attack] = None,
-                 network: Optional[Network] = None) -> None:
+                 attack: Optional[Attack] = None) -> None:
         refuse(config, "HierarchicalTrainer", "a client's one upload target "
                "is its group PS, and there is no population or tier",
                upload_strategy="sparse", **POPULATION_SETTINGS)
         super().__init__(config, model_factory=model_factory,
-                         test_dataset=test_dataset, network=network)
+                         test_dataset=test_dataset)
         num_servers = config.num_servers
         groups = [k % num_servers for k in range(config.num_clients)]
         empty = set(range(num_servers)) - set(groups)

@@ -21,9 +21,8 @@ sampling and quorum counting, never below the ``2B+1`` floor.
 
 from __future__ import annotations
 
-import os
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,10 +31,9 @@ from ..attacks.base import Attack
 from ..attacks.client_attacks import ClientSignFlipAttack
 from ..common.errors import ConfigurationError
 from ..data.datasets import ArrayDataset
-from ..nn.module import DTYPE, Module
+from ..nn.module import Module
 from ..simulation.faults import FaultInjector
 from ..simulation.network import Network, NodeId
-from .client import frozen
 from .config import FedMSConfig
 from .engine import (
     POPULATION_SETTINGS,
@@ -143,9 +141,14 @@ class FedMSTrainer(RoundEngine):
             root_rng=self.rngs.make("filter/root_batch"))
 
         if fault_injector is not None:
-            self._attach_injector(fault_injector,
-                                  num_clients=config.num_clients,
-                                  num_servers=config.num_servers)
+            # Validated against the topology, consulted by the network on
+            # every send, and advanced by a round hook.
+            fault_injector.plan.validate_topology(
+                num_clients=config.num_clients,
+                num_servers=config.num_servers)
+            self.network.add_drop_rule(fault_injector.should_drop)
+            self.fault_injector = fault_injector
+            self.scheduler.add_round_hook(fault_injector.begin_round)
 
         # Broadcasts use the wire's trim-compatible variant: coordinate-wise
         # Def() filters need every honest PS to send the same support.
@@ -256,55 +259,6 @@ class FedMSTrainer(RoundEngine):
             return float(loss), float(acc)
         losses, accuracies = zip(*self.score_clients(eval_clients))
         return float(np.mean(losses)), float(np.mean(accuracies))
-
-    # -- persistence -----------------------------------------------------------
-
-    def save_checkpoint(self, path: str) -> None:
-        """Persist the run so :meth:`load_checkpoint` can resume it.
-
-        Stores the current shared global model (client 0's — after a round
-        all clients coincide up to client-dependent attacks), every PS's
-        latest aggregate (the state Backward/Safeguard attacks depend on),
-        and the round index. RNG streams are derived from (seed, names), so
-        a resumed run is reproducible though not bit-identical to an
-        uninterrupted one (the streams do not record their position).
-        """
-        payload: Dict[str, np.ndarray] = {
-            "round_index": np.asarray(self.scheduler.round_index),
-            "global_model": self.clients[0].model_vector(),
-        }
-        for server in self.servers:
-            if server.aggregate_history:
-                payload[f"server/{server.server_id}/aggregate"] = \
-                    server.current_aggregate
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        np.savez(path, **payload)
-
-    def load_checkpoint(self, path: str) -> int:
-        """Restore a run saved by :meth:`save_checkpoint`.
-
-        Returns the restored round index. The next :meth:`run_round`
-        continues from there.
-        """
-        if not os.path.exists(path) and os.path.exists(path + ".npz"):
-            path = path + ".npz"
-        with np.load(path, allow_pickle=False) as archive:
-            round_index = int(archive["round_index"])
-            # An array of its own, not a view of the archive's bytes: only
-            # an owner is shared by reference between the clients.
-            global_model = frozen(np.array(archive["global_model"],
-                                            dtype=DTYPE))
-            for server in self.servers:
-                key = f"server/{server.server_id}/aggregate"
-                if key in archive.files:
-                    server.aggregate_history = [
-                        np.asarray(archive[key], dtype=DTYPE)]
-        for client in self.clients:
-            client.set_model_vector(global_model)
-        self.scheduler.set_round_index(round_index)
-        return round_index
-
 
 
 def _record_clients(record: RoundRecord, state: RoundState) -> None:

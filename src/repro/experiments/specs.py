@@ -249,7 +249,11 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
     (mu, L, G, sigma_k, Gamma, ||w0 - w*||) are measured, runs Fed-MS with
     the prescribed ``eta_t = 2 / (mu (gamma + t))`` schedule under a Noise
     attack, and reports the measured suboptimality ``F(w_t) - F*`` next to
-    the closed-form bound at every evaluation round.
+    the closed-form bound at every evaluation round. ``fitted_exponent``
+    and ``fit_r_squared`` are the slope and the R² of a least-squares line
+    through log suboptimality against log ``global_step`` (NaN with fewer
+    than three evaluation rounds): Theorem 1 guarantees an exponent of at
+    most -1.
     """
     if num_rounds <= 0:
         raise ConfigurationError(
@@ -340,6 +344,15 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
                     "suboptimality": value - optimum_value,
                     "theorem1_bound": theorem1_bound(constants, step),
                 })
+    # A line through fewer than three points fits them by construction.
+    slope = r_squared = float("nan")
+    if len(rows) >= 3:
+        log_steps = np.log([row["global_step"] for row in rows])
+        log_values = np.log([row["suboptimality"] for row in rows])
+        slope, intercept = np.polyfit(log_steps, log_values, 1)
+        residual = log_values - (slope * log_steps + intercept)
+        spread = log_values - log_values.mean()
+        r_squared = 1.0 - residual @ residual / (spread @ spread)
     return FigureResult(
         figure_id="convergence_rate",
         params={
@@ -351,6 +364,8 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
             "num_clients": num_clients,
             "num_servers": num_servers,
             "num_byzantine": num_byzantine,
+            "fitted_exponent": float(slope),
+            "fit_r_squared": float(r_squared),
         },
         rows=rows,
         notes="suboptimality should decay ~1/t and stay below theorem1_bound",

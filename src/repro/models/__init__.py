@@ -1,15 +1,9 @@
-"""Training models: the paper's MobileNet V2 plus small reference models."""
+"""Training models: small reference models (``SmallCNN`` stands in for the
+paper's MobileNet V2, see DESIGN.md)."""
 
-from .blocks import ConvBNReLU, InvertedResidual, make_divisible
-from .mobilenet_v2 import IMAGENET_INVERTED_RESIDUAL_SETTING, MobileNetV2
 from .simple import MLP, SmallCNN, SoftmaxRegression
 
 __all__ = [
-    "ConvBNReLU",
-    "InvertedResidual",
-    "make_divisible",
-    "MobileNetV2",
-    "IMAGENET_INVERTED_RESIDUAL_SETTING",
     "SoftmaxRegression",
     "MLP",
     "SmallCNN",

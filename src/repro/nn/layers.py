@@ -10,7 +10,7 @@ gradient-checked in ``tests/nn/test_gradcheck.py``.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -20,24 +20,17 @@ from .functional import (
     col2im_windows,
     conv_output_size,
     im2col_windows,
-    pad_spatial,
-    unpad_spatial,
-    window_slices,
 )
 from .module import Module, Parameter, _mode
 
 __all__ = [
     "Linear",
     "Conv2d",
-    "DepthwiseConv2d",
-    "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
-    "ReLU6",
     "MaxPool2d",
     "GlobalAvgPool2d",
     "Flatten",
-    "Dropout",
 ]
 
 
@@ -105,21 +98,22 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution with square stride/padding, as one GEMM per sample.
+    """2-D convolution with stride 1 and square padding, as one GEMM per
+    sample.
 
     Weight shape is ``(out_channels, in_channels, KH, KW)``. The windows are
     laid out as ``cols`` of shape ``(N, C*KH*KW, OH*OW)``, so the forward is
     ``W.reshape(O, -1) @ cols``, which is already NCHW. A 1x1 convolution
-    with stride 1 and no padding reads ``cols`` straight off the input.
+    with no padding reads ``cols`` straight off the input.
     """
 
     rowwise = True
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 *, stride: int = 1, padding: int = 0, bias: bool = True,
+                 *, padding: int = 0, bias: bool = True,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
-        if min(in_channels, out_channels, kernel_size, stride) <= 0:
+        if min(in_channels, out_channels, kernel_size) <= 0:
             raise ConfigurationError("Conv2d sizes must be positive")
         if padding < 0:
             raise ConfigurationError(f"padding must be >= 0, got {padding}")
@@ -127,20 +121,19 @@ class Conv2d(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = stride
         self.padding = padding
         self.weight = Parameter(
             init.he_normal(rng, (out_channels, in_channels, kernel_size, kernel_size))
         )
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
-        self._pointwise = kernel_size == 1 and stride == 1 and padding == 0
+        self._pointwise = kernel_size == 1 and padding == 0
 
     def _cols(self, x: np.ndarray) -> np.ndarray:
         """``(N, C*KH*KW, OH*OW)``: a view of ``x`` or of a fresh window copy."""
         if self._pointwise:
             return x.reshape(x.shape[0], x.shape[1], -1)
         k = self.kernel_size
-        windows = im2col_windows(x, (k, k), self.stride, self.padding)
+        windows = im2col_windows(x, (k, k), self.padding)
         return windows.reshape(x.shape[0], -1, windows.shape[4] * windows.shape[5])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -150,8 +143,8 @@ class Conv2d(Module):
             )
         n, _, h, w = x.shape
         k = self.kernel_size
-        out_h = conv_output_size(h, k, self.stride, self.padding)
-        out_w = conv_output_size(w, k, self.stride, self.padding)
+        out_h = conv_output_size(h, k, 1, self.padding)
+        out_w = conv_output_size(w, k, 1, self.padding)
         weight = self.weight.data.reshape(self.out_channels, -1)
         cols = self._cols(x)
         out = np.matmul(weight, cols).reshape(n, self.out_channels, out_h, out_w)
@@ -178,106 +171,28 @@ class Conv2d(Module):
         k = self.kernel_size
         grad_windows = grad_cols.reshape(
             x.shape[0], self.in_channels, k, k, *grad_output.shape[2:])
-        return col2im_windows(grad_windows, x.shape, (k, k), self.stride,
-                              self.padding)
+        return col2im_windows(grad_windows, x.shape, (k, k), self.padding)
 
     def __repr__(self) -> str:
         return (
             f"Conv2d({self.in_channels}, {self.out_channels}, "
-            f"k={self.kernel_size}, s={self.stride}, p={self.padding})"
+            f"k={self.kernel_size}, p={self.padding})"
         )
 
 
-class DepthwiseConv2d(Module):
-    """Depthwise 2-D convolution (one filter per channel, no channel mixing).
+class BatchNorm2d(Module):
+    """Batch normalization over ``(N, C, H, W)`` inputs, per channel."""
 
-    This is the ``groups == in_channels`` convolution that MobileNet V2's
-    inverted residual blocks are built from. Weight shape is
-    ``(channels, KH, KW)``. With no channel mixing there is no GEMM to feed:
-    the layer is ``KH*KW`` shifted multiply-adds on the padded input.
-    """
+    #: Added to the variance before its square root.
+    eps = 1e-5
+    #: Weight of a batch's statistics in the running estimates.
+    momentum = 0.1
 
-    rowwise = True
-
-    def __init__(self, channels: int, kernel_size: int, *, stride: int = 1,
-                 padding: int = 0, bias: bool = True,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if min(channels, kernel_size, stride) <= 0:
-            raise ConfigurationError("DepthwiseConv2d sizes must be positive")
-        if padding < 0:
-            raise ConfigurationError(f"padding must be >= 0, got {padding}")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.channels = channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        # Treat each depthwise filter as a 1-in/1-out conv for fan-in purposes.
-        scale = np.sqrt(2.0 / (kernel_size * kernel_size))
-        self.weight = Parameter(
-            rng.normal(0.0, scale, size=(channels, kernel_size, kernel_size))
-        )
-        self.bias = Parameter(init.zeros((channels,))) if bias else None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.channels:
-            raise ShapeError(
-                f"DepthwiseConv2d expected (N, {self.channels}, H, W), got {x.shape}"
-            )
-        n, c, h, w = x.shape
-        k = self.kernel_size
-        out_h = conv_output_size(h, k, self.stride, self.padding)
-        out_w = conv_output_size(w, k, self.stride, self.padding)
-        padded = pad_spatial(x, self.padding)
-        weight = self.weight.data[:, :, :, None, None]
-        out = np.zeros((n, c, out_h, out_w), dtype=np.result_type(x, weight))
-        if self.bias is not None:
-            out += self.bias.data[None, :, None, None]
-        term = np.empty_like(out)
-        for i, j, index in window_slices((k, k), self.stride, out_h, out_w):
-            np.multiply(padded[index], weight[:, i, j], out=term)
-            out += term
-        self._cache = padded
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        padded = _require_cache(self._cache, self)
-        k = self.kernel_size
-        out_h, out_w = grad_output.shape[2:]
-        weight = self.weight.data[:, :, :, None, None]
-        grad_weight = np.empty_like(self.weight.data)
-        grad_padded = np.zeros(padded.shape, dtype=grad_output.dtype)
-        term = np.empty_like(grad_output)
-        for i, j, index in window_slices((k, k), self.stride, out_h, out_w):
-            np.multiply(padded[index], grad_output, out=term)
-            grad_weight[:, i, j] = term.sum(axis=(0, 2, 3))
-            np.multiply(grad_output, weight[:, i, j], out=term)
-            grad_padded[index] += term
-        self.weight.grad += grad_weight
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=(0, 2, 3))
-        return unpad_spatial(grad_padded, self.padding)
-
-    def __repr__(self) -> str:
-        return (
-            f"DepthwiseConv2d({self.channels}, k={self.kernel_size}, "
-            f"s={self.stride}, p={self.padding})"
-        )
-
-
-class _BatchNorm(Module):
-    """Shared implementation of 1-D/2-D batch normalization."""
-
-    def __init__(self, num_features: int, *, eps: float = 1e-5,
-                 momentum: float = 0.1) -> None:
+    def __init__(self, num_features: int) -> None:
         super().__init__()
         if num_features <= 0:
             raise ConfigurationError(f"num_features must be positive, got {num_features}")
-        if not 0.0 < momentum <= 1.0:
-            raise ConfigurationError(f"momentum must be in (0, 1], got {momentum}")
         self.num_features = num_features
-        self.eps = float(eps)
-        self.momentum = float(momentum)
         self.weight = Parameter(init.ones((num_features,)))
         self.bias = Parameter(init.zeros((num_features,)))
         self.register_buffer("running_mean", init.zeros((num_features,)))
@@ -288,15 +203,12 @@ class _BatchNorm(Module):
         # Training normalizes by the statistics of the whole batch.
         return not self.training
 
-    # Subclasses define which axes are reduced.
-    _reduce_axes: Tuple[int, ...] = ()
-
-    def _check_input(self, x: np.ndarray) -> None:
-        raise NotImplementedError
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._check_input(x)
-        axes = self._reduce_axes
+        if x.ndim != 4 or x.shape[1] != self.num_features:
+            raise ShapeError(
+                f"BatchNorm2d expected (N, {self.num_features}, H, W), got {x.shape}"
+            )
+        axes = (0, 2, 3)
         count = x.size // self.num_features
         # Every per-channel vector is applied as one row of ``C * H * W``
         # values over the ``(N, C * H * W)`` view: one long inner loop per
@@ -334,7 +246,7 @@ class _BatchNorm(Module):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         x_hat, inv_std, shape, count, was_training = _require_cache(self._cache, self)
-        axes = self._reduce_axes
+        axes = (0, 2, 3)
         width = inv_std.size // self.num_features
         grad = grad_output.reshape(x_hat.shape)
         product = np.multiply(grad, x_hat)
@@ -358,31 +270,7 @@ class _BatchNorm(Module):
         return grad_xhat.reshape(shape)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.num_features})"
-
-
-class BatchNorm1d(_BatchNorm):
-    """Batch normalization over ``(N, F)`` inputs."""
-
-    _reduce_axes = (0,)
-
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"BatchNorm1d expected (N, {self.num_features}), got {x.shape}"
-            )
-
-
-class BatchNorm2d(_BatchNorm):
-    """Batch normalization over ``(N, C, H, W)`` inputs, per channel."""
-
-    _reduce_axes = (0, 2, 3)
-
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"BatchNorm2d expected (N, {self.num_features}, H, W), got {x.shape}"
-            )
+        return f"BatchNorm2d({self.num_features})"
 
 
 class ReLU(Module):
@@ -394,20 +282,6 @@ class ReLU(Module):
         self._cache = x > 0
         # fmax, not maximum: a NaN input maps to 0, as the mask says.
         return np.fmax(x, 0.0)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask = _require_cache(self._cache, self)
-        return grad_output * mask
-
-
-class ReLU6(Module):
-    """ReLU clipped at 6 — the activation used throughout MobileNet V2."""
-
-    rowwise = True
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = (x > 0) & (x < 6.0)
-        return np.clip(x, 0.0, 6.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         mask = _require_cache(self._cache, self)
@@ -520,36 +394,3 @@ class Flatten(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         shape = _require_cache(self._cache, self)
         return grad_output.reshape(shape)
-
-
-class Dropout(Module):
-    """Inverted dropout: active in training mode, identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, *, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = float(p)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    @property
-    def rowwise(self) -> bool:
-        # Training draws one mask for the whole batch from the stream.
-        return not self.training
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        # (mask,); the mask is None where the layer is the identity.
-        if not self.training or self.p == 0.0:
-            self._cache = (None,)
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
-        self._cache = (mask,)
-        return x * mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        (mask,) = _require_cache(self._cache, self)
-        return grad_output if mask is None else grad_output * mask
-
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.p})"

@@ -20,7 +20,7 @@ import re
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -182,9 +182,8 @@ class Module:
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register a non-trainable tensor that is part of module state.
 
-        Buffers (e.g. batch-norm running statistics) are saved/loaded with
-        the model and, by default, travel with the flattened parameter
-        vector used for federated aggregation.
+        Buffers (e.g. batch-norm running statistics) travel with the
+        flattened parameter vector used for federated aggregation.
         """
         array = np.array(value, dtype=DTYPE)
         self._buffers[name] = array
@@ -246,35 +245,6 @@ class Module:
         may skip an input gradient on its behalf.
         """
         return None
-
-    # -- state dict --------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Copy all parameters and buffers into a flat ``name -> array`` dict."""
-        state: Dict[str, np.ndarray] = {}
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for name, buf in self.named_buffers():
-            state[f"buffer:{name}"] = buf.copy()
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters and buffers from :meth:`state_dict` output.
-
-        Written in place: every array stays the array (or view) it was.
-        """
-        targets = {name: param.data for name, param in self.named_parameters()}
-        targets.update((f"buffer:{name}", buf)
-                       for name, buf in self.named_buffers())
-        for key, target in targets.items():
-            if key not in state:
-                raise KeyError(f"state dict missing {key!r}")
-            value = np.asarray(state[key], dtype=DTYPE)
-            if value.shape != target.shape:
-                raise ShapeError(
-                    f"{key!r} has shape {target.shape}, state has {value.shape}"
-                )
-            target[...] = value
 
     # -- training mode -----------------------------------------------------
 
@@ -376,10 +346,6 @@ class Sequential(Module):
         if not self._layers:
             return None
         return self._layers[0].input_layer()
-
-    @property
-    def rowwise(self) -> bool:
-        return all(layer.rowwise for layer in self._layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         layers = self._layers

@@ -76,10 +76,6 @@ class ChurnPlan:
             by_client.setdefault(window.client_id, []).append(window)
         object.__setattr__(self, "_by_client", by_client)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.windows
-
     def active_clients(self, round_index: int) -> FrozenSet[int]:
         """The ids active at ``round_index``."""
         windowed = self._by_client  # type: ignore[attr-defined]

@@ -2,8 +2,7 @@
 
 :class:`PopulationTrainer` is the tiered topology of the
 :class:`~repro.core.engine.RoundEngine` (docs/algorithm.md, "Topologies";
-docs/population.md). Round hooks advance churn and faults (a
-``ServerCrash`` addresses an aggregator's global index). Then the phases:
+docs/population.md). A round hook advances churn. Then the phases:
 
 1. **sample** — a ``(seed, round)``-derived draw from the active clients;
    each checks in by fetching the global model (``model_fetch``, the
@@ -23,8 +22,9 @@ docs/population.md). Round hooks advance churn and faults (a
 5. **finalize** — nothing is left to release; the phase keeps its name
    for the timings that read it.
 
-Codecs, retries, deadline admission and health exclusion are the engine's,
-as on every topology.
+Codecs, deadline admission and health exclusion are the engine's, as on
+every topology. The tiered topology takes no fault plan: no program runs
+one on it.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from ..core.filtering import ResolvedFilter, resolve_filter
 from ..core.history import RoundRecord
 from ..data.datasets import ArrayDataset
 from ..nn.module import Module
-from ..simulation.faults import FaultInjector, FaultPlan
-from ..simulation.network import Message, Network, NodeId
+from ..simulation.network import Message, NodeId
 from .churn import ChurnPlan, ChurnScheduler
 from .clients import ClientPopulation
 from .sampling import sample_clients, sample_size
@@ -80,11 +79,9 @@ class PopulationTrainer(RoundEngine):
     aggregators per tier, a uniformly random subset of each (an ``attack``
     is then required). ``churn_plan`` defaults to an empty plan — build one with
     :meth:`ChurnPlan.from_config` or :meth:`ChurnPlan.sample` for a
-    changing population. ``fault_plan`` crashes *aggregators* (by global
-    index) and drops clients, composing with churn. The round's cohort is
-    ``config.sample_fraction`` of the active population, so
-    ``participation_fraction`` raises, as does an ``upload_strategy``
-    other than ``"sparse"`` (a client's one target is its edge).
+    changing population. The round's cohort is ``config.sample_fraction``
+    of the active population, each client uploading to its edge, so an
+    ``upload_strategy`` other than ``"sparse"`` raises.
     """
 
     def __init__(self, config: FedMSConfig, *,
@@ -92,9 +89,7 @@ class PopulationTrainer(RoundEngine):
                  shard_specs: Sequence[object],
                  test_dataset: ArrayDataset,
                  attack: Optional[Attack] = None,
-                 churn_plan: Optional[ChurnPlan] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 network: Optional[Network] = None) -> None:
+                 churn_plan: Optional[ChurnPlan] = None) -> None:
         if config.population_size is None or config.tier_spec is None:
             raise ConfigurationError("PopulationTrainer needs "
                                      "config.population_size and tier_spec")
@@ -104,14 +99,14 @@ class PopulationTrainer(RoundEngine):
                 f"{config.population_size}")
         refuse(config, "PopulationTrainer", "the cohort is a sample_fraction "
                "of the active clients, each uploading to its edge",
-               participation_fraction=1.0, upload_strategy="sparse")
+               upload_strategy="sparse")
         topology = TierTopology(config.tier_spec,
                                 config.resolved_tier_byzantine)
         if any(topology.byzantine) and attack is None:
             raise ConfigurationError("tier_byzantine places Byzantine "
                                      "aggregators but no attack was supplied")
         super().__init__(config, model_factory=model_factory,
-                         test_dataset=test_dataset, network=network,
+                         test_dataset=test_dataset,
                          init_stream="population/init/global")
         self.tier_topology = topology
 
@@ -160,11 +155,6 @@ class PopulationTrainer(RoundEngine):
                 f"churn plan covers {self.churn_plan.population_size} "
                 f"clients, population has {config.population_size}")
         self.churn = ChurnScheduler(self.churn_plan)
-
-        if fault_plan is not None and not fault_plan.is_empty:
-            self._attach_injector(FaultInjector(fault_plan),
-                                  num_clients=config.population_size,
-                                  num_servers=topology.total_aggregators)
 
         # Exchange legs use the wire's trim-compatible variant so sibling
         # forwards stay coordinate-aligned under the parent's trimmed
@@ -254,11 +244,8 @@ class PopulationTrainer(RoundEngine):
         model fetch is the reliable control plane). Nothing is built here:
         a client's shard exists only while it trains."""
         state = self._round
-        active = self.churn.active_ids()
-        if self.fault_injector is not None:
-            active = [client_id for client_id in active
-                      if self._up(NodeId.client(client_id))]
-        sampled = sample_clients(active, self.config.sample_fraction,
+        sampled = sample_clients(self.churn.active_ids(),
+                                 self.config.sample_fraction,
                                  seed=self.config.seed, round_index=t)
         top = self.tiers[-1][0]
         for client_id in sampled:
@@ -276,11 +263,6 @@ class PopulationTrainer(RoundEngine):
                                in range(1, self.tier_topology.num_tiers)]
         for tier, tag in enumerate(tags):
             estimate, *lists = tally(state.outcomes.get(tag, {}))
-            if self.fault_injector is not None:
-                # A crashed aggregator's stale output: a fallback.
-                lists[-1] = sorted(lists[-1] + [
-                    node.global_index for node in self.tiers[tier]
-                    if node.global_index not in state.alive])
             for table, value in zip(tables, [estimate] + lists):
                 if value not in (None, []):
                     table[tier] = value

@@ -140,10 +140,6 @@ class FaultPlan:
         object.__setattr__(self, "dropouts", tuple(self.dropouts))
         object.__setattr__(self, "partitions", tuple(self.partitions))
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.crashes or self.dropouts or self.partitions)
-
     def crashed_servers(self, round_index: int) -> FrozenSet[int]:
         return frozenset(c.server_id for c in self.crashes
                          if c.active(round_index))

@@ -63,14 +63,6 @@ class RoundScheduler:
         """
         self._round_hooks.append(fn)
 
-    def set_round_index(self, round_index: int) -> None:
-        """Reposition the scheduler, e.g. after restoring a checkpoint."""
-        if round_index < 0:
-            raise ConfigurationError(
-                f"round_index must be >= 0, got {round_index}"
-            )
-        self._round_index = round_index
-
     def run_round(self) -> int:
         """Execute all hooks then phases for the current round."""
         if not self._phases:

@@ -17,7 +17,6 @@ from .constants import (
     softmax_smoothness,
     solve_softmax_optimum,
 )
-from .rates import PowerLawFit, fit_power_law, halving_steps
 from .verify import (
     VerificationResult,
     verify_lemma2_trimmed_mean,
@@ -41,7 +40,4 @@ __all__ = [
     "VerificationResult",
     "verify_lemma2_trimmed_mean",
     "verify_lemma3_sparse_upload",
-    "PowerLawFit",
-    "fit_power_law",
-    "halving_steps",
 ]

@@ -91,16 +91,10 @@ class TestStaleAdmission:
         # admission precondition: only a sender late *again* delivers its
         # buffered broadcast) near-certain over a few rounds.
         with make_trainer(num_byzantine=0, aggregation_mode="deadline",
-                          straggler_rate=0.45, max_staleness=1) as trainer:
+                          straggler_rate=0.45) as trainer:
             history = trainer.run(6, eval_every=10)
         assert history.total_deadline_missed > 0
         assert history.total_late_admitted > 0
-
-    def test_no_admissions_with_zero_staleness(self):
-        with make_trainer(num_byzantine=0, aggregation_mode="deadline",
-                          straggler_rate=0.45, max_staleness=0) as trainer:
-            history = trainer.run(6, eval_every=10)
-        assert history.total_late_admitted == 0
 
 
 class TestCircuitBreaker:
@@ -194,7 +188,7 @@ class TestBackendBitIdentity:
 class TestRetryPolicyUnification:
     def test_config_resolves_single_policy(self):
         # FaultConfig is the one retry policy: nothing beside it.
-        policy = FaultConfig(max_upload_retries=4, retry_backoff_s=0.1)
+        policy = FaultConfig()
         config = FedMSConfig(num_clients=4, num_servers=3,
                              num_byzantine=0, faults=policy)
         assert config.faults is policy

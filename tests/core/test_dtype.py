@@ -6,8 +6,7 @@ tier aggregates and their histories, the rows ``Def()`` reads (decoded
 uploads and broadcast reconstructions), its output, the wire's reference
 and residuals, shared-memory rows and datasets' features. Every registered
 filter rule, PS attack and the client attack returns ``DTYPE`` for
-``DTYPE`` input, both checkpoint formats restore ``DTYPE``, and an identity
-upload costs four bytes a coordinate.
+``DTYPE`` input, and an identity upload costs four bytes a coordinate.
 """
 
 import numpy as np
@@ -22,16 +21,7 @@ from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
 from repro.core.filtering import ResolvedFilter
 from repro.core.server import ParameterServer
 from repro.data import ArrayDataset, iid_partition
-from repro.nn import (
-    DTYPE,
-    BatchNorm1d,
-    Linear,
-    ReLU,
-    Sequential,
-    load_checkpoint,
-    save_checkpoint,
-    to_vector,
-)
+from repro.nn import DTYPE
 from repro.population import (
     PopulationTrainer,
     TierAggregator,
@@ -39,15 +29,16 @@ from repro.population import (
     make_blob_test_dataset,
 )
 
-FEATURES, CLASSES = 6, 3
+from ..image_rows import IMAGE_FEATURES, small_cnn_on_rows
+
+FEATURES, CLASSES = IMAGE_FEATURES, 3
 CODECS = {"identity": None, "topk+int8": ["topk(0.05)", "int8"]}
 BACKENDS = ("serial", "thread", "process")
 
 
 def model(rng):
     # Batch norm puts buffers on the wire beside the weights.
-    return Sequential(Linear(FEATURES, 8, rng=rng), BatchNorm1d(8), ReLU(),
-                      Linear(8, CLASSES, rng=rng))
+    return small_cnn_on_rows(rng, CLASSES)
 
 
 def blobs(n, seed):
@@ -213,45 +204,3 @@ def test_identity_upload_is_charged_four_bytes_a_coordinate():
     record = trainer.run_round()
     assert DTYPE().itemsize == 4
     assert record.upload_bytes == trainer.config.num_clients * dim * 4
-
-
-class TestCheckpoints:
-    def test_trainer_checkpoint_restores_dtype(self, tmp_path):
-        trainer = flat("serial", None)
-        trainer.run(1)
-        path = str(tmp_path / "run.npz")
-        trainer.save_checkpoint(path)
-        fresh = flat("serial", None)
-        fresh.load_checkpoint(path)
-        assert_dtype([c.state for c in fresh.clients], "restored clients")
-        assert_dtype([s.current_aggregate for s in fresh.servers],
-                     "restored aggregates")
-        np.testing.assert_array_equal(fresh.clients[0].state,
-                                      trainer.clients[0].state)
-
-    def test_float64_trainer_checkpoint_is_read_as_dtype(self, tmp_path):
-        trainer = flat("serial", None)
-        trainer.run(1)
-        path = str(tmp_path / "wide.npz")
-        np.savez(path, round_index=np.asarray(1),
-                 global_model=trainer.clients[0].model_vector()
-                 .astype(np.float64),
-                 **{"server/0/aggregate": trainer.servers[0].current_aggregate
-                    .astype(np.float64)})
-        fresh = flat("serial", None)
-        fresh.load_checkpoint(path)
-        assert_dtype([c.state for c in fresh.clients], "restored clients")
-        assert_dtype([fresh.servers[0].current_aggregate],
-                     "restored aggregate")
-
-    def test_module_checkpoint_restores_dtype(self, tmp_path):
-        saved = model(np.random.default_rng(0))
-        path = str(tmp_path / "module.npz")
-        save_checkpoint(saved, path)
-        with np.load(path) as archive:
-            assert_dtype([archive[key] for key in archive.files],
-                         "archive")
-        loaded = model(np.random.default_rng(1))
-        load_checkpoint(loaded, path)
-        assert_dtype(loaded.state_dict().values(), "loaded module")
-        np.testing.assert_array_equal(to_vector(loaded), to_vector(saved))

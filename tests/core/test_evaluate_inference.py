@@ -16,7 +16,7 @@ from repro.common import ConfigurationError, RngFactory
 from repro.core import Client
 from repro.core.filtering import RootLossEvaluator
 from repro.data import ArrayDataset, Subset
-from repro.models import MLP, MobileNetV2, SmallCNN
+from repro.models import MLP, SmallCNN
 from repro.nn import to_vector
 
 
@@ -47,8 +47,7 @@ def _leaves(model):
 
 @pytest.mark.parametrize("build,n", [
     (lambda rng: SmallCNN(10, channels=8, rng=rng), 128),
-    (lambda rng: MobileNetV2.cifar(rng=rng), 64),
-], ids=["small_cnn", "mobilenet_v2"])
+], ids=["small_cnn"])
 def test_evaluate_peaks_below_a_quarter_of_the_plain_forward(build, n):
     data = _images(n)
     model = build(RngFactory(1).make("init"))

@@ -89,12 +89,15 @@ def make_trainer(*, num_clients=6, num_servers=10, num_byzantine=2,
         client_datasets=parts,
         test_dataset=test,
         attack=make_attack(attack) if num_byzantine else None,
-        network=network,
     )
     if grouped:
-        return HierarchicalTrainer(config, **common)
+        trainer = HierarchicalTrainer(config, **common)
+        if network is not None:
+            # The grouped trainer takes no network; it sends over its own.
+            trainer.network = network
+        return trainer
     return FedMSTrainer(
-        config,
+        config, network=network,
         fault_injector=FaultInjector(plan) if plan is not None else None,
         **common,
     )

@@ -24,7 +24,15 @@ from repro.core import (
 )
 from repro.data import ArrayDataset, iid_partition
 from repro.models import MLP, SmallCNN, SoftmaxRegression
-from repro.nn import SGD, BatchNorm1d, Linear, ReLU, Sequential
+from repro.nn import (
+    SGD,
+    BatchNorm2d,
+    Conv2d,
+    GlobalAvgPool2d,
+    Linear,
+    ReLU,
+    Sequential,
+)
 from repro.nn.losses import cross_entropy
 from repro.nn.serialization import flatten_state, from_vector, to_vector
 from repro.population import PopulationTrainer, make_blob_population, \
@@ -159,8 +167,9 @@ class TestOwnership:
 
 def make_batchnorm_net(seed=0):
     rngs = RngFactory(seed)
-    return Sequential(Linear(4, 5, rng=rngs.make("a")), BatchNorm1d(5),
-                      ReLU(), Linear(5, 3, rng=rngs.make("b")))
+    return Sequential(Conv2d(3, 5, 1, rng=rngs.make("a")), BatchNorm2d(5),
+                      ReLU(), GlobalAvgPool2d(),
+                      Linear(5, 3, rng=rngs.make("b")))
 
 
 class TestFlattenState:
@@ -191,15 +200,12 @@ class TestFlattenState:
         module = make_batchnorm_net()
         flat = flatten_state(module)
         module.layer1.set_buffer("running_mean", np.arange(5.0))
-        state = {name: value + 1.0
-                 for name, value in module.state_dict().items()}
-        module.load_state_dict(state)
         module.train()
-        module(np.random.default_rng(0).normal(size=(6, 4)))  # BN update
+        module(np.random.default_rng(0).normal(size=(6, 3, 2, 2)))  # BN update
         from_vector(module, to_vector(module) * 2.0)
         self.assert_flat(module, flat)
         assert not np.array_equal(module.layer1.running_mean,
-                                  2.0 * (np.arange(5.0) + 1.0))
+                                  2.0 * np.arange(5.0))
 
     @pytest.mark.parametrize("flatten", [True, False])
     def test_vector_round_trip(self, flatten):

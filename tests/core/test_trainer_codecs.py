@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.attacks import RandomAttack
 from repro.common import RngFactory
-from repro.core import FaultConfig, FedMSConfig, FedMSTrainer
+from repro.core import FedMSConfig, FedMSTrainer
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
 from repro.nn import DTYPE
@@ -240,13 +240,23 @@ class TestMultiUploadEncodesOnce:
                                       expected[0])
 
     def test_partial_delivery_advances_the_residual_once(self):
-        drop_rule, _ = self.drop_first_upload_of_client_0()
-        trainer = self.make(drop_rule,
-                            faults=FaultConfig(max_upload_retries=0))
+        # Client 0's first upload lands; every later attempt of it, each
+        # retry included, is lost, so two of its three targets fail.
+        delivered = []
+
+        def drop_rule(message):
+            if message.tag != "upload" or message.sender.index != 0:
+                return False
+            if delivered:
+                return True
+            delivered.append(message)
+            return False
+
+        trainer = self.make(drop_rule)
         expected = self.expected_residuals(trainer)
         record = trainer.history.records[-1]
-        assert record.upload_failures == 1
-        assert record.upload_messages == 3 * self.CLIENTS - 1
+        assert record.upload_failures == 2
+        assert record.upload_messages == 3 * self.CLIENTS - 2
         np.testing.assert_array_equal(trainer.wire.residuals["upload"][0],
                                       expected[0])
 

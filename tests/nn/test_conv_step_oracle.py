@@ -2,7 +2,8 @@
 
 The oracles below are the earlier ``MaxPool2d.forward`` / ``backward``,
 ``_BatchNorm.forward`` / ``backward`` and ``col2im_windows``, copied
-verbatim. Max pooling now copies its input into cell-major order and records
+verbatim, with the ``window_slices`` walk they shared written out and the
+convolution's stride fixed at 1. Max pooling now copies its input into cell-major order and records
 each window's winner in the forward, batch norm applies its per-channel
 vectors as rows over ``(N, C*H*W)``, and col2im adds each window cell once
 over every image. Every output, gradient and running statistic is compared
@@ -19,19 +20,13 @@ from repro.common.errors import ProtocolError, ShapeError
 from repro.models import SmallCNN
 from repro.nn import (
     SGD,
-    BatchNorm1d,
     BatchNorm2d,
     MaxPool2d,
     cross_entropy,
     inference,
 )
 from repro.nn import layers
-from repro.nn.functional import (
-    col2im_windows,
-    conv_output_size,
-    unpad_spatial,
-    window_slices,
-)
+from repro.nn.functional import col2im_windows, conv_output_size
 from repro.nn.layers import _require_cache
 from repro.nn.serialization import to_vector
 
@@ -48,7 +43,10 @@ class ParentMaxPool2d(MaxPool2d):
         k = self.kernel_size
         out_h = conv_output_size(x_shape[2], k, k, 0)
         out_w = conv_output_size(x_shape[3], k, k, 0)
-        return [index for _, _, index in window_slices((k, k), k, out_h, out_w)]
+        # ``window_slices``: the strided slice of every window's cell (i, j).
+        return [(slice(None), slice(None), slice(i, i + k * out_h, k),
+                 slice(j, j + k * out_w, k))
+                for i in range(k) for j in range(k)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         slices = self._slices(x.shape)
@@ -129,25 +127,29 @@ class ParentBatchNorm:
 
 
 class ParentBatchNorm2d(ParentBatchNorm, BatchNorm2d):
-    pass
+    _reduce_axes = (0, 2, 3)
 
-
-class ParentBatchNorm1d(ParentBatchNorm, BatchNorm1d):
-    pass
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.ndim != 4 or x.shape[1] != self.num_features:
+            raise ShapeError(
+                f"BatchNorm2d expected (N, {self.num_features}, H, W), got {x.shape}"
+            )
 
 
 def parent_col2im_windows(grad_windows: np.ndarray, input_shape: Tuple[int, ...],
-                          kernel: Tuple[int, int], stride: int,
-                          padding: int) -> np.ndarray:
+                          kernel: Tuple[int, int], padding: int) -> np.ndarray:
     kh, kw = kernel
     n, c, h, w = input_shape
     _, _, gkh, gkw, out_h, out_w = grad_windows.shape
     if (gkh, gkw) != (kh, kw):
         raise ShapeError(f"kernel mismatch: windows have {(gkh, gkw)}, expected {(kh, kw)}")
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=grad_windows.dtype)
-    for i, j, index in window_slices(kernel, stride, out_h, out_w):
-        padded[index] += grad_windows[:, :, i, j]
-    return unpad_spatial(padded, padding)
+    for i in range(kh):
+        for j in range(kw):
+            padded[:, :, i:i + out_h, j:j + out_w] += grad_windows[:, :, i, j]
+    if padding == 0:
+        return padded
+    return padded[:, :, padding:-padding, padding:-padding]
 
 
 # -- helpers -----------------------------------------------------------------
@@ -234,15 +236,13 @@ def test_maxpool_eval_mode_and_inference(shape):
         new.backward(grad)
 
 
-# -- BatchNorm2d / BatchNorm1d ---------------------------------------------------
+# -- BatchNorm2d ------------------------------------------------------------------
 
 BN_CASES = [
     (BatchNorm2d, ParentBatchNorm2d, (8, 8, 32, 32)),
     (BatchNorm2d, ParentBatchNorm2d, (8, 16, 16, 16)),
     (BatchNorm2d, ParentBatchNorm2d, (3, 5, 7, 3)),
     (BatchNorm2d, ParentBatchNorm2d, (1, 3, 4, 4)),
-    (BatchNorm1d, ParentBatchNorm1d, (8, 10)),
-    (BatchNorm1d, ParentBatchNorm1d, (1, 4)),
 ]
 
 
@@ -303,6 +303,8 @@ def test_batchnorm_non_finite_input_is_bit_identical():
 
 
 def col2im_cases():
+    """``(shape, kernel, stride, padding)``, drawn as when col2im took any
+    stride; a convolution's stride is 1 now, so only those cases remain."""
     rng = np.random.default_rng(6)
     cases = [((8, 8, 16, 16), 3, 1, 1), ((8, 16, 16, 16), 3, 1, 1),
              ((2, 3, 5, 7), 3, 2, 1), ((1, 2, 8, 8), 1, 2, 0),
@@ -312,7 +314,7 @@ def col2im_cases():
         kernel, stride, padding = (int(v) for v in rng.integers((1, 1, 0), (4, 4, 3)))
         if min(shape[2:]) + 2 * padding >= kernel:
             cases.append((shape, kernel, stride, padding))
-    return cases
+    return [case for case in cases if case[2] == 1]
 
 
 @pytest.mark.parametrize("shape,kernel,stride,padding", col2im_cases(), ids=str)
@@ -325,9 +327,8 @@ def test_col2im_is_bit_identical(shape, kernel, stride, padding):
     windows[rng.random(windows.shape) < 0.3] = -0.0
     windows[rng.random(windows.shape) < 0.02] = np.inf
     with np.errstate(invalid="ignore"):
-        got = col2im_windows(windows, shape, (kernel, kernel), stride, padding)
-        want = parent_col2im_windows(windows, shape, (kernel, kernel), stride,
-                                     padding)
+        got = col2im_windows(windows, shape, (kernel, kernel), padding)
+        want = parent_col2im_windows(windows, shape, (kernel, kernel), padding)
     assert_same(got, want)
 
 

@@ -5,16 +5,13 @@ import pytest
 
 from repro.common import RngFactory
 from repro.nn import (
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    DepthwiseConv2d,
     Flatten,
     GlobalAvgPool2d,
     Linear,
     MaxPool2d,
     ReLU,
-    ReLU6,
     Sequential,
 )
 
@@ -49,10 +46,6 @@ class TestConvLayers:
         layer = Conv2d(2, 3, 3, rng=rng)
         assert_gradients_match(layer, rng.normal(size=(2, 2, 5, 5)))
 
-    def test_conv2d_stride_and_padding(self, rng):
-        layer = Conv2d(2, 4, 3, stride=2, padding=1, rng=rng)
-        assert_gradients_match(layer, rng.normal(size=(2, 2, 6, 6)))
-
     def test_conv2d_1x1(self, rng):
         layer = Conv2d(3, 5, 1, rng=rng)
         assert_gradients_match(layer, rng.normal(size=(2, 3, 4, 4)))
@@ -61,28 +54,8 @@ class TestConvLayers:
         layer = Conv2d(2, 2, 3, bias=False, padding=1, rng=rng)
         assert_gradients_match(layer, rng.normal(size=(1, 2, 4, 4)))
 
-    def test_depthwise_basic(self, rng):
-        layer = DepthwiseConv2d(3, 3, padding=1, rng=rng)
-        assert_gradients_match(layer, rng.normal(size=(2, 3, 5, 5)))
-
-    def test_depthwise_stride2(self, rng):
-        layer = DepthwiseConv2d(2, 3, stride=2, padding=1, rng=rng)
-        assert_gradients_match(layer, rng.normal(size=(2, 2, 6, 6)))
-
 
 class TestNormLayers:
-    def test_batchnorm1d_training(self, rng):
-        layer = BatchNorm1d(4)
-        layer.train()
-        assert_gradients_match(layer, rng.normal(size=(6, 4)))
-
-    def test_batchnorm1d_eval(self, rng):
-        layer = BatchNorm1d(4)
-        layer.train()
-        layer(rng.normal(size=(6, 4)))  # populate running stats
-        layer.eval()
-        assert_gradients_match(layer, rng.normal(size=(6, 4)))
-
     def test_batchnorm2d_training(self, rng):
         layer = BatchNorm2d(3)
         layer.train()
@@ -99,16 +72,15 @@ class TestNormLayers:
 class TestActivations:
     @pytest.mark.parametrize(
         "layer_factory",
-        [ReLU, ReLU6],
-        ids=["relu", "relu6"],
+        [ReLU],
+        ids=["relu"],
     )
     def test_activation(self, rng, layer_factory):
         layer = layer_factory()
-        # Shift away from the kink points (0 for ReLU-family, 6 for ReLU6)
-        # where finite differences are ill-defined.
+        # Shift away from the kink point 0, where finite differences are
+        # ill-defined.
         x = rng.normal(size=(4, 5)) * 2.0
         x[np.abs(x) < 0.05] += 0.1
-        x[np.abs(x - 6.0) < 0.05] += 0.1
         assert_gradients_match(layer, x)
 
 

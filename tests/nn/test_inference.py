@@ -12,20 +12,15 @@ import numpy as np
 import pytest
 
 from repro.common import ProtocolError, RngFactory
-from repro.models import MLP, MobileNetV2, SmallCNN, SoftmaxRegression
-from repro.models.blocks import InvertedResidual
+from repro.models import MLP, SmallCNN, SoftmaxRegression
 from repro.nn import (
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    DepthwiseConv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Linear,
     MaxPool2d,
     ReLU,
-    ReLU6,
     Sequential,
     cross_entropy,
     inference,
@@ -46,7 +41,7 @@ def rng():
 def _stir_running_statistics(model, rng):
     """Eval-mode batch norm must normalize by something other than (0, 1)."""
     for module in model.modules():
-        if isinstance(module, (BatchNorm1d, BatchNorm2d)):
+        if isinstance(module, BatchNorm2d):
             n = module.num_features
             module.set_buffer("running_mean", rng.normal(size=n))
             module.set_buffer("running_var", rng.uniform(0.5, 2.0, size=n))
@@ -56,13 +51,6 @@ MODELS = {
     "softmax": (lambda rng: SoftmaxRegression(48, 5, rng=rng), (48,)),
     "mlp": (lambda rng: MLP(48, (32, 16), 5, rng=rng), (48,)),
     "small_cnn": (lambda rng: SmallCNN(10, channels=8, rng=rng), IMAGE),
-    "inverted_residual": (
-        lambda rng: InvertedResidual(8, 8, stride=1, expand_ratio=6, rng=rng),
-        (8, 8, 8)),
-    "inverted_no_residual": (
-        lambda rng: InvertedResidual(8, 12, stride=2, expand_ratio=1, rng=rng),
-        (8, 8, 8)),
-    "mobilenet_v2": (lambda rng: MobileNetV2.cifar(rng=rng), IMAGE),
 }
 
 
@@ -81,10 +69,6 @@ class TestBitEquality:
             with inference():
                 got = model(x)
             assert np.array_equal(got, expected), (name, n)
-
-    def test_residual_settings_are_both_covered(self, rng):
-        assert MODELS["inverted_residual"][0](rng).use_residual
-        assert not MODELS["inverted_no_residual"][0](rng).use_residual
 
 
 class _Spy:
@@ -106,7 +90,7 @@ class _Spy:
 class TestStreaming:
     def test_stream_stops_at_the_first_linear(self, rng):
         net = Sequential(Conv2d(3, 4, 3, padding=1, rng=rng), ReLU(),
-                         GlobalAvgPool2d(), Linear(4, 6, rng=rng), ReLU6(),
+                         GlobalAvgPool2d(), Linear(4, 6, rng=rng), ReLU(),
                          Linear(6, 2, rng=rng))
         net.eval()
         n = 2 * BLOCK + 3
@@ -128,7 +112,7 @@ class TestStreaming:
         assert spy.seen == [[5 * BLOCK]] * 3
 
     def test_nested_sequentials_are_blocked_once(self, rng):
-        inner = Sequential(Conv2d(3, 4, 1, rng=rng), ReLU6())
+        inner = Sequential(Conv2d(3, 4, 1, rng=rng), ReLU())
         net = Sequential(inner, MaxPool2d(2), Flatten())
         net.eval()
         spy = _Spy(inner.layers)
@@ -146,7 +130,7 @@ class TestStreaming:
     def test_training_batch_norm_is_not_streamed(self, rng):
         norm = BatchNorm2d(4)
         net = Sequential(Conv2d(3, 4, 1, rng=rng), norm, ReLU())
-        assert not norm.rowwise and not net.rowwise
+        assert not norm.rowwise
         n = 2 * BLOCK + 1
         x = rng.normal(size=(n, 3, 4, 4))
         expected = net(x)
@@ -167,11 +151,6 @@ class TestStreaming:
             model(rng.normal(size=(2 * BLOCK + 1, *IMAGE)))
         assert np.array_equal(to_vector(model), before)
 
-    def test_dropout_is_row_wise_only_when_not_training(self):
-        layer = Dropout(0.5)
-        assert not layer.rowwise
-        assert layer.eval().rowwise
-
     def test_linear_is_never_row_wise(self, rng):
         assert not Linear(3, 2, rng=rng).eval().rowwise
 
@@ -180,16 +159,11 @@ LAYERS = [
     (lambda rng: Linear(6, 3, rng=rng), (4, 6)),
     (lambda rng: Conv2d(3, 4, 3, padding=1, rng=rng), (2, 3, 6, 6)),
     (lambda rng: Conv2d(3, 4, 1, rng=rng), (2, 3, 6, 6)),
-    (lambda rng: DepthwiseConv2d(3, 3, padding=1, rng=rng), (2, 3, 6, 6)),
-    (lambda rng: BatchNorm1d(6), (4, 6)),
     (lambda rng: BatchNorm2d(3), (2, 3, 6, 6)),
     (lambda rng: ReLU(), (4, 6)),
-    (lambda rng: ReLU6(), (4, 6)),
     (lambda rng: MaxPool2d(2), (2, 3, 6, 6)),
     (lambda rng: GlobalAvgPool2d(), (2, 3, 6, 6)),
     (lambda rng: Flatten(), (2, 3, 6, 6)),
-    (lambda rng: Dropout(0.5, rng=rng), (4, 6)),
-    (lambda rng: Dropout(0.5, rng=rng).eval(), (4, 6)),
 ]
 
 

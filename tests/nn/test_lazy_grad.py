@@ -15,9 +15,8 @@ import pytest
 from repro.common import RngFactory
 from repro.core import Client
 from repro.data import ArrayDataset
-from repro.models import MLP, MobileNetV2, SmallCNN
-from repro.models.blocks import InvertedResidual
-from repro.nn import BatchNorm1d, BatchNorm2d, Conv2d, DepthwiseConv2d, Linear
+from repro.models import MLP, SmallCNN
+from repro.nn import BatchNorm2d, Conv2d, Linear
 from repro.nn.module import Parameter
 
 from ..gradcheck import check_layer_gradients
@@ -33,13 +32,7 @@ def layer_cases():
         ("linear_nobias", Linear(7, 5, bias=False, rng=rng()), (6, 7)),
         ("conv", Conv2d(3, 4, 3, padding=1, rng=rng()), (2, 3, 6, 6)),
         ("conv_pointwise", Conv2d(3, 4, 1, rng=rng()), (2, 3, 5, 5)),
-        ("depthwise", DepthwiseConv2d(3, 3, padding=1, rng=rng()),
-         (2, 3, 6, 6)),
-        ("batchnorm1d", BatchNorm1d(5), (8, 5)),
         ("batchnorm2d", BatchNorm2d(3), (4, 3, 5, 5)),
-        ("mobilenet_block",
-         InvertedResidual(4, 4, stride=1, expand_ratio=2, rng=rng()),
-         (2, 4, 6, 6)),
     ]
 
 
@@ -137,7 +130,6 @@ def model_cases():
     return [
         ("mlp", MLP(12, (9, 7), 4, rng=rng()), (5, 12)),
         ("small_cnn", SmallCNN(4, channels=3, rng=rng()), (3, 3, 8, 8)),
-        ("mobilenet_v2", MobileNetV2.cifar(4, rng=rng()), (2, 3, 8, 8)),
     ]
 
 

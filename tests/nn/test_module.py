@@ -6,7 +6,7 @@ import pytest
 from repro.common import RngFactory, ShapeError
 from repro.nn import (
     DTYPE,
-    BatchNorm1d,
+    BatchNorm2d,
     Linear,
     Module,
     Parameter,
@@ -69,7 +69,7 @@ class TestModuleRegistration:
         assert [name for name, _ in layer.named_parameters()] == ["weight"]
 
     def test_buffers_registered(self):
-        bn = BatchNorm1d(3)
+        bn = BatchNorm2d(3)
         names = [name for name, _ in bn.named_buffers()]
         assert names == ["running_mean", "running_var"]
 
@@ -80,19 +80,19 @@ class TestModuleRegistration:
         assert kinds == ["Sequential", "Sequential", "Linear", "ReLU"]
 
     def test_set_buffer_rejects_bad_shape(self):
-        bn = BatchNorm1d(3)
+        bn = BatchNorm2d(3)
         with pytest.raises(ShapeError):
             bn.set_buffer("running_mean", np.zeros(4))
 
     def test_set_buffer_unknown_name(self):
-        bn = BatchNorm1d(3)
+        bn = BatchNorm2d(3)
         with pytest.raises(KeyError):
             bn.set_buffer("nope", np.zeros(3))
 
 
 class TestTrainEval:
     def test_train_eval_propagates(self, rng):
-        net = Sequential(Linear(2, 2, rng=rng), BatchNorm1d(2))
+        net = Sequential(Linear(2, 2, rng=rng), BatchNorm2d(2))
         net.eval()
         assert all(not m.training for m in net.modules())
         net.train()
@@ -106,40 +106,6 @@ class TestTrainEval:
         assert any(np.any(p.grad != 0) for p in net.parameters())
         net.zero_grad()
         assert all(np.all(p.grad == 0) for p in net.parameters())
-
-
-class TestStateDict:
-    def test_roundtrip(self, rng):
-        net = Sequential(Linear(3, 4, rng=rng), BatchNorm1d(4))
-        net(np.random.default_rng(1).normal(size=(8, 3)))  # move BN stats
-        state = net.state_dict()
-        other_rng = RngFactory(99).make("init")
-        other = Sequential(Linear(3, 4, rng=other_rng), BatchNorm1d(4))
-        other.load_state_dict(state)
-        for (n1, p1), (n2, p2) in zip(net.named_parameters(), other.named_parameters()):
-            assert n1 == n2
-            np.testing.assert_array_equal(p1.data, p2.data)
-        for (n1, b1), (n2, b2) in zip(net.named_buffers(), other.named_buffers()):
-            assert n1 == n2
-            np.testing.assert_array_equal(b1, b2)
-
-    def test_state_dict_is_a_copy(self, rng):
-        net = Linear(2, 2, rng=rng)
-        state = net.state_dict()
-        state["weight"][...] = 123.0
-        assert not np.any(net.weight.data == 123.0)
-
-    def test_missing_key_raises(self, rng):
-        net = Linear(2, 2, rng=rng)
-        with pytest.raises(KeyError):
-            net.load_state_dict({})
-
-    def test_wrong_shape_raises(self, rng):
-        net = Linear(2, 2, rng=rng)
-        state = net.state_dict()
-        state["weight"] = np.zeros((3, 3))
-        with pytest.raises(ShapeError):
-            net.load_state_dict(state)
 
 
 class TestSequential:

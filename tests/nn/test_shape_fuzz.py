@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import RngFactory
-from repro.nn import Conv2d, DepthwiseConv2d, Linear, MaxPool2d
+from repro.nn import Conv2d, Linear, MaxPool2d
 from repro.nn.functional import conv_output_size
 
 
@@ -33,40 +33,22 @@ class TestShapeContractsFuzz:
         in_channels=st.integers(1, 4),
         out_channels=st.integers(1, 4),
         kernel=st.integers(1, 3),
-        stride=st.integers(1, 2),
         padding=st.integers(0, 2),
         size=st.integers(3, 10),
     )
     def test_conv2d_shapes(self, batch, in_channels, out_channels, kernel,
-                           stride, padding, size):
+                           padding, size):
         if size + 2 * padding < kernel:
             return  # invalid geometry, covered by the error test below
         rng = RngFactory(0).make("fuzz/conv")
-        layer = Conv2d(in_channels, out_channels, kernel, stride=stride,
-                       padding=padding, rng=rng)
+        layer = Conv2d(in_channels, out_channels, kernel, padding=padding,
+                       rng=rng)
         x = rng.normal(size=(batch, in_channels, size, size))
         out = layer(x)
-        expected = conv_output_size(size, kernel, stride, padding)
+        expected = conv_output_size(size, kernel, 1, padding)
         assert out.shape == (batch, out_channels, expected, expected)
         grad = layer.backward(np.ones_like(out))
         assert grad.shape == x.shape
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        channels=st.integers(1, 5),
-        kernel=st.integers(1, 3),
-        stride=st.integers(1, 2),
-        size=st.integers(4, 10),
-    )
-    def test_depthwise_shapes(self, channels, kernel, stride, size):
-        rng = RngFactory(0).make("fuzz/dw")
-        layer = DepthwiseConv2d(channels, kernel, stride=stride, padding=1,
-                                rng=rng)
-        x = rng.normal(size=(2, channels, size, size))
-        out = layer(x)
-        expected = conv_output_size(size, kernel, stride, 1)
-        assert out.shape == (2, channels, expected, expected)
-        assert layer.backward(np.ones_like(out)).shape == x.shape
 
     @settings(max_examples=30, deadline=None)
     @given(

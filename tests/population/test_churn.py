@@ -42,7 +42,7 @@ class TestMembershipWindow:
 class TestChurnPlan:
     def test_clients_without_windows_are_always_active(self):
         plan = ChurnPlan(population_size=4)
-        assert plan.is_empty
+        assert not plan.windows
         assert plan.active_clients(0) == frozenset({0, 1, 2, 3})
         assert plan.active_clients(99) == frozenset({0, 1, 2, 3})
 
@@ -79,7 +79,7 @@ class TestChurnPlan:
                              population_size=10)
         plan = ChurnPlan.from_config(config, num_rounds=5,
                                      rng=np.random.default_rng(0))
-        assert plan.is_empty
+        assert not plan.windows
 
     def test_from_config_draws_windows(self):
         config = FedMSConfig(num_clients=40, num_servers=5, num_byzantine=0,
@@ -87,7 +87,7 @@ class TestChurnPlan:
                              churn_leave_rate=0.3)
         plan = ChurnPlan.from_config(config, num_rounds=8,
                                      rng=np.random.default_rng(1))
-        assert not plan.is_empty
+        assert plan.windows
         assert plan.population_size == 40
 
 

@@ -21,7 +21,7 @@ from repro.execution import (
     ThreadBackend,
 )
 from repro.models import SoftmaxRegression
-from repro.nn import DTYPE, BatchNorm1d, Linear, ReLU, Sequential
+from repro.nn import DTYPE
 from repro.population import (
     ChurnPlan,
     MembershipWindow,
@@ -31,14 +31,15 @@ from repro.population import (
     sample_size,
 )
 
+from ..image_rows import IMAGE_FEATURES, small_cnn_on_rows
+
 BACKENDS = ("serial", "thread", "process")
-POPULATION, FEATURES, CLASSES = 60, 16, 4
+POPULATION, FEATURES, CLASSES = 60, IMAGE_FEATURES, 4
 ROUNDS = 5
 
 
 def batch_norm_model(rng):
-    return Sequential(Linear(FEATURES, 12, rng=rng), BatchNorm1d(12), ReLU(),
-                      Linear(12, CLASSES, rng=rng))
+    return small_cnn_on_rows(rng, CLASSES)
 
 
 def make_trainer(backend, *, churn_plan=None, **overrides):

@@ -19,7 +19,6 @@ from repro.population import (
     make_blob_population,
     make_blob_test_dataset,
 )
-from repro.simulation.faults import FaultPlan, ServerCrash
 
 POPULATION = 48
 FEATURES, CLASSES = 5, 3
@@ -38,7 +37,7 @@ def make_config(**overrides):
 
 
 def make_trainer(config=None, *, attack="sign_flip", churn=True,
-                 fault_plan=None, num_rounds=4):
+                 num_rounds=4):
     config = config if config is not None else make_config()
     specs = make_blob_population(
         config.population_size or POPULATION, samples_per_client=16,
@@ -59,7 +58,6 @@ def make_trainer(config=None, *, attack="sign_flip", churn=True,
         test_dataset=test,
         attack=make_attack(attack) if attack else None,
         churn_plan=plan,
-        fault_plan=fault_plan,
     )
 
 
@@ -135,30 +133,6 @@ class TestRoundMechanics:
         ) as trainer:
             benign = trainer.run(4).final_accuracy
         assert attacked >= benign - 0.25
-
-
-class TestFaultIntegration:
-    def test_crashed_children_push_parent_below_quorum(self):
-        # Tier spec (6, 2, 1), B0=1: tier-1 parent 0 has children
-        # {0, 2, 4} and needs q >= 3. Crash edges 0 and 2 (global
-        # indices 0 and 2) -> q = 1, so parent 0 (global index 6) must
-        # fall back, and the crashed edges are traced as fallbacks too.
-        plan = FaultPlan(crashes=(ServerCrash(0, 1), ServerCrash(2, 1)))
-        with make_trainer(fault_plan=plan, churn=False) as trainer:
-            history = trainer.run(3)
-            injector = trainer.fault_injector
-        record = history.records[-1]
-        assert 6 in record.tier_fallback_aggregators.get(1, [])
-        assert set(record.tier_fallback_aggregators.get(0, [])) == {0, 2}
-        assert history.tier_fallback_rounds == [1, 2]
-        assert sum(injector.server_alive(node) for node in range(9)) == 7
-
-    def test_fault_events_recorded(self):
-        plan = FaultPlan(crashes=(ServerCrash(1, 1, 2),))
-        with make_trainer(fault_plan=plan, churn=False) as trainer:
-            trainer.run(3)
-        assert trainer.fault_injector.event_log == [
-            (1, "server 1 crashed"), (2, "server 1 recovered")]
 
 
 class TestValidation:

@@ -240,11 +240,3 @@ class TestRoundScheduler:
         scheduler.add_phase("a", lambda t: calls.append(("a", t)))
         run(scheduler, 2)
         assert calls == [("hook", 0), ("a", 0), ("hook", 1), ("a", 1)]
-
-    def test_set_round_index(self):
-        scheduler = RoundScheduler()
-        scheduler.add_phase("a", lambda t: None)
-        scheduler.set_round_index(5)
-        assert scheduler.run_round() == 5
-        with pytest.raises(ConfigurationError):
-            scheduler.set_round_index(-1)

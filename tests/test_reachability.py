@@ -64,8 +64,9 @@ rules as ``ALLOWED``; a class ``ALLOWED`` holds is scanned too, so each
 of its unread members carries its own reason.
 
 Every "kept for ROADMAP item" reason, on any of the three allow-lists,
-ends with ``DEADLINE``: ROADMAP item 14 names the re-anchor by which the
-item must run the entry from a program, or the entry goes.
+ends with ``DEADLINE``: the ROADMAP re-anchor that holds an entry names
+the one by which its item must run the entry from a program, or the entry
+goes.
 
 Print what the scans flag with ``python tests/test_reachability.py``.
 """
@@ -88,16 +89,12 @@ PACKAGE = ROOT / "src" / "repro"
 READER_DIRS = ("benchmarks", "examples", "bench")
 
 REASONS = ("used inside its module", "kept for ROADMAP item ")
-DEADLINE = "until ROADMAP item 14's deadline"
+DEADLINE = "until the re-anchor the ROADMAP names as its deadline"
 
 
 def _held(item: str, why: str) -> str:
     return f"{REASONS[-1]}{item}: {why}, {DEADLINE}"
 
-
-_ITEM_3_FORMAT = _held("3", "exact resume decides the checkpoint format")
-_ITEM_4_FIT = _held("4", "ties the O(1/T) shape to measured runs")
-_ITEM_7_MODEL = _held("7", "the paper's model, trained by items 7(b) and 8")
 
 ALLOWED: Dict[str, str] = {
     "repro.aggregation.rules.krum_index": "used inside its module",
@@ -119,13 +116,6 @@ ALLOWED: Dict[str, str] = {
     "repro.experiments.population.PopulationPreset": "used inside its module",
     "repro.experiments.tables.format_curves": "used inside its module",
     "repro.experiments.tables.format_rows": "used inside its module",
-    "repro.models.mobilenet_v2.MobileNetV2": _ITEM_7_MODEL,
-    "repro.nn.checkpoint.checkpoint_metadata": _ITEM_3_FORMAT,
-    "repro.nn.checkpoint.load_checkpoint": _ITEM_3_FORMAT,
-    "repro.nn.checkpoint.save_checkpoint": _ITEM_3_FORMAT,
-    "repro.nn.layers.BatchNorm1d": _held(
-        "4", "the batch-norm MLP that the backend-parity and replica tests "
-        "train"),
     "repro.population.churn.MembershipWindow": "used inside its module",
     "repro.population.shards.BlobShardSpec": "used inside its module",
     "repro.population.trainer.exchange_tag": "used inside its module",
@@ -133,33 +123,12 @@ ALLOWED: Dict[str, str] = {
     "repro.theory.bounds.lemma1_bound": "used inside its module",
     "repro.theory.bounds.lemma2_bound": "used inside its module",
     "repro.theory.bounds.lemma3_bound": "used inside its module",
-    "repro.theory.rates.PowerLawFit": _ITEM_4_FIT,
-    "repro.theory.rates.fit_power_law": _ITEM_4_FIT,
-    "repro.theory.rates.halving_steps": _ITEM_4_FIT,
     "repro.theory.verify.VerificationResult": "used inside its module",
 }
 
 CONFIG_CLASSES = (FedMSConfig, FaultConfig)
 
-_ITEM_4_CHAOS = _held("4", "the chaos fuzzer is to draw the retry policy")
-_ITEM_4_NETWORK = _held("4", "the round-engine invariants run every topology "
-                        "over a lossy network, and the chaos fuzzer passes "
-                        "the fault plan")
-
-UNSET_KEYWORDS: Dict[str, str] = {
-    "repro.core.config.FedMSConfig.participation_fraction": _held(
-        "3", "its resume sweep and item 6 vary Theorem 1's "
-        "partial-participation term"),
-    "repro.core.config.FedMSConfig.max_staleness": _held(
-        "6", "option (iii) admits an idle PS's aggregate through the "
-        "max_staleness rule"),
-    "repro.core.config.FaultConfig.max_upload_retries": _ITEM_4_CHAOS,
-    "repro.core.config.FaultConfig.retry_backoff_s": _ITEM_4_CHAOS,
-    "repro.core.config.FaultConfig.backoff_factor": _ITEM_4_CHAOS,
-    "repro.core.hierarchical.HierarchicalTrainer.network": _ITEM_4_NETWORK,
-    "repro.population.trainer.PopulationTrainer.network": _ITEM_4_NETWORK,
-    "repro.population.trainer.PopulationTrainer.fault_plan": _ITEM_4_NETWORK,
-}
+UNSET_KEYWORDS: Dict[str, str] = {}
 
 
 _INSIDE = REASONS[0]
@@ -177,8 +146,6 @@ ALLOWED_MEMBERS: Dict[str, str] = {
        for codec in ("CyclicSparsifier", "Int8Quantizer", "SignQuantizer",
                      "TopKSparsifier")
        for stage in ("decode_stage", "encode_stage")},
-    **_inside("repro.core.config.FaultConfig", "backoff_factor",
-              "retry_backoff_s"),
     **_inside("repro.core.config.FedMSConfig", "aggregation_mode",
               "execution_backend", "trim_ratio", "upload_codecs"),
     **_inside("repro.core.engine.LateBuffer", "hold", "take_admissible"),
@@ -186,7 +153,7 @@ ALLOWED_MEMBERS: Dict[str, str] = {
               "per_receiver", "quorum", "receivers", "retried", "senders"),
     **_inside("repro.core.engine.RoundEngine", "deadline_gate", "filter_once",
               "send_with_retry"),
-    **_inside("repro.core.engine.RoundState", "addresses", "backoff_s",
+    **_inside("repro.core.engine.RoundState", "addresses", "alive", "backoff_s",
               "late", "received", "retries", "send_failures", "verdicts",
               "views"),
     **_inside("repro.core.engine.Topology", "edges", "nodes", "phases",
@@ -214,13 +181,7 @@ ALLOWED_MEMBERS: Dict[str, str] = {
     **_inside("repro.simulation.scheduler.RoundScheduler", "phase_names"),
     **_inside("repro.theory.bounds.ProblemConstants", "initial_gap_sq",
               "mean_sigma_sq", "sigma_sq"),
-    **_inside("repro.theory.rates.PowerLawFit", "coefficient", "exponent"),
     **_inside("repro.theory.verify.VerificationResult", "std_error"),
-    "repro.core.trainer.FedMSTrainer.load_checkpoint": _ITEM_3_FORMAT,
-    "repro.core.trainer.FedMSTrainer.save_checkpoint": _ITEM_3_FORMAT,
-    "repro.models.mobilenet_v2.MobileNetV2.cifar": _ITEM_7_MODEL,
-    "repro.theory.rates.PowerLawFit.predict": _ITEM_4_FIT,
-    "repro.theory.rates.PowerLawFit.r_squared": _ITEM_4_FIT,
 }
 
 
