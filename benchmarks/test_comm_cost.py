@@ -13,9 +13,7 @@ from repro.experiments import current_scale, run_comm_cost
 
 
 def test_comm_cost_sparse_equals_k(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_comm_cost(num_rounds=3), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(run_comm_cost, rounds=1, iterations=1)
     record_result(result)
     scale = current_scale()
 

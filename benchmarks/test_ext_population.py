@@ -37,14 +37,14 @@ def sweep_populations():
     return POPULATIONS[current_scale().name]
 
 
-def run_flat_baseline(population, preset, *, num_rounds, seed=SEED):
+def run_flat_baseline(population, *, num_rounds, seed=SEED):
     """Benign full-participation flat Fed-MS run on the same blob workload.
 
     Every client trains every round and there is a single aggregation
     tier — the architecture the population subsystem is measured against.
     """
     config, model_factory, shard_specs, test = preset_workload(
-        preset, population, seed=seed, num_servers=3, eval_clients=2)
+        population, seed=seed, num_servers=3, eval_clients=2)
     trainer = FedMSTrainer(
         config,
         model_factory=model_factory,
@@ -105,7 +105,7 @@ def test_attacked_tiers_match_flat_full_participation(benchmark):
             tiered = trainer.run(rounds, eval_every=rounds)
             peak = tiered.peak_materialized_clients
             aggregators = trainer.tier_topology.total_aggregators
-        flat = run_flat_baseline(population, shape, num_rounds=rounds)
+        flat = run_flat_baseline(population, num_rounds=rounds)
         return tiered, flat, peak, aggregators
 
     tiered, flat, peak, aggregators = benchmark.pedantic(

@@ -12,14 +12,7 @@ from repro.experiments import run_filter_ablation
 
 
 def test_filter_ablation(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_filter_ablation(
-            attack_names=("random", "adaptive_trimmed_mean", "inconsistent"),
-            filter_names=("trimmed_mean", "median", "geometric_median",
-                          "krum", "mean"),
-        ),
-        rounds=1, iterations=1,
-    )
+    result = benchmark.pedantic(run_filter_ablation, rounds=1, iterations=1)
     record_result(result)
 
     accuracy = {

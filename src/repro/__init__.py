@@ -5,7 +5,7 @@ Federated Edge Learning with Multiple Byzantine Servers* (ICDCS 2024), built
 on a from-scratch numpy substrate:
 
 * :mod:`repro.nn` — neural-network layers, losses, SGD, serialization;
-* :mod:`repro.models` — MobileNet V2 and small reference models;
+* :mod:`repro.models` — softmax regression, MLP and SmallCNN;
 * :mod:`repro.data` — synthetic CIFAR-10, Dirichlet non-IID partitioning;
 * :mod:`repro.attacks` — Byzantine parameter-server attacks;
 * :mod:`repro.aggregation` — the trimmed-mean filter and robust baselines;
@@ -17,7 +17,7 @@ on a from-scratch numpy substrate:
 Quickstart::
 
     from repro import quick_fed_ms_run
-    history = quick_fed_ms_run(attack="random", num_rounds=20)
+    history = quick_fed_ms_run()
     print(history.final_accuracy)
 """
 
@@ -61,14 +61,12 @@ __all__ = [
 ]
 
 
-def quick_fed_ms_run(*, attack: str = "random", num_rounds: int = 20,
-                     num_clients: int = 20, num_servers: int = 5,
-                     num_byzantine: int = 1, alpha: float = 10.0,
-                     seed: int = 0) -> TrainingHistory:
+def quick_fed_ms_run(*, seed: int = 0) -> TrainingHistory:
     """Run a small Fed-MS simulation end to end (see ``examples/quickstart.py``).
 
-    Trains an MLP on the synthetic CIFAR-10 stand-in with ``num_byzantine``
-    attacking parameter servers and the beta-trimmed-mean defense.
+    Trains an MLP on the synthetic CIFAR-10 stand-in for 20 rounds: 20
+    clients on a Dirichlet(10) partition, 5 parameter servers of which
+    one runs the ``"random"`` attack, and the beta-trimmed-mean defense.
     """
     from .common import RngFactory
     from .data import ArrayDataset
@@ -79,19 +77,15 @@ def quick_fed_ms_run(*, attack: str = "random", num_rounds: int = 20,
     flat_train = ArrayDataset(train.features.reshape(len(train), -1),
                               train.labels)
     flat_test = ArrayDataset(test.features.reshape(len(test), -1), test.labels)
-    partitions = dirichlet_partition(flat_train, num_clients, alpha=alpha,
+    partitions = dirichlet_partition(flat_train, 20, alpha=10.0,
                                      rng=rngs.make("partition"))
-    config = FedMSConfig(
-        num_clients=num_clients,
-        num_servers=num_servers,
-        num_byzantine=num_byzantine,
-        seed=seed,
-    )
+    config = FedMSConfig(num_clients=20, num_servers=5, num_byzantine=1,
+                         seed=seed)
     with FedMSTrainer(
         config,
         model_factory=lambda rng: MLP(3072, (64,), 10, rng=rng),
         client_datasets=partitions,
         test_dataset=flat_test,
-        attack=make_attack(attack) if num_byzantine > 0 else None,
+        attack=make_attack("random"),
     ) as trainer:
-        return trainer.run(num_rounds, eval_every=max(num_rounds // 5, 1))
+        return trainer.run(20, eval_every=4)

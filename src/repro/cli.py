@@ -11,7 +11,7 @@ Usage::
     python -m repro ablation
     python -m repro faults --loss-rate 0.2 --crashes 2
     python -m repro adaptive --attack dispersion_mimicry
-    python -m repro population --scale tiny
+    python -m repro --scale tiny population
     python -m repro quickstart
 
 Scale is controlled by ``REPRO_BENCH_SCALE`` (smoke/reduced/paper) or the
@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List
 
 from .attacks import PAPER_ATTACKS, available_attacks
 from .common.errors import ConfigurationError
@@ -211,7 +211,7 @@ def _emit(result) -> None:
         print(ascii_curves(series, y_min=0.0))
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: List[str]) -> int:
     """Run one command. A setting the library refuses
     (:class:`~repro.common.errors.ConfigurationError`) is reported like a
     bad flag: the usage line, ``repro: error: ...``, exit status 2."""
@@ -304,4 +304,4 @@ def _run(args: argparse.Namespace) -> None:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -13,6 +13,9 @@ from ..common.errors import ConfigurationError
 __all__ = ["ascii_curves"]
 
 _MARKERS = "ox+*#@%&"
+#: Columns and rows of the plotting grid.
+WIDTH = 60
+HEIGHT = 12
 
 
 def _scale(value: float, low: float, high: float, size: int) -> int:
@@ -23,19 +26,15 @@ def _scale(value: float, low: float, high: float, size: int) -> int:
 
 
 def ascii_curves(series: Dict[str, "tuple[List[float], List[float]]"], *,
-                 width: int = 60, height: int = 12,
-                 y_min: float = None, y_max: float = None) -> str:
+                 y_min: float = None) -> str:
     """Render several ``label -> (xs, ys)`` series on one shared grid.
 
     Each series gets its own marker; the legend maps markers to labels.
-    Axes are annotated with the data ranges.
+    Axes are annotated with the data ranges; the y axis starts at
+    ``y_min`` when given.
     """
     if not series:
         raise ConfigurationError("need at least one series")
-    if width < 10 or height < 4:
-        raise ConfigurationError(
-            f"grid too small: width={width}, height={height}"
-        )
     if len(series) > len(_MARKERS):
         raise ConfigurationError(
             f"at most {len(_MARKERS)} series supported, got {len(series)}"
@@ -51,16 +50,16 @@ def ascii_curves(series: Dict[str, "tuple[List[float], List[float]]"], *,
             )
     x_low, x_high = min(all_xs), max(all_xs)
     y_low = y_min if y_min is not None else min(all_ys)
-    y_high = y_max if y_max is not None else max(all_ys)
+    y_high = max(all_ys)
     if y_high == y_low:
         y_high = y_low + 1.0
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(HEIGHT)]
     for marker, (label, (xs, ys)) in zip(_MARKERS, series.items()):
         for x, y in zip(xs, ys):
-            column = _scale(x, x_low, x_high, width)
-            row = height - 1 - _scale(
-                min(max(y, y_low), y_high), y_low, y_high, height
+            column = _scale(x, x_low, x_high, WIDTH)
+            row = HEIGHT - 1 - _scale(
+                min(max(y, y_low), y_high), y_low, y_high, HEIGHT
             )
             grid[row][column] = marker
 
@@ -68,14 +67,14 @@ def ascii_curves(series: Dict[str, "tuple[List[float], List[float]]"], *,
     for index, row in enumerate(grid):
         if index == 0:
             axis_label = f"{y_high:8.3f} |"
-        elif index == height - 1:
+        elif index == HEIGHT - 1:
             axis_label = f"{y_low:8.3f} |"
         else:
             axis_label = "         |"
         lines.append(axis_label + "".join(row))
-    lines.append("         +" + "-" * width)
+    lines.append("         +" + "-" * WIDTH)
     lines.append(f"          {x_low:<10.4g}"
-                 + " " * max(width - 22, 1)
+                 + " " * (WIDTH - 22)
                  + f"{x_high:>10.4g}")
     legend = "   ".join(
         f"{marker}={label}" for marker, label in zip(_MARKERS, series)

@@ -16,9 +16,8 @@ criteria (>= 10x byte reduction, accuracy within two points).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..common.errors import ConfigurationError
 from .results import FigureResult
 from .workload import (
     DEFAULT_ALPHA,
@@ -30,9 +29,9 @@ from .workload import (
 
 __all__ = ["CODEC_SWEEP_CONFIGS", "COMM_SWEEP_ATTACKS", "run_comm_codecs"]
 
-#: ``(label, codec chain)`` pairs the sweep compares. The row with the
-#: empty chain is the uncompressed baseline the ratios and accuracy deltas
-#: refer to, wherever it sits in the list.
+#: ``(label, codec chain)`` pairs the sweep compares. The first, with the
+#: empty chain, is the uncompressed baseline the ratios and accuracy
+#: deltas refer to.
 CODEC_SWEEP_CONFIGS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("identity", ()),
     ("topk+int8", ("topk(0.05)", "int8")),
@@ -43,43 +42,35 @@ CODEC_SWEEP_CONFIGS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 #: attack that stresses the adaptive-beta estimator.
 COMM_SWEEP_ATTACKS: Tuple[str, ...] = ("noise", "colluding")
 
+#: The filter every run of the sweep uses.
+COMM_SWEEP_FILTER = "adaptive_trimmed_mean"
+
 
 def run_comm_codecs(*, scale: Optional[BenchScale] = None,
-                    attacks: Sequence[str] = COMM_SWEEP_ATTACKS,
-                    codec_configs: Sequence[Tuple[str, Sequence[str]]]
-                    = CODEC_SWEEP_CONFIGS,
-                    filter_rule_name: str = "adaptive_trimmed_mean",
-                    num_rounds: Optional[int] = None,
                     seed: int = 0) -> FigureResult:
     """Run every codec chain against every attack; returns one row each.
 
     All runs of one attack share the seed, partitions and Byzantine
     placement, so the only difference between a codec row and its identity
     baseline, the run whose chain is empty, is the codec itself.
-    ``codec_configs`` without an empty chain raises
-    :class:`~repro.common.errors.ConfigurationError` before any training.
     """
-    if all(codecs for _, codecs in codec_configs):
-        raise ConfigurationError(
-            "codec_configs needs an identity row (an empty codec chain) "
-            "to measure the others against")
     scale = scale or current_scale()
     workload = FigureWorkload(scale, seed=seed)
     num_byzantine = max(1, round(DEFAULT_EPSILON * scale.num_servers))
-    rounds = num_rounds if num_rounds is not None else scale.num_rounds
+    rounds = scale.num_rounds
     rows: List[Dict[str, object]] = []
-    for attack_name in attacks:
+    for attack_name in COMM_SWEEP_ATTACKS:
         runs: List[Dict[str, object]] = []
-        for label, codecs in codec_configs:
+        for label, codecs in CODEC_SWEEP_CONFIGS:
             history, stats = workload.run(
-                "comm_codecs", attack=attack_name, rounds=rounds,
+                "comm_codecs", attack=attack_name,
                 num_byzantine=num_byzantine, upload_codecs=list(codecs),
-                filter_rule_name=filter_rule_name)
+                filter_rule_name=COMM_SWEEP_FILTER)
             runs.append({
                 "attack": attack_name,
                 "codec": label,
                 "codecs": list(codecs),
-                "filter": filter_rule_name,
+                "filter": COMM_SWEEP_FILTER,
                 "offered_bytes_per_round": stats.offered_bytes_total / rounds,
                 "upload_bytes_per_round": (
                     stats.bytes_by_tag.get("upload", 0) / rounds
@@ -89,7 +80,7 @@ def run_comm_codecs(*, scale: Optional[BenchScale] = None,
                 ),
                 "final_accuracy": history.final_accuracy,
             })
-        identity = next(row for row in runs if not row["codecs"])
+        identity = runs[0]
         for row in runs:
             row["compression_ratio"] = (
                 float(identity["offered_bytes_per_round"])
@@ -103,7 +94,7 @@ def run_comm_codecs(*, scale: Optional[BenchScale] = None,
             "epsilon": DEFAULT_EPSILON,
             "num_byzantine": num_byzantine,
             "alpha": DEFAULT_ALPHA,
-            "filter": filter_rule_name,
+            "filter": COMM_SWEEP_FILTER,
             "num_rounds": rounds,
             "scale": scale.name,
             "data_source": workload.source,

@@ -44,6 +44,19 @@ __all__ = ["PopulationPreset", "POPULATION_PRESETS", "preset_workload",
            "build_population_trainer", "run_population_scale",
            "run_population_comm"]
 
+#: The blob workload every population run trains on: samples per client,
+#: feature dimension, classes, and the share of clients (the lowest ids)
+#: with a skewed primary class.
+SAMPLES_PER_CLIENT = 24
+FEATURE_DIM = 10
+NUM_CLASSES = 4
+HETEROGENEITY = 0.3
+#: Each sampled client's local SGD: steps per round, batch size and
+#: learning rate.
+LOCAL_STEPS = 2
+BATCH_SIZE = 16
+LEARNING_RATE = 0.1
+
 
 @dataclass(frozen=True)
 class PopulationPreset:
@@ -58,13 +71,6 @@ class PopulationPreset:
     num_rounds: int
     eval_every: int
     sample_fraction: float = 0.1
-    samples_per_client: int = 24
-    feature_dim: int = 10
-    num_classes: int = 4
-    local_steps: int = 2
-    batch_size: int = 16
-    learning_rate: float = 0.1
-    heterogeneity: float = 0.3
 
 
 POPULATION_PRESETS: Dict[str, PopulationPreset] = {
@@ -88,35 +94,32 @@ POPULATION_PRESETS: Dict[str, PopulationPreset] = {
 }
 
 
-def preset_workload(preset: PopulationPreset, population: int, *,
-                    seed: int, **settings
+def preset_workload(population: int, *, seed: int, **settings
                     ) -> Tuple[FedMSConfig, ModelFactory, list, ArrayDataset]:
-    """What a run on ``preset``'s blob population of ``population``
-    clients needs: the config (``K = population``, no Byzantine PS, the
-    preset's local steps, batch size and learning rate, this seed;
-    ``settings`` set the rest), the model factory, the clients' shard
-    specs and the held-out test set."""
+    """What a run on the blob population of ``population`` clients needs:
+    the config (``K = population``, no Byzantine PS, :data:`LOCAL_STEPS`,
+    :data:`BATCH_SIZE` and :data:`LEARNING_RATE`, this seed; ``settings``
+    set the rest), the model factory, the clients' shard specs and the
+    held-out test set."""
     config = FedMSConfig(num_clients=population, num_byzantine=0,
-                         local_steps=preset.local_steps,
-                         batch_size=preset.batch_size,
-                         learning_rate=preset.learning_rate, seed=seed,
-                         **settings)
-    dim, classes = preset.feature_dim, preset.num_classes
+                         local_steps=LOCAL_STEPS, batch_size=BATCH_SIZE,
+                         learning_rate=LEARNING_RATE, seed=seed, **settings)
     shard_specs = make_blob_population(
         population,
-        samples_per_client=preset.samples_per_client,
-        feature_dim=dim,
-        num_classes=classes,
+        samples_per_client=SAMPLES_PER_CLIENT,
+        feature_dim=FEATURE_DIM,
+        num_classes=NUM_CLASSES,
         seed=seed,
-        heterogeneity=preset.heterogeneity,
+        heterogeneity=HETEROGENEITY,
     )
     test = make_blob_test_dataset(
-        num_samples=max(200, 4 * preset.samples_per_client),
-        feature_dim=dim,
-        num_classes=classes,
+        num_samples=max(200, 4 * SAMPLES_PER_CLIENT),
+        feature_dim=FEATURE_DIM,
+        num_classes=NUM_CLASSES,
         seed=seed,
     )
-    return (config, lambda rng: SoftmaxRegression(dim, classes, rng=rng),
+    return (config,
+            lambda rng: SoftmaxRegression(FEATURE_DIM, NUM_CLASSES, rng=rng),
             shard_specs, test)
 
 
@@ -141,7 +144,7 @@ def build_population_trainer(preset: PopulationPreset, *, seed: int,
                 else preset.sample_fraction)
     attacked = attack_name is not None
     config, model_factory, shard_specs, test = preset_workload(
-        preset, population, seed=seed,
+        population, seed=seed,
         num_servers=sum(preset.tier_spec),
         filter_rule_name=filter_rule_name,
         population_size=population,

@@ -62,6 +62,25 @@ __all__ = [
     "ADAPTIVE_CROSSOVER_VARIANTS",
 ]
 
+#: Clients whose label counts Fig. 4 shows, as the paper's histograms do.
+FIG4_SHOWN_CLIENTS = 10
+#: Rounds the sparse-vs-full message accounting runs.
+COMM_COST_ROUNDS = 3
+#: The convex problem behind :func:`run_convergence_rate`: feature
+#: dimension, classes, samples per client, the L2 weight (its strong
+#: convexity mu) and local steps E.
+CONVEX_DIM = 6
+CONVEX_CLASSES = 3
+CONVEX_SAMPLES_PER_CLIENT = 30
+CONVEX_L2 = 0.1
+CONVEX_LOCAL_STEPS = 3
+#: The ablation's attacks (the paper's Random, one defense-aware attack
+#: and per-client lies) and the filters it compares.
+ABLATION_ATTACKS = ("random", "adaptive_trimmed_mean", "inconsistent")
+ABLATION_FILTERS = ("trimmed_mean", "median", "geometric_median", "krum",
+                    "mean")
+
+
 def _curve_from_history(label: str, history: TrainingHistory) -> Curve:
     return Curve(label=label, rounds=history.evaluated_rounds,
                  accuracies=history.accuracies)
@@ -146,7 +165,6 @@ def run_fig3_epsilon_panel(epsilon: float, *,
 
 def run_fig4_heterogeneity(alphas: Sequence[float] = (1.0, 5.0, 10.0, 1000.0),
                            *, scale: Optional[BenchScale] = None,
-                           num_shown_clients: int = 10,
                            seed: int = 0) -> FigureResult:
     """Fig. 4: label distribution across the first 10 clients per ``D_alpha``.
 
@@ -160,7 +178,7 @@ def run_fig4_heterogeneity(alphas: Sequence[float] = (1.0, 5.0, 10.0, 1000.0),
     rows: List[Dict[str, object]] = []
     for alpha in alphas:
         partitions = workload.partitions(alpha, tag="fig4")
-        shown = partitions[:num_shown_clients]
+        shown = partitions[:FIG4_SHOWN_CLIENTS]
         matrix = label_distribution_matrix(shown, workload.NUM_CLASSES)
         rows.append({
             "alpha": alpha,
@@ -201,7 +219,7 @@ def run_fig5_alpha_panel(alpha: float, *, scale: Optional[BenchScale] = None,
 
 
 def run_comm_cost(*, scale: Optional[BenchScale] = None,
-                  num_rounds: int = 3, seed: int = 0) -> FigureResult:
+                  seed: int = 0) -> FigureResult:
     """Section IV-A claim: sparse upload costs ``K`` transfers per round
     (single-PS FedAvg parity), full upload costs ``K x P``.
 
@@ -212,15 +230,16 @@ def run_comm_cost(*, scale: Optional[BenchScale] = None,
     rows = []
     for strategy in ("sparse", "full"):
         history, stats = workload.run(
-            "comm", rounds=num_rounds, num_byzantine=0,
+            "comm", rounds=COMM_COST_ROUNDS, num_byzantine=0,
             upload_strategy=strategy, eval_clients=1)
-        per_round = history.total_upload_messages / num_rounds
+        per_round = history.total_upload_messages / COMM_COST_ROUNDS
         rows.append({
             "strategy": strategy,
             "upload_messages_per_round": per_round,
-            "upload_bytes_per_round": history.total_upload_bytes / num_rounds,
+            "upload_bytes_per_round":
+                history.total_upload_bytes / COMM_COST_ROUNDS,
             "dissemination_bytes_per_round": (
-                stats.bytes_by_tag.get("dissemination", 0) / num_rounds
+                stats.bytes_by_tag.get("dissemination", 0) / COMM_COST_ROUNDS
             ),
             "total_bytes": stats.bytes_total,
             "offered_bytes": stats.offered_bytes_total,
@@ -232,17 +251,15 @@ def run_comm_cost(*, scale: Optional[BenchScale] = None,
         })
     return FigureResult(
         figure_id="comm_cost",
-        params={"scale": scale.name, "num_rounds": num_rounds},
+        params={"scale": scale.name, "num_rounds": COMM_COST_ROUNDS},
         rows=rows,
         notes="sparse = K per round; full = K*P per round.",
     )
 
 
 def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
-                         num_byzantine: int = 1, local_steps: int = 3,
-                         num_rounds: int = 120, dim: int = 6,
-                         num_classes: int = 3, samples_per_client: int = 30,
-                         l2: float = 0.1, seed: int = 0) -> FigureResult:
+                         num_byzantine: int = 1, num_rounds: int = 120,
+                         seed: int = 0) -> FigureResult:
     """Theorem 1 instantiated end to end on a strongly convex problem.
 
     Builds an L2-regularized softmax-regression FEEL problem whose constants
@@ -260,26 +277,26 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
             f"num_rounds must be positive, got {num_rounds}")
     rngs = RngFactory(seed)
     data_rng = rngs.make("convex/data")
-    centers = data_rng.normal(scale=2.0, size=(num_classes, dim))
-    total = num_clients * samples_per_client
-    labels = np.arange(total) % num_classes
-    features = centers[labels] + data_rng.normal(size=(total, dim))
+    centers = data_rng.normal(scale=2.0, size=(CONVEX_CLASSES, CONVEX_DIM))
+    total = num_clients * CONVEX_SAMPLES_PER_CLIENT
+    labels = np.arange(total) % CONVEX_CLASSES
+    features = centers[labels] + data_rng.normal(size=(total, CONVEX_DIM))
     order = data_rng.permutation(total)
     dataset = ArrayDataset(features[order], labels[order])
     partitions = iid_partition(dataset, num_clients, rng=rngs.make("convex/part"))
 
     # --- measure the problem constants -----------------------------------
-    mu = l2
-    smoothness = softmax_smoothness(dataset.features, l2)
+    mu = CONVEX_L2
+    smoothness = softmax_smoothness(dataset.features, CONVEX_L2)
     optimum_weights, optimum_value = solve_softmax_optimum(
-        dataset, num_classes, l2=l2
+        dataset, CONVEX_CLASSES, l2=CONVEX_L2
     )
-    gamma_het = gamma_heterogeneity(partitions, num_classes, l2=l2,
+    gamma_het = gamma_heterogeneity(partitions, CONVEX_CLASSES, l2=CONVEX_L2,
                                     global_optimum_value=optimum_value)
     g_sq, sigma_sq_list = 0.0, []
     for index, part in enumerate(partitions):
         client_g_sq, client_sigma_sq = empirical_gradient_stats(
-            part, num_classes, l2=l2, batch_size=8, num_probes=40,
+            part, CONVEX_CLASSES, l2=CONVEX_L2, batch_size=8, num_probes=40,
             rng=rngs.make(f"convex/probe/{index}"), weights=optimum_weights * 0,
         )
         g_sq = max(g_sq, client_g_sq)
@@ -298,7 +315,7 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
         num_clients=num_clients,
         num_servers=num_servers,
         num_byzantine=num_byzantine,
-        local_steps=local_steps,
+        local_steps=CONVEX_LOCAL_STEPS,
         initial_gap_sq=initial_gap_sq,
     )
     # Theorem 1's step size eta_t = 2 / (mu (gamma + t)); the library's one
@@ -311,7 +328,7 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
         num_clients=num_clients,
         num_servers=num_servers,
         num_byzantine=num_byzantine,
-        local_steps=local_steps,
+        local_steps=CONVEX_LOCAL_STEPS,
         batch_size=8,
         eval_clients=1,
         seed=seed,
@@ -321,23 +338,23 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
     all_labels = dataset.labels
     with FedMSTrainer(
         config,
-        model_factory=lambda rng: SoftmaxRegression(dim, num_classes,
+        model_factory=lambda rng: SoftmaxRegression(CONVEX_DIM, CONVEX_CLASSES,
                                                     bias=False, rng=rng),
         client_datasets=partitions,
         test_dataset=dataset,
         attack=make_attack("noise") if num_byzantine > 0 else None,
         lr_schedule=schedule,
-        weight_decay=l2,
+        weight_decay=CONVEX_L2,
     ) as trainer:
         for round_index in range(num_rounds):
             trainer.run_round(evaluate=False)
             if (round_index + 1) % max(num_rounds // 12, 1) == 0:
                 weights = trainer.clients[0].model_vector().reshape(
-                    dim, num_classes
+                    CONVEX_DIM, CONVEX_CLASSES
                 )
                 value, _ = softmax_loss_and_grad(weights, all_features,
-                                                 all_labels, l2)
-                step = (round_index + 1) * local_steps
+                                                 all_labels, CONVEX_L2)
+                step = (round_index + 1) * CONVEX_LOCAL_STEPS
                 rows.append({
                     "round": round_index + 1,
                     "global_step": step,
@@ -372,20 +389,13 @@ def run_convergence_rate(*, num_clients: int = 20, num_servers: int = 5,
     )
 
 
-def run_filter_ablation(attack_names: Sequence[str] = ("random",
-                                                       "adaptive_trimmed_mean",
-                                                       "inconsistent"),
-                        filter_names: Sequence[str] = ("trimmed_mean",
-                                                       "median",
-                                                       "geometric_median",
-                                                       "krum",
-                                                       "mean"),
-                        *, scale: Optional[BenchScale] = None,
+def run_filter_ablation(*, scale: Optional[BenchScale] = None,
                         seed: int = 0) -> FigureResult:
     """Ablation: the paper's trimmed-mean filter vs other robust rules.
 
-    Runs the Fig. 2 workload (``epsilon = 20%``) with each (attack, filter)
-    pair and reports final accuracies. Not a paper figure — an extension
+    Runs the Fig. 2 workload (``epsilon = 20%``) with each
+    :data:`ABLATION_ATTACKS` x :data:`ABLATION_FILTERS` pair and reports
+    final accuracies. Not a paper figure — an extension
     called out in DESIGN.md. A filter the scale's ``P`` cannot run (Krum
     needs ``P >= 2f + 3``) is dropped before any training, and the notes
     name it.
@@ -393,7 +403,7 @@ def run_filter_ablation(attack_names: Sequence[str] = ("random",
     scale = scale or current_scale()
     num_byzantine = round(DEFAULT_EPSILON * scale.num_servers)
     usable, dropped = [], []
-    for filter_name in filter_names:
+    for filter_name in ABLATION_FILTERS:
         try:
             validate_rule_params(filter_name, trim_ratio=DEFAULT_EPSILON,
                                  num_byzantine=num_byzantine,
@@ -404,7 +414,7 @@ def run_filter_ablation(attack_names: Sequence[str] = ("random",
             usable.append(filter_name)
     workload = FigureWorkload(scale, seed=seed)
     rows = []
-    for attack_name in attack_names:
+    for attack_name in ABLATION_ATTACKS:
         for filter_name in usable:
             history, _ = workload.run(
                 "ablation", attack=attack_name, num_byzantine=num_byzantine,
@@ -427,8 +437,7 @@ def run_filter_ablation(attack_names: Sequence[str] = ("random",
 
 def run_fault_tolerance(*, loss_rate: float = 0.1, num_crashes: int = 2,
                         scale: Optional[BenchScale] = None, seed: int = 0,
-                        attack_name: str = "noise",
-                        num_rounds: Optional[int] = None) -> FigureResult:
+                        attack_name: str = "noise") -> FigureResult:
     """Extension: Fed-MS under PS crashes on top of Byzantine PSs and loss.
 
     Two runs on the usual Fig. 2 workload (``epsilon = 20%`` Byzantine PSs,
@@ -454,7 +463,7 @@ def run_fault_tolerance(*, loss_rate: float = 0.1, num_crashes: int = 2,
             f"{num_crashes} crashes + {num_byzantine} Byzantine PSs exceed "
             f"P = {scale.num_servers}"
         )
-    rounds = num_rounds or scale.num_rounds
+    rounds = scale.num_rounds
     # Byzantine placement and crash placement are made disjoint so the
     # adversary keeps its full strength while benign capacity shrinks —
     # the worst case for the filter.
@@ -476,8 +485,8 @@ def run_fault_tolerance(*, loss_rate: float = 0.1, num_crashes: int = 2,
             ("fault-free", False),
             (f"{num_crashes} crashes + {loss_rate:.0%} loss", True)):
         history, stats = workload.run(
-            "faults", attack=attack_name, rounds=rounds,
-            num_byzantine=num_byzantine, trim_ratio=DEFAULT_EPSILON,
+            "faults", attack=attack_name, num_byzantine=num_byzantine,
+            trim_ratio=DEFAULT_EPSILON,
             inputs=dict(byzantine_ids=byzantine_ids,
                         network=lossy if faulty else None,
                         fault_injector=FaultInjector(plan) if faulty
@@ -517,15 +526,12 @@ ADAPTIVE_CROSSOVER_VARIANTS = ("static-oracle", "static-under", "adaptive",
 
 
 def run_adaptive_crossover(*, attack_name: str = "dispersion_mimicry",
-                           byzantine_counts: Optional[Sequence[int]] = None,
                            with_faults: bool = True,
                            scale: Optional[BenchScale] = None,
-                           seed: int = 0,
-                           num_rounds: Optional[int] = None) -> FigureResult:
+                           seed: int = 0) -> FigureResult:
     """Fig. 3-style crossover: static beta vs adaptive beta vs loss-based.
 
-    For every true Byzantine count ``B`` (default: ``0..floor((P-1)/2)``)
-    four ``Def()`` variants run the same workload under ``attack_name``:
+    For every true Byzantine count ``B`` in ``0..floor((P-1)/2)`` four ``Def()`` variants run the same workload under ``attack_name``:
 
     * **static-oracle** — trimmed mean at the unknowable truth
       ``beta = B/P`` (the paper's setting, upper bound for trimming);
@@ -544,17 +550,9 @@ def run_adaptive_crossover(*, attack_name: str = "dispersion_mimicry",
     """
     scale = scale or current_scale()
     P = scale.num_servers
-    feasible_max = (P - 1) // 2
-    if byzantine_counts is None:
-        byzantine_counts = tuple(range(feasible_max + 1))
-    for count in byzantine_counts:
-        if not 0 <= count <= feasible_max:
-            raise ConfigurationError(
-                f"true Byzantine count {count} infeasible for P = {P} "
-                f"(need 0 <= B <= {feasible_max})"
-            )
+    byzantine_counts = tuple(range((P - 1) // 2 + 1))
     workload = FigureWorkload(scale, seed=seed)
-    rounds = num_rounds or scale.num_rounds
+    rounds = scale.num_rounds
     crash_round = min(max(1, rounds // 3), rounds - 1)
 
     def run(num_byzantine: int, variant: str, faulty: bool):
@@ -576,8 +574,7 @@ def run_adaptive_crossover(*, attack_name: str = "dispersion_mimicry",
                 ServerCrash(P - 1, crash_round),
             )))
         history, _ = workload.run(
-            "adaptive", attack=attack_name, rounds=rounds,
-            num_byzantine=num_byzantine,
+            "adaptive", attack=attack_name, num_byzantine=num_byzantine,
             inputs=dict(byzantine_ids=list(range(num_byzantine)) or None,
                         fault_injector=injector),
             **rule)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from .results import FigureResult
 
@@ -32,12 +32,12 @@ def format_curves(result: FigureResult) -> str:
     return "\n".join(lines)
 
 
-def format_rows(result: FigureResult,
-                columns: Sequence[str] = ()) -> str:
-    """Render row-style results (Fig. 4, comm cost, ablations) as a table."""
+def format_rows(result: FigureResult) -> str:
+    """Render row-style results (Fig. 4, comm cost, ablations) as a table:
+    one column per scalar field of the first row."""
     if not result.rows:
         return "(no rows)"
-    keys: List[str] = list(columns) if columns else [
+    keys: List[str] = [
         key for key in result.rows[0] if not isinstance(result.rows[0][key],
                                                         (list, dict))
     ]

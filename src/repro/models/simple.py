@@ -16,7 +16,6 @@ from ..common.errors import ConfigurationError
 from ..nn.layers import (
     BatchNorm2d,
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
     Linear,
     MaxPool2d,

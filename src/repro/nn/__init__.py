@@ -12,7 +12,6 @@ from . import functional, init
 from .layers import (
     BatchNorm2d,
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
     Linear,
     MaxPool2d,
@@ -38,7 +37,6 @@ __all__ = [
     "ReLU",
     "MaxPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
     "cross_entropy",
     "accuracy",
     "SGD",

@@ -30,7 +30,6 @@ __all__ = [
     "ReLU",
     "MaxPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
 ]
 
 
@@ -381,16 +380,3 @@ class GlobalAvgPool2d(Module):
         grad = grad_output[:, :, None, None] / (h * w)
         return np.broadcast_to(grad, shape).copy()
 
-
-class Flatten(Module):
-    """Reshape ``(N, ...)`` to ``(N, prod(...))``."""
-
-    rowwise = True
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        shape = _require_cache(self._cache, self)
-        return grad_output.reshape(shape)

@@ -31,6 +31,8 @@ __all__ = ["BlobShardSpec", "make_blob_population",
 #: Values a shard is built from at a time, in float64, before they are
 #: rounded once into its ``DTYPE`` features (32 KiB of scratch).
 _BLOCK = 4096
+#: Share of a skewed shard's labels set to its primary class.
+PRIMARY_FRACTION = 0.5
 
 
 @functools.lru_cache(maxsize=8)
@@ -54,9 +56,10 @@ class BlobShardSpec:
     """A Gaussian-blob classification shard, derived entirely from seeds.
 
     All shards of one population share ``centers_seed`` (they solve the
-    same classification problem); ``shard_seed`` individualizes the noise
-    draw. ``primary_class`` (optional) skews ``primary_fraction`` of the
-    shard's labels to one class — a cheap deterministic non-IID knob.
+    same classification problem); ``shard_seed`` individualizes the
+    unit-variance noise draw. ``primary_class`` (optional) skews
+    :data:`PRIMARY_FRACTION` of the shard's labels to one class — a cheap
+    deterministic non-IID knob.
     """
 
     num_samples: int
@@ -65,9 +68,7 @@ class BlobShardSpec:
     centers_seed: int
     shard_seed: int
     center_scale: float = 4.0
-    noise_scale: float = 1.0
     primary_class: Optional[int] = None
-    primary_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.num_samples < 1:
@@ -85,16 +86,10 @@ class BlobShardSpec:
                 f"primary_class {self.primary_class} outside "
                 f"[0, {self.num_classes})"
             )
-        if not 0.0 <= self.primary_fraction <= 1.0:
+        if not (math.isfinite(self.center_scale) and self.center_scale >= 0):
             raise ConfigurationError(
-                f"primary_fraction must be in [0, 1], got "
-                f"{self.primary_fraction}"
-            )
-        for name in ("center_scale", "noise_scale"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(
-                    f"{name} must be finite and >= 0, got {value}")
+                f"center_scale must be finite and >= 0, got "
+                f"{self.center_scale}")
 
     def materialize(self) -> ArrayDataset:
         """Rebuild the shard's dataset; a pure function of the spec."""
@@ -103,10 +98,10 @@ class BlobShardSpec:
         rng = np.random.default_rng(self.shard_seed)
         labels = np.arange(self.num_samples) % self.num_classes
         if self.primary_class is not None:
-            skewed = int(self.num_samples * self.primary_fraction)
+            skewed = int(self.num_samples * PRIMARY_FRACTION)
             labels[:skewed] = self.primary_class
-        # Bit-equal to ``centers[labels] + rng.normal(scale=s, size=...)``,
-        # which draws the same z and computes ``c + (0.0 + s * z)``: the two
+        # Bit-equal to ``centers[labels] + rng.normal(size=...)``, which
+        # draws the same z and computes ``c + (0.0 + 1.0 * z)``: the two
         # differ only for ``c == -0.0``, and centres from ``0.0 + s * z``
         # are never -0.0. Built in float64 a few rows at a time, each
         # block rounded once; consecutive blocks draw the stream as one
@@ -119,8 +114,6 @@ class BlobShardSpec:
             stop = min(start + rows, self.num_samples)
             block = scratch[:stop - start]
             rng.standard_normal(out=block)
-            if self.noise_scale != 1.0:
-                block *= self.noise_scale
             block += centers[labels[start:stop]]
             features[start:stop] = block
         return ArrayDataset(features, labels)

@@ -30,7 +30,7 @@ from repro.data import (
 from repro.data import synthetic
 from repro.data.synthetic import GENERATION_BLOCK, NUM_CLASSES
 from repro.population import BlobShardSpec
-from repro.population.shards import _blob_centers
+from repro.population.shards import PRIMARY_FRACTION, _blob_centers
 
 
 # -- oracles: the builders as they were before they wrote in place -----------
@@ -75,10 +75,10 @@ def oracle_materialize(self) -> ArrayDataset:
     rng = np.random.default_rng(self.shard_seed)
     labels = np.arange(self.num_samples) % self.num_classes
     if self.primary_class is not None:
-        skewed = int(self.num_samples * self.primary_fraction)
+        skewed = int(self.num_samples * PRIMARY_FRACTION)
         labels[:skewed] = self.primary_class
     features = centers[labels] + rng.normal(
-        scale=self.noise_scale,
+        scale=1.0,
         size=(self.num_samples, self.feature_dim),
     )
     return ArrayDataset(features, labels)
@@ -169,17 +169,14 @@ def _blob_specs(count=200):
             centers_seed=int(rng.integers(0, 5)),
             shard_seed=int(rng.integers(0, 2**32)),
             center_scale=float(rng.choice([4.0, 0.25, 1.0])),
-            noise_scale=(1.0, 0.5, 2.0)[index % 3],
             primary_class=(int(rng.integers(num_classes)) if index % 2
                            else None),
-            primary_fraction=float(rng.uniform()),
         )
 
 
 class TestBlobShardBitIdentity:
     def test_two_hundred_specs_match_the_oracle(self):
         specs = list(_blob_specs())
-        assert {s.noise_scale for s in specs} == {1.0, 0.5, 2.0}
         assert any(s.primary_class is not None for s in specs)
         for spec in specs:
             assert_bits_equal(spec.materialize(), oracle_materialize(spec))

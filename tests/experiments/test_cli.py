@@ -174,6 +174,18 @@ class TestCommands:
         assert main(["comm", "--skip-population"]) == 0
         assert "population_comm" not in capsys.readouterr().out
 
+    def test_faults_runs_at_tiny_scale(self, capsys):
+        assert main(["--scale", "tiny", "faults"]) == 0
+        output = capsys.readouterr().out
+        assert "ext_fault_tolerance" in output
+        assert "2 crashes + 10% loss" in output
+
+    def test_adaptive_runs_at_tiny_scale(self, capsys):
+        assert main(["--scale", "tiny", "adaptive"]) == 0
+        output = capsys.readouterr().out
+        assert "ext_adaptive_crossover" in output
+        assert "loss_based" in output
+
     def test_scale_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "paper")
         assert main(["--scale", "smoke", "fig4"]) == 0

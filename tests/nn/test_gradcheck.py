@@ -7,7 +7,6 @@ from repro.common import RngFactory
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
     Linear,
     MaxPool2d,
@@ -96,20 +95,14 @@ class TestPooling:
         assert_gradients_match(layer, rng.normal(size=(2, 3, 5, 5)))
 
 
-class TestShapeOps:
-    def test_flatten(self, rng):
-        layer = Flatten()
-        assert_gradients_match(layer, rng.normal(size=(3, 2, 4, 4)))
-
-
 class TestComposite:
     def test_small_cnn_stack(self, rng):
         net = Sequential(
             Conv2d(1, 2, 3, padding=1, rng=rng),
             ReLU(),
             MaxPool2d(2),
-            Flatten(),
-            Linear(2 * 2 * 2, 3, rng=rng),
+            GlobalAvgPool2d(),
+            Linear(2, 3, rng=rng),
         )
         x = rng.permutation(np.arange(2 * 1 * 4 * 4, dtype=float)).reshape(2, 1, 4, 4)
         x = x / x.size  # keep activations in a smooth range

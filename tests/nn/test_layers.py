@@ -7,7 +7,6 @@ from repro.common import ConfigurationError, RngFactory, ShapeError
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
     Linear,
     MaxPool2d,
@@ -132,12 +131,3 @@ class TestPooling:
         with pytest.raises(ShapeError):
             GlobalAvgPool2d()(np.zeros((2, 3)))
 
-
-class TestFlatten:
-    def test_roundtrip(self):
-        layer = Flatten()
-        x = np.arange(24, dtype=float).reshape(2, 3, 2, 2)
-        out = layer(x)
-        assert out.shape == (2, 12)
-        back = layer.backward(out)
-        np.testing.assert_array_equal(back, x)

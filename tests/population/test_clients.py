@@ -39,23 +39,21 @@ class TestShardSpecs:
 
     @pytest.mark.parametrize("field, value", [
         ("center_scale", float("nan")), ("center_scale", float("inf")),
-        ("center_scale", -1.0), ("noise_scale", float("nan")),
-        ("noise_scale", float("inf")), ("noise_scale", -0.5),
+        ("center_scale", -1.0),
     ])
     def test_refuses_a_bad_scale(self, field, value):
-        """NaN and inf made non-finite shards; a negative noise scale
-        flipped the noise's sign."""
+        """NaN and inf made non-finite shards."""
         with pytest.raises(ConfigurationError, match=f"{field}.*{value}"):
             BlobShardSpec(num_samples=10, feature_dim=4, num_classes=3,
                           centers_seed=1, shard_seed=2, **{field: value})
 
     def test_features_are_the_float64_shard_rounded_once(self):
         spec = BlobShardSpec(num_samples=40, feature_dim=300, num_classes=3,
-                             centers_seed=1, shard_seed=2, noise_scale=0.5)
+                             centers_seed=1, shard_seed=2)
         shard = spec.materialize()
         centers = np.random.default_rng(1).normal(scale=4.0, size=(3, 300))
         wide = centers[np.arange(40) % 3] + np.random.default_rng(2).normal(
-            scale=0.5, size=(40, 300))
+            size=(40, 300))
         assert shard.features.dtype == DTYPE
         np.testing.assert_array_equal(shard.features, wide.astype(DTYPE))
 

@@ -4,7 +4,9 @@ The scan lists every public top-level ``def`` and ``class`` in ``src/repro``
 that no other program file reaches. The program files are ``src/`` (its
 ``__init__`` re-exports do not count), ``benchmarks/``, ``examples/`` and
 ``bench/``; ``tests/`` never counts. Another file reaches a name when it
-uses it as a bare name, an attribute or an imported alias.
+uses it as a bare name or an attribute, or imports it under another name
+(``from m import A as B``). A plain ``from m import A`` reaches nothing
+by itself: the file reaches ``A`` only where it uses the name.
 
 Every name the scan flags must be on ``ALLOWED`` with the reason it stays,
 and every entry on ``ALLOWED`` must still be flagged, so the list cannot go
@@ -12,17 +14,18 @@ stale. A reason starts with one of ``REASONS``; "used inside its module" is
 checked against the module itself.
 
 A second scan does the same for keywords: every defaulted keyword of a
-public function, public method or public constructor in ``src/repro``
-(bar the experiment drivers, the CLI and the package root, and the
-definitions ``ALLOWED`` keeps for a ROADMAP item), and every init field of
-``FedMSConfig`` and ``FaultConfig``, must be set by a program file to
-something other than its default. A call sets a keyword when its callee
-is the definition's name (a class name for a constructor, the base class
-for ``super().__init__``) and it passes the keyword by name or position,
-or as a key of a dict splatted into the call: a literal or ``dict(...)``,
-a local dict, a ``**kwargs`` the caller's own callers fill, a parameter
-the caller's own callers pass a dict, or an inner
-dict of a module-level table splatted into ``make_attack``, which reaches
+public function, public method or public constructor in any module of
+``src/repro`` (the experiment drivers, the CLI and the package root
+included; bar the definitions ``ALLOWED`` keeps for a ROADMAP item), and
+every init field of ``FedMSConfig`` and of every public frozen dataclass,
+must be set by a program file to something other than its default. A call
+sets a keyword when its callee is the definition's name (a class name for
+a constructor, the base class for ``super().__init__``, the method's own
+class for ``cls(...)`` inside a classmethod) and it passes the keyword by
+name or position, or as a key of a dict splatted into the call: a literal
+or ``dict(...)``, a local dict, a ``**kwargs`` the caller's own callers
+fill, a parameter the caller's own callers pass a dict, or an inner dict
+of a module-level table splatted into ``make_attack``, which reaches
 the registered attack class, as ``make_attack("key", ...)`` does. A call
 through a parameter, ``topology(...)``, calls what the parameter names:
 its default and the names the caller's own callers pass for it. A codec
@@ -49,10 +52,10 @@ a key on the command line never reaches it. A class registered under a
 reached key counts as reached by the first scan.
 
 A fourth scan does it for members: every public method, property and
-annotated (dataclass or named-tuple) field of a public class in the
-modules the keyword scan reads must be read by a program file other than
-its own module. A file reads a member when it loads the member's name as
-an attribute, ``record.train_loss``, or names it in a string literal,
+annotated (dataclass or named-tuple) field of a public class in
+``src/repro`` must be read by a program file other than its own module.
+A file reads a member when it loads the member's name as an attribute,
+``record.train_loss``, or names it in a string literal,
 ``getattr(trainer, "population")``; an ``__all__`` list names no member,
 and an assignment or a constructor keyword is a write. A read inside the
 body of a member no program reads does not count, so the scan runs to a
@@ -74,6 +77,7 @@ Print what the scans flag with ``python tests/test_reachability.py``.
 import ast
 import dataclasses
 import functools
+import importlib
 from pathlib import Path
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Set, Tuple)
@@ -82,7 +86,7 @@ from repro.aggregation import available_rules
 from repro.attacks import available_attacks, make_attack
 from repro.common import ConfigurationError
 from repro.core.codecs import available_codecs, make_codec, parse_codec_spec
-from repro.core.config import FaultConfig, FedMSConfig
+from repro.core.config import FedMSConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -126,8 +130,6 @@ ALLOWED: Dict[str, str] = {
     "repro.theory.verify.VerificationResult": "used inside its module",
 }
 
-CONFIG_CLASSES = (FedMSConfig, FaultConfig)
-
 UNSET_KEYWORDS: Dict[str, str] = {}
 
 
@@ -161,13 +163,15 @@ ALLOWED_MEMBERS: Dict[str, str] = {
     **_inside("repro.core.health.HealthLedger", "open_servers"),
     **_inside("repro.core.history.RoundRecord", "materialized_clients",
               "models_received", "upload_bytes"),
+    **_inside("repro.experiments.workload.BenchScale", "hidden_width",
+              "num_test", "num_train"),
     **_inside("repro.nn.module.Module", "modules", "named_buffers",
               "named_parameters"),
     **_inside("repro.population.churn.ChurnPlan", "active_clients",
               "windows"),
     **_inside("repro.population.shards.BlobShardSpec", "center_scale",
-              "centers_seed", "num_samples", "primary_class",
-              "primary_fraction", "shard_seed"),
+              "centers_seed", "feature_dim", "num_samples", "primary_class",
+              "shard_seed"),
     **_inside("repro.population.tiers.TierTopology", "min_children"),
     **_inside("repro.simulation.clock.VirtualClock", "arrival_s"),
     **_inside("repro.simulation.faults.FaultPlan", "crashed_servers",
@@ -234,7 +238,7 @@ def _references(tree: ast.AST) -> Iterable[str]:
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and node.asname:
             yield node.name.rsplit(".", 1)[-1]
 
 
@@ -303,15 +307,6 @@ def _dict_keys(tree: ast.AST, name: str) -> Iterable[str]:
               and isinstance(node.func.value, ast.Name)
               and node.func.value.id == name):
             yield from (kw.arg for kw in node.keywords if kw.arg)
-
-
-def _keywords_scanned(module: str) -> bool:
-    """False for the modules whose keywords the keyword scan does not read:
-    the experiment drivers and the CLI, whose keywords tests use to shorten
-    a figure run, and the package root, whose keywords are the README
-    quickstart's."""
-    return not (module in ("repro.__init__", "repro.cli")
-                or module.startswith("repro.experiments."))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -402,7 +397,17 @@ def _signature(qualified: str, callees: Tuple[str, ...],
     return Signature(qualified, callees, tuple(positional), defaults)
 
 
-def _config_signature(cls: type) -> Signature:
+def _frozen(node: ast.ClassDef) -> bool:
+    return any(isinstance(decorator, ast.Call)
+               and _callee(decorator) == "dataclass"
+               and any(keyword.arg == "frozen"
+                       and getattr(keyword.value, "value", None) is True
+                       for keyword in decorator.keywords)
+               for decorator in node.decorator_list)
+
+
+def _field_signature(module: str, name: str) -> Signature:
+    cls = getattr(importlib.import_module(module), name)
     fields = [f for f in dataclasses.fields(cls) if f.init]
     return Signature(
         f"{cls.__module__}.{cls.__name__}", (cls.__name__,),
@@ -416,26 +421,25 @@ def _config_signature(cls: type) -> Signature:
 def signatures() -> Tuple[Tuple[Signature, Optional[ast.AST]], ...]:
     """Every definition the keyword scan reads, with its ``def`` node:
     the public functions, public methods and public constructors of
-    ``src/repro`` (bar :func:`_keywords_scanned`'s modules and the
-    definitions ``ALLOWED`` keeps for a ROADMAP item), and the two
-    configs' init fields."""
+    ``src/repro`` (bar the definitions ``ALLOWED`` keeps for a ROADMAP
+    item), and the init fields of ``FedMSConfig`` and of every public
+    frozen dataclass."""
     exempt = _roadmap_exempt()
-    config_names = {cls.__name__ for cls in CONFIG_CLASSES}
     inits = _init_callees()
-    found = [(_config_signature(cls), None) for cls in CONFIG_CLASSES]
+    found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         module = _module_name(path)
-        if not _keywords_scanned(module):
-            continue
         for node in _tree(path).body:
             qualified = f"{module}.{getattr(node, 'name', '')}"
             if (getattr(node, "name", "_").startswith("_")
-                    or qualified in exempt or node.name in config_names):
+                    or qualified in exempt):
                 continue
             if isinstance(node, ast.FunctionDef):
                 found.append((_signature(qualified, (node.name,), node,
                                          False), node))
             elif isinstance(node, ast.ClassDef):
+                if node.name == FedMSConfig.__name__ or _frozen(node):
+                    found.append((_field_signature(module, node.name), None))
                 for item in node.body:
                     if not isinstance(item, ast.FunctionDef):
                         continue
@@ -501,6 +505,11 @@ def _parameters(scope: ast.AST) -> Dict[str, Optional[ast.AST]]:
     return found
 
 
+def _classmethod(scope: Optional[ast.AST]) -> bool:
+    return any(getattr(decorator, "id", None) == "classmethod"
+               for decorator in getattr(scope, "decorator_list", ()))
+
+
 def _site_scope_name(scope: ast.AST, cls: Optional[ast.ClassDef]) -> str:
     return cls.name if scope.name == "__init__" and cls else scope.name
 
@@ -529,8 +538,11 @@ def call_sites() -> Dict[str, Tuple[Site, ...]]:
                     and _callee(func.value) == "super" and cls is not None):
                 raw.append((_base_name(cls) or "", call, 0, cls, scope, tree))
                 continue
-            raw.append((_callee(call), call, 0, cls, scope, tree))
-            if _callee(call) == "make_attack" and call.args:
+            callee = _callee(call)
+            if callee == "cls" and _classmethod(scope) and cls is not None:
+                callee = cls.name
+            raw.append((callee, call, 0, cls, scope, tree))
+            if callee == "make_attack" and call.args:
                 key = call.args[0]
                 if isinstance(key, ast.Constant):
                     raw.append((_attack_class(key.value), call, 1, cls,
@@ -800,12 +812,10 @@ def _member_names(node: ast.ClassDef) -> Iterable[str]:
 @functools.lru_cache(maxsize=None)
 def members() -> Dict[str, Tuple[str, str]]:
     """``module.Class.member`` -> ``(module, member)`` for every public
-    member of a public class in the modules the keyword scan reads."""
+    member of a public class in ``src/repro``."""
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = _module_name(path)
-        if not _keywords_scanned(module):
-            continue
         for node in _tree(path).body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith(
                     "_"):
