@@ -23,7 +23,7 @@ mean of float32 rows stays inside their range.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -296,7 +296,8 @@ def _flag_outliers(scores: np.ndarray) -> np.ndarray:
     return flagged
 
 
-def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
+def mad_outlier_scores(stack: np.ndarray, *, support: slice = slice(None),
+                       dim: Optional[int] = None) -> np.ndarray:
     """Modified z-score of each row's distance to the coordinate median.
 
     Scores row ``i`` by ``d_i = ||row_i - median(stack)||_2``, then
@@ -312,15 +313,23 @@ def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
     itself but not with the honest majority still scores far above any
     threshold. If every distance is identical nothing is an outlier and
     all rows score 0.
+
+    ``stack`` may hold only the ``support`` columns of ``dim``-length rows
+    that are equal everywhere else. Off the support every difference is
+    then exactly 0.0, so each one is written into a zeroed ``dim``-length
+    buffer: summed over that buffer, the distances are the whole rows'
+    bit for bit (a sum over the columns alone is not).
     """
     rows = _check_rows(stack)
     center = coordinate_median(rows)
     # One row at a time: no (P, d) difference. Widened first, so that no
     # square overflows the rows' dtype.
     distances = np.empty(len(rows), dtype=ACCUMULATOR)
-    diff = np.empty(center.shape[0], dtype=ACCUMULATOR)
+    diff = np.zeros(center.shape[0] if dim is None else dim,
+                    dtype=ACCUMULATOR)
+    on_support = diff[support]
     for i, row in enumerate(rows):
-        np.subtract(row, center, out=diff, dtype=ACCUMULATOR)
+        np.subtract(row, center, out=on_support, dtype=ACCUMULATOR)
         distances[i] = np.einsum("j,j->", diff, diff)
     np.sqrt(distances, out=distances)
     median_distance = float(np.median(distances))
@@ -334,7 +343,8 @@ def mad_outlier_scores(stack: np.ndarray) -> np.ndarray:
 
 
 def adaptive_trimmed_mean_info(
-        stack: np.ndarray) -> Tuple[np.ndarray, int, Tuple[int, ...]]:
+        stack: np.ndarray, *, support: slice = slice(None),
+        dim: Optional[int] = None) -> Tuple[np.ndarray, int, Tuple[int, ...]]:
     """Adaptive-beta trimmed mean, with the evidence behind it.
 
     Returns ``(vector, b_hat, flagged_rows)`` where ``vector`` is the
@@ -349,12 +359,17 @@ def adaptive_trimmed_mean_info(
     mean. A NaN anywhere makes every score NaN, so nothing is flagged and
     the plain mean (NaN there) comes back.
 
+    ``stack`` may hold only the ``support`` columns of ``dim``-length rows
+    that are equal everywhere else (:func:`mad_outlier_scores`); the vector
+    is then those columns of the whole rows' vector.
+
     A deterministic pure function of the stack: no randomness, stable
     tie-breaking — the property the execution backends' bit-identity
     contract requires.
     """
     rows = _check_rows(stack)
-    flagged = _flag_outliers(mad_outlier_scores(rows))
+    flagged = _flag_outliers(mad_outlier_scores(rows, support=support,
+                                                dim=dim))
     b_hat = int(flagged.size)
     return (_trimmed_rows_mean(rows, b_hat), b_hat,
             tuple(sorted(int(i) for i in flagged)))

@@ -16,8 +16,10 @@ produces one :class:`EncodedUpdate` whose ``encoded_nbytes`` is what the
 simulated network charges for the message. Every stage works in the dtype
 of the vector it is given. Decoding reverses the stages and always yields
 a dense vector of the encoded vector's dtype again, so every Byzantine
-filter (coordinate-wise trimmed mean, adaptive-beta, loss-based) operates
-on decompressed updates exactly as it would on raw ones.
+filter (coordinate-wise trimmed mean, adaptive-beta, loss-based) decides
+on decompressed updates exactly as it would on raw ones; a coordinate-wise
+one reads only the columns a broadcast carried, with the same bits
+(``docs/upload.md``).
 
 Codecs are *reference-agnostic*: they encode whatever vector they are
 given. The trainer feeds them deltas against one shared reference all
@@ -107,12 +109,18 @@ class EncodedUpdate:
     Self-describing: :meth:`decode` needs no pipeline object, only this
     update. ``encoded_nbytes`` is the byte cost a real transport would pay
     — the payload arrays only, which is what
-    :class:`~repro.simulation.network.Message` charges. ``reconstruction``
-    is the sender's read-only dense decode, off the wire: never pickled.
+    :class:`~repro.simulation.network.Message` charges.
+
+    Off the wire, and never pickled, the sender attaches what every
+    receiver reads. ``columns`` is ``(support, reference, values)`` for a
+    sparsifier-first chain: the receivers' row is ``values`` at ``support``
+    and ``reference + 0.0`` everywhere else. ``reconstruction`` is that row,
+    dense and read-only, built the first time it is read (or set by the
+    sender for a chain without a support).
     """
 
-    __slots__ = ("dim", "dtype", "codecs", "stages", "carrier",
-                 "reconstruction")
+    __slots__ = ("dim", "dtype", "codecs", "stages", "carrier", "columns",
+                 "_reconstruction")
 
     def __init__(self, dim: int, dtype: str, codecs: Tuple[str, ...],
                  stages: Tuple[StageEncoding, ...],
@@ -122,7 +130,26 @@ class EncodedUpdate:
         self.codecs = codecs
         self.stages = stages
         self.carrier = carrier
-        self.reconstruction: Optional[np.ndarray] = None
+        self.columns: Optional[Tuple[object, np.ndarray, np.ndarray]] = None
+        self._reconstruction: Optional[np.ndarray] = None
+
+    @property
+    def reconstruction(self) -> Optional[np.ndarray]:
+        """The receivers' dense read-only row; the same object on every read."""
+        row = self._reconstruction
+        if row is None and self.columns is not None:
+            support, reference, values = self.columns
+            # Off the support the dense decode is 0.0, and x + 0.0 is what
+            # adding it gave (-0.0 + 0.0 = +0.0 too).
+            row = np.add(reference, 0.0)
+            row[support] = values
+            row.flags.writeable = False
+            self._reconstruction = row
+        return row
+
+    @reconstruction.setter
+    def reconstruction(self, row: Optional[np.ndarray]) -> None:
+        self._reconstruction = row
 
     @property
     def encoded_nbytes(self) -> int:
@@ -160,13 +187,13 @@ class EncodedUpdate:
         return support(self.stages[0]), later.decode()
 
     # A payload is plain data (``pickle``, ``copy``); slots-only classes need
-    # explicit state methods. The reconstruction belongs to the sender.
+    # explicit state methods. Columns and reconstruction belong to the sender.
     def __getstate__(self):
         return (self.dim, self.dtype, self.codecs, self.stages, self.carrier)
 
     def __setstate__(self, state) -> None:
         self.dim, self.dtype, self.codecs, self.stages, self.carrier = state
-        self.reconstruction = None
+        self.columns = self._reconstruction = None
 
     def __repr__(self) -> str:
         return (f"EncodedUpdate(dim={self.dim}, codecs={self.codecs}, "

@@ -469,18 +469,23 @@ class RoundEngine:
     def filter_once(self, rule: ResolvedFilter, rows: Sequence[np.ndarray],
                     senders: Sequence[int], state: RoundState, *,
                     expected: Optional[int] = None,
-                    budget: Optional[int] = None) -> Verdict:
+                    budget: Optional[int] = None,
+                    support: Optional[Tuple[slice, np.ndarray]] = None
+                    ) -> Verdict:
         """``rule``'s verdict on one inbox, evaluated once per distinct inbox
         of the round and shared, read-only, by every receiver that holds it.
 
         ``expected`` defaults to ``config.num_servers``, ``budget`` to the
-        rule's own. An inbox is who sent what, by the memory it occupies: a
-        PS that does not lie per receiver sends one array (or one payload,
-        which carries one reconstruction) to everyone, so equal
+        rule's own; ``support`` is the rule's (rows that are columns). An
+        inbox is who sent what, by the memory it occupies: a PS that does
+        not lie per receiver sends one array (or one payload, which carries
+        one reconstruction, or one set of columns) to everyone, so equal
         keys are the same rows; equal values at different addresses are
-        never merged. A lossless round is one inbox; only a receiver behind
-        a lossy link has one of its own. Each row's address is read once
-        and the row kept beside it, so no address is reused in the round.
+        never merged. Columns belong to their payload, so on the support
+        path the key is the payloads' identity. A lossless round is one
+        inbox; only a receiver behind a lossy link has one of its own. Each
+        row's address is read once and the row kept beside it, so no
+        address is reused in the round.
         """
         if expected is None:
             expected = self.config.num_servers
@@ -494,7 +499,8 @@ class RoundEngine:
         verdict = state.verdicts.get(key)
         if verdict is None:
             verdict = state.verdicts[key] = rule(
-                rows, senders, expected=expected, budget=budget)
+                rows, senders, expected=expected, budget=budget,
+                support=support)
             if verdict.vector is not None:
                 frozen(verdict.vector)
         return verdict
@@ -667,16 +673,32 @@ class RoundEngine:
 
     def _receive(self, leg: Leg, t: int) -> None:
         """Steps 6-7 of a fan-in: every receiver that is up decodes its
-        inbox and adopts what ``Def()`` (:meth:`filter_once`) makes of it."""
+        inbox and adopts what ``Def()`` (:meth:`filter_once`) makes of it.
+
+        Where the inbox's rows agree off one support (every broadcast of a
+        codec round, :meth:`DeltaWire.shared_support`), a coordinate-wise
+        ``Def()`` reads only the columns the wire carried and no dense row
+        is built; its verdict is the dense one, bit for bit. A leg that
+        adds the receiver's ``own`` row keeps dense rows.
+        """
         state = self._round
         outcomes = state.outcomes.setdefault(leg.tag, {})
+        columnwise = (leg.filter is not None and leg.own is None
+                      and leg.filter.coordinatewise)
         for r, receiver in enumerate(leg.receivers):
             if not self._up(receiver):
                 continue
             messages = self.network.receive(receiver)
-            # The models as the wire left them: shared, read-only, unstacked.
-            rows = [self.wire.decode(m.payload) for m in messages]
             senders = [m.sender.index for m in messages]
+            shared = (self.wire.shared_support([m.payload for m in messages])
+                      if columnwise else None)
+            if shared is not None:
+                support, rows = shared
+            else:
+                # The models as the wire left them: shared, read-only,
+                # unstacked.
+                support, rows = None, [self.wire.decode(m.payload)
+                                       for m in messages]
             if leg.own is not None:
                 inbox = dict(zip(senders, rows))
                 inbox[receiver.index] = leg.own(r)
@@ -687,7 +709,8 @@ class RoundEngine:
             else:
                 expected, budget = leg.quorum(r)
                 verdict = self.filter_once(leg.filter, rows, senders, state,
-                                           expected=expected, budget=budget)
+                                           expected=expected, budget=budget,
+                                           support=support)
             outcomes[receiver.index] = (len(messages), verdict)
             leg.adopt(r, verdict)
 

@@ -42,13 +42,18 @@ from .config import FedMSConfig
 __all__ = ["Verdict", "RootLossEvaluator", "ResolvedFilter", "quorum_floor",
            "resolve_filter", "static_filter"]
 
-#: ``rows -> (vector, B-hat, rejected row indices)``: an estimating rule
-#: with the evidence behind its output.
-InfoFn = Callable[[Sequence[np.ndarray]],
+#: ``(rows, support, dim) -> (vector, B-hat, rejected row indices)``: an
+#: estimating rule with the evidence behind its output. ``rows`` are the
+#: ``support`` columns of ``dim``-length rows (every column for whole rows).
+InfoFn = Callable[[Sequence[np.ndarray], slice, int],
                   Tuple[np.ndarray, int, Tuple[int, ...]]]
 
 #: Size of the trusted root batch the loss-based rule scores candidates on.
 ROOT_BATCH_SIZE = 64
+
+#: The named rules that decide each coordinate from its own values alone
+#: (besides the static and the adaptive trimmed mean).
+COORDINATEWISE_RULES = ("mean", "median")
 
 
 def quorum_floor(num_byzantine: int) -> int:
@@ -123,20 +128,28 @@ class ResolvedFilter:
         The absolute per-tail trim count ``B = trim_count(P, beta)`` of the
         static trimmed mean; ``None`` for every other rule.
     info_fn:
-        The estimating rules' ``rows -> (vector, B-hat, rejected rows)``;
-        ``None`` otherwise.
+        The estimating rules' ``(rows, support, dim) -> (vector, B-hat,
+        rejected rows)``; ``None`` otherwise.
+    coordinatewise:
+        Whether the rule decides each coordinate from that coordinate's
+        values alone, so that it may be handed only the columns where the
+        rows differ (the ``support`` of :meth:`__call__`).
     """
 
     def __init__(self, rule: AggregationRule, *,
                  budget: Optional[int] = None,
-                 info_fn: Optional[InfoFn] = None) -> None:
+                 info_fn: Optional[InfoFn] = None,
+                 coordinatewise: bool = False) -> None:
         self.rule = rule
         self.budget = budget
         self.info_fn = info_fn
+        self.coordinatewise = coordinatewise
 
     def __call__(self, rows: Sequence[np.ndarray], senders: Sequence[int], *,
                  expected: Optional[int],
-                 budget: Optional[int] = None) -> Verdict:
+                 budget: Optional[int] = None,
+                 support: Optional[Tuple[slice, np.ndarray]] = None
+                 ) -> Verdict:
         """Filter the ``q`` rows that ``senders`` delivered.
 
         ``budget`` is the number of Byzantine senders the caller must
@@ -149,6 +162,13 @@ class ResolvedFilter:
         or a named rule such as ``mean`` or ``median``, has none to hold
         the quorum to: its floor is one row and it runs on whatever
         arrived.
+
+        A coordinate-wise rule may be handed ``support = (columns,
+        reference)``: ``rows`` are then the ``columns`` (two or more) of
+        rows that are ``reference + 0.0`` everywhere else, ``reference``
+        finite. The verdict is the one over the whole rows, bit for bit: at
+        each other coordinate the rule reduces ``q`` equal values, which
+        returns that value (docs/aggregation.md).
         """
         q = len(rows)
         if budget is None:
@@ -156,13 +176,24 @@ class ResolvedFilter:
         if q < (1 if budget is None else quorum_floor(budget)):
             return Verdict(None)
         degraded = expected is not None and q < expected
+        columns, dim = slice(None), rows[0].shape[0]
+        if support is not None:
+            columns, reference = support
+            dim = reference.shape[0]
         if self.info_fn is not None:
-            vector, estimate, rejected_rows = self.info_fn(rows)
-            return Verdict(vector, degraded, estimate,
-                           tuple(int(senders[row]) for row in rejected_rows))
-        if self.budget is not None:
-            return Verdict(trimmed_mean_by_count(rows, budget), degraded)
-        return Verdict(apply_rule(self.rule, rows))
+            vector, estimate, rejected_rows = self.info_fn(rows, columns, dim)
+            verdict = Verdict(vector, degraded, estimate,
+                              tuple(int(senders[row])
+                                    for row in rejected_rows))
+        elif self.budget is not None:
+            verdict = Verdict(trimmed_mean_by_count(rows, budget), degraded)
+        else:
+            verdict = Verdict(apply_rule(self.rule, rows))
+        if support is None:
+            return verdict
+        whole = np.add(reference, 0.0)
+        whole[columns] = verdict.vector
+        return verdict._replace(vector=whole)
 
 
 #: The static trimmed mean for a caller that names its budget on every call.
@@ -188,10 +219,14 @@ def resolve_filter(config: FedMSConfig, *,
         rule = make_rule("trimmed_mean", trim_ratio=beta,
                          num_models=config.num_servers)
         return ResolvedFilter(
-            rule, budget=trim_count(config.num_servers, beta))
+            rule, budget=trim_count(config.num_servers, beta),
+            coordinatewise=True)
     if name == "adaptive_trimmed_mean":
+        def estimate(rows, support, dim):
+            return adaptive_trimmed_mean_info(rows, support=support, dim=dim)
+
         return ResolvedFilter(make_rule("adaptive_trimmed_mean"),
-                              info_fn=adaptive_trimmed_mean_info)
+                              info_fn=estimate, coordinatewise=True)
     if name == "loss_based":
         if model_factory is None or root_dataset is None:
             raise ConfigurationError(
@@ -204,7 +239,8 @@ def resolve_filter(config: FedMSConfig, *,
                  else np.random.default_rng(config.seed)),
         )
 
-        def info_fn(rows):
+        def info_fn(rows, support, dim):
+            # Never handed a support: a loss scores whole rows.
             vector, selected = loss_based_selection_info(rows, loss_fn)
             rejected = tuple(i for i in range(len(rows))
                              if i not in selected)
@@ -215,4 +251,4 @@ def resolve_filter(config: FedMSConfig, *,
     return ResolvedFilter(make_rule(
         name, trim_ratio=config.resolved_trim_ratio,
         num_byzantine=config.num_byzantine, num_models=config.num_servers,
-    ))
+    ), coordinatewise=name in COORDINATEWISE_RULES)

@@ -71,6 +71,8 @@ class DeltaWire:
             np.array(initial_vector) if self.active else None
         )
         self.residuals: Dict[str, Dict[int, np.ndarray]] = defaultdict(dict)
+        # The last reference :meth:`shared_support` found finite.
+        self._finite_reference: Optional[np.ndarray] = None
 
     def encode_upload(self, vector: np.ndarray, sender: int
                       ) -> "tuple[object, Optional[np.ndarray]]":
@@ -111,17 +113,18 @@ class DeltaWire:
                 delta += residual
         encoded = pipeline.encode(delta, salt=salt)
         sparse = encoded.sparse_decode()
+        # Off a sparsifier's support the dense decode is 0.0, and x - 0.0 is
+        # what subtracting it gave.
+        support, values = (slice(None), encoded.decode()) if sparse is None \
+            else sparse
+        columns = reference[support] + values
+        columns.flags.writeable = False
+        # What every receiver reads: a sparsifier's columns, from which the
+        # dense row is built only if someone asks for it.
         if sparse is None:
-            support, values = slice(None), encoded.decode()
-            reconstruction = reference + values
+            encoded.reconstruction = columns
         else:
-            # Off the support the dense decode is 0.0, and x + 0.0 / x - 0.0
-            # are what adding / subtracting it gave (-0.0 + 0.0 = +0.0 too).
-            support, values = sparse
-            reconstruction = np.add(reference, 0.0)
-            reconstruction[support] = reference[support] + values
-        reconstruction.flags.writeable = False
-        encoded.reconstruction = reconstruction  # what every receiver reads
+            encoded.columns = (support, reference, columns)
         if feedback:
             delta[support] -= values
         return encoded, (delta if feedback else None)
@@ -139,9 +142,42 @@ class DeltaWire:
         """Dense vector a receiver obtains from a wire payload."""
         if not isinstance(payload, EncodedUpdate):
             return payload  # type: ignore[return-value]
-        if payload.reconstruction is not None:
-            return payload.reconstruction
+        reconstruction = payload.reconstruction
+        if reconstruction is not None:
+            return reconstruction
         return self.reference + payload.decode()
+
+    def shared_support(self, payloads: Sequence[object]
+                       ) -> "Optional[tuple[tuple[slice, np.ndarray], list]]":
+        """``((support, reference), rows)`` when ``payloads`` decode to rows
+        that are ``reference + 0.0`` off one support, else ``None``.
+
+        That is when every payload carries its columns over the same
+        reference object and an equal support slice, as every broadcast of
+        a round under a sparsifier-first chain does; ``rows`` are those
+        columns, in payload order. Two columns at least and a finite
+        reference are required too: ``Def()`` reduces a lone column another
+        way, and at an infinite coordinate the whole rows differ by NaN
+        where the columns say nothing (docs/aggregation.md).
+        """
+        first = getattr(payloads[0], "columns", None) if payloads else None
+        if first is None or type(first[0]) is not slice \
+                or first[2].shape[0] < 2:
+            return None
+        support, reference, _ = first
+        rows = []
+        for payload in payloads:
+            columns = getattr(payload, "columns", None)
+            if columns is None or columns[1] is not reference \
+                    or type(columns[0]) is not slice \
+                    or columns[0] != support:
+                return None
+            rows.append(columns[2])
+        if reference is not self._finite_reference:
+            if not np.isfinite(reference).all():
+                return None
+            self._finite_reference = reference
+        return (support, reference), rows
 
     def advance(self, reference: np.ndarray) -> None:
         """Move the shared reference.

@@ -124,17 +124,19 @@ class TrafficStats:
         self.peak_materialized_clients = 0
 
     def record(self, message: Message) -> None:
+        size = message.size_bytes  # walks every side array of a payload
         self.messages_total += 1
-        self.bytes_total += message.size_bytes
+        self.bytes_total += size
         self.messages_by_tag[message.tag] += 1
-        self.bytes_by_tag[message.tag] += message.size_bytes
+        self.bytes_by_tag[message.tag] += size
 
     def record_drop(self, message: Optional[Message] = None) -> None:
         self.dropped_total += 1
         if message is not None:
+            size = message.size_bytes
             self.dropped_by_tag[message.tag] += 1
-            self.dropped_bytes_total += message.size_bytes
-            self.dropped_bytes_by_tag[message.tag] += message.size_bytes
+            self.dropped_bytes_total += size
+            self.dropped_bytes_by_tag[message.tag] += size
 
     @property
     def offered_bytes_total(self) -> int:

@@ -1,18 +1,22 @@
 """Def() runs once per distinct inbox, on both trainers that can share one.
 
 ``RoundEngine.filter_once`` keys an inbox by the ``(sender, address,
-strides)`` of its decoded rows; ``FedMSTrainer._phase_filter`` calls it per
-client and ``HierarchicalTrainer._phase_tier_filter`` per PS. Two things
-are pinned here. *Equivalence*: a run equals a reference run of the same
-seed in which every receiver is handed private copies of its payloads (no
-two receivers share a key, so every inbox is filtered separately), on
-every branch of the filter. *Economy*: the number of filter evaluations
-per round is the number of distinct inboxes, which is 1 whenever nothing
-separates the receivers and one per receiver when a client-dependent
-attack, a codec on the exchange or a severed link does.
+strides)`` of its rows (the decoded rows, or the columns each broadcast
+payload carries); ``RoundEngine._receive`` calls it per client on the flat
+trainer and per PS in the grouped exchange. Two things are pinned here.
+*Equivalence*: a run equals, whole record for record, a reference run of
+the same seed in which every receiver is handed private copies of its
+payloads (no two receivers share a key, so every inbox is filtered
+separately; a copied payload carries no columns, so it is filtered dense),
+on every branch of the filter. *Economy*: the number of filter
+evaluations per round is the number of distinct inboxes, which is 1
+whenever nothing separates the receivers and one per receiver when a
+client-dependent attack, a codec on the exchange or a severed link does,
+with a codec on the flat trainer as without.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -129,9 +133,9 @@ def filter_every_stack_separately(trainer):
     return trainer
 
 
-@pytest.fixture
-def count_evaluations(monkeypatch):
-    """Per-round counts of Def() evaluations, at the one seam every
+def counter(monkeypatch, *, on_support):
+    """Installs per-round counts of Def() evaluations (only those handed a
+    broadcast's columns, if ``on_support``), at the one seam every
     topology and every kind of rule goes through."""
     def install(trainer):
         counts = []
@@ -139,12 +143,23 @@ def count_evaluations(monkeypatch):
         evaluate = ResolvedFilter.__call__
 
         def counted(self, rows, senders, **quorum):
-            counts[-1] += 1
+            if not on_support or quorum.get("support") is not None:
+                counts[-1] += 1
             return evaluate(self, rows, senders, **quorum)
 
         monkeypatch.setattr(ResolvedFilter, "__call__", counted)
         return counts
     return install
+
+
+@pytest.fixture
+def count_evaluations(monkeypatch):
+    return counter(monkeypatch, on_support=False)
+
+
+@pytest.fixture
+def count_on_support(monkeypatch):
+    return counter(monkeypatch, on_support=True)
 
 
 def distinct_received_sets(trainer):
@@ -164,14 +179,10 @@ def distinct_received_sets(trainer):
 def assert_rounds_equal(grouped, reference, rounds=ROUNDS):
     for _ in range(rounds):
         ours, theirs = grouped.run_round(), reference.run_round()
-        for name in ("train_loss", "test_loss", "test_accuracy",
-                     "models_received", "degraded_clients",
-                     "fallback_clients", "estimated_byzantine",
-                     "filtered_model_ids", "upload_bytes"):
-            assert getattr(ours, name) == getattr(theirs, name), name
+        assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
         for mine, other in zip(grouped.clients, reference.clients):
-            np.testing.assert_array_equal(mine.model_vector(),
-                                          other.model_vector())
+            assert mine.model_vector().tobytes() == \
+                other.model_vector().tobytes()
 
 
 SCENARIOS = {
@@ -189,6 +200,21 @@ SCENARIOS = {
     "budget_free": dict(filter_rule_name="median", plan=PLAN),
     # One payload object per receiver: nothing is ever shared.
     "inconsistent": dict(attack="inconsistent"),
+    # Def() over the columns each broadcast carried, against the reference
+    # run's private copies, which carry none and are filtered dense.
+    "median_codec": dict(filter_rule_name="median", plan=PLAN,
+                         upload_codecs=["topk(0.2)", "int8"]),
+    "mean_codec": dict(filter_rule_name="mean", num_byzantine=0,
+                       upload_codecs=["topk(0.2)", "int8"]),
+    "adaptive_sign": dict(filter_rule_name="adaptive_trimmed_mean",
+                          upload_codecs=["topk(0.3)", "sign"], plan=PLAN),
+    "adaptive_codec_deadline": dict(
+        filter_rule_name="adaptive_trimmed_mean",
+        upload_codecs=["topk(0.2)", "int8"], aggregation_mode="deadline",
+        straggler_rate=0.3, seed=1),
+    "inconsistent_codec": dict(attack="inconsistent",
+                               filter_rule_name="adaptive_trimmed_mean",
+                               upload_codecs=["topk(0.2)", "int8"]),
 }
 
 
@@ -271,6 +297,80 @@ class TestEvaluationsPerRound:
         assert counts == expected
         assert 1 < max(expected) < trainer.config.num_clients
         assert min(expected) == 1
+
+
+CODEC = dict(upload_codecs=["topk(0.2)", "int8"])
+
+
+class TestEvaluationsOnTheSupport:
+    """With a codec the flat trainer's every evaluation reads the columns
+    the broadcasts carried, and there are as many as without one."""
+
+    @pytest.fixture
+    def counts(self, count_evaluations, count_on_support):
+        def install(trainer):
+            return count_evaluations(trainer), count_on_support(trainer)
+        return install
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(filter_rule_name="adaptive_trimmed_mean"),
+        dict(),
+        dict(filter_rule_name="median"),
+        dict(filter_rule_name="mean", num_byzantine=0),
+    ], ids=["adaptive", "static", "budget_free", "mean"])
+    def test_lossless_round_is_one_evaluation(self, kwargs, counts):
+        trainer = make_trainer(num_clients=20, **kwargs, **CODEC)
+        evaluations, on_support = counts(trainer)
+        trainer.run(3)
+        assert evaluations == on_support == [1, 1, 1]
+
+    def test_deadline_round_with_a_late_server_is_one_evaluation(
+            self, counts):
+        trainer = make_trainer(
+            num_clients=8, filter_rule_name="adaptive_trimmed_mean",
+            aggregation_mode="deadline", straggler_rate=0.3, seed=1,
+            **CODEC)
+        evaluations, on_support = counts(trainer)
+        history = trainer.run(6)
+        assert any(r.deadline_missed for r in history.records)
+        assert any(r.late_admitted for r in history.records)
+        assert evaluations == on_support == [1] * 6
+
+    def test_inconsistent_attack_never_shares(self, counts):
+        trainer = make_trainer(attack="inconsistent",
+                               filter_rule_name="adaptive_trimmed_mean",
+                               **CODEC)
+        evaluations, on_support = counts(trainer)
+        trainer.run(2)
+        assert evaluations == on_support == \
+            [trainer.config.num_clients] * 2
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(filter_rule_name="adaptive_trimmed_mean"), dict(),
+    ], ids=["adaptive", "static"])
+    def test_partitions_cost_one_evaluation_per_received_set(
+            self, kwargs, counts):
+        trainer = make_trainer(plan=PLAN, **kwargs, **CODEC)
+        evaluations, on_support = counts(trainer)
+        expected = []
+        for _ in range(ROUNDS):
+            trainer.run_round()
+            expected.append(distinct_received_sets(trainer))
+        assert evaluations == on_support == expected
+        assert 1 < max(expected) < trainer.config.num_clients
+
+    @pytest.mark.parametrize("rule", ["geometric_median", "krum"])
+    def test_a_rule_over_whole_rows_reads_dense_rows(self, rule, counts):
+        trainer = make_trainer(filter_rule_name=rule, **CODEC)
+        evaluations, on_support = counts(trainer)
+        trainer.run(2)
+        assert evaluations == [1, 1] and on_support == [0, 0]
+
+    def test_the_grouped_exchange_reads_dense_rows(self, counts):
+        trainer = make_grouped("codec")
+        evaluations, on_support = counts(trainer)
+        trainer.run(2)
+        assert evaluations == [5, 5] and on_support == [0, 0]
 
 
 def cut_link(sender, recipient):

@@ -2,7 +2,8 @@
 
 ``DeltaWire._encode`` reconstructs a sparsifier-first chain on its support
 only and returns its delta buffer as the new residual; the receivers read
-the reconstruction off the payload instead of a per-round memo.
+the columns, or the dense row built from them on the first read, off the
+payload instead of a per-round memo.
 ``DenseWire`` keeps the earlier ``_encode`` and ``decode`` verbatim as the
 oracle: payload sides, reconstruction and residual must be *equal* through
 ``view(np.uint64)``, signed zeros included.
@@ -190,6 +191,24 @@ class TestReconstructionLivesOnThePayload:
         assert alive() is None
 
     @pytest.mark.parametrize("chain", CHAINS, ids="+".join)
+    def test_the_row_is_built_once_when_first_read(self, chain):
+        # A sparsifier chain keeps its columns and builds the dense row on
+        # the first read; the same read-only object answers every later one.
+        reference, vector, _ = signed_zero_case(5000, 6)
+        wire = DeltaWire(list(chain), reference)
+        payload, _ = wire.encode_broadcast(vector, 1, leg="broadcast",
+                                           sender=0)
+        if payload.columns is not None:
+            support, base, columns = payload.columns
+            assert base is wire.reference and not columns.flags.writeable
+            assert_bit_equal(columns, (reference + payload.decode())[support])
+        row = wire.decode(payload)
+        assert row is wire.decode(payload) is payload.reconstruction
+        assert not row.flags.writeable
+        clone = pickle.loads(pickle.dumps(payload))
+        assert clone.columns is None and clone.reconstruction is None
+
+    @pytest.mark.parametrize("chain", CHAINS, ids="+".join)
     def test_a_pickled_copy_decodes_against_the_reference(self, chain):
         reference, vector, _ = signed_zero_case(5000, 5)
         wire = DeltaWire(list(chain), reference)
@@ -204,8 +223,9 @@ class TestReconstructionLivesOnThePayload:
 
 class TestMemory:
     def test_one_residual_fed_broadcast_encode(self):
-        # Delta (the new residual) and reconstruction are kept; the rest is
-        # a quarter-length support and its codec temporaries.
+        # Delta (the new residual) and the quarter-length columns are kept;
+        # the rest is the support's codec temporaries. No dense row is
+        # built (with one the encode peaked at 2.54 rows and kept 2.04).
         dim = 50_000
         rng = np.random.default_rng(0)
         wire = DeltaWire(["topk(0.05)", "int8"], rng.normal(size=dim))
@@ -218,8 +238,10 @@ class TestMemory:
             base = tracemalloc.get_traced_memory()[0]
             kept = wire.encode_broadcast(vector, 1, leg="broadcast",
                                          sender=0)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            held, peak = (size - base
+                          for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
+        assert peak <= 2.25 * vector.nbytes, peak / vector.nbytes
+        assert held <= 1.3 * vector.nbytes, held / vector.nbytes
         assert kept[0].reconstruction is not None
-        assert peak <= 3.0 * vector.nbytes, peak / vector.nbytes

@@ -104,7 +104,7 @@ class TestCombine:
         assert outcome.degraded and outcome.vector is not None
 
     def test_info_fn_maps_rejections_to_child_ids(self):
-        def fake_info(rows):
+        def fake_info(rows, support, dim):
             return np.mean(rows, axis=0), 1, (2,)
 
         # A tier parent's leg filters its inbox, then the parent absorbs
@@ -127,9 +127,9 @@ class TestCombine:
         called = []
         info_fn = trainer.filter_rule.info_fn
 
-        def recording(rows):
+        def recording(rows, support, dim):
             called.append(len(rows))
-            return info_fn(rows)
+            return info_fn(rows, support, dim)
 
         trainer.filter_rule.info_fn = recording
         record = trainer.run_round(evaluate=False)
